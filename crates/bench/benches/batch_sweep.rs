@@ -9,8 +9,8 @@
 //! items, and one worker means no threads at all).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hmcs_core::batch::{self, BatchOptions};
 use hmcs_core::config::SystemConfig;
+use hmcs_core::kernel;
 use hmcs_core::metrics;
 use hmcs_core::scenario::{Scenario, PAPER_CLUSTER_COUNTS, PAPER_MESSAGE_SIZES};
 use hmcs_topology::transmission::Architecture;
@@ -46,7 +46,7 @@ fn bench_figure_grid(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &workers| {
             b.iter(|| {
-                let results = batch::evaluate_many(&configs, BatchOptions::with_workers(workers));
+                let results = kernel::evaluate_batch(&configs, workers);
                 assert!(results.iter().all(Result::is_ok));
                 results
             })
@@ -67,7 +67,7 @@ fn bench_instrumentation_overhead(c: &mut Criterion) {
         group.bench_function(label, |b| {
             metrics::set_enabled(enabled);
             b.iter(|| {
-                let results = batch::evaluate_many(&configs, BatchOptions::sequential());
+                let results = kernel::evaluate_batch(&configs, 1);
                 assert!(results.iter().all(Result::is_ok));
                 results
             });

@@ -1,7 +1,7 @@
-//! Pins the batched SoA kernel's speedup over the scalar per-point
-//! path on a figure-scale λ grid: the same 96 log-spaced offered rates
-//! evaluated (a) one [`batch::evaluate_one`] call per point — the
-//! pre-kernel production path, each point paying its own
+//! Pins the batched SoA kernel's speedup over the scalar reference
+//! solver on a figure-scale λ grid: the same 96 log-spaced offered
+//! rates evaluated (a) one [`solver::solve`] call per point plus report
+//! assembly — the scalar algorithm, each point paying its own
 //! `ServiceTimes` computation and per-evaluation setup — and (b) as
 //! one [`sweep::lambda_sweep`] through the lockstep kernel, which
 //! hoists the topology work and the per-lane coefficients once.
@@ -13,8 +13,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hmcs_core::config::SystemConfig;
+use hmcs_core::model::PerformanceReport;
 use hmcs_core::scenario::Scenario;
-use hmcs_core::{batch, sweep};
+use hmcs_core::{solver, sweep};
 use hmcs_topology::transmission::Architecture;
 use std::hint::black_box;
 
@@ -36,6 +37,12 @@ fn base_config() -> SystemConfig {
     SystemConfig::paper_preset(Scenario::Case1, 16, Architecture::NonBlocking).unwrap()
 }
 
+/// The scalar reference for one point: service times and the
+/// bisection inside [`solver::solve`], then report assembly.
+fn scalar_point(config: &SystemConfig) -> PerformanceReport {
+    PerformanceReport::from_equilibrium(config, solver::solve(config).unwrap())
+}
+
 fn bench_kernel_grid(c: &mut Criterion) {
     let base = base_config();
     let grid = lambda_grid();
@@ -44,7 +51,7 @@ fn bench_kernel_grid(c: &mut Criterion) {
     // speedup over a *different* answer would be meaningless.
     let batched = sweep::lambda_sweep(&base, &grid).unwrap();
     for (point, &lambda) in batched.iter().zip(&grid) {
-        let (scalar, _) = batch::evaluate_one(&base.with_lambda(lambda), None, None).unwrap();
+        let scalar = scalar_point(&base.with_lambda(lambda));
         assert_eq!(
             point.report.latency.mean_message_latency_us.to_bits(),
             scalar.latency.mean_message_latency_us.to_bits(),
@@ -58,7 +65,7 @@ fn bench_kernel_grid(c: &mut Criterion) {
         b.iter(|| {
             for &lambda in &grid {
                 let cfg = base.with_lambda(lambda);
-                black_box(batch::evaluate_one(black_box(&cfg), None, None).unwrap());
+                black_box(scalar_point(black_box(&cfg)));
             }
         })
     });

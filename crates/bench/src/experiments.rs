@@ -18,6 +18,7 @@ use crate::simcache;
 use hmcs_core::batch::{self, BatchOptions, EvalStats, EvalStatsSummary};
 use hmcs_core::config::{QueueAccounting, ServiceTimeModel, SystemConfig};
 use hmcs_core::error::ModelError;
+use hmcs_core::kernel;
 use hmcs_core::model::AnalyticalModel;
 use hmcs_core::scenario::{
     Scenario, PAPER_CLUSTER_COUNTS, PAPER_LAMBDA_PER_US, PAPER_MESSAGE_SIZES, PAPER_SIM_MESSAGES,
@@ -160,30 +161,17 @@ fn system_for(
         .with_lambda(opts.lambda_per_us))
 }
 
-/// Regenerates one of Figures 4–7 on the shared worker pool.
+/// Regenerates one of Figures 4–7 on the shared worker pool. The
+/// analysis column runs as two batch cluster sweeps (one per message
+/// size); the simulation column fans the 18 runs out over the same
+/// pool.
 pub fn run_figure(spec: FigureSpec, opts: &RunOptions) -> Result<FigureData, ModelError> {
-    run_figure_with(spec, opts, BatchOptions::default())
-}
-
-/// [`run_figure`] with an explicit worker policy. The analysis column
-/// runs as two batch cluster sweeps (one per message size); the
-/// simulation column fans the 18 runs out over the same pool.
-pub fn run_figure_with(
-    spec: FigureSpec,
-    opts: &RunOptions,
-    batch_options: BatchOptions,
-) -> Result<FigureData, ModelError> {
     let started = std::time::Instant::now();
     let sweep_for = |bytes: u64| -> Result<Vec<sweep::SweepPoint<usize>>, ModelError> {
         let base = SystemConfig::paper_preset(spec.scenario, 1, spec.architecture)?
             .with_message_bytes(bytes)
             .with_lambda(opts.lambda_per_us);
-        sweep::cluster_sweep_with(
-            &base,
-            hmcs_core::scenario::PAPER_TOTAL_NODES,
-            &PAPER_CLUSTER_COUNTS,
-            batch_options,
-        )
+        sweep::cluster_sweep(&base, hmcs_core::scenario::PAPER_TOTAL_NODES, &PAPER_CLUSTER_COUNTS)
     };
     let analysis_512 = sweep_for(PAPER_MESSAGE_SIZES[0])?;
     let analysis_1024 = sweep_for(PAPER_MESSAGE_SIZES[1])?;
@@ -212,7 +200,7 @@ pub fn run_figure_with(
                 );
             }
         }
-        batch::par_map(&sim_configs, batch_options.resolved_workers(), |cfg| {
+        batch::par_map(&sim_configs, BatchOptions::default().resolved_workers(), |cfg| {
             simcache::flow_run(cfg).map(|r| r.mean_latency_ms())
         })
         .into_iter()
@@ -279,7 +267,7 @@ pub fn run_claims(opts: &RunOptions) -> Result<Vec<ClaimRow>, ModelError> {
             }
         }
     }
-    let results = batch::evaluate_many(&configs, BatchOptions::default());
+    let results = kernel::evaluate_batch(&configs, BatchOptions::default().resolved_workers());
     keys.into_iter()
         .zip(results.chunks_exact(2))
         .map(|((scenario, clusters), pair)| {

@@ -2,8 +2,8 @@
 //!
 //! The figure-reproduction drivers, the parameter sweeps and the
 //! simulation replication harness all evaluate many independent
-//! [`SystemConfig`]s. This module gives them one bounded worker pool
-//! instead of three ad-hoc loops:
+//! [`SystemConfig`](crate::config::SystemConfig)s. This module gives
+//! them one bounded worker pool instead of three ad-hoc loops:
 //!
 //! * [`par_map`] — evaluate a slice on `workers` scoped threads with a
 //!   lock-free claim cursor, returning results in **input order**. The
@@ -12,16 +12,11 @@
 //! * [`BatchOptions`] — worker-count policy: explicit, the
 //!   `HMCS_POOL_WORKERS` environment variable, or
 //!   [`std::thread::available_parallelism`].
-//! * [`evaluate_one`] / [`evaluate_many`] — the analytical model with
-//!   per-point [`EvalStats`] (wall-clock time and fixed-point solver
-//!   iterations), optional reuse of precomputed λ-independent
-//!   [`ServiceTimes`], and optional warm-started bisection.
+//! * [`EvalStats`] / [`EvalStatsSummary`] — per-point evaluation cost
+//!   (wall-clock time and fixed-point solver iterations) as reported by
+//!   the batched kernel ([`crate::kernel::evaluate_batch`]).
 
-use crate::config::SystemConfig;
-use crate::error::ModelError;
 use crate::metrics::{self, keys};
-use crate::model::{AnalyticalModel, PerformanceReport};
-use crate::service::ServiceTimes;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -262,51 +257,11 @@ impl EvalStatsSummary {
     }
 }
 
-/// Evaluates one configuration, timing the work.
-///
-/// `service` lets λ-sweeps reuse the λ-independent service times
-/// (computed fresh when `None`); `seed` warm-starts the effective-rate
-/// bisection (ignored when outside the bracket).
-pub fn evaluate_one(
-    config: &SystemConfig,
-    service: Option<&ServiceTimes>,
-    seed: Option<f64>,
-) -> Result<(PerformanceReport, EvalStats), ModelError> {
-    let start = Instant::now();
-    config.validate()?;
-    let report = match service {
-        Some(s) => AnalyticalModel::evaluate_with_service_seeded(config, s, seed)?,
-        None => {
-            let s = ServiceTimes::compute(config)?;
-            AnalyticalModel::evaluate_with_service_seeded(config, &s, seed)?
-        }
-    };
-    let stats = EvalStats {
-        eval_time_us: start.elapsed().as_secs_f64() * 1e6,
-        solver_iterations: report.equilibrium.solver_iterations,
-    };
-    metrics::histogram(keys::BATCH_EVAL_TIME_US).record_f64(stats.eval_time_us);
-    Ok((report, stats))
-}
-
-/// Evaluates a batch of configurations on the pool, in input order.
-///
-/// Runs on the batched structure-of-arrays kernel
-/// ([`crate::kernel::BatchKernel`]): each worker advances one
-/// contiguous block of lanes in lockstep. Every result is bit-identical
-/// to [`evaluate_one`] on the same configuration — the scalar path
-/// stays as the differential oracle the kernel is property-tested
-/// against.
-pub fn evaluate_many(
-    configs: &[SystemConfig],
-    options: BatchOptions,
-) -> Vec<Result<(PerformanceReport, EvalStats), ModelError>> {
-    crate::kernel::evaluate_batch(configs, options.resolved_workers())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
+    use crate::kernel::evaluate_batch;
     use crate::scenario::{Scenario, PAPER_CLUSTER_COUNTS};
     use hmcs_topology::transmission::Architecture;
 
@@ -354,19 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_records_batch_metrics() {
-        let calls_before = metrics::counter(keys::BATCH_CALLS).get();
-        let items_before = metrics::counter(keys::BATCH_ITEMS).get();
-        let items: Vec<u64> = (0..37).collect();
-        let out = par_map(&items, 4, |&x| x * 2);
-        assert_eq!(out[36], 72);
-        assert_eq!(metrics::counter(keys::BATCH_CALLS).get(), calls_before + 1);
-        assert_eq!(metrics::counter(keys::BATCH_ITEMS).get(), items_before + 37);
-        let workers = metrics::histogram(keys::BATCH_WORKER_ITEMS).snapshot();
-        assert!(workers.count >= 2, "multi-worker batch should record per-worker drain");
-    }
-
-    #[test]
     fn worker_resolution_prefers_explicit_count() {
         assert_eq!(BatchOptions::sequential().resolved_workers(), 1);
         assert_eq!(BatchOptions::with_workers(3).resolved_workers(), 3);
@@ -382,8 +324,8 @@ mod tests {
                 SystemConfig::paper_preset(Scenario::Case1, c, Architecture::Blocking).unwrap()
             })
             .collect();
-        let seq = evaluate_many(&configs, BatchOptions::sequential());
-        let par = evaluate_many(&configs, BatchOptions::with_workers(4));
+        let seq = evaluate_batch(&configs, 1);
+        let par = evaluate_batch(&configs, 4);
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(&par) {
             let (sr, _) = s.as_ref().unwrap();
@@ -399,7 +341,7 @@ mod tests {
         let good =
             SystemConfig::paper_preset(Scenario::Case1, 4, Architecture::NonBlocking).unwrap();
         let bad = good.with_lambda(-1.0);
-        let out = evaluate_many(&[good, bad, good], BatchOptions::with_workers(2));
+        let out = evaluate_batch(&[good, bad, good], 2);
         assert!(out[0].is_ok());
         assert!(out[1].is_err());
         assert!(out[2].is_ok());

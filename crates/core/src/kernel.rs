@@ -1,13 +1,14 @@
 //! Batched structure-of-arrays fixed-point kernel.
 //!
-//! The figure drivers, the parameter sweeps, `/v1/sweep` and the
-//! optimizer all evaluate *grids* of configurations, yet the scalar
-//! path ([`crate::batch::evaluate_one`]) re-derives everything per
-//! point: it validates the config, rebuilds the topology service
-//! times, and every one of the ~45 bisection probes re-runs the
-//! traffic equations (eqs. 1–5), re-constructs the three service
-//! distributions and re-validates an [`MG1`](hmcs_queueing::mg1::MG1)
-//! per centre.
+//! Every production evaluation runs here: the figure drivers, the
+//! parameter sweeps, the optimizer, the server and the single-point
+//! [`AnalyticalModel::evaluate`](crate::model::AnalyticalModel::evaluate)
+//! facade. The scalar reference solver ([`crate::solver::solve`])
+//! re-derives everything per point: it validates the config, rebuilds
+//! the topology service times, and every one of the ~45 bisection
+//! probes re-runs the traffic equations (eqs. 1–5), re-constructs the
+//! three service distributions and re-validates an
+//! [`MG1`](hmcs_queueing::mg1::MG1) per centre.
 //!
 //! [`BatchKernel`] hoists everything λ-independent out of the loop
 //! once per *lane* (one lane = one configuration) into flat `f64`
@@ -24,21 +25,21 @@
 //! the scalar solver's floating-point operation sequence exactly —
 //! same association, same branch structure, same probe ordering, same
 //! degenerate-bracket conventions — so every lane's
-//! [`PerformanceReport`] equals [`crate::batch::evaluate_one`]'s
-//! output to `f64::to_bits`, including the solver iteration count and
-//! every error variant. The scalar path is kept as the differential
-//! oracle: `tests/kernel_properties.rs` fuzzes lane-vs-scalar equality
-//! over the 16–512-processor validity region and the `kernel_grid`
-//! bench asserts it on the figure lambda grid.
+//! [`PerformanceReport`] equals the report assembled from
+//! [`crate::solver::solve`] to `f64::to_bits`, including the solver
+//! iteration count and every error variant. The scalar solver is kept
+//! only as that reference: `tests/kernel_properties.rs` fuzzes
+//! lane-vs-scalar equality over the 16–512-processor validity region
+//! and the `kernel_grid` bench asserts it on the figure lambda grid.
 
 use crate::batch::{self, EvalStats};
 use crate::config::{QueueAccounting, SystemConfig};
 use crate::error::ModelError;
 use crate::metrics::{self, keys};
-use crate::model::{AnalyticalModel, PerformanceReport};
+use crate::model::PerformanceReport;
 use crate::service::ServiceTimes;
 use crate::solver;
-use hmcs_queueing::fixed_point::SEEDED_REL_TOL;
+use hmcs_queueing::fixed_point::BISECT_REL_TOL;
 use hmcs_queueing::QueueingError;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -121,7 +122,7 @@ macro_rules! eval_f {
 }
 
 /// Evaluates `out[i] = f(x[i])` branchless over every lane — the
-/// endpoint probes at the head of the scalar `bisect_seeded`, run as
+/// endpoint probes at the head of the scalar `bisect_relative`, run as
 /// one data-parallel pass.
 ///
 /// The probe loops live in free functions because Rust attaches
@@ -241,7 +242,7 @@ fn lockstep_pass(
         let lane_hi = hi[i];
         let mid = 0.5 * (lane_lo + lane_hi);
         let conv =
-            mid <= lane_lo || mid >= lane_hi || (lane_hi - lane_lo) <= SEEDED_REL_TOL * mid.abs();
+            mid <= lane_lo || mid >= lane_hi || (lane_hi - lane_lo) <= BISECT_REL_TOL * mid.abs();
         let fm = f!(i, mid);
         // Scalar: `fmid.signum() == flo.signum()` moves the low edge,
         // else the high edge. Both are non-zero and non-NaN when the
@@ -338,15 +339,14 @@ fn sojourn_fast(arrival: f64, mean: f64, m2: f64) -> f64 {
 /// general heterogeneous-shape case) or [`BatchKernel::with_service`]
 /// (one shared shape swept over λ), then call [`BatchKernel::solve`].
 /// Results come back in lane order, each lane bit-identical to
-/// [`crate::batch::evaluate_one`] on the same configuration.
+/// [`crate::solver::solve`] on the same configuration.
 ///
-/// A kernel is also a reusable *arena*: [`BatchKernel::reset`] rewinds
-/// every column to the exact state a fresh build would produce without
-/// releasing capacity, so steady-state callers ([`evaluate_batch`]'s
-/// worker pool, the optimizer's wave loop, the serve micro-batcher)
-/// solve batch after batch without touching the allocator. The
-/// convenience wrappers [`BatchKernel::evaluate`] /
-/// [`BatchKernel::evaluate_with_service`] are `reset` + solve-in-place.
+/// A kernel is also a reusable *arena*: [`BatchKernel::evaluate`] and
+/// [`BatchKernel::evaluate_bounded`] rewind every column to the exact
+/// state a fresh build would produce without releasing capacity, so
+/// steady-state callers ([`evaluate_batch`]'s worker pool, the
+/// optimizer's wave loop, the serve micro-batcher, the single-point
+/// facade) solve batch after batch without touching the allocator.
 #[derive(Debug, Default)]
 pub struct BatchKernel {
     configs: Vec<SystemConfig>,
@@ -392,8 +392,8 @@ pub struct BatchKernel {
 
 impl BatchKernel {
     /// Prepares one lane per configuration, computing each lane's
-    /// service times from its own topology (the scalar
-    /// `evaluate_one(cfg, None, None)` contract).
+    /// service times from its own topology (the [`solver::solve`]
+    /// contract).
     pub fn new(configs: &[SystemConfig]) -> Self {
         Self::build(configs, None)
     }
@@ -407,39 +407,19 @@ impl BatchKernel {
 
     fn build(configs: &[SystemConfig], shared: Option<&ServiceTimes>) -> Self {
         let mut k = BatchKernel::default();
-        k.reset_impl(configs, shared);
+        k.reset(configs, shared);
         k
     }
 
     /// Rewinds the arena to the state [`BatchKernel::new`] would build
-    /// for `configs`, reusing every column's capacity. Solving after a
-    /// reset is bit-identical to solving a freshly built kernel.
-    pub fn reset(&mut self, configs: &[SystemConfig]) {
-        self.reset_impl(configs, None);
-    }
-
-    /// [`BatchKernel::reset`] for the shared-service (λ-grid) case,
-    /// mirroring [`BatchKernel::with_service`].
-    pub fn reset_with_service(&mut self, configs: &[SystemConfig], shared: &ServiceTimes) {
-        self.reset_impl(configs, Some(shared));
-    }
-
-    /// `reset` + solve in place: one batch through a reusable arena.
+    /// for `configs` and solves it in place, reusing every column's
+    /// capacity: one batch through a reusable arena, bit-identical to a
+    /// freshly built kernel.
     pub fn evaluate(
         &mut self,
         configs: &[SystemConfig],
     ) -> Vec<Result<(PerformanceReport, EvalStats), ModelError>> {
-        self.reset(configs);
-        self.solve_in_place()
-    }
-
-    /// `reset_with_service` + solve in place.
-    pub fn evaluate_with_service(
-        &mut self,
-        configs: &[SystemConfig],
-        shared: &ServiceTimes,
-    ) -> Vec<Result<(PerformanceReport, EvalStats), ModelError>> {
-        self.reset_with_service(configs, shared);
+        self.reset(configs, None);
         self.solve_in_place()
     }
 
@@ -462,7 +442,7 @@ impl BatchKernel {
         bounds: &[LaneBounds],
     ) -> Vec<LaneOutcome> {
         assert_eq!(configs.len(), bounds.len(), "one LaneBounds per lane");
-        self.reset(configs);
+        self.reset(configs, None);
         let mut any = false;
         for (i, b) in bounds.iter().enumerate() {
             self.thr_slo[i] = b.slo_us;
@@ -473,7 +453,9 @@ impl BatchKernel {
         self.run()
     }
 
-    fn reset_impl(&mut self, configs: &[SystemConfig], shared: Option<&ServiceTimes>) {
+    /// Rewinds every column to the state a fresh build for `configs`
+    /// would produce (`shared` as in [`BatchKernel::with_service`]).
+    fn reset(&mut self, configs: &[SystemConfig], shared: Option<&ServiceTimes>) {
         let lanes = configs.len();
         self.configs.clear();
         self.configs.extend_from_slice(configs);
@@ -664,10 +646,9 @@ impl BatchKernel {
             let fms = &mut self.fms[..lanes];
             let convf = &mut self.convf[..lanes];
 
-            // Endpoint probes — the head of the scalar `bisect_seeded`
-            // with no seed (the path every golden artefact takes) —
-            // run branchless over every lane so they vectorise like the
-            // main passes. Lanes that failed preparation hold a
+            // Endpoint probes — the head of the scalar `bisect_relative`
+            // — run branchless over every lane so they vectorise like
+            // the main passes. Lanes that failed preparation hold a
             // degenerate `lo == hi == 0` bracket: their probes compute
             // garbage that the triage below never reads.
             probe_pass(
@@ -816,13 +797,11 @@ impl BatchKernel {
         }
 
         // Per-lane tail: saturation back-off, equilibrium assembly and
-        // the same solver metrics the scalar path records. Metric
-        // values accumulate in plain locals and merge into the shared
-        // registry once at the end — each registry lookup is a
-        // mutex-guarded name walk and each shared record is four
-        // atomics, per lane — and only when something was recorded, so
-        // a batch that records nothing also registers nothing, like
-        // the scalar path.
+        // the `core.solver.*` metrics. Metric values accumulate in
+        // plain locals and merge into the shared registry once at the
+        // end — each shared record is four atomics, per lane — and only
+        // when something was recorded, so a batch that records nothing
+        // also registers nothing.
         let mut solves = 0u64;
         let mut iter_batch = metrics::HistogramBatch::new();
         let mut bracket_batch = metrics::HistogramBatch::new();
@@ -884,11 +863,7 @@ impl BatchKernel {
                 self.iterations[i],
             ) {
                 Ok(eq) => {
-                    let report = AnalyticalModel::report_from_equilibrium(
-                        &self.configs[i],
-                        &self.service[i],
-                        eq,
-                    );
+                    let report = PerformanceReport::from_equilibrium(&self.configs[i], eq);
                     let stats =
                         EvalStats { eval_time_us: 0.0, solver_iterations: self.iterations[i] };
                     out.push(LaneOutcome::Solved(report, stats));
@@ -897,9 +872,10 @@ impl BatchKernel {
             }
         }
         if solves > 0 {
-            metrics::counter(keys::SOLVER_SOLVES).add(solves);
-            iter_batch.flush_into(metrics::histogram(keys::SOLVER_ITERATIONS));
-            bracket_batch.flush_into(metrics::histogram(keys::SOLVER_BRACKET_PPM));
+            let handles = solve_metrics();
+            handles.solves.add(solves);
+            iter_batch.flush_into(handles.iterations);
+            bracket_batch.flush_into(handles.bracket_ppm);
         }
         if backoff_activations > 0 {
             metrics::counter(keys::SOLVER_BACKOFF_ACTIVATIONS).add(backoff_activations);
@@ -916,10 +892,31 @@ impl BatchKernel {
             }
         }
         if !eval_time_batch.is_empty() {
-            eval_time_batch.flush_into(metrics::histogram(keys::BATCH_EVAL_TIME_US));
+            eval_time_batch.flush_into(solve_metrics().eval_time_us);
         }
         out
     }
+}
+
+/// Registry handles for the metrics every solve records, looked up once
+/// per process: a registry lookup takes the registry's mutex, which
+/// concurrent single-point solves would otherwise contend on at the end
+/// of every call.
+struct SolveMetrics {
+    solves: &'static metrics::Counter,
+    iterations: &'static metrics::ValueHistogram,
+    bracket_ppm: &'static metrics::ValueHistogram,
+    eval_time_us: &'static metrics::ValueHistogram,
+}
+
+fn solve_metrics() -> &'static SolveMetrics {
+    static HANDLES: OnceLock<SolveMetrics> = OnceLock::new();
+    HANDLES.get_or_init(|| SolveMetrics {
+        solves: metrics::counter(keys::SOLVER_SOLVES),
+        iterations: metrics::histogram(keys::SOLVER_ITERATIONS),
+        bracket_ppm: metrics::histogram(keys::SOLVER_BRACKET_PPM),
+        eval_time_us: metrics::histogram(keys::BATCH_EVAL_TIME_US),
+    })
 }
 
 /// Process-wide arena cache: finished workers park their
@@ -973,12 +970,11 @@ impl Drop for PooledKernel {
 /// Evaluates a batch of configurations through [`BatchKernel`], split
 /// into one contiguous lane block per worker on the shared pool.
 ///
-/// This is the engine behind [`crate::batch::evaluate_many`]: results
-/// arrive in input order and every lane is bit-identical to the scalar
-/// [`crate::batch::evaluate_one`] — chunking cannot change bits
-/// because lanes never exchange information. Each worker solves its
-/// block in a pooled arena ([`BatchKernel::reset`] reuse), so repeated
-/// calls are allocation-free once the pool is warm.
+/// Results arrive in input order and every lane is bit-identical to the
+/// scalar reference [`crate::solver::solve`] — chunking cannot change
+/// bits because lanes never exchange information. Each worker solves
+/// its block in a pooled arena ([`BatchKernel::evaluate`] reuse), so
+/// repeated calls are allocation-free once the pool is warm.
 pub fn evaluate_batch(
     configs: &[SystemConfig],
     workers: usize,
@@ -990,8 +986,8 @@ pub fn evaluate_batch(
     let chunk = configs.len().div_ceil(workers);
     let chunks: Vec<&[SystemConfig]> = configs.chunks(chunk).collect();
     // `par_map_init` counts one item per chunk; top the batch-items
-    // counter up to the per-configuration count the scalar path
-    // reported so operator dashboards keep their meaning.
+    // counter up to one item per configuration so operator dashboards
+    // keep their meaning.
     if metrics::enabled() && configs.len() > chunks.len() {
         metrics::counter(keys::BATCH_ITEMS).add((configs.len() - chunks.len()) as u64);
     }
@@ -1040,6 +1036,11 @@ mod tests {
         SystemConfig::paper_preset(Scenario::Case1, clusters, arch).unwrap()
     }
 
+    /// The scalar reference: [`solver::solve`] plus report assembly.
+    fn scalar(config: &SystemConfig) -> Result<PerformanceReport, ModelError> {
+        solver::solve(config).map(|eq| PerformanceReport::from_equilibrium(config, eq))
+    }
+
     fn assert_bitwise_eq(kernel: &PerformanceReport, scalar: &PerformanceReport) {
         assert_eq!(
             kernel.equilibrium.lambda_eff.to_bits(),
@@ -1075,10 +1076,10 @@ mod tests {
         }
         let batch = BatchKernel::new(&configs).solve();
         for (cfg, lane) in configs.iter().zip(&batch) {
-            let (scalar, sstats) = batch::evaluate_one(cfg, None, None).unwrap();
+            let reference = scalar(cfg).unwrap();
             let (kernel, kstats) = lane.as_ref().unwrap();
-            assert_bitwise_eq(kernel, &scalar);
-            assert_eq!(kstats.solver_iterations, sstats.solver_iterations);
+            assert_bitwise_eq(kernel, &reference);
+            assert_eq!(kstats.solver_iterations, reference.equilibrium.solver_iterations);
         }
     }
 
@@ -1090,9 +1091,8 @@ mod tests {
         let configs: Vec<SystemConfig> = lambdas.iter().map(|&l| base.with_lambda(l)).collect();
         let lanes = BatchKernel::with_service(&configs, &service).solve();
         for (cfg, lane) in configs.iter().zip(&lanes) {
-            let (scalar, _) = batch::evaluate_one(cfg, Some(&service), None).unwrap();
             let (kernel, _) = lane.as_ref().unwrap();
-            assert_bitwise_eq(kernel, &scalar);
+            assert_bitwise_eq(kernel, &scalar(cfg).unwrap());
         }
     }
 
@@ -1103,8 +1103,7 @@ mod tests {
         for lambda in [2.5e-3, 2.5e-2] {
             let config = cfg(256, Architecture::Blocking).with_lambda(lambda);
             let lane = BatchKernel::new(std::slice::from_ref(&config)).solve().remove(0);
-            let (scalar, _) = batch::evaluate_one(&config, None, None).unwrap();
-            assert_bitwise_eq(&lane.unwrap().0, &scalar);
+            assert_bitwise_eq(&lane.unwrap().0, &scalar(&config).unwrap());
         }
     }
 
@@ -1117,8 +1116,7 @@ mod tests {
         ] {
             let config = cfg(8, Architecture::NonBlocking).with_service_model(model);
             let lane = BatchKernel::new(std::slice::from_ref(&config)).solve().remove(0);
-            let (scalar, _) = batch::evaluate_one(&config, None, None).unwrap();
-            assert_bitwise_eq(&lane.unwrap().0, &scalar);
+            assert_bitwise_eq(&lane.unwrap().0, &scalar(&config).unwrap());
         }
     }
 
@@ -1129,7 +1127,7 @@ mod tests {
         let lanes = BatchKernel::new(&[good, bad, good]).solve();
         assert!(lanes[0].is_ok());
         assert!(lanes[2].is_ok());
-        let scalar_err = batch::evaluate_one(&bad, None, None).unwrap_err();
+        let scalar_err = scalar(&bad).unwrap_err();
         assert_eq!(lanes[1].as_ref().unwrap_err(), &scalar_err);
     }
 
@@ -1204,7 +1202,8 @@ mod tests {
         for count in [7usize, 64, 3] {
             let configs: Vec<SystemConfig> =
                 (0..count).map(|i| base.with_lambda(1e-6 * 1.3f64.powi(i as i32))).collect();
-            let reused = arena.evaluate_with_service(&configs, &service);
+            arena.reset(&configs, Some(&service));
+            let reused = arena.solve_in_place();
             let fresh = BatchKernel::with_service(&configs, &service).solve();
             for (a, b) in reused.iter().zip(&fresh) {
                 assert_bitwise_eq(&a.as_ref().unwrap().0, &b.as_ref().unwrap().0);
@@ -1255,7 +1254,7 @@ mod tests {
             }
             other => panic!("expected the throttled lane to prune, got {other:?}"),
         }
-        let (light_report, _) = batch::evaluate_one(&configs[1], None, None).unwrap();
+        let light_report = scalar(&configs[1]).unwrap();
         match &outcomes[1] {
             LaneOutcome::Solved(report, _) => assert_bitwise_eq(report, &light_report),
             other => panic!("expected the light lane to solve, got {other:?}"),

@@ -3,13 +3,17 @@
 //! [`AnalyticalModel::evaluate`] runs the whole pipeline: service times
 //! from the topology models (§5), traffic equations (eqs. 1–5), the
 //! effective-rate fixed point (eqs. 6–7), and the latency composition
-//! (eqs. 9, 15–16), returning a single [`PerformanceReport`].
+//! (eqs. 9, 15–16), returning a single [`PerformanceReport`]. It solves
+//! the configuration as one lane of the batched kernel
+//! ([`crate::kernel`]), the same path every grid evaluation takes.
 
 use crate::config::SystemConfig;
 use crate::error::ModelError;
+use crate::kernel::BatchKernel;
 use crate::latency::LatencyReport;
 use crate::service::ServiceTimes;
-use crate::solver::{self, Equilibrium};
+use crate::solver::Equilibrium;
+use std::cell::RefCell;
 
 /// The complete output of one analytical-model evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,55 +28,44 @@ pub struct PerformanceReport {
     pub throughput_per_us: f64,
 }
 
+impl PerformanceReport {
+    /// Assembles the report from a converged equilibrium; the service
+    /// times are the ones its centres were solved with. The kernel
+    /// builds every report here, and comparisons against the reference
+    /// [`crate::solver::solve`] assemble its equilibrium here too, so
+    /// both reports come from the same operations.
+    pub fn from_equilibrium(config: &SystemConfig, equilibrium: Equilibrium) -> Self {
+        PerformanceReport {
+            service_times: ServiceTimes {
+                icn1_us: equilibrium.icn1.service_time_us,
+                ecn1_us: equilibrium.ecn1.service_time_us,
+                icn2_us: equilibrium.icn2.service_time_us,
+            },
+            equilibrium,
+            latency: LatencyReport::from_equilibrium(&equilibrium),
+            throughput_per_us: config.total_nodes() as f64 * equilibrium.lambda_eff,
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's one-lane arena, reused so a warm single-point solve
+    /// allocates no columns. It is never shared, so concurrent callers
+    /// take no lock and the arena's memory stays with one core.
+    static ARENA: RefCell<BatchKernel> = RefCell::new(BatchKernel::default());
+}
+
 /// The analytical performance model (stateless facade).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticalModel;
 
 impl AnalyticalModel {
-    /// Evaluates the model for `config`.
+    /// Evaluates the model for `config` as a one-lane kernel solve on
+    /// this thread's arena.
     pub fn evaluate(config: &SystemConfig) -> Result<PerformanceReport, ModelError> {
-        config.validate()?;
-        let service_times = ServiceTimes::compute(config)?;
-        Self::evaluate_with_service(config, &service_times)
-    }
-
-    /// Evaluates the model reusing precomputed (λ-independent) service
-    /// times. λ-sweeps call this so the topology pipeline runs once per
-    /// system shape instead of once per sweep point.
-    pub fn evaluate_with_service(
-        config: &SystemConfig,
-        service_times: &ServiceTimes,
-    ) -> Result<PerformanceReport, ModelError> {
-        Self::evaluate_with_service_seeded(config, service_times, None)
-    }
-
-    /// Like [`AnalyticalModel::evaluate_with_service`], warm-starting
-    /// the effective-rate bisection from `seed` (typically the λ_eff of
-    /// a neighbouring sweep point).
-    pub fn evaluate_with_service_seeded(
-        config: &SystemConfig,
-        service_times: &ServiceTimes,
-        seed: Option<f64>,
-    ) -> Result<PerformanceReport, ModelError> {
-        let equilibrium = solver::solve_with_service_seeded(config, service_times, seed)?;
-        Ok(Self::report_from_equilibrium(config, service_times, equilibrium))
-    }
-
-    /// Assembles the report from a converged equilibrium. Shared with
-    /// the batched kernel ([`crate::kernel`]) so the two evaluation
-    /// paths build bit-identical reports.
-    pub(crate) fn report_from_equilibrium(
-        config: &SystemConfig,
-        service_times: &ServiceTimes,
-        equilibrium: Equilibrium,
-    ) -> PerformanceReport {
-        let latency = LatencyReport::from_equilibrium(&equilibrium);
-        PerformanceReport {
-            service_times: *service_times,
-            equilibrium,
-            latency,
-            throughput_per_us: config.total_nodes() as f64 * equilibrium.lambda_eff,
-        }
+        let lane =
+            ARENA.with_borrow_mut(|arena| arena.evaluate(std::slice::from_ref(config)).pop());
+        lane.expect("one lane in, one result out").map(|(report, _)| report)
     }
 }
 

@@ -34,7 +34,7 @@ use crate::latency::LatencyReport;
 use crate::metrics::{self, keys};
 use crate::rates::TrafficRates;
 use crate::service::ServiceTimes;
-use hmcs_queueing::fixed_point::{bisect_seeded, SolverOptions};
+use hmcs_queueing::fixed_point::{bisect_relative, SolverOptions};
 use hmcs_queueing::gg1::{Approximation, GG1};
 
 /// Converged SCV state of the three tiers.
@@ -164,27 +164,7 @@ fn total_waiting(config: &SystemConfig, service: &ServiceTimes, lambda_eff: f64)
 /// Evaluates the QNA-refined model.
 pub fn evaluate(config: &SystemConfig) -> Result<QnaReport, ModelError> {
     config.validate()?;
-    let service = ServiceTimes::compute(config)?;
-    evaluate_with_service(config, &service)
-}
-
-/// Evaluates the QNA-refined model reusing precomputed service times.
-/// Sweeps over λ call this to skip the per-point topology work.
-pub fn evaluate_with_service(
-    config: &SystemConfig,
-    service: &ServiceTimes,
-) -> Result<QnaReport, ModelError> {
-    evaluate_with_service_seeded(config, service, None)
-}
-
-/// Like [`evaluate_with_service`], warm-starting the effective-rate
-/// bisection from `seed` (typically the λ_eff of a neighbouring sweep
-/// point). Out-of-bracket seeds are ignored.
-pub fn evaluate_with_service_seeded(
-    config: &SystemConfig,
-    service: &ServiceTimes,
-    seed: Option<f64>,
-) -> Result<QnaReport, ModelError> {
+    let service = &ServiceTimes::compute(config)?;
     let lambda = config.lambda_per_us;
     let n = config.total_nodes() as f64;
 
@@ -201,7 +181,7 @@ pub fn evaluate_with_service_seeded(
         max_iterations: 500,
         damping: 0.5,
     };
-    let sol = bisect_seeded(|x| g(x) - x, 0.0, hi, seed, opts).map_err(|e| match e {
+    let sol = bisect_relative(|x| g(x) - x, 0.0, hi, opts).map_err(|e| match e {
         hmcs_queueing::QueueingError::NoConvergence { residual, .. } => {
             ModelError::SolverFailed { residual }
         }

@@ -19,8 +19,8 @@
 //!   population probe moves `C` processors at once; the difference is
 //!   normalised back to one processor).
 //!
-//! Step sizes default to the classic central-difference compromise
-//! between truncation error (`O(h²)`) and round-off (`O(ε/h)`): `1e-5`
+//! Step sizes are the classic central-difference compromise between
+//! truncation error (`O(h²)`) and round-off (`O(ε/h)`): `1e-5`
 //! relative for λ; the integer axes use the smallest steps their grids
 //! allow (±16 bytes, ±1 node per cluster) and fall back to one-sided
 //! differences at the domain edge. See EXPERIMENTS.md ("Sensitivity
@@ -32,39 +32,13 @@ use crate::kernel::BatchKernel;
 use crate::service::ServiceTimes;
 use crate::solver;
 
-/// Finite-difference step policy for [`evaluate_with`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SensitivityOptions {
-    /// Relative half-step for the λ probes: the pair is evaluated at
-    /// `λ·(1 ∓ lambda_rel_step)`. Must be in `(0, 1)`.
-    pub lambda_rel_step: f64,
-    /// Half-step in bytes for the message-size probes (floored at 1).
-    pub message_step_bytes: u64,
-    /// Half-step in processors *per cluster* for the population probes
-    /// (floored at 1).
-    pub nodes_step: usize,
-}
-
-impl Default for SensitivityOptions {
-    fn default() -> Self {
-        SensitivityOptions { lambda_rel_step: 1e-5, message_step_bytes: 16, nodes_step: 1 }
-    }
-}
-
-impl SensitivityOptions {
-    fn validate(&self) -> Result<(), ModelError> {
-        if !(self.lambda_rel_step.is_finite()
-            && self.lambda_rel_step > 0.0
-            && self.lambda_rel_step < 1.0)
-        {
-            return Err(ModelError::InvalidConfig {
-                name: "lambda_rel_step",
-                reason: "relative lambda step must be in (0, 1)",
-            });
-        }
-        Ok(())
-    }
-}
+/// Relative half-step for the λ probes: the pair is evaluated at
+/// `λ·(1 ∓ LAMBDA_REL_STEP)`.
+const LAMBDA_REL_STEP: f64 = 1e-5;
+/// Half-step in bytes for the message-size probes.
+const MESSAGE_STEP_BYTES: u64 = 16;
+/// Half-step in processors *per cluster* for the population probes.
+const NODES_STEP: usize = 1;
 
 /// Latency derivatives of one configuration at its operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,40 +60,31 @@ pub struct Sensitivity {
     pub lambda_headroom: f64,
 }
 
-/// [`evaluate_with`] under the default step policy.
-pub fn evaluate(config: &SystemConfig) -> Result<Sensitivity, ModelError> {
-    evaluate_with(config, &SensitivityOptions::default())
-}
-
 /// Evaluates all three derivatives of `config` with one batched kernel
 /// pass over the centre point and its probe pairs.
-pub fn evaluate_with(
-    config: &SystemConfig,
-    opts: &SensitivityOptions,
-) -> Result<Sensitivity, ModelError> {
+pub fn evaluate(config: &SystemConfig) -> Result<Sensitivity, ModelError> {
     config.validate()?;
-    opts.validate()?;
 
     let lambda = config.lambda_per_us;
-    let h_l = lambda * opts.lambda_rel_step;
+    let h_l = lambda * LAMBDA_REL_STEP;
     let lam_hi = lambda + h_l;
     let lam_lo = lambda - h_l;
     if lam_hi <= lambda {
         return Err(ModelError::InvalidConfig {
-            name: "lambda_rel_step",
-            reason: "step underflows at this lambda; use a larger relative step",
+            name: "lambda_per_us",
+            reason: "the relative lambda step underflows at this lambda",
         });
     }
 
     let m = config.message_bytes;
-    let dm = opts.message_step_bytes.max(1);
+    let dm = MESSAGE_STEP_BYTES;
     let m_hi = m + dm;
     // One-sided at the small-message edge: the lower probe must stay
     // at least one byte.
     let m_lo = if m > dm { m - dm } else { m };
 
     let n0 = config.nodes_per_cluster;
-    let dn = opts.nodes_step.max(1);
+    let dn = NODES_STEP;
     // One-sided at the small-population edge: the lower probe needs at
     // least one node per cluster and two nodes in total.
     let n_lo_ok = n0 > dn && config.clusters * (n0 - dn) >= 2;
@@ -324,14 +289,6 @@ mod tests {
         let s = evaluate(&cfg(256)).unwrap();
         assert!(s.dlatency_dnode.is_finite());
         assert!(s.dlatency_dlambda > 0.0);
-    }
-
-    #[test]
-    fn options_are_validated() {
-        let bad = SensitivityOptions { lambda_rel_step: 0.0, ..Default::default() };
-        assert!(evaluate_with(&cfg(4), &bad).is_err());
-        let bad = SensitivityOptions { lambda_rel_step: f64::NAN, ..Default::default() };
-        assert!(evaluate_with(&cfg(4), &bad).is_err());
     }
 
     #[test]

@@ -15,13 +15,16 @@
 //! bisection over the provably bracketing interval
 //! `[0, min(λ, λ_sat)]`, where `λ_sat` is the closed-form smallest
 //! per-processor rate that saturates any centre.
+//!
+//! [`solve`] is the scalar reference the batched kernel
+//! ([`crate::kernel`]) is tested against; production evaluations run on
+//! the kernel.
 
 use crate::config::{QueueAccounting, SystemConfig};
 use crate::error::ModelError;
-use crate::metrics::{self, keys};
 use crate::rates::TrafficRates;
 use crate::service::ServiceTimes;
-use hmcs_queueing::fixed_point::{bisect_seeded, SolverOptions};
+use hmcs_queueing::fixed_point::{bisect_relative, SolverOptions};
 use hmcs_queueing::mg1::MG1;
 
 /// Steady-state metrics of one service centre at the converged rates.
@@ -59,7 +62,7 @@ pub struct Equilibrium {
     /// `λ_eff/λ ∈ (0, 1]`.
     pub retained_fraction: f64,
     /// Number of fixed-point function evaluations the bisection spent
-    /// converging (warm-started solves spend fewer).
+    /// converging.
     pub solver_iterations: usize,
 }
 
@@ -157,49 +160,34 @@ fn total_waiting(config: &SystemConfig, service: &ServiceTimes, lambda_eff: f64)
     Some(c * (ecn1_weight * l_e1 + l_i1) + l_i2)
 }
 
-/// Solves eqs. 6–7 for `config`.
+/// Solves eqs. 6–7 for `config` with the scalar relative bisection.
+///
+/// This is the **reference** solver: production evaluations run on the
+/// batched kernel ([`crate::kernel`]), which replicates this function's
+/// floating-point operation sequence lane by lane. The property tests
+/// and the `kernel_grid` bench check every kernel result bit for bit
+/// against this path; production code does not call it, and it records
+/// no metrics.
 pub fn solve(config: &SystemConfig) -> Result<Equilibrium, ModelError> {
     config.validate()?;
     let service = ServiceTimes::compute(config)?;
-    solve_with_service(config, &service)
-}
-
-/// Solves eqs. 6–7 reusing precomputed (λ-independent) service times.
-/// Sweeps over λ call this to avoid recomputing topology and
-/// transmission times at every point.
-pub fn solve_with_service(
-    config: &SystemConfig,
-    service: &ServiceTimes,
-) -> Result<Equilibrium, ModelError> {
-    solve_with_service_seeded(config, service, None)
-}
-
-/// Like [`solve_with_service`], warm-starting the bisection from
-/// `seed` (a λ_eff guess, typically the converged value of a
-/// neighbouring sweep point). Seeds outside the bracket are ignored,
-/// so a wild guess degrades to the cold-start path.
-pub fn solve_with_service_seeded(
-    config: &SystemConfig,
-    service: &ServiceTimes,
-    seed: Option<f64>,
-) -> Result<Equilibrium, ModelError> {
     let lambda = config.lambda_per_us;
     let n = config.total_nodes() as f64;
 
     // g(x) = lambda * (N - min(L(x), N)) / N, monotone non-increasing.
     let g = |x: f64| -> f64 {
-        let l = total_waiting(config, service, x).unwrap_or(f64::INFINITY);
+        let l = total_waiting(config, &service, x).unwrap_or(f64::INFINITY);
         lambda * (n - l.min(n)) / n
     };
 
-    let sat = saturation_lambda(config, service);
+    let sat = saturation_lambda(config, &service);
     let hi = lambda.min(sat * (1.0 - 1e-12));
     let opts = SolverOptions {
         tolerance: (lambda * 1e-12).max(1e-300),
         max_iterations: 500,
         damping: 0.5,
     };
-    let sol = bisect_seeded(|x| g(x) - x, 0.0, hi, seed, opts).map_err(|e| match e {
+    let sol = bisect_relative(|x| g(x) - x, 0.0, hi, opts).map_err(|e| match e {
         hmcs_queueing::QueueingError::NoConvergence { residual, .. } => {
             ModelError::SolverFailed { residual }
         }
@@ -207,23 +195,12 @@ pub fn solve_with_service_seeded(
     })?;
     // The bisection can land a hair inside the clamp region near
     // saturation; back off to the stable side if needed.
-    let (lambda_eff, backoff_steps) =
-        back_off_to_stable(sol.value, |x| total_waiting(config, service, x).is_some())
+    let (lambda_eff, _) =
+        back_off_to_stable(sol.value, |x| total_waiting(config, &service, x).is_some())
             .ok_or(ModelError::SolverFailed { residual: f64::INFINITY })?;
-    let total = total_waiting(config, service, lambda_eff)
+    let total = total_waiting(config, &service, lambda_eff)
         .ok_or(ModelError::SolverFailed { residual: f64::INFINITY })?;
-
-    metrics::counter(keys::SOLVER_SOLVES).incr();
-    metrics::histogram(keys::SOLVER_ITERATIONS).record(sol.iterations as u64);
-    if lambda > 0.0 {
-        metrics::histogram(keys::SOLVER_BRACKET_PPM).record_f64(hi / lambda * 1e6);
-    }
-    if backoff_steps > 0 {
-        metrics::counter(keys::SOLVER_BACKOFF_ACTIVATIONS).incr();
-        metrics::histogram(keys::SOLVER_BACKOFF_STEPS).record(backoff_steps as u64);
-    }
-
-    assemble_equilibrium(config, service, lambda_eff, total, sol.iterations)
+    assemble_equilibrium(config, &service, lambda_eff, total, sol.iterations)
 }
 
 /// Builds the converged [`Equilibrium`] from a solved effective rate.

@@ -4,14 +4,15 @@
 //! All sweeps run on the batched structure-of-arrays kernel
 //! ([`crate::kernel`]): shape sweeps (clusters, message size, switch
 //! ports, technology) evaluate their points through
-//! [`crate::batch::evaluate_many`] on the bounded worker pool, while
+//! [`kernel::evaluate_batch`] on the bounded worker pool, while
 //! λ-sweeps compute the λ-independent [`ServiceTimes`] once per shape
 //! and advance every point's bisection in lockstep lanes of a single
 //! kernel.
 
-use crate::batch::{self, BatchOptions, EvalStats};
+use crate::batch::{BatchOptions, EvalStats};
 use crate::config::SystemConfig;
 use crate::error::ModelError;
+use crate::kernel;
 use crate::model::PerformanceReport;
 use crate::scenario::{Scenario, PAPER_CLUSTER_COUNTS, PAPER_TOTAL_NODES};
 use crate::service::ServiceTimes;
@@ -71,7 +72,10 @@ pub fn cluster_sweep_with(
         cfg.nodes_per_cluster = total_nodes / c;
         configs.push(cfg);
     }
-    collect_points(cluster_counts.to_vec(), batch::evaluate_many(&configs, options))
+    collect_points(
+        cluster_counts.to_vec(),
+        kernel::evaluate_batch(&configs, options.resolved_workers()),
+    )
 }
 
 /// The paper's figure sweep: 256 nodes, `C ∈ {1, 2, …, 256}`.
@@ -92,31 +96,20 @@ pub fn message_size_sweep(
     base: &SystemConfig,
     sizes: &[u64],
 ) -> Result<Vec<SweepPoint<u64>>, ModelError> {
-    message_size_sweep_with(base, sizes, BatchOptions::default())
-}
-
-/// [`message_size_sweep`] with an explicit worker policy, for callers
-/// that already provide their own parallelism (e.g. the serving
-/// daemon's worker pool runs each request's sweep sequentially).
-pub fn message_size_sweep_with(
-    base: &SystemConfig,
-    sizes: &[u64],
-    options: BatchOptions,
-) -> Result<Vec<SweepPoint<u64>>, ModelError> {
     let configs: Vec<SystemConfig> = sizes.iter().map(|&m| base.with_message_bytes(m)).collect();
-    collect_points(sizes.to_vec(), batch::evaluate_many(&configs, options))
+    collect_points(
+        sizes.to_vec(),
+        kernel::evaluate_batch(&configs, BatchOptions::default().resolved_workers()),
+    )
 }
 
 /// Sweeps the per-processor generation rate (λ) at a fixed shape —
 /// useful for locating the saturation knee.
 ///
 /// The λ-independent service times are computed once for the shared
-/// shape, then one [`crate::kernel::BatchKernel`] advances every
-/// point's cold-start bisection in lockstep — each point is
-/// bit-identical to an independent `evaluate_one(cfg, Some(&service),
-/// None)` evaluation. (The former warm-started serial chain agreed
-/// with cold starts only to the solver's 1e-13 relative convergence;
-/// the kernel removes that slack along with the serial dependency.)
+/// shape, then one [`kernel::BatchKernel`] advances every point's
+/// bisection in lockstep — each point is bit-identical to an
+/// independent [`crate::solver::solve`] of the same configuration.
 pub fn lambda_sweep(
     base: &SystemConfig,
     lambdas_per_us: &[f64],
@@ -124,7 +117,7 @@ pub fn lambda_sweep(
     base.validate()?;
     let service = ServiceTimes::compute(base)?;
     let configs: Vec<SystemConfig> = lambdas_per_us.iter().map(|&l| base.with_lambda(l)).collect();
-    let results = crate::kernel::BatchKernel::with_service(&configs, &service).solve();
+    let results = kernel::BatchKernel::with_service(&configs, &service).solve();
     collect_points(lambdas_per_us.to_vec(), results)
 }
 
@@ -141,7 +134,10 @@ pub fn switch_ports_sweep(
             Ok(base.with_switch(switch))
         })
         .collect::<Result<Vec<_>, ModelError>>()?;
-    collect_points(port_counts.to_vec(), batch::evaluate_many(&configs, BatchOptions::default()))
+    collect_points(
+        port_counts.to_vec(),
+        kernel::evaluate_batch(&configs, BatchOptions::default().resolved_workers()),
+    )
 }
 
 /// Sweeps a technology assignment over the three tiers (the paper's
@@ -163,7 +159,7 @@ pub fn technology_sweep(
             configs.push(cfg);
         }
     }
-    collect_points(xs, batch::evaluate_many(&configs, BatchOptions::default()))
+    collect_points(xs, kernel::evaluate_batch(&configs, BatchOptions::default().resolved_workers()))
 }
 
 /// Finds the largest per-processor rate (messages/µs) whose predicted
@@ -271,17 +267,15 @@ mod tests {
 
     #[test]
     fn warm_started_lambda_sweep_matches_cold_start() {
-        // The warm chain must land on the same fixed point as
-        // independent cold-start evaluations, within the solver's
-        // relative convergence budget.
+        // The sweep shares one service-time computation across its
+        // lanes; every point must still equal an independent solve of
+        // the reference solver, bit for bit.
         let base = SystemConfig::paper_preset(Scenario::Case1, 32, Architecture::Blocking).unwrap();
         let lambdas = [1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 2.5e-4, 1e-3];
-        let warm = lambda_sweep(&base, &lambdas).unwrap();
-        for (pt, &l) in warm.iter().zip(&lambdas) {
-            let cold = AnalyticalModel::evaluate(&base.with_lambda(l)).unwrap();
-            let rel = (pt.report.equilibrium.lambda_eff - cold.equilibrium.lambda_eff).abs()
-                / cold.equilibrium.lambda_eff;
-            assert!(rel <= 1e-12, "λ={l}: warm-start drifted by {rel}");
+        let swept = lambda_sweep(&base, &lambdas).unwrap();
+        for (pt, &l) in swept.iter().zip(&lambdas) {
+            let reference = crate::solver::solve(&base.with_lambda(l)).unwrap();
+            assert_eq!(pt.report.equilibrium, reference, "λ={l}");
         }
     }
 

@@ -1,13 +1,14 @@
 //! Property tests for the batch-evaluation engine: parallel execution
-//! must never change results, and warm-started bisection must land on
-//! the cold-start fixed point.
+//! must never change results, and kernel evaluations must equal the
+//! scalar reference solver bit for bit.
 
 use hmcs_core::batch::{self, BatchOptions};
 use hmcs_core::config::SystemConfig;
+use hmcs_core::error::ModelError;
 use hmcs_core::metrics;
-use hmcs_core::model::AnalyticalModel;
+use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::scenario::{Scenario, PAPER_CLUSTER_COUNTS, PAPER_TOTAL_NODES};
-use hmcs_core::sweep;
+use hmcs_core::{solver, sweep};
 use hmcs_topology::transmission::Architecture;
 use proptest::prelude::*;
 
@@ -62,9 +63,9 @@ proptest! {
         }
     }
 
-    /// A λ-sweep's warm-started chain lands on the same fixed point as
-    /// independent cold-start evaluations, within the solver's 1e-12
-    /// relative budget, for any shape on the paper grid.
+    /// A λ-sweep, whose lanes share one service-time computation, lands
+    /// on exactly the fixed point an independent reference solve finds,
+    /// for any shape on the paper grid.
     #[test]
     fn warm_started_bisection_matches_cold_start(
         scenario in any_scenario(),
@@ -75,17 +76,20 @@ proptest! {
         let clusters = PAPER_CLUSTER_COUNTS[cluster_idx];
         let base = SystemConfig::paper_preset(scenario, clusters, arch).unwrap();
         // A geometric ramp from light load up through the saturation
-        // knee — neighbouring λ_eff values seed each other.
+        // knee.
         let lambdas: Vec<f64> =
             (0..8).map(|i| 10f64.powf(lambda_lo_exp + 0.45 * i as f64)).collect();
-        let warm = sweep::lambda_sweep(&base, &lambdas).unwrap();
-        for (pt, &l) in warm.iter().zip(&lambdas) {
-            let (cold, _) = batch::evaluate_one(&base.with_lambda(l), None, None).unwrap();
-            let rel = (pt.report.equilibrium.lambda_eff - cold.equilibrium.lambda_eff).abs()
-                / cold.equilibrium.lambda_eff;
-            prop_assert!(
-                rel <= 1e-12,
-                "λ={l} C={clusters} {scenario:?} {arch:?}: warm drift {rel}"
+        let swept = sweep::lambda_sweep(&base, &lambdas).unwrap();
+        for (pt, &l) in swept.iter().zip(&lambdas) {
+            let reference = solver::solve(&base.with_lambda(l)).unwrap();
+            prop_assert_eq!(
+                pt.report.equilibrium,
+                reference,
+                "λ={} C={} {:?} {:?}",
+                l,
+                clusters,
+                scenario,
+                arch
             );
         }
     }
@@ -146,17 +150,21 @@ proptest! {
     }
 }
 
-/// The cold path of [`AnalyticalModel::evaluate`] and the batch engine's
-/// unseeded path are the same code: one non-proptest spot check that the
-/// facade and the engine agree exactly.
+/// The production facade [`AnalyticalModel::evaluate`] runs on the
+/// kernel; it must equal the scalar reference [`solver::solve`] bit for
+/// bit, failures included.
 #[test]
 fn facade_and_engine_agree() {
+    let reference = |cfg: &SystemConfig| -> Result<PerformanceReport, ModelError> {
+        solver::solve(cfg).map(|eq| PerformanceReport::from_equilibrium(cfg, eq))
+    };
     for arch in [Architecture::NonBlocking, Architecture::Blocking] {
         let cfg = SystemConfig::paper_preset(Scenario::Case1, 16, arch).unwrap();
         let facade = AnalyticalModel::evaluate(&cfg).unwrap();
-        let (engine, stats) = batch::evaluate_one(&cfg, None, None).unwrap();
-        assert_eq!(facade, engine);
-        assert!(stats.solver_iterations > 0);
-        assert_eq!(stats.solver_iterations, engine.equilibrium.solver_iterations);
+        assert_eq!(facade, reference(&cfg).unwrap());
+        assert!(facade.equilibrium.solver_iterations > 0);
+        let invalid = cfg.with_lambda(-1.0);
+        assert_eq!(AnalyticalModel::evaluate(&invalid), reference(&invalid));
+        assert!(AnalyticalModel::evaluate(&invalid).is_err());
     }
 }

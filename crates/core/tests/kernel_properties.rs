@@ -1,7 +1,8 @@
 //! Seeded differential fuzz of the batched SoA kernel: every lane of a
-//! multi-configuration [`BatchKernel`] solve must be bit-identical
-//! (`f64::to_bits`, not merely close) to the scalar per-point path on
-//! the same configuration.
+//! multi-configuration [`BatchKernel`] solve, and the production
+//! single-point facade [`AnalyticalModel::evaluate`], must be
+//! bit-identical (`f64::to_bits`, not merely close) to the scalar
+//! reference solver [`solver::solve`] on the same configuration.
 //!
 //! Follows the conventions of the simulation fuzzer in
 //! `crates/bench/src/differential.rs`: a seeded sampler over the
@@ -9,14 +10,14 @@
 //! walks a failing case down to a minimal still-failing configuration,
 //! and a ready-to-paste regression snippet in the panic message.
 
-use hmcs_core::batch::{self, EvalStats};
+use hmcs_core::batch::EvalStats;
 use hmcs_core::config::{ServiceTimeModel, SystemConfig};
 use hmcs_core::error::ModelError;
 use hmcs_core::kernel::BatchKernel;
-use hmcs_core::model::PerformanceReport;
+use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::scenario::Scenario;
 use hmcs_core::service::ServiceTimes;
-use hmcs_core::solver::saturation_lambda;
+use hmcs_core::solver::{self, saturation_lambda};
 use hmcs_topology::transmission::Architecture;
 
 /// SplitMix64, the same generator family the DES crate seeds its
@@ -119,6 +120,28 @@ impl KernelCase {
 
 type LaneResult = Result<(PerformanceReport, EvalStats), ModelError>;
 
+/// Attaches the report's own iteration count as lane stats, so a
+/// single-report path compares like a kernel lane.
+fn as_lane(result: Result<PerformanceReport, ModelError>) -> LaneResult {
+    result.map(|report| {
+        let stats = EvalStats {
+            eval_time_us: 0.0,
+            solver_iterations: report.equilibrium.solver_iterations,
+        };
+        (report, stats)
+    })
+}
+
+/// The scalar reference: [`solver::solve`] plus report assembly.
+fn scalar(config: &SystemConfig) -> LaneResult {
+    as_lane(solver::solve(config).map(|eq| PerformanceReport::from_equilibrium(config, eq)))
+}
+
+/// The production single-point facade.
+fn facade(config: &SystemConfig) -> LaneResult {
+    as_lane(AnalyticalModel::evaluate(config))
+}
+
 /// Describes the first bitwise difference between a kernel lane and the
 /// scalar path, or `None` when they agree exactly.
 fn lane_mismatch(kernel: &LaneResult, scalar: &LaneResult) -> Option<String> {
@@ -168,8 +191,7 @@ fn lane_mismatch(kernel: &LaneResult, scalar: &LaneResult) -> Option<String> {
 fn check_solo(case: &KernelCase) -> Option<String> {
     let config = case.build().ok()?;
     let kernel = BatchKernel::new(std::slice::from_ref(&config)).solve().pop().expect("one lane");
-    let scalar = batch::evaluate_one(&config, None, None);
-    lane_mismatch(&kernel, &scalar)
+    lane_mismatch(&kernel, &scalar(&config))
 }
 
 /// Candidate one-step simplifications, structurally smaller first —
@@ -252,8 +274,7 @@ fn regression_snippet(seed: u64, index: u32, case: &KernelCase, mismatch: &str) 
          \x20   let config = SystemConfig::new({c}, {n}, {m}, {lambda}, {scenario}, {architecture})\n\
          \x20       .unwrap(){service};\n\
          \x20   let kernel = BatchKernel::new(std::slice::from_ref(&config)).solve().pop().unwrap();\n\
-         \x20   let scalar = batch::evaluate_one(&config, None, None);\n\
-         \x20   assert!(lane_mismatch(&kernel, &scalar).is_none());\n\
+         \x20   assert!(lane_mismatch(&kernel, &scalar(&config)).is_none());\n\
          }}\n",
         c = case.clusters,
         n = case.nodes_per_cluster,
@@ -266,7 +287,9 @@ const CASES: u32 = 200;
 
 /// 200 seeded configurations across the validity region, solved as the
 /// lanes of a single heterogeneous [`BatchKernel`], each compared
-/// bit-for-bit against an independent scalar evaluation.
+/// bit-for-bit against an independent scalar evaluation. Each case also
+/// runs through the facade, on the sampled config and on a copy with a
+/// rejected (negative) rate so the error path is compared too.
 #[test]
 fn batched_kernel_is_bit_identical_to_scalar() {
     let cases: Vec<KernelCase> = (0..CASES).map(|i| sample_case(SEED, i)).collect();
@@ -275,8 +298,13 @@ fn batched_kernel_is_bit_identical_to_scalar() {
     let lanes = BatchKernel::new(&configs).solve();
     assert_eq!(lanes.len(), configs.len());
     for (i, (lane, config)) in lanes.iter().zip(&configs).enumerate() {
-        let scalar = batch::evaluate_one(config, None, None);
-        if let Some(mismatch) = lane_mismatch(lane, &scalar) {
+        let invalid = config.with_lambda(-config.lambda_per_us);
+        for checked in [config, &invalid] {
+            if let Some(mismatch) = lane_mismatch(&facade(checked), &scalar(checked)) {
+                panic!("facade/scalar mismatch at case {i} ({checked:?}): {mismatch}");
+            }
+        }
+        if let Some(mismatch) = lane_mismatch(lane, &scalar(config)) {
             let case = cases[i];
             // Reproduce solo so the shrinker has a standalone check;
             // lanes are independent, so a batch failure reproduces

@@ -21,7 +21,6 @@
 //!   averages for queue lengths, histograms, confidence intervals and
 //!   batch means.
 //! * [`quantile`] — P² streaming quantile estimation for latency tails.
-//! * [`trace`] — bounded ring-buffer event tracing for debugging runs.
 //! * [`queue`] — an instrumented FCFS single-server queue component,
 //!   the building block for the paper's service centres.
 //!
@@ -58,7 +57,6 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use time::SimTime;

@@ -112,40 +112,27 @@ pub fn bisect(
     Err(QueueingError::NoConvergence { iterations: opts.max_iterations, residual: f(mid).abs() })
 }
 
-/// Relative bracket width at which [`bisect_seeded`] stops. Two
+/// Relative bracket width at which [`bisect_relative`] stops. Two
 /// independent solves each land this close to the unique root of a
 /// monotone `f`, so they agree pairwise to twice this value —
 /// comfortably inside the 1e-12 relative reproducibility budget the
 /// sweeps promise.
-pub const SEEDED_REL_TOL: f64 = 1e-13;
+pub const BISECT_REL_TOL: f64 = 1e-13;
 
-/// Bisection for a root of `f` on `[lo, hi]`, optionally warm-started
-/// from a caller-supplied guess near the root.
-///
-/// Designed for the effective-rate sweeps: consecutive sweep points have
-/// nearby roots, so seeding each solve with the neighbouring point's
-/// converged value lets the search start from a much tighter bracket.
-/// The seed is used only to shrink the bracket — `f(seed)`'s sign says
-/// which side of the seed the root is on, and a short geometric probe
-/// ladder then tightens the far end — so correctness never depends on
-/// the seed's quality; a wild seed degrades gracefully to plain
-/// bisection.
+/// Bisection for a root of `f` on `[lo, hi]` with a relative stopping
+/// rule.
 ///
 /// Unlike [`bisect`], convergence uses a fixed **relative** bracket
-/// width ([`SEEDED_REL_TOL`], with midpoint/endpoint collision as the
-/// hard floor), independent of the starting bracket. Two calls that
-/// start from different brackets — e.g. a cold start and a warm start —
-/// therefore each land within `SEEDED_REL_TOL` of the unique root of a
-/// monotone `f`, so they agree pairwise to `2·SEEDED_REL_TOL ≤ 1e-12`
-/// relative, which is what lets warm-started sweeps reproduce
-/// cold-started results. `opts.tolerance` is not consulted;
-/// `opts.max_iterations` caps the number of `f` evaluations (the
-/// returned `iterations` counts them all, probes included).
-pub fn bisect_seeded(
+/// width ([`BISECT_REL_TOL`], with midpoint/endpoint collision as the
+/// hard floor), independent of the starting bracket, so any two solves
+/// of a monotone `f` agree pairwise to `2·BISECT_REL_TOL ≤ 1e-12`
+/// relative. `opts.tolerance` is not consulted; `opts.max_iterations`
+/// caps the number of `f` evaluations (the returned `iterations` counts
+/// them all, the two endpoint probes included).
+pub fn bisect_relative(
     f: impl Fn(f64) -> f64,
     lo: f64,
     hi: f64,
-    seed: Option<f64>,
     opts: SolverOptions,
 ) -> Result<Solution, QueueingError> {
     assert!(lo <= hi, "invalid bracket [{lo}, {hi}]");
@@ -168,53 +155,9 @@ pub fn bisect_seeded(
         });
     }
 
-    if let Some(s) = seed {
-        if s > lo && s < hi && s.is_finite() {
-            let fs = f(s);
-            evals += 1;
-            if fs == 0.0 {
-                return Ok(Solution { value: s, iterations: evals, residual: 0.0 });
-            }
-            // One bracket end moves to the seed for free...
-            let root_above_seed = fs.signum() == flo.signum();
-            if root_above_seed {
-                lo = s;
-                flo = fs;
-            } else {
-                hi = s;
-            }
-            // ...then probe geometrically outward from the seed to pull
-            // the far end in. Each failed probe still tightens the
-            // bracket, so the ladder never wastes its evaluations.
-            for frac in [1e-12, 1e-9, 1e-6, 1e-3] {
-                let t = if root_above_seed { s + (hi - s) * frac } else { s - (s - lo) * frac };
-                if t <= lo || t >= hi {
-                    continue;
-                }
-                let ft = f(t);
-                evals += 1;
-                if ft == 0.0 {
-                    return Ok(Solution { value: t, iterations: evals, residual: 0.0 });
-                }
-                if ft.signum() == flo.signum() {
-                    lo = t;
-                    flo = ft;
-                    if !root_above_seed {
-                        break; // bracketed: root in [t, previous hi=s side]
-                    }
-                } else {
-                    hi = t;
-                    if root_above_seed {
-                        break; // bracketed: root in [seed side, t]
-                    }
-                }
-            }
-        }
-    }
-
     while evals < opts.max_iterations {
         let mid = 0.5 * (lo + hi);
-        if mid <= lo || mid >= hi || (hi - lo) <= SEEDED_REL_TOL * mid.abs() {
+        if mid <= lo || mid >= hi || (hi - lo) <= BISECT_REL_TOL * mid.abs() {
             // Relative convergence (or the bracket collapsed to
             // adjacent floats). The residual probe counts too:
             // `iterations` reports every evaluation of `f`.
@@ -325,65 +268,18 @@ mod tests {
     }
 
     #[test]
-    fn seeded_bisect_matches_cold_start_within_budget() {
-        // Steep effective-rate shape: the warm and cold starts must land
-        // on the same root to within 2x the relative stopping width.
-        let (lambda, mu, n) = (250.0, 21.7, 256.0);
-        let h = move |x: f64| {
-            let rho = (x / mu).min(0.999_999_999);
-            let l = (rho / (1.0 - rho)).min(n);
-            lambda * (n - l) / n - x
-        };
-        let opts = SolverOptions::default();
-        let cold = bisect_seeded(h, 0.0, lambda, None, opts).unwrap();
-        for seed in [cold.value * 0.999, cold.value * 1.001, cold.value, 1.0, 240.0] {
-            let warm = bisect_seeded(h, 0.0, lambda, Some(seed), opts).unwrap();
-            let rel = (warm.value - cold.value).abs() / cold.value;
-            assert!(
-                rel <= 2.0 * SEEDED_REL_TOL,
-                "seed {seed}: warm {} vs cold {}",
-                warm.value,
-                cold.value
-            );
-        }
+    fn relative_bisect_lands_within_its_relative_tolerance() {
+        let sol = bisect_relative(|x| 2.0 - x * x, 0.0, 2.0, SolverOptions::default()).unwrap();
+        let rel = (sol.value - std::f64::consts::SQRT_2).abs() / std::f64::consts::SQRT_2;
+        assert!(rel <= 2.0 * BISECT_REL_TOL, "rel error {rel}");
+        // Two endpoint probes, the halvings and the final residual probe.
+        assert!(sol.iterations > 2 && sol.iterations < 60, "{} evaluations", sol.iterations);
     }
 
     #[test]
-    fn seeded_bisect_near_root_saves_iterations() {
-        let f = |x: f64| 2.0 - x * x; // root sqrt(2)
-        let opts = SolverOptions::default();
-        let cold = bisect_seeded(f, 0.0, 2.0, None, opts).unwrap();
-        let warm = bisect_seeded(f, 0.0, 2.0, Some(std::f64::consts::SQRT_2 * (1.0 + 1e-9)), opts)
-            .unwrap();
-        assert!((warm.value - cold.value).abs() <= 2.0 * SEEDED_REL_TOL * cold.value);
-        // The probe ladder narrows the bracket to within ~1000x the
-        // seed's error (the rung spacing), so a near-root seed saves a
-        // double-digit number of evaluations over the full [0, 2]
-        // bracket. Both counts are deterministic.
-        assert!(
-            warm.iterations + 10 <= cold.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-    }
-
-    #[test]
-    fn seeded_bisect_survives_a_wild_seed() {
-        let f = |x: f64| 2.0 - x * x;
-        let opts = SolverOptions::default();
-        // Seeds outside the bracket are ignored; bad in-bracket seeds
-        // only cost a few probes.
-        for seed in [Some(-5.0), Some(100.0), Some(1e-12), Some(1.999_999), None] {
-            let sol = bisect_seeded(f, 0.0, 2.0, seed, opts).unwrap();
-            assert!((sol.value - std::f64::consts::SQRT_2).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn seeded_bisect_rejects_same_sign_bracket() {
+    fn relative_bisect_rejects_same_sign_bracket() {
         assert!(matches!(
-            bisect_seeded(|x| x * x + 1.0, -1.0, 1.0, Some(0.5), SolverOptions::default()),
+            bisect_relative(|x| x * x + 1.0, -1.0, 1.0, SolverOptions::default()),
             Err(QueueingError::InvalidParameter { .. })
         ));
     }

@@ -19,11 +19,12 @@
 //! bit**, which is what lets the suite assert served results are
 //! identical to in-process `reproduce` output.
 
-use hmcs_core::batch::{self, BatchOptions};
+use hmcs_core::batch::BatchOptions;
 use hmcs_core::config::SystemConfig;
 use hmcs_core::error::ModelError;
 use hmcs_core::json::{json_num, json_str, parse_json, JsonValue};
-use hmcs_core::model::PerformanceReport;
+use hmcs_core::kernel;
+use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::optimize::{self, Constraints, DesignSpace, OptimizeError, OptimizeSpec, Workload};
 use hmcs_core::scenario::{Scenario, PAPER_LAMBDA_PER_US, PAPER_TOTAL_NODES};
 use hmcs_core::service::ServiceTimes;
@@ -272,14 +273,15 @@ pub type PointResult = Result<(PerformanceReport, hmcs_core::batch::EvalStats), 
 
 /// Evaluates one config and renders the response document.
 pub fn evaluate_response(config: &SystemConfig) -> Result<String, ApiError> {
-    evaluate_response_from(config, batch::evaluate_one(config, None, None))
+    let report = AnalyticalModel::evaluate(config).map_err(|e| evaluation_failure(config, e))?;
+    Ok(render_evaluate(config, &report))
 }
 
 /// Renders the evaluate response from an already-solved kernel lane.
-/// The kernel's lanes are bit-identical to [`batch::evaluate_one`]
-/// (same FP schedule, same error variants), so a response assembled
-/// from a shared micro-batch window is byte-identical to the unbatched
-/// [`evaluate_response`].
+/// Lanes never exchange information and each is bit-identical to
+/// [`hmcs_core::solver::solve`] (same FP schedule, same error
+/// variants), so a response assembled from a shared micro-batch window
+/// is byte-identical to the unbatched [`evaluate_response`].
 pub fn evaluate_response_from(
     config: &SystemConfig,
     result: PointResult,
@@ -333,7 +335,7 @@ pub fn sweep_configs(
 /// response document.
 pub fn sweep_response(config: &SystemConfig, spec: &SweepSpec) -> Result<String, ApiError> {
     let configs = sweep_configs(config, spec)?;
-    let results = batch::evaluate_many(&configs, BatchOptions::sequential());
+    let results = kernel::evaluate_batch(&configs, 1);
     sweep_response_from(config, spec, results)
 }
 
