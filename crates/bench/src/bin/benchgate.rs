@@ -32,6 +32,7 @@
 
 use hmcs_bench::manifest::{parse_json, JsonValue};
 use hmcs_bench::report::write_atomic;
+use hmcs_core::json::json_str;
 use std::process::ExitCode;
 
 /// Default overhead budget (%). The bench itself documents a ≤2%
@@ -137,19 +138,11 @@ fn figure_wall_clocks(dir: &std::path::Path) -> Vec<(String, f64)> {
     clocks
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// Renders `--meta` pairs as a JSON object.
+fn meta_json(meta: &[(String, String)]) -> String {
+    let items: Vec<String> =
+        meta.iter().map(|(k, v)| format!("{}: {}", json_str(k), json_str(v))).collect();
+    format!("{{{}}}", items.join(", "))
 }
 
 fn report_json(
@@ -162,9 +155,7 @@ fn report_json(
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"hmcs-bench-gate/1\",");
-    let meta_items: Vec<String> =
-        meta.iter().map(|(k, v)| format!("{}: {}", json_escape(k), json_escape(v))).collect();
-    let _ = writeln!(out, "  \"meta\": {{{}}},", meta_items.join(", "));
+    let _ = writeln!(out, "  \"meta\": {},", meta_json(meta));
     let _ = writeln!(out, "  \"gate\": {{");
     let _ = writeln!(out, "    \"metrics_on_mean_s\": {},", verdict.metrics_on_mean_s);
     let _ = writeln!(out, "    \"metrics_off_mean_s\": {},", verdict.metrics_off_mean_s);
@@ -173,7 +164,7 @@ fn report_json(
     let _ = writeln!(out, "    \"pass\": {}", verdict.pass);
     let _ = writeln!(out, "  }},");
     let clock_items: Vec<String> =
-        clocks.iter().map(|(k, v)| format!("{}: {v}", json_escape(k))).collect();
+        clocks.iter().map(|(k, v)| format!("{}: {v}", json_str(k))).collect();
     let _ = writeln!(out, "  \"figure_wall_clock_us\": {{{}}},", clock_items.join(", "));
     let _ = writeln!(out, "  \"benches\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -181,7 +172,7 @@ fn report_json(
         let _ = writeln!(
             out,
             "    {{\"id\": {}, \"min_s\": {}, \"mean_s\": {}, \"max_s\": {}}}{comma}",
-            json_escape(&r.id),
+            json_str(&r.id),
             r.min_s,
             r.mean_s,
             r.max_s
@@ -246,9 +237,7 @@ fn serve_report_json(
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"hmcs-serve-bench/1\",");
-    let meta_items: Vec<String> =
-        meta.iter().map(|(k, v)| format!("{}: {}", json_escape(k), json_escape(v))).collect();
-    let _ = writeln!(out, "  \"meta\": {{{}}},", meta_items.join(", "));
+    let _ = writeln!(out, "  \"meta\": {},", meta_json(meta));
     let _ = writeln!(out, "  \"gate\": {{");
     let _ = writeln!(out, "    \"min_rps\": {},", verdict.min_rps);
     let _ = writeln!(out, "    \"achieved_rps\": {},", verdict.achieved_rps);
@@ -397,9 +386,7 @@ fn optimize_report_json(
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"hmcs-optimize-gate/1\",");
-    let meta_items: Vec<String> =
-        meta.iter().map(|(k, v)| format!("{}: {}", json_escape(k), json_escape(v))).collect();
-    let _ = writeln!(out, "  \"meta\": {{{}}},", meta_items.join(", "));
+    let _ = writeln!(out, "  \"meta\": {},", meta_json(meta));
     let _ = writeln!(out, "  \"gate\": {{");
     let _ = writeln!(out, "    \"min_evals_per_s\": {},", verdict.min_eps);
     let _ = writeln!(out, "    \"evals_per_s\": {},", verdict.evals_per_s);
@@ -544,9 +531,7 @@ fn topology_report_json(
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"hmcs-topology-gate/1\",");
-    let meta_items: Vec<String> =
-        meta.iter().map(|(k, v)| format!("{}: {}", json_escape(k), json_escape(v))).collect();
-    let _ = writeln!(out, "  \"meta\": {{{}}},", meta_items.join(", "));
+    let _ = writeln!(out, "  \"meta\": {},", meta_json(meta));
     let _ = writeln!(out, "  \"gate\": {{");
     let _ = writeln!(out, "    \"cases\": {},", verdict.cases);
     let _ = writeln!(out, "    \"max_nodes\": {},", verdict.max_nodes);
@@ -693,9 +678,7 @@ fn kernel_report_json(verdict: &KernelVerdict, meta: &[(String, String)]) -> Str
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"hmcs-kernel-bench/1\",");
-    let meta_items: Vec<String> =
-        meta.iter().map(|(k, v)| format!("{}: {}", json_escape(k), json_escape(v))).collect();
-    let _ = writeln!(out, "  \"meta\": {{{}}},", meta_items.join(", "));
+    let _ = writeln!(out, "  \"meta\": {},", meta_json(meta));
     let _ = writeln!(out, "  \"gate\": {{");
     let _ = writeln!(out, "    \"scalar_mean_s\": {},", verdict.scalar_mean_s);
     let _ = writeln!(out, "    \"batched_mean_s\": {},", verdict.batched_mean_s);
@@ -920,6 +903,19 @@ mod tests {
         )
         .unwrap();
         assert!(judge(&only_on, 10.0).is_err());
+    }
+
+    #[test]
+    fn meta_values_round_trip_through_the_report() {
+        let rows = rows();
+        let verdict = judge(&rows, 10.0).unwrap();
+        let value = "say \"hi\"\\path\nnext line";
+        let meta = vec![("note".to_string(), value.to_string())];
+        let doc = parse_json(&report_json(&rows, &verdict, &[], &meta)).unwrap();
+        assert_eq!(
+            doc.get("meta").and_then(|m| m.get("note")).and_then(JsonValue::as_str),
+            Some(value)
+        );
     }
 
     #[test]

@@ -43,6 +43,7 @@ use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::scenario::{Scenario, PAPER_LAMBDA_PER_US};
 use hmcs_topology::latmatrix::LatencySource;
+use hmcs_topology::splitmix::SplitMix64;
 use hmcs_topology::transmission::Architecture;
 use hmcs_topology::NetworkTechnology;
 
@@ -313,18 +314,11 @@ fn for_sampled_pairs<F: FnMut(usize, usize)>(n: usize, options: &IdentifyOptions
         }
         return;
     }
-    let mut state = options.sample_seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::new(options.sample_seed);
     let mut drawn = 0usize;
     while drawn < options.sample_pairs {
-        let i = (((next() as u128) * (n as u128)) >> 64) as usize;
-        let j = (((next() as u128) * (n as u128)) >> 64) as usize;
+        let i = rng.below(n);
+        let j = rng.below(n);
         if i == j {
             continue;
         }

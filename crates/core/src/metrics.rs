@@ -1,5 +1,5 @@
 //! Workspace-wide observability: lock-free counters, log-scale value
-//! histograms, and a process-global registry with labelled scopes.
+//! histograms, and a process-global registry.
 //!
 //! The paper's contribution is *performance analysis*; this module makes
 //! the reproduction's own performance analysable. Every hot path —
@@ -491,30 +491,6 @@ pub fn warn_once(key: &str, message: impl Into<String>) -> bool {
     global().warn_once(key, message)
 }
 
-/// A name prefix for a family of related metrics: `Scope::new("sim")`
-/// then `scope.counter("runs")` records under `"sim.runs"`.
-#[derive(Debug, Clone)]
-pub struct Scope {
-    prefix: String,
-}
-
-impl Scope {
-    /// Creates a scope with the given dot-separated prefix.
-    pub fn new(prefix: impl Into<String>) -> Self {
-        Scope { prefix: prefix.into() }
-    }
-
-    /// A counter under this scope's prefix.
-    pub fn counter(&self, name: &str) -> &'static Counter {
-        global().counter(&format!("{}.{name}", self.prefix))
-    }
-
-    /// A histogram under this scope's prefix.
-    pub fn histogram(&self, name: &str) -> &'static ValueHistogram {
-        global().histogram(&format!("{}.{name}", self.prefix))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,14 +547,6 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 1);
         assert_eq!(snap.sum, 2);
-    }
-
-    #[test]
-    fn scope_prefixes_names() {
-        let scope = Scope::new("test.metrics.scoped");
-        scope.counter("hits").add(2);
-        let snap = global().snapshot();
-        assert!(snap.counters["test.metrics.scoped.hits"] >= 2);
     }
 
     #[test]

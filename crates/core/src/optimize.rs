@@ -8,7 +8,7 @@
 //! and blocking vs. non-blocking architecture — under one caller-fixed
 //! [`Workload`], evaluates every surviving point through
 //! the batched kernel ([`crate::kernel`]), and reduces the result to a Pareto frontier of
-//! mean latency vs. a pluggable [`CostModel`].
+//! mean latency vs. cost under the [`CatalogCostModel`] price catalogue.
 //!
 //! The pipeline keeps *binding-constraint diagnostics*: every point
 //! eliminated before the frontier is attributed to the constraint that
@@ -352,14 +352,6 @@ fn fabric_switch_count(
     Ok(count)
 }
 
-/// Prices one [`Design`] in USD. Implementations must be total over
-/// the technologies they are given or return
-/// [`OptimizeError::UnknownTechnology`] — never a fallback price.
-pub trait CostModel {
-    /// The acquisition cost of `design` in USD.
-    fn cost_usd(&self, design: &Design) -> Result<f64, OptimizeError>;
-}
-
 /// Per-port/per-NIC unit prices for one technology.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitPrices {
@@ -386,12 +378,12 @@ impl CatalogCostModel {
             other => Err(OptimizeError::UnknownTechnology(other.to_string())),
         }
     }
-}
 
-impl CostModel for CatalogCostModel {
-    /// Every node carries one NIC per attached tier (ICN1 + ECN1);
-    /// switches are priced per port at their tier's technology.
-    fn cost_usd(&self, design: &Design) -> Result<f64, OptimizeError> {
+    /// The acquisition cost of `design` in USD. Every node carries one
+    /// NIC per attached tier (ICN1 + ECN1); switches are priced per port
+    /// at their tier's technology. A technology outside the catalogue is
+    /// an [`OptimizeError::UnknownTechnology`], never a fallback price.
+    pub fn cost_usd(&self, design: &Design) -> Result<f64, OptimizeError> {
         let intra = Self::unit_prices(&design.config.icn1)?;
         let inter = Self::unit_prices(&design.config.ecn1)?;
         // ICN2 shares the inter-tier technology by construction; price
@@ -412,7 +404,7 @@ impl CostModel for CatalogCostModel {
 pub struct EvaluatedDesign {
     /// The design itself.
     pub design: Design,
-    /// Cost under the active cost model, USD.
+    /// Cost under the [`CatalogCostModel`], USD.
     pub cost_usd: f64,
     /// Mean message latency, µs.
     pub latency_us: f64,
@@ -483,14 +475,6 @@ impl OptimizeOutcome {
     }
 }
 
-/// Runs the optimizer with the built-in [`CatalogCostModel`].
-pub fn optimize(
-    spec: &OptimizeSpec,
-    options: BatchOptions,
-) -> Result<OptimizeOutcome, OptimizeError> {
-    optimize_with(spec, &CatalogCostModel, options)
-}
-
 /// One pre-filter survivor, in enumeration order.
 struct Candidate {
     design: Design,
@@ -511,7 +495,6 @@ struct Candidate {
 /// cross-product order; everything downstream preserves it.
 fn enumerate_candidates(
     spec: &OptimizeSpec,
-    cost_model: &dyn CostModel,
     diagnostics: &mut Diagnostics,
 ) -> Result<Vec<Candidate>, OptimizeError> {
     let mut candidates: Vec<Candidate> = Vec::new();
@@ -539,7 +522,7 @@ fn enumerate_candidates(
                         };
                         // Unknown technology is a hard error, not a
                         // skipped point (the satellite bugfix).
-                        let cost_usd = cost_model.cost_usd(&design)?;
+                        let cost_usd = CatalogCostModel.cost_usd(&design)?;
                         let service = match ServiceTimes::compute(&design.config) {
                             Ok(s) => s,
                             Err(_) => {
@@ -650,18 +633,17 @@ fn absorb_result(
     ));
 }
 
-/// Runs the optimizer with a caller-supplied cost model: enumerate →
-/// pre-filter (budget, saturation) → batch-evaluate → SLO filter →
-/// Pareto reduction.
-pub fn optimize_with(
+/// Runs the exhaustive optimizer, pricing designs with the
+/// [`CatalogCostModel`]: enumerate → pre-filter (budget, saturation) →
+/// batch-evaluate → SLO filter → Pareto reduction.
+pub fn optimize(
     spec: &OptimizeSpec,
-    cost_model: &dyn CostModel,
     options: BatchOptions,
 ) -> Result<OptimizeOutcome, OptimizeError> {
     spec.workload.validate()?;
     spec.space.validate()?;
     let mut diagnostics = Diagnostics::default();
-    let candidates = enumerate_candidates(spec, cost_model, &mut diagnostics)?;
+    let candidates = enumerate_candidates(spec, &mut diagnostics)?;
 
     // Evaluate every surviving point through the batched kernel
     // (bit-identical to the scalar per-point path).
@@ -686,14 +668,6 @@ pub fn optimize_with(
         pareto_reduce(feasible_points.into_iter().map(|(_, p)| p).collect(), &mut diagnostics);
 
     Ok(OptimizeOutcome { space_size: spec.space.len(), evaluated, feasible, frontier, diagnostics })
-}
-
-/// Runs the pruned optimizer with the built-in [`CatalogCostModel`].
-pub fn optimize_pruned(
-    spec: &OptimizeSpec,
-    options: BatchOptions,
-) -> Result<OptimizeOutcome, OptimizeError> {
-    optimize_pruned_with(spec, &CatalogCostModel, options)
 }
 
 /// Relative safety margin applied to certified latency lower bounds
@@ -747,7 +721,7 @@ impl DominanceMap {
 }
 
 /// Runs the optimizer with gradient-guided pruning: identical
-/// enumeration and pre-filters to [`optimize_with`], but instead of
+/// enumeration and pre-filters to [`optimize`], but instead of
 /// evaluating every survivor it
 ///
 /// 1. solves a coarse port-grid probe (lowest / median / highest port
@@ -769,21 +743,20 @@ impl DominanceMap {
 ///
 /// The returned frontier (and therefore [`OptimizeOutcome::
 /// cheapest_feasible`]) is bit-identical to the exhaustive
-/// [`optimize_with`] frontier: surviving lanes run the exact scalar
+/// [`optimize`] frontier: surviving lanes run the exact scalar
 /// FP schedule, the feasible set is rebuilt in enumeration order, and
 /// dominated points never shape the Pareto staircase. `evaluated`,
 /// `above_slo`, and `dominated` count only the points actually
 /// evaluated, so they are smaller than their exhaustive counterparts;
 /// the difference is `diagnostics.pruned`.
-pub fn optimize_pruned_with(
+pub fn optimize_pruned(
     spec: &OptimizeSpec,
-    cost_model: &dyn CostModel,
     options: BatchOptions,
 ) -> Result<OptimizeOutcome, OptimizeError> {
     spec.workload.validate()?;
     spec.space.validate()?;
     let mut diagnostics = Diagnostics::default();
-    let candidates = enumerate_candidates(spec, cost_model, &mut diagnostics)?;
+    let candidates = enumerate_candidates(spec, &mut diagnostics)?;
     let workers = options.resolved_workers();
     let slo = spec.constraints.slo_latency_us.unwrap_or(f64::INFINITY);
 

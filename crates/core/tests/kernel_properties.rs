@@ -18,32 +18,15 @@ use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::scenario::Scenario;
 use hmcs_core::service::ServiceTimes;
 use hmcs_core::solver::{self, saturation_lambda};
+use hmcs_topology::splitmix::{SplitMix64, GAMMA};
 use hmcs_topology::transmission::Architecture;
 
-/// SplitMix64, the same generator family the DES crate seeds its
-/// streams with — local because hmcs-core must not depend on it.
-struct SplitMix64(u64);
+fn uniform(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+}
 
-impl SplitMix64 {
-    fn new(seed: u64, stream: u64) -> Self {
-        SplitMix64(seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn uniform_below(&mut self, n: usize) -> usize {
-        (self.uniform() * n as f64) as usize % n
-    }
+fn uniform_below(rng: &mut SplitMix64, n: usize) -> usize {
+    (uniform(rng) * n as f64) as usize % n
 }
 
 /// One sampled point in configuration space; the offered rate is a
@@ -65,19 +48,19 @@ const NODE_CHOICES: [usize; 8] = [2, 3, 4, 6, 8, 16, 32, 64];
 const BYTE_CHOICES: [u64; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
 
 fn sample_case(seed: u64, index: u32) -> KernelCase {
-    let mut rng = SplitMix64::new(seed, u64::from(index));
-    let mut clusters = CLUSTER_CHOICES[rng.uniform_below(CLUSTER_CHOICES.len())];
-    let mut nodes = NODE_CHOICES[rng.uniform_below(NODE_CHOICES.len())];
+    let mut rng = SplitMix64::new(seed ^ u64::from(index).wrapping_mul(GAMMA));
+    let mut clusters = CLUSTER_CHOICES[uniform_below(&mut rng, CLUSTER_CHOICES.len())];
+    let mut nodes = NODE_CHOICES[uniform_below(&mut rng, NODE_CHOICES.len())];
     // The same validity region the simulation fuzzer samples.
     while !(16..=512).contains(&(clusters * nodes)) {
-        nodes = NODE_CHOICES[rng.uniform_below(NODE_CHOICES.len())];
-        clusters = CLUSTER_CHOICES[rng.uniform_below(CLUSTER_CHOICES.len())];
+        nodes = NODE_CHOICES[uniform_below(&mut rng, NODE_CHOICES.len())];
+        clusters = CLUSTER_CHOICES[uniform_below(&mut rng, CLUSTER_CHOICES.len())];
     }
-    let message_bytes = BYTE_CHOICES[rng.uniform_below(BYTE_CHOICES.len())];
-    let scenario = if rng.uniform() < 0.5 { Scenario::Case1 } else { Scenario::Case2 };
+    let message_bytes = BYTE_CHOICES[uniform_below(&mut rng, BYTE_CHOICES.len())];
+    let scenario = if uniform(&mut rng) < 0.5 { Scenario::Case1 } else { Scenario::Case2 };
     let architecture =
-        if rng.uniform() < 0.5 { Architecture::NonBlocking } else { Architecture::Blocking };
-    let service_model = match rng.uniform_below(10) {
+        if uniform(&mut rng) < 0.5 { Architecture::NonBlocking } else { Architecture::Blocking };
+    let service_model = match uniform_below(&mut rng, 10) {
         0 => ServiceTimeModel::Deterministic,
         1 => ServiceTimeModel::Erlang(2),
         2 => ServiceTimeModel::Erlang(4),
@@ -87,7 +70,7 @@ fn sample_case(seed: u64, index: u32) -> KernelCase {
     // Light load through past the knee — the kernel must agree with the
     // scalar solver bit-for-bit everywhere, including where the
     // saturation back-off engages.
-    let utilization = 0.05 + 0.90 * rng.uniform();
+    let utilization = 0.05 + 0.90 * uniform(&mut rng);
     KernelCase {
         clusters,
         nodes_per_cluster: nodes,

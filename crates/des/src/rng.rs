@@ -14,7 +14,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 /// SplitMix64 — used only to expand `(master_seed, stream_id)` into the
-/// 64-bit seed for a stream. Standard constants from Steele et al.
+/// 64-bit seed for a stream. Standard constants from Steele et al.; the
+/// same function as `hmcs_topology::splitmix::mix64`, kept private here
+/// because this crate has no workspace dependency to import it through.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = x;

@@ -16,8 +16,6 @@
 //! * [`gg1`] — GI/G/1 two-moment approximations (Kingman,
 //!   Allen–Cunneen, Krämer–Langenbach-Belz) for relaxing the Poisson
 //!   internal-arrival assumption (assumption 2).
-//! * [`priority`] — multi-class M/G/1 priority queues (non-preemptive
-//!   and preemptive-resume).
 //! * [`jackson`] — open Jackson networks: traffic equations, product-form
 //!   station metrics and end-to-end latency (the paper's model is a small
 //!   Jackson network, Figure 2).
@@ -31,6 +29,9 @@
 //!   used to solve eq. 7.
 //! * [`linalg`] — a small dense linear solver backing the traffic
 //!   equations.
+//!
+//! Every service centre in the paper is a single-class FCFS queue, so
+//! the crate carries no multi-class (priority) disciplines.
 //!
 //! ## Units
 //!
@@ -62,7 +63,6 @@ pub mod mg1;
 pub mod mm1;
 pub mod mmc;
 pub mod operational;
-pub mod priority;
 
 pub use error::QueueingError;
 pub use mm1::MM1;

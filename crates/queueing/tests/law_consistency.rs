@@ -5,11 +5,10 @@
 use hmcs_queueing::closed::{mva, MachineRepairman, MvaStation};
 use hmcs_queueing::gg1::{Approximation, GG1};
 use hmcs_queueing::jackson::{JacksonNetwork, Station};
-use hmcs_queueing::mg1::{ServiceDistribution, MG1};
+use hmcs_queueing::mg1::ServiceDistribution;
 use hmcs_queueing::mm1::MM1;
 use hmcs_queueing::mmc::MMc;
 use hmcs_queueing::operational;
-use hmcs_queueing::priority::{Discipline, PriorityClass, PriorityMG1};
 
 /// Burke's theorem consequence: a two-stage M/M/1 tandem has end-to-end
 /// time equal to the sum of independent M/M/1 sojourns — the Jackson
@@ -56,21 +55,6 @@ fn mva_satisfies_interactive_law() {
             "n={n}: law {r_from_law} vs MVA {r_from_mva}"
         );
     }
-}
-
-/// A non-preemptive priority M/M/1 with identical classes collapses to
-/// plain M/G/1 FCFS for the *aggregate*: rate-weighted mean waiting
-/// equals the FCFS waiting (conservation with equal weights).
-#[test]
-fn identical_priority_classes_average_to_fcfs() {
-    let per_class = PriorityClass { lambda: 0.2, service: ServiceDistribution::Exponential(1.0) };
-    let q = PriorityMG1::new(vec![per_class; 3]).unwrap();
-    let res = q.solve(Discipline::NonPreemptive);
-    let weighted: f64 = res.waiting_times.iter().sum::<f64>() / 3.0;
-    let fcfs = MG1::new(0.6, ServiceDistribution::Exponential(1.0)).unwrap();
-    // Conservation: sum(rho_i Wq_i) = rho Wq_fcfs; with equal rho_i this
-    // is the plain average.
-    assert!((weighted - fcfs.mean_waiting_time()).abs() < 1e-10);
 }
 
 /// Erlang C at c=1 equals the M/M/1 busy probability, and the GG1

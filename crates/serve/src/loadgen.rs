@@ -33,6 +33,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// The request-mix sampler, seeded per connection so runs are
+/// reproducible.
+pub use hmcs_topology::splitmix::SplitMix64;
+
 /// How requests are issued.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Mode {
@@ -221,26 +225,6 @@ impl Summary {
             mean = json_num(self.latency.mean),
             max = self.latency.max,
         )
-    }
-}
-
-/// SplitMix64 — tiny, seedable, good enough for sampling a request
-/// mix. Deterministic per connection so runs are reproducible.
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seeds the generator.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next 64 pseudo-random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 
@@ -851,16 +835,5 @@ mod tests {
             doc.get("requests").and_then(|r| r.get("errors")).and_then(|v| v.as_num()),
             Some(0.0)
         );
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_spreads() {
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        let distinct: std::collections::HashSet<_> = xs.iter().collect();
-        assert_eq!(distinct.len(), xs.len());
     }
 }

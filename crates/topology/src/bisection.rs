@@ -22,8 +22,6 @@ use crate::graph::Graph;
 /// Outcome of a bisection analysis of a topology with `n` endpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BisectionReport {
-    /// Number of endpoints `N`.
-    pub endpoints: usize,
     /// Measured bisection width (links cut between the halves).
     pub bisection_width: usize,
     /// `⌈N/2⌉` — the width required for full bisection bandwidth.
@@ -34,13 +32,6 @@ impl BisectionReport {
     /// Definition 1: true when the bisection width reaches `N/2` links.
     pub fn has_full_bisection_bandwidth(&self) -> bool {
         self.bisection_width >= self.full_bisection_target
-    }
-
-    /// The paper's `n/b` figure of merit (§5.1): steps needed to ship
-    /// one value per node across the bisection. Lower is better; 2 for a
-    /// full-bisection network.
-    pub fn exchange_steps(&self) -> f64 {
-        self.endpoints as f64 / self.bisection_width as f64
     }
 }
 
@@ -124,7 +115,6 @@ pub fn exhaustive_bisection_width(graph: &Graph, endpoints: usize) -> usize {
 /// index split.
 pub fn analyze(graph: &Graph, endpoints: usize) -> BisectionReport {
     BisectionReport {
-        endpoints,
         bisection_width: natural_split_cut(graph, endpoints),
         full_bisection_target: endpoints.div_ceil(2),
     }
@@ -153,7 +143,6 @@ mod tests {
                 report.bisection_width,
                 report.full_bisection_target
             );
-            assert!((report.exchange_steps() - 2.0).abs() < 1.0);
         }
     }
 
@@ -165,7 +154,6 @@ mod tests {
             let report = analyze(&la.build_graph(), n);
             assert_eq!(report.bisection_width, 1, "n={n} p={p}");
             assert!(!report.has_full_bisection_bandwidth());
-            assert!((report.exchange_steps() - n as f64).abs() < 1e-12);
         }
     }
 

@@ -26,6 +26,7 @@
 //! `f64` streams in practice, and the goldens compare with relative
 //! tolerance).
 
+use crate::splitmix::{mix64, SplitMix64};
 use std::error::Error;
 use std::fmt;
 
@@ -168,45 +169,8 @@ pub trait LatencySource {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded sampling primitives (self-contained: this crate has no deps).
+// Seeded sampling primitives.
 // ---------------------------------------------------------------------------
-
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64 finalizer: a high-quality 64-bit mix (Steele et al.).
-#[inline]
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(GOLDEN_GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Minimal SplitMix64 sequential stream (used for shuffling).
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform index in `0..n` (n > 0) by 128-bit multiply.
-    #[inline]
-    fn below(&mut self, n: usize) -> usize {
-        (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
-    }
-}
 
 /// Maps a u64 to the open unit interval (0, 1).
 #[inline]

@@ -15,19 +15,21 @@
 //!   synthetic WAN/LAN generator with planted clusters, a strict CSV
 //!   importer, and the [`latmatrix::LatencySource`] sampling trait the
 //!   cluster-identification pass and the sharded simulator consume.
-//! * [`kary_ncube`] — k-ary n-cubes (rings, tori, hypercubes), the
-//!   direct-network family of the paper's ref. [20], provided for the
-//!   technology-heterogeneity future-work extension.
-//! * [`direct`] — transmission-time model for those direct networks,
-//!   built on a bisection-generalised form of the paper's eq. 20.
 //! * [`linear_array`] — the blocking linear switch array (§5.3):
 //!   switch count (eq. 17), hop statistics (the `(k+1)/3` average of
 //!   eq. 19, plus the exact distribution), bisection width 1.
+//! * [`splitmix`] — the workspace's one SplitMix64 generator and
+//!   64-bit hash, shared by the latency-matrix generator, cluster
+//!   identification and the load generator.
 //! * [`transmission`] — message transmission-time models
 //!   (eqs. 10, 11, 18–21).
 //! * [`graph`] + [`bisection`] — a small undirected-graph kernel with
 //!   max-flow (Dinic) used to *verify* the bisection-width claims on the
 //!   explicitly constructed topologies.
+//!
+//! The paper models exactly two interconnects, the fat-tree and the
+//! linear array, so the crate carries no direct networks (rings, tori,
+//! hypercubes).
 //!
 //! Time unit: microseconds. Bandwidth unit: MB/s, which conveniently
 //! equals bytes/µs.
@@ -47,13 +49,12 @@
 #![warn(missing_docs)]
 
 pub mod bisection;
-pub mod direct;
 pub mod error;
 pub mod fat_tree;
 pub mod graph;
-pub mod kary_ncube;
 pub mod latmatrix;
 pub mod linear_array;
+pub mod splitmix;
 pub mod switch;
 pub mod technology;
 pub mod transmission;

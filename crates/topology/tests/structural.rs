@@ -2,7 +2,6 @@
 //! cross-checked against the closed forms.
 
 use hmcs_topology::fat_tree::FatTree;
-use hmcs_topology::kary_ncube::KaryNCube;
 use hmcs_topology::linear_array::LinearArray;
 use hmcs_topology::switch::SwitchFabric;
 
@@ -63,22 +62,6 @@ fn linear_array_graph_shape() {
 }
 
 #[test]
-fn kary_ncube_edge_count_grid() {
-    for (k, n) in [(2u32, 6u32), (3, 3), (4, 3), (8, 2), (16, 2)] {
-        let cube = KaryNCube::new(k, n).unwrap();
-        let g = cube.build_graph();
-        assert_eq!(g.vertex_count(), cube.nodes());
-        assert_eq!(g.edge_count(), cube.link_count(), "k={k} n={n}");
-        assert!(g.is_connected());
-        // Regular degree: 2n for k>2, n for k=2.
-        let want = if k == 2 { n as usize } else { 2 * n as usize };
-        for v in 0..cube.nodes() {
-            assert_eq!(g.degree(v), want, "k={k} n={n} v={v}");
-        }
-    }
-}
-
-#[test]
 fn fat_tree_mean_hops_scale_with_radix() {
     // Bigger switches flatten the tree: mean traversals must be
     // non-increasing in the port count for fixed n.
@@ -93,15 +76,9 @@ fn fat_tree_mean_hops_scale_with_radix() {
 }
 
 #[test]
-fn diameters_rank_the_families() {
-    // At 256 nodes: fat-tree (3 switch hops) < hypercube (8) <
-    // 16x16 torus (16) < ring (128) in worst-case hops.
+fn fat_tree_diameter_at_256_nodes_is_three_switches() {
+    // 256 nodes on 24-port switches need two stages, so the worst-case
+    // up/down route crosses 2d-1 = 3 switches.
     let ft = FatTree::new(256, sw(24)).unwrap();
-    let hyper = KaryNCube::hypercube(8).unwrap();
-    let torus = KaryNCube::new(16, 2).unwrap();
-    let ring = KaryNCube::new(256, 1).unwrap();
-    assert!(ft.worst_case_switch_traversals() < hyper.diameter());
-    assert!(hyper.diameter() < torus.diameter());
-    assert!(torus.diameter() < ring.diameter());
-    assert_eq!(ring.diameter(), 128);
+    assert_eq!(ft.worst_case_switch_traversals(), 3);
 }

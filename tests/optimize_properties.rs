@@ -7,7 +7,7 @@
 use hmcs_core::batch::BatchOptions;
 use hmcs_core::model::AnalyticalModel;
 use hmcs_core::optimize::{
-    self, CatalogCostModel, Constraints, CostModel, Design, DesignSpace, OptimizeSpec, Workload,
+    self, CatalogCostModel, Constraints, Design, DesignSpace, OptimizeSpec, Workload,
 };
 use hmcs_core::scenario::Scenario;
 use hmcs_core::service::ServiceTimes;

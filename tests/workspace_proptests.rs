@@ -134,73 +134,6 @@ proptest! {
         prop_assert!(diff < 1e-9);
     }
 
-    /// Priority scheduling preserves the Kleinrock conservation law for
-    /// random class mixes.
-    #[test]
-    fn priority_conservation_holds(
-        rates in prop::collection::vec(0.01f64..0.2, 1..5),
-        means in prop::collection::vec(0.2f64..2.0, 1..5),
-    ) {
-        use hmcs_queueing::mg1::ServiceDistribution;
-        use hmcs_queueing::priority::{PriorityClass, PriorityMG1};
-        let k = rates.len().min(means.len());
-        let classes: Vec<PriorityClass> = (0..k)
-            .map(|i| PriorityClass {
-                lambda: rates[i],
-                service: ServiceDistribution::Exponential(means[i]),
-            })
-            .collect();
-        let total_rho: f64 = classes.iter().map(|c| c.lambda * c.service.mean()).sum();
-        prop_assume!(total_rho < 0.95);
-        let q = PriorityMG1::new(classes).unwrap();
-        prop_assert!(q.conservation_residual() < 1e-8);
-    }
-
-    /// k-ary n-cube hop counts agree with BFS on the explicit graph for
-    /// random nodes.
-    #[test]
-    fn kary_ncube_hops_match_graph(
-        k in 2u32..6,
-        n in 1u32..4,
-        seed in 0usize..10_000,
-    ) {
-        use hmcs_topology::kary_ncube::KaryNCube;
-        let cube = KaryNCube::new(k, n).unwrap();
-        let nodes = cube.nodes();
-        let src = seed % nodes;
-        let g = cube.build_graph();
-        let dist = g.bfs_distances(src);
-        for (v, d) in dist.iter().enumerate() {
-            prop_assert_eq!(d.unwrap() as u32, cube.hop_count(src, v).unwrap());
-        }
-    }
-
-    /// The generalised blocking penalty interpolates monotonically and
-    /// hits the paper's endpoints.
-    #[test]
-    fn generalized_penalty_endpoints(
-        n_half in 2usize..200,
-        bytes in 1u64..8192,
-    ) {
-        use hmcs_topology::direct::generalized_blocking_penalty_us;
-        use hmcs_topology::technology::NetworkTechnology;
-        let n = 2 * n_half;
-        let tech = NetworkTechnology::GIGABIT_ETHERNET;
-        let payload = bytes as f64 * tech.byte_time_us();
-        // b = 1: eq. 20 exactly.
-        let p1 = generalized_blocking_penalty_us(n, 1, bytes, tech);
-        prop_assert!((p1 - (n as f64 / 2.0 - 1.0) * payload).abs() < 1e-9);
-        // b = N/2: zero.
-        prop_assert_eq!(generalized_blocking_penalty_us(n, n / 2, bytes, tech), 0.0);
-        // Monotone in b.
-        let mut prev = f64::INFINITY;
-        for b in 1..=n / 2 {
-            let p = generalized_blocking_penalty_us(n, b, bytes, tech);
-            prop_assert!(p <= prev + 1e-12);
-            prev = p;
-        }
-    }
-
     /// The P² estimator stays within the observed range and is
     /// order-consistent across levels.
     #[test]
