@@ -7,9 +7,9 @@
 //! hoists the topology work and the per-lane coefficients once.
 //!
 //! The two paths are asserted bit-identical before timing starts, so
-//! the ratio is a pure like-for-like cost comparison; `benchgate
-//! kernel` turns the two means into the committed `BENCH_KERNEL.json`
-//! speedup gate (≥5× on a quiet host).
+//! the ratio is a pure like-for-like cost comparison; `benchgate`
+//! gates the ratio of the two means (`--min-ratio`, ≥5× on a quiet
+//! host for the committed `BENCH_KERNEL.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hmcs_core::config::SystemConfig;

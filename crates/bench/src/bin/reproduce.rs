@@ -767,7 +767,7 @@ where
 /// Times the gradient-pruned optimizer against the exhaustive one on
 /// the *expanded* design space (dense port axis, ~20–50k points for
 /// the paper's 256 nodes) and writes an `hmcs-optimize-bench/1`
-/// summary for `benchgate optimize --min-eps [--min-speedup]`.
+/// summary for `benchgate` to judge (`evals_per_s`, `speedup`, …).
 ///
 /// The headline `evals_per_s` counts design points *decided* per
 /// second — every buildable point the run classifies (evaluated,
@@ -775,7 +775,7 @@ where
 /// legs are measured against the same denominator and `speedup` is
 /// exactly the exhaustive-vs-pruned mean wall-time ratio.
 /// `frontier_identical` records a per-field `f64::to_bits` comparison
-/// of the two frontiers; benchgate refuses a speedup gate without it.
+/// of the two frontiers; CI gates it with `--min frontier_identical=1`.
 fn write_optimize_bench(path: &Path, spec: &OptimizeSpec) -> Result<(), String> {
     let options = BatchOptions::default();
     let workers = options.resolved_workers();
@@ -969,8 +969,8 @@ fn emit_topology(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes an `hmcs-topology-bench/1` summary for
-/// `benchgate topology`: pipeline scale, round-trip and agreement
+/// Writes an `hmcs-topology-bench/1` summary for `benchgate` to
+/// judge: pipeline scale, round-trip and agreement
 /// outcomes, and identification throughput.
 fn write_topology_bench(
     path: &Path,

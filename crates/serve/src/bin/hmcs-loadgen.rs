@@ -4,8 +4,8 @@
 //! open- or closed-loop benchmark against a running `hmcs-serve`
 //! daemon, and emit the `hmcs-loadgen/1` JSON summary to stdout (or
 //! `--out FILE`). Exits non-zero when the run itself failed (e.g. the
-//! server is unreachable); result *quality* gating is `benchgate
-//! serve`'s job.
+//! server is unreachable); result *quality* gating is `benchgate`'s
+//! job.
 
 use hmcs_serve::loadgen::{self, LoadgenConfig, Mode};
 use std::time::Duration;

@@ -23,7 +23,7 @@
 //!
 //! Results reduce to nearest-rank quantiles (P50/P90/P99/P99.9) over
 //! the post-warm-up window plus achieved throughput, emitted as a
-//! `hmcs-loadgen/1` JSON document that `benchgate serve` validates.
+//! `hmcs-loadgen/1` JSON document that `benchgate` judges.
 
 use hmcs_core::json::json_num;
 use std::collections::VecDeque;
