@@ -506,11 +506,11 @@ impl CocValidationRow {
 }
 
 /// The `coc` experiment: validates the Cluster-of-Clusters future-work
-/// model against its dedicated simulator on three federations.
+/// model against the flow-level simulator on three federations.
 pub fn run_coc_validation(opts: &RunOptions) -> Result<Vec<CocValidationRow>, ModelError> {
     use hmcs_core::cluster_of_clusters::{self, ClusterSpec, CocConfig};
     use hmcs_core::config::{QueueAccounting, ServiceTimeModel};
-    use hmcs_sim::coc::{CocSimConfig, CocSimulator};
+    use hmcs_sim::flow::FlowSimulator;
     use hmcs_topology::switch::SwitchFabric;
 
     let mk = |clusters: Vec<ClusterSpec>| CocConfig {
@@ -579,8 +579,8 @@ pub fn run_coc_validation(opts: &RunOptions) -> Result<Vec<CocValidationRow>, Mo
     let mut rows = Vec::new();
     for (name, cfg) in systems {
         let analysis = cluster_of_clusters::evaluate(&cfg)?;
-        let sim = CocSimulator::run(
-            &CocSimConfig::new(cfg)
+        let sim = FlowSimulator::run(
+            &SimConfig::new(cfg)
                 .with_messages(opts.messages)
                 .with_warmup(opts.warmup)
                 .with_seed(opts.seed)

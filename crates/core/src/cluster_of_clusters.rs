@@ -140,8 +140,8 @@ pub struct CocReport {
 }
 
 /// Per-tier mean service times of a Cluster-of-Clusters system (µs).
-/// Shared with the CoC simulator so analysis and simulation always use
-/// identical service parameters.
+/// Shared with the flow-level simulator so analysis and simulation
+/// always use identical service parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CocServiceTimes {
     /// Mean ICN1 service time per cluster.
@@ -152,14 +152,8 @@ pub struct CocServiceTimes {
     pub icn2_us: f64,
 }
 
-type TierTimes = CocServiceTimes;
-
 /// Computes the per-tier service times from the topology models.
 pub fn tier_service_times(cfg: &CocConfig) -> Result<CocServiceTimes, ModelError> {
-    tier_times(cfg)
-}
-
-fn tier_times(cfg: &CocConfig) -> Result<TierTimes, ModelError> {
     let mut icn1_us = Vec::with_capacity(cfg.clusters.len());
     let mut ecn1_us = Vec::with_capacity(cfg.clusters.len());
     for c in &cfg.clusters {
@@ -175,7 +169,7 @@ fn tier_times(cfg: &CocConfig) -> Result<TierTimes, ModelError> {
     let icn2_us =
         TransmissionModel::new(cfg.icn2, cfg.switch, cfg.clusters.len().max(2), cfg.architecture)?
             .mean_time_us(cfg.message_bytes);
-    Ok(TierTimes { icn1_us, ecn1_us, icn2_us })
+    Ok(CocServiceTimes { icn1_us, ecn1_us, icn2_us })
 }
 
 fn center_metrics(cfg: &CocConfig, lambda: f64, service_us: f64) -> Option<(f64, f64, f64)> {
@@ -189,7 +183,7 @@ fn center_metrics(cfg: &CocConfig, lambda: f64, service_us: f64) -> Option<(f64,
         .map(|q| (q.mean_number_in_system(), q.mean_sojourn_time(), q.utilization()))
 }
 
-fn total_waiting(cfg: &CocConfig, times: &TierTimes, lambda_eff: f64) -> Option<f64> {
+fn total_waiting(cfg: &CocConfig, times: &CocServiceTimes, lambda_eff: f64) -> Option<f64> {
     let n = cfg.total_nodes() as f64;
     let w = match cfg.accounting {
         QueueAccounting::PaperLiteral => 2.0,
@@ -212,7 +206,7 @@ fn total_waiting(cfg: &CocConfig, times: &TierTimes, lambda_eff: f64) -> Option<
 /// Evaluates the Cluster-of-Clusters model.
 pub fn evaluate(cfg: &CocConfig) -> Result<CocReport, ModelError> {
     cfg.validate()?;
-    let times = tier_times(cfg)?;
+    let times = tier_service_times(cfg)?;
     let lambda = cfg.lambda_per_us;
     let n = cfg.total_nodes() as f64;
 

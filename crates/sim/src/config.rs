@@ -1,16 +1,20 @@
 //! Simulation run configuration.
 
-use hmcs_core::config::SystemConfig;
+use hmcs_core::cluster_of_clusters::{tier_service_times, CocConfig, CocServiceTimes};
+use hmcs_core::config::{ServiceTimeModel, SystemConfig};
 use hmcs_core::error::ModelError;
 use hmcs_core::routing::TrafficPattern;
 use hmcs_core::scenario::PAPER_SIM_MESSAGES;
+use hmcs_core::service::ServiceTimes;
 
 /// Configuration of one simulation run: the system under test plus the
-/// experiment-control knobs.
+/// experiment-control knobs. The system is the paper's Super-Cluster
+/// ([`SystemConfig`], the default) or a Cluster-of-Clusters federation
+/// ([`CocConfig`]); both shapes share every run control.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimConfig {
+pub struct SimConfig<S = SystemConfig> {
     /// The system being simulated (shared with the analytical model).
-    pub system: SystemConfig,
+    pub system: S,
     /// Number of *measured* delivered messages (the paper gathers
     /// statistics over 10,000).
     pub messages: u64,
@@ -46,11 +50,11 @@ pub struct SimConfig {
     pub track_center_stats: bool,
 }
 
-impl SimConfig {
+impl<S: SimSystem> SimConfig<S> {
     /// Creates a run configuration with the paper's defaults: 10,000
     /// measured messages, no warm-up, blocked sources, uniform traffic,
     /// seed 0x5EED.
-    pub fn new(system: SystemConfig) -> Self {
+    pub fn new(system: S) -> Self {
         SimConfig {
             system,
             messages: PAPER_SIM_MESSAGES,
@@ -116,6 +120,87 @@ impl SimConfig {
             });
         }
         Ok(())
+    }
+}
+
+/// A system shape the flow-level simulator runs: [`SystemConfig`]
+/// (equal clusters) or [`CocConfig`] (clusters of any size and
+/// technology). Sealed; both shapes are laid out as the same model.
+pub trait SimSystem: sealed::Sealed {}
+
+impl<T: sealed::Sealed> SimSystem for T {}
+
+pub(crate) mod sealed {
+    use super::*;
+
+    /// A system as the flow model sees it: contiguous clusters of
+    /// `cluster_nodes[i]` processors with per-cluster ICN1/ECN1 means,
+    /// all sharing one ICN2.
+    #[derive(Debug)]
+    pub struct Layout {
+        /// Processors in each cluster.
+        pub cluster_nodes: Vec<usize>,
+        /// Mean service time of every tier (µs).
+        pub means: CocServiceTimes,
+        /// Per-processor generation rate (messages/µs).
+        pub lambda_per_us: f64,
+        /// Service-time randomness at the networks.
+        pub service_model: ServiceTimeModel,
+    }
+
+    /// What a system shape supplies to the flow model.
+    pub trait Sealed: Clone {
+        /// RNG stream ids for think times, destinations and service
+        /// times; fixed per shape so each shape's goldens stay put.
+        const STREAMS: [u64; 3];
+        /// Whether runs add to the `sim.flow.*` engine metrics, which
+        /// count paper-shaped runs only.
+        const FLOW_METRICS: bool;
+        /// Validates the system.
+        fn validate(&self) -> Result<(), ModelError>;
+        /// Lays the system out for the flow model.
+        fn layout(&self) -> Result<Layout, ModelError>;
+    }
+
+    impl Sealed for SystemConfig {
+        const STREAMS: [u64; 3] = [1, 2, 3];
+        const FLOW_METRICS: bool = true;
+
+        fn validate(&self) -> Result<(), ModelError> {
+            SystemConfig::validate(self)
+        }
+
+        fn layout(&self) -> Result<Layout, ModelError> {
+            let t = ServiceTimes::compute(self)?;
+            Ok(Layout {
+                cluster_nodes: vec![self.nodes_per_cluster; self.clusters],
+                means: CocServiceTimes {
+                    icn1_us: vec![t.icn1_us; self.clusters],
+                    ecn1_us: vec![t.ecn1_us; self.clusters],
+                    icn2_us: t.icn2_us,
+                },
+                lambda_per_us: self.lambda_per_us,
+                service_model: self.service_model,
+            })
+        }
+    }
+
+    impl Sealed for CocConfig {
+        const STREAMS: [u64; 3] = [21, 22, 23];
+        const FLOW_METRICS: bool = false;
+
+        fn validate(&self) -> Result<(), ModelError> {
+            CocConfig::validate(self)
+        }
+
+        fn layout(&self) -> Result<Layout, ModelError> {
+            Ok(Layout {
+                cluster_nodes: self.clusters.iter().map(|c| c.nodes).collect(),
+                means: tier_service_times(self)?,
+                lambda_per_us: self.lambda_per_us,
+                service_model: self.service_model,
+            })
+        }
     }
 }
 

@@ -22,15 +22,20 @@
 //! The simulator therefore differs from the *analysis* only in the ways
 //! the analysis approximates reality: Poisson-arrival assumptions at
 //! interior centres and the eq. 6/7 throttling model.
+//!
+//! The same model runs Cluster-of-Clusters federations (the paper's §7
+//! future work): with a [`hmcs_core::cluster_of_clusters::CocConfig`]
+//! as the system, clusters differ in size and per-cluster ICN1/ECN1
+//! service means, and everything else above is unchanged.
 
-use crate::config::SimConfig;
+use crate::config::sealed::Layout;
+use crate::config::{SimConfig, SimSystem};
 use crate::metrics_keys;
 use crate::result::{CenterObservation, SimResult};
-use hmcs_core::config::ServiceTimeModel;
+use hmcs_core::config::{ServiceTimeModel, SystemConfig};
 use hmcs_core::error::ModelError;
 use hmcs_core::metrics;
 use hmcs_core::routing::TrafficPattern;
-use hmcs_core::service::ServiceTimes;
 use hmcs_des::engine::{Engine, Model, Scheduler};
 use hmcs_des::quantile::P2Quantile;
 use hmcs_des::queue::{FcfsServer, ServiceDirective};
@@ -70,19 +75,24 @@ enum Ev {
 }
 
 #[derive(Debug)]
-struct FlowModel {
-    cfg: SimConfig,
-    n0: usize,
+struct FlowModel<S> {
+    cfg: SimConfig<S>,
+    layout: Layout,
     n: usize,
-    means: ServiceTimes,
+    /// Cluster index of every node.
+    cluster_of_node: Vec<usize>,
+    /// First node of every cluster.
+    cluster_start: Vec<usize>,
+    /// RNG stream ids for think times, destinations and service times.
+    streams: [u64; 3],
     think_rng: RngStream,
     dest_rng: RngStream,
     svc_rng: RngStream,
     /// Precomputed sampler over the `n - 1` non-source destinations.
     dest_any: UniformInt,
-    /// Precomputed sampler over the `n0 - 1` non-source cluster-local
+    /// Per cluster, a precomputed sampler over its non-source local
     /// destinations (`None` for single-node clusters).
-    dest_intra: Option<UniformInt>,
+    dest_intra: Vec<Option<UniformInt>>,
     icn1: Vec<FcfsServer<MsgId>>,
     ecn1: Vec<FcfsServer<MsgId>>,
     icn2: FcfsServer<MsgId>,
@@ -97,31 +107,53 @@ struct FlowModel {
     p99: P2Quantile,
 }
 
-/// Builds one service center honouring the config's statistics flag.
-fn center(cfg: &SimConfig) -> FcfsServer<MsgId> {
+/// Builds one service center, keeping per-event statistics only when
+/// `instrumented`.
+pub(crate) fn center(instrumented: bool) -> FcfsServer<MsgId> {
     let mut server = FcfsServer::new();
-    server.set_instrumented(cfg.track_center_stats);
+    server.set_instrumented(instrumented);
     server
 }
 
-impl FlowModel {
-    fn new(cfg: SimConfig) -> Result<Self, ModelError> {
+/// Draws one service time with mean `mean_us` from `model` on `rng`.
+pub(crate) fn sample_service(rng: &mut RngStream, model: ServiceTimeModel, mean_us: f64) -> f64 {
+    match model {
+        ServiceTimeModel::Exponential => rng.exponential_mean(mean_us),
+        ServiceTimeModel::Deterministic => mean_us,
+        ServiceTimeModel::Erlang(k) => rng.erlang(mean_us, k),
+        ServiceTimeModel::HyperExponential(scv) => rng.hyper_exponential(mean_us, scv),
+    }
+}
+
+impl<S: SimSystem> FlowModel<S> {
+    fn new(cfg: &SimConfig<S>, streams: [u64; 3]) -> Result<Self, ModelError> {
         cfg.validate()?;
-        let means = ServiceTimes::compute(&cfg.system)?;
-        let clusters = cfg.system.clusters;
+        let layout = cfg.system.layout()?;
+        let sizes = &layout.cluster_nodes;
+        let mut cluster_of_node = Vec::with_capacity(sizes.iter().sum());
+        let mut cluster_start = Vec::with_capacity(sizes.len());
+        for (i, &size) in sizes.iter().enumerate() {
+            cluster_start.push(cluster_of_node.len());
+            cluster_of_node.extend(std::iter::repeat_n(i, size));
+        }
+        let n = cluster_of_node.len();
+        let instrumented = cfg.track_center_stats;
         Ok(FlowModel {
-            n0: cfg.system.nodes_per_cluster,
-            n: cfg.system.total_nodes(),
-            means,
-            think_rng: RngStream::new(cfg.seed, 1),
-            dest_rng: RngStream::new(cfg.seed, 2),
-            svc_rng: RngStream::new(cfg.seed, 3),
-            dest_any: UniformInt::new(cfg.system.total_nodes() - 1),
-            dest_intra: (cfg.system.nodes_per_cluster >= 2)
-                .then(|| UniformInt::new(cfg.system.nodes_per_cluster - 1)),
-            icn1: (0..clusters).map(|_| center(&cfg)).collect(),
-            ecn1: (0..clusters).map(|_| center(&cfg)).collect(),
-            icn2: center(&cfg),
+            n,
+            cluster_of_node,
+            cluster_start,
+            streams,
+            think_rng: RngStream::new(cfg.seed, streams[0]),
+            dest_rng: RngStream::new(cfg.seed, streams[1]),
+            svc_rng: RngStream::new(cfg.seed, streams[2]),
+            dest_any: UniformInt::new(n - 1),
+            dest_intra: sizes
+                .iter()
+                .map(|&size| (size >= 2).then(|| UniformInt::new(size - 1)))
+                .collect(),
+            icn1: sizes.iter().map(|_| center(instrumented)).collect(),
+            ecn1: sizes.iter().map(|_| center(instrumented)).collect(),
+            icn2: center(instrumented),
             msgs: Vec::new(),
             free_ids: Vec::new(),
             delivered: 0,
@@ -131,7 +163,8 @@ impl FlowModel {
             p50: P2Quantile::new(0.50),
             p95: P2Quantile::new(0.95),
             p99: P2Quantile::new(0.99),
-            cfg,
+            layout,
+            cfg: cfg.clone(),
         })
     }
 
@@ -142,9 +175,9 @@ impl FlowModel {
     /// a fresh model's sample path bit for bit.
     fn reset(&mut self, seed: u64) {
         self.cfg.seed = seed;
-        self.think_rng = RngStream::new(seed, 1);
-        self.dest_rng = RngStream::new(seed, 2);
-        self.svc_rng = RngStream::new(seed, 3);
+        self.think_rng = RngStream::new(seed, self.streams[0]);
+        self.dest_rng = RngStream::new(seed, self.streams[1]);
+        self.svc_rng = RngStream::new(seed, self.streams[2]);
         for q in &mut self.icn1 {
             q.reset();
         }
@@ -164,27 +197,19 @@ impl FlowModel {
     }
 
     fn cluster_of(&self, node: usize) -> usize {
-        node / self.n0
-    }
-
-    fn sample_service(&mut self, mean_us: f64) -> f64 {
-        match self.cfg.system.service_model {
-            ServiceTimeModel::Exponential => self.svc_rng.exponential_mean(mean_us),
-            ServiceTimeModel::Deterministic => mean_us,
-            ServiceTimeModel::Erlang(k) => self.svc_rng.erlang(mean_us, k),
-            ServiceTimeModel::HyperExponential(scv) => self.svc_rng.hyper_exponential(mean_us, scv),
-        }
+        self.cluster_of_node[node]
     }
 
     fn pick_destination(&mut self, src: usize) -> usize {
         match self.cfg.pattern {
             TrafficPattern::Uniform => self.dest_any.sample_excluding(&mut self.dest_rng, src),
             TrafficPattern::Localized { locality } => {
-                match self.dest_intra {
+                let cluster = self.cluster_of(src);
+                match self.dest_intra[cluster] {
                     Some(intra) if self.dest_rng.bernoulli(locality) => {
                         // Uniform within the source's cluster, excluding
                         // the source itself.
-                        let base = self.cluster_of(src) * self.n0;
+                        let base = self.cluster_start[cluster];
                         base + intra.sample_excluding(&mut self.dest_rng, src - base)
                     }
                     _ => self.dest_any.sample_excluding(&mut self.dest_rng, src),
@@ -212,7 +237,7 @@ impl FlowModel {
     }
 
     fn schedule_done(&mut self, now: SimTime, s: &mut Scheduler<Ev>, ev: Ev, mean_us: f64) {
-        let svc = self.sample_service(mean_us);
+        let svc = sample_service(&mut self.svc_rng, self.layout.service_model, mean_us);
         s.schedule_in(now, SimTime::from_us(svc), ev);
     }
 
@@ -238,7 +263,7 @@ impl FlowModel {
         }
         if self.cfg.blocked_sources {
             // The source resumes thinking only now (assumption 4).
-            let think = self.think_rng.exponential(self.cfg.system.lambda_per_us);
+            let think = self.think_rng.exponential(self.layout.lambda_per_us);
             s.schedule_in(now, SimTime::from_us(think), Ev::Generate { node: msg.src });
         }
     }
@@ -248,7 +273,7 @@ impl FlowModel {
     }
 }
 
-impl Model for FlowModel {
+impl<S: SimSystem> Model for FlowModel<S> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, event: Ev, s: &mut Scheduler<Ev>) {
@@ -264,18 +289,18 @@ impl Model for FlowModel {
                     if let ServiceDirective::StartService(_) =
                         self.ecn1[src_cluster].arrive(now.as_us(), id)
                     {
-                        let mean = self.means.ecn1_us;
+                        let mean = self.layout.means.ecn1_us[src_cluster];
                         self.schedule_done(now, s, Ev::Ecn1Done { cluster: src_cluster }, mean);
                     }
                 } else if let ServiceDirective::StartService(_) =
                     self.icn1[src_cluster].arrive(now.as_us(), id)
                 {
-                    let mean = self.means.icn1_us;
+                    let mean = self.layout.means.icn1_us[src_cluster];
                     self.schedule_done(now, s, Ev::Icn1Done { cluster: src_cluster }, mean);
                 }
                 if !self.cfg.blocked_sources {
                     // Open system: the source keeps generating regardless.
-                    let gap = self.think_rng.exponential(self.cfg.system.lambda_per_us);
+                    let gap = self.think_rng.exponential(self.layout.lambda_per_us);
                     s.schedule_in(now, SimTime::from_us(gap), Ev::Generate { node });
                 }
             }
@@ -284,7 +309,7 @@ impl Model for FlowModel {
                 debug_assert_eq!(self.msgs[id].stage, Stage::Icn1);
                 self.deliver(now, s, id);
                 if let ServiceDirective::StartService(_) = directive {
-                    let mean = self.means.icn1_us;
+                    let mean = self.layout.means.icn1_us[cluster];
                     self.schedule_done(now, s, Ev::Icn1Done { cluster }, mean);
                 }
             }
@@ -295,7 +320,7 @@ impl Model for FlowModel {
                         self.msgs[id].stage = Stage::Icn2;
                         if let ServiceDirective::StartService(_) = self.icn2.arrive(now.as_us(), id)
                         {
-                            let mean = self.means.icn2_us;
+                            let mean = self.layout.means.icn2_us;
                             self.schedule_done(now, s, Ev::Icn2Done, mean);
                         }
                     }
@@ -303,7 +328,7 @@ impl Model for FlowModel {
                     other => unreachable!("message in ECN1 with stage {other:?}"),
                 }
                 if let ServiceDirective::StartService(_) = directive {
-                    let mean = self.means.ecn1_us;
+                    let mean = self.layout.means.ecn1_us[cluster];
                     self.schedule_done(now, s, Ev::Ecn1Done { cluster }, mean);
                 }
             }
@@ -315,11 +340,11 @@ impl Model for FlowModel {
                 if let ServiceDirective::StartService(_) =
                     self.ecn1[dst_cluster].arrive(now.as_us(), id)
                 {
-                    let mean = self.means.ecn1_us;
+                    let mean = self.layout.means.ecn1_us[dst_cluster];
                     self.schedule_done(now, s, Ev::Ecn1Done { cluster: dst_cluster }, mean);
                 }
                 if let ServiceDirective::StartService(_) = directive {
-                    let mean = self.means.icn2_us;
+                    let mean = self.layout.means.icn2_us;
                     self.schedule_done(now, s, Ev::Icn2Done, mean);
                 }
             }
@@ -333,7 +358,7 @@ pub struct FlowSimulator;
 
 impl FlowSimulator {
     /// Runs one simulation and returns the sink statistics.
-    pub fn run(cfg: &SimConfig) -> Result<SimResult, ModelError> {
+    pub fn run<S: SimSystem>(cfg: &SimConfig<S>) -> Result<SimResult, ModelError> {
         Ok(FlowSimInstance::new(cfg)?.run(cfg.seed))
     }
 }
@@ -344,14 +369,19 @@ impl FlowSimulator {
 /// storage warm. Every run is bit-identical to a fresh
 /// [`FlowSimulator::run`] of the same configuration and seed.
 #[derive(Debug)]
-pub struct FlowSimInstance {
-    engine: Engine<FlowModel>,
+pub struct FlowSimInstance<S: SimSystem = SystemConfig> {
+    engine: Engine<FlowModel<S>>,
 }
 
-impl FlowSimInstance {
+impl<S: SimSystem> FlowSimInstance<S> {
     /// Builds the simulator for `cfg`'s system.
-    pub fn new(cfg: &SimConfig) -> Result<Self, ModelError> {
-        let model = FlowModel::new(*cfg)?;
+    pub fn new(cfg: &SimConfig<S>) -> Result<Self, ModelError> {
+        Self::with_streams(cfg, S::STREAMS)
+    }
+
+    /// [`Self::new`] with explicit RNG stream ids.
+    fn with_streams(cfg: &SimConfig<S>, streams: [u64; 3]) -> Result<Self, ModelError> {
+        let model = FlowModel::new(cfg, streams)?;
         // Pending-event bound: one Generate per source plus at most one
         // Done per server (per-cluster ICN1 + ECN1 and the global ICN2).
         let capacity = model.n + 2 * model.icn1.len() + 1;
@@ -364,7 +394,7 @@ impl FlowSimInstance {
         let engine = &mut self.engine;
         engine.reset();
         engine.model_mut().reset(seed);
-        let (n, lambda) = (engine.model().n, engine.model().cfg.system.lambda_per_us);
+        let (n, lambda) = (engine.model().n, engine.model().layout.lambda_per_us);
         // Every processor starts in the thinking state.
         for node in 0..n {
             let think = engine.model_mut().think_rng.exponential(lambda);
@@ -375,13 +405,15 @@ impl FlowSimInstance {
         let now = engine.now().as_us();
         // Bridge the engine's local counters into the global registry
         // (the DES kernel deliberately knows nothing about hmcs-core).
-        metrics::counter(metrics_keys::FLOW_EVENTS).add(engine.events_processed());
-        metrics::histogram(metrics_keys::FLOW_PEAK_PENDING)
-            .record(engine.scheduler().peak_pending() as u64);
+        if S::FLOW_METRICS {
+            metrics::counter(metrics_keys::FLOW_EVENTS).add(engine.events_processed());
+            metrics::histogram(metrics_keys::FLOW_PEAK_PENDING)
+                .record(engine.scheduler().peak_pending() as u64);
+        }
         Self::collect(engine.model(), now)
     }
 
-    fn collect(model: &FlowModel, now: f64) -> SimResult {
+    fn collect(model: &FlowModel<S>, now: f64) -> SimResult {
         let avg_center = |servers: &[FcfsServer<MsgId>]| -> CenterObservation {
             let k = servers.len() as f64;
             CenterObservation {
@@ -704,5 +736,194 @@ mod tests {
             "sim {} vs theory {rho}",
             r.icn2.utilization
         );
+    }
+
+    /// Cluster-of-Clusters federations: the same model on clusters of
+    /// unequal size and technology.
+    mod coc {
+        use super::*;
+        use crate::config::sealed::Sealed;
+        use hmcs_core::cluster_of_clusters::{self, ClusterSpec, CocConfig};
+        use hmcs_core::config::QueueAccounting;
+        use hmcs_core::error::ModelError;
+        use hmcs_topology::switch::SwitchFabric;
+        use hmcs_topology::technology::NetworkTechnology;
+
+        fn coc(clusters: Vec<ClusterSpec>) -> CocConfig {
+            CocConfig {
+                clusters,
+                icn2: NetworkTechnology::FAST_ETHERNET,
+                switch: SwitchFabric::paper_default(),
+                architecture: Architecture::NonBlocking,
+                message_bytes: 1024,
+                lambda_per_us: 2.5e-4,
+                accounting: QueueAccounting::SingleQueue,
+                service_model: ServiceTimeModel::Exponential,
+            }
+        }
+
+        fn homogeneous(c: usize, nodes: usize) -> CocConfig {
+            coc(vec![
+                ClusterSpec {
+                    nodes,
+                    icn1: NetworkTechnology::GIGABIT_ETHERNET,
+                    ecn1: NetworkTechnology::FAST_ETHERNET,
+                };
+                c
+            ])
+        }
+
+        /// The federation of `sc.clusters` identical copies of `sc`'s
+        /// cluster.
+        fn federation_of(sc: &SystemConfig) -> CocConfig {
+            CocConfig {
+                clusters: vec![
+                    ClusterSpec {
+                        nodes: sc.nodes_per_cluster,
+                        icn1: sc.icn1,
+                        ecn1: sc.ecn1
+                    };
+                    sc.clusters
+                ],
+                icn2: sc.icn2,
+                switch: sc.switch,
+                architecture: sc.architecture,
+                message_bytes: sc.message_bytes,
+                lambda_per_us: sc.lambda_per_us,
+                accounting: sc.accounting,
+                service_model: sc.service_model,
+            }
+        }
+
+        #[test]
+        fn runs_and_is_reproducible() {
+            let cfg = SimConfig::new(homogeneous(4, 16)).with_messages(1_000).with_seed(5);
+            let a = FlowSimulator::run(&cfg).unwrap();
+            let b = FlowSimulator::run(&cfg).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(a.messages, 1_000);
+            assert!(a.mean_latency_us > 0.0);
+        }
+
+        #[test]
+        fn homogeneous_federation_replays_the_super_cluster_run_bit_for_bit() {
+            // On the paper-shaped stream ids, a federation of equal
+            // clusters is the Super-Cluster run, statistic for statistic.
+            for arch in [Architecture::NonBlocking, Architecture::Blocking] {
+                for c in [2, 8, 16] {
+                    let sc = system(c, arch);
+                    let expected =
+                        FlowSimulator::run(&SimConfig::new(sc).with_messages(4_000).with_seed(11))
+                            .unwrap();
+                    let cfg = SimConfig::new(federation_of(&sc)).with_messages(4_000).with_seed(11);
+                    let got = FlowSimInstance::with_streams(&cfg, SystemConfig::STREAMS)
+                        .unwrap()
+                        .run(cfg.seed);
+                    assert_eq!(got, expected, "C={c} {arch:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn zero_message_budget_is_rejected() {
+            let cfg = SimConfig::new(homogeneous(4, 16)).with_messages(0);
+            assert!(matches!(
+                FlowSimulator::run(&cfg),
+                Err(ModelError::InvalidConfig { name: "messages", .. })
+            ));
+        }
+
+        #[test]
+        fn localized_destinations_stay_in_the_source_cluster() {
+            // Fully local traffic on unequal clusters never leaves home.
+            let cfg = SimConfig::new(coc(vec![
+                ClusterSpec {
+                    nodes: 4,
+                    icn1: NetworkTechnology::GIGABIT_ETHERNET,
+                    ecn1: NetworkTechnology::FAST_ETHERNET,
+                },
+                ClusterSpec {
+                    nodes: 12,
+                    icn1: NetworkTechnology::FAST_ETHERNET,
+                    ecn1: NetworkTechnology::FAST_ETHERNET,
+                },
+            ]))
+            .with_pattern(TrafficPattern::Localized { locality: 1.0 })
+            .with_messages(2_000)
+            .with_seed(8);
+            let r = FlowSimulator::run(&cfg).unwrap();
+            assert_eq!(r.messages, 2_000);
+            assert_eq!(r.icn2.arrivals, 0);
+            assert_eq!(r.external_latency.count(), 0);
+        }
+
+        #[test]
+        fn coc_model_matches_coc_simulation() {
+            // The headline validation for the future-work model: analysis
+            // vs simulation on a genuinely heterogeneous system.
+            let cfg = coc(vec![
+                ClusterSpec {
+                    nodes: 96,
+                    icn1: NetworkTechnology::MYRINET,
+                    ecn1: NetworkTechnology::GIGABIT_ETHERNET,
+                },
+                ClusterSpec {
+                    nodes: 64,
+                    icn1: NetworkTechnology::GIGABIT_ETHERNET,
+                    ecn1: NetworkTechnology::GIGABIT_ETHERNET,
+                },
+                ClusterSpec {
+                    nodes: 32,
+                    icn1: NetworkTechnology::FAST_ETHERNET,
+                    ecn1: NetworkTechnology::FAST_ETHERNET,
+                },
+            ]);
+            let analysis = cluster_of_clusters::evaluate(&cfg).unwrap();
+            let sim = FlowSimulator::run(
+                &SimConfig::new(cfg).with_messages(8_000).with_warmup(2_000).with_seed(17),
+            )
+            .unwrap();
+            let rel = (analysis.mean_message_latency_us - sim.mean_latency_us).abs()
+                / sim.mean_latency_us;
+            assert!(
+                rel < 0.10,
+                "CoC analysis {:.1} vs sim {:.1} ({:.1}%)",
+                analysis.mean_message_latency_us,
+                sim.mean_latency_us,
+                rel * 100.0
+            );
+            // Effective rates agree too.
+            let rel_rate = (analysis.lambda_eff - sim.effective_lambda_per_us).abs()
+                / sim.effective_lambda_per_us;
+            assert!(rel_rate < 0.10, "lambda_eff rel err {rel_rate}");
+        }
+
+        #[test]
+        fn fast_cluster_delivers_internal_messages_faster() {
+            // Internal latency in a Myrinet cluster should beat internal
+            // latency in an FE cluster; the mixed sink only exposes the
+            // aggregate, so compare two single-technology systems.
+            let fast = coc(vec![
+                ClusterSpec {
+                    nodes: 32,
+                    icn1: NetworkTechnology::MYRINET,
+                    ecn1: NetworkTechnology::GIGABIT_ETHERNET,
+                };
+                2
+            ]);
+            let slow = coc(vec![
+                ClusterSpec {
+                    nodes: 32,
+                    icn1: NetworkTechnology::FAST_ETHERNET,
+                    ecn1: NetworkTechnology::GIGABIT_ETHERNET,
+                };
+                2
+            ]);
+            let f = FlowSimulator::run(&SimConfig::new(fast).with_messages(3_000).with_seed(3))
+                .unwrap();
+            let s = FlowSimulator::run(&SimConfig::new(slow).with_messages(3_000).with_seed(3))
+                .unwrap();
+            assert!(f.internal_latency.mean() < s.internal_latency.mean());
+        }
     }
 }

@@ -20,8 +20,10 @@
 //!   contention at every switch. It contains none of the model's
 //!   queueing approximations, making it the stronger referee.
 //!
-//! [`coc`] extends the flow-level simulator to heterogeneous
-//! Cluster-of-Clusters systems (the paper's §7 future work), and
+//! [`flow`] also runs heterogeneous Cluster-of-Clusters systems (the
+//! paper's §7 future work): given a
+//! [`hmcs_core::cluster_of_clusters::CocConfig`] as the system, it is
+//! the same model on clusters of unequal size and technology.
 //! [`replication`] runs independent replications with confidence
 //! intervals on the shared bounded worker pool ([`hmcs_core::batch`]):
 //! seeds are fixed by replication index, each worker reuses one
@@ -51,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coc;
 pub mod config;
 pub mod flow;
 pub mod metrics_keys;

@@ -52,9 +52,9 @@
 //! *measured matrix*, not just the fitted two-level abstraction of it.
 
 use crate::config::SimConfig;
+use crate::flow::{center, sample_service};
 use crate::metrics_keys;
 use hmcs_core::batch::{par_map_init, BatchOptions};
-use hmcs_core::config::ServiceTimeModel;
 use hmcs_core::error::ModelError;
 use hmcs_core::metrics;
 use hmcs_core::service::ServiceTimes;
@@ -271,15 +271,6 @@ struct ShardModel<'a, S: ?Sized> {
 }
 
 impl<S: LatencySource + ?Sized> ShardModel<'_, S> {
-    fn sample_service(&mut self, mean_us: f64) -> f64 {
-        match self.cfg.system.service_model {
-            ServiceTimeModel::Exponential => self.svc_rng.exponential_mean(mean_us),
-            ServiceTimeModel::Deterministic => mean_us,
-            ServiceTimeModel::Erlang(k) => self.svc_rng.erlang(mean_us, k),
-            ServiceTimeModel::HyperExponential(scv) => self.svc_rng.hyper_exponential(mean_us, scv),
-        }
-    }
-
     fn alloc_msg(&mut self, msg: Msg, offset: f64) -> MsgId {
         if let Some(id) = self.free_ids.pop() {
             self.msgs[id] = msg;
@@ -312,7 +303,7 @@ impl<S: LatencySource + ?Sized> ShardModel<'_, S> {
     }
 
     fn schedule_done(&mut self, now: SimTime, s: &mut Scheduler<Ev>, ev: Ev, mean_us: f64) {
-        let svc = self.sample_service(mean_us);
+        let svc = sample_service(&mut self.svc_rng, self.cfg.system.service_model, mean_us);
         s.schedule_in(now, SimTime::from_us(svc), ev);
     }
 
@@ -469,12 +460,6 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
         let means = ServiceTimes::compute(&cfg.system)?;
         let n: usize = partition.iter().map(Vec::len).sum();
         let max_nc = partition.iter().map(Vec::len).max().unwrap_or(0);
-        let mut icn1 = FcfsServer::new();
-        let mut ecn1 = FcfsServer::new();
-        let mut icn2 = FcfsServer::new();
-        icn1.set_instrumented(cfg.track_center_stats);
-        ecn1.set_instrumented(cfg.track_center_stats);
-        icn2.set_instrumented(cfg.track_center_stats);
         let model = ShardModel {
             cfg: *cfg,
             n,
@@ -488,9 +473,9 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             svc_rng: RngStream::new(cfg.seed, 3),
             bg_rng: RngStream::new(cfg.seed, 4),
             dest_any: UniformInt::new(n - 1),
-            icn1,
-            ecn1,
-            icn2,
+            icn1: center(cfg.track_center_stats),
+            ecn1: center(cfg.track_center_stats),
+            icn2: center(cfg.track_center_stats),
             msgs: Vec::new(),
             hop_offset: Vec::new(),
             free_ids: Vec::new(),

@@ -9,7 +9,8 @@
 
 use hmcs_core::cluster_of_clusters::{evaluate, ClusterSpec, CocConfig};
 use hmcs_core::config::{QueueAccounting, ServiceTimeModel};
-use hmcs_sim::coc::{CocSimConfig, CocSimulator};
+use hmcs_sim::config::SimConfig;
+use hmcs_sim::flow::FlowSimulator;
 use hmcs_topology::switch::SwitchFabric;
 use hmcs_topology::technology::NetworkTechnology;
 use hmcs_topology::transmission::Architecture;
@@ -87,9 +88,9 @@ fn main() {
     println!("sojourn while the big Myrinet cluster sees most of its traffic leave home");
     println!("(high P_i): heterogeneity shifts the bottleneck to the shared second stage.");
 
-    // Validate the future-work model against its dedicated simulator.
-    let sim = CocSimulator::run(
-        &CocSimConfig::new(cfg).with_messages(10_000).with_warmup(2_000).with_seed(7),
+    // Validate the future-work model against the flow-level simulator.
+    let sim = FlowSimulator::run(
+        &SimConfig::new(cfg).with_messages(10_000).with_warmup(2_000).with_seed(7),
     )
     .expect("CoC simulation runs");
     let err = (report.mean_message_latency_us - sim.mean_latency_us).abs() / sim.mean_latency_us;
