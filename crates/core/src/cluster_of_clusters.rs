@@ -14,18 +14,22 @@
 //!   everywhere else) is also `NᵢPᵢλ`, so `λ_E1ᵢ = 2NᵢPᵢλ` exactly as in
 //!   the homogeneous eq. 5. The global rate is `λ_I2 = Σᵢ NᵢPᵢλ`.
 //! * The effective-rate fixed point (eqs. 6–7) carries over with
-//!   `L = Σᵢ(w·L_E1ᵢ + L_I1ᵢ) + L_I2`.
+//!   `L = Σᵢ(w·L_E1ᵢ + L_I1ᵢ) + L_I2`. This module supplies that sum and
+//!   the closed-form saturation rate; the bisection, its bracket and the
+//!   near-saturation back-off are the base model's, in [`crate::solver`].
 //! * Mean latency averages over source clusters (weight `Nᵢ/N`) and, for
 //!   external messages, over destination clusters (weight
 //!   `Nⱼ/(N−Nᵢ)`):
 //!   `T_W = Σᵢ (Nᵢ/N)·[(1−Pᵢ)W_I1ᵢ + Pᵢ·(W_E1ᵢ + W_I2 + Σ_{j≠i} Nⱼ·W_E1ⱼ/(N−Nᵢ))]`.
 //!
-//! The homogeneous special case reduces *exactly* to the Super-Cluster
-//! model of [`crate::model`]; a test pins that down.
+//! The homogeneous special case reduces to the Super-Cluster model of
+//! [`crate::model`]: both solve through the same bisection, so they
+//! agree to 1e-9 relative latency (floating-point summation order is
+//! all that differs); a test pins that down over the paper's grid.
 
 use crate::config::{QueueAccounting, ServiceTimeModel};
 use crate::error::ModelError;
-use hmcs_queueing::fixed_point::{bisect, SolverOptions};
+use crate::solver;
 use hmcs_queueing::mg1::MG1;
 use hmcs_topology::switch::SwitchFabric;
 use hmcs_topology::technology::NetworkTechnology;
@@ -207,17 +211,10 @@ fn total_waiting(cfg: &CocConfig, times: &CocServiceTimes, lambda_eff: f64) -> O
 pub fn evaluate(cfg: &CocConfig) -> Result<CocReport, ModelError> {
     cfg.validate()?;
     let times = tier_service_times(cfg)?;
-    let lambda = cfg.lambda_per_us;
     let n = cfg.total_nodes() as f64;
 
-    let g = |x: f64| -> f64 {
-        let l = total_waiting(cfg, &times, x).unwrap_or(f64::INFINITY);
-        lambda * (n - l.min(n)) / n
-    };
-    // Bracket the root just inside the closed-form saturation boundary:
-    // every centre's arrival rate is linear in lambda_eff, so the
-    // smallest saturating rate is exact. At hi the bottleneck queue
-    // length exceeds N, so f(hi) = g(hi) - hi < 0 while f(0) = lambda > 0.
+    // Every centre's arrival rate is linear in lambda_eff, so the
+    // smallest saturating rate is exact.
     let mut sat = f64::INFINITY;
     for (i, c) in cfg.clusters.iter().enumerate() {
         let ni = c.nodes as f64;
@@ -242,19 +239,9 @@ pub fn evaluate(cfg: &CocConfig) -> Result<CocReport, ModelError> {
     if coeff_i2 > 0.0 {
         sat = sat.min(1.0 / (coeff_i2 * times.icn2_us));
     }
-    let hi = lambda.min(sat * (1.0 - 1e-12));
-    let opts = SolverOptions {
-        tolerance: (lambda * 1e-12).max(1e-300),
-        max_iterations: 500,
-        damping: 0.5,
-    };
-    let sol = bisect(|x| g(x) - x, 0.0, hi, opts).map_err(|e| match e {
-        hmcs_queueing::QueueingError::NoConvergence { residual, .. } => {
-            ModelError::SolverFailed { residual }
-        }
-        other => ModelError::Queueing(other),
-    })?;
-    let lambda_eff = sol.value;
+    let solved =
+        solver::solve_effective_rate(cfg.lambda_per_us, n, sat, |x| total_waiting(cfg, &times, x))?;
+    let lambda_eff = solved.lambda_eff;
 
     // Final metrics.
     let mut clusters = Vec::with_capacity(cfg.clusters.len());
@@ -297,15 +284,13 @@ pub fn evaluate(cfg: &CocConfig) -> Result<CocReport, ModelError> {
         latency += ni / n * ((1.0 - pi) * clusters[i].icn1_sojourn_us + pi * external);
     }
 
-    let total = total_waiting(cfg, &times, lambda_eff)
-        .ok_or(ModelError::SolverFailed { residual: f64::INFINITY })?;
     Ok(CocReport {
         lambda_eff,
         clusters,
         icn2_sojourn_us: w_i2,
         icn2_utilization: rho_i2,
         mean_message_latency_us: latency,
-        total_waiting: total,
+        total_waiting: solved.total_waiting,
     })
 }
 
@@ -338,23 +323,40 @@ mod tests {
 
     #[test]
     fn homogeneous_case_reduces_to_super_cluster_model() {
-        for c in [2usize, 8, 32] {
-            let coc = evaluate(&homogeneous(c, 256 / c)).unwrap();
-            let sc_cfg =
-                SystemConfig::paper_preset(Scenario::Case1, c, Architecture::NonBlocking).unwrap();
-            let sc = AnalyticalModel::evaluate(&sc_cfg).unwrap();
-            let rel = (coc.mean_message_latency_us - sc.latency.mean_message_latency_us).abs()
-                / sc.latency.mean_message_latency_us;
-            assert!(
-                rel < 1e-6,
-                "C={c}: CoC {} vs SC {}",
-                coc.mean_message_latency_us,
-                sc.latency.mean_message_latency_us
-            );
-            assert!(
-                (coc.lambda_eff - sc.equilibrium.lambda_eff).abs()
-                    < 1e-6 * sc.equilibrium.lambda_eff
-            );
+        // Both models solve through the solver's one bisection, so only
+        // floating-point summation order separates them — from idle
+        // load (λ = 1e-6) to deep saturation (λ ≈ 0.52).
+        for c in [2usize, 4, 8, 16, 32, 64, 128] {
+            for arch in [Architecture::NonBlocking, Architecture::Blocking] {
+                for acc in [QueueAccounting::SingleQueue, QueueAccounting::PaperLiteral] {
+                    for k in 0..60 {
+                        let lambda = 1e-6 * 1.25f64.powi(k);
+                        let mut coc_cfg = homogeneous(c, 256 / c);
+                        coc_cfg.architecture = arch;
+                        coc_cfg.accounting = acc;
+                        coc_cfg.lambda_per_us = lambda;
+                        let coc = evaluate(&coc_cfg).unwrap();
+                        let sc_cfg = SystemConfig::paper_preset(Scenario::Case1, c, arch)
+                            .unwrap()
+                            .with_accounting(acc)
+                            .with_lambda(lambda);
+                        let sc = AnalyticalModel::evaluate(&sc_cfg).unwrap();
+                        let sc_latency = sc.latency.mean_message_latency_us;
+                        let sc_lambda_eff = sc.equilibrium.lambda_eff;
+                        let latency_rel =
+                            (coc.mean_message_latency_us - sc_latency).abs() / sc_latency;
+                        let lambda_rel = (coc.lambda_eff - sc_lambda_eff).abs() / sc_lambda_eff;
+                        assert!(
+                            latency_rel < 1e-9 && lambda_rel < 1e-12,
+                            "C={c} {arch:?} {acc:?} λ={lambda:e}: latency CoC {} vs SC \
+                             {sc_latency} (rel {latency_rel:e}), λ_eff CoC {} vs SC \
+                             {sc_lambda_eff} (rel {lambda_rel:e})",
+                            coc.mean_message_latency_us,
+                            coc.lambda_eff,
+                        );
+                    }
+                }
+            }
         }
     }
 

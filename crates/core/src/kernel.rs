@@ -31,6 +31,14 @@
 //! only as that reference: `tests/kernel_properties.rs` fuzzes
 //! lane-vs-scalar equality over the 16–512-processor validity region
 //! and the `kernel_grid` bench asserts it on the figure lambda grid.
+//! The stopping width, the evaluation budget and the same-sign bracket
+//! error are the solver's own ([`solver::BISECT_REL_TOL`],
+//! [`solver::MAX_EVALS`]), imported rather than mirrored.
+//!
+//! Only the paper's M/M/1 model runs in lanes. The QNA refinement and
+//! the Cluster-of-Clusters model solve the same fixed point through the
+//! solver's scalar driver: a `reproduce all` run makes a handful of
+//! those evaluations, too few to batch.
 
 use crate::batch::{self, EvalStats};
 use crate::config::{QueueAccounting, SystemConfig};
@@ -38,15 +46,9 @@ use crate::error::ModelError;
 use crate::metrics::{self, keys};
 use crate::model::PerformanceReport;
 use crate::service::ServiceTimes;
-use crate::solver;
-use hmcs_queueing::fixed_point::BISECT_REL_TOL;
-use hmcs_queueing::QueueingError;
+use crate::solver::{self, BISECT_REL_TOL, MAX_EVALS};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Mirrors `SolverOptions::max_iterations` in the scalar solver: the
-/// cap on fixed-point function evaluations per lane.
-const MAX_EVALS: usize = 500;
 
 /// Mean number in system of an M/G/1 centre from precomputed moments,
 /// or `f64::INFINITY` when unstable — the lane-local replica of the
@@ -685,10 +687,7 @@ impl BatchKernel {
                     lo[i] = hi[i];
                 } else if f_lo.signum() == f_hi.signum() {
                     state[i] = LaneState::Failed;
-                    errors[i] = Some(ModelError::Queueing(QueueingError::InvalidParameter {
-                        name: "bracket",
-                        reason: "f(lo) and f(hi) must have opposite signs",
-                    }));
+                    errors[i] = Some(solver::BRACKET_ERROR);
                     lo[i] = 0.0;
                     hi[i] = 0.0;
                 } else {
@@ -734,12 +733,10 @@ impl BatchKernel {
                         continue;
                     }
                     if convf[i] != 0.0 {
-                        // Relative convergence. The scalar solver spends
-                        // one extra evaluation probing the residual here;
-                        // `f` is pure and the residual is discarded
-                        // downstream, so the kernel skips the probe but
-                        // still counts it in `iterations` to keep the
-                        // reported count identical.
+                        // Relative convergence. Like the scalar
+                        // `bisect_relative`, count the residual probe at
+                        // the midpoint without making it: `f` is pure and
+                        // the residual is never read.
                         value[i] = mids[i];
                         iterations[i] = evals[i] + 1;
                         state[i] = LaneState::Done;

@@ -30,7 +30,9 @@
 //!   locality extension.
 //! * [`rates`] — the traffic equations (eqs. 1–5).
 //! * [`service`] — per-centre service times from the topology models.
-//! * [`solver`] — the effective-rate fixed point (eqs. 6–7).
+//! * [`solver`] — the effective-rate fixed point (eqs. 6–7): the one
+//!   bisection that the paper's model, QNA and Cluster-of-Clusters all
+//!   solve through.
 //! * [`kernel`] — the batched structure-of-arrays fixed-point kernel
 //!   advancing whole sweeps in lockstep, bit-identical to the scalar
 //!   solver.

@@ -25,8 +25,11 @@
 //! The flow topology (Figure 2): sources → {ICN1 | ECN1-fwd} →
 //! ECN1-fwd → ICN2 → split 1/C → ECN1-feedback. ECN1's physical queue
 //! sees the *merge* of the forward and feedback streams. The SCV
-//! propagation is solved by damped iteration inside the same
-//! effective-λ outer fixed point as the base model.
+//! propagation is solved by damped iteration at each probed rate; the
+//! outer effective-λ fixed point is the base model's: this module
+//! supplies its GI/G/1 eq.-6 sum to the shared driver in
+//! [`crate::solver`] and brackets with the base model's saturation rate
+//! (GI/G/1 shares the `ρ < 1` condition).
 
 use crate::config::{QueueAccounting, SystemConfig};
 use crate::error::ModelError;
@@ -34,7 +37,7 @@ use crate::latency::LatencyReport;
 use crate::metrics::{self, keys};
 use crate::rates::TrafficRates;
 use crate::service::ServiceTimes;
-use hmcs_queueing::fixed_point::{bisect_relative, SolverOptions};
+use crate::solver;
 use hmcs_queueing::gg1::{Approximation, GG1};
 
 /// Converged SCV state of the three tiers.
@@ -165,42 +168,19 @@ fn total_waiting(config: &SystemConfig, service: &ServiceTimes, lambda_eff: f64)
 pub fn evaluate(config: &SystemConfig) -> Result<QnaReport, ModelError> {
     config.validate()?;
     let service = &ServiceTimes::compute(config)?;
-    let lambda = config.lambda_per_us;
-    let n = config.total_nodes() as f64;
-
-    let g = |x: f64| -> f64 {
-        let l = total_waiting(config, service, x).unwrap_or(f64::INFINITY);
-        lambda * (n - l.min(n)) / n
-    };
-    // Reuse the closed-form stability boundary of the base model (GG1
-    // shares the rho < 1 condition).
-    let sat = crate::solver::saturation_lambda(config, service);
-    let hi = lambda.min(sat * (1.0 - 1e-12));
-    let opts = SolverOptions {
-        tolerance: (lambda * 1e-12).max(1e-300),
-        max_iterations: 500,
-        damping: 0.5,
-    };
-    let sol = bisect_relative(|x| g(x) - x, 0.0, hi, opts).map_err(|e| match e {
-        hmcs_queueing::QueueingError::NoConvergence { residual, .. } => {
-            ModelError::SolverFailed { residual }
-        }
-        other => ModelError::Queueing(other),
-    })?;
-    // Like the base solver: the bisection can land a hair inside the
-    // unstable clamp region near saturation; back off to the stable
-    // side instead of failing the whole evaluation. Shares the
-    // geometric helper so both paths retreat identically.
-    let (lambda_eff, backoff_steps) = crate::solver::back_off_to_stable(sol.value, |x| {
-        total_waiting(config, service, x).is_some()
-    })
-    .ok_or(ModelError::SolverFailed { residual: f64::INFINITY })?;
+    let solved = solver::solve_effective_rate(
+        config.lambda_per_us,
+        config.total_nodes() as f64,
+        solver::saturation_lambda(config, service),
+        |x| total_waiting(config, service, x),
+    )?;
+    let lambda_eff = solved.lambda_eff;
 
     metrics::counter(keys::QNA_SOLVES).incr();
-    metrics::histogram(keys::QNA_ITERATIONS).record(sol.iterations as u64);
-    if backoff_steps > 0 {
+    metrics::histogram(keys::QNA_ITERATIONS).record(solved.evals as u64);
+    if solved.backoff_steps > 0 {
         metrics::counter(keys::QNA_BACKOFF_ACTIVATIONS).incr();
-        metrics::histogram(keys::SOLVER_BACKOFF_STEPS).record(backoff_steps as u64);
+        metrics::histogram(keys::SOLVER_BACKOFF_STEPS).record(solved.backoff_steps as u64);
     }
 
     let rates = TrafficRates::compute(config, lambda_eff);

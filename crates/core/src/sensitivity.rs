@@ -169,10 +169,9 @@ pub fn evaluate(config: &SystemConfig) -> Result<Sensitivity, ModelError> {
 /// three probes (`x−h`, `x`, `x+h`) as lanes of one kernel pass. If
 /// latency stays within budget all the way to `2¹⁶·saturation_lambda`
 /// (deep in the retention plateau), that ceiling is returned.
-/// Compared to the pure-bisection
-/// [`crate::sweep::max_lambda_within_latency`], the Newton polish
-/// reaches tighter tolerances in a handful of iterations — this is
-/// the fast path for λ-headroom questions in capacity planning.
+/// Compared to a pure bisection on latency, the Newton polish reaches
+/// tighter tolerances in a handful of iterations — this is the one
+/// answer to λ-headroom questions in capacity planning.
 pub fn lambda_for_latency(
     config: &SystemConfig,
     latency_budget_us: f64,
@@ -304,9 +303,8 @@ mod tests {
 
     #[test]
     fn newton_lambda_agrees_with_a_serial_bisection_oracle() {
-        // `sweep::max_lambda_within_latency` now delegates here, so the
-        // cross-check keeps its own independent oracle: a plain serial
-        // bisection on per-point scalar evaluations.
+        // An independent oracle: a plain serial bisection on per-point
+        // scalar evaluations.
         let base = cfg(16);
         let budget = 5_000.0;
         let newton = lambda_for_latency(&base, budget).unwrap().unwrap();

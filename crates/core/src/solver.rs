@@ -16,16 +16,26 @@
 //! `[0, min(λ, λ_sat)]`, where `λ_sat` is the closed-form smallest
 //! per-processor rate that saturates any centre.
 //!
-//! [`solve`] is the scalar reference the batched kernel
-//! ([`crate::kernel`]) is tested against; production evaluations run on
-//! the kernel.
+//! This module holds the one effective-rate bisection in the workspace:
+//! [`bisect_relative`] with its stopping rule ([`BISECT_REL_TOL`]) and
+//! evaluation budget ([`MAX_EVALS`]), and the crate-private driver
+//! `solve_effective_rate` that owns the bracket, the bisection, the
+//! error mapping and the near-saturation back-off. Three models call
+//! the driver and supply only their own eq.-6 sum and saturation rate:
+//! [`solve`] (the paper's M/M/1 centres), [`crate::qna::evaluate`]
+//! (GI/G/1 centres) and [`crate::cluster_of_clusters::evaluate`]
+//! (unequal clusters). The batched kernel ([`crate::kernel`]) runs the
+//! same schedule lane by lane with the same constants.
+//!
+//! [`solve`] is the scalar reference the batched kernel is tested
+//! against; production evaluations run on the kernel.
 
 use crate::config::{QueueAccounting, SystemConfig};
 use crate::error::ModelError;
 use crate::rates::TrafficRates;
 use crate::service::ServiceTimes;
-use hmcs_queueing::fixed_point::{bisect_relative, SolverOptions};
 use hmcs_queueing::mg1::MG1;
+use hmcs_queueing::QueueingError;
 
 /// Steady-state metrics of one service centre at the converged rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,37 +112,149 @@ pub fn saturation_lambda(config: &SystemConfig, service: &ServiceTimes) -> f64 {
     sat
 }
 
+/// Relative bracket width at which [`bisect_relative`] stops. Two
+/// independent solves each land this close to the unique root of a
+/// monotone `f`, so they agree pairwise to twice this value —
+/// comfortably inside the 1e-12 relative reproducibility budget the
+/// sweeps promise.
+pub const BISECT_REL_TOL: f64 = 1e-13;
+
+/// Cap on the evaluations of `f` one [`bisect_relative`] call may
+/// spend, the two endpoint probes included.
+pub const MAX_EVALS: usize = 500;
+
+/// The error [`bisect_relative`] (and every kernel lane) reports when
+/// `f(lo)` and `f(hi)` share a sign.
+pub(crate) const BRACKET_ERROR: ModelError =
+    ModelError::Queueing(QueueingError::InvalidParameter {
+        name: "bracket",
+        reason: "f(lo) and f(hi) must have opposite signs",
+    });
+
+/// Bisection for a root of `f` on `[lo, hi]` with a relative stopping
+/// rule: it stops once the bracket is narrower than [`BISECT_REL_TOL`]
+/// relative to its midpoint (midpoint/endpoint collision is the hard
+/// floor), independent of the starting bracket, so any two solves of a
+/// monotone `f` agree pairwise to `2·BISECT_REL_TOL ≤ 1e-12` relative.
+///
+/// Returns the root and the number of evaluations of `f`: the two
+/// endpoint probes, every midpoint probe, and on relative convergence
+/// one residual probe at the returned midpoint. `f` is pure and that
+/// residual is never read, so the probe is counted but not made — the
+/// batched kernel counts it the same way. Fails with the `"bracket"`
+/// [`QueueingError::InvalidParameter`] (inside [`ModelError::Queueing`])
+/// when `f(lo)` and `f(hi)` share a sign, and with
+/// [`ModelError::SolverFailed`] (carrying `|f|` at the last midpoint)
+/// when [`MAX_EVALS`] runs out.
+pub fn bisect_relative(
+    f: impl Fn(f64) -> f64,
+    lo: f64,
+    hi: f64,
+) -> Result<(f64, usize), ModelError> {
+    assert!(lo <= hi, "invalid bracket [{lo}, {hi}]");
+    let mut lo = lo;
+    let mut hi = hi;
+    let mut flo = f(lo);
+    let fhi = f(hi);
+    let mut evals: usize = 2;
+    if flo == 0.0 {
+        return Ok((lo, evals));
+    }
+    if fhi == 0.0 {
+        return Ok((hi, evals));
+    }
+    if flo.signum() == fhi.signum() {
+        return Err(BRACKET_ERROR);
+    }
+    while evals < MAX_EVALS {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi || (hi - lo) <= BISECT_REL_TOL * mid.abs() {
+            return Ok((mid, evals + 1));
+        }
+        let fmid = f(mid);
+        evals += 1;
+        if fmid == 0.0 {
+            return Ok((mid, evals));
+        }
+        if fmid.signum() == flo.signum() {
+            lo = mid;
+            flo = fmid;
+        } else {
+            hi = mid;
+        }
+    }
+    Err(ModelError::SolverFailed { residual: f(0.5 * (lo + hi)).abs() })
+}
+
 /// Retreats `lambda` toward the stable side of a saturation boundary
 /// with geometrically doubling relative steps: `λ ← λ·(1−s)` for
-/// `s = 1e-9, 2e-9, 4e-9, …` until `is_stable` holds or the step would
-/// remove the whole rate. Returns the stable rate and the number of
-/// steps taken (0 when already stable), or `None` when even backing
-/// off by ~86% cumulative leaves the predicate false — at that point
-/// the problem is not a floating-point edge but a genuinely infeasible
-/// rate.
-///
-/// The previous fixed-step loop (128 × `1e-9`, ~1.3e-7 total slack)
-/// could exhaust its guard on very steep saturation curves; doubling
-/// steps cover any retreat in at most ~30 probes. Shared by the base
-/// solver and the QNA evaluator so both paths behave identically.
-pub(crate) fn back_off_to_stable(
+/// `s = 1e-9, 2e-9, 4e-9, …` until `probe` returns `Some` or the step
+/// would remove the whole rate. Returns the stable rate, the probe's
+/// value there and the number of steps taken (0 when already stable),
+/// or `None` when even backing off by ~86% cumulative leaves the probe
+/// failing — at that point the problem is not a floating-point edge but
+/// a genuinely infeasible rate. Doubling steps cover any retreat in at
+/// most ~30 probes.
+pub(crate) fn back_off_to_stable<T>(
     mut lambda: f64,
-    mut is_stable: impl FnMut(f64) -> bool,
-) -> Option<(f64, u32)> {
-    if is_stable(lambda) {
-        return Some((lambda, 0));
+    mut probe: impl FnMut(f64) -> Option<T>,
+) -> Option<(f64, T, u32)> {
+    if let Some(v) = probe(lambda) {
+        return Some((lambda, v, 0));
     }
     let mut step = 1e-9;
     let mut steps = 0u32;
     while step < 1.0 {
         lambda *= 1.0 - step;
         steps += 1;
-        if is_stable(lambda) {
-            return Some((lambda, steps));
+        if let Some(v) = probe(lambda) {
+            return Some((lambda, v, steps));
         }
         step *= 2.0;
     }
     None
+}
+
+/// A solved effective rate, as [`solve_effective_rate`] returns it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EffectiveRate {
+    /// The effective per-processor rate λ_eff (eq. 7).
+    pub lambda_eff: f64,
+    /// Eq. 6's total waiting processors at `lambda_eff`.
+    pub total_waiting: f64,
+    /// Evaluations of the root function, counted as
+    /// [`bisect_relative`] counts them.
+    pub evals: usize,
+    /// Back-off steps taken after the bisection (0 in the common case).
+    pub backoff_steps: u32,
+}
+
+/// Solves eq. 7, `λ_eff = λ·(N − L(λ_eff))/N`, for a model given by
+/// its eq.-6 sum `total_waiting` (`None` when any centre is unstable at
+/// that rate) and its closed-form saturation rate `saturation`
+/// (`f64::INFINITY` when no centre can saturate).
+///
+/// Bisects the root of `g(x) − x` over `[0, min(λ, sat·(1−1e-12))]`,
+/// with an unstable `L` read as `N`: at the upper end the bottleneck
+/// queue holds more than `N` processors, so the root is bracketed. The
+/// bisection can land a hair inside the unstable clamp region near
+/// saturation; the result then backs off to the stable side
+/// ([`back_off_to_stable`]) instead of failing.
+pub(crate) fn solve_effective_rate(
+    lambda: f64,
+    n: f64,
+    saturation: f64,
+    total_waiting: impl Fn(f64) -> Option<f64>,
+) -> Result<EffectiveRate, ModelError> {
+    let f = |x: f64| {
+        let l = total_waiting(x).unwrap_or(f64::INFINITY);
+        lambda * (n - l.min(n)) / n - x
+    };
+    let hi = lambda.min(saturation * (1.0 - 1e-12));
+    let (root, evals) = bisect_relative(f, 0.0, hi)?;
+    let (lambda_eff, total_waiting, backoff_steps) = back_off_to_stable(root, &total_waiting)
+        .ok_or(ModelError::SolverFailed { residual: f64::INFINITY })?;
+    Ok(EffectiveRate { lambda_eff, total_waiting, evals, backoff_steps })
 }
 
 /// Mean number in system of an M/G/1 centre, or `None` when unstable.
@@ -171,36 +293,13 @@ fn total_waiting(config: &SystemConfig, service: &ServiceTimes, lambda_eff: f64)
 pub fn solve(config: &SystemConfig) -> Result<Equilibrium, ModelError> {
     config.validate()?;
     let service = ServiceTimes::compute(config)?;
-    let lambda = config.lambda_per_us;
-    let n = config.total_nodes() as f64;
-
-    // g(x) = lambda * (N - min(L(x), N)) / N, monotone non-increasing.
-    let g = |x: f64| -> f64 {
-        let l = total_waiting(config, &service, x).unwrap_or(f64::INFINITY);
-        lambda * (n - l.min(n)) / n
-    };
-
-    let sat = saturation_lambda(config, &service);
-    let hi = lambda.min(sat * (1.0 - 1e-12));
-    let opts = SolverOptions {
-        tolerance: (lambda * 1e-12).max(1e-300),
-        max_iterations: 500,
-        damping: 0.5,
-    };
-    let sol = bisect_relative(|x| g(x) - x, 0.0, hi, opts).map_err(|e| match e {
-        hmcs_queueing::QueueingError::NoConvergence { residual, .. } => {
-            ModelError::SolverFailed { residual }
-        }
-        other => ModelError::Queueing(other),
-    })?;
-    // The bisection can land a hair inside the clamp region near
-    // saturation; back off to the stable side if needed.
-    let (lambda_eff, _) =
-        back_off_to_stable(sol.value, |x| total_waiting(config, &service, x).is_some())
-            .ok_or(ModelError::SolverFailed { residual: f64::INFINITY })?;
-    let total = total_waiting(config, &service, lambda_eff)
-        .ok_or(ModelError::SolverFailed { residual: f64::INFINITY })?;
-    assemble_equilibrium(config, &service, lambda_eff, total, sol.iterations)
+    let solved = solve_effective_rate(
+        config.lambda_per_us,
+        config.total_nodes() as f64,
+        saturation_lambda(config, &service),
+        |x| total_waiting(config, &service, x),
+    )?;
+    assemble_equilibrium(config, &service, solved.lambda_eff, solved.total_waiting, solved.evals)
 }
 
 /// Builds the converged [`Equilibrium`] from a solved effective rate.
@@ -354,12 +453,70 @@ mod tests {
     }
 
     #[test]
+    fn relative_bisect_lands_within_its_relative_tolerance() {
+        let (root, evals) = bisect_relative(|x| 2.0 - x * x, 0.0, 2.0).unwrap();
+        let rel = (root - std::f64::consts::SQRT_2).abs() / std::f64::consts::SQRT_2;
+        assert!(rel <= 2.0 * BISECT_REL_TOL, "rel error {rel}");
+        // Two endpoint probes, the halvings and the final residual probe.
+        assert!(evals > 2 && evals < 60, "{evals} evaluations");
+    }
+
+    #[test]
+    fn relative_bisect_accepts_root_at_endpoint() {
+        assert_eq!(bisect_relative(|x| x, 0.0, 1.0).unwrap(), (0.0, 2));
+        assert_eq!(bisect_relative(|x| x - 1.0, 0.0, 1.0).unwrap(), (1.0, 2));
+    }
+
+    #[test]
+    fn relative_bisect_rejects_same_sign_bracket() {
+        assert_eq!(bisect_relative(|x| x * x + 1.0, -1.0, 1.0), Err(BRACKET_ERROR));
+    }
+
+    #[test]
+    fn relative_bisect_reports_an_exhausted_budget() {
+        // A root 1e-300 above the bracket's zero end is ~1000 halvings
+        // away: the relative rule cannot fire while `lo` stays at 0, so
+        // the evaluation budget runs out first.
+        match bisect_relative(|x| 1e-300 - x, 0.0, 1.0) {
+            Err(ModelError::SolverFailed { residual }) => assert!(residual > 0.0),
+            other => panic!("expected SolverFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn monotone_solver_handles_steep_effective_rate_shape() {
+        // Eq. 7 near saturation: one M/M/1 centre, L(x) = ρ/(1−ρ) with
+        // ρ = x/µ, offered far above the saturation rate µ.
+        let (lambda, mu, n) = (250.0, 21.7, 256.0);
+        let waiting = |x: f64| (x < mu).then(|| (x / mu) / (1.0 - x / mu));
+        let solved = solve_effective_rate(lambda, n, mu, waiting).unwrap();
+        let x = solved.lambda_eff;
+        // A genuine fixed point, strictly inside the stable region.
+        assert!((lambda * (n - solved.total_waiting) / n - x).abs() < 1e-6);
+        assert!(x < mu);
+        assert!(solved.evals <= MAX_EVALS);
+    }
+
+    #[test]
+    fn monotone_solver_trivial_when_load_is_light() {
+        // L ≈ 0 and no centre can saturate: the fixed point is ≈ λ.
+        let (lambda, n) = (10.0, 100.0);
+        let solved =
+            solve_effective_rate(lambda, n, f64::INFINITY, |x| Some(n * 1e-4 * x)).unwrap();
+        let x = solved.lambda_eff;
+        assert!((lambda * (n - solved.total_waiting) / n - x).abs() < 1e-8);
+        assert!(x > 9.9);
+        assert_eq!(solved.backoff_steps, 0);
+    }
+
+    #[test]
     fn back_off_reaches_beyond_old_fixed_step_budget() {
         // Regression: 128 fixed 1e-9 steps cap the retreat at ~1.28e-7
         // relative, so a boundary needing a 1e-5 retreat exhausted the
         // old guard and the solve failed. Doubling steps cover it.
         let boundary = 1.0 - 1e-5;
-        let (stable, steps) = back_off_to_stable(1.0, |x| x < boundary).unwrap();
+        let (stable, (), steps) =
+            back_off_to_stable(1.0, |x| (x < boundary).then_some(())).unwrap();
         assert!(stable < boundary);
         assert!(
             steps > 0 && steps <= 30,
@@ -373,12 +530,12 @@ mod tests {
 
     #[test]
     fn back_off_is_noop_when_already_stable() {
-        assert_eq!(back_off_to_stable(0.5, |_| true), Some((0.5, 0)));
+        assert_eq!(back_off_to_stable(0.5, |_| Some(())), Some((0.5, (), 0)));
     }
 
     #[test]
     fn back_off_gives_up_on_infeasible_rates() {
-        assert_eq!(back_off_to_stable(1.0, |_| false), None);
+        assert_eq!(back_off_to_stable(1.0, |_| None::<()>), None);
     }
 
     #[test]
@@ -386,7 +543,8 @@ mod tests {
         // A one-ulp-style overshoot should still resolve in one step of
         // the original 1e-9 size, keeping the common case unchanged.
         let boundary = 1.0 - 5e-10;
-        let (stable, steps) = back_off_to_stable(1.0, |x| x < boundary).unwrap();
+        let (stable, (), steps) =
+            back_off_to_stable(1.0, |x| (x < boundary).then_some(())).unwrap();
         assert_eq!(steps, 1);
         assert!((stable - (1.0 - 1e-9)).abs() < 1e-15);
     }

@@ -1,23 +1,20 @@
-//! Parameter sweeps — the x-axes of the paper's figures and of the
-//! design-space exploration the introduction motivates.
+//! Parameter sweeps — the x-axes of the paper's figures.
 //!
-//! All sweeps run on the batched structure-of-arrays kernel
-//! ([`crate::kernel`]): shape sweeps (clusters, message size, switch
-//! ports, technology) evaluate their points through
-//! [`kernel::evaluate_batch`] on the bounded worker pool, while
-//! λ-sweeps compute the λ-independent [`ServiceTimes`] once per shape
-//! and advance every point's bisection in lockstep lanes of a single
-//! kernel.
+//! Both sweeps run on the batched structure-of-arrays kernel
+//! ([`crate::kernel`]): the cluster sweep evaluates its shapes through
+//! [`kernel::evaluate_batch`] on the bounded worker pool, while the
+//! λ-sweep computes the λ-independent [`ServiceTimes`] once for its
+//! shape and advances every point's bisection in lockstep lanes of a
+//! single kernel. Other shape sweeps (message size, switch ports,
+//! technologies) are a `Vec<SystemConfig>` handed to
+//! [`kernel::evaluate_batch`] directly.
 
 use crate::batch::{BatchOptions, EvalStats};
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::kernel;
 use crate::model::PerformanceReport;
-use crate::scenario::{Scenario, PAPER_CLUSTER_COUNTS, PAPER_TOTAL_NODES};
 use crate::service::ServiceTimes;
-use hmcs_topology::switch::SwitchFabric;
-use hmcs_topology::transmission::Architecture;
 
 /// One point of a sweep: the varied value and the model output.
 #[derive(Debug, Clone, Copy)]
@@ -49,16 +46,6 @@ pub fn cluster_sweep(
     total_nodes: usize,
     cluster_counts: &[usize],
 ) -> Result<Vec<SweepPoint<usize>>, ModelError> {
-    cluster_sweep_with(base, total_nodes, cluster_counts, BatchOptions::default())
-}
-
-/// [`cluster_sweep`] with an explicit worker policy.
-pub fn cluster_sweep_with(
-    base: &SystemConfig,
-    total_nodes: usize,
-    cluster_counts: &[usize],
-    options: BatchOptions,
-) -> Result<Vec<SweepPoint<usize>>, ModelError> {
     let mut configs = Vec::with_capacity(cluster_counts.len());
     for &c in cluster_counts {
         if c == 0 || !total_nodes.is_multiple_of(c) {
@@ -74,31 +61,6 @@ pub fn cluster_sweep_with(
     }
     collect_points(
         cluster_counts.to_vec(),
-        kernel::evaluate_batch(&configs, options.resolved_workers()),
-    )
-}
-
-/// The paper's figure sweep: 256 nodes, `C ∈ {1, 2, …, 256}`.
-pub fn paper_cluster_sweep(
-    scenario: Scenario,
-    architecture: Architecture,
-    message_bytes: u64,
-    lambda_per_us: f64,
-) -> Result<Vec<SweepPoint<usize>>, ModelError> {
-    let base = SystemConfig::paper_preset(scenario, 1, architecture)?
-        .with_message_bytes(message_bytes)
-        .with_lambda(lambda_per_us);
-    cluster_sweep(&base, PAPER_TOTAL_NODES, &PAPER_CLUSTER_COUNTS)
-}
-
-/// Sweeps the message size at a fixed shape.
-pub fn message_size_sweep(
-    base: &SystemConfig,
-    sizes: &[u64],
-) -> Result<Vec<SweepPoint<u64>>, ModelError> {
-    let configs: Vec<SystemConfig> = sizes.iter().map(|&m| base.with_message_bytes(m)).collect();
-    collect_points(
-        sizes.to_vec(),
         kernel::evaluate_batch(&configs, BatchOptions::default().resolved_workers()),
     )
 }
@@ -121,93 +83,34 @@ pub fn lambda_sweep(
     collect_points(lambdas_per_us.to_vec(), results)
 }
 
-/// Sweeps the switch port count (design-space exploration: how big a
-/// switch fabric is worth buying?).
-pub fn switch_ports_sweep(
-    base: &SystemConfig,
-    port_counts: &[u32],
-) -> Result<Vec<SweepPoint<u32>>, ModelError> {
-    let configs = port_counts
-        .iter()
-        .map(|&p| {
-            let switch = SwitchFabric::new(p, base.switch.latency_us())?;
-            Ok(base.with_switch(switch))
-        })
-        .collect::<Result<Vec<_>, ModelError>>()?;
-    collect_points(
-        port_counts.to_vec(),
-        kernel::evaluate_batch(&configs, BatchOptions::default().resolved_workers()),
-    )
-}
-
-/// Sweeps a technology assignment over the three tiers (the paper's
-/// "technology heterogeneity" future work): evaluates every combination
-/// of the given technologies for ICN1 and for the ECN1/ICN2 pair.
-pub fn technology_sweep(
-    base: &SystemConfig,
-    technologies: &[hmcs_topology::technology::NetworkTechnology],
-) -> Result<Vec<SweepPoint<(&'static str, &'static str)>>, ModelError> {
-    let mut xs = Vec::with_capacity(technologies.len() * technologies.len());
-    let mut configs = Vec::with_capacity(xs.capacity());
-    for &intra in technologies {
-        for &inter in technologies {
-            let mut cfg = *base;
-            cfg.icn1 = intra;
-            cfg.ecn1 = inter;
-            cfg.icn2 = inter;
-            xs.push((intra.name, inter.name));
-            configs.push(cfg);
-        }
-    }
-    collect_points(xs, kernel::evaluate_batch(&configs, BatchOptions::default().resolved_workers()))
-}
-
-/// Finds the largest per-processor rate (messages/µs) whose predicted
-/// mean latency stays at or below `latency_budget_us`, clamped to the
-/// caller's `[lo, hi]` search window. Returns `None` when `lo` already
-/// violates the budget.
-///
-/// Capacity-planning helper: "how much traffic can this design absorb
-/// within an SLO?" Since PR 9 this delegates to the Newton-polished
-/// [`crate::sensitivity::lambda_for_latency`] probe — one
-/// implementation of "max λ within SLO" shared with the optimizer —
-/// and clamps its answer to the window: latency is monotone in the
-/// offered rate, so a crossing above `hi` means `hi` itself fits and a
-/// crossing below `lo` means even `lo` violates the budget.
-/// `iterations` is kept for signature compatibility with the former
-/// serial bisection; the Newton polish converges to a `1e-12` relative
-/// bracket regardless.
-pub fn max_lambda_within_latency(
-    base: &SystemConfig,
-    latency_budget_us: f64,
-    lo: f64,
-    hi: f64,
-    _iterations: u32,
-) -> Result<Option<f64>, ModelError> {
-    base.validate()?;
-    match crate::sensitivity::lambda_for_latency(base, latency_budget_us)? {
-        None => Ok(None),
-        Some(best) if best < lo => Ok(None),
-        Some(best) if best > hi => Ok(Some(hi)),
-        Some(best) => Ok(Some(best)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::AnalyticalModel;
-    use crate::scenario::PAPER_LAMBDA_PER_US;
+    use crate::scenario::{Scenario, PAPER_CLUSTER_COUNTS, PAPER_LAMBDA_PER_US, PAPER_TOTAL_NODES};
+    use hmcs_topology::switch::SwitchFabric;
+    use hmcs_topology::technology::NetworkTechnology;
+    use hmcs_topology::transmission::Architecture;
+
+    /// Evaluates a shape sweep's configs through the kernel, one report
+    /// per config.
+    fn reports(configs: &[SystemConfig], workers: usize) -> Vec<PerformanceReport> {
+        kernel::evaluate_batch(configs, workers).into_iter().map(|r| r.unwrap().0).collect()
+    }
+
+    fn with_ports(base: &SystemConfig, ports: &[u32]) -> Vec<SystemConfig> {
+        ports
+            .iter()
+            .map(|&p| base.with_switch(SwitchFabric::new(p, base.switch.latency_us()).unwrap()))
+            .collect()
+    }
 
     #[test]
     fn paper_sweep_covers_all_cluster_counts() {
-        let pts = paper_cluster_sweep(
-            Scenario::Case1,
-            Architecture::NonBlocking,
-            1024,
-            PAPER_LAMBDA_PER_US,
-        )
-        .unwrap();
+        let base = SystemConfig::paper_preset(Scenario::Case1, 1, Architecture::NonBlocking)
+            .unwrap()
+            .with_message_bytes(1024)
+            .with_lambda(PAPER_LAMBDA_PER_US);
+        let pts = cluster_sweep(&base, PAPER_TOTAL_NODES, &PAPER_CLUSTER_COUNTS).unwrap();
         assert_eq!(pts.len(), 9);
         assert_eq!(pts[0].x, 1);
         assert_eq!(pts[8].x, 256);
@@ -228,30 +131,28 @@ mod tests {
     #[test]
     fn parallel_cluster_sweep_matches_sequential_exactly() {
         let base = SystemConfig::paper_preset(Scenario::Case2, 1, Architecture::Blocking).unwrap();
-        let seq = cluster_sweep_with(&base, 256, &PAPER_CLUSTER_COUNTS, BatchOptions::sequential())
-            .unwrap();
-        let par =
-            cluster_sweep_with(&base, 256, &PAPER_CLUSTER_COUNTS, BatchOptions::with_workers(4))
-                .unwrap();
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.x, p.x);
-            assert_eq!(s.report, p.report);
-        }
+        let configs: Vec<SystemConfig> = PAPER_CLUSTER_COUNTS
+            .iter()
+            .map(|&c| {
+                let mut cfg = base;
+                cfg.clusters = c;
+                cfg.nodes_per_cluster = 256 / c;
+                cfg
+            })
+            .collect();
+        assert_eq!(reports(&configs, 1), reports(&configs, 4));
     }
 
     #[test]
     fn message_sweep_is_monotone() {
         let base =
             SystemConfig::paper_preset(Scenario::Case1, 16, Architecture::NonBlocking).unwrap();
-        let pts = message_size_sweep(&base, &[128, 256, 512, 1024, 2048]).unwrap();
-        for w in pts.windows(2) {
-            assert!(
-                w[1].report.latency.mean_message_latency_us
-                    > w[0].report.latency.mean_message_latency_us
-            );
+        let configs: Vec<SystemConfig> =
+            [128, 256, 512, 1024, 2048].iter().map(|&m| base.with_message_bytes(m)).collect();
+        for w in reports(&configs, 1).windows(2) {
+            assert!(w[1].latency.mean_message_latency_us > w[0].latency.mean_message_latency_us);
         }
     }
-
     #[test]
     fn lambda_sweep_is_monotone() {
         let base =
@@ -286,11 +187,10 @@ mod tests {
         let base = SystemConfig::paper_preset(Scenario::Case1, 8, Architecture::NonBlocking)
             .unwrap()
             .with_lambda(crate::scenario::PAPER_LAMBDA_LITERAL_PER_US);
-        let pts = switch_ports_sweep(&base, &[8, 16, 24, 48, 64]).unwrap();
+        let pts = reports(&with_ports(&base, &[8, 16, 24, 48, 64]), 1);
         for w in pts.windows(2) {
             assert!(
-                w[1].report.latency.mean_message_latency_us
-                    <= w[0].report.latency.mean_message_latency_us + 1e-9,
+                w[1].latency.mean_message_latency_us <= w[0].latency.mean_message_latency_us + 1e-9,
                 "more ports should not increase lightly-loaded fat-tree latency"
             );
         }
@@ -305,10 +205,10 @@ mod tests {
         // flow-blocking feedback worth pinning down.
         let base =
             SystemConfig::paper_preset(Scenario::Case1, 8, Architecture::NonBlocking).unwrap();
-        let pts = switch_ports_sweep(&base, &[8, 24, 48]).unwrap();
+        let pts = reports(&with_ports(&base, &[8, 24, 48]), 1);
         for w in pts.windows(2) {
             assert!(
-                w[1].report.throughput_per_us >= w[0].report.throughput_per_us - 1e-12,
+                w[1].throughput_per_us >= w[0].throughput_per_us - 1e-12,
                 "more ports should not reduce delivered throughput"
             );
         }
@@ -316,7 +216,6 @@ mod tests {
 
     #[test]
     fn technology_sweep_covers_the_grid_and_orders_sanely() {
-        use hmcs_topology::technology::NetworkTechnology;
         let base = SystemConfig::paper_preset(Scenario::Case1, 16, Architecture::NonBlocking)
             .unwrap()
             .with_lambda(crate::scenario::PAPER_LAMBDA_LITERAL_PER_US);
@@ -325,16 +224,23 @@ mod tests {
             NetworkTechnology::GIGABIT_ETHERNET,
             NetworkTechnology::MYRINET,
         ];
-        let pts = technology_sweep(&base, &techs).unwrap();
+        // Every ICN1 technology against every ECN1/ICN2 pair.
+        let mut configs = Vec::new();
+        for &intra in &techs {
+            for &inter in &techs {
+                let mut cfg = base;
+                cfg.icn1 = intra;
+                cfg.ecn1 = inter;
+                cfg.icn2 = inter;
+                configs.push(cfg);
+            }
+        }
+        let pts = reports(&configs, 1);
         assert_eq!(pts.len(), 9);
         // At light load the all-Myrinet system must beat the all-FE one.
         let lat = |intra: &str, inter: &str| {
-            pts.iter()
-                .find(|p| p.x == (intra, inter))
-                .unwrap()
-                .report
-                .latency
-                .mean_message_latency_us
+            let i = configs.iter().position(|c| c.icn1.name == intra && c.ecn1.name == inter);
+            pts[i.unwrap()].latency.mean_message_latency_us
         };
         assert!(lat("Myrinet", "Myrinet") < lat("Fast Ethernet", "Fast Ethernet"));
         // With mostly-external traffic at C=16, upgrading the inter tier
@@ -342,53 +248,5 @@ mod tests {
         let upgrade_inter = lat("Fast Ethernet", "Myrinet");
         let upgrade_intra = lat("Myrinet", "Fast Ethernet");
         assert!(upgrade_inter < upgrade_intra);
-    }
-
-    #[test]
-    fn capacity_planning_finds_a_feasible_rate() {
-        let base =
-            SystemConfig::paper_preset(Scenario::Case1, 16, Architecture::NonBlocking).unwrap();
-        // Budget comfortably above the zero-load latency.
-        let budget = 5_000.0; // 5 ms
-        let best = max_lambda_within_latency(&base, budget, 1e-8, 1e-2, 60)
-            .unwrap()
-            .expect("low rate must fit the budget");
-        // The found rate meets the budget...
-        let at_best = AnalyticalModel::evaluate(&base.with_lambda(best)).unwrap();
-        assert!(at_best.latency.mean_message_latency_us <= budget * 1.001);
-        // ...and slightly more violates it.
-        let above = AnalyticalModel::evaluate(&base.with_lambda(best * 1.05)).unwrap();
-        assert!(above.latency.mean_message_latency_us > budget * 0.999);
-    }
-
-    #[test]
-    fn capacity_planning_detects_impossible_budgets() {
-        let base =
-            SystemConfig::paper_preset(Scenario::Case1, 16, Architecture::NonBlocking).unwrap();
-        // Budget below the zero-load service time: impossible.
-        let none = max_lambda_within_latency(&base, 1.0, 1e-9, 1e-3, 40).unwrap();
-        assert!(none.is_none());
-    }
-
-    #[test]
-    fn capacity_planning_is_the_newton_probe_clamped_to_the_window() {
-        // One implementation of "max λ within SLO": the planner must
-        // return exactly the Newton-polished probe's answer when the
-        // crossing is inside the window, and the window edge when it
-        // is not.
-        let base =
-            SystemConfig::paper_preset(Scenario::Case1, 16, Architecture::NonBlocking).unwrap();
-        let budget = 5_000.0;
-        let newton = crate::sensitivity::lambda_for_latency(&base, budget).unwrap().unwrap();
-        let planned = max_lambda_within_latency(&base, budget, 1e-8, 1e-2, 60).unwrap().unwrap();
-        assert_eq!(planned.to_bits(), newton.to_bits(), "planner diverged from the probe");
-        // Window entirely below the crossing → the feasible edge.
-        let clamped =
-            max_lambda_within_latency(&base, budget, 1e-8, newton * 0.5, 60).unwrap().unwrap();
-        assert_eq!(clamped.to_bits(), (newton * 0.5).to_bits());
-        // Window entirely above the crossing → infeasible.
-        let none =
-            max_lambda_within_latency(&base, budget, newton * 2.0, newton * 4.0, 60).unwrap();
-        assert!(none.is_none());
     }
 }

@@ -2,13 +2,13 @@
 //! must never change results, and kernel evaluations must equal the
 //! scalar reference solver bit for bit.
 
-use hmcs_core::batch::{self, BatchOptions};
+use hmcs_core::batch;
 use hmcs_core::config::SystemConfig;
 use hmcs_core::error::ModelError;
 use hmcs_core::metrics;
 use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::scenario::{Scenario, PAPER_CLUSTER_COUNTS, PAPER_TOTAL_NODES};
-use hmcs_core::{solver, sweep};
+use hmcs_core::{kernel, solver, sweep};
 use hmcs_topology::transmission::Architecture;
 use proptest::prelude::*;
 
@@ -30,6 +30,21 @@ fn any_architecture() -> impl Strategy<Value = Architecture> {
     prop_oneof![Just(Architecture::NonBlocking), Just(Architecture::Blocking)]
 }
 
+/// Evaluates the paper's cluster grid at 256 nodes through the kernel
+/// on `workers` workers, one report per cluster count.
+fn cluster_grid_reports(base: &SystemConfig, workers: usize) -> Vec<PerformanceReport> {
+    let configs: Vec<SystemConfig> = PAPER_CLUSTER_COUNTS
+        .iter()
+        .map(|&c| {
+            let mut cfg = *base;
+            cfg.clusters = c;
+            cfg.nodes_per_cluster = PAPER_TOTAL_NODES / c;
+            cfg
+        })
+        .collect();
+    kernel::evaluate_batch(&configs, workers).into_iter().map(|r| r.unwrap().0).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -48,19 +63,11 @@ proptest! {
             .unwrap()
             .with_message_bytes(message_bytes)
             .with_lambda(10f64.powf(lambda_exp));
-        let seq = sweep::cluster_sweep_with(
-            &base, PAPER_TOTAL_NODES, &PAPER_CLUSTER_COUNTS, BatchOptions::sequential(),
-        ).unwrap();
-        let par = sweep::cluster_sweep_with(
-            &base, PAPER_TOTAL_NODES, &PAPER_CLUSTER_COUNTS, BatchOptions::with_workers(workers),
-        ).unwrap();
-        prop_assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            prop_assert_eq!(s.x, p.x);
-            // PerformanceReport is PartialEq over all its floats:
-            // exact equality, no tolerance.
-            prop_assert_eq!(s.report, p.report);
-        }
+        let seq = cluster_grid_reports(&base, 1);
+        let par = cluster_grid_reports(&base, workers);
+        // PerformanceReport is PartialEq over all its floats: exact
+        // equality, no tolerance.
+        prop_assert_eq!(seq, par);
     }
 
     /// A λ-sweep, whose lanes share one service-time computation, lands
@@ -112,27 +119,19 @@ proptest! {
 
         let _guard = MetricsGuard;
         metrics::set_enabled(false);
-        let uninstrumented = sweep::cluster_sweep_with(
-            &base, PAPER_TOTAL_NODES, &PAPER_CLUSTER_COUNTS, BatchOptions::sequential(),
-        ).unwrap();
+        let uninstrumented = cluster_grid_reports(&base, 1);
 
         metrics::set_enabled(true);
         let solves_before = metrics::counter(metrics::keys::SOLVER_SOLVES).get();
-        let instrumented = sweep::cluster_sweep_with(
-            &base, PAPER_TOTAL_NODES, &PAPER_CLUSTER_COUNTS, BatchOptions::with_workers(workers),
-        ).unwrap();
+        let instrumented = cluster_grid_reports(&base, workers);
         let solves_after = metrics::counter(metrics::keys::SOLVER_SOLVES).get();
 
         prop_assert!(
             solves_after >= solves_before + PAPER_CLUSTER_COUNTS.len() as u64,
             "instrumented run must record its solves"
         );
-        prop_assert_eq!(uninstrumented.len(), instrumented.len());
-        for (u, i) in uninstrumented.iter().zip(&instrumented) {
-            prop_assert_eq!(u.x, i.x);
-            // Exact f64 equality across every field of the report.
-            prop_assert_eq!(u.report, i.report);
-        }
+        // Exact f64 equality across every field of every report.
+        prop_assert_eq!(uninstrumented, instrumented);
     }
 
     /// Replication-style fan-out through par_map preserves order and

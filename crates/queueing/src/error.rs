@@ -35,13 +35,6 @@ pub enum QueueingError {
         /// Description of the violation.
         reason: &'static str,
     },
-    /// An iterative solver failed to converge within its iteration budget.
-    NoConvergence {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-        /// Residual magnitude at the last iterate.
-        residual: f64,
-    },
     /// The linear system arising from the traffic equations is singular.
     SingularSystem,
 }
@@ -60,13 +53,6 @@ impl fmt::Display for QueueingError {
             }
             QueueingError::InvalidRouting { station, reason } => {
                 write!(f, "invalid routing at station {station}: {reason}")
-            }
-            QueueingError::NoConvergence { iterations, residual } => {
-                write!(
-                    f,
-                    "solver did not converge after {iterations} iterations \
-                     (residual {residual:e})"
-                )
             }
             QueueingError::SingularSystem => {
                 write!(f, "traffic equations are singular")
@@ -104,7 +90,6 @@ mod tests {
             QueueingError::Unstable { rho: 1.5 },
             QueueingError::InvalidParameter { name: "servers", reason: "must be >= 1" },
             QueueingError::InvalidRouting { station: 3, reason: "row sums to 1.2" },
-            QueueingError::NoConvergence { iterations: 100, residual: 1e-3 },
             QueueingError::SingularSystem,
         ];
         for c in cases {

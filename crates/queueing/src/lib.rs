@@ -9,8 +9,8 @@
 //!
 //! * [`mm1`] — the M/M/1 queue (the paper models every communication
 //!   network as an M/M/1 service centre, eq. 16).
-//! * [`mmc`] — M/M/c (Erlang C), M/M/1/K and M/M/∞ queues, used for
-//!   sensitivity studies and for modelling multi-link networks.
+//! * [`mmc`] — the M/M/c queue (Erlang C), used by the Jackson-network
+//!   solver for multi-server stations.
 //! * [`mg1`] — the M/G/1 queue via the Pollaczek–Khinchine formula,
 //!   used to relax the paper's exponential-service assumption.
 //! * [`gg1`] — GI/G/1 two-moment approximations (Kingman,
@@ -25,13 +25,14 @@
 //! * [`operational`] — distribution-free operational laws (utilization,
 //!   forced flow, interactive response time) used to cross-check
 //!   simulator instrumentation and to bound closed-system throughput.
-//! * [`fixed_point`] — robust scalar fixed-point / root-finding helpers
-//!   used to solve eq. 7.
 //! * [`linalg`] — a small dense linear solver backing the traffic
 //!   equations.
 //!
 //! Every service centre in the paper is a single-class FCFS queue, so
-//! the crate carries no multi-class (priority) disciplines.
+//! the crate carries no multi-class (priority) disciplines. The
+//! effective-rate fixed point itself (eq. 7) is solved with the model,
+//! by `hmcs_core::solver`'s bisection; this crate supplies the queue
+//! formulas it evaluates.
 //!
 //! ## Units
 //!
@@ -55,7 +56,6 @@
 
 pub mod closed;
 pub mod error;
-pub mod fixed_point;
 pub mod gg1;
 pub mod jackson;
 pub mod linalg;

@@ -1,10 +1,8 @@
-//! Multi-server and finite-buffer Markovian queues: M/M/c, M/M/1/K and
-//! M/M/∞.
+//! The multi-server Markovian queue M/M/c.
 //!
-//! These generalise the paper's M/M/1 service centres. An M/M/c centre
+//! It generalises the paper's M/M/1 service centres: an M/M/c centre
 //! models a network with `c` parallel links (e.g. a trunked inter-cluster
-//! uplink); M/M/1/K models a switch with finite buffering; M/M/∞ is the
-//! contention-free limit used as a lower bound.
+//! uplink).
 
 use crate::error::{check_nonneg_rate, check_pos_rate, QueueingError};
 
@@ -111,100 +109,6 @@ impl MMc {
     }
 }
 
-/// A finite-buffer M/M/1/K queue: at most `K` customers in the system
-/// (including the one in service); arrivals finding the system full are
-/// lost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MM1K {
-    lambda: f64,
-    mu: f64,
-    capacity: u32,
-}
-
-impl MM1K {
-    /// Creates an M/M/1/K queue. Finite-buffer queues are always stable,
-    /// so λ ≥ µ is allowed.
-    pub fn new(lambda: f64, mu: f64, capacity: u32) -> Result<Self, QueueingError> {
-        check_nonneg_rate("lambda", lambda)?;
-        check_pos_rate("mu", mu)?;
-        if capacity == 0 {
-            return Err(QueueingError::InvalidParameter {
-                name: "capacity",
-                reason: "must be at least 1",
-            });
-        }
-        Ok(MM1K { lambda, mu, capacity })
-    }
-
-    /// Steady-state probability of `n` customers in the system
-    /// (0 for n > K).
-    pub fn prob_n_in_system(&self, n: u32) -> f64 {
-        if n > self.capacity {
-            return 0.0;
-        }
-        let rho = self.lambda / self.mu;
-        let k = self.capacity as i32;
-        if (rho - 1.0).abs() < 1e-12 {
-            return 1.0 / (k as f64 + 1.0);
-        }
-        (1.0 - rho) * rho.powi(n as i32) / (1.0 - rho.powi(k + 1))
-    }
-
-    /// Probability an arrival is blocked (system full), `P(N = K)`.
-    pub fn blocking_probability(&self) -> f64 {
-        self.prob_n_in_system(self.capacity)
-    }
-
-    /// Effective (carried) arrival rate `λ(1 − P_block)`.
-    pub fn effective_lambda(&self) -> f64 {
-        self.lambda * (1.0 - self.blocking_probability())
-    }
-
-    /// Mean number in system `L = Σ n·P(N=n)`.
-    pub fn mean_number_in_system(&self) -> f64 {
-        (0..=self.capacity).map(|n| n as f64 * self.prob_n_in_system(n)).sum()
-    }
-
-    /// Mean sojourn time of *accepted* customers, `W = L / λ_eff`
-    /// (0 when there is no traffic).
-    pub fn mean_sojourn_time(&self) -> f64 {
-        let le = self.effective_lambda();
-        if le == 0.0 {
-            0.0
-        } else {
-            self.mean_number_in_system() / le
-        }
-    }
-}
-
-/// The M/M/∞ queue (infinite servers): every customer is served
-/// immediately. Models a contention-free network and lower-bounds any
-/// finite-capacity centre with the same service time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MMInf {
-    lambda: f64,
-    mu: f64,
-}
-
-impl MMInf {
-    /// Creates an M/M/∞ queue (always stable).
-    pub fn new(lambda: f64, mu: f64) -> Result<Self, QueueingError> {
-        check_nonneg_rate("lambda", lambda)?;
-        check_pos_rate("mu", mu)?;
-        Ok(MMInf { lambda, mu })
-    }
-
-    /// Mean number in system `L = λ/µ` (Poisson distributed).
-    pub fn mean_number_in_system(&self) -> f64 {
-        self.lambda / self.mu
-    }
-
-    /// Mean sojourn time `W = 1/µ` (no waiting, ever).
-    pub fn mean_sojourn_time(&self) -> f64 {
-        1.0 / self.mu
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,53 +167,14 @@ mod tests {
     }
 
     #[test]
-    fn mm1k_probabilities_sum_to_one() {
-        let q = MM1K::new(0.8, 1.0, 10).unwrap();
-        let total: f64 = (0..=10).map(|n| q.prob_n_in_system(n)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert_eq!(q.prob_n_in_system(11), 0.0);
-    }
-
-    #[test]
-    fn mm1k_allows_overload() {
-        // rho = 2: heavily overloaded but finite.
-        let q = MM1K::new(2.0, 1.0, 5).unwrap();
-        let p_block = q.blocking_probability();
-        assert!(p_block > 0.4, "most arrivals should be blocked, got {p_block}");
-        assert!(q.effective_lambda() < 1.0);
-    }
-
-    #[test]
-    fn mm1k_rho_equal_one_is_uniform() {
-        let q = MM1K::new(1.0, 1.0, 4).unwrap();
-        for n in 0..=4 {
-            assert!((q.prob_n_in_system(n) - 0.2).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn mm1k_large_buffer_approaches_mm1() {
-        let finite = MM1K::new(0.5, 1.0, 200).unwrap();
-        let infinite = MM1::new(0.5, 1.0).unwrap();
-        assert!((finite.mean_number_in_system() - infinite.mean_number_in_system()).abs() < 1e-9);
-        assert!(finite.blocking_probability() < 1e-30);
-    }
-
-    #[test]
-    fn mminf_has_no_waiting() {
-        let q = MMInf::new(100.0, 2.0).unwrap();
-        assert!((q.mean_sojourn_time() - 0.5).abs() < 1e-15);
-        assert!((q.mean_number_in_system() - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn ordering_mminf_le_mmc_le_mm1() {
         // Same total capacity: M/M/2 with mu each vs M/M/1 with rate mu
-        // (not 2mu) is worse; M/M/inf is best.
-        let lam = 0.9;
-        let w_inf = MMInf::new(lam, 1.0).unwrap().mean_sojourn_time();
-        let w_c = MMc::new(lam, 1.0, 2).unwrap().mean_sojourn_time();
-        let w_1 = MM1::new(lam, 1.0).unwrap().mean_sojourn_time();
+        // (not 2mu) is worse; M/M/inf (no waiting, so its sojourn is the
+        // bare service time 1/mu) is best.
+        let (lam, mu) = (0.9, 1.0);
+        let w_inf = 1.0 / mu;
+        let w_c = MMc::new(lam, mu, 2).unwrap().mean_sojourn_time();
+        let w_1 = MM1::new(lam, mu).unwrap().mean_sojourn_time();
         assert!(w_inf <= w_c && w_c <= w_1);
     }
 }

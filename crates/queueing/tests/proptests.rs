@@ -1,12 +1,11 @@
 //! Property-based tests for the queueing-theory substrate.
 
 use hmcs_queueing::closed::{mva, MachineRepairman, MvaStation};
-use hmcs_queueing::fixed_point::{bisect, monotone_fixed_point, SolverOptions};
 use hmcs_queueing::jackson::{JacksonNetwork, Station};
 use hmcs_queueing::linalg::{self, Matrix};
 use hmcs_queueing::mg1::{ServiceDistribution, MG1};
 use hmcs_queueing::mm1::MM1;
-use hmcs_queueing::mmc::{MMc, MM1K};
+use hmcs_queueing::mmc::MMc;
 use proptest::prelude::*;
 
 proptest! {
@@ -52,16 +51,6 @@ proptest! {
         let q2 = MMc::new(a, 1.0, c2).unwrap();
         prop_assert!((0.0..=1.0).contains(&q1.erlang_c()));
         prop_assert!(q2.mean_waiting_time() <= q1.mean_waiting_time() + 1e-12);
-    }
-
-    /// M/M/1/K blocking probability rises with load and falls with buffer.
-    #[test]
-    fn mm1k_blocking_monotone(lambda in 0.1f64..3.0, k in 1u32..20) {
-        let small = MM1K::new(lambda, 1.0, k).unwrap();
-        let big = MM1K::new(lambda, 1.0, k + 5).unwrap();
-        prop_assert!(big.blocking_probability() <= small.blocking_probability() + 1e-12);
-        let more = MM1K::new(lambda + 0.5, 1.0, k).unwrap();
-        prop_assert!(more.blocking_probability() >= small.blocking_probability() - 1e-12);
     }
 
     /// M/G/1 waiting time is linear in the SCV (P–K formula structure).
@@ -161,32 +150,6 @@ proptest! {
         let b = MachineRepairman::new(n + 1, think, mu).unwrap().solve();
         prop_assert!(b.utilization >= a.utilization - 1e-9);
         prop_assert!(b.throughput >= a.throughput - 1e-9);
-    }
-
-    /// Bisection always converges on a bracketed monotone root.
-    #[test]
-    fn bisect_converges(root in -5.0f64..5.0) {
-        let f = move |x: f64| x - root;
-        let sol = bisect(f, -10.0, 10.0, SolverOptions::default()).unwrap();
-        prop_assert!((sol.value - root).abs() < 1e-8);
-    }
-
-    /// The monotone fixed-point solver returns a genuine fixed point for
-    /// the effective-rate family g(x) = λ(N−L(x))/N.
-    #[test]
-    fn effective_rate_fixed_point(
-        lambda in 0.1f64..300.0,
-        mu in 1.0f64..100.0,
-        n in 2.0f64..512.0,
-    ) {
-        let g = move |x: f64| {
-            let rho = (x / mu).min(1.0 - 1e-12);
-            let l = (rho / (1.0 - rho)).min(n);
-            lambda * (n - l) / n
-        };
-        let sol = monotone_fixed_point(g, 0.0, lambda, SolverOptions::default()).unwrap();
-        prop_assert!((g(sol.value) - sol.value).abs() < 1e-5 * (1.0 + sol.value));
-        prop_assert!(sol.value >= 0.0 && sol.value <= lambda + 1e-9);
     }
 
     /// The dense solver inverts well-conditioned diagonally dominant

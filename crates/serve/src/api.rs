@@ -290,11 +290,12 @@ pub fn evaluate_response_from(
     Ok(render_evaluate(config, &report))
 }
 
-/// Builds the per-point configs a sweep evaluates, mirroring the
-/// constructions in [`hmcs_core::sweep`] exactly (same shape errors for
-/// non-divisor cluster counts, same field substitutions), so that
-/// solving them through any per-item kernel batch reproduces the
-/// sweep's points bit for bit.
+/// Builds the per-point configs a sweep evaluates: one config per λ,
+/// per cluster count at the config's total node count (a count that
+/// does not divide it fails with the same error as
+/// [`hmcs_core::sweep::cluster_sweep`]) or per message size. Each point
+/// is solved as its own kernel lane, so any batch that contains these
+/// configs reproduces the sweep bit for bit.
 pub fn sweep_configs(
     config: &SystemConfig,
     spec: &SweepSpec,

@@ -12,7 +12,7 @@
 //!
 //! | Endpoint | What it does |
 //! |---|---|
-//! | `POST /v1/evaluate` | One QNA point: JSON config in, latency / utilization / solver diagnostics out |
+//! | `POST /v1/evaluate` | One point of the paper's model, solved on the batched kernel: JSON config in, latency / utilization / solver diagnostics out |
 //! | `POST /v1/sweep` | A λ-, cluster- or message-size sweep over the same config |
 //! | `POST /v1/optimize` | Capacity planning: SLO/budget/workload in, latency-vs-cost Pareto frontier out |
 //! | `GET /healthz` | Liveness probe (`200 ok`) |

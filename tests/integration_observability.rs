@@ -4,12 +4,11 @@
 //! flow/packet simulators and the replication driver — and the whole
 //! pipeline must stay numerically identical with recording disabled.
 
-use hmcs_core::batch::BatchOptions;
 use hmcs_core::config::SystemConfig;
+use hmcs_core::kernel;
 use hmcs_core::metrics::{self, keys};
 use hmcs_core::model::AnalyticalModel;
 use hmcs_core::scenario::{Scenario, PAPER_CLUSTER_COUNTS, PAPER_TOTAL_NODES};
-use hmcs_core::sweep;
 use hmcs_sim::config::SimConfig;
 use hmcs_sim::flow::FlowSimulator;
 use hmcs_sim::metrics_keys as sim_keys;
@@ -43,14 +42,17 @@ fn every_layer_reports_into_the_global_registry() {
     let bnd_out_before = metrics::counter(sim_keys::SHARD_BOUNDARY_OUT).get();
 
     let base = system();
-    let points = sweep::cluster_sweep_with(
-        &base,
-        PAPER_TOTAL_NODES,
-        &PAPER_CLUSTER_COUNTS,
-        BatchOptions::with_workers(3),
-    )
-    .unwrap();
-    assert_eq!(points.len(), PAPER_CLUSTER_COUNTS.len());
+    let configs: Vec<SystemConfig> = PAPER_CLUSTER_COUNTS
+        .iter()
+        .map(|&c| {
+            let mut cfg = base;
+            cfg.clusters = c;
+            cfg.nodes_per_cluster = PAPER_TOTAL_NODES / c;
+            cfg
+        })
+        .collect();
+    let points = kernel::evaluate_batch(&configs, 3);
+    assert!(points.iter().all(Result::is_ok));
 
     let sim_cfg = SimConfig::new(base).with_messages(2_000).with_warmup(500).with_seed(77);
     FlowSimulator::run(&sim_cfg).unwrap();
