@@ -3,7 +3,8 @@
 //! A [`Model`] owns all simulation state and processes one event at a
 //! time; the [`Engine`] advances the clock, dispatches events, and
 //! enforces stop conditions. Follow-up events are scheduled through the
-//! [`Scheduler`], which wraps the future-event list.
+//! [`Scheduler`], which wraps the future-event list: the event heap
+//! plus the engine's fixed set of timer slots.
 
 use crate::event::EventQueue;
 use crate::time::SimTime;
@@ -17,13 +18,9 @@ pub struct Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    fn new() -> Self {
-        Scheduler { queue: EventQueue::new(), events_scheduled: 0, peak_pending: 0 }
-    }
-
-    fn with_capacity(capacity: usize) -> Self {
+    fn with_timers(capacity: usize, timers: usize) -> Self {
         Scheduler {
-            queue: EventQueue::with_capacity(capacity),
+            queue: EventQueue::with_timers(capacity, timers),
             events_scheduled: 0,
             peak_pending: 0,
         }
@@ -35,9 +32,9 @@ impl<E> Scheduler<E> {
         self.queue.reserve(additional);
     }
 
-    /// Drops all pending events and zeroes the lifetime counters, so a
-    /// reused scheduler behaves exactly like a fresh one while keeping
-    /// the event list's storage warm.
+    /// Drops all pending events (disarming every timer slot) and zeroes
+    /// the lifetime counters, so a reused scheduler behaves exactly like
+    /// a fresh one while keeping the event list's storage warm.
     fn reset(&mut self) {
         self.queue.reset();
         self.events_scheduled = 0;
@@ -56,12 +53,22 @@ impl<E> Scheduler<E> {
         self.schedule_at(now + delay, event);
     }
 
+    /// Schedules `event` at `now + delay` in timer slot `slot` instead
+    /// of the event heap. The slot must be free (see
+    /// [`EventQueue::push_timer`]); the pop order is the same as if the
+    /// event had gone through [`Scheduler::schedule_in`].
+    pub fn schedule_timer_in(&mut self, slot: usize, now: SimTime, delay: SimTime, event: E) {
+        self.events_scheduled += 1;
+        self.queue.push_timer(slot, now + delay, event);
+        self.peak_pending = self.peak_pending.max(self.queue.len());
+    }
+
     /// Number of events scheduled so far (lifetime counter).
     pub fn events_scheduled(&self) -> u64 {
         self.events_scheduled
     }
 
-    /// Number of currently pending events.
+    /// Number of currently pending events, armed timer slots included.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -109,7 +116,7 @@ pub struct Engine<M: Model> {
 impl<M: Model> Engine<M> {
     /// Creates an engine at time zero with an empty event list.
     pub fn new(model: M) -> Self {
-        Engine { model, scheduler: Scheduler::new(), now: SimTime::ZERO, events_processed: 0 }
+        Self::with_timers(model, 0, 0)
     }
 
     /// Creates an engine whose future-event list is pre-sized for
@@ -117,9 +124,16 @@ impl<M: Model> Engine<M> {
     /// population (e.g. one think-time event per traffic source)
     /// never reallocates the event list.
     pub fn with_capacity(model: M, capacity: usize) -> Self {
+        Self::with_timers(model, capacity, 0)
+    }
+
+    /// Creates an engine like [`Engine::with_capacity`] whose event list
+    /// also has `timers` timer slots, armed through
+    /// [`Scheduler::schedule_timer_in`].
+    pub fn with_timers(model: M, capacity: usize, timers: usize) -> Self {
         Engine {
             model,
-            scheduler: Scheduler::with_capacity(capacity),
+            scheduler: Scheduler::with_timers(capacity, timers),
             now: SimTime::ZERO,
             events_processed: 0,
         }
@@ -343,6 +357,131 @@ mod tests {
         assert_eq!(reused.now(), fresh.now());
         assert_eq!(reused.events_processed(), fresh.events_processed());
         assert_eq!(reused.model().fired_at, fresh.model().fired_at);
+        assert_eq!(reused.scheduler().events_scheduled(), fresh.scheduler().events_scheduled());
+        assert_eq!(reused.scheduler().peak_pending(), fresh.scheduler().peak_pending());
+    }
+
+    #[test]
+    fn pending_and_peak_count_armed_timer_slots() {
+        let mut e = Engine::with_timers(
+            Chain { remaining: 0, spacing: SimTime::ZERO, fired_at: Vec::new() },
+            0,
+            2,
+        );
+        let s = e.scheduler_mut();
+        s.schedule_at(SimTime::from_us(1.0), ());
+        s.schedule_timer_in(1, SimTime::ZERO, SimTime::from_us(3.0), ());
+        s.schedule_timer_in(0, SimTime::ZERO, SimTime::from_us(2.0), ());
+        assert_eq!(e.scheduler().pending(), 3);
+        assert_eq!(e.scheduler().peak_pending(), 3);
+        assert_eq!(e.scheduler().events_scheduled(), 3);
+        e.run_to_completion();
+        let us = |t: f64| SimTime::from_us(t);
+        assert_eq!(e.model().fired_at, vec![us(1.0), us(2.0), us(3.0)]);
+        assert_eq!(e.scheduler().pending(), 0);
+        assert_eq!(e.scheduler().peak_pending(), 3);
+        // A reset disarms the slots.
+        let now = e.now();
+        e.scheduler_mut().schedule_timer_in(0, now, us(1.0), ());
+        assert_eq!(e.scheduler().pending(), 1);
+        e.reset();
+        assert_eq!(e.scheduler().pending(), 0);
+        assert!(!e.step());
+    }
+
+    /// One FCFS server fed by an arrival stream: the next arrival and
+    /// the current completion each live in a timer slot, departures go
+    /// on the heap. Delays are whole microseconds, so ties are common.
+    struct Server {
+        rng: u64,
+        queued: u32,
+        arrivals_left: u32,
+        log: Vec<(SimTime, Job)>,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Job {
+        Arrive,
+        Done,
+        Leave,
+    }
+
+    const ARRIVE: usize = 0;
+    const DONE: usize = 1;
+
+    impl Server {
+        fn new(arrivals: u32) -> Self {
+            Server { rng: 0x2545F4914F6CDD1D, queued: 0, arrivals_left: arrivals, log: Vec::new() }
+        }
+
+        fn delay(&mut self, span: u64) -> SimTime {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            SimTime::from_us((self.rng % span) as f64)
+        }
+    }
+
+    impl Model for Server {
+        type Event = Job;
+        fn handle(&mut self, now: SimTime, job: Job, s: &mut Scheduler<Job>) {
+            self.log.push((now, job));
+            match job {
+                Job::Arrive => {
+                    self.queued += 1;
+                    if self.queued == 1 {
+                        let d = self.delay(4);
+                        s.schedule_timer_in(DONE, now, d, Job::Done);
+                    }
+                    if self.arrivals_left > 0 {
+                        self.arrivals_left -= 1;
+                        let d = self.delay(6);
+                        s.schedule_timer_in(ARRIVE, now, d, Job::Arrive);
+                    }
+                }
+                Job::Done => {
+                    self.queued -= 1;
+                    let d = self.delay(10);
+                    s.schedule_in(now, d, Job::Leave);
+                    if self.queued > 0 {
+                        let d = self.delay(4);
+                        s.schedule_timer_in(DONE, now, d, Job::Done);
+                    }
+                }
+                Job::Leave => {}
+            }
+        }
+    }
+
+    fn server_engine(arrivals: u32) -> Engine<Server> {
+        let mut e = Engine::with_timers(Server::new(arrivals), 16, 2);
+        e.scheduler_mut().schedule_timer_in(ARRIVE, SimTime::ZERO, SimTime::ZERO, Job::Arrive);
+        e
+    }
+
+    #[test]
+    fn timer_slot_engine_reused_via_reset_replays_a_fresh_one() {
+        let mut fresh = server_engine(2_000);
+        fresh.run_to_completion();
+        let log = &fresh.model().log;
+        assert_eq!(log.iter().filter(|(_, j)| *j == Job::Leave).count(), 2_001);
+        assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "time ran backwards");
+        let ties = log.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        assert!(ties > 500, "only {ties} ties");
+
+        // Stop mid-run with slots armed, rewind, and replay.
+        let mut reused = server_engine(2_000);
+        reused.run_until(Some(1_000), None, |_| false);
+        assert!(reused.scheduler().pending() > 0);
+        reused.reset();
+        *reused.model_mut() = Server::new(2_000);
+        let s = reused.scheduler_mut();
+        s.schedule_timer_in(ARRIVE, SimTime::ZERO, SimTime::ZERO, Job::Arrive);
+        reused.run_to_completion();
+
+        assert_eq!(reused.model().log, fresh.model().log);
+        assert_eq!(reused.now(), fresh.now());
+        assert_eq!(reused.events_processed(), fresh.events_processed());
         assert_eq!(reused.scheduler().events_scheduled(), fresh.scheduler().events_scheduled());
         assert_eq!(reused.scheduler().peak_pending(), fresh.scheduler().peak_pending());
     }

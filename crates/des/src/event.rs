@@ -3,7 +3,7 @@
 //! An indexed 4-ary min-heap keyed by `(time, seq)`, where `seq` is a
 //! monotone sequence number so that simultaneous events pop in FIFO
 //! (insertion) order — the determinism guarantee every reproducible DES
-//! needs.
+//! needs — plus a fixed set of **timer slots** beside the heap.
 //!
 //! Why not `std::collections::BinaryHeap`? Three reasons:
 //!
@@ -12,18 +12,27 @@
 //!   [`EventQueue::with_capacity`] lets a run never reallocate the
 //!   event list; pops are shrink-free so a reused queue stays warm.
 //! * **Indexed storage.** The heap array holds compact `Copy` entries
-//!   (key + slab slot): ordering scans touch only small entries (four
-//!   children per node span ~1.5 cache lines per sift level, at half
-//!   the depth of a binary heap), while payloads sit still in a
+//!   (key + payload index): ordering scans touch only small entries
+//!   (four children per node span ~1.5 cache lines per sift level, at
+//!   half the depth of a binary heap), while payloads sit still in a
 //!   free-list slab and never travel with the comparisons.
 //! * **Stable API.** `len`/`is_empty`/`reserve`/`reset` expose the
 //!   queue state the engine and the replication-reuse path need
 //!   without round-tripping through iterator adapters.
 //!
+//! A timer slot holds an event of which at most one is ever pending —
+//! a single server's completion, a Poisson stream's next arrival. Such
+//! an event never enters the heap: arming a slot is a store, and a pop
+//! compares the heap top against the few armed slots instead of paying
+//! two full-depth sifts against a heap full of far-future events.
+//!
 //! Determinism is structural: `(time, seq)` is a strict total order
-//! (`seq` is unique), and the heap orders by the full key — so the pop
-//! sequence is identical to any correct min-heap's and swapping the
-//! implementation cannot perturb simulation results.
+//! (`seq` is unique, and heap pushes and slot arms draw it from one
+//! counter), and a pop takes the least key over the heap top and every
+//! armed slot — so the pop sequence is identical to any correct
+//! min-heap's holding all pending events, ties included, and neither
+//! the heap implementation nor which events use slots can perturb
+//! simulation results.
 
 use crate::time::SimTime;
 
@@ -51,27 +60,38 @@ impl Key {
 /// level of the sift scan.
 const ARITY: usize = 4;
 
-/// One heap entry: the sort key plus the payload's slab slot.
+/// One heap entry: the sort key plus the payload's slab index.
 ///
 /// 24 bytes and `Copy`, so sifting moves registers, never payloads.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     key: Key,
-    slot: u32,
+    payload: u32,
+}
+
+/// An armed timer slot: its key and its event.
+#[derive(Debug)]
+struct Timer<E> {
+    key: Key,
+    payload: E,
 }
 
 /// A time-ordered, FIFO-stable event queue.
 ///
 /// An *indexed* heap: the heap array holds compact `Copy` entries
-/// (key + slot index) while payloads live in a slab recycled through a
-/// free list — sift operations never move a payload, and a payload
-/// slot freed by a pop is reused by the next push, so steady-state
-/// operation is allocation-free.
+/// (key + payload index) while payloads live in a slab recycled
+/// through a free list — sift operations never move a payload, and a
+/// slab entry freed by a pop is reused by the next push, so
+/// steady-state operation is allocation-free. Beside the heap sit a
+/// fixed number of timer slots (zero unless built with
+/// [`EventQueue::with_timers`]), each holding at most one event.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: Vec<HeapEntry>,
-    slots: Vec<Option<E>>,
+    payloads: Vec<Option<E>>,
     free: Vec<u32>,
+    timers: Vec<Option<Timer<E>>>,
+    armed: usize,
     next_seq: u64,
 }
 
@@ -91,83 +111,125 @@ impl<E> EventQueue<E> {
     /// so a simulation with a known event population never reallocates
     /// mid-run.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_timers(capacity, 0)
+    }
+
+    /// Creates an empty queue with room for `capacity` pending heap
+    /// events and `timers` timer slots (see [`EventQueue::push_timer`]).
+    pub fn with_timers(capacity: usize, timers: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
+            payloads: Vec::with_capacity(capacity),
             free: Vec::new(),
+            timers: (0..timers).map(|_| None).collect(),
+            armed: 0,
             next_seq: 0,
         }
     }
 
     /// Grows the backing storage to hold at least `additional` more
-    /// pending events.
+    /// pending heap events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
-        self.slots.reserve(additional);
+        self.payloads.reserve(additional);
     }
 
-    /// Number of pending events the queue can hold without
-    /// reallocating.
+    /// Number of pending heap events the queue can hold without
+    /// reallocating (timer slots come on top).
     pub fn capacity(&self) -> usize {
-        self.heap.capacity().min(self.slots.capacity())
+        self.heap.capacity().min(self.payloads.capacity())
     }
 
     /// Inserts an event to fire at `time`.
     pub fn push(&mut self, time: SimTime, payload: E) {
-        let key = Key { time, seq: self.next_seq };
-        self.next_seq += 1;
-        // Recycle a freed slab slot if one exists; steady-state
+        let key = self.next_key(time);
+        // Recycle a freed slab entry if one exists; steady-state
         // push/pop cycles therefore never allocate.
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(payload);
-                slot
+        let index = match self.free.pop() {
+            Some(index) => {
+                self.payloads[index as usize] = Some(payload);
+                index
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("event population fits in u32");
-                self.slots.push(Some(payload));
-                slot
+                let index =
+                    u32::try_from(self.payloads.len()).expect("event population fits in u32");
+                self.payloads.push(Some(payload));
+                index
             }
         };
-        self.heap.push(HeapEntry { key, slot });
+        self.heap.push(HeapEntry { key, payload: index });
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Removes and returns the earliest event (FIFO among ties). The
-    /// backing storage is kept (shrink-free), so a later push at the
-    /// same population is allocation-free.
+    /// Arms timer slot `slot` with an event to fire at `time`. The event
+    /// takes its FIFO sequence number from the same counter as
+    /// [`EventQueue::push`], so it pops exactly where it would have
+    /// popped from the heap.
+    ///
+    /// The slot must be free: a timer slot holds at most one pending
+    /// event (checked in debug builds; a release build overwrites).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below the slot count the queue was built
+    /// with.
+    pub fn push_timer(&mut self, slot: usize, time: SimTime, payload: E) {
+        let key = self.next_key(time);
+        let timer = &mut self.timers[slot];
+        debug_assert!(timer.is_none(), "timer slot {slot} is already armed");
+        if timer.replace(Timer { key, payload }).is_none() {
+            self.armed += 1;
+        }
+    }
+
+    /// Removes and returns the earliest event (FIFO among ties), from
+    /// the heap or a timer slot. The backing storage is kept
+    /// (shrink-free), so a later push at the same population is
+    /// allocation-free.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if let Some(slot) = self.earliest_timer() {
+            let timer = self.timers[slot].take().expect("earliest timer is armed");
+            self.armed -= 1;
+            return Some((timer.key.time, timer.payload));
+        }
         let last = self.heap.len().checked_sub(1)?;
         self.heap.swap(0, last);
         let entry = self.heap.pop().expect("len checked above");
         if last > 0 {
             self.sift_down(0);
         }
-        let payload = self.slots[entry.slot as usize].take().expect("pending slot is occupied");
-        self.free.push(entry.slot);
+        let payload =
+            self.payloads[entry.payload as usize].take().expect("pending payload is present");
+        self.free.push(entry.payload);
         Some((entry.key.time, payload))
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.key.time)
+        match self.earliest_timer() {
+            Some(slot) => self.timers[slot].as_ref().map(|t| t.key.time),
+            None => self.heap.first().map(|e| e.key.time),
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events, armed timer slots included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.armed
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
-    /// Removes all pending events (storage is kept).
+    /// Removes all pending events and disarms every timer slot
+    /// (storage is kept).
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.slots.clear();
+        self.payloads.clear();
         self.free.clear();
+        self.timers.iter_mut().for_each(|t| *t = None);
+        self.armed = 0;
     }
 
     /// Removes all pending events **and** restores the FIFO sequence
@@ -175,6 +237,35 @@ impl<E> EventQueue<E> {
     pub fn reset(&mut self) {
         self.clear();
         self.next_seq = 0;
+    }
+
+    /// The key of the next event scheduled at `time`.
+    #[inline]
+    fn next_key(&mut self, time: SimTime) -> Key {
+        let key = Key { time, seq: self.next_seq };
+        self.next_seq += 1;
+        key
+    }
+
+    /// The armed timer slot that fires before the heap top, if any.
+    #[inline]
+    fn earliest_timer(&self) -> Option<usize> {
+        if self.armed == 0 {
+            return None;
+        }
+        let mut best: Option<(usize, Key)> = None;
+        for (slot, timer) in self.timers.iter().enumerate() {
+            if let Some(t) = timer {
+                if best.is_none_or(|(_, key)| t.key.earlier_than(&key)) {
+                    best = Some((slot, t.key));
+                }
+            }
+        }
+        let (slot, key) = best?;
+        match self.heap.first() {
+            Some(top) if top.key.earlier_than(&key) => None,
+            _ => Some(slot),
+        }
     }
 
     /// Moves the entry at `pos` up until its parent is not later.
@@ -333,33 +424,104 @@ mod tests {
     }
 
     #[test]
-    fn fifo_tie_breaking_matches_stable_sort() {
-        // Deterministic pseudo-random times with heavy duplication.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = || {
+    fn timer_slots_count_as_pending_and_reset_disarms_them() {
+        let mut q = EventQueue::with_timers(4, 2);
+        q.push(SimTime::from_us(5.0), "heap");
+        q.push_timer(1, SimTime::from_us(3.0), "slot");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_us(3.0)));
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
+        // A disarmed slot arms again, and its sequence restarted too:
+        // it ties ahead of a later heap push at the same time.
+        let t = SimTime::from_us(1.0);
+        q.push_timer(1, t, "slot");
+        q.push(t, "heap");
+        assert_eq!(q.pop(), Some((t, "slot")));
+        assert_eq!(q.pop(), Some((t, "heap")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already armed")]
+    fn arming_an_occupied_slot_fails_in_debug_builds() {
+        let mut q = EventQueue::with_timers(0, 1);
+        q.push_timer(0, SimTime::from_us(1.0), ());
+        q.push_timer(0, SimTime::from_us(2.0), ());
+    }
+
+    /// Timer slots the differential tests route events through.
+    const TIMERS: usize = 4;
+
+    /// An xorshift64 stream for the differential tests.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        let mut q = EventQueue::with_capacity(512);
+        }
+    }
+
+    /// Pops the next `(id, timer slot)` payload's id and frees its slot.
+    fn pop_tracked(
+        q: &mut EventQueue<(usize, Option<usize>)>,
+        armed: &mut [bool],
+    ) -> Option<usize> {
+        let (_, (id, slot)) = q.pop()?;
+        if let Some(slot) = slot {
+            armed[slot] = false;
+        }
+        Some(id)
+    }
+
+    #[test]
+    fn fifo_tie_breaking_matches_stable_sort() {
+        // Deterministic pseudo-random times with heavy duplication. About
+        // a third of the events go to a free timer slot when there is
+        // one, at one of the two earliest times (a slot holds a
+        // near-future event), so slot events tie with heap events and
+        // with each other.
+        let mut next = xorshift(0x2545F4914F6CDD1D);
+        let mut q = EventQueue::with_timers(512, TIMERS);
+        let mut armed = [false; TIMERS];
         let mut reference: Vec<(u64, usize)> = Vec::new();
         let mut popped = Vec::new();
         let mut id = 0usize;
+        let mut via_timers = 0;
         for _round in 0..50 {
             for _ in 0..20 {
-                let t = next() % 8; // only 8 distinct times -> many ties
-                q.push(SimTime::from_us(t as f64), id);
+                let to_timer = next().is_multiple_of(3);
+                let free = armed.iter().position(|a| !a).filter(|_| to_timer);
+                // Only 8 distinct times -> many ties.
+                let t = if free.is_some() { next() % 2 } else { next() % 8 };
+                let time = SimTime::from_us(t as f64);
+                match free {
+                    Some(slot) => {
+                        armed[slot] = true;
+                        via_timers += 1;
+                        q.push_timer(slot, time, (id, Some(slot)));
+                    }
+                    None => q.push(time, (id, None)),
+                }
                 reference.push((t, id));
                 id += 1;
             }
             for _ in 0..10 {
-                popped.push(q.pop().unwrap().1);
+                popped.push(pop_tracked(&mut q, &mut armed).unwrap());
             }
+            // `len` counts the armed slots beside the heap.
+            let in_slots = armed.iter().filter(|&&a| a).count();
+            assert_eq!(q.len(), q.heap.len() + in_slots);
+            assert_eq!(q.len(), reference.len() - popped.len());
         }
-        while let Some((_, v)) = q.pop() {
+        while let Some(v) = pop_tracked(&mut q, &mut armed) {
             popped.push(v);
         }
+        assert!(via_timers >= 100, "only {via_timers} events went through timer slots");
         // Replay with a naive priority scan to build the exact
         // expectation: among the events available at each pop, the
         // smallest (time, insertion id) must come out.
@@ -387,26 +549,31 @@ mod tests {
 
     /// Differential check against a naive reference queue across a
     /// DES-shaped workload: a bimodal mix of short service delays and
-    /// long think delays scheduled relative to the advancing clock.
+    /// long think delays scheduled relative to the advancing clock, on
+    /// a 1 µs grid so ties are frequent. Each timer slot carries a
+    /// completion chain — an event popped from a slot re-arms the same
+    /// slot, as a server starting its next service does.
     #[test]
     fn matches_reference_on_des_shaped_workload() {
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut q = EventQueue::new();
-        let mut reference: Vec<(f64, u64)> = Vec::new();
-        let mut id = 0u64;
-        // Seed a population of think-time events.
+        let mut next = xorshift(0x9E3779B97F4A7C15);
+        let mut q = EventQueue::with_timers(0, TIMERS);
+        let mut reference: Vec<(f64, usize)> = Vec::new();
+        let mut id = 0usize;
+        // Seed a population of think-time events, then arm every slot.
         for _ in 0..200 {
-            let t = (next() % 4_000_000) as f64 / 1_000.0;
-            q.push(SimTime::from_us(t), id);
+            let t = (next() % 4_000) as f64;
+            q.push(SimTime::from_us(t), (id, None));
             reference.push((t, id));
             id += 1;
         }
+        for slot in 0..TIMERS {
+            let t = (next() % 200) as f64;
+            q.push_timer(slot, SimTime::from_us(t), (id, Some(slot)));
+            reference.push((t, id));
+            id += 1;
+        }
+        let (mut ties, mut from_timers) = (0, 0);
+        let mut last = f64::NAN;
         for _ in 0..5_000 {
             // Pop one event from each and compare.
             let best = reference
@@ -416,20 +583,31 @@ mod tests {
                 .map(|(i, _)| i)
                 .unwrap();
             let (exp_t, exp_id) = reference.remove(best);
-            let (got_t, got_id) = q.pop().unwrap();
+            let (got_t, (got_id, slot)) = q.pop().unwrap();
             assert_eq!((got_t.as_us(), got_id), (exp_t, exp_id));
+            ties += usize::from(exp_t == last);
+            last = exp_t;
             let now = exp_t;
-            // Reschedule: 90% short service hop, 10% long think time.
-            let delay = if next() % 10 == 0 {
-                (next() % 4_000_000) as f64 / 1_000.0
-            } else {
-                (next() % 200_000) as f64 / 1_000.0
+            // Reschedule: slot chains take a short service hop; heap
+            // events 90% a longer hop, 10% long think time.
+            let delay = match slot {
+                Some(_) => (next() % 50) as f64,
+                None if next().is_multiple_of(10) => (next() % 4_000) as f64,
+                None => (next() % 200) as f64,
             };
             let t = now + delay;
-            q.push(SimTime::from_us(t), id);
+            match slot {
+                Some(slot) => {
+                    from_timers += 1;
+                    q.push_timer(slot, SimTime::from_us(t), (id, Some(slot)));
+                }
+                None => q.push(SimTime::from_us(t), (id, None)),
+            }
             reference.push((t, id));
             id += 1;
         }
         assert_eq!(q.len(), reference.len());
+        assert!(ties >= 500, "only {ties} tied pops");
+        assert!(from_timers >= 500, "only {from_timers} pops from timer slots");
     }
 }

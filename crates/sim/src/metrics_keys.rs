@@ -26,5 +26,6 @@ pub const SHARD_BOUNDARY_IN: &str = "sim.shard.boundary_in";
 pub const SHARD_BOUNDARY_OUT: &str = "sim.shard.boundary_out";
 /// Histogram: per-shard wall-clock (busy) time (µs).
 pub const SHARD_BUSY_US: &str = "sim.shard.busy_us";
-/// Histogram: per-shard ICN2 idle simulated time (µs).
+/// Histogram: per-pass worker idle wall-clock time (µs): pool threads ×
+/// pass wall time, less the summed per-shard busy time.
 pub const SHARD_IDLE_US: &str = "sim.shard.idle_us";

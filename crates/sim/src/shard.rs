@@ -39,10 +39,15 @@
 //!   the analytical solver, so validating analysis against it stays a
 //!   genuine differential test.
 //!
-//! Per-shard cost scales with the *cluster* (N₀ pending events, one
-//! cluster's messages), so a 100k-node system with 32 clusters costs
-//! about as much as 32 independent 3k-node runs — embarrassing
-//! parallelism the pool exploits.
+//! Per-shard cost is dominated by the background jobs, not by the
+//! cluster: each shard replays the whole system's ICN2 load, about
+//! `(C−1)·P` background jobs per local message (C clusters, P the
+//! external probability) — 7.4 per measured message on the 8×32
+//! topology case and 16.9 on the 16×625 one, warm-up included. Each
+//! job is two events (arrival, completion), and both, like the three
+//! centres' completions, are single-occupancy, so they live in the
+//! engine's timer slots; only the N₀ per-source `Generate` events use
+//! the event heap. The shards run embarrassingly parallel on the pool.
 //!
 //! When a [`LatencySource`] accompanies the partition (the
 //! latency-matrix pipeline), per-pair residual heterogeneity feeds the
@@ -148,8 +153,6 @@ pub struct ShardRun {
     pub boundary_out: u64,
     /// Simulated time span (µs).
     pub sim_duration_us: f64,
-    /// Local ICN2 utilization (0 when centre stats are off).
-    pub icn2_utilization: f64,
     /// Wall-clock time this shard's simulation took (µs).
     pub wall_us: f64,
 }
@@ -240,6 +243,25 @@ enum Ev {
     BgArrive,
 }
 
+/// Timer slots of the shard engine: one per single-occupancy event.
+const TIMER_SLOTS: usize = 4;
+
+impl Ev {
+    /// The event's timer slot. Each centre is one FCFS server, so at
+    /// most one completion per centre is pending, and the background
+    /// stream has exactly one next arrival pending; only the per-source
+    /// `Generate` events share the heap.
+    fn timer_slot(self) -> usize {
+        match self {
+            Ev::Icn1Done => 0,
+            Ev::Ecn1Done => 1,
+            Ev::Icn2Done => 2,
+            Ev::BgArrive => 3,
+            Ev::Generate { .. } => unreachable!("Generate events live on the heap"),
+        }
+    }
+}
+
 struct ShardModel<'a, S: ?Sized> {
     cfg: SimConfig,
     /// Total nodes in the *system* (not the shard).
@@ -304,7 +326,7 @@ impl<S: LatencySource + ?Sized> ShardModel<'_, S> {
 
     fn schedule_done(&mut self, now: SimTime, s: &mut Scheduler<Ev>, ev: Ev, mean_us: f64) {
         let svc = sample_service(&mut self.svc_rng, self.cfg.system.service_model, mean_us);
-        s.schedule_in(now, SimTime::from_us(svc), ev);
+        s.schedule_timer_in(ev.timer_slot(), now, SimTime::from_us(svc), ev);
     }
 
     fn deliver(&mut self, now: SimTime, s: &mut Scheduler<Ev>, id: MsgId) {
@@ -433,7 +455,12 @@ impl<S: LatencySource + ?Sized> Model for ShardModel<'_, S> {
                     self.schedule_done(now, s, Ev::Icn2Done, mean);
                 }
                 let gap = self.bg_rng.exponential(self.bg_rate_per_us);
-                s.schedule_in(now, SimTime::from_us(gap), Ev::BgArrive);
+                s.schedule_timer_in(
+                    Ev::BgArrive.timer_slot(),
+                    now,
+                    SimTime::from_us(gap),
+                    Ev::BgArrive,
+                );
             }
         }
     }
@@ -473,9 +500,10 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             svc_rng: RngStream::new(cfg.seed, 3),
             bg_rng: RngStream::new(cfg.seed, 4),
             dest_any: UniformInt::new(n - 1),
-            icn1: center(cfg.track_center_stats),
-            ecn1: center(cfg.track_center_stats),
-            icn2: center(cfg.track_center_stats),
+            // Nothing reads the shard centres' statistics.
+            icn1: center(false),
+            ecn1: center(false),
+            icn2: center(false),
             msgs: Vec::new(),
             hop_offset: Vec::new(),
             free_ids: Vec::new(),
@@ -484,11 +512,10 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             boundary_out: 0,
             latency: OnlineStats::new(),
         };
-        // Pending-event bound: one Generate per local source, one Done
-        // per local server (ICN1/ECN1/ICN2), one pending background
-        // arrival.
-        let capacity = max_nc + 4;
-        Ok(ShardSimInstance { engine: Engine::with_capacity(model, capacity), partition })
+        // The heap holds one Generate per local source; the servers'
+        // completions and the background arrival use the timer slots.
+        let engine = Engine::with_timers(model, max_nc, TIMER_SLOTS);
+        Ok(ShardSimInstance { engine, partition })
     }
 
     /// Simulates one shard, bit-identically reproducible from
@@ -542,8 +569,9 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             engine.scheduler_mut().schedule_at(SimTime::from_us(think), Ev::Generate { local });
         }
         if bg_rate > 0.0 {
-            let first = engine.model_mut().bg_rng.exponential(bg_rate);
-            engine.scheduler_mut().schedule_at(SimTime::from_us(first), Ev::BgArrive);
+            let first = SimTime::from_us(engine.model_mut().bg_rng.exponential(bg_rate));
+            let slot = Ev::BgArrive.timer_slot();
+            engine.scheduler_mut().schedule_timer_in(slot, SimTime::ZERO, first, Ev::BgArrive);
         }
         let target = engine.model().cfg.messages;
         engine.run_until(None, None, |m| m.measured() >= target);
@@ -558,7 +586,6 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             boundary_in: model.boundary_in,
             boundary_out: model.boundary_out,
             sim_duration_us: now,
-            icn2_utilization: model.icn2.utilization(now),
             wall_us: 0.0,
         }
     }
@@ -609,6 +636,9 @@ pub fn run_sharded_with<S: LatencySource + Sync + ?Sized>(
     let iterations = options.iterations.max(1);
     let shards: Vec<usize> = (0..partition.len()).collect();
     let workers = options.batch.resolved_workers();
+    // Threads the pool actually runs a pass on (it never spawns more
+    // workers than shards).
+    let pool = workers.max(1).min(shards.len());
     // Per-node rate above which the *total* external stream (all
     // clusters) would push the ICN2 past [`BG_STABILITY_LIMIT`]:
     // Σ_j n_j·P_j·λ·s_icn2 = limit. Background rates are clamped here
@@ -632,6 +662,7 @@ pub fn run_sharded_with<S: LatencySource + Sync + ?Sized>(
     for iter in 0..iterations {
         let iter_seed = cfg.seed.wrapping_add(ITERATION_SEED_STRIDE.wrapping_mul(u64::from(iter)));
         let bg = bg_lambda;
+        let pass_started = Instant::now();
         let results = par_map_init(
             &shards,
             workers,
@@ -652,15 +683,19 @@ pub fn run_sharded_with<S: LatencySource + Sync + ?Sized>(
                 metrics::counter(metrics_keys::SHARD_BOUNDARY_IN).add(run.boundary_in);
                 metrics::counter(metrics_keys::SHARD_BOUNDARY_OUT).add(run.boundary_out);
                 metrics::histogram(metrics_keys::SHARD_BUSY_US).record_f64(run.wall_us);
-                metrics::histogram(metrics_keys::SHARD_IDLE_US)
-                    .record_f64(run.sim_duration_us * (1.0 - run.icn2_utilization));
                 Ok(run)
             },
         );
+        let pass_wall_us = pass_started.elapsed().as_secs_f64() * 1e6;
         let mut runs = Vec::with_capacity(partition.len());
         for r in results {
             runs.push(r?);
         }
+        // Worker wall time the pass left unused: pool threads × pass
+        // wall, less the time spent inside shards.
+        let busy_us: f64 = runs.iter().map(|r| r.wall_us).sum();
+        metrics::histogram(metrics_keys::SHARD_IDLE_US)
+            .record_f64((pool as f64 * pass_wall_us - busy_us).max(0.0));
         // Grand mean effective rate feeds the next pass's background.
         let nodes: usize = runs.iter().map(|r| r.nodes).sum();
         let measured_lambda =
@@ -875,5 +910,91 @@ mod tests {
         assert_eq!(bg_in, 0);
         assert_eq!(ext_out, 0);
         assert!(summary.mean_latency_us() > 0.0);
+    }
+
+    /// Bit pins of the sharded simulator's outputs, recorded before its
+    /// single-occupancy events moved from the event heap to timer slots:
+    /// the summary's mean, CI and background rate, then per shard the
+    /// effective rate, boundary in/out and simulated duration. The
+    /// deterministic-service run has exact time ties.
+    const PINNED_EXPONENTIAL: [u64; 19] = [
+        0x40a1fcd533755b73,
+        0x4075213ed87b0ff4,
+        0x3f1eb7219e0ebc16,
+        0x3f2527c19912da4d,
+        0xba7,
+        0x552,
+        0x41254571ca40fb04,
+        0x3f24ce8fe0c75435,
+        0xbb6,
+        0x542,
+        0x4125a0a121943fc1,
+        0x3f260f7bd8032b36,
+        0xad7,
+        0x55b,
+        0x41246601cda02a93,
+        0x3f237c0d4717e8ac,
+        0xced,
+        0x563,
+        0x4127185e4c6f7682,
+    ];
+    const PINNED_DETERMINISTIC: [u64; 19] = [
+        0x40a00f4795f25f26,
+        0x4079643d5a09675b,
+        0x3f1eb7219e0ebc16,
+        0x3f25c4bd63f64f44,
+        0xb56,
+        0x54b,
+        0x4124ac0bfcb9b54c,
+        0x3f261758ab2427ab,
+        0xb08,
+        0x53d,
+        0x41245ebf35ebc6bc,
+        0x3f27146fdf2f621d,
+        0xa5d,
+        0x55f,
+        0x41237f5eedb9f32b,
+        0x3f2442004e6767cb,
+        0xc87,
+        0x56c,
+        0x412636b192226699,
+    ];
+
+    #[test]
+    fn outputs_match_bit_pins_with_hop_source() {
+        use hmcs_core::config::ServiceTimeModel;
+        let spec = SyntheticSpec::uniform(
+            4,
+            16,
+            LatencyBand::new(50.0, 4.0).unwrap(),
+            LatencyBand::new(400.0, 30.0).unwrap(),
+            5,
+        );
+        let src = spec.source().unwrap();
+        let partition = src.partition();
+        let hop = HopDelays { source: &src, intra_centre_us: 50.0, inter_centre_us: 400.0 };
+        for (model, pinned) in [
+            (ServiceTimeModel::Exponential, PINNED_EXPONENTIAL),
+            (ServiceTimeModel::Deterministic, PINNED_DETERMINISTIC),
+        ] {
+            let mut cfg = cfg(4, 16);
+            cfg.system = cfg.system.with_service_model(model);
+            let s =
+                run_sharded_with(&cfg, &partition, Some(hop), &ShardOptions::default()).unwrap();
+            let mut got = vec![
+                s.mean_latency_us().to_bits(),
+                s.latency_ci95_us().to_bits(),
+                s.background_lambda_per_us.to_bits(),
+            ];
+            for r in &s.shards {
+                got.extend([
+                    r.effective_lambda_per_us.to_bits(),
+                    r.boundary_in,
+                    r.boundary_out,
+                    r.sim_duration_us.to_bits(),
+                ]);
+            }
+            assert_eq!(got, pinned, "{model:?}");
+        }
     }
 }

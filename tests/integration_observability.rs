@@ -16,6 +16,7 @@ use hmcs_sim::replication::{run_replications, Simulator};
 use hmcs_sim::shard::{run_sharded, uniform_partition, ShardOptions};
 use hmcs_topology::transmission::Architecture;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Both tests toggle or depend on the process-global enabled flag, so
 /// they must not interleave. Poisoning is fine to ignore: a failed
@@ -58,12 +59,20 @@ fn every_layer_reports_into_the_global_registry() {
     FlowSimulator::run(&sim_cfg).unwrap();
     run_replications(&sim_cfg, Simulator::Flow, 3).unwrap();
     let shard_cfg = SimConfig::new(base).with_messages(800).with_warmup(200).with_seed(78);
+    let idle_sum = || {
+        metrics::global().snapshot().histograms.get(sim_keys::SHARD_IDLE_US).map_or(0, |h| h.sum)
+    };
+    let idle_before = idle_sum();
+    let shard_options = ShardOptions::default();
+    let shard_started = Instant::now();
     run_sharded(
         &shard_cfg,
         &uniform_partition(base.clusters, base.nodes_per_cluster),
-        &ShardOptions::default(),
+        &shard_options,
     )
     .unwrap();
+    let shard_wall_us = shard_started.elapsed().as_secs_f64() * 1e6;
+    let shard_idle_us = idle_sum() - idle_before;
 
     let solves = metrics::counter(keys::SOLVER_SOLVES).get() - solver_before;
     assert!(
@@ -99,6 +108,14 @@ fn every_layer_reports_into_the_global_registry() {
     assert!(
         metrics::counter(sim_keys::SHARD_BOUNDARY_OUT).get() > bnd_out_before,
         "shard driver must count external boundary messages out"
+    );
+    // Idle is worker wall time: it cannot exceed the pool's threads ×
+    // the passes' wall time (bounded here by the whole call's), plus
+    // rounding of one µs per recorded pass.
+    let pool = shard_options.batch.resolved_workers().min(base.clusters) as f64;
+    assert!(
+        shard_idle_us as f64 <= pool * shard_wall_us + 2.0,
+        "idle {shard_idle_us} us exceeds {pool} workers x {shard_wall_us:.0} us"
     );
 
     // The snapshot renders every key it saw; spot-check the categories.
