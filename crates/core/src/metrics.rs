@@ -366,15 +366,13 @@ impl Registry {
     /// Returns the counter registered under `name`, creating it on
     /// first use. The handle is `'static`: cache it in hot loops.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut map = self.counters.lock().expect("metrics registry poisoned");
-        map.entry(name.to_string()).or_insert_with(|| Box::leak(Box::new(Counter::new())))
+        lookup_or_register(&self.counters, name)
     }
 
     /// Returns the histogram registered under `name`, creating it on
     /// first use.
     pub fn histogram(&self, name: &str) -> &'static ValueHistogram {
-        let mut map = self.histograms.lock().expect("metrics registry poisoned");
-        map.entry(name.to_string()).or_insert_with(|| Box::leak(Box::new(ValueHistogram::new())))
+        lookup_or_register(&self.histograms, name)
     }
 
     /// Records a warning once per process per `key`, printing it to
@@ -429,6 +427,22 @@ impl Registry {
         }
         self.warnings.lock().expect("metrics registry poisoned").clear();
     }
+}
+
+/// The metric registered under `name` in `map`. Only a first
+/// registration allocates (the key and the leaked metric); a repeat
+/// lookup is a borrowed-key search.
+fn lookup_or_register<M: Default>(
+    map: &Mutex<BTreeMap<String, &'static M>>,
+    name: &str,
+) -> &'static M {
+    let mut map = map.lock().expect("metrics registry poisoned");
+    if let Some(&metric) = map.get(name) {
+        return metric;
+    }
+    let metric: &'static M = Box::leak(Box::default());
+    map.insert(name.to_string(), metric);
+    metric
 }
 
 /// Point-in-time copy of the whole registry, ordered by metric name.
@@ -494,6 +508,19 @@ pub fn warn_once(key: &str, message: impl Into<String>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn repeated_lookups_return_the_same_handle() {
+        let registry = Registry::default();
+        let counter = registry.counter("test.metrics.handle");
+        assert!(std::ptr::eq(counter, registry.counter("test.metrics.handle")));
+        assert!(!std::ptr::eq(counter, registry.counter("test.metrics.other")));
+        let histogram = registry.histogram("test.metrics.handle");
+        assert!(std::ptr::eq(histogram, registry.histogram("test.metrics.handle")));
+        // Repeat lookups register nothing new.
+        let snapshot = registry.snapshot();
+        assert_eq!((snapshot.counters.len(), snapshot.histograms.len()), (2, 1));
+    }
 
     #[test]
     fn counters_accumulate_and_snapshot() {

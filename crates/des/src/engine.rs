@@ -58,8 +58,14 @@ impl<E> Scheduler<E> {
     /// [`EventQueue::push_timer`]); the pop order is the same as if the
     /// event had gone through [`Scheduler::schedule_in`].
     pub fn schedule_timer_in(&mut self, slot: usize, now: SimTime, delay: SimTime, event: E) {
+        self.schedule_timer_at(slot, now + delay, event);
+    }
+
+    /// Schedules `event` at the absolute time `at` in timer slot `slot`
+    /// (see [`Scheduler::schedule_timer_in`]).
+    pub fn schedule_timer_at(&mut self, slot: usize, at: SimTime, event: E) {
         self.events_scheduled += 1;
-        self.queue.push_timer(slot, now + delay, event);
+        self.queue.push_timer(slot, at, event);
         self.peak_pending = self.peak_pending.max(self.queue.len());
     }
 

@@ -6,9 +6,9 @@
 //! arrival becomes the batch *leader*: it waits one small gather
 //! window, takes every request that joined meanwhile, and runs the
 //! whole flattened batch through a single batch-engine call (one
-//! `kernel::evaluate_batch` solve at the call site) — turning N
-//! independent model evaluations into one fan-out with shared
-//! scheduling overhead. Followers block on a per-group slot and
+//! `kernel::evaluate_batch` solve on the leader's thread in the
+//! server) — turning N independent model evaluations into one lockstep
+//! solve with shared setup. Followers block on a per-group slot and
 //! receive exactly their own results.
 //!
 //! Submissions are *groups* of items ([`Batcher::submit_many`]): a
@@ -33,7 +33,7 @@
 //! — the same contract as the coalescer's `LeaderGuard`.
 
 use crate::keys;
-use hmcs_core::metrics;
+use hmcs_core::metrics::{self, Counter};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -70,6 +70,9 @@ pub struct Batcher<T, V> {
     window: Duration,
     compute: BatchFn<T, V>,
     state: Mutex<Gather<T, V>>,
+    /// Registry handles, resolved once so a batch takes no registry lock.
+    batches: &'static Counter,
+    batched_items: &'static Counter,
 }
 
 /// Marks the followers of a failed batch abandoned on unwind so a
@@ -101,6 +104,8 @@ impl<T, V> Batcher<T, V> {
             window,
             compute: Box::new(compute),
             state: Mutex::new(Gather { gathering: false, pending: Vec::new() }),
+            batches: metrics::counter(keys::BATCH_BATCHES),
+            batched_items: metrics::counter(keys::BATCH_BATCHED_ITEMS),
         }
     }
 
@@ -159,8 +164,8 @@ impl<T, V> Batcher<T, V> {
         let mut guard = AbandonGuard { slots: &slots, completed: false };
         let values = (self.compute)(&flat);
         assert_eq!(values.len(), flat.len(), "batch compute must be a per-item map");
-        metrics::counter(keys::BATCH_BATCHES).incr();
-        metrics::counter(keys::BATCH_BATCHED_ITEMS).add(flat.len() as u64);
+        self.batches.incr();
+        self.batched_items.add(flat.len() as u64);
 
         // The leader's own results are the head of the flattened batch;
         // each follower receives the next `group_len` values.

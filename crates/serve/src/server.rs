@@ -32,12 +32,14 @@
 //! `/v1/evaluate` request contributes its single config, a `/v1/sweep`
 //! request contributes one config per sweep point, and every gathered
 //! lane advances in lockstep through the same SoA kernel solve on the
-//! server's own worker count. Each request then renders its own slice
-//! of the lane results (identical concurrent requests are still
-//! deduplicated upstream by the [`Coalescer`], so batches contain
-//! distinct points only). Kernel lanes are bit-identical to the scalar
-//! path and invariant under batch composition, so batching never
-//! changes response bytes — only scheduling.
+//! batch leader's own thread (a lane costs about a microsecond, far
+//! less than a pool spawn, and the request workers already are the
+//! pool). Each request then renders its own slice of the lane results
+//! (identical concurrent requests are still deduplicated upstream by
+//! the [`Coalescer`], so batches contain distinct points only). Kernel
+//! lanes are bit-identical to the scalar path and invariant under
+//! batch composition and worker count, so batching never changes
+//! response bytes — only scheduling.
 //!
 //! ## Shutdown
 //!
@@ -54,7 +56,7 @@ use crate::{api, keys};
 use hmcs_core::batch::BatchOptions;
 use hmcs_core::config::SystemConfig;
 use hmcs_core::kernel;
-use hmcs_core::metrics;
+use hmcs_core::metrics::{self, Counter, ValueHistogram};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -89,8 +91,8 @@ pub struct ServerConfig {
     pub max_conn_requests: u64,
     /// Gather window for cross-request micro-batching of distinct
     /// evaluate points; zero disables batching. Non-zero values trade
-    /// up to one window of added latency for one `par_map` call per
-    /// batch instead of per request.
+    /// up to one window of added latency for one kernel solve per
+    /// batch, on the leader's thread, instead of one per request.
     pub batch_window: Duration,
     /// Artificial pre-compute latency on `/v1/*` requests. Fault
     /// injection for tests and soak runs (deterministically provokes
@@ -121,9 +123,55 @@ struct Job {
     accepted_at: Instant,
 }
 
+/// Registry handles for the metrics every request records, resolved
+/// once at [`Server::start`]: a registry lookup takes the registry's
+/// mutex, which every worker would otherwise contend on per request.
+struct RequestMetrics {
+    accepted: &'static Counter,
+    queue_depth: &'static ValueHistogram,
+    started: &'static Counter,
+    request_us: &'static ValueHistogram,
+    evaluate: &'static Counter,
+    sweep: &'static Counter,
+    optimize: &'static Counter,
+    healthz: &'static Counter,
+    metrics_endpoint: &'static Counter,
+    other: &'static Counter,
+    /// 2xx, 4xx and 5xx responses.
+    status: [&'static Counter; 3],
+}
+
+impl RequestMetrics {
+    fn resolve() -> Self {
+        RequestMetrics {
+            accepted: metrics::counter(keys::REQUESTS_ACCEPTED),
+            queue_depth: metrics::histogram(keys::QUEUE_DEPTH),
+            started: metrics::counter(keys::REQUESTS_STARTED),
+            request_us: metrics::histogram(keys::REQUEST_US),
+            evaluate: metrics::counter(keys::REQ_EVALUATE),
+            sweep: metrics::counter(keys::REQ_SWEEP),
+            optimize: metrics::counter(keys::REQ_OPTIMIZE),
+            healthz: metrics::counter(keys::REQ_HEALTHZ),
+            metrics_endpoint: metrics::counter(keys::REQ_METRICS),
+            other: metrics::counter(keys::REQ_OTHER),
+            status: [keys::STATUS_2XX, keys::STATUS_4XX, keys::STATUS_5XX].map(metrics::counter),
+        }
+    }
+
+    fn count_status(&self, status: u16) {
+        let class = match status / 100 {
+            2 => 0,
+            4 => 1,
+            _ => 2,
+        };
+        self.status[class].incr();
+    }
+}
+
 /// Shared state between the acceptor and the workers.
 struct Shared {
     config: ServerConfig,
+    metrics: RequestMetrics,
     queue: Bounded<Job>,
     coalescer: Coalescer<Response>,
     batcher: Option<Batcher<SystemConfig, api::PointResult>>,
@@ -151,12 +199,12 @@ impl Server {
         } else {
             config.workers
         };
-        // The window's one kernel solve runs on the *configured*
-        // worker count (a zero `config.workers` already resolved to
-        // the pool policy above), not a separately-resolved default.
+        // The window's one kernel solve runs on the leader's thread:
+        // the request workers are the pool, so a nested one would only
+        // add a spawn and join per window (see `api::sweep_response`).
         let batcher = (!config.batch_window.is_zero()).then(|| {
-            Batcher::new(config.batch_window, move |configs: &[SystemConfig]| {
-                kernel::evaluate_batch(configs, worker_count)
+            Batcher::new(config.batch_window, |configs: &[SystemConfig]| {
+                kernel::evaluate_batch(configs, 1)
             })
         });
         let shared = Arc::new(Shared {
@@ -164,6 +212,7 @@ impl Server {
             coalescer: Coalescer::new(),
             batcher,
             shutdown: AtomicBool::new(false),
+            metrics: RequestMetrics::resolve(),
             config,
         });
 
@@ -239,11 +288,11 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 }
 
 fn admit(stream: TcpStream, shared: &Shared) {
-    metrics::histogram(keys::QUEUE_DEPTH).record(shared.queue.len() as u64);
+    shared.metrics.queue_depth.record(shared.queue.len() as u64);
     let job = Job { stream, accepted_at: Instant::now() };
     match shared.queue.try_push(job) {
         Ok(()) => {
-            metrics::counter(keys::REQUESTS_ACCEPTED).incr();
+            shared.metrics.accepted.incr();
         }
         Err((job, _full_or_closed)) => {
             metrics::counter(keys::ADMISSION_REJECTED).incr();
@@ -263,7 +312,7 @@ fn shed(mut stream: TcpStream, shared: &Shared) {
         retry_after_s: Some(shared.config.retry_after_s),
         body: api::error_body("overloaded", "admission queue full; retry later"),
     };
-    count_status(response.status);
+    shared.metrics.count_status(response.status);
     let _ = http::write_response(&mut stream, &response, true);
     drain_unread(&mut stream);
 }
@@ -332,7 +381,7 @@ fn handle(job: Job, shared: &Shared) {
             retry_after_s: Some(config.retry_after_s),
             body: api::error_body("deadline_expired", "request waited in queue past its deadline"),
         };
-        count_status(response.status);
+        shared.metrics.count_status(response.status);
         let _ = http::write_response(&mut stream, &response, true);
         drain_unread(&mut stream);
         return;
@@ -369,7 +418,7 @@ fn handle(job: Job, shared: &Shared) {
                             retry_after_s: None,
                             body: api::error_body("timeout", "no request received in time"),
                         };
-                        count_status(response.status);
+                        shared.metrics.count_status(response.status);
                         let _ = http::write_response(&mut stream, &response, true);
                     } else {
                         metrics::counter(keys::CONN_IDLE_CLOSED).incr();
@@ -394,7 +443,7 @@ fn handle(job: Job, shared: &Shared) {
                     retry_after_s: None,
                     body: api::error_body("bad_request", &e.reason()),
                 };
-                count_status(response.status);
+                shared.metrics.count_status(response.status);
                 out.clear();
                 http::serialize_response(&mut out, &response, true);
                 let _ = io::Write::write_all(&mut stream, &out);
@@ -402,7 +451,7 @@ fn handle(job: Job, shared: &Shared) {
                 return;
             }
         };
-        metrics::counter(keys::REQUESTS_STARTED).incr();
+        shared.metrics.started.incr();
 
         let remaining =
             deadline.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
@@ -412,9 +461,9 @@ fn handle(job: Job, shared: &Shared) {
         let close = request.wants_close
             || served >= config.max_conn_requests
             || shared.shutdown.load(Ordering::SeqCst);
-        count_status(response.status);
+        shared.metrics.count_status(response.status);
         http::serialize_response(&mut out, &response, close);
-        metrics::histogram(keys::REQUEST_US).record(request_start.elapsed().as_micros() as u64);
+        shared.metrics.request_us.record(request_start.elapsed().as_micros() as u64);
 
         if close {
             if served >= config.max_conn_requests {
@@ -443,11 +492,11 @@ fn handle(job: Job, shared: &Shared) {
 fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
-            metrics::counter(keys::REQ_HEALTHZ).incr();
+            shared.metrics.healthz.incr();
             Response::text("ok\n".into())
         }
         ("GET", "/metrics") => {
-            metrics::counter(keys::REQ_METRICS).incr();
+            shared.metrics.metrics_endpoint.incr();
             Response::text(metrics::global().snapshot().render())
         }
         ("GET", "/version") => Response::json(format!(
@@ -455,7 +504,7 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
             env!("CARGO_PKG_VERSION")
         )),
         ("POST", "/v1/evaluate") => {
-            metrics::counter(keys::REQ_EVALUATE).incr();
+            shared.metrics.evaluate.incr();
             coalesced(shared, remaining, request, |body| {
                 let (config, strict) = api::parse_evaluate(body)?;
                 // Strict requests fail fast here — before the
@@ -474,7 +523,7 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
             })
         }
         ("POST", "/v1/sweep") => {
-            metrics::counter(keys::REQ_SWEEP).incr();
+            shared.metrics.sweep.incr();
             coalesced(shared, remaining, request, |body| {
                 let (config, spec, strict) = api::parse_sweep(body)?;
                 if strict {
@@ -498,7 +547,7 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
             })
         }
         ("POST", "/v1/optimize") => {
-            metrics::counter(keys::REQ_OPTIMIZE).incr();
+            shared.metrics.optimize.incr();
             coalesced(shared, remaining, request, |body| {
                 let request = api::parse_optimize(body)?;
                 let key = api::optimize_key(&request);
@@ -509,7 +558,7 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
             _,
             "/healthz" | "/metrics" | "/version" | "/v1/evaluate" | "/v1/sweep" | "/v1/optimize",
         ) => {
-            metrics::counter(keys::REQ_OTHER).incr();
+            shared.metrics.other.incr();
             Response {
                 status: 405,
                 content_type: "application/json",
@@ -518,7 +567,7 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
             }
         }
         _ => {
-            metrics::counter(keys::REQ_OTHER).incr();
+            shared.metrics.other.incr();
             Response {
                 status: 404,
                 content_type: "application/json",
@@ -607,15 +656,6 @@ fn drain_unread(stream: &mut TcpStream) {
             _ => break,
         }
     }
-}
-
-fn count_status(status: u16) {
-    let key = match status / 100 {
-        2 => keys::STATUS_2XX,
-        4 => keys::STATUS_4XX,
-        _ => keys::STATUS_5XX,
-    };
-    metrics::counter(key).incr();
 }
 
 #[cfg(test)]

@@ -39,15 +39,15 @@
 //!   the analytical solver, so validating analysis against it stays a
 //!   genuine differential test.
 //!
-//! Per-shard cost is dominated by the background jobs, not by the
-//! cluster: each shard replays the whole system's ICN2 load, about
-//! `(C−1)·P` background jobs per local message (C clusters, P the
-//! external probability) — 7.4 per measured message on the 8×32
-//! topology case and 16.9 on the 16×625 one, warm-up included. Each
-//! job is two events (arrival, completion), and both, like the three
-//! centres' completions, are single-occupancy, so they live in the
-//! engine's timer slots; only the N₀ per-source `Generate` events use
-//! the event heap. The shards run embarrassingly parallel on the pool.
+//! Per-shard cost: a background job's only effect on a local message
+//! is the FCFS work it leaves at the ICN2, so the ICN2 is a lazily
+//! advanced workload that folds the background in by Lindley's
+//! recursion, exactly, at two random draws and no events per job. That
+//! is about `(C−1)·P` jobs per local message (C clusters, P the
+//! external probability): 7.4 per measured message on the 8×32
+//! topology case and 16.9 on the 16×625 one. The centres' completions
+//! live in the engine's timer slots; only the N₀ per-source `Generate`
+//! events use the event heap.
 //!
 //! When a [`LatencySource`] accompanies the partition (the
 //! latency-matrix pipeline), per-pair residual heterogeneity feeds the
@@ -69,13 +69,11 @@ use hmcs_des::rng::{RngStream, UniformInt};
 use hmcs_des::stats::{confidence_interval, OnlineStats};
 use hmcs_des::time::SimTime;
 use hmcs_topology::latmatrix::{LatencyMatrix, LatencySource};
+use std::collections::VecDeque;
 use std::time::Instant;
 
-/// Message identifier; [`BG_ID`] marks background ICN2 jobs.
+/// Message identifier.
 type MsgId = usize;
-
-/// Sentinel id for background ICN2 jobs injected by other shards' load.
-const BG_ID: MsgId = usize::MAX;
 
 /// Seed stride between background fixed-point iterations, so pass 2
 /// replays none of pass 1's randomness.
@@ -240,32 +238,66 @@ enum Ev {
     Icn1Done,
     Ecn1Done,
     Icn2Done,
-    BgArrive,
 }
 
 /// Timer slots of the shard engine: one per single-occupancy event.
-const TIMER_SLOTS: usize = 4;
+const TIMER_SLOTS: usize = 3;
+/// The ICN2 completion's slot, armed at a known departure time.
+const ICN2_SLOT: usize = 2;
 
 impl Ev {
-    /// The event's timer slot. Each centre is one FCFS server, so at
-    /// most one completion per centre is pending, and the background
-    /// stream has exactly one next arrival pending; only the per-source
-    /// `Generate` events share the heap.
+    /// The event's timer slot: each centre has at most one completion
+    /// pending; only the per-source `Generate` events share the heap.
     fn timer_slot(self) -> usize {
         match self {
             Ev::Icn1Done => 0,
             Ev::Ecn1Done => 1,
-            Ev::Icn2Done => 2,
-            Ev::BgArrive => 3,
+            Ev::Icn2Done => ICN2_SLOT,
             Ev::Generate { .. } => unreachable!("Generate events live on the heap"),
         }
     }
 }
 
+/// The shard's ICN2 as a lazily advanced FCFS workload: Lindley's
+/// recursion `free_at = max(free_at, a) + s` gives each job's FCFS
+/// departure from arrivals and service times alone, so the background
+/// is folded in just before each local arrival instead of simulated.
+#[derive(Debug, Default)]
+struct LazyIcn2 {
+    /// When all work that has arrived so far is finished (µs).
+    free_at_us: f64,
+    /// Next background arrival (µs); infinite without background.
+    next_bg_us: f64,
+    /// Local messages in the ICN2 and their departure times, FIFO.
+    departures: VecDeque<(f64, MsgId)>,
+}
+
+impl LazyIcn2 {
+    /// Folds in every background arrival strictly before `t`, so a
+    /// local message arriving at a tie goes first; `job` draws a job's
+    /// service time and the gap to the next arrival. Returns the count.
+    fn fold_background(&mut self, t: f64, mut job: impl FnMut() -> (f64, f64)) -> u64 {
+        let mut folded = 0;
+        while self.next_bg_us < t {
+            let (service, gap) = job();
+            self.free_at_us = self.free_at_us.max(self.next_bg_us) + service;
+            self.next_bg_us += gap;
+            folded += 1;
+        }
+        folded
+    }
+
+    /// A local message arrives at `t`, the background folded up to `t`.
+    /// Returns its departure if it is the next one (arm its timer).
+    fn arrive(&mut self, t: f64, service: f64, id: MsgId) -> Option<f64> {
+        self.free_at_us = self.free_at_us.max(t) + service;
+        self.departures.push_back((self.free_at_us, id));
+        (self.departures.len() == 1).then_some(self.free_at_us)
+    }
+}
+
 struct ShardModel<'a, S: ?Sized> {
     cfg: SimConfig,
-    /// Total nodes in the *system* (not the shard).
-    n: usize,
     /// Global ids of this shard's nodes.
     members: Vec<usize>,
     /// `is_local[g]` — membership bitmap over global ids.
@@ -280,7 +312,7 @@ struct ShardModel<'a, S: ?Sized> {
     dest_any: UniformInt,
     icn1: FcfsServer<MsgId>,
     ecn1: FcfsServer<MsgId>,
-    icn2: FcfsServer<MsgId>,
+    icn2: LazyIcn2,
     msgs: Vec<Msg>,
     /// Per-message ICN1/ICN2 mean offset (µs), indexed like `msgs`;
     /// 0 without a hop source.
@@ -305,23 +337,20 @@ impl<S: LatencySource + ?Sized> ShardModel<'_, S> {
         }
     }
 
-    /// Mean ICN1 service time for a specific internal message: the
-    /// fitted mean plus the pair's residual offset, floored at 5% of
-    /// the fitted mean so a pathological matrix cannot produce
-    /// non-positive service times.
-    fn icn1_mean_for(&self, id: MsgId) -> f64 {
-        let base = self.means.icn1_us;
+    /// Mean ICN1 or ICN2 service time for a message: the fitted `base`
+    /// plus the pair's residual offset, floored at 5% of `base` so a
+    /// pathological matrix cannot produce non-positive service times.
+    fn hop_mean(&self, base: f64, id: MsgId) -> f64 {
         (base + self.hop_offset[id]).max(0.05 * base)
     }
 
-    /// Mean ICN2 service time for a job; background jobs use the
-    /// fitted mean.
-    fn icn2_mean_for(&self, id: MsgId) -> f64 {
-        let base = self.means.icn2_us;
-        if id == BG_ID {
-            return base;
-        }
-        (base + self.hop_offset[id]).max(0.05 * base)
+    /// Folds the background arriving before `t` into the ICN2 as
+    /// boundary-in load; gaps and service times both draw on `bg_rng`.
+    fn fold_background(&mut self, t: f64) {
+        let (rng, rate, mean) = (&mut self.bg_rng, self.bg_rate_per_us, self.means.icn2_us);
+        let model = self.cfg.system.service_model;
+        let job = || (sample_service(rng, model, mean), rng.exponential(rate));
+        self.boundary_in += self.icn2.fold_background(t, job);
     }
 
     fn schedule_done(&mut self, now: SimTime, s: &mut Scheduler<Ev>, ev: Ev, mean_us: f64) {
@@ -339,16 +368,9 @@ impl<S: LatencySource + ?Sized> ShardModel<'_, S> {
         }
         if self.cfg.blocked_sources {
             let think = self.think_rng.exponential(self.cfg.system.lambda_per_us);
-            s.schedule_in(
-                now,
-                SimTime::from_us(think),
-                Ev::Generate { local: msg.src_local as usize },
-            );
+            let ev = Ev::Generate { local: msg.src_local as usize };
+            s.schedule_in(now, SimTime::from_us(think), ev);
         }
-    }
-
-    fn measured(&self) -> u64 {
-        self.latency.count()
     }
 }
 
@@ -388,7 +410,7 @@ impl<S: LatencySource + ?Sized> Model for ShardModel<'_, S> {
                     }
                 } else if let ServiceDirective::StartService(_) = self.icn1.arrive(now.as_us(), id)
                 {
-                    let mean = self.icn1_mean_for(id);
+                    let mean = self.hop_mean(self.means.icn1_us, id);
                     self.schedule_done(now, s, Ev::Icn1Done, mean);
                 }
                 if !self.cfg.blocked_sources {
@@ -401,7 +423,7 @@ impl<S: LatencySource + ?Sized> Model for ShardModel<'_, S> {
                 debug_assert_eq!(self.msgs[id].stage, Stage::Icn1);
                 self.deliver(now, s, id);
                 if let ServiceDirective::StartService(next) = directive {
-                    let mean = self.icn1_mean_for(next);
+                    let mean = self.hop_mean(self.means.icn1_us, next);
                     self.schedule_done(now, s, Ev::Icn1Done, mean);
                 }
             }
@@ -410,11 +432,12 @@ impl<S: LatencySource + ?Sized> Model for ShardModel<'_, S> {
                 match self.msgs[id].stage {
                     Stage::Ecn1Forward => {
                         self.msgs[id].stage = Stage::Icn2;
-                        if let ServiceDirective::StartService(started) =
-                            self.icn2.arrive(now.as_us(), id)
-                        {
-                            let mean = self.icn2_mean_for(started);
-                            self.schedule_done(now, s, Ev::Icn2Done, mean);
+                        self.fold_background(now.as_us());
+                        let mean = self.hop_mean(self.means.icn2_us, id);
+                        let svc =
+                            sample_service(&mut self.svc_rng, self.cfg.system.service_model, mean);
+                        if let Some(at) = self.icn2.arrive(now.as_us(), svc, id) {
+                            s.schedule_timer_at(ICN2_SLOT, SimTime::from_us(at), Ev::Icn2Done);
                         }
                     }
                     Stage::Ecn1Feedback => self.deliver(now, s, id),
@@ -426,41 +449,20 @@ impl<S: LatencySource + ?Sized> Model for ShardModel<'_, S> {
                 }
             }
             Ev::Icn2Done => {
-                let (id, directive) = self.icn2.complete(now.as_us());
-                if id == BG_ID {
-                    // A background job: other shards' load, absorbed.
-                    self.boundary_in += 1;
-                } else {
-                    debug_assert_eq!(self.msgs[id].stage, Stage::Icn2);
-                    // The message now crosses to the destination
-                    // cluster; its feedback leg queues at the local
-                    // ECN1 as the remote ECN1's statistical proxy.
-                    self.boundary_out += 1;
-                    self.msgs[id].stage = Stage::Ecn1Feedback;
-                    if let ServiceDirective::StartService(_) = self.ecn1.arrive(now.as_us(), id) {
-                        let mean = self.means.ecn1_us;
-                        self.schedule_done(now, s, Ev::Ecn1Done, mean);
-                    }
+                let (_, id) = self.icn2.departures.pop_front().expect("ICN2 departure pending");
+                debug_assert_eq!(self.msgs[id].stage, Stage::Icn2);
+                // The message now crosses to the destination cluster;
+                // its feedback leg queues at the local ECN1 as the
+                // remote ECN1's statistical proxy.
+                self.boundary_out += 1;
+                self.msgs[id].stage = Stage::Ecn1Feedback;
+                if let ServiceDirective::StartService(_) = self.ecn1.arrive(now.as_us(), id) {
+                    let mean = self.means.ecn1_us;
+                    self.schedule_done(now, s, Ev::Ecn1Done, mean);
                 }
-                if let ServiceDirective::StartService(next) = directive {
-                    let mean = self.icn2_mean_for(next);
-                    self.schedule_done(now, s, Ev::Icn2Done, mean);
+                if let Some(&(at, _)) = self.icn2.departures.front() {
+                    s.schedule_timer_at(ICN2_SLOT, SimTime::from_us(at), Ev::Icn2Done);
                 }
-            }
-            Ev::BgArrive => {
-                if let ServiceDirective::StartService(started) =
-                    self.icn2.arrive(now.as_us(), BG_ID)
-                {
-                    let mean = self.icn2_mean_for(started);
-                    self.schedule_done(now, s, Ev::Icn2Done, mean);
-                }
-                let gap = self.bg_rng.exponential(self.bg_rate_per_us);
-                s.schedule_timer_in(
-                    Ev::BgArrive.timer_slot(),
-                    now,
-                    SimTime::from_us(gap),
-                    Ev::BgArrive,
-                );
             }
         }
     }
@@ -489,7 +491,6 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
         let max_nc = partition.iter().map(Vec::len).max().unwrap_or(0);
         let model = ShardModel {
             cfg: *cfg,
-            n,
             members: Vec::with_capacity(max_nc),
             is_local: vec![false; n],
             means,
@@ -503,7 +504,7 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             // Nothing reads the shard centres' statistics.
             icn1: center(false),
             ecn1: center(false),
-            icn2: center(false),
+            icn2: LazyIcn2::default(),
             msgs: Vec::new(),
             hop_offset: Vec::new(),
             free_ids: Vec::new(),
@@ -512,8 +513,8 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             boundary_out: 0,
             latency: OnlineStats::new(),
         };
-        // The heap holds one Generate per local source; the servers'
-        // completions and the background arrival use the timer slots.
+        // The heap holds one Generate per local source; the centres'
+        // completions use the timer slots.
         let engine = Engine::with_timers(model, max_nc, TIMER_SLOTS);
         Ok(ShardSimInstance { engine, partition })
     }
@@ -525,14 +526,12 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
         engine.reset();
         let model = engine.model_mut();
         // Reset per-shard state, keeping allocations warm.
-        for i in 0..model.members.len() {
-            let g = model.members[i];
+        for &g in &model.members {
             model.is_local[g] = false;
         }
         model.members.clear();
         model.members.extend_from_slice(&self.partition[shard]);
-        for i in 0..model.members.len() {
-            let g = model.members[i];
+        for &g in &model.members {
             model.is_local[g] = true;
         }
         model.cfg.seed = seed;
@@ -542,7 +541,6 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
         model.bg_rng = RngStream::new(seed, 4);
         model.icn1.reset();
         model.ecn1.reset();
-        model.icn2.reset();
         model.msgs.clear();
         model.hop_offset.clear();
         model.free_ids.clear();
@@ -553,7 +551,7 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
         // Background rate: Σ over *other* clusters of n_j·P_j·λ_bg,
         // where P_j = (n − n_j)/(n − 1) is cluster j's external
         // probability under uniform destinations.
-        let n = model.n as f64;
+        let n = model.is_local.len() as f64;
         let mut bg_rate = 0.0;
         for (j, members) in self.partition.iter().enumerate() {
             if j != shard {
@@ -562,20 +560,22 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             }
         }
         model.bg_rate_per_us = bg_rate;
+        model.icn2.free_at_us = 0.0;
+        model.icn2.next_bg_us =
+            if bg_rate > 0.0 { model.bg_rng.exponential(bg_rate) } else { f64::INFINITY };
+        model.icn2.departures.clear();
         let n_local = model.members.len();
         let lambda = model.cfg.system.lambda_per_us;
         for local in 0..n_local {
             let think = engine.model_mut().think_rng.exponential(lambda);
             engine.scheduler_mut().schedule_at(SimTime::from_us(think), Ev::Generate { local });
         }
-        if bg_rate > 0.0 {
-            let first = SimTime::from_us(engine.model_mut().bg_rng.exponential(bg_rate));
-            let slot = Ev::BgArrive.timer_slot();
-            engine.scheduler_mut().schedule_timer_in(slot, SimTime::ZERO, first, Ev::BgArrive);
-        }
         let target = engine.model().cfg.messages;
-        engine.run_until(None, None, |m| m.measured() >= target);
+        engine.run_until(None, None, |m| m.latency.count() >= target);
         let now = engine.now().as_us();
+        // Background arriving after the last local ICN2 arrival still
+        // counts as boundary-in load.
+        engine.model_mut().fold_background(now);
         let model = engine.model();
         ShardRun {
             cluster: shard,
@@ -841,22 +841,33 @@ mod tests {
 
     #[test]
     fn sharded_agrees_with_monolithic_flow_sim() {
-        // Moderate load, C=8×16: the decomposition's only approximation
-        // is the Poisson background + local-ECN1 feedback proxy, so the
-        // sharded mean should track the monolithic simulator closely.
-        let sys = system(8, 16).with_lambda(1e-5);
-        let cfg = SimConfig::new(sys).with_messages(4_000).with_warmup(500).with_seed(33);
-        let mono = FlowSimulator::run(&cfg).unwrap();
-        let sharded =
-            run_sharded(&cfg, &uniform_partition(8, 16), &ShardOptions::default()).unwrap();
-        let rel = (sharded.mean_latency_us() - mono.mean_latency_us).abs() / mono.mean_latency_us;
-        assert!(
-            rel < 0.10,
-            "sharded {} vs monolithic {} ({:.1}%)",
-            sharded.mean_latency_us(),
-            mono.mean_latency_us,
-            rel * 100.0
-        );
+        // C=8×16 up a load ladder: the decomposition's approximations
+        // (Poisson background capped at BG_STABILITY_LIMIT, local-ECN1
+        // feedback proxy) show here as the gap to the monolithic
+        // simulator. Each bound is the rung's measured gap rounded up:
+        // 1.79% at 0.3× saturation, 0.52% at 0.6× and 0.26% at 0.85×.
+        // Past saturation the cap binds and the open background can no
+        // longer carry the closed system's load: at 1.2× the sharded
+        // mean is 40.0% below the monolithic one (1.86 vs 3.10 ms).
+        let base = system(8, 16);
+        let saturation =
+            hmcs_core::solver::saturation_lambda(&base, &ServiceTimes::compute(&base).unwrap());
+        for (fraction, bound) in [(0.3, 0.019), (0.6, 0.006), (0.85, 0.003), (1.2, 0.401)] {
+            let sys = base.with_lambda(fraction * saturation);
+            let cfg = SimConfig::new(sys).with_messages(4_000).with_warmup(500).with_seed(33);
+            let mono = FlowSimulator::run(&cfg).unwrap();
+            let sharded =
+                run_sharded(&cfg, &uniform_partition(8, 16), &ShardOptions::default()).unwrap();
+            let rel =
+                (sharded.mean_latency_us() - mono.mean_latency_us).abs() / mono.mean_latency_us;
+            assert!(
+                rel < bound,
+                "{fraction}× saturation: sharded {} vs monolithic {} ({:.2}%)",
+                sharded.mean_latency_us(),
+                mono.mean_latency_us,
+                rel * 100.0
+            );
+        }
     }
 
     #[test]
@@ -912,42 +923,145 @@ mod tests {
         assert!(summary.mean_latency_us() > 0.0);
     }
 
-    /// Bit pins of the sharded simulator's outputs, recorded before its
-    /// single-occupancy events moved from the event heap to timer slots:
-    /// the summary's mean, CI and background rate, then per shard the
-    /// effective rate, boundary in/out and simulated duration. The
-    /// deterministic-service run has exact time ties.
+    /// Background jobs `(service, gap to the next arrival)` after a
+    /// first arrival, drawn until an arrival passes `horizon`.
+    fn background_jobs(
+        first: f64,
+        horizon: f64,
+        mut draw: impl FnMut() -> (f64, f64),
+    ) -> Vec<(f64, f64)> {
+        let (mut at, mut jobs) = (first, Vec::new());
+        while at <= horizon {
+            let job = draw();
+            at += job.1;
+            jobs.push(job);
+        }
+        jobs
+    }
+
+    /// Local departures from the event-driven `FcfsServer`: arrivals in
+    /// time order (a local one before a background one at the same
+    /// instant), a completion before an arrival at the same instant.
+    /// `local` holds `(arrival, service)`.
+    fn reference_departures(first_bg: f64, bg: &[(f64, f64)], local: &[(f64, f64)]) -> Vec<f64> {
+        let mut arrivals: Vec<(f64, bool, usize)> =
+            local.iter().enumerate().map(|(i, &(t, _))| (t, false, i)).collect();
+        let mut at = first_bg;
+        for (i, &(_, gap)) in bg.iter().enumerate() {
+            arrivals.push((at, true, i));
+            at += gap;
+        }
+        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let service = |(is_bg, i): (bool, usize)| if is_bg { bg[i].0 } else { local[i].1 };
+        let mut server = FcfsServer::<(bool, usize)>::new();
+        let (mut done_at, mut next) = (None, 0);
+        let mut departures = vec![f64::NAN; local.len()];
+        loop {
+            let arrival = arrivals.get(next);
+            match done_at {
+                Some(done) if arrival.is_none_or(|a| done <= a.0) => {
+                    let ((is_bg, i), directive) = server.complete(done);
+                    if !is_bg {
+                        departures[i] = done;
+                    }
+                    done_at = match directive {
+                        ServiceDirective::StartService(job) => Some(done + service(job)),
+                        ServiceDirective::Idle => None,
+                    };
+                }
+                _ => {
+                    let Some(&(t, is_bg, i)) = arrival else { break };
+                    next += 1;
+                    if let ServiceDirective::StartService(job) = server.arrive(t, (is_bg, i)) {
+                        done_at = Some(t + service(job));
+                    }
+                }
+            }
+        }
+        departures
+    }
+
+    #[test]
+    fn lazy_icn2_departures_match_event_driven_fcfs_bit_for_bit() {
+        let mut rng = RngStream::new(18, 0);
+        // (local arrival gap, local service, background job) samplers,
+        // both at ρ = 0.9: exponential, then an integer grid with unit
+        // service where arrivals, completions and both streams tie.
+        type Draw = fn(&mut RngStream) -> f64;
+        type Job = fn(&mut RngStream) -> (f64, f64);
+        let cases: [(Draw, Draw, Job); 2] = [
+            (
+                |r| r.exponential(0.3),
+                |r| r.exponential_mean(1.0),
+                |r| (r.exponential_mean(1.0), r.exponential(0.6)),
+            ),
+            (|r| r.uniform_below(6) as f64, |_| 1.0, |r| (1.0, r.uniform_below(5) as f64)),
+        ];
+        for (local_gap, local_service, bg_job) in cases {
+            let mut t = 0.0;
+            let local: Vec<(f64, f64)> = (0..5_000)
+                .map(|_| {
+                    t += local_gap(&mut rng);
+                    (t, local_service(&mut rng))
+                })
+                .collect();
+            let first_bg = local_gap(&mut rng);
+            let bg = background_jobs(first_bg, t, || bg_job(&mut rng));
+            let mut icn2 = LazyIcn2 { next_bg_us: first_bg, ..LazyIcn2::default() };
+            let mut jobs = bg.iter().copied();
+            let mut folded = 0;
+            for (id, &(t, service)) in local.iter().enumerate() {
+                folded += icn2.fold_background(t, || jobs.next().expect("background covers t"));
+                icn2.arrive(t, service, id);
+            }
+            assert!(folded > 1_000, "background folded: {folded}");
+            let lazy: Vec<u64> = icn2.departures.iter().map(|&(at, _)| at.to_bits()).collect();
+            let reference: Vec<u64> =
+                reference_departures(first_bg, &bg, &local).iter().map(|d| d.to_bits()).collect();
+            assert_eq!(lazy, reference);
+        }
+    }
+
+    /// Bit pins of the sharded simulator's outputs: the summary's mean,
+    /// CI and background rate, then per shard the effective rate,
+    /// boundary in/out and simulated duration. The deterministic-service
+    /// run has exact time ties. Re-recorded when the ICN2 became a lazy
+    /// workload: background service times moved to the background
+    /// stream, a local message's ICN2 service is drawn on arrival, and
+    /// boundary-in counts background arrivals up to the end of the run
+    /// rather than completions. With deterministic service no service
+    /// draw moves, and only the boundary-in counts changed.
     const PINNED_EXPONENTIAL: [u64; 19] = [
-        0x40a1fcd533755b73,
-        0x4075213ed87b0ff4,
+        0x40a18b39856ed0eb,
+        0x406450b5b68fc7be,
         0x3f1eb7219e0ebc16,
-        0x3f2527c19912da4d,
-        0xba7,
-        0x552,
-        0x41254571ca40fb04,
-        0x3f24ce8fe0c75435,
-        0xbb6,
-        0x542,
-        0x4125a0a121943fc1,
-        0x3f260f7bd8032b36,
-        0xad7,
-        0x55b,
-        0x41246601cda02a93,
-        0x3f237c0d4717e8ac,
-        0xced,
-        0x563,
-        0x4127185e4c6f7682,
+        0x3f251e2655ed60e9,
+        0xbc5,
+        0x54e,
+        0x41254f1eed747413,
+        0x3f242626bff1274e,
+        0xc75,
+        0x535,
+        0x41265565aca064f2,
+        0x3f24f2acd3830a28,
+        0xb7e,
+        0x562,
+        0x41257b584bac9071,
+        0x3f254c9d836cceba,
+        0xbc7,
+        0x56a,
+        0x412520a248ad5683,
     ];
     const PINNED_DETERMINISTIC: [u64; 19] = [
         0x40a00f4795f25f26,
         0x4079643d5a09675b,
         0x3f1eb7219e0ebc16,
         0x3f25c4bd63f64f44,
-        0xb56,
+        0xb59,
         0x54b,
         0x4124ac0bfcb9b54c,
         0x3f261758ab2427ab,
-        0xb08,
+        0xb13,
         0x53d,
         0x41245ebf35ebc6bc,
         0x3f27146fdf2f621d,
@@ -955,7 +1069,7 @@ mod tests {
         0x55f,
         0x41237f5eedb9f32b,
         0x3f2442004e6767cb,
-        0xc87,
+        0xc88,
         0x56c,
         0x412636b192226699,
     ];
