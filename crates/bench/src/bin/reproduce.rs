@@ -7,10 +7,6 @@
 //!                                        evaluate the claims registry
 //! reproduce fuzz [--cases N] [--seed N]  differential model-vs-sim fuzz
 //!
-//! Artefacts:
-//!   table1 table2 fig4 fig5 fig6 fig7 figs claims optimize sensitivity
-//!   ablation-accounting ablation-hops ablation-service packet coc bounds all
-//!
 //! Options:
 //!   --messages N      measured messages per simulation run   [10000]
 //!   --warmup N        warm-up messages discarded             [2000]
@@ -28,10 +24,17 @@
 //! warm-up, fuzz replications) to the reduced CI preset; explicit
 //! `--messages`/`--warmup` flags still win.
 //! ```
+//!
+//! Every artefact is one entry of the ordered [`ARTEFACTS`] registry: a
+//! name and a function from the parsed options to the [`Table`]s it
+//! produces. The registry alone drives `reproduce NAME`, the `figs` and
+//! `all` selectors, the artefact line of `--help` and the up-front
+//! rejection of unknown names. One emitter, [`emit`], prints every
+//! table, writes each as `<stem>.csv` under `--csv` together with the
+//! artefact's `manifest_<artefact>.json`, and then runs the artefact's
+//! `--opt-bench`/`--topo-bench` summary if one was asked for.
 
-use hmcs_bench::experiments::{
-    self, FigureData, FigureSpec, RunOptions, ALL_FIGURES, FIG4, FIG5, FIG6, FIG7,
-};
+use hmcs_bench::experiments::{self, FigureData, FigureSpec, RunOptions, FIG4, FIG5, FIG6, FIG7};
 use hmcs_bench::manifest;
 use hmcs_bench::report::{
     eval_stats_line, ms, opt_ms, ratio, render_table, write_atomic, write_csv,
@@ -46,11 +49,12 @@ use hmcs_core::sensitivity;
 use hmcs_core::SystemConfig;
 use hmcs_sim::replication::SimBudget;
 use hmcs_topology::transmission::Architecture;
+use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Cli {
-    artefacts: Vec<String>,
+    artefacts: Vec<Artefact>,
     opts: RunOptions,
     budget: SimBudget,
     csv_dir: Option<PathBuf>,
@@ -78,6 +82,16 @@ fn metrics_env_requested() -> bool {
         .unwrap_or(false)
 }
 
+/// Parses the value that follows `flag` on the command line.
+fn flag_value<T>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args() -> Result<Command, String> {
     let mut artefacts = Vec::new();
     let mut opts = RunOptions::default();
@@ -86,7 +100,7 @@ fn parse_args() -> Result<Command, String> {
     let (messages, warmup) = budget.single_run();
     opts.messages = messages;
     opts.warmup = warmup;
-    let mut csv_dir = None;
+    let mut csv_dir: Option<PathBuf> = None;
     let mut golden_dir: Option<PathBuf> = None;
     let mut fuzz_cases: Option<u32> = None;
     let mut slo_ms: Option<f64> = None;
@@ -97,68 +111,21 @@ fn parse_args() -> Result<Command, String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--messages" => {
-                opts.messages = args
-                    .next()
-                    .ok_or("--messages needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--messages: {e}"))?;
-            }
-            "--warmup" => {
-                opts.warmup = args
-                    .next()
-                    .ok_or("--warmup needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--messages" => opts.messages = flag_value(&mut args, &arg)?,
+            "--warmup" => opts.warmup = flag_value(&mut args, &arg)?,
+            "--seed" => opts.seed = flag_value(&mut args, &arg)?,
             "--lambda-literal" => opts.lambda_per_us = PAPER_LAMBDA_LITERAL_PER_US,
             "--no-sim" => opts.with_simulation = false,
-            "--csv" => {
-                csv_dir = Some(PathBuf::from(args.next().ok_or("--csv needs a directory")?));
-            }
-            "--golden" => {
-                golden_dir = Some(PathBuf::from(args.next().ok_or("--golden needs a directory")?));
-            }
-            "--cases" => {
-                fuzz_cases = Some(
-                    args.next()
-                        .ok_or("--cases needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--cases: {e}"))?,
-                );
-            }
-            "--slo-ms" => {
-                slo_ms = Some(
-                    args.next()
-                        .ok_or("--slo-ms needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--slo-ms: {e}"))?,
-                );
-            }
-            "--budget-usd" => {
-                budget_usd = Some(
-                    args.next()
-                        .ok_or("--budget-usd needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--budget-usd: {e}"))?,
-                );
-            }
-            "--opt-bench" => {
-                opt_bench = Some(PathBuf::from(args.next().ok_or("--opt-bench needs a path")?));
-            }
-            "--topo-bench" => {
-                topo_bench = Some(PathBuf::from(args.next().ok_or("--topo-bench needs a path")?));
-            }
+            "--csv" => csv_dir = Some(flag_value(&mut args, &arg)?),
+            "--golden" => golden_dir = Some(flag_value(&mut args, &arg)?),
+            "--cases" => fuzz_cases = Some(flag_value(&mut args, &arg)?),
+            "--slo-ms" => slo_ms = Some(flag_value(&mut args, &arg)?),
+            "--budget-usd" => budget_usd = Some(flag_value(&mut args, &arg)?),
+            "--opt-bench" => opt_bench = Some(flag_value(&mut args, &arg)?),
+            "--topo-bench" => topo_bench = Some(flag_value(&mut args, &arg)?),
             "--metrics" => print_metrics = true,
             "--help" | "-h" => {
-                println!("{}", HELP);
+                println!("{}", help());
                 std::process::exit(0);
             }
             other if other.starts_with('-') => {
@@ -208,8 +175,23 @@ fn parse_args() -> Result<Command, String> {
     if artefacts.is_empty() {
         return Err("no artefact given; try --help".to_string());
     }
+    let mut selected = Vec::new();
+    for name in &artefacts {
+        let len = selected.len();
+        selected.extend(select(name));
+        if selected.len() == len {
+            return Err(format!("unknown artefact {name}"));
+        }
+    }
+    let runs = |name: &str| selected.iter().any(|(n, _)| *n == name);
+    if opt_bench.is_some() && !runs("optimize") {
+        return Err("--opt-bench only applies to `reproduce optimize`/`all`".to_string());
+    }
+    if topo_bench.is_some() && !runs("topology") {
+        return Err("--topo-bench only applies to `reproduce topology`/`all`".to_string());
+    }
     Ok(Command::Emit(Cli {
-        artefacts,
+        artefacts: selected,
         opts,
         budget,
         csv_dir,
@@ -221,33 +203,165 @@ fn parse_args() -> Result<Command, String> {
     }))
 }
 
-const HELP: &str = "reproduce — regenerate the ICPPW'05 paper's tables and figures\n\
-  artefacts: table1 table2 fig4 fig5 fig6 fig7 figs claims optimize sensitivity\n\
-             ablation-accounting ablation-hops ablation-service packet coc bounds\n\
-             topology all\n\
-  checking:  check DIR [--golden GDIR]   diff DIR against the goldens (default results/)\n\
-             fuzz [--cases N] [--seed N] differential model-vs-sim fuzzing\n\
-             identfuzz [--cases N] [--seed N] latency-matrix identify round-trip fuzzing\n\
-  options:   --messages N --warmup N --seed N --lambda-literal --no-sim --csv DIR\n\
-             --metrics (or HMCS_METRICS=1); HMCS_SIM_BUDGET=ci shrinks sim budgets\n\
-  optimize:  --slo-ms X (default 30) --budget-usd Y (default 60000)\n\
-             --opt-bench PATH (write an hmcs-optimize-bench/1 throughput summary)\n\
-  topology:  --topo-bench PATH (write an hmcs-topology-bench/1 pipeline summary)";
-
-/// Writes `manifest_<artefact>.json` beside the CSVs (no-op without
-/// `--csv`): run provenance, options, λ-unit mode and the metrics
-/// snapshot, plus solver histograms for figure artefacts.
-fn emit_manifest(cli: &Cli, artefact: &str, figure: Option<&FigureData>) -> Result<(), String> {
-    if let Some(dir) = &cli.csv_dir {
-        let workers = BatchOptions::default().resolved_workers();
-        manifest::write_manifest(dir, artefact, &cli.opts, workers, figure)
-            .map_err(|e| format!("manifest_{artefact}.json: {e}"))?;
+/// The `--help` text; its artefact line lists the registry.
+fn help() -> String {
+    let mut lines = vec![String::from("  artefacts:")];
+    for name in ARTEFACTS.iter().map(|(name, _)| *name).chain(["figs", "all"]) {
+        if lines.last().is_some_and(|line| line.len() + 1 + name.len() > 80) {
+            lines.push(" ".repeat(12));
+        }
+        let line = lines.last_mut().expect("at least one line");
+        line.push(' ');
+        line.push_str(name);
     }
-    Ok(())
+    format!(
+        "reproduce — regenerate the ICPPW'05 paper's tables and figures\n{}\n{HELP_TAIL}",
+        lines.join("\n")
+    )
 }
 
-fn figure_rows(data: &FigureData) -> Vec<Vec<String>> {
-    data.rows
+/// `--help` after the artefact line; kept as one literal so the column
+/// indentation survives.
+const HELP_TAIL: &str =
+    "  checking:  check DIR [--golden GDIR]   diff DIR against the goldens (default results/)
+             fuzz [--cases N] [--seed N] differential model-vs-sim fuzzing
+             identfuzz [--cases N] [--seed N] latency-matrix identify round-trip fuzzing
+  options:   --messages N --warmup N --seed N --lambda-literal --no-sim --csv DIR
+             --metrics (or HMCS_METRICS=1); HMCS_SIM_BUDGET=ci shrinks sim budgets
+  optimize:  --slo-ms X (default 30) --budget-usd Y (default 60000)
+             --opt-bench PATH (write an hmcs-optimize-bench/1 throughput summary)
+  topology:  --topo-bench PATH (write an hmcs-topology-bench/1 pipeline summary)";
+
+/// An artefact: its name (also its manifest's) and the function that
+/// computes its tables.
+type Artefact = (&'static str, fn(&Cli) -> Result<Output, Box<dyn Error>>);
+
+/// Every artefact, in the order `all` runs them.
+const ARTEFACTS: &[Artefact] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("fig4", |cli| figure(FIG4, cli)),
+    ("fig5", |cli| figure(FIG5, cli)),
+    ("fig6", |cli| figure(FIG6, cli)),
+    ("fig7", |cli| figure(FIG7, cli)),
+    ("claims", claims_ratio),
+    ("ablation-accounting", ablation_accounting),
+    ("ablation-hops", ablation_hops),
+    ("ablation-service", ablation_service),
+    ("packet", packet),
+    ("coc", coc),
+    ("bounds", bounds),
+    ("optimize", optimize_frontiers),
+    ("sensitivity", sensitivity_sweep),
+    ("topology", topology_pipeline),
+];
+
+/// The registry entries one requested name selects: `all` selects
+/// every artefact, `figs` every figure, any other name itself.
+fn select(name: &str) -> impl Iterator<Item = &'static Artefact> + '_ {
+    ARTEFACTS.iter().filter(move |(artefact, _)| match name {
+        "all" => true,
+        "figs" => artefact.starts_with("fig"),
+        _ => *artefact == name,
+    })
+}
+
+/// One table of an artefact: printed under `title`, written as
+/// `<stem>.csv`, and followed on stdout by `note` and a blank line.
+struct Table {
+    stem: &'static str,
+    title: String,
+    headers: &'static [&'static str],
+    rows: Vec<Vec<String>>,
+    note: Option<String>,
+}
+
+impl Table {
+    fn new(
+        stem: &'static str,
+        title: impl Into<String>,
+        headers: &'static [&'static str],
+        rows: Vec<Vec<String>>,
+    ) -> Self {
+        Table { stem, title: title.into(), headers, rows, note: None }
+    }
+
+    fn with_note(self, note: String) -> Self {
+        Table { note: Some(note), ..self }
+    }
+}
+
+/// A deferred bench-summary writer.
+type Bench = Box<dyn FnOnce() -> Result<(), String>>;
+
+/// What an artefact hands to [`emit`].
+#[derive(Default)]
+struct Output {
+    tables: Vec<Table>,
+    /// A figure's data, whose solver histograms go into the manifest.
+    figure: Option<FigureData>,
+    /// The `--opt-bench`/`--topo-bench` summary, run after the manifest.
+    bench: Option<Bench>,
+}
+
+impl From<Table> for Output {
+    fn from(table: Table) -> Self {
+        Output { tables: vec![table], ..Output::default() }
+    }
+}
+
+/// Runs one artefact, prints its tables, writes their CSVs and the
+/// artefact's manifest under `--csv`, then runs its bench summary.
+fn emit(cli: &Cli, (name, artefact): &Artefact) -> Result<(), String> {
+    let output = artefact(cli).map_err(|e| e.to_string())?;
+    for table in &output.tables {
+        println!("{}", render_table(&table.title, table.headers, &table.rows));
+        if let Some(note) = &table.note {
+            println!("{note}\n");
+        }
+    }
+    if let Some(dir) = &cli.csv_dir {
+        for table in &output.tables {
+            write_csv(&dir.join(format!("{}.csv", table.stem)), table.headers, &table.rows)
+                .map_err(|e| e.to_string())?;
+        }
+        let workers = BatchOptions::default().resolved_workers();
+        manifest::write_manifest(dir, name, &cli.opts, workers, output.figure.as_ref())
+            .map_err(|e| format!("manifest_{name}.json: {e}"))?;
+    }
+    output.bench.map_or(Ok(()), |bench| bench())
+}
+
+fn table1(_: &Cli) -> Result<Output, Box<dyn Error>> {
+    let rows = experiments::table1()
+        .iter()
+        .map(|r| vec![r.case.to_string(), r.icn1.to_string(), r.ecn1_icn2.to_string()])
+        .collect();
+    let title = "Table 1 — Two Scenarios of Communication Networks";
+    Ok(Table::new("table1", title, &["Cases", "ICN1", "ECN1 and ICN2"], rows).into())
+}
+
+fn table2(_: &Cli) -> Result<Output, Box<dyn Error>> {
+    let rows = experiments::table2()
+        .iter()
+        .map(|r| vec![r.item.to_string(), r.quantity.clone(), r.unit.to_string()])
+        .collect();
+    let title = "Table 2 — Model Parameters";
+    Ok(Table::new("table2", title, &["Items", "Quantity", "Unit"], rows).into())
+}
+
+fn figure(spec: FigureSpec, cli: &Cli) -> Result<Output, Box<dyn Error>> {
+    let data = experiments::run_figure(spec, &cli.opts)?;
+    let headers = &[
+        "clusters",
+        "analysis M=512 (ms)",
+        "sim M=512 (ms)",
+        "analysis M=1024 (ms)",
+        "sim M=1024 (ms)",
+        "worst err",
+    ];
+    let rows = data
+        .rows
         .iter()
         .map(|r| {
             vec![
@@ -261,67 +375,16 @@ fn figure_rows(data: &FigureData) -> Vec<Vec<String>> {
                     .unwrap_or_else(|| "-".to_string()),
             ]
         })
-        .collect()
-}
-
-fn emit_figure(spec: FigureSpec, cli: &Cli) -> Result<(), String> {
-    let data = experiments::run_figure(spec, &cli.opts).map_err(|e| e.to_string())?;
-    let headers = [
-        "clusters",
-        "analysis M=512 (ms)",
-        "sim M=512 (ms)",
-        "analysis M=1024 (ms)",
-        "sim M=1024 (ms)",
-        "worst err",
-    ];
-    let rows = figure_rows(&data);
-    println!("{}", render_table(&format!("{} — {}", spec.id, spec.caption), &headers, &rows));
-    println!("{}\n", eval_stats_line(&data.analysis_stats));
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join(format!("{}.csv", spec.id)), &headers, &rows)
-            .map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, spec.id, Some(&data))?;
-    Ok(())
-}
-
-fn emit_tables(cli: &Cli) -> Result<(), String> {
-    let t1 = experiments::table1();
-    let rows: Vec<Vec<String>> = t1
-        .iter()
-        .map(|r| vec![r.case.to_string(), r.icn1.to_string(), r.ecn1_icn2.to_string()])
         .collect();
-    let headers = ["Cases", "ICN1", "ECN1 and ICN2"];
-    println!(
-        "{}",
-        render_table("Table 1 — Two Scenarios of Communication Networks", &headers, &rows)
-    );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("table1.csv"), &headers, &rows).map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "table1", None)?;
-    Ok(())
+    let title = format!("{} — {}", spec.id, spec.caption);
+    let table =
+        Table::new(spec.id, title, headers, rows).with_note(eval_stats_line(&data.analysis_stats));
+    Ok(Output { tables: vec![table], figure: Some(data), ..Output::default() })
 }
 
-fn emit_table2(cli: &Cli) -> Result<(), String> {
-    let t2 = experiments::table2();
-    let rows: Vec<Vec<String>> = t2
-        .iter()
-        .map(|r| vec![r.item.to_string(), r.quantity.clone(), r.unit.to_string()])
-        .collect();
-    let headers = ["Items", "Quantity", "Unit"];
-    println!("{}", render_table("Table 2 — Model Parameters", &headers, &rows));
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("table2.csv"), &headers, &rows).map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "table2", None)?;
-    Ok(())
-}
-
-fn emit_claims(cli: &Cli) -> Result<(), String> {
-    let rows_data = experiments::run_claims(&cli.opts).map_err(|e| e.to_string())?;
-    let headers = ["scenario", "clusters", "non-blocking (ms)", "blocking (ms)", "ratio"];
-    let rows: Vec<Vec<String>> = rows_data
+fn claims_ratio(cli: &Cli) -> Result<Output, Box<dyn Error>> {
+    let data = experiments::run_claims(&cli.opts)?;
+    let rows = data
         .iter()
         .map(|r| {
             vec![
@@ -333,31 +396,18 @@ fn emit_claims(cli: &Cli) -> Result<(), String> {
             ]
         })
         .collect();
-    let min = rows_data.iter().map(|r| r.ratio()).fold(f64::INFINITY, f64::min);
-    let max = rows_data.iter().map(|r| r.ratio()).fold(0.0f64, f64::max);
-    println!(
-        "{}",
-        render_table(
-            &format!(
-                "Claim (§6): blocking/non-blocking latency ratio — measured {min:.2}x to \
-                 {max:.2}x (paper: 1.4x to 3.1x)"
-            ),
-            &headers,
-            &rows
-        )
+    let min = data.iter().map(|r| r.ratio()).fold(f64::INFINITY, f64::min);
+    let max = data.iter().map(|r| r.ratio()).fold(0.0f64, f64::max);
+    let title = format!(
+        "Claim (§6): blocking/non-blocking latency ratio — measured {min:.2}x to \
+         {max:.2}x (paper: 1.4x to 3.1x)"
     );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("claims.csv"), &headers, &rows).map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "claims", None)?;
-    Ok(())
+    let headers = &["scenario", "clusters", "non-blocking (ms)", "blocking (ms)", "ratio"];
+    Ok(Table::new("claims", title, headers, rows).into())
 }
 
-fn emit_accounting(cli: &Cli) -> Result<(), String> {
-    let data = experiments::run_ablation_accounting(&cli.opts).map_err(|e| e.to_string())?;
-    let headers =
-        ["clusters", "literal (ms)", "single (ms)", "sim (ms)", "literal err", "single err"];
-    let rows: Vec<Vec<String>> = data
+fn ablation_accounting(cli: &Cli) -> Result<Output, Box<dyn Error>> {
+    let rows = experiments::run_ablation_accounting(&cli.opts)?
         .iter()
         .map(|r| {
             vec![
@@ -370,32 +420,14 @@ fn emit_accounting(cli: &Cli) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            "Ablation: eq. 6 ECN1 accounting (paper-literal 2*L_E1 vs single queue)",
-            &headers,
-            &rows
-        )
-    );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("ablation_accounting.csv"), &headers, &rows)
-            .map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "ablation-accounting", None)?;
-    Ok(())
+    let title = "Ablation: eq. 6 ECN1 accounting (paper-literal 2*L_E1 vs single queue)";
+    let headers =
+        &["clusters", "literal (ms)", "single (ms)", "sim (ms)", "literal err", "single err"];
+    Ok(Table::new("ablation_accounting", title, headers, rows).into())
 }
 
-fn emit_hops(cli: &Cli) -> Result<(), String> {
-    let data = experiments::run_ablation_hops(&cli.opts).map_err(|e| e.to_string())?;
-    let headers = [
-        "clusters",
-        "analysis (k+1)/3 (ms)",
-        "analysis exact (ms)",
-        "sim (k+1)/3 (ms)",
-        "sim exact (ms)",
-    ];
-    let rows: Vec<Vec<String>> = data
+fn ablation_hops(cli: &Cli) -> Result<Output, Box<dyn Error>> {
+    let rows = experiments::run_ablation_hops(&cli.opts)?
         .iter()
         .map(|r| {
             vec![
@@ -407,69 +439,41 @@ fn emit_hops(cli: &Cli) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            "Ablation: blocking hop model (eq. 19 average vs exact mean)",
-            &headers,
-            &rows
-        )
-    );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("ablation_hops.csv"), &headers, &rows).map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "ablation-hops", None)?;
-    Ok(())
+    let title = "Ablation: blocking hop model (eq. 19 average vs exact mean)";
+    let headers = &[
+        "clusters",
+        "analysis (k+1)/3 (ms)",
+        "analysis exact (ms)",
+        "sim (k+1)/3 (ms)",
+        "sim exact (ms)",
+    ];
+    Ok(Table::new("ablation_hops", title, headers, rows).into())
 }
 
-fn emit_service(cli: &Cli) -> Result<(), String> {
-    let data = experiments::run_ablation_service(&cli.opts).map_err(|e| e.to_string())?;
-    let headers = ["service model", "SCV", "analysis (ms)", "sim (ms)"];
-    let rows: Vec<Vec<String>> = data
+fn ablation_service(cli: &Cli) -> Result<Output, Box<dyn Error>> {
+    let rows = experiments::run_ablation_service(&cli.opts)?
         .iter()
         .map(|r| {
             vec![r.model.to_string(), format!("{:.2}", r.scv), ms(r.analysis_ms), ms(r.sim_ms)]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            "Ablation: network service-time distribution (C=16, Case 1, non-blocking)",
-            &headers,
-            &rows
-        )
-    );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("ablation_service.csv"), &headers, &rows).map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "ablation-service", None)?;
-    Ok(())
+    let title = "Ablation: network service-time distribution (C=16, Case 1, non-blocking)";
+    let headers = &["service model", "SCV", "analysis (ms)", "sim (ms)"];
+    Ok(Table::new("ablation_service", title, headers, rows).into())
 }
 
-fn emit_packet(cli: &Cli) -> Result<(), String> {
-    let data = experiments::run_packet_validation(&cli.opts).map_err(|e| e.to_string())?;
-    let headers = ["clusters", "analysis (ms)", "flow sim (ms)", "packet sim (ms)"];
-    let rows: Vec<Vec<String>> = data
+fn packet(cli: &Cli) -> Result<Output, Box<dyn Error>> {
+    let rows = experiments::run_packet_validation(&cli.opts)?
         .iter()
         .map(|r| vec![r.clusters.to_string(), ms(r.analysis_ms), ms(r.flow_ms), ms(r.packet_ms)])
         .collect();
-    println!(
-        "{}",
-        render_table("Packet-level validation (Case 1, non-blocking, M=1024)", &headers, &rows)
-    );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("packet_validation.csv"), &headers, &rows)
-            .map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "packet", None)?;
-    Ok(())
+    let title = "Packet-level validation (Case 1, non-blocking, M=1024)";
+    let headers = &["clusters", "analysis (ms)", "flow sim (ms)", "packet sim (ms)"];
+    Ok(Table::new("packet_validation", title, headers, rows).into())
 }
 
-fn emit_coc(cli: &Cli) -> Result<(), String> {
-    let data = experiments::run_coc_validation(&cli.opts).map_err(|e| e.to_string())?;
-    let headers =
-        ["system", "analysis (ms)", "sim (ms)", "err", "lambda_eff analysis", "lambda_eff sim"];
-    let rows: Vec<Vec<String>> = data
+fn coc(cli: &Cli) -> Result<Output, Box<dyn Error>> {
+    let rows = experiments::run_coc_validation(&cli.opts)?
         .iter()
         .map(|r| {
             vec![
@@ -482,26 +486,14 @@ fn emit_coc(cli: &Cli) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            "Cluster-of-Clusters validation (the paper's §7 future work, implemented)",
-            &headers,
-            &rows
-        )
-    );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("coc_validation.csv"), &headers, &rows).map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "coc", None)?;
-    Ok(())
+    let title = "Cluster-of-Clusters validation (the paper's §7 future work, implemented)";
+    let headers =
+        &["system", "analysis (ms)", "sim (ms)", "err", "lambda_eff analysis", "lambda_eff sim"];
+    Ok(Table::new("coc_validation", title, headers, rows).into())
 }
 
-fn emit_bounds(cli: &Cli) -> Result<(), String> {
-    let data = experiments::run_bounds(&cli.opts).map_err(|e| e.to_string())?;
-    let headers =
-        ["clusters", "d_total (µs)", "d_max (µs)", "N*", "bound λ_eff", "model λ_eff", "sim λ_eff"];
-    let rows: Vec<Vec<String>> = data
+fn bounds(cli: &Cli) -> Result<Output, Box<dyn Error>> {
+    let rows = experiments::run_bounds(&cli.opts)?
         .iter()
         .map(|r| {
             vec![
@@ -515,19 +507,17 @@ fn emit_bounds(cli: &Cli) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            "Operational bounds (asymptotic bound analysis) vs model vs simulation",
-            &headers,
-            &rows
-        )
-    );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("bounds.csv"), &headers, &rows).map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "bounds", None)?;
-    Ok(())
+    let title = "Operational bounds (asymptotic bound analysis) vs model vs simulation";
+    let headers = &[
+        "clusters",
+        "d_total (µs)",
+        "d_max (µs)",
+        "N*",
+        "bound λ_eff",
+        "model λ_eff",
+        "sim λ_eff",
+    ];
+    Ok(Table::new("bounds", title, headers, rows).into())
 }
 
 /// The sensitivity artefact: central finite-difference derivatives of
@@ -535,30 +525,15 @@ fn emit_bounds(cli: &Cli) -> Result<(), String> {
 /// both architectures), plus the Newton-polished largest λ meeting the
 /// optimize SLO. All probes run through the batched kernel; floats use
 /// the shortest-round-trip rendering so the CSV is byte-stable.
-fn emit_sensitivity(cli: &Cli) -> Result<(), String> {
+fn sensitivity_sweep(cli: &Cli) -> Result<Output, Box<dyn Error>> {
     let slo_us = cli.slo_ms.unwrap_or(DEFAULT_OPTIMIZE_SLO_MS) * 1000.0;
-    let headers = [
-        "key",
-        "clusters",
-        "nodes_per_cluster",
-        "architecture",
-        "latency_us",
-        "dlatency_dlambda",
-        "dlatency_dbyte",
-        "dlatency_dnode",
-        "saturation_lambda",
-        "lambda_headroom",
-        "max_lambda_slo",
-    ];
     let mut rows: Vec<Vec<String>> = Vec::new();
     for arch in [Architecture::NonBlocking, Architecture::Blocking] {
         for &clusters in &PAPER_CLUSTER_COUNTS {
-            let config = SystemConfig::paper_preset(Scenario::Case1, clusters, arch)
-                .map_err(|e| e.to_string())?
+            let config = SystemConfig::paper_preset(Scenario::Case1, clusters, arch)?
                 .with_lambda(cli.opts.lambda_per_us);
-            let s = sensitivity::evaluate(&config).map_err(|e| e.to_string())?;
-            let at_slo =
-                sensitivity::lambda_for_latency(&config, slo_us).map_err(|e| e.to_string())?;
+            let s = sensitivity::evaluate(&config)?;
+            let at_slo = sensitivity::lambda_for_latency(&config, slo_us)?;
             rows.push(vec![
                 format!("{}/C{}", optimize::arch_code(arch), clusters),
                 clusters.to_string(),
@@ -574,24 +549,26 @@ fn emit_sensitivity(cli: &Cli) -> Result<(), String> {
             ]);
         }
     }
-    println!(
-        "{}",
-        render_table(
-            &format!(
-                "sensitivity — dT_W/d(lambda, M, N) over the cluster sweep \
-                 (Case 1, M=1024, lambda={}, SLO={:.0}ms)",
-                json_num(cli.opts.lambda_per_us),
-                slo_us / 1000.0
-            ),
-            &headers,
-            &rows
-        )
+    let title = format!(
+        "sensitivity — dT_W/d(lambda, M, N) over the cluster sweep \
+         (Case 1, M=1024, lambda={}, SLO={:.0}ms)",
+        json_num(cli.opts.lambda_per_us),
+        slo_us / 1000.0
     );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("sensitivity.csv"), &headers, &rows).map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "sensitivity", None)?;
-    Ok(())
+    let headers = &[
+        "key",
+        "clusters",
+        "nodes_per_cluster",
+        "architecture",
+        "latency_us",
+        "dlatency_dlambda",
+        "dlatency_dbyte",
+        "dlatency_dnode",
+        "saturation_lambda",
+        "lambda_headroom",
+        "max_lambda_slo",
+    ];
+    Ok(Table::new("sensitivity", title, headers, rows).into())
 }
 
 /// Default mean-latency SLO for the optimize artefact (ms).
@@ -649,13 +626,13 @@ fn optimize_variants(cli: &Cli) -> [(&'static str, OptimizeSpec); 3] {
     ]
 }
 
-fn emit_optimize(cli: &Cli) -> Result<(), String> {
+fn optimize_frontiers(cli: &Cli) -> Result<Output, Box<dyn Error>> {
     let variants = optimize_variants(cli);
+    let mut tables = Vec::new();
     let mut diag_rows: Vec<Vec<String>> = Vec::new();
     for (name, spec) in &variants {
-        let outcome =
-            optimize::optimize(spec, BatchOptions::default()).map_err(|e| e.to_string())?;
-        let rows: Vec<Vec<String>> = outcome.frontier.iter().map(optimize::frontier_row).collect();
+        let outcome = optimize::optimize(spec, BatchOptions::default())?;
+        let rows = outcome.frontier.iter().map(optimize::frontier_row).collect();
         let constraint_note = format!(
             "λ={} SLO={} budget={} unsaturated={}",
             json_num(spec.workload.lambda_per_us),
@@ -665,18 +642,11 @@ fn emit_optimize(cli: &Cli) -> Result<(), String> {
             spec.constraints.budget_usd.map_or("-".to_string(), |v| format!("${v:.0}")),
             spec.constraints.require_unsaturated,
         );
-        println!(
-            "{}",
-            render_table(
-                &format!("{name} — Pareto frontier ({constraint_note})"),
-                &optimize::FRONTIER_COLUMNS,
-                &rows
-            )
-        );
         let d = outcome.diagnostics;
-        println!(
+        let title = format!("{name} — Pareto frontier ({constraint_note})");
+        tables.push(Table::new(name, title, &optimize::FRONTIER_COLUMNS, rows).with_note(format!(
             "  space {} | invalid {} | saturated {} | over budget {} | failed {} | \
-             evaluated {} | above SLO {} | feasible {} | dominated {} | frontier {}\n",
+             evaluated {} | above SLO {} | feasible {} | dominated {} | frontier {}",
             outcome.space_size,
             d.invalid,
             d.saturated,
@@ -687,11 +657,7 @@ fn emit_optimize(cli: &Cli) -> Result<(), String> {
             outcome.feasible,
             d.dominated,
             outcome.frontier.len(),
-        );
-        if let Some(dir) = &cli.csv_dir {
-            write_csv(&dir.join(format!("{name}.csv")), &optimize::FRONTIER_COLUMNS, &rows)
-                .map_err(|e| e.to_string())?;
-        }
+        )));
         let cheapest = outcome.cheapest_feasible();
         diag_rows.push(vec![
             name.to_string(),
@@ -711,7 +677,7 @@ fn emit_optimize(cli: &Cli) -> Result<(), String> {
             cheapest.map_or("-".to_string(), |p| json_num(p.cost_usd)),
         ]);
     }
-    let diag_headers = [
+    let diag_headers = &[
         "variant",
         "lambda_per_us",
         "space",
@@ -728,19 +694,14 @@ fn emit_optimize(cli: &Cli) -> Result<(), String> {
         "cheapest_design",
         "cheapest_cost_usd",
     ];
-    println!(
-        "{}",
-        render_table("optimize — binding-constraint diagnostics", &diag_headers, &diag_rows)
-    );
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("optimize_diagnostics.csv"), &diag_headers, &diag_rows)
-            .map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "optimize", None)?;
-    if let Some(path) = &cli.opt_bench {
-        write_optimize_bench(path, &variants[0].1)?;
-    }
-    Ok(())
+    let title = "optimize — binding-constraint diagnostics";
+    tables.push(Table::new("optimize_diagnostics", title, diag_headers, diag_rows));
+    let [(_, frontier_spec), ..] = variants;
+    let bench = cli
+        .opt_bench
+        .clone()
+        .map(|path| -> Bench { Box::new(move || write_optimize_bench(&path, &frontier_spec)) });
+    Ok(Output { tables, figure: None, bench })
 }
 
 /// Repeats a timed optimizer leg until both minima are met, returning
@@ -850,23 +811,12 @@ fn write_optimize_bench(path: &Path, spec: &OptimizeSpec) -> Result<(), String> 
 /// identification columns), `topology_partition.csv` (the identified
 /// partition fingerprint, one row per cluster) and
 /// `topology_agreement.csv` (the differential validation).
-fn emit_topology(cli: &Cli) -> Result<(), String> {
+fn topology_pipeline(cli: &Cli) -> Result<Output, Box<dyn Error>> {
     let options = TopologyOptions { seed: cli.opts.seed, budget: cli.budget };
-    let results = topology::run_topology(&options).map_err(|e| e.to_string())?;
+    let results = topology::run_topology(&options)?;
 
-    let matrix_headers = [
-        "case",
-        "nodes",
-        "planted",
-        "identified",
-        "roundtrip",
-        "threshold_us",
-        "intra_median_us",
-        "inter_median_us",
-        "residual",
-    ];
     let opt_num = |v: Option<f64>| v.map_or("-".to_string(), json_num);
-    let matrix_rows: Vec<Vec<String>> = results
+    let matrix_rows = results
         .iter()
         .map(|r| {
             vec![
@@ -882,17 +832,24 @@ fn emit_topology(cli: &Cli) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            "topology — latency-matrix cluster identification round-trip",
-            &matrix_headers,
-            &matrix_rows
-        )
+    let matrix = Table::new(
+        "topology_matrix",
+        "topology — latency-matrix cluster identification round-trip",
+        &[
+            "case",
+            "nodes",
+            "planted",
+            "identified",
+            "roundtrip",
+            "threshold_us",
+            "intra_median_us",
+            "inter_median_us",
+            "residual",
+        ],
+        matrix_rows,
     );
 
-    let partition_headers = ["key", "case", "cluster", "size", "lead"];
-    let partition_rows: Vec<Vec<String>> = results
+    let partition_rows = results
         .iter()
         .flat_map(|r| {
             r.cluster_sizes.iter().zip(&r.cluster_leads).enumerate().map(|(c, (size, lead))| {
@@ -906,23 +863,14 @@ fn emit_topology(cli: &Cli) -> Result<(), String> {
             })
         })
         .collect();
-    println!(
-        "{}",
-        render_table("topology — identified partitions", &partition_headers, &partition_rows)
+    let partition = Table::new(
+        "topology_partition",
+        "topology — identified partitions",
+        &["key", "case", "cluster", "size", "lead"],
+        partition_rows,
     );
 
-    let agreement_headers = [
-        "case",
-        "nodes",
-        "shards",
-        "analysis (ms)",
-        "sim (ms)",
-        "ci95 (ms)",
-        "agrees",
-        "boundary_out_frac",
-        "boundary_in_per_msg",
-    ];
-    let agreement_rows: Vec<Vec<String>> = results
+    let agreement_rows = results
         .iter()
         .map(|r| {
             vec![
@@ -938,35 +886,38 @@ fn emit_topology(cli: &Cli) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            "topology — analytic vs sharded-simulation agreement",
-            &agreement_headers,
-            &agreement_rows
-        )
-    );
-    for r in &results {
-        println!(
-            "  {}: identify {:.2}s, sharded sim {:.2}s ({} messages across {} shards)",
-            r.case.name, r.identify_wall_s, r.sim_wall_s, r.messages, r.shards
-        );
-    }
-    println!();
+    let timings: Vec<String> = results
+        .iter()
+        .map(|r| {
+            format!(
+                "  {}: identify {:.2}s, sharded sim {:.2}s ({} messages across {} shards)",
+                r.case.name, r.identify_wall_s, r.sim_wall_s, r.messages, r.shards
+            )
+        })
+        .collect();
+    let agreement = Table::new(
+        "topology_agreement",
+        "topology — analytic vs sharded-simulation agreement",
+        &[
+            "case",
+            "nodes",
+            "shards",
+            "analysis (ms)",
+            "sim (ms)",
+            "ci95 (ms)",
+            "agrees",
+            "boundary_out_frac",
+            "boundary_in_per_msg",
+        ],
+        agreement_rows,
+    )
+    .with_note(timings.join("\n"));
 
-    if let Some(dir) = &cli.csv_dir {
-        write_csv(&dir.join("topology_matrix.csv"), &matrix_headers, &matrix_rows)
-            .map_err(|e| e.to_string())?;
-        write_csv(&dir.join("topology_partition.csv"), &partition_headers, &partition_rows)
-            .map_err(|e| e.to_string())?;
-        write_csv(&dir.join("topology_agreement.csv"), &agreement_headers, &agreement_rows)
-            .map_err(|e| e.to_string())?;
-    }
-    emit_manifest(cli, "topology", None)?;
-    if let Some(path) = &cli.topo_bench {
-        write_topology_bench(path, &results)?;
-    }
-    Ok(())
+    let bench = cli
+        .topo_bench
+        .clone()
+        .map(|path| -> Bench { Box::new(move || write_topology_bench(&path, &results)) });
+    Ok(Output { tables: vec![matrix, partition, agreement], figure: None, bench })
 }
 
 /// Writes an `hmcs-topology-bench/1` summary for `benchgate` to
@@ -1062,47 +1013,7 @@ fn run(cli: &Cli) -> Result<(), String> {
         prepare_csv_dir(dir)?;
     }
     for artefact in &cli.artefacts {
-        match artefact.as_str() {
-            "table1" => emit_tables(cli)?,
-            "table2" => emit_table2(cli)?,
-            "fig4" => emit_figure(FIG4, cli)?,
-            "fig5" => emit_figure(FIG5, cli)?,
-            "fig6" => emit_figure(FIG6, cli)?,
-            "fig7" => emit_figure(FIG7, cli)?,
-            "figs" => {
-                for spec in ALL_FIGURES {
-                    emit_figure(spec, cli)?;
-                }
-            }
-            "claims" => emit_claims(cli)?,
-            "ablation-accounting" => emit_accounting(cli)?,
-            "ablation-hops" => emit_hops(cli)?,
-            "ablation-service" => emit_service(cli)?,
-            "packet" => emit_packet(cli)?,
-            "coc" => emit_coc(cli)?,
-            "bounds" => emit_bounds(cli)?,
-            "optimize" => emit_optimize(cli)?,
-            "sensitivity" => emit_sensitivity(cli)?,
-            "topology" => emit_topology(cli)?,
-            "all" => {
-                emit_tables(cli)?;
-                emit_table2(cli)?;
-                for spec in ALL_FIGURES {
-                    emit_figure(spec, cli)?;
-                }
-                emit_claims(cli)?;
-                emit_accounting(cli)?;
-                emit_hops(cli)?;
-                emit_service(cli)?;
-                emit_packet(cli)?;
-                emit_coc(cli)?;
-                emit_bounds(cli)?;
-                emit_optimize(cli)?;
-                emit_sensitivity(cli)?;
-                emit_topology(cli)?;
-            }
-            other => return Err(format!("unknown artefact {other}; try --help")),
-        }
+        emit(cli, artefact)?;
     }
     if cli.print_metrics {
         println!("{}", hmcs_core::metrics::global().snapshot().render());
@@ -1114,7 +1025,7 @@ fn main() -> ExitCode {
     let command = match parse_args() {
         Ok(command) => command,
         Err(e) => {
-            eprintln!("error: {e}\n{HELP}");
+            eprintln!("error: {e}\n{}", help());
             return ExitCode::FAILURE;
         }
     };

@@ -136,4 +136,60 @@ fn check_rejects_flag_misuse() {
     assert!(!output.status.success());
     let output = reproduce().args(["fig4", "--no-sim", "--cases", "3"]).output().unwrap();
     assert!(!output.status.success());
+    // --opt-bench and --topo-bench belong to the artefact they summarise.
+    let dir = temp_dir("stray_bench");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bench = dir.join("bench.json");
+    for (flag, owner) in [("--opt-bench", "optimize"), ("--topo-bench", "topology")] {
+        let output = reproduce().args(["table1", flag]).arg(&bench).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{flag} without {owner} must be refused");
+        assert!(stderr.contains(flag) && stderr.contains(owner), "{stderr}");
+        assert!(!bench.exists(), "{flag} misuse must not write {}", bench.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_artefact_is_rejected_before_any_output() {
+    // A misspelt name fails the whole command up front: the valid
+    // artefact before it must not have run or written its files.
+    let dir = temp_dir("unknown_artefact");
+    let output = reproduce().args(["table1", "nosuch", "--csv"]).arg(&dir).output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "unknown artefact must fail");
+    assert!(stderr.contains("unknown artefact nosuch"), "{stderr}");
+    assert!(output.stdout.is_empty(), "{}", String::from_utf8_lossy(&output.stdout));
+    assert!(!dir.join("table1.csv").exists(), "table1 ran before the name check");
+    assert!(!dir.join("manifest_table1.json").exists(), "table1 ran before the name check");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analysis_only_artefacts_match_the_goldens_byte_for_byte() {
+    // The artefacts that involve no simulation are deterministic to the
+    // byte, so their fresh CSVs must equal the committed goldens exactly.
+    let dir = temp_dir("analysis_bytes");
+    let output = reproduce()
+        .args(["table1", "table2", "optimize", "sensitivity", "--csv"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let results = workspace_root().join("results");
+    for stem in [
+        "table1",
+        "table2",
+        "optimize_frontier",
+        "optimize_budget",
+        "optimize_strict",
+        "optimize_diagnostics",
+        "sensitivity",
+    ] {
+        let name = format!("{stem}.csv");
+        let golden = std::fs::read(results.join(&name)).unwrap();
+        let fresh = std::fs::read(dir.join(&name)).unwrap();
+        assert!(golden == fresh, "{name} differs from results/{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -976,22 +976,12 @@ pub fn evaluate_batch(
     configs: &[SystemConfig],
     workers: usize,
 ) -> Vec<Result<(PerformanceReport, EvalStats), ModelError>> {
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(configs.len());
-    let chunk = configs.len().div_ceil(workers);
-    let chunks: Vec<&[SystemConfig]> = configs.chunks(chunk).collect();
-    // `par_map_init` counts one item per chunk; top the batch-items
-    // counter up to one item per configuration so operator dashboards
-    // keep their meaning.
-    if metrics::enabled() && configs.len() > chunks.len() {
-        metrics::counter(keys::BATCH_ITEMS).add((configs.len() - chunks.len()) as u64);
-    }
-    let nested = batch::par_map_init(&chunks, workers, PooledKernel::checkout, |arena, block| {
-        arena.get().evaluate(block)
-    });
-    nested.into_iter().flatten().collect()
+    evaluate_chunked(
+        configs.len(),
+        workers,
+        |chunk| configs.chunks(chunk).collect(),
+        |kernel, block: &&[SystemConfig]| kernel.evaluate(block),
+    )
 }
 
 /// [`evaluate_batch`] with per-lane prune thresholds: the bounded
@@ -1005,20 +995,42 @@ pub fn evaluate_batch_bounded(
     workers: usize,
 ) -> Vec<LaneOutcome> {
     assert_eq!(configs.len(), bounds.len(), "one LaneBounds per lane");
-    if configs.is_empty() {
+    evaluate_chunked(
+        configs.len(),
+        workers,
+        |chunk| configs.chunks(chunk).zip(bounds.chunks(chunk)).collect(),
+        |kernel, &(block, bb)| kernel.evaluate_bounded(block, bb),
+    )
+}
+
+/// The chunked driver behind both batch entry points: `split` cuts the
+/// `lanes` into one contiguous block per worker (it receives the block
+/// length), each block is solved by `solve` in a pooled arena, and the
+/// lane results come back flattened in input order.
+fn evaluate_chunked<B, R>(
+    lanes: usize,
+    workers: usize,
+    split: impl FnOnce(usize) -> Vec<B>,
+    solve: impl Fn(&mut BatchKernel, &B) -> Vec<R> + Sync,
+) -> Vec<R>
+where
+    B: Sync,
+    R: Send,
+{
+    if lanes == 0 {
         return Vec::new();
     }
-    let workers = workers.max(1).min(configs.len());
-    let chunk = configs.len().div_ceil(workers);
-    let chunks: Vec<(&[SystemConfig], &[LaneBounds])> =
-        configs.chunks(chunk).zip(bounds.chunks(chunk)).collect();
-    if metrics::enabled() && configs.len() > chunks.len() {
-        metrics::counter(keys::BATCH_ITEMS).add((configs.len() - chunks.len()) as u64);
+    let workers = workers.max(1).min(lanes);
+    let blocks = split(lanes.div_ceil(workers));
+    // `par_map_init` counts one item per block; top the batch-items
+    // counter up to one item per lane so operator dashboards keep
+    // their meaning.
+    if metrics::enabled() && lanes > blocks.len() {
+        metrics::counter(keys::BATCH_ITEMS).add((lanes - blocks.len()) as u64);
     }
-    let nested =
-        batch::par_map_init(&chunks, workers, PooledKernel::checkout, |arena, &(block, bb)| {
-            arena.get().evaluate_bounded(block, bb)
-        });
+    let nested = batch::par_map_init(&blocks, workers, PooledKernel::checkout, |arena, block| {
+        solve(arena.get(), block)
+    });
     nested.into_iter().flatten().collect()
 }
 

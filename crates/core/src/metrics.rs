@@ -119,10 +119,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Number of power-of-two buckets in a [`ValueHistogram`]: bucket 0
@@ -201,15 +197,6 @@ impl ValueHistogram {
             max: self.max.load(Ordering::Relaxed),
             buckets,
         }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -413,19 +400,6 @@ impl Registry {
             .collect();
         let warnings = self.warnings.lock().expect("metrics registry poisoned").clone();
         MetricsSnapshot { counters, histograms, warnings }
-    }
-
-    /// Zeroes every registered counter and histogram and clears the
-    /// warnings. Meant for tests and for per-run deltas; registered
-    /// names survive (handles stay valid).
-    pub fn reset(&self) {
-        for c in self.counters.lock().expect("metrics registry poisoned").values() {
-            c.reset();
-        }
-        for h in self.histograms.lock().expect("metrics registry poisoned").values() {
-            h.reset();
-        }
-        self.warnings.lock().expect("metrics registry poisoned").clear();
     }
 }
 

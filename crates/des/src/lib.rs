@@ -20,8 +20,7 @@
 //!   sampling distributions the paper's simulators need (exponential
 //!   inter-arrival times, uniform destinations).
 //! * [`stats`] — output analysis: online moments (Welford), time-weighted
-//!   averages for queue lengths, histograms, confidence intervals and
-//!   batch means.
+//!   averages for queue lengths, histograms and confidence intervals.
 //! * [`quantile`] — P² streaming quantile estimation for latency tails.
 //! * [`queue`] — an instrumented FCFS single-server queue component,
 //!   the building block for the paper's service centres.

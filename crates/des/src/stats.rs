@@ -8,9 +8,6 @@
 //! * [`Histogram`] — fixed-width binning for latency distributions.
 //! * [`confidence_interval`] — normal-approximation confidence
 //!   half-widths for sample means.
-//! * [`BatchMeans`] — the classic single-run output-analysis method:
-//!   groups a correlated observation series into batches whose means are
-//!   approximately independent.
 
 /// Numerically stable running moments (Welford's algorithm).
 #[derive(Debug, Clone, PartialEq)]
@@ -315,52 +312,6 @@ pub fn confidence_interval(stats: &OnlineStats, level: f64) -> f64 {
     z * stats.std_error()
 }
 
-/// Batch-means output analysis: splits a correlated series into `k`
-/// equal batches and summarises the batch means, whose correlation is
-/// far weaker than the raw series'.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: usize,
-    current: Vec<f64>,
-    batch_means: OnlineStats,
-}
-
-impl BatchMeans {
-    /// Creates an accumulator with the given batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn new(batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current: Vec::with_capacity(batch_size),
-            batch_means: OnlineStats::new(),
-        }
-    }
-
-    /// Adds one observation; completes a batch when full.
-    pub fn record(&mut self, x: f64) {
-        self.current.push(x);
-        if self.current.len() == self.batch_size {
-            let mean = self.current.iter().sum::<f64>() / self.batch_size as f64;
-            self.batch_means.record(mean);
-            self.current.clear();
-        }
-    }
-
-    /// Statistics over completed batch means.
-    pub fn batch_stats(&self) -> &OnlineStats {
-        &self.batch_means
-    }
-
-    /// Number of completed batches.
-    pub fn completed_batches(&self) -> u64 {
-        self.batch_means.count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,17 +485,5 @@ mod tests {
     #[should_panic(expected = "unsupported confidence level")]
     fn confidence_interval_validates_level() {
         confidence_interval(&OnlineStats::new(), 0.42);
-    }
-
-    #[test]
-    fn batch_means_reduces_to_batches() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..95 {
-            bm.record(i as f64);
-        }
-        // 9 complete batches; the partial 10th is pending.
-        assert_eq!(bm.completed_batches(), 9);
-        // First batch mean = 4.5, second = 14.5, ...
-        assert!((bm.batch_stats().mean() - 44.5).abs() < 1e-12);
     }
 }
