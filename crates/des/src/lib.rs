@@ -22,8 +22,9 @@
 //! * [`stats`] — output analysis: online moments (Welford), time-weighted
 //!   averages for queue lengths, histograms and confidence intervals.
 //! * [`quantile`] — P² streaming quantile estimation for latency tails.
-//! * [`queue`] — an instrumented FCFS single-server queue component,
-//!   the building block for the paper's service centres.
+//! * [`queue`] — an instrumented FCFS queue with `c` servers, the
+//!   building block for the paper's service centres (one server) and
+//!   the packet simulator's switch pods (one server per switch).
 //!
 //! ```
 //! use hmcs_des::engine::{Engine, Model, Scheduler};

@@ -1,11 +1,12 @@
-//! An instrumented FCFS single-server queue component.
+//! An instrumented FCFS queue with `c` identical servers.
 //!
 //! Each of the paper's communication networks (ICN1, ECN1, ICN2) behaves
 //! as a single server with a FIFO queue: a message arriving at a busy
 //! network waits; service times are drawn by the caller (exponential in
-//! the paper's model). The component is engine-agnostic: the caller
-//! decides what "time" is and schedules the completion events; the
-//! component tracks ordering and statistics.
+//! the paper's model). A fat-tree pod of parallel switches is the same
+//! queue with one server per switch. The component is engine-agnostic:
+//! the caller decides what "time" is and schedules the completion
+//! events; the component tracks ordering and statistics.
 
 use crate::stats::{OnlineStats, TimeWeighted};
 use std::collections::VecDeque;
@@ -19,37 +20,45 @@ pub enum ServiceDirective<T> {
     Idle,
 }
 
-/// An FCFS single-server queue with waiting-time and queue-length
-/// instrumentation.
+/// An FCFS queue with `servers` identical servers and waiting-time,
+/// queue-length and busy-server instrumentation.
+///
+/// [`FcfsServer::complete`] returns the **longest-serving** customer.
+/// With one server that is simply the customer in service. With more,
+/// the identification is exact only when every service at this queue
+/// has the same deterministic duration (the packet simulator's case,
+/// where every hop costs `α_sw + M·β`); for heterogeneous service times
+/// use one single-server queue per server instead.
 #[derive(Debug, Clone)]
 pub struct FcfsServer<T> {
-    waiting: VecDeque<(T, f64)>, // (customer, arrival time)
-    in_service: Option<(T, f64)>,
+    servers: u32,
+    /// Customers present with their arrival times, in arrival order;
+    /// the first `min(len, servers)` are in service.
+    present: VecDeque<(T, f64)>,
     waiting_times: OnlineStats,
     queue_length: TimeWeighted,
+    busy_area: TimeWeighted,
     arrivals: u64,
     departures: u64,
-    busy_area: TimeWeighted,
     instrumented: bool,
 }
 
-impl<T: Clone> Default for FcfsServer<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T: Clone> FcfsServer<T> {
-    /// Creates an idle, empty server.
-    pub fn new() -> Self {
+    /// Creates an idle, empty queue with `servers` servers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `servers == 0`.
+    pub fn new(servers: u32) -> Self {
+        assert!(servers > 0, "an FCFS queue needs at least one server");
         FcfsServer {
-            waiting: VecDeque::new(),
-            in_service: None,
+            servers,
+            present: VecDeque::new(),
             waiting_times: OnlineStats::new(),
             queue_length: TimeWeighted::new(),
+            busy_area: TimeWeighted::new(),
             arrivals: 0,
             departures: 0,
-            busy_area: TimeWeighted::new(),
             instrumented: true,
         }
     }
@@ -67,9 +76,14 @@ impl<T: Clone> FcfsServer<T> {
         self.instrumented = instrumented;
     }
 
+    /// Server count.
+    pub fn servers(&self) -> u32 {
+        self.servers
+    }
+
     /// Number of customers present (waiting + in service).
     pub fn len(&self) -> usize {
-        self.waiting.len() + usize::from(self.in_service.is_some())
+        self.present.len()
     }
 
     /// True when no customer is present.
@@ -77,46 +91,40 @@ impl<T: Clone> FcfsServer<T> {
         self.len() == 0
     }
 
-    /// True when the server is serving someone.
-    pub fn is_busy(&self) -> bool {
-        self.in_service.is_some()
-    }
-
-    /// A customer arrives at `now`. If the server is idle the caller
+    /// A customer arrives at `now`. If a server is free the caller
     /// receives `StartService` and must schedule the completion.
     pub fn arrive(&mut self, now: f64, customer: T) -> ServiceDirective<T> {
         self.arrivals += 1;
-        let directive = if self.in_service.is_none() {
-            self.in_service = Some((customer.clone(), now));
+        let directive = if self.present.len() < self.servers as usize {
             if self.instrumented {
                 self.waiting_times.record(0.0);
             }
-            ServiceDirective::StartService(customer)
+            ServiceDirective::StartService(customer.clone())
         } else {
-            self.waiting.push_back((customer, now));
             ServiceDirective::Idle
         };
+        self.present.push_back((customer, now));
         self.record_state(now);
         directive
     }
 
-    /// The customer in service completes at `now`; returns the customer
-    /// and, if someone was waiting, the next customer to start serving.
+    /// The longest-serving customer completes at `now`; returns it and,
+    /// if someone was waiting, the next customer to start serving on
+    /// the freed server.
     ///
     /// # Panics
     ///
-    /// Panics if the server was idle (a completion without a service is a
-    /// simulation logic error).
+    /// Panics if no server was busy (a completion without a service is
+    /// a simulation logic error).
     pub fn complete(&mut self, now: f64) -> (T, ServiceDirective<T>) {
-        let (done, _started) = self.in_service.take().expect("completion on an idle server");
+        let (done, _) = self.present.pop_front().expect("completion on an idle server");
         self.departures += 1;
-        let directive = match self.waiting.pop_front() {
+        let directive = match self.present.get(self.servers as usize - 1) {
             Some((next, arrived)) => {
                 if self.instrumented {
                     self.waiting_times.record(now - arrived);
                 }
-                self.in_service = Some((next.clone(), now));
-                ServiceDirective::StartService(next)
+                ServiceDirective::StartService(next.clone())
             }
             None => ServiceDirective::Idle,
         };
@@ -129,15 +137,14 @@ impl<T: Clone> FcfsServer<T> {
             return;
         }
         self.queue_length.update(now, self.len() as f64);
-        self.busy_area.update(now, if self.is_busy() { 1.0 } else { 0.0 });
+        self.busy_area.update(now, self.present.len().min(self.servers as usize) as f64);
     }
 
-    /// Returns the server to its just-constructed state while keeping
-    /// the waiting deque's storage, so a reused server behaves exactly
-    /// like a fresh one without reallocating.
+    /// Returns the queue to its just-constructed state (same server
+    /// count) while keeping the deque's storage, so a reused queue
+    /// behaves exactly like a fresh one without reallocating.
     pub fn reset(&mut self) {
-        self.waiting.clear();
-        self.in_service = None;
+        self.present.clear();
         self.waiting_times = OnlineStats::new();
         self.queue_length = TimeWeighted::new();
         self.busy_area = TimeWeighted::new();
@@ -155,9 +162,10 @@ impl<T: Clone> FcfsServer<T> {
         self.queue_length.mean_until(now)
     }
 
-    /// Fraction of time the server was busy up to `now`.
+    /// Time-weighted mean number of busy servers up to `now`, divided
+    /// by the server count: the fraction of time a server was busy.
     pub fn utilization(&self, now: f64) -> f64 {
-        self.busy_area.mean_until(now)
+        self.busy_area.mean_until(now) / f64::from(self.servers)
     }
 
     /// Total arrivals so far.
@@ -177,15 +185,14 @@ mod tests {
 
     #[test]
     fn idle_server_starts_immediately() {
-        let mut s: FcfsServer<u32> = FcfsServer::new();
+        let mut s: FcfsServer<u32> = FcfsServer::new(1);
         assert_eq!(s.arrive(0.0, 1), ServiceDirective::StartService(1));
-        assert!(s.is_busy());
         assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn busy_server_queues_fifo() {
-        let mut s: FcfsServer<u32> = FcfsServer::new();
+        let mut s: FcfsServer<u32> = FcfsServer::new(1);
         s.arrive(0.0, 1);
         assert_eq!(s.arrive(1.0, 2), ServiceDirective::Idle);
         assert_eq!(s.arrive(2.0, 3), ServiceDirective::Idle);
@@ -204,7 +211,7 @@ mod tests {
 
     #[test]
     fn waiting_times_are_tracked() {
-        let mut s: FcfsServer<u32> = FcfsServer::new();
+        let mut s: FcfsServer<u32> = FcfsServer::new(1);
         s.arrive(0.0, 1); // waits 0
         s.arrive(1.0, 2); // served at 5 => waited 4
         s.complete(5.0);
@@ -217,7 +224,7 @@ mod tests {
 
     #[test]
     fn utilization_and_queue_length() {
-        let mut s: FcfsServer<u32> = FcfsServer::new();
+        let mut s: FcfsServer<u32> = FcfsServer::new(1);
         s.arrive(0.0, 1);
         s.complete(4.0); // busy [0,4]
                          // idle [4,10]
@@ -232,36 +239,87 @@ mod tests {
     #[test]
     #[should_panic(expected = "idle server")]
     fn completion_on_idle_server_is_a_bug() {
-        let mut s: FcfsServer<u32> = FcfsServer::new();
+        let mut s: FcfsServer<u32> = FcfsServer::new(3);
         s.complete(1.0);
     }
 
     #[test]
+    #[should_panic(expected = "at least one server")]
+    fn zero_capacity_rejected() {
+        let _: FcfsServer<u32> = FcfsServer::new(0);
+    }
+
+    #[test]
+    fn parallel_servers_admit_up_to_capacity() {
+        let mut q: FcfsServer<u32> = FcfsServer::new(2);
+        assert_eq!(q.servers(), 2);
+        assert_eq!(q.arrive(0.0, 1), ServiceDirective::StartService(1));
+        assert_eq!(q.arrive(0.0, 2), ServiceDirective::StartService(2));
+        assert_eq!(q.arrive(0.0, 3), ServiceDirective::Idle);
+        assert_eq!(q.len(), 3);
+        // The freed server takes the head waiter, which waited 4.
+        assert_eq!(q.complete(4.0), (1, ServiceDirective::StartService(3)));
+        assert_eq!(q.waiting_time_stats().max(), Some(4.0));
+    }
+
+    #[test]
+    fn parallel_completions_pop_in_start_order() {
+        let mut q: FcfsServer<u32> = FcfsServer::new(3);
+        q.arrive(0.0, 10);
+        q.arrive(1.0, 11);
+        q.arrive(2.0, 12);
+        // Deterministic equal service: starts at 0, 1, 2 complete in
+        // the same order.
+        assert_eq!(q.complete(4.0).0, 10);
+        assert_eq!(q.complete(5.0).0, 11);
+        assert_eq!(q.complete(6.0).0, 12);
+    }
+
+    #[test]
+    fn occupancy_time_average() {
+        let mut q: FcfsServer<u32> = FcfsServer::new(2);
+        q.arrive(0.0, 1);
+        q.arrive(0.0, 2);
+        q.arrive(5.0, 3);
+        q.complete(10.0);
+        q.complete(10.0);
+        q.complete(15.0);
+        // Present: 2 on [0,5], 3 on [5,10], 1 on [10,15], 0 on [15,20]:
+        // mean (10 + 15 + 5) / 20 = 1.5. Busy servers: 2 on [0,10], 1 on
+        // [10,15]: mean 25 / 20 over 2 servers = 0.625.
+        assert!((q.mean_number_in_system(20.0) - 1.5).abs() < 1e-12);
+        assert!((q.utilization(20.0) - 0.625).abs() < 1e-12);
+    }
+
+    #[test]
     fn reset_restores_the_fresh_state() {
-        let mut s: FcfsServer<u32> = FcfsServer::new();
-        s.arrive(0.0, 1);
-        s.arrive(1.0, 2);
-        s.complete(5.0);
-        s.reset();
-        assert!(s.is_empty());
-        assert!(!s.is_busy());
-        assert_eq!(s.arrivals(), 0);
-        assert_eq!(s.departures(), 0);
-        assert_eq!(s.waiting_time_stats().count(), 0);
-        // A replayed history produces the same statistics as on a
-        // fresh server.
-        let mut fresh: FcfsServer<u32> = FcfsServer::new();
-        for q in [&mut s, &mut fresh] {
-            q.arrive(0.0, 1);
-            q.arrive(1.0, 2);
-            q.complete(5.0);
-            q.complete(8.0);
+        for servers in [1, 2] {
+            let mut s: FcfsServer<u32> = FcfsServer::new(servers);
+            s.arrive(0.0, 1);
+            s.arrive(1.0, 2);
+            s.arrive(1.0, 3);
+            s.complete(5.0);
+            s.reset();
+            assert!(s.is_empty());
+            assert_eq!(s.servers(), servers);
+            assert_eq!(s.arrivals(), 0);
+            assert_eq!(s.departures(), 0);
+            assert_eq!(s.waiting_time_stats().count(), 0);
+            // A replayed history produces the same statistics as on a
+            // fresh server.
+            let mut fresh: FcfsServer<u32> = FcfsServer::new(servers);
+            for q in [&mut s, &mut fresh] {
+                q.arrive(0.0, 1);
+                q.arrive(1.0, 2);
+                q.complete(5.0);
+                q.complete(8.0);
+            }
+            assert_eq!(s.waiting_time_stats(), fresh.waiting_time_stats());
+            assert_eq!(s.utilization(10.0).to_bits(), fresh.utilization(10.0).to_bits());
+            assert_eq!(
+                s.mean_number_in_system(10.0).to_bits(),
+                fresh.mean_number_in_system(10.0).to_bits()
+            );
         }
-        assert_eq!(s.waiting_time_stats(), fresh.waiting_time_stats());
-        assert_eq!(s.utilization(10.0).to_bits(), fresh.utilization(10.0).to_bits());
-        assert_eq!(
-            s.mean_number_in_system(10.0).to_bits(),
-            fresh.mean_number_in_system(10.0).to_bits()
-        );
     }
 }

@@ -34,7 +34,7 @@ impl MM1Sim {
             mu,
             arrivals_rng: RngStream::new(seed, 0),
             service_rng: RngStream::new(seed, 1),
-            server: FcfsServer::new(),
+            server: FcfsServer::new(1),
             next_id: 0,
             entered: std::collections::HashMap::new(),
             sojourns: OnlineStats::new(),

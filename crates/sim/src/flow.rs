@@ -19,6 +19,9 @@
 //! * each message is time-stamped at generation and its latency recorded
 //!   at delivery by the sink.
 //!
+//! The generator and the sink are the shared `source` and `sink`
+//! modules; this module adds the three service centres.
+//!
 //! The simulator therefore differs from the *analysis* only in the ways
 //! the analysis approximates reality: Poisson-arrival assumptions at
 //! interior centres and the eq. 6/7 throttling model.
@@ -32,15 +35,14 @@ use crate::config::sealed::Layout;
 use crate::config::{SimConfig, SimSystem};
 use crate::metrics_keys;
 use crate::result::{CenterObservation, SimResult};
+use crate::sink::Sink;
+use crate::source::Source;
 use hmcs_core::config::{ServiceTimeModel, SystemConfig};
 use hmcs_core::error::ModelError;
 use hmcs_core::metrics;
-use hmcs_core::routing::TrafficPattern;
 use hmcs_des::engine::{Engine, Model, Scheduler};
-use hmcs_des::quantile::P2Quantile;
 use hmcs_des::queue::{FcfsServer, ServiceDirective};
-use hmcs_des::rng::{RngStream, UniformInt};
-use hmcs_des::stats::OnlineStats;
+use hmcs_des::rng::RngStream;
 use hmcs_des::time::SimTime;
 
 /// Message identifier (index into the in-flight table).
@@ -78,39 +80,22 @@ enum Ev {
 struct FlowModel<S> {
     cfg: SimConfig<S>,
     layout: Layout,
-    n: usize,
-    /// Cluster index of every node.
-    cluster_of_node: Vec<usize>,
-    /// First node of every cluster.
-    cluster_start: Vec<usize>,
-    /// RNG stream ids for think times, destinations and service times.
-    streams: [u64; 3],
-    think_rng: RngStream,
-    dest_rng: RngStream,
+    source: Source,
+    sink: Sink,
+    /// RNG stream id of the service times.
+    svc_stream: u64,
     svc_rng: RngStream,
-    /// Precomputed sampler over the `n - 1` non-source destinations.
-    dest_any: UniformInt,
-    /// Per cluster, a precomputed sampler over its non-source local
-    /// destinations (`None` for single-node clusters).
-    dest_intra: Vec<Option<UniformInt>>,
     icn1: Vec<FcfsServer<MsgId>>,
     ecn1: Vec<FcfsServer<MsgId>>,
     icn2: FcfsServer<MsgId>,
     msgs: Vec<Msg>,
     free_ids: Vec<MsgId>,
-    delivered: u64,
-    latency: OnlineStats,
-    internal_latency: OnlineStats,
-    external_latency: OnlineStats,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
 }
 
-/// Builds one service center, keeping per-event statistics only when
-/// `instrumented`.
+/// Builds one single-server centre, keeping per-event statistics only
+/// when `instrumented`.
 pub(crate) fn center(instrumented: bool) -> FcfsServer<MsgId> {
-    let mut server = FcfsServer::new();
+    let mut server = FcfsServer::new(1);
     server.set_instrumented(instrumented);
     server
 }
@@ -130,39 +115,17 @@ impl<S: SimSystem> FlowModel<S> {
         cfg.validate()?;
         let layout = cfg.system.layout()?;
         let sizes = &layout.cluster_nodes;
-        let mut cluster_of_node = Vec::with_capacity(sizes.iter().sum());
-        let mut cluster_start = Vec::with_capacity(sizes.len());
-        for (i, &size) in sizes.iter().enumerate() {
-            cluster_start.push(cluster_of_node.len());
-            cluster_of_node.extend(std::iter::repeat_n(i, size));
-        }
-        let n = cluster_of_node.len();
         let instrumented = cfg.track_center_stats;
         Ok(FlowModel {
-            n,
-            cluster_of_node,
-            cluster_start,
-            streams,
-            think_rng: RngStream::new(cfg.seed, streams[0]),
-            dest_rng: RngStream::new(cfg.seed, streams[1]),
+            source: Source::new(cfg, [streams[0], streams[1]], layout.lambda_per_us, sizes),
+            sink: Sink::new(cfg),
+            svc_stream: streams[2],
             svc_rng: RngStream::new(cfg.seed, streams[2]),
-            dest_any: UniformInt::new(n - 1),
-            dest_intra: sizes
-                .iter()
-                .map(|&size| (size >= 2).then(|| UniformInt::new(size - 1)))
-                .collect(),
             icn1: sizes.iter().map(|_| center(instrumented)).collect(),
             ecn1: sizes.iter().map(|_| center(instrumented)).collect(),
             icn2: center(instrumented),
             msgs: Vec::new(),
             free_ids: Vec::new(),
-            delivered: 0,
-            latency: OnlineStats::new(),
-            internal_latency: OnlineStats::new(),
-            external_latency: OnlineStats::new(),
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
             layout,
             cfg: cfg.clone(),
         })
@@ -175,9 +138,9 @@ impl<S: SimSystem> FlowModel<S> {
     /// a fresh model's sample path bit for bit.
     fn reset(&mut self, seed: u64) {
         self.cfg.seed = seed;
-        self.think_rng = RngStream::new(seed, self.streams[0]);
-        self.dest_rng = RngStream::new(seed, self.streams[1]);
-        self.svc_rng = RngStream::new(seed, self.streams[2]);
+        self.source.reset(seed);
+        self.sink.reset();
+        self.svc_rng = RngStream::new(seed, self.svc_stream);
         for q in &mut self.icn1 {
             q.reset();
         }
@@ -187,43 +150,6 @@ impl<S: SimSystem> FlowModel<S> {
         self.icn2.reset();
         self.msgs.clear();
         self.free_ids.clear();
-        self.delivered = 0;
-        self.latency = OnlineStats::new();
-        self.internal_latency = OnlineStats::new();
-        self.external_latency = OnlineStats::new();
-        self.p50.reset();
-        self.p95.reset();
-        self.p99.reset();
-    }
-
-    fn cluster_of(&self, node: usize) -> usize {
-        self.cluster_of_node[node]
-    }
-
-    fn pick_destination(&mut self, src: usize) -> usize {
-        match self.cfg.pattern {
-            TrafficPattern::Uniform => self.dest_any.sample_excluding(&mut self.dest_rng, src),
-            TrafficPattern::Localized { locality } => {
-                let cluster = self.cluster_of(src);
-                match self.dest_intra[cluster] {
-                    Some(intra) if self.dest_rng.bernoulli(locality) => {
-                        // Uniform within the source's cluster, excluding
-                        // the source itself.
-                        let base = self.cluster_start[cluster];
-                        base + intra.sample_excluding(&mut self.dest_rng, src - base)
-                    }
-                    _ => self.dest_any.sample_excluding(&mut self.dest_rng, src),
-                }
-            }
-            TrafficPattern::Hotspot { node, fraction } => {
-                let hot = node.min(self.n - 1);
-                if src != hot && self.dest_rng.bernoulli(fraction) {
-                    hot
-                } else {
-                    self.dest_any.sample_excluding(&mut self.dest_rng, src)
-                }
-            }
-        }
     }
 
     fn alloc_msg(&mut self, msg: Msg) -> MsgId {
@@ -241,35 +167,13 @@ impl<S: SimSystem> FlowModel<S> {
         s.schedule_in(now, SimTime::from_us(svc), ev);
     }
 
-    fn deliver(&mut self, now: SimTime, s: &mut Scheduler<Ev>, id: MsgId) {
+    /// Message `id` leaves the network at `now`: the sink records it
+    /// and its source resumes.
+    fn finish(&mut self, now: SimTime, s: &mut Scheduler<Ev>, id: MsgId, external: bool) {
         let msg = self.msgs[id];
         self.free_ids.push(id);
-        let latency = now.as_us() - msg.created_us;
-        self.delivered += 1;
-        if self.delivered > self.cfg.warmup_messages {
-            self.latency.record(latency);
-            if self.cfg.track_quantiles {
-                self.p50.record(latency);
-                self.p95.record(latency);
-                self.p99.record(latency);
-            }
-            if self.cfg.track_center_stats {
-                if self.cluster_of(msg.src) == self.cluster_of(msg.dst) {
-                    self.internal_latency.record(latency);
-                } else {
-                    self.external_latency.record(latency);
-                }
-            }
-        }
-        if self.cfg.blocked_sources {
-            // The source resumes thinking only now (assumption 4).
-            let think = self.think_rng.exponential(self.layout.lambda_per_us);
-            s.schedule_in(now, SimTime::from_us(think), Ev::Generate { node: msg.src });
-        }
-    }
-
-    fn measured(&self) -> u64 {
-        self.latency.count()
+        self.sink.deliver(now, msg.created_us, external);
+        self.source.delivered(now, s, Ev::Generate { node: msg.src });
     }
 }
 
@@ -279,10 +183,9 @@ impl<S: SimSystem> Model for FlowModel<S> {
     fn handle(&mut self, now: SimTime, event: Ev, s: &mut Scheduler<Ev>) {
         match event {
             Ev::Generate { node } => {
-                let dst = self.pick_destination(node);
-                let src_cluster = self.cluster_of(node);
-                let dst_cluster = self.cluster_of(dst);
-                let external = src_cluster != dst_cluster;
+                let dst = self.source.destination(node);
+                let src_cluster = self.source.cluster_of(node);
+                let external = src_cluster != self.source.cluster_of(dst);
                 let stage = if external { Stage::Ecn1Forward } else { Stage::Icn1 };
                 let id = self.alloc_msg(Msg { src: node, dst, created_us: now.as_us(), stage });
                 if external {
@@ -298,16 +201,12 @@ impl<S: SimSystem> Model for FlowModel<S> {
                     let mean = self.layout.means.icn1_us[src_cluster];
                     self.schedule_done(now, s, Ev::Icn1Done { cluster: src_cluster }, mean);
                 }
-                if !self.cfg.blocked_sources {
-                    // Open system: the source keeps generating regardless.
-                    let gap = self.think_rng.exponential(self.layout.lambda_per_us);
-                    s.schedule_in(now, SimTime::from_us(gap), Ev::Generate { node });
-                }
+                self.source.generated(now, s, Ev::Generate { node });
             }
             Ev::Icn1Done { cluster } => {
                 let (id, directive) = self.icn1[cluster].complete(now.as_us());
                 debug_assert_eq!(self.msgs[id].stage, Stage::Icn1);
-                self.deliver(now, s, id);
+                self.finish(now, s, id, false);
                 if let ServiceDirective::StartService(_) = directive {
                     let mean = self.layout.means.icn1_us[cluster];
                     self.schedule_done(now, s, Ev::Icn1Done { cluster }, mean);
@@ -324,7 +223,7 @@ impl<S: SimSystem> Model for FlowModel<S> {
                             self.schedule_done(now, s, Ev::Icn2Done, mean);
                         }
                     }
-                    Stage::Ecn1Feedback => self.deliver(now, s, id),
+                    Stage::Ecn1Feedback => self.finish(now, s, id, true),
                     other => unreachable!("message in ECN1 with stage {other:?}"),
                 }
                 if let ServiceDirective::StartService(_) = directive {
@@ -336,7 +235,7 @@ impl<S: SimSystem> Model for FlowModel<S> {
                 let (id, directive) = self.icn2.complete(now.as_us());
                 debug_assert_eq!(self.msgs[id].stage, Stage::Icn2);
                 self.msgs[id].stage = Stage::Ecn1Feedback;
-                let dst_cluster = self.cluster_of(self.msgs[id].dst);
+                let dst_cluster = self.source.cluster_of(self.msgs[id].dst);
                 if let ServiceDirective::StartService(_) =
                     self.ecn1[dst_cluster].arrive(now.as_us(), id)
                 {
@@ -384,7 +283,7 @@ impl<S: SimSystem> FlowSimInstance<S> {
         let model = FlowModel::new(cfg, streams)?;
         // Pending-event bound: one Generate per source plus at most one
         // Done per server (per-cluster ICN1 + ECN1 and the global ICN2).
-        let capacity = model.n + 2 * model.icn1.len() + 1;
+        let capacity = model.source.nodes() + 2 * model.icn1.len() + 1;
         Ok(FlowSimInstance { engine: Engine::with_capacity(model, capacity) })
     }
 
@@ -394,14 +293,13 @@ impl<S: SimSystem> FlowSimInstance<S> {
         let engine = &mut self.engine;
         engine.reset();
         engine.model_mut().reset(seed);
-        let (n, lambda) = (engine.model().n, engine.model().layout.lambda_per_us);
         // Every processor starts in the thinking state.
-        for node in 0..n {
-            let think = engine.model_mut().think_rng.exponential(lambda);
-            engine.scheduler_mut().schedule_at(SimTime::from_us(think), Ev::Generate { node });
+        for node in 0..engine.model().source.nodes() {
+            let think = engine.model_mut().source.think();
+            engine.scheduler_mut().schedule_at(think, Ev::Generate { node });
         }
         let target = engine.model().cfg.messages;
-        engine.run_until(None, None, |m| m.measured() >= target);
+        engine.run_until(None, None, |m| m.sink.measured() >= target);
         let now = engine.now().as_us();
         // Bridge the engine's local counters into the global registry
         // (the DES kernel deliberately knows nothing about hmcs-core).
@@ -410,47 +308,13 @@ impl<S: SimSystem> FlowSimInstance<S> {
             metrics::histogram(metrics_keys::FLOW_PEAK_PENDING)
                 .record(engine.scheduler().peak_pending() as u64);
         }
-        Self::collect(engine.model(), now)
-    }
-
-    fn collect(model: &FlowModel<S>, now: f64) -> SimResult {
-        let avg_center = |servers: &[FcfsServer<MsgId>]| -> CenterObservation {
-            let k = servers.len() as f64;
-            CenterObservation {
-                mean_number_in_system: servers
-                    .iter()
-                    .map(|q| q.mean_number_in_system(now))
-                    .sum::<f64>()
-                    / k,
-                utilization: servers.iter().map(|q| q.utilization(now)).sum::<f64>() / k,
-                arrivals: servers.iter().map(|q| q.arrivals()).sum(),
-            }
-        };
-
-        let measured = model.latency.count();
+        let model = engine.model();
         SimResult {
-            mean_latency_us: model.latency.mean(),
-            latency: model.latency.clone(),
-            quantiles: match (model.p50.estimate(), model.p95.estimate(), model.p99.estimate()) {
-                (Some(p50_us), Some(p95_us), Some(p99_us)) => {
-                    Some(crate::result::LatencyQuantiles { p50_us, p95_us, p99_us })
-                }
-                _ => None,
-            },
-            internal_latency: model.internal_latency.clone(),
-            external_latency: model.external_latency.clone(),
-            messages: measured,
-            sim_duration_us: now,
-            throughput_per_us: model.delivered as f64 / now,
-            effective_lambda_per_us: model.delivered as f64 / now / model.n as f64,
             per_cluster_ecn1_utilization: model.ecn1.iter().map(|q| q.utilization(now)).collect(),
-            icn1: avg_center(&model.icn1),
-            ecn1: avg_center(&model.ecn1),
-            icn2: CenterObservation {
-                mean_number_in_system: model.icn2.mean_number_in_system(now),
-                utilization: model.icn2.utilization(now),
-                arrivals: model.icn2.arrivals(),
-            },
+            icn1: CenterObservation::average(&model.icn1, now),
+            ecn1: CenterObservation::average(&model.ecn1, now),
+            icn2: CenterObservation::average(std::slice::from_ref(&model.icn2), now),
+            ..model.sink.result(now, model.source.nodes())
         }
     }
 }
@@ -746,6 +610,7 @@ mod tests {
         use hmcs_core::cluster_of_clusters::{self, ClusterSpec, CocConfig};
         use hmcs_core::config::QueueAccounting;
         use hmcs_core::error::ModelError;
+        use hmcs_core::routing::TrafficPattern;
         use hmcs_topology::switch::SwitchFabric;
         use hmcs_topology::technology::NetworkTechnology;
 

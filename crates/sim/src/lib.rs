@@ -5,10 +5,16 @@
 //! model (§6).
 //!
 //! Two fidelity levels are provided, both driven by the *same*
-//! [`hmcs_core::config::SystemConfig`] the analytical model consumes:
+//! [`hmcs_core::config::SystemConfig`] the analytical model consumes
+//! and the *same* workload: the private `source` module generates the
+//! paper's messages (exponential think times, destinations by traffic
+//! pattern, blocked or open sources) and the private `sink` module
+//! collects their latencies. The simulators differ only in how they
+//! model the networks:
 //!
 //! * [`flow`] — a **flow-level** simulator that mirrors the queueing
-//!   abstraction: each network tier is one FCFS server; service times
+//!   abstraction: each network tier is one FCFS server
+//!   ([`hmcs_des::queue::FcfsServer`]); service times
 //!   are drawn from the configured distribution with the topology-model
 //!   mean. This is the direct counterpart of the paper's own simulator:
 //!   exponential inter-arrival times, uniform destinations, sources that
@@ -17,7 +23,8 @@
 //! * [`packet`] — a **packet-level** simulator that walks each message
 //!   hop-by-hop through the explicitly constructed switch fabrics
 //!   (fat-tree pods / linear-array switches) with store-and-forward
-//!   contention at every switch. It contains none of the model's
+//!   contention at every switch (each pod an `FcfsServer` with one
+//!   server per member switch). It contains none of the model's
 //!   queueing approximations, making it the stronger referee.
 //!
 //! [`flow`] also runs heterogeneous Cluster-of-Clusters systems (the
@@ -56,11 +63,12 @@
 pub mod config;
 pub mod flow;
 pub mod metrics_keys;
-pub mod multiserver;
 pub mod packet;
 pub mod replication;
 pub mod result;
 pub mod shard;
+mod sink;
+mod source;
 
 pub use config::SimConfig;
 pub use result::SimResult;

@@ -6,8 +6,8 @@
 //! message **hop by hop** through explicitly constructed switch fabrics:
 //!
 //! * the fat-tree is represented by its pods (groups of parallel
-//!   switches, see `hmcs_topology::fat_tree`), each a multi-server FCFS
-//!   resource with one server per member switch;
+//!   switches, see `hmcs_topology::fat_tree`), each an
+//!   [`FcfsServer`] with one server per member switch;
 //! * the linear array is a chain of single-server switch resources —
 //!   contention on the shared middle switches produces head-of-line
 //!   blocking *naturally*, with no `(N/2)·M·β` model term;
@@ -23,18 +23,19 @@
 //! comparison experiments treat the packet simulator as a *referee of
 //! trends*, not of absolute values (EXPERIMENTS.md discusses the
 //! offsets).
+//!
+//! Messages are generated and collected by the same shared `source` and
+//! `sink` modules as the flow-level simulator; only the networks differ.
 
 use crate::config::SimConfig;
 use crate::metrics_keys;
-use crate::multiserver::{MultiDirective, MultiServer};
 use crate::result::{CenterObservation, SimResult};
+use crate::sink::Sink;
+use crate::source::Source;
 use hmcs_core::error::ModelError;
 use hmcs_core::metrics;
-use hmcs_core::routing::TrafficPattern;
 use hmcs_des::engine::{Engine, Model, Scheduler};
-use hmcs_des::quantile::P2Quantile;
-use hmcs_des::rng::{RngStream, UniformInt};
-use hmcs_des::stats::OnlineStats;
+use hmcs_des::queue::{FcfsServer, ServiceDirective};
 use hmcs_des::time::SimTime;
 use hmcs_topology::transmission::Architecture;
 
@@ -57,15 +58,6 @@ struct Msg {
     /// Number of steps this message's arena slot holds.
     len: u32,
     cursor: u32,
-}
-
-/// Which of the three tiers a fabric instance implements (used to
-/// aggregate observations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Icn1,
-    Ecn1,
-    Icn2,
 }
 
 /// A switch fabric laid out as globally indexed pod resources.
@@ -400,20 +392,15 @@ enum Ev {
 struct PacketModel {
     cfg: SimConfig,
     n0: usize,
-    n: usize,
     icn1: Vec<TierFabric>,
     ecn1: Vec<TierFabric>,
     icn2: TierFabric,
-    resources: Vec<MultiServer<MsgId>>,
+    /// Every fabric's pods in tier order: all ICN1 fabrics, then all
+    /// ECN1 fabrics, then the ICN2 one.
+    resources: Vec<FcfsServer<MsgId>>,
     resource_service_us: Vec<f64>,
-    resource_tier: Vec<Tier>,
-    think_rng: RngStream,
-    dest_rng: RngStream,
-    /// Precomputed sampler over the `n - 1` non-source destinations.
-    dest_any: UniformInt,
-    /// Precomputed sampler over the `n0 - 1` non-source cluster-local
-    /// destinations (`None` for single-node clusters).
-    dest_intra: Option<UniformInt>,
+    source: Source,
+    sink: Sink,
     msgs: Vec<Msg>,
     /// Flat shared itinerary arena: message `id` owns the fixed-stride
     /// slot `steps[id * stride .. id * stride + msgs[id].len]`. Slots
@@ -424,13 +411,6 @@ struct PacketModel {
     /// any itinerary's step count.
     stride: usize,
     free_ids: Vec<MsgId>,
-    delivered: u64,
-    latency: OnlineStats,
-    internal_latency: OnlineStats,
-    external_latency: OnlineStats,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
 }
 
 impl PacketModel {
@@ -442,36 +422,30 @@ impl PacketModel {
         let sw_lat = sys.switch.latency_us();
         let ports = sys.switch.ports() as usize;
 
-        let mut resources: Vec<MultiServer<MsgId>> = Vec::new();
+        let mut resources: Vec<FcfsServer<MsgId>> = Vec::new();
         let mut resource_service_us: Vec<f64> = Vec::new();
-        let mut resource_tier: Vec<Tier> = Vec::new();
-        let mut add_fabric = |tech: hmcs_topology::technology::NetworkTechnology,
-                              endpoints: usize,
-                              tier: Tier|
-         -> TierFabric {
-            let hop = sw_lat + m * tech.byte_time_us();
-            let fabric = TierFabric::new(
-                sys.architecture,
-                endpoints,
-                ports,
-                resources.len(),
-                tech.latency_us,
-            );
-            for cap in fabric.pod_capacities() {
-                let mut pod = MultiServer::new(cap);
-                pod.set_instrumented(cfg.track_center_stats);
-                resources.push(pod);
-                resource_service_us.push(hop);
-                resource_tier.push(tier);
-            }
-            fabric
-        };
+        let mut add_fabric =
+            |tech: hmcs_topology::technology::NetworkTechnology, endpoints: usize| -> TierFabric {
+                let hop = sw_lat + m * tech.byte_time_us();
+                let fabric = TierFabric::new(
+                    sys.architecture,
+                    endpoints,
+                    ports,
+                    resources.len(),
+                    tech.latency_us,
+                );
+                for cap in fabric.pod_capacities() {
+                    let mut pod = FcfsServer::new(cap);
+                    pod.set_instrumented(cfg.track_center_stats);
+                    resources.push(pod);
+                    resource_service_us.push(hop);
+                }
+                fabric
+            };
 
-        let icn1: Vec<TierFabric> =
-            (0..sys.clusters).map(|_| add_fabric(sys.icn1, n0, Tier::Icn1)).collect();
-        let ecn1: Vec<TierFabric> =
-            (0..sys.clusters).map(|_| add_fabric(sys.ecn1, n0, Tier::Ecn1)).collect();
-        let icn2 = add_fabric(sys.icn2, sys.clusters.max(2), Tier::Icn2);
+        let icn1: Vec<TierFabric> = (0..sys.clusters).map(|_| add_fabric(sys.icn1, n0)).collect();
+        let ecn1: Vec<TierFabric> = (0..sys.clusters).map(|_| add_fabric(sys.ecn1, n0)).collect();
+        let icn2 = add_fabric(sys.icn2, sys.clusters.max(2));
 
         // Arena slot width: the longest possible itinerary is either an
         // intra-cluster trip (delay + ICN1 route) or an inter-cluster
@@ -482,28 +456,17 @@ impl PacketModel {
 
         Ok(PacketModel {
             n0,
-            n: sys.total_nodes(),
             icn1,
             ecn1,
             icn2,
             resources,
             resource_service_us,
-            resource_tier,
-            think_rng: RngStream::new(cfg.seed, 11),
-            dest_rng: RngStream::new(cfg.seed, 12),
-            dest_any: UniformInt::new(sys.total_nodes() - 1),
-            dest_intra: (n0 >= 2).then(|| UniformInt::new(n0 - 1)),
+            source: Source::new(&cfg, [11, 12], sys.lambda_per_us, &vec![n0; sys.clusters]),
+            sink: Sink::new(&cfg),
             msgs: Vec::new(),
             steps: Vec::new(),
             stride,
             free_ids: Vec::new(),
-            delivered: 0,
-            latency: OnlineStats::new(),
-            internal_latency: OnlineStats::new(),
-            external_latency: OnlineStats::new(),
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
             cfg,
         })
     }
@@ -516,8 +479,8 @@ impl PacketModel {
     /// for bit.
     fn reset(&mut self, seed: u64) {
         self.cfg.seed = seed;
-        self.think_rng = RngStream::new(seed, 11);
-        self.dest_rng = RngStream::new(seed, 12);
+        self.source.reset(seed);
+        self.sink.reset();
         for r in &mut self.resources {
             r.reset();
         }
@@ -526,38 +489,6 @@ impl PacketModel {
         // capacity.
         self.steps.clear();
         self.free_ids.clear();
-        self.delivered = 0;
-        self.latency = OnlineStats::new();
-        self.internal_latency = OnlineStats::new();
-        self.external_latency = OnlineStats::new();
-        self.p50.reset();
-        self.p95.reset();
-        self.p99.reset();
-    }
-
-    fn cluster_of(&self, node: usize) -> usize {
-        node / self.n0
-    }
-
-    fn pick_destination(&mut self, src: usize) -> usize {
-        match self.cfg.pattern {
-            TrafficPattern::Uniform => self.dest_any.sample_excluding(&mut self.dest_rng, src),
-            TrafficPattern::Localized { locality } => match self.dest_intra {
-                Some(intra) if self.dest_rng.bernoulli(locality) => {
-                    let base = self.cluster_of(src) * self.n0;
-                    base + intra.sample_excluding(&mut self.dest_rng, src - base)
-                }
-                _ => self.dest_any.sample_excluding(&mut self.dest_rng, src),
-            },
-            TrafficPattern::Hotspot { node, fraction } => {
-                let hot = node.min(self.n - 1);
-                if src != hot && self.dest_rng.bernoulli(fraction) {
-                    hot
-                } else {
-                    self.dest_any.sample_excluding(&mut self.dest_rng, src)
-                }
-            }
-        }
     }
 
     /// Builds a message's itinerary as a fresh `Vec`.
@@ -567,8 +498,8 @@ impl PacketModel {
     /// identical step sequences across fuzzed configurations.
     #[cfg(test)]
     fn build_itinerary(&self, src: usize, dst: usize) -> Vec<Step> {
-        let sc = self.cluster_of(src);
-        let dc = self.cluster_of(dst);
+        let sc = src / self.n0;
+        let dc = dst / self.n0;
         let (sl, dl) = (src - sc * self.n0, dst - dc * self.n0);
         let mut steps = Vec::new();
         if sc == dc {
@@ -645,11 +576,14 @@ impl PacketModel {
         id
     }
 
-    /// Moves `msg` to its next itinerary step (or delivers it).
+    /// Moves `msg` to its next itinerary step, or hands it to the sink
+    /// and resumes its source.
     fn advance(&mut self, now: SimTime, s: &mut Scheduler<Ev>, id: MsgId) {
         let m = self.msgs[id];
         if m.cursor >= m.len {
-            self.deliver(now, s, id);
+            self.free_ids.push(id);
+            self.sink.deliver(now, m.created_us, m.src / self.n0 != m.dst / self.n0);
+            self.source.delivered(now, s, Ev::Generate { node: m.src });
             return;
         }
         self.msgs[id].cursor = m.cursor + 1;
@@ -658,45 +592,13 @@ impl PacketModel {
                 s.schedule_in(now, SimTime::from_us(d), Ev::Advance { msg: id });
             }
             Step::Queue(r) => {
-                if let MultiDirective::Start(_) = self.resources[r].arrive(now.as_us(), id) {
+                if let ServiceDirective::StartService(_) = self.resources[r].arrive(now.as_us(), id)
+                {
                     let svc = self.resource_service_us[r];
                     s.schedule_in(now, SimTime::from_us(svc), Ev::HopDone { resource: r });
                 }
             }
         }
-    }
-
-    fn deliver(&mut self, now: SimTime, s: &mut Scheduler<Ev>, id: MsgId) {
-        let (src, dst, created) = {
-            let m = &self.msgs[id];
-            (m.src, m.dst, m.created_us)
-        };
-        self.free_ids.push(id);
-        let latency = now.as_us() - created;
-        self.delivered += 1;
-        if self.delivered > self.cfg.warmup_messages {
-            self.latency.record(latency);
-            if self.cfg.track_quantiles {
-                self.p50.record(latency);
-                self.p95.record(latency);
-                self.p99.record(latency);
-            }
-            if self.cfg.track_center_stats {
-                if self.cluster_of(src) == self.cluster_of(dst) {
-                    self.internal_latency.record(latency);
-                } else {
-                    self.external_latency.record(latency);
-                }
-            }
-        }
-        if self.cfg.blocked_sources {
-            let think = self.think_rng.exponential(self.cfg.system.lambda_per_us);
-            s.schedule_in(now, SimTime::from_us(think), Ev::Generate { node: src });
-        }
-    }
-
-    fn measured(&self) -> u64 {
-        self.latency.count()
     }
 }
 
@@ -706,21 +608,18 @@ impl Model for PacketModel {
     fn handle(&mut self, now: SimTime, event: Ev, s: &mut Scheduler<Ev>) {
         match event {
             Ev::Generate { node } => {
-                let dst = self.pick_destination(node);
+                let dst = self.source.destination(node);
                 let id = self.alloc_msg(node, dst, now.as_us());
                 self.advance(now, s, id);
-                if !self.cfg.blocked_sources {
-                    let gap = self.think_rng.exponential(self.cfg.system.lambda_per_us);
-                    s.schedule_in(now, SimTime::from_us(gap), Ev::Generate { node });
-                }
+                self.source.generated(now, s, Ev::Generate { node });
             }
             Ev::Advance { msg } => self.advance(now, s, msg),
             Ev::HopDone { resource } => {
                 // All services at one resource share a deterministic
                 // duration, so the longest-serving message is the one
-                // completing now (MultiServer::complete's contract).
+                // completing now (FcfsServer::complete's contract).
                 let (id, directive) = self.resources[resource].complete(now.as_us());
-                if let MultiDirective::Start(_next) = directive {
+                if let ServiceDirective::StartService(_) = directive {
                     let svc = self.resource_service_us[resource];
                     s.schedule_in(now, SimTime::from_us(svc), Ev::HopDone { resource });
                 }
@@ -759,7 +658,7 @@ impl PacketSimInstance {
         let model = PacketModel::new(*cfg)?;
         // Pending-event bound: one Generate/Advance per source or
         // in-flight message plus at most one HopDone per resource.
-        let capacity = model.n + model.resources.len();
+        let capacity = model.source.nodes() + model.resources.len();
         Ok(PacketSimInstance { engine: Engine::with_capacity(model, capacity) })
     }
 
@@ -769,59 +668,27 @@ impl PacketSimInstance {
         let engine = &mut self.engine;
         engine.reset();
         engine.model_mut().reset(seed);
-        let (n, lambda) = (engine.model().n, engine.model().cfg.system.lambda_per_us);
-        for node in 0..n {
-            let think = engine.model_mut().think_rng.exponential(lambda);
-            engine.scheduler_mut().schedule_at(SimTime::from_us(think), Ev::Generate { node });
+        for node in 0..engine.model().source.nodes() {
+            let think = engine.model_mut().source.think();
+            engine.scheduler_mut().schedule_at(think, Ev::Generate { node });
         }
         let target = engine.model().cfg.messages;
-        engine.run_until(None, None, |m| m.measured() >= target);
+        engine.run_until(None, None, |m| m.sink.measured() >= target);
         let now = engine.now().as_us();
         // Bridge the engine's local counters into the global registry.
         metrics::counter(metrics_keys::PACKET_EVENTS).add(engine.events_processed());
         metrics::histogram(metrics_keys::PACKET_PEAK_PENDING)
             .record(engine.scheduler().peak_pending() as u64);
-        Self::collect(engine.model(), now)
-    }
-
-    fn collect(model: &PacketModel, now: f64) -> SimResult {
-        let tier_obs = |tier: Tier| -> CenterObservation {
-            let idx: Vec<usize> =
-                (0..model.resources.len()).filter(|&i| model.resource_tier[i] == tier).collect();
-            if idx.is_empty() {
-                return CenterObservation::default();
-            }
-            CenterObservation {
-                mean_number_in_system: idx
-                    .iter()
-                    .map(|&i| model.resources[i].mean_number_in_system(now))
-                    .sum::<f64>()
-                    / idx.len() as f64,
-                utilization: 0.0, // per-switch utilization is not aggregated here
-                arrivals: idx.iter().map(|&i| model.resources[i].arrivals()).sum(),
-            }
-        };
-
-        let measured = model.latency.count();
+        // Each tier's observation averages over its pods, which sit in
+        // tier order.
+        let model = engine.model();
+        let (ecn1, icn2) = (model.ecn1[0].base, model.icn2.base);
+        let tier = |pods: &[FcfsServer<MsgId>]| CenterObservation::average(pods, now);
         SimResult {
-            mean_latency_us: model.latency.mean(),
-            latency: model.latency.clone(),
-            quantiles: match (model.p50.estimate(), model.p95.estimate(), model.p99.estimate()) {
-                (Some(p50_us), Some(p95_us), Some(p99_us)) => {
-                    Some(crate::result::LatencyQuantiles { p50_us, p95_us, p99_us })
-                }
-                _ => None,
-            },
-            internal_latency: model.internal_latency.clone(),
-            external_latency: model.external_latency.clone(),
-            messages: measured,
-            sim_duration_us: now,
-            throughput_per_us: model.delivered as f64 / now,
-            effective_lambda_per_us: model.delivered as f64 / now / model.n as f64,
-            per_cluster_ecn1_utilization: Vec::new(),
-            icn1: tier_obs(Tier::Icn1),
-            ecn1: tier_obs(Tier::Ecn1),
-            icn2: tier_obs(Tier::Icn2),
+            icn1: tier(&model.resources[..ecn1]),
+            ecn1: tier(&model.resources[ecn1..icn2]),
+            icn2: tier(&model.resources[icn2..]),
+            ..model.sink.result(now, model.source.nodes())
         }
     }
 }
@@ -831,6 +698,7 @@ mod tests {
     use super::*;
     use hmcs_core::config::SystemConfig;
     use hmcs_core::Scenario;
+    use hmcs_des::rng::RngStream;
     use proptest::prelude::*;
 
     fn model(sys: SystemConfig) -> PacketModel {
@@ -868,6 +736,47 @@ mod tests {
                         assert_eq!(got, oracle, "src {src} dst {dst} C={c} N0={n0} {arch:?}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Each tier's utilization obeys the utilization law: averaged over
+    /// the tier's pods, arrivals × hop time / (servers × simulated
+    /// time). The two differ by the work still queued or in service when
+    /// the run stops and by the idle time before a pod's first arrival,
+    /// which its statistics do not count: at most 0.52% of the tier's
+    /// utilization here (ICN1 on the fat-tree), checked against 2%.
+    #[test]
+    fn tier_utilizations_obey_the_utilization_law() {
+        for arch in [Architecture::NonBlocking, Architecture::Blocking] {
+            // ICN2 about 60% busy: no queue grows without bound.
+            let sys = SystemConfig::paper_preset(Scenario::Case1, 4, arch)
+                .expect("valid preset")
+                .with_lambda(3e-5);
+            let cfg = SimConfig::new(sys).with_messages(10_000).with_seed(5);
+            let mut instance = PacketSimInstance::new(&cfg).unwrap();
+            let r = instance.run(cfg.seed);
+            let m = instance.engine.model();
+            let law = |pods: std::ops::Range<usize>| -> f64 {
+                let k = pods.len() as f64;
+                pods.map(|i| {
+                    let pod = &m.resources[i];
+                    pod.arrivals() as f64 * m.resource_service_us[i]
+                        / (f64::from(pod.servers()) * r.sim_duration_us)
+                })
+                .sum::<f64>()
+                    / k
+            };
+            let (ecn1, icn2) = (m.ecn1[0].base, m.icn2.base);
+            let tiers = [
+                ("ICN1", &r.icn1, law(0..ecn1)),
+                ("ECN1", &r.ecn1, law(ecn1..icn2)),
+                ("ICN2", &r.icn2, law(icn2..m.resources.len())),
+            ];
+            for (tier, obs, expected) in tiers {
+                assert!(obs.utilization > 0.0, "{arch:?} {tier} reports no utilization");
+                let rel = (obs.utilization - expected).abs() / expected;
+                assert!(rel < 0.02, "{arch:?} {tier}: sim {} vs law {expected}", obs.utilization);
             }
         }
     }

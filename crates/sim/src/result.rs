@@ -1,5 +1,7 @@
-//! Simulation results: the sink module's output.
+//! Simulation results: the `sink` module's output plus each
+//! simulator's per-centre observations.
 
+use hmcs_des::queue::FcfsServer;
 use hmcs_des::stats::{confidence_interval, OnlineStats};
 
 /// Streaming latency-quantile estimates (P² algorithm) collected by the
@@ -24,6 +26,23 @@ pub struct CenterObservation {
     pub utilization: f64,
     /// Total arrivals seen.
     pub arrivals: u64,
+}
+
+impl CenterObservation {
+    /// The observation of `centres` at `now`, averaged over the centres
+    /// (arrivals summed).
+    pub(crate) fn average<T: Clone>(centres: &[FcfsServer<T>], now: f64) -> Self {
+        let k = centres.len() as f64;
+        CenterObservation {
+            mean_number_in_system: centres
+                .iter()
+                .map(|q| q.mean_number_in_system(now))
+                .sum::<f64>()
+                / k,
+            utilization: centres.iter().map(|q| q.utilization(now)).sum::<f64>() / k,
+            arrivals: centres.iter().map(|q| q.arrivals()).sum(),
+        }
+    }
 }
 
 /// The output of one simulation run.

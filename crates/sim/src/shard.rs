@@ -55,17 +55,24 @@
 //! `α(src,dst) − intra_centre` and an external message's ICN2 service
 //! mean by `α(src,dst) − inter_centre`, so the simulator consumes the
 //! *measured matrix*, not just the fitted two-level abstraction of it.
+//!
+//! Traffic must be uniform ([`TrafficPattern::Uniform`]): the
+//! background rate assumes it, so other patterns are rejected. Sources
+//! and the sink are the shared `source` and `sink` modules.
 
 use crate::config::SimConfig;
 use crate::flow::{center, sample_service};
 use crate::metrics_keys;
+use crate::sink::Sink;
+use crate::source::Source;
 use hmcs_core::batch::{par_map_init, BatchOptions};
 use hmcs_core::error::ModelError;
 use hmcs_core::metrics;
+use hmcs_core::routing::TrafficPattern;
 use hmcs_core::service::ServiceTimes;
 use hmcs_des::engine::{Engine, Model, Scheduler};
 use hmcs_des::queue::{FcfsServer, ServiceDirective};
-use hmcs_des::rng::{RngStream, UniformInt};
+use hmcs_des::rng::RngStream;
 use hmcs_des::stats::{confidence_interval, OnlineStats};
 use hmcs_des::time::SimTime;
 use hmcs_topology::latmatrix::{LatencyMatrix, LatencySource};
@@ -305,11 +312,10 @@ struct ShardModel<'a, S: ?Sized> {
     means: ServiceTimes,
     bg_rate_per_us: f64,
     hop: Option<HopDelays<'a, S>>,
-    think_rng: RngStream,
-    dest_rng: RngStream,
+    source: Source,
+    sink: Sink,
     svc_rng: RngStream,
     bg_rng: RngStream,
-    dest_any: UniformInt,
     icn1: FcfsServer<MsgId>,
     ecn1: FcfsServer<MsgId>,
     icn2: LazyIcn2,
@@ -318,10 +324,8 @@ struct ShardModel<'a, S: ?Sized> {
     /// 0 without a hop source.
     hop_offset: Vec<f64>,
     free_ids: Vec<MsgId>,
-    delivered: u64,
     boundary_in: u64,
     boundary_out: u64,
-    latency: OnlineStats,
 }
 
 impl<S: LatencySource + ?Sized> ShardModel<'_, S> {
@@ -358,19 +362,13 @@ impl<S: LatencySource + ?Sized> ShardModel<'_, S> {
         s.schedule_timer_in(ev.timer_slot(), now, SimTime::from_us(svc), ev);
     }
 
-    fn deliver(&mut self, now: SimTime, s: &mut Scheduler<Ev>, id: MsgId) {
+    /// Message `id` leaves the network at `now`: the sink records it
+    /// and its source resumes.
+    fn finish(&mut self, now: SimTime, s: &mut Scheduler<Ev>, id: MsgId, external: bool) {
         let msg = self.msgs[id];
         self.free_ids.push(id);
-        let latency = now.as_us() - msg.created_us;
-        self.delivered += 1;
-        if self.delivered > self.cfg.warmup_messages {
-            self.latency.record(latency);
-        }
-        if self.cfg.blocked_sources {
-            let think = self.think_rng.exponential(self.cfg.system.lambda_per_us);
-            let ev = Ev::Generate { local: msg.src_local as usize };
-            s.schedule_in(now, SimTime::from_us(think), ev);
-        }
+        self.sink.deliver(now, msg.created_us, external);
+        self.source.delivered(now, s, Ev::Generate { local: msg.src_local as usize });
     }
 }
 
@@ -381,7 +379,7 @@ impl<S: LatencySource + ?Sized> Model for ShardModel<'_, S> {
         match event {
             Ev::Generate { local } => {
                 let src_global = self.members[local];
-                let dst = self.dest_any.sample_excluding(&mut self.dest_rng, src_global);
+                let dst = self.source.destination(src_global);
                 let external = !self.is_local[dst];
                 let stage = if external { Stage::Ecn1Forward } else { Stage::Icn1 };
                 // Residual per-pair offset against the fitted band
@@ -413,15 +411,12 @@ impl<S: LatencySource + ?Sized> Model for ShardModel<'_, S> {
                     let mean = self.hop_mean(self.means.icn1_us, id);
                     self.schedule_done(now, s, Ev::Icn1Done, mean);
                 }
-                if !self.cfg.blocked_sources {
-                    let gap = self.think_rng.exponential(self.cfg.system.lambda_per_us);
-                    s.schedule_in(now, SimTime::from_us(gap), Ev::Generate { local });
-                }
+                self.source.generated(now, s, Ev::Generate { local });
             }
             Ev::Icn1Done => {
                 let (id, directive) = self.icn1.complete(now.as_us());
                 debug_assert_eq!(self.msgs[id].stage, Stage::Icn1);
-                self.deliver(now, s, id);
+                self.finish(now, s, id, false);
                 if let ServiceDirective::StartService(next) = directive {
                     let mean = self.hop_mean(self.means.icn1_us, next);
                     self.schedule_done(now, s, Ev::Icn1Done, mean);
@@ -440,7 +435,7 @@ impl<S: LatencySource + ?Sized> Model for ShardModel<'_, S> {
                             s.schedule_timer_at(ICN2_SLOT, SimTime::from_us(at), Ev::Icn2Done);
                         }
                     }
-                    Stage::Ecn1Feedback => self.deliver(now, s, id),
+                    Stage::Ecn1Feedback => self.finish(now, s, id, true),
                     other => unreachable!("message in ECN1 with stage {other:?}"),
                 }
                 if let ServiceDirective::StartService(_) = directive {
@@ -496,11 +491,13 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             means,
             bg_rate_per_us: 0.0,
             hop,
-            think_rng: RngStream::new(cfg.seed, 1),
-            dest_rng: RngStream::new(cfg.seed, 2),
+            // Uniform destinations ignore cluster boundaries, so the
+            // source sees one cluster of all `n` nodes.
+            source: Source::new(cfg, [1, 2], cfg.system.lambda_per_us, &[n]),
+            // The shard reports latency means only.
+            sink: Sink::new(&cfg.with_quantiles(false).with_center_stats(false)),
             svc_rng: RngStream::new(cfg.seed, 3),
             bg_rng: RngStream::new(cfg.seed, 4),
-            dest_any: UniformInt::new(n - 1),
             // Nothing reads the shard centres' statistics.
             icn1: center(false),
             ecn1: center(false),
@@ -508,10 +505,8 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             msgs: Vec::new(),
             hop_offset: Vec::new(),
             free_ids: Vec::new(),
-            delivered: 0,
             boundary_in: 0,
             boundary_out: 0,
-            latency: OnlineStats::new(),
         };
         // The heap holds one Generate per local source; the centres'
         // completions use the timer slots.
@@ -535,8 +530,8 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             model.is_local[g] = true;
         }
         model.cfg.seed = seed;
-        model.think_rng = RngStream::new(seed, 1);
-        model.dest_rng = RngStream::new(seed, 2);
+        model.source.reset(seed);
+        model.sink.reset();
         model.svc_rng = RngStream::new(seed, 3);
         model.bg_rng = RngStream::new(seed, 4);
         model.icn1.reset();
@@ -544,10 +539,8 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
         model.msgs.clear();
         model.hop_offset.clear();
         model.free_ids.clear();
-        model.delivered = 0;
         model.boundary_in = 0;
         model.boundary_out = 0;
-        model.latency = OnlineStats::new();
         // Background rate: Σ over *other* clusters of n_j·P_j·λ_bg,
         // where P_j = (n − n_j)/(n − 1) is cluster j's external
         // probability under uniform destinations.
@@ -565,24 +558,24 @@ impl<'a, S: LatencySource + ?Sized> ShardSimInstance<'a, S> {
             if bg_rate > 0.0 { model.bg_rng.exponential(bg_rate) } else { f64::INFINITY };
         model.icn2.departures.clear();
         let n_local = model.members.len();
-        let lambda = model.cfg.system.lambda_per_us;
         for local in 0..n_local {
-            let think = engine.model_mut().think_rng.exponential(lambda);
-            engine.scheduler_mut().schedule_at(SimTime::from_us(think), Ev::Generate { local });
+            let think = engine.model_mut().source.think();
+            engine.scheduler_mut().schedule_at(think, Ev::Generate { local });
         }
         let target = engine.model().cfg.messages;
-        engine.run_until(None, None, |m| m.latency.count() >= target);
+        engine.run_until(None, None, |m| m.sink.measured() >= target);
         let now = engine.now().as_us();
         // Background arriving after the last local ICN2 arrival still
         // counts as boundary-in load.
         engine.model_mut().fold_background(now);
         let model = engine.model();
+        let result = model.sink.result(now, n_local);
         ShardRun {
             cluster: shard,
             nodes: n_local,
-            mean_latency_us: model.latency.mean(),
-            messages: model.latency.count(),
-            effective_lambda_per_us: model.delivered as f64 / now / n_local as f64,
+            mean_latency_us: result.mean_latency_us,
+            messages: result.messages,
+            effective_lambda_per_us: result.effective_lambda_per_us,
             boundary_in: model.boundary_in,
             boundary_out: model.boundary_out,
             sim_duration_us: now,
@@ -607,9 +600,10 @@ pub fn run_sharded(
 ///
 /// # Errors
 ///
-/// `InvalidConfig` when the partition does not cover the configured
-/// system (wrong cluster count, node not covered exactly once) or the
-/// hop source disagrees with the node count.
+/// `InvalidConfig` when the traffic pattern is not uniform, the
+/// partition does not cover the configured system (wrong cluster
+/// count, node not covered exactly once) or the hop source disagrees
+/// with the node count.
 pub fn run_sharded_with<S: LatencySource + Sync + ?Sized>(
     cfg: &SimConfig,
     partition: &[Vec<usize>],
@@ -617,6 +611,12 @@ pub fn run_sharded_with<S: LatencySource + Sync + ?Sized>(
     options: &ShardOptions,
 ) -> Result<ShardedSummary, ModelError> {
     cfg.validate()?;
+    if cfg.pattern != TrafficPattern::Uniform {
+        return Err(ModelError::InvalidConfig {
+            name: "pattern",
+            reason: "the sharded simulator's background rate assumes uniform traffic",
+        });
+    }
     validate_partition(cfg, partition)?;
     if let Some(h) = &hop {
         if h.source.nodes() != cfg.system.total_nodes() {
@@ -912,6 +912,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_uniform_traffic() {
+        for pattern in [
+            TrafficPattern::Localized { locality: 0.5 },
+            TrafficPattern::Hotspot { node: 0, fraction: 0.2 },
+        ] {
+            let cfg = cfg(4, 16).with_pattern(pattern);
+            assert!(matches!(
+                run_sharded(&cfg, &uniform_partition(4, 16), &ShardOptions::default()),
+                Err(ModelError::InvalidConfig { name: "pattern", .. })
+            ));
+        }
+    }
+
+    #[test]
     fn single_cluster_degenerates_to_pure_local_traffic() {
         let sys = system(1, 32);
         let cfg = SimConfig::new(sys).with_messages(1_000).with_seed(3);
@@ -953,7 +967,7 @@ mod tests {
         }
         arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let service = |(is_bg, i): (bool, usize)| if is_bg { bg[i].0 } else { local[i].1 };
-        let mut server = FcfsServer::<(bool, usize)>::new();
+        let mut server = FcfsServer::<(bool, usize)>::new(1);
         let (mut done_at, mut next) = (None, 0);
         let mut departures = vec![f64::NAN; local.len()];
         loop {
