@@ -63,6 +63,8 @@
 pub mod config;
 pub mod flow;
 pub mod metrics_keys;
+#[cfg(test)]
+mod multiserver;
 pub mod packet;
 pub mod replication;
 pub mod result;

@@ -1,188 +1,23 @@
-//! A multi-server FCFS queue for the packet-level simulator.
+//! Multi-server pod semantics the packet simulator relies on.
 //!
-//! A fat-tree "pod" contains several parallel switches; a message
-//! arriving at the pod can be served by any idle member switch. The pod
-//! is therefore an FCFS queue with `c` servers. (The linear-array
-//! switches are pods of capacity 1.)
-
-use hmcs_des::stats::{OnlineStats, TimeWeighted};
-use std::collections::VecDeque;
-
-/// Caller directive after an arrival or completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MultiDirective<T> {
-    /// Start serving this customer now (schedule its completion).
-    Start(T),
-    /// No state change for the caller to act on.
-    Idle,
-}
-
-/// An FCFS queue with `c` identical servers.
-///
-/// [`MultiServer::complete`] returns the **longest-serving** customer.
-/// That identification is exact when all services at this resource have
-/// the same deterministic duration (the packet simulator's case, where
-/// every hop costs `α_sw + M·β`); for heterogeneous service times use
-/// one resource per server instead.
-#[derive(Debug, Clone)]
-pub struct MultiServer<T> {
-    capacity: u32,
-    in_service: VecDeque<T>,
-    waiting: VecDeque<(T, f64)>,
-    waiting_times: OnlineStats,
-    occupancy: TimeWeighted,
-    arrivals: u64,
-    departures: u64,
-    instrumented: bool,
-}
-
-impl<T: Clone> MultiServer<T> {
-    /// Creates an idle queue with `capacity` servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: u32) -> Self {
-        assert!(capacity > 0, "multi-server queue needs at least one server");
-        MultiServer {
-            capacity,
-            in_service: VecDeque::new(),
-            waiting: VecDeque::new(),
-            waiting_times: OnlineStats::new(),
-            occupancy: TimeWeighted::new(),
-            arrivals: 0,
-            departures: 0,
-            instrumented: true,
-        }
-    }
-
-    /// Switches the per-event statistics (waiting times, time-weighted
-    /// occupancy) on or off. Queueing behaviour — directives, FIFO
-    /// order, arrival/departure counts — is unchanged either way; with
-    /// instrumentation off, [`MultiServer::waiting_time_stats`] stays
-    /// empty and [`MultiServer::mean_number_in_system`] reports zero.
-    /// Survives [`MultiServer::reset`].
-    pub fn set_instrumented(&mut self, instrumented: bool) {
-        self.instrumented = instrumented;
-    }
-
-    /// Server count.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// Customers present (waiting + in service).
-    pub fn len(&self) -> usize {
-        self.waiting.len() + self.in_service.len()
-    }
-
-    /// True when nobody is present.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A customer arrives; starts service immediately if a server is
-    /// free.
-    pub fn arrive(&mut self, now: f64, customer: T) -> MultiDirective<T> {
-        self.arrivals += 1;
-        let directive = if (self.in_service.len() as u32) < self.capacity {
-            self.in_service.push_back(customer.clone());
-            if self.instrumented {
-                self.waiting_times.record(0.0);
-            }
-            MultiDirective::Start(customer)
-        } else {
-            self.waiting.push_back((customer, now));
-            MultiDirective::Idle
-        };
-        if self.instrumented {
-            self.occupancy.update(now, self.len() as f64);
-        }
-        directive
-    }
-
-    /// The longest-serving customer completes; promotes the head waiter
-    /// if any. Returns the finished customer and the follow-up
-    /// directive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no server was busy.
-    pub fn complete(&mut self, now: f64) -> (T, MultiDirective<T>) {
-        let done = self.in_service.pop_front().expect("completion with no busy server");
-        self.departures += 1;
-        let directive = match self.waiting.pop_front() {
-            Some((next, arrived)) => {
-                // The freed server immediately takes the head waiter.
-                if self.instrumented {
-                    self.waiting_times.record(now - arrived);
-                }
-                self.in_service.push_back(next.clone());
-                MultiDirective::Start(next)
-            }
-            None => MultiDirective::Idle,
-        };
-        if self.instrumented {
-            self.occupancy.update(now, self.len() as f64);
-        }
-        (done, directive)
-    }
-
-    /// Waiting-time statistics (time in queue before service).
-    pub fn waiting_time_stats(&self) -> &OnlineStats {
-        &self.waiting_times
-    }
-
-    /// Time-weighted mean number present up to `now`.
-    pub fn mean_number_in_system(&self, now: f64) -> f64 {
-        self.occupancy.mean_until(now)
-    }
-
-    /// Total arrivals.
-    pub fn arrivals(&self) -> u64 {
-        self.arrivals
-    }
-
-    /// Total departures.
-    pub fn departures(&self) -> u64 {
-        self.departures
-    }
-
-    /// Returns the queue to its just-constructed state (same
-    /// `capacity`) while keeping both deques' storage, so a reused
-    /// queue behaves exactly like a fresh one without reallocating.
-    pub fn reset(&mut self) {
-        self.in_service.clear();
-        self.waiting.clear();
-        self.waiting_times = OnlineStats::new();
-        self.occupancy = TimeWeighted::new();
-        self.arrivals = 0;
-        self.departures = 0;
-    }
-}
+//! A fat-tree pod of `c` parallel switches is an
+//! [`hmcs_des::queue::FcfsServer`] with `c` servers; a linear-array
+//! switch is a pod with one. These tests pin the pod behaviour the
+//! packet simulator's event handling assumes.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_servers_admit_up_to_capacity() {
-        let mut q: MultiServer<u32> = MultiServer::new(2);
-        assert_eq!(q.arrive(0.0, 1), MultiDirective::Start(1));
-        assert_eq!(q.arrive(0.0, 2), MultiDirective::Start(2));
-        assert_eq!(q.arrive(0.0, 3), MultiDirective::Idle);
-        assert_eq!(q.len(), 3);
-    }
+    use hmcs_des::queue::{FcfsServer, ServiceDirective};
 
     #[test]
     fn completion_promotes_fifo_and_identifies_finisher() {
-        let mut q: MultiServer<u32> = MultiServer::new(1);
+        let mut q: FcfsServer<u32> = FcfsServer::new(1);
         q.arrive(0.0, 1);
         q.arrive(1.0, 2);
         q.arrive(2.0, 3);
-        assert_eq!(q.complete(5.0), (1, MultiDirective::Start(2)));
-        assert_eq!(q.complete(8.0), (2, MultiDirective::Start(3)));
-        assert_eq!(q.complete(9.0), (3, MultiDirective::Idle));
+        assert_eq!(q.complete(5.0), (1, ServiceDirective::StartService(2)));
+        assert_eq!(q.complete(8.0), (2, ServiceDirective::StartService(3)));
+        assert_eq!(q.complete(9.0), (3, ServiceDirective::Idle));
         assert!(q.is_empty());
         // Waits: msg2 waited 4, msg3 waited 6.
         assert_eq!(q.waiting_time_stats().count(), 3);
@@ -191,68 +26,38 @@ mod tests {
 
     #[test]
     fn capacity_one_matches_single_server_semantics() {
-        let mut q: MultiServer<u32> = MultiServer::new(1);
-        assert_eq!(q.arrive(0.0, 7), MultiDirective::Start(7));
-        assert_eq!(q.arrive(0.5, 8), MultiDirective::Idle);
-        assert_eq!(q.complete(1.0), (7, MultiDirective::Start(8)));
-        assert_eq!(q.complete(2.0), (8, MultiDirective::Idle));
+        let mut q: FcfsServer<u32> = FcfsServer::new(1);
+        assert_eq!(q.arrive(0.0, 7), ServiceDirective::StartService(7));
+        assert_eq!(q.arrive(0.5, 8), ServiceDirective::Idle);
+        assert_eq!(q.complete(1.0), (7, ServiceDirective::StartService(8)));
+        assert_eq!(q.complete(2.0), (8, ServiceDirective::Idle));
         assert_eq!(q.departures(), 2);
         assert_eq!(q.arrivals(), 2);
     }
 
     #[test]
-    fn parallel_completions_pop_in_start_order() {
-        let mut q: MultiServer<u32> = MultiServer::new(3);
-        q.arrive(0.0, 10);
-        q.arrive(1.0, 11);
-        q.arrive(2.0, 12);
-        // Deterministic equal service: starts at 0, 1, 2 complete in
-        // the same order.
-        assert_eq!(q.complete(4.0).0, 10);
-        assert_eq!(q.complete(5.0).0, 11);
-        assert_eq!(q.complete(6.0).0, 12);
-    }
-
-    #[test]
-    fn occupancy_time_average() {
-        let mut q: MultiServer<u32> = MultiServer::new(2);
-        q.arrive(0.0, 1);
-        q.arrive(0.0, 2);
-        q.complete(10.0);
-        q.complete(10.0);
-        // 2 customers for 10 units, then none until 20: mean = 1.0.
-        assert!((q.mean_number_in_system(20.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "no busy server")]
+    #[should_panic(expected = "idle server")]
     fn completion_when_idle_is_a_bug() {
-        let mut q: MultiServer<u32> = MultiServer::new(3);
+        let mut q: FcfsServer<u32> = FcfsServer::new(3);
         q.complete(0.0);
     }
 
     #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_capacity_rejected() {
-        let _: MultiServer<u32> = MultiServer::new(0);
-    }
-
-    #[test]
     fn reset_restores_the_fresh_state() {
-        let mut q: MultiServer<u32> = MultiServer::new(2);
+        let mut q: FcfsServer<u32> = FcfsServer::new(2);
         q.arrive(0.0, 1);
         q.arrive(0.0, 2);
         q.arrive(1.0, 3);
         q.complete(4.0);
         q.reset();
         assert!(q.is_empty());
-        assert_eq!(q.capacity(), 2);
+        assert_eq!(q.servers(), 2);
         assert_eq!(q.arrivals(), 0);
         assert_eq!(q.departures(), 0);
         assert_eq!(q.waiting_time_stats().count(), 0);
         // A replayed history produces the same statistics as on a
-        // fresh queue.
-        let mut fresh: MultiServer<u32> = MultiServer::new(2);
+        // fresh pod.
+        let mut fresh: FcfsServer<u32> = FcfsServer::new(2);
         for s in [&mut q, &mut fresh] {
             s.arrive(0.0, 1);
             s.arrive(0.0, 2);
