@@ -13,11 +13,29 @@
 //! [`BatchKernel`] hoists everything λ-independent out of the loop
 //! once per *lane* (one lane = one configuration) into flat `f64`
 //! arrays — traffic coefficients, per-tier service moments, bracket
-//! state — and then advances the bisection of **all** lanes in
+//! state — and then advances the bisection of the live lanes in
 //! lockstep with per-lane convergence masking: one pass over the
-//! fixed-point loop moves the whole sweep forward by one probe. The
+//! fixed-point loop moves every live lane forward by one probe. The
 //! inner evaluation reduces to ~20 flops and three stability branches
-//! per lane.
+//! per lane. A caller that already holds a lane's tier service times
+//! and saturation rate (the optimizer, a λ grid over one shape) hands
+//! them in as a [`LaneService`], so setup skips the topology.
+//!
+//! ## Compaction
+//!
+//! In a bounded solve lanes leave the bisection at very different
+//! passes: a pruned lane after a handful of its ~47 evaluations. A
+//! terminal lane's bracket collapses to a fixed point of the bisection,
+//! so it is inert in the branchless passes, but it would still cost a
+//! probe per pass. So each pass covers only a *span* of positions
+//! holding every live lane: whenever at most half the span is live, the
+//! live lanes move to its front (keeping their order) and the span
+//! shrinks to them. The rule is fixed — a halving span bounds the moves
+//! by twice the lane count — and before the per-lane tail every column
+//! is scattered back to input order. Lanes never share data, so where a
+//! lane sits changes none of its bits. Unbounded solves, whose lanes
+//! converge within a few passes of each other, keep the whole batch as
+//! their span.
 //!
 //! ## Bit-identity contract
 //!
@@ -185,13 +203,14 @@ fn probe_pass(
     }
 }
 
-/// One lockstep bisection pass over every lane: probe the midpoint,
-/// record the convergence verdict and residual, and advance the
-/// bracket select-style — the bisection's inherently unpredictable
+/// One lockstep bisection pass over a span of lanes: probe the
+/// midpoint, record the convergence verdict and residual, and advance
+/// the bracket select-style — the bisection's inherently unpredictable
 /// sign branch becomes a blend, and the loop body straight-line SIMD.
-/// Terminal lanes hold degenerate brackets (`lo == hi == v` gives
-/// `mid == v` exactly), so their convergence mask holds and nothing
-/// moves. See [`probe_pass`] for why this is a free function.
+/// Terminal lanes still in the span hold degenerate brackets (`lo ==
+/// hi == v` gives `mid == v` exactly), so their convergence mask holds
+/// and nothing moves. See [`probe_pass`] for why this is a free
+/// function.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn lockstep_pass(
@@ -335,20 +354,48 @@ fn sojourn_fast(arrival: f64, mean: f64, m2: f64) -> f64 {
     mean + arrival * m2 / (2.0 * (1.0 - rho))
 }
 
+/// The λ-independent inputs of one lane — its tier service times and
+/// closed-form saturation rate — handed to the kernel by a caller that
+/// already holds them, so lane setup skips the topology. Both depend
+/// only on the configuration's shape, never on its offered rate, so one
+/// value serves every lane of a λ grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneService {
+    /// The three tier service times ([`ServiceTimes::compute`]).
+    pub service: ServiceTimes,
+    /// [`solver::saturation_lambda`] of the configuration at `service`.
+    pub saturation_lambda: f64,
+}
+
+impl LaneService {
+    /// Computes both inputs from `config`'s topology, exactly as a lane
+    /// built by [`BatchKernel::new`] does.
+    pub fn compute(config: &SystemConfig) -> Result<Self, ModelError> {
+        let service = ServiceTimes::compute(config)?;
+        Ok(LaneService { service, saturation_lambda: solver::saturation_lambda(config, &service) })
+    }
+}
+
 /// A batch of fixed-point solves advanced in lockstep.
 ///
-/// Build one with [`BatchKernel::new`] (per-lane service times, the
-/// general heterogeneous-shape case) or [`BatchKernel::with_service`]
-/// (one shared shape swept over λ), then call [`BatchKernel::solve`].
-/// Results come back in lane order, each lane bit-identical to
-/// [`crate::solver::solve`] on the same configuration.
+/// Build one with [`BatchKernel::new`] (every lane derives its service
+/// times from its own topology) or [`BatchKernel::with_service`] (the
+/// caller hands each lane its [`LaneService`]), then call
+/// [`BatchKernel::solve`]. Results come back in lane order, each lane
+/// bit-identical to [`crate::solver::solve`] on the same configuration.
 ///
 /// A kernel is also a reusable *arena*: [`BatchKernel::evaluate`] and
 /// [`BatchKernel::evaluate_bounded`] rewind every column to the exact
 /// state a fresh build would produce without releasing capacity, so
 /// steady-state callers ([`evaluate_batch`]'s worker pool, the
 /// optimizer's wave loop, the serve micro-batcher, the single-point
-/// facade) solve batch after batch without touching the allocator.
+/// facade, the λ-for-latency search) solve batch after batch without
+/// touching the allocator.
+///
+/// While the lockstep loop runs, every column indexed by lane (the
+/// `order` column maps positions back to input lanes) may be permuted
+/// by compaction; `configs` and `service` never are, and every column
+/// is back in input order before the per-lane tail.
 #[derive(Debug, Default)]
 pub struct BatchKernel {
     configs: Vec<SystemConfig>,
@@ -383,6 +430,13 @@ pub struct BatchKernel {
     thr_slo: Vec<f64>,
     thr_dom: Vec<f64>,
     pruned_lb: Vec<f64>,
+    /// The `lo` at which the lane's prune certificate was last
+    /// evaluated (NaN before the first): the certificate is a pure
+    /// function of `lo`, so it is only re-evaluated once `lo` moves.
+    cert_lo: Vec<f64>,
+    /// Input lane held at each position once compaction has permuted
+    /// the columns.
+    order: Vec<usize>,
     // --- solve-scratch columns (endpoint residuals, midpoints,
     //     convergence flags), retained across resets ---
     f_los: Vec<f64>,
@@ -400,16 +454,18 @@ impl BatchKernel {
         Self::build(configs, None)
     }
 
-    /// Prepares one lane per configuration reusing one precomputed
-    /// (λ-independent) [`ServiceTimes`] for every lane — the λ-grid
-    /// case where all lanes share a shape.
-    pub fn with_service(configs: &[SystemConfig], shared: &ServiceTimes) -> Self {
-        Self::build(configs, Some(shared))
+    /// Prepares one lane per configuration with the caller's
+    /// [`LaneService`] for each lane (`service[i]` must be what
+    /// [`LaneService::compute`] returns for `configs[i]`; a λ grid over
+    /// one shape repeats one value).
+    pub fn with_service(configs: &[SystemConfig], service: &[LaneService]) -> Self {
+        assert_eq!(configs.len(), service.len(), "one LaneService per lane");
+        Self::build(configs, Some(service))
     }
 
-    fn build(configs: &[SystemConfig], shared: Option<&ServiceTimes>) -> Self {
+    fn build(configs: &[SystemConfig], service: Option<&[LaneService]>) -> Self {
         let mut k = BatchKernel::default();
-        k.reset(configs, shared);
+        k.reset(configs, service);
         k
     }
 
@@ -425,12 +481,15 @@ impl BatchKernel {
         self.solve_in_place()
     }
 
-    /// Bounded solve: lanes whose latency is certified (mid-flight, via
-    /// the monotone lower bound at the bracket's stable low edge) to
-    /// cross their [`LaneBounds`] threshold abandon the bisection early
-    /// and come back as [`LaneOutcome::Pruned`]. Lanes that solve to
-    /// completion are bit-identical to an unbounded solve: the check
-    /// only reads bracket state, never writes it.
+    /// Bounded solve through the arena, with the caller's
+    /// [`LaneService`] per lane as in [`BatchKernel::with_service`]:
+    /// lanes whose latency is certified (mid-flight, via the monotone
+    /// lower bound at the bracket's stable low edge) to cross their
+    /// [`LaneBounds`] threshold abandon the bisection early and come
+    /// back as [`LaneOutcome::Pruned`]. Lanes that solve to completion
+    /// are bit-identical to an unbounded solve: the check only reads
+    /// bracket state, never writes it. With [`LaneBounds::NONE`] on
+    /// every lane this is the unbounded solve.
     ///
     /// The certificate is conservative and float-safe: it only fires
     /// once the bracket's high edge has moved strictly inside the
@@ -441,10 +500,12 @@ impl BatchKernel {
     pub fn evaluate_bounded(
         &mut self,
         configs: &[SystemConfig],
+        service: &[LaneService],
         bounds: &[LaneBounds],
     ) -> Vec<LaneOutcome> {
+        assert_eq!(configs.len(), service.len(), "one LaneService per lane");
         assert_eq!(configs.len(), bounds.len(), "one LaneBounds per lane");
-        self.reset(configs, None);
+        self.reset(configs, Some(service));
         let mut any = false;
         for (i, b) in bounds.iter().enumerate() {
             self.thr_slo[i] = b.slo_us;
@@ -456,8 +517,9 @@ impl BatchKernel {
     }
 
     /// Rewinds every column to the state a fresh build for `configs`
-    /// would produce (`shared` as in [`BatchKernel::with_service`]).
-    fn reset(&mut self, configs: &[SystemConfig], shared: Option<&ServiceTimes>) {
+    /// would produce (`service` as in [`BatchKernel::with_service`], or
+    /// `None` to derive it from each lane's topology).
+    fn reset(&mut self, configs: &[SystemConfig], service: Option<&[LaneService]>) {
         let lanes = configs.len();
         self.configs.clear();
         self.configs.extend_from_slice(configs);
@@ -466,46 +528,29 @@ impl BatchKernel {
             v.resize(lanes, zero);
         }
         refill(&mut self.service, lanes, ServiceTimes { icn1_us: 0.0, ecn1_us: 0.0, icn2_us: 0.0 });
-        for col in [
-            &mut self.lambda,
-            &mut self.n,
-            &mut self.c,
-            &mut self.p_ext,
-            &mut self.a_icn1,
-            &mut self.a_fwd,
-            &mut self.a_icn2,
-            &mut self.w_e1,
-            &mut self.mean_i1,
-            &mut self.m2_i1,
-            &mut self.mean_e1,
-            &mut self.m2_e1,
-            &mut self.mean_i2,
-            &mut self.m2_i2,
-            &mut self.hi0,
-            &mut self.lo,
-            &mut self.hi,
-            &mut self.flo,
-            &mut self.value,
-            &mut self.pruned_lb,
-        ] {
-            refill(col, lanes, 0.0);
+        for col in self.lane_columns() {
+            col.clear();
+        }
+        self.thr_slo.resize(lanes, f64::INFINITY);
+        self.thr_dom.resize(lanes, f64::INFINITY);
+        self.cert_lo.resize(lanes, f64::NAN);
+        for col in self.lane_columns() {
+            col.resize(lanes, 0.0);
         }
         refill(&mut self.evals, lanes, 0);
         refill(&mut self.iterations, lanes, 0);
         refill(&mut self.state, lanes, LaneState::Active);
         refill(&mut self.errors, lanes, None);
         self.bound_active = false;
-        refill(&mut self.thr_slo, lanes, f64::INFINITY);
-        refill(&mut self.thr_dom, lanes, f64::INFINITY);
         let k = self;
         for (i, config) in configs.iter().enumerate() {
             if let Err(e) = config.validate() {
                 k.fail(i, e);
                 continue;
             }
-            let service = match shared {
-                Some(s) => *s,
-                None => match ServiceTimes::compute(config) {
+            let lane = match service {
+                Some(s) => s[i],
+                None => match LaneService::compute(config) {
                     Ok(s) => s,
                     Err(e) => {
                         k.fail(i, e);
@@ -513,6 +558,7 @@ impl BatchKernel {
                     }
                 },
             };
+            let service = lane.service;
             k.service[i] = service;
             k.lambda[i] = config.lambda_per_us;
             k.n[i] = config.total_nodes() as f64;
@@ -543,8 +589,7 @@ impl BatchKernel {
             (k.mean_i1[i], k.m2_i1[i]) = moments(service.icn1_us);
             (k.mean_e1[i], k.m2_e1[i]) = moments(service.ecn1_us);
             (k.mean_i2[i], k.m2_i2[i]) = moments(service.icn2_us);
-            let sat = solver::saturation_lambda(config, &service);
-            k.hi0[i] = config.lambda_per_us.min(sat * (1.0 - 1e-12));
+            k.hi0[i] = config.lambda_per_us.min(lane.saturation_lambda * (1.0 - 1e-12));
             k.hi[i] = k.hi0[i];
         }
     }
@@ -599,199 +644,7 @@ impl BatchKernel {
     fn run(&mut self) -> Vec<LaneOutcome> {
         let start = Instant::now();
         let lanes = self.configs.len();
-        let bound_active = self.bound_active;
-
-        {
-            // Distinct `&mut` slices of the bracket state: the disjoint
-            // borrows carry noalias guarantees that field accesses
-            // through `self` do not, and pre-slicing to a shared length
-            // lets the bounds checks fold away.
-            let lo = &mut self.lo[..lanes];
-            let hi = &mut self.hi[..lanes];
-            let flo = &mut self.flo[..lanes];
-            let evals = &mut self.evals[..lanes];
-            let value = &mut self.value[..lanes];
-            let iterations = &mut self.iterations[..lanes];
-            let state = &mut self.state[..lanes];
-            let errors = &mut self.errors[..lanes];
-            let a_icn1 = &self.a_icn1[..lanes];
-            let a_fwd = &self.a_fwd[..lanes];
-            let a_icn2 = &self.a_icn2[..lanes];
-            let c = &self.c[..lanes];
-            let w_e1 = &self.w_e1[..lanes];
-            let mean_i1 = &self.mean_i1[..lanes];
-            let m2_i1 = &self.m2_i1[..lanes];
-            let mean_e1 = &self.mean_e1[..lanes];
-            let m2_e1 = &self.m2_e1[..lanes];
-            let mean_i2 = &self.mean_i2[..lanes];
-            let m2_i2 = &self.m2_i2[..lanes];
-            let lambda = &self.lambda[..lanes];
-            let n = &self.n[..lanes];
-            let hi0 = &self.hi0[..lanes];
-            let p_ext = &self.p_ext[..lanes];
-            let thr_slo = &self.thr_slo[..lanes];
-            let thr_dom = &self.thr_dom[..lanes];
-            let pruned_lb = &mut self.pruned_lb[..lanes];
-
-            // Scratch columns live in the arena so steady-state reuse
-            // stays allocation-free; every slot is overwritten by the
-            // probe passes before it is read.
-            for scratch in
-                [&mut self.f_los, &mut self.f_his, &mut self.mids, &mut self.fms, &mut self.convf]
-            {
-                scratch.clear();
-                scratch.resize(lanes, 0.0);
-            }
-            let f_los = &mut self.f_los[..lanes];
-            let f_his = &mut self.f_his[..lanes];
-            let mids = &mut self.mids[..lanes];
-            let fms = &mut self.fms[..lanes];
-            let convf = &mut self.convf[..lanes];
-
-            // Endpoint probes — the head of the scalar `bisect_relative`
-            // — run branchless over every lane so they vectorise like
-            // the main passes. Lanes that failed preparation hold a
-            // degenerate `lo == hi == 0` bracket: their probes compute
-            // garbage that the triage below never reads.
-            probe_pass(
-                f_los, lo, a_icn1, a_fwd, a_icn2, c, w_e1, mean_i1, m2_i1, mean_e1, m2_e1, mean_i2,
-                m2_i2, lambda, n,
-            );
-            probe_pass(
-                f_his, hi, a_icn1, a_fwd, a_icn2, c, w_e1, mean_i1, m2_i1, mean_e1, m2_e1, mean_i2,
-                m2_i2, lambda, n,
-            );
-
-            // Triage: the scalar head's decision order per lane.
-            // Terminal lanes collapse their bracket to a fixed point of
-            // the bisection (`lo == hi == v` gives `mid == v` exactly),
-            // which keeps them inert through the branchless passes
-            // below without a per-lane mask.
-            let mut active_count = 0usize;
-            for i in 0..lanes {
-                if state[i] != LaneState::Active {
-                    continue;
-                }
-                let f_lo = f_los[i];
-                let f_hi = f_his[i];
-                evals[i] = 2;
-                if f_lo == 0.0 {
-                    value[i] = lo[i];
-                    iterations[i] = evals[i];
-                    state[i] = LaneState::Done;
-                    hi[i] = lo[i];
-                } else if f_hi == 0.0 {
-                    value[i] = hi[i];
-                    iterations[i] = evals[i];
-                    state[i] = LaneState::Done;
-                    lo[i] = hi[i];
-                } else if f_lo.signum() == f_hi.signum() {
-                    state[i] = LaneState::Failed;
-                    errors[i] = Some(solver::BRACKET_ERROR);
-                    lo[i] = 0.0;
-                    hi[i] = 0.0;
-                } else {
-                    flo[i] = f_lo;
-                    active_count += 1;
-                }
-            }
-
-            // Lockstep bisection, two sub-steps per pass:
-            //
-            //  1. [`lockstep_pass`] — a branchless data-parallel sweep
-            //     over *all* lanes that probes the midpoint, records
-            //     the convergence verdict and residual, and advances
-            //     the bracket select-style.
-            //
-            //  2. a scalar bookkeeping sweep that replays the scalar
-            //     solver's per-iteration decision order — max-evals
-            //     failure, relative convergence, exact root — on the
-            //     recorded verdicts. Only state transitions happen
-            //     here, at most once per lane per pass. In bounded
-            //     solves the sweep ends with the prune certificate
-            //     check; it reads bracket state without writing it, so
-            //     surviving lanes keep the unbounded bit pattern.
-            while active_count > 0 {
-                lockstep_pass(
-                    lo, hi, flo, mids, fms, convf, a_icn1, a_fwd, a_icn2, c, w_e1, mean_i1, m2_i1,
-                    mean_e1, m2_e1, mean_i2, m2_i2, lambda, n,
-                );
-                for i in 0..lanes {
-                    if state[i] != LaneState::Active {
-                        continue;
-                    }
-                    if evals[i] >= MAX_EVALS {
-                        // The scalar solver checks the evaluation budget
-                        // before the convergence test; `fms[i]` is the
-                        // residual at exactly the midpoint it would have
-                        // probed.
-                        state[i] = LaneState::Failed;
-                        errors[i] = Some(ModelError::SolverFailed { residual: fms[i].abs() });
-                        lo[i] = 0.0;
-                        hi[i] = 0.0;
-                        active_count -= 1;
-                        continue;
-                    }
-                    if convf[i] != 0.0 {
-                        // Relative convergence. Like the scalar
-                        // `bisect_relative`, count the residual probe at
-                        // the midpoint without making it: `f` is pure and
-                        // the residual is never read.
-                        value[i] = mids[i];
-                        iterations[i] = evals[i] + 1;
-                        state[i] = LaneState::Done;
-                        lo[i] = mids[i];
-                        hi[i] = mids[i];
-                        active_count -= 1;
-                        continue;
-                    }
-                    evals[i] += 1;
-                    if fms[i] == 0.0 {
-                        value[i] = mids[i];
-                        iterations[i] = evals[i];
-                        state[i] = LaneState::Done;
-                        lo[i] = mids[i];
-                        hi[i] = mids[i];
-                        active_count -= 1;
-                        continue;
-                    }
-                    if !bound_active {
-                        continue;
-                    }
-                    // Prune certificate. Valid only once the high edge
-                    // sits strictly inside the saturation clamp: then
-                    // every rate in `[lo, hi]` is stable with margin
-                    // (no back-off can fire), the final `lambda_eff`
-                    // lands in `[lo, hi]`, and mean latency is
-                    // monotone increasing in the effective rate — so
-                    // the sojourn mix at `lo` lower-bounds the latency
-                    // the completed solve would report. The `1e-6` /
-                    // `1e-9` margins keep the certificate sound under
-                    // floating-point rounding.
-                    let t_slo = thr_slo[i];
-                    let t_dom = thr_dom[i];
-                    if (t_slo.is_finite() || t_dom.is_finite()) && hi[i] <= hi0[i] * (1.0 - 1e-6) {
-                        let x = lo[i];
-                        let icn1 = a_icn1[i] * x;
-                        let icn2 = a_icn2[i] * x;
-                        let ecn1_total = a_fwd[i] * x + icn2 / c[i];
-                        let w_i1 = sojourn_fast(icn1, mean_i1[i], m2_i1[i]);
-                        let w_ecn1 = sojourn_fast(ecn1_total, mean_e1[i], m2_e1[i]);
-                        let w_i2 = sojourn_fast(icn2, mean_i2[i], m2_i2[i]);
-                        let p = p_ext[i];
-                        let t_lo = (1.0 - p) * w_i1 + p * (w_i2 + 2.0 * w_ecn1);
-                        let certified = t_lo * (1.0 - 1e-9);
-                        if certified > t_slo || certified >= t_dom {
-                            state[i] = LaneState::Pruned;
-                            pruned_lb[i] = certified;
-                            lo[i] = 0.0;
-                            hi[i] = 0.0;
-                            active_count -= 1;
-                        }
-                    }
-                }
-            }
-        }
+        self.bisect(lanes);
 
         // Per-lane tail: saturation back-off, equilibrium assembly and
         // the `core.solver.*` metrics. Metric values accumulate in
@@ -893,6 +746,313 @@ impl BatchKernel {
         }
         out
     }
+
+    /// Runs the cold-start bisection of every lane in lockstep. On
+    /// return no lane is `Active` and every column is in input order.
+    ///
+    /// Each pass covers a *span* of positions `[0, span)` that holds
+    /// every live lane. In a bounded solve, whenever at most half the
+    /// span is still live, [`BatchKernel::compact`] moves the live lanes
+    /// to its front and the span shrinks to them, so a pruned lane stops
+    /// costing a probe per pass. Lanes never share data, so where a lane
+    /// sits changes none of its bits.
+    fn bisect(&mut self, lanes: usize) {
+        let mut active = self.probe_endpoints(lanes);
+        let mut span = lanes;
+        let mut compacted = false;
+        while active > 0 {
+            active = self.passes(span, active);
+            if active > 0 {
+                if !compacted {
+                    self.order.clear();
+                    self.order.extend(0..lanes);
+                    compacted = true;
+                }
+                self.compact(span);
+                span = active;
+            }
+        }
+        if compacted {
+            self.restore_order();
+        }
+    }
+
+    /// Endpoint probes — the head of the scalar `bisect_relative` — run
+    /// branchless over every lane so they vectorise like the main
+    /// passes, then the scalar head's triage per lane. Returns the
+    /// number of lanes left bisecting.
+    fn probe_endpoints(&mut self, lanes: usize) -> usize {
+        // Scratch columns live in the arena so steady-state reuse stays
+        // allocation-free; every slot is overwritten by the probe
+        // passes before it is read.
+        for scratch in
+            [&mut self.f_los, &mut self.f_his, &mut self.mids, &mut self.fms, &mut self.convf]
+        {
+            scratch.clear();
+            scratch.resize(lanes, 0.0);
+        }
+        // Distinct `&mut` slices of the columns: the disjoint borrows
+        // carry noalias guarantees that field accesses through `self`
+        // do not, and pre-slicing to a shared length lets the bounds
+        // checks fold away.
+        let (lo, hi, flo) = (&mut self.lo[..lanes], &mut self.hi[..lanes], &mut self.flo[..lanes]);
+        let (evals, value, iterations) =
+            (&mut self.evals[..lanes], &mut self.value[..lanes], &mut self.iterations[..lanes]);
+        let (state, errors) = (&mut self.state[..lanes], &mut self.errors[..lanes]);
+        let (f_los, f_his) = (&mut self.f_los[..lanes], &mut self.f_his[..lanes]);
+        let (a_icn1, a_fwd, a_icn2, c, w_e1) =
+            (&self.a_icn1, &self.a_fwd, &self.a_icn2, &self.c, &self.w_e1);
+        let (mean_i1, m2_i1, mean_e1, m2_e1, mean_i2, m2_i2) =
+            (&self.mean_i1, &self.m2_i1, &self.mean_e1, &self.m2_e1, &self.mean_i2, &self.m2_i2);
+        let (lambda, n) = (&self.lambda, &self.n);
+        // Lanes that failed preparation hold a degenerate `lo == hi ==
+        // 0` bracket: their probes compute garbage that the triage
+        // below never reads.
+        probe_pass(
+            f_los, lo, a_icn1, a_fwd, a_icn2, c, w_e1, mean_i1, m2_i1, mean_e1, m2_e1, mean_i2,
+            m2_i2, lambda, n,
+        );
+        probe_pass(
+            f_his, hi, a_icn1, a_fwd, a_icn2, c, w_e1, mean_i1, m2_i1, mean_e1, m2_e1, mean_i2,
+            m2_i2, lambda, n,
+        );
+
+        // Triage: the scalar head's decision order per lane. Terminal
+        // lanes collapse their bracket to a fixed point of the
+        // bisection (`lo == hi == v` gives `mid == v` exactly), which
+        // keeps them inert through the branchless passes until
+        // compaction drops them from the span.
+        let mut active = 0usize;
+        for i in 0..lanes {
+            if state[i] != LaneState::Active {
+                continue;
+            }
+            let f_lo = f_los[i];
+            let f_hi = f_his[i];
+            evals[i] = 2;
+            if f_lo == 0.0 {
+                value[i] = lo[i];
+                iterations[i] = evals[i];
+                state[i] = LaneState::Done;
+                hi[i] = lo[i];
+            } else if f_hi == 0.0 {
+                value[i] = hi[i];
+                iterations[i] = evals[i];
+                state[i] = LaneState::Done;
+                lo[i] = hi[i];
+            } else if f_lo.signum() == f_hi.signum() {
+                state[i] = LaneState::Failed;
+                errors[i] = Some(solver::BRACKET_ERROR);
+                lo[i] = 0.0;
+                hi[i] = 0.0;
+            } else {
+                flo[i] = f_lo;
+                active += 1;
+            }
+        }
+        active
+    }
+
+    /// Lockstep passes over the positions `[0, span)`, which hold all
+    /// `active` live lanes, until none is live or — in a bounded solve —
+    /// at most half the span is; returns the lanes still live. Each pass
+    /// has two sub-steps:
+    ///
+    ///  1. [`lockstep_pass`] — a branchless data-parallel sweep that
+    ///     probes the midpoint, records the convergence verdict and
+    ///     residual, and advances the bracket select-style.
+    ///
+    ///  2. a scalar bookkeeping sweep that replays the scalar solver's
+    ///     per-iteration decision order — max-evals failure, relative
+    ///     convergence, exact root — on the recorded verdicts. Only
+    ///     state transitions happen here, at most once per lane per
+    ///     pass. In bounded solves the sweep ends with the prune
+    ///     certificate check; it reads bracket state without writing
+    ///     it, so surviving lanes keep the unbounded bit pattern.
+    fn passes(&mut self, span: usize, mut active: usize) -> usize {
+        let bound_active = self.bound_active;
+        let (lo, hi, flo) = (&mut self.lo[..span], &mut self.hi[..span], &mut self.flo[..span]);
+        let (evals, value, iterations) =
+            (&mut self.evals[..span], &mut self.value[..span], &mut self.iterations[..span]);
+        let (state, errors) = (&mut self.state[..span], &mut self.errors[..span]);
+        let (mids, fms, convf) =
+            (&mut self.mids[..span], &mut self.fms[..span], &mut self.convf[..span]);
+        let (pruned_lb, cert_lo) = (&mut self.pruned_lb[..span], &mut self.cert_lo[..span]);
+        let (a_icn1, a_fwd, a_icn2, c, w_e1) = (
+            &self.a_icn1[..span],
+            &self.a_fwd[..span],
+            &self.a_icn2[..span],
+            &self.c[..span],
+            &self.w_e1[..span],
+        );
+        let (mean_i1, m2_i1, mean_e1, m2_e1, mean_i2, m2_i2) = (
+            &self.mean_i1[..span],
+            &self.m2_i1[..span],
+            &self.mean_e1[..span],
+            &self.m2_e1[..span],
+            &self.mean_i2[..span],
+            &self.m2_i2[..span],
+        );
+        let (lambda, n) = (&self.lambda[..span], &self.n[..span]);
+        let (hi0, p_ext, thr_slo, thr_dom) =
+            (&self.hi0[..span], &self.p_ext[..span], &self.thr_slo[..span], &self.thr_dom[..span]);
+        loop {
+            lockstep_pass(
+                lo, hi, flo, mids, fms, convf, a_icn1, a_fwd, a_icn2, c, w_e1, mean_i1, m2_i1,
+                mean_e1, m2_e1, mean_i2, m2_i2, lambda, n,
+            );
+            for i in 0..span {
+                if state[i] != LaneState::Active {
+                    continue;
+                }
+                if evals[i] >= MAX_EVALS {
+                    // The scalar solver checks the evaluation budget before
+                    // the convergence test; `fms[i]` is the residual at
+                    // exactly the midpoint it would have probed.
+                    state[i] = LaneState::Failed;
+                    errors[i] = Some(ModelError::SolverFailed { residual: fms[i].abs() });
+                    lo[i] = 0.0;
+                    hi[i] = 0.0;
+                    active -= 1;
+                    continue;
+                }
+                if convf[i] != 0.0 {
+                    // Relative convergence. Like the scalar
+                    // `bisect_relative`, count the residual probe at the
+                    // midpoint without making it: `f` is pure and the
+                    // residual is never read.
+                    value[i] = mids[i];
+                    iterations[i] = evals[i] + 1;
+                    state[i] = LaneState::Done;
+                    lo[i] = mids[i];
+                    hi[i] = mids[i];
+                    active -= 1;
+                    continue;
+                }
+                evals[i] += 1;
+                if fms[i] == 0.0 {
+                    value[i] = mids[i];
+                    iterations[i] = evals[i];
+                    state[i] = LaneState::Done;
+                    lo[i] = mids[i];
+                    hi[i] = mids[i];
+                    active -= 1;
+                    continue;
+                }
+                if !bound_active {
+                    continue;
+                }
+                // Prune certificate. Valid only once the high edge sits
+                // strictly inside the saturation clamp: then every rate in
+                // `[lo, hi]` is stable with margin (no back-off can fire),
+                // the final `lambda_eff` lands in `[lo, hi]`, and mean
+                // latency is monotone increasing in the effective rate — so
+                // the sojourn mix at `lo` lower-bounds the latency the
+                // completed solve would report. The `1e-6` / `1e-9` margins
+                // keep the certificate sound under floating-point rounding.
+                // The bound is a pure function of `lo` and `hi` only falls,
+                // so once evaluated at some `lo` it can only change its
+                // verdict after `lo` moves.
+                let t_slo = thr_slo[i];
+                let t_dom = thr_dom[i];
+                if (t_slo.is_finite() || t_dom.is_finite())
+                    && hi[i] <= hi0[i] * (1.0 - 1e-6)
+                    && lo[i] != cert_lo[i]
+                {
+                    let x = lo[i];
+                    cert_lo[i] = x;
+                    let icn1 = a_icn1[i] * x;
+                    let icn2 = a_icn2[i] * x;
+                    let ecn1_total = a_fwd[i] * x + icn2 / c[i];
+                    let w_i1 = sojourn_fast(icn1, mean_i1[i], m2_i1[i]);
+                    let w_ecn1 = sojourn_fast(ecn1_total, mean_e1[i], m2_e1[i]);
+                    let w_i2 = sojourn_fast(icn2, mean_i2[i], m2_i2[i]);
+                    let p = p_ext[i];
+                    let t_lo = (1.0 - p) * w_i1 + p * (w_i2 + 2.0 * w_ecn1);
+                    let certified = t_lo * (1.0 - 1e-9);
+                    if certified > t_slo || certified >= t_dom {
+                        state[i] = LaneState::Pruned;
+                        pruned_lb[i] = certified;
+                        lo[i] = 0.0;
+                        hi[i] = 0.0;
+                        active -= 1;
+                    }
+                }
+            }
+            if active == 0 || (bound_active && active * 2 <= span) {
+                return active;
+            }
+        }
+    }
+
+    /// Moves the live lanes of `[0, span)` to its front, keeping their
+    /// order: each live lane swaps places with the first terminal lane
+    /// before it.
+    fn compact(&mut self, span: usize) {
+        let mut front = 0;
+        for pos in 0..span {
+            if self.state[pos] == LaneState::Active {
+                if front != pos {
+                    self.swap_lanes(front, pos);
+                }
+                front += 1;
+            }
+        }
+    }
+
+    /// Undoes every compaction: each swap puts one lane back at its
+    /// input position, so at most one swap per lane.
+    fn restore_order(&mut self) {
+        for pos in 0..self.order.len() {
+            while self.order[pos] != pos {
+                let lane = self.order[pos];
+                self.swap_lanes(pos, lane);
+            }
+        }
+    }
+
+    /// Every `f64` column indexed by lane: the columns
+    /// [`BatchKernel::reset`] rewinds and compaction permutes.
+    fn lane_columns(&mut self) -> [&mut Vec<f64>; 23] {
+        [
+            &mut self.lambda,
+            &mut self.n,
+            &mut self.c,
+            &mut self.p_ext,
+            &mut self.a_icn1,
+            &mut self.a_fwd,
+            &mut self.a_icn2,
+            &mut self.w_e1,
+            &mut self.mean_i1,
+            &mut self.m2_i1,
+            &mut self.mean_e1,
+            &mut self.m2_e1,
+            &mut self.mean_i2,
+            &mut self.m2_i2,
+            &mut self.hi0,
+            &mut self.lo,
+            &mut self.hi,
+            &mut self.flo,
+            &mut self.value,
+            &mut self.thr_slo,
+            &mut self.thr_dom,
+            &mut self.pruned_lb,
+            &mut self.cert_lo,
+        ]
+    }
+
+    /// Swaps positions `a` and `b` in every column indexed by lane
+    /// except `configs` and `service`, which only the tail reads.
+    fn swap_lanes(&mut self, a: usize, b: usize) {
+        for col in self.lane_columns() {
+            col.swap(a, b);
+        }
+        self.evals.swap(a, b);
+        self.iterations.swap(a, b);
+        self.state.swap(a, b);
+        self.errors.swap(a, b);
+        self.order.swap(a, b);
+    }
 }
 
 /// Registry handles for the metrics every solve records, looked up once
@@ -984,22 +1144,27 @@ pub fn evaluate_batch(
     )
 }
 
-/// [`evaluate_batch`] with per-lane prune thresholds: the bounded
-/// analogue used by the optimizer's gradient-guided pass. `bounds`
-/// must be lane-aligned with `configs`. Lanes that survive are
-/// bit-identical to [`evaluate_batch`]; pruned lanes carry their
-/// certified latency lower bound.
+/// [`evaluate_batch`] with each lane's [`LaneService`] handed in and
+/// per-lane prune thresholds ([`BatchKernel::evaluate_bounded`] per
+/// block): the optimizer's solve path. `service` and `bounds` must be
+/// lane-aligned with `configs`. Lanes that survive are bit-identical to
+/// [`evaluate_batch`]; pruned lanes carry their certified latency lower
+/// bound.
 pub fn evaluate_batch_bounded(
     configs: &[SystemConfig],
+    service: &[LaneService],
     bounds: &[LaneBounds],
     workers: usize,
 ) -> Vec<LaneOutcome> {
+    assert_eq!(configs.len(), service.len(), "one LaneService per lane");
     assert_eq!(configs.len(), bounds.len(), "one LaneBounds per lane");
     evaluate_chunked(
         configs.len(),
         workers,
-        |chunk| configs.chunks(chunk).zip(bounds.chunks(chunk)).collect(),
-        |kernel, &(block, bb)| kernel.evaluate_bounded(block, bb),
+        |chunk| {
+            configs.chunks(chunk).zip(service.chunks(chunk)).zip(bounds.chunks(chunk)).collect()
+        },
+        |kernel, &((block, ss), bb)| kernel.evaluate_bounded(block, ss, bb),
     )
 }
 
@@ -1043,6 +1208,12 @@ mod tests {
 
     fn cfg(clusters: usize, arch: Architecture) -> SystemConfig {
         SystemConfig::paper_preset(Scenario::Case1, clusters, arch).unwrap()
+    }
+
+    /// Each config's [`LaneService`], as a caller that holds them hands
+    /// them in.
+    fn lane_service(configs: &[SystemConfig]) -> Vec<LaneService> {
+        configs.iter().map(|c| LaneService::compute(c).unwrap()).collect()
     }
 
     /// The scalar reference: [`solver::solve`] plus report assembly.
@@ -1095,10 +1266,10 @@ mod tests {
     #[test]
     fn kernel_matches_scalar_on_a_lambda_grid() {
         let base = cfg(16, Architecture::Blocking);
-        let service = ServiceTimes::compute(&base).unwrap();
+        let service = LaneService::compute(&base).unwrap();
         let lambdas: Vec<f64> = (0..64).map(|i| 1e-6 * 1.12f64.powi(i)).collect();
         let configs: Vec<SystemConfig> = lambdas.iter().map(|&l| base.with_lambda(l)).collect();
-        let lanes = BatchKernel::with_service(&configs, &service).solve();
+        let lanes = BatchKernel::with_service(&configs, &vec![service; configs.len()]).solve();
         for (cfg, lane) in configs.iter().zip(&lanes) {
             let (kernel, _) = lane.as_ref().unwrap();
             assert_bitwise_eq(kernel, &scalar(cfg).unwrap());
@@ -1206,14 +1377,15 @@ mod tests {
     #[test]
     fn arena_reuse_matches_fresh_builds_on_the_shared_service_path() {
         let base = cfg(16, Architecture::Blocking);
-        let service = ServiceTimes::compute(&base).unwrap();
+        let service = LaneService::compute(&base).unwrap();
         let mut arena = BatchKernel::default();
         for count in [7usize, 64, 3] {
             let configs: Vec<SystemConfig> =
                 (0..count).map(|i| base.with_lambda(1e-6 * 1.3f64.powi(i as i32))).collect();
-            arena.reset(&configs, Some(&service));
+            let shared = vec![service; count];
+            arena.reset(&configs, Some(&shared));
             let reused = arena.solve_in_place();
-            let fresh = BatchKernel::with_service(&configs, &service).solve();
+            let fresh = BatchKernel::with_service(&configs, &shared).solve();
             for (a, b) in reused.iter().zip(&fresh) {
                 assert_bitwise_eq(&a.as_ref().unwrap().0, &b.as_ref().unwrap().0);
             }
@@ -1225,7 +1397,8 @@ mod tests {
         let configs: Vec<SystemConfig> =
             PAPER_CLUSTER_COUNTS.iter().map(|&c| cfg(c, Architecture::Blocking)).collect();
         let bounds = vec![LaneBounds::NONE; configs.len()];
-        let outcomes = BatchKernel::default().evaluate_bounded(&configs, &bounds);
+        let outcomes =
+            BatchKernel::default().evaluate_bounded(&configs, &lane_service(&configs), &bounds);
         let plain = BatchKernel::new(&configs).solve();
         for (o, p) in outcomes.iter().zip(&plain) {
             match (o, p) {
@@ -1255,7 +1428,8 @@ mod tests {
         let configs = [throttled, light];
         let bounds =
             [LaneBounds { slo_us: f64::INFINITY, dominated_at_us: threshold }, LaneBounds::NONE];
-        let outcomes = BatchKernel::default().evaluate_bounded(&configs, &bounds);
+        let outcomes =
+            BatchKernel::default().evaluate_bounded(&configs, &lane_service(&configs), &bounds);
         match &outcomes[0] {
             LaneOutcome::Pruned { latency_lb_us } => {
                 assert!(*latency_lb_us >= threshold, "prune fired below its threshold");
@@ -1271,6 +1445,49 @@ mod tests {
     }
 
     #[test]
+    fn pruned_lower_bounds_are_pinned() {
+        // 54 lanes, each with a threshold at 55–95% of its true
+        // latency, so every lane prunes. The bits of every certified
+        // bound fold into one pinned digest: when a lane prunes, and at
+        // which `lo`, must not move.
+        let mut configs = Vec::new();
+        for arch in [Architecture::NonBlocking, Architecture::Blocking] {
+            for &c in &PAPER_CLUSTER_COUNTS {
+                for lambda in [1e-4, 2.5e-4, 1e-3] {
+                    configs.push(
+                        SystemConfig::paper_preset(Scenario::Case2, c, arch)
+                            .unwrap()
+                            .with_lambda(lambda),
+                    );
+                }
+            }
+        }
+        let bounds: Vec<LaneBounds> = evaluate_batch(&configs, 1)
+            .iter()
+            .enumerate()
+            .map(|(i, lane)| {
+                let latency = lane.as_ref().unwrap().0.latency.mean_message_latency_us;
+                let threshold = latency * (0.55 + 0.4 * (i % 5) as f64 / 4.0);
+                if i % 2 == 0 {
+                    LaneBounds { slo_us: threshold, dominated_at_us: f64::INFINITY }
+                } else {
+                    LaneBounds { slo_us: f64::INFINITY, dominated_at_us: threshold }
+                }
+            })
+            .collect();
+        let outcomes = evaluate_batch_bounded(&configs, &lane_service(&configs), &bounds, 1);
+        let mut digest = 0u64;
+        for outcome in &outcomes {
+            let LaneOutcome::Pruned { latency_lb_us } = outcome else {
+                panic!("every lane should prune, got {outcome:?}");
+            };
+            digest = digest.rotate_left(7) ^ latency_lb_us.to_bits();
+        }
+        assert_eq!(outcomes.len(), 54);
+        assert_eq!(digest, 0x3715_4f70_43a9_4a6f);
+    }
+
+    #[test]
     fn evaluate_batch_bounded_is_chunking_invariant() {
         let configs: Vec<SystemConfig> = PAPER_CLUSTER_COUNTS
             .iter()
@@ -1278,9 +1495,10 @@ mod tests {
             .collect();
         let bounds =
             vec![LaneBounds { slo_us: 2e4, dominated_at_us: f64::INFINITY }; configs.len()];
-        let one = evaluate_batch_bounded(&configs, &bounds, 1);
+        let service = lane_service(&configs);
+        let one = evaluate_batch_bounded(&configs, &service, &bounds, 1);
         for workers in [2, 3, 8] {
-            let many = evaluate_batch_bounded(&configs, &bounds, workers);
+            let many = evaluate_batch_bounded(&configs, &service, &bounds, workers);
             assert_eq!(one, many, "workers={workers}");
         }
     }

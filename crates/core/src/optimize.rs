@@ -26,7 +26,7 @@ use crate::batch::BatchOptions;
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::json::json_num;
-use crate::model::PerformanceReport;
+use crate::kernel::{evaluate_batch_bounded, LaneBounds, LaneOutcome, LaneService};
 use crate::scenario::{Scenario, PAPER_LAMBDA_PER_US, PAPER_TOTAL_NODES};
 use crate::service::ServiceTimes;
 use crate::solver;
@@ -276,26 +276,34 @@ impl Design {
         let switch = SwitchFabric::new(ports, SWITCH_LATENCY_US).map_err(|_| {
             ModelError::InvalidConfig { name: "switch_ports", reason: "must be even and >= 2" }
         })?;
-        let mut config = SystemConfig::new(
-            clusters,
-            nodes_per_cluster,
-            workload.message_bytes,
-            workload.lambda_per_us,
-            workload.scenario,
-            architecture,
-        )?;
+        let base = base_config(workload, clusters, architecture)?;
+        let per_cluster = fabric_switch_count(nodes_per_cluster, switch, architecture)?;
+        let global = fabric_switch_count(clusters, switch, architecture)?;
+        Ok(Self::assemble(base, intra, inter, switch, per_cluster, global))
+    }
+
+    /// The design on `base`'s shape with the given technologies, switch
+    /// and per-fabric switch counts (one intra-cluster fabric's and the
+    /// global fabric's).
+    fn assemble(
+        base: SystemConfig,
+        intra: NetworkTechnology,
+        inter: NetworkTechnology,
+        switch: SwitchFabric,
+        per_cluster: usize,
+        global: usize,
+    ) -> Self {
+        let mut config = base;
         config.icn1 = intra;
         config.ecn1 = inter;
         config.icn2 = inter;
         config = config.with_switch(switch);
-        let per_cluster = fabric_switch_count(nodes_per_cluster, switch, architecture)?;
-        let global = fabric_switch_count(clusters, switch, architecture)?;
-        Ok(Design {
+        Design {
             config,
-            icn1_switches: clusters * per_cluster,
-            ecn1_switches: clusters * per_cluster,
+            icn1_switches: config.clusters * per_cluster,
+            ecn1_switches: config.clusters * per_cluster,
             icn2_switches: global,
-        })
+        }
     }
 
     /// Total physical switches across all tiers.
@@ -328,6 +336,24 @@ pub fn arch_code(architecture: Architecture) -> &'static str {
         Architecture::NonBlocking => "nonblocking",
         Architecture::Blocking => "blocking",
     }
+}
+
+/// The workload's configuration at `clusters` clusters of `architecture`,
+/// before the technology and switch axes are applied. `clusters` must
+/// divide the workload's `total_nodes`.
+fn base_config(
+    workload: &Workload,
+    clusters: usize,
+    architecture: Architecture,
+) -> Result<SystemConfig, ModelError> {
+    SystemConfig::new(
+        clusters,
+        workload.total_nodes / clusters,
+        workload.message_bytes,
+        workload.lambda_per_us,
+        workload.scenario,
+        architecture,
+    )
 }
 
 fn fabric_switch_count(
@@ -389,14 +415,26 @@ impl CatalogCostModel {
         // ICN2 shares the inter-tier technology by construction; price
         // it explicitly so a future per-tier axis stays correct.
         let global = Self::unit_prices(&design.config.icn2)?;
-        let ports = design.config.switch.ports() as f64;
-        let nodes = design.config.total_nodes() as f64;
-        Ok(nodes * (intra.nic_usd + inter.nic_usd)
-            + ports
-                * (design.icn1_switches as f64 * intra.port_usd
-                    + design.ecn1_switches as f64 * inter.port_usd
-                    + design.icn2_switches as f64 * global.port_usd))
+        Ok(price_usd(
+            design.config.total_nodes(),
+            design.config.switch.ports(),
+            [intra, inter, global],
+            [design.icn1_switches, design.ecn1_switches, design.icn2_switches],
+        ))
     }
+}
+
+/// The catalogue price of `nodes` processors on fabrics of `ports`-port
+/// switches, given the ICN1, ECN1 and ICN2 unit prices and switch
+/// counts in that order — the one pricing formula behind
+/// [`CatalogCostModel::cost_usd`] and the optimizer's enumeration.
+fn price_usd(nodes: usize, ports: u32, prices: [UnitPrices; 3], switches: [usize; 3]) -> f64 {
+    let [intra, inter, global] = prices;
+    let [icn1, ecn1, icn2] = switches.map(|count| count as f64);
+    let ports = ports as f64;
+    let nodes = nodes as f64;
+    nodes * (intra.nic_usd + inter.nic_usd)
+        + ports * (icn1 * intra.port_usd + ecn1 * inter.port_usd + icn2 * global.port_usd)
 }
 
 /// One fully-evaluated feasible design.
@@ -479,7 +517,9 @@ impl OptimizeOutcome {
 struct Candidate {
     design: Design,
     cost_usd: f64,
-    saturation_lambda: f64,
+    /// The design's tier service times and saturation rate, handed to
+    /// its kernel lane so lane setup skips the topology.
+    lane: LaneService,
     /// Zero-load mean latency `(1−p)·S_I1 + p·(S_I2 + 2·S_E1)`: every
     /// M/G/1 sojourn is at least its service time, so this is a
     /// provable lower bound on the latency any evaluation can report.
@@ -493,72 +533,165 @@ struct Candidate {
 
 /// Enumerate + pre-filter. Candidate order is the deterministic
 /// cross-product order; everything downstream preserves it.
+///
+/// A design's price and tier times each depend on only some of its
+/// five axes (eqs. 10–13, 17–21), so they come from small tables built
+/// once per spec: the base configuration per (`C`, architecture),
+/// switch counts per (endpoints, `Pr`, architecture), unit prices per
+/// technology, and tier mean times per (technology, endpoints, `Pr`,
+/// architecture). Every design is priced from the tables and counted
+/// `invalid`, `over_budget` or `saturated` in the same order as
+/// [`Design::build`] → [`CatalogCostModel::cost_usd`] →
+/// [`ServiceTimes::compute`] would; its [`Design`], [`ServiceTimes`]
+/// and saturation rate are assembled only when it passes the budget
+/// gate (or when `require_unsaturated` must still attribute it). The
+/// tables are filled by the functions that one-design path calls, so
+/// every value keeps its bits.
 fn enumerate_candidates(
     spec: &OptimizeSpec,
     diagnostics: &mut Diagnostics,
 ) -> Result<Vec<Candidate>, OptimizeError> {
+    let (space, workload) = (&spec.space, &spec.workload);
+    let (intra_n, inter_n) = (space.intra.len(), space.inter.len());
+    let (ports_n, arch_n) = (space.switch_ports.len(), space.architectures.len());
+    let switches: Vec<SwitchFabric> = space
+        .switch_ports
+        .iter()
+        .map(|&p| SwitchFabric::new(p, SWITCH_LATENCY_US).expect("DesignSpace::validate ran"))
+        .collect();
+
+    // Distinct values of the two axes the tier tables are keyed by, and
+    // each axis entry's index into them.
+    fn intern<T: Copy + PartialEq>(values: &mut Vec<T>, value: T) -> usize {
+        values.iter().position(|v| *v == value).unwrap_or_else(|| {
+            values.push(value);
+            values.len() - 1
+        })
+    }
+    let mut techs: Vec<NetworkTechnology> = Vec::new();
+    let intra_tech: Vec<usize> = space.intra.iter().map(|&t| intern(&mut techs, t)).collect();
+    let inter_tech: Vec<usize> = space.inter.iter().map(|&t| intern(&mut techs, t)).collect();
+    let prices: Vec<Result<UnitPrices, OptimizeError>> =
+        techs.iter().map(CatalogCostModel::unit_prices).collect();
+
+    // Base configuration per (C, architecture), with the endpoint
+    // indices of its cluster (N₀) and global (C) fabrics; `None` where
+    // C does not divide N (or the configuration is otherwise invalid).
+    let mut endpoints: Vec<usize> = Vec::new();
+    let mut shapes: Vec<Option<(SystemConfig, usize, usize)>> =
+        Vec::with_capacity(space.cluster_counts.len() * arch_n);
+    for &clusters in &space.cluster_counts {
+        for &architecture in &space.architectures {
+            let shape = if workload.total_nodes.is_multiple_of(clusters) {
+                base_config(workload, clusters, architecture).ok()
+            } else {
+                None
+            };
+            shapes.push(shape.map(|base| {
+                let n0 = intern(&mut endpoints, base.nodes_per_cluster);
+                (base, n0, intern(&mut endpoints, clusters))
+            }));
+        }
+    }
+    // Every base configuration carries the same hop model; with none
+    // there are no endpoints, and no tier time is computed.
+    let hop_model =
+        shapes.iter().flatten().map(|(base, ..)| base.hop_model).next().unwrap_or_default();
+
+    // Switch count per (endpoints, Pr, architecture), `None` where the
+    // fabric cannot be built, and the tier mean time of every
+    // technology on each buildable fabric.
+    let fabric = |e: usize, pi: usize, ai: usize| (e * ports_n + pi) * arch_n + ai;
+    let mut switch_count: Vec<Option<usize>> =
+        Vec::with_capacity(endpoints.len() * ports_n * arch_n);
+    let mut tier_us: Vec<f64> = Vec::with_capacity(switch_count.capacity() * techs.len());
+    for &nodes in &endpoints {
+        for &switch in &switches {
+            for &architecture in &space.architectures {
+                let mut count = fabric_switch_count(nodes, switch, architecture).ok();
+                for &tech in &techs {
+                    match crate::service::tier_model(tech, switch, nodes, architecture, hop_model) {
+                        Ok(model) => tier_us.push(model.mean_time_us(workload.message_bytes)),
+                        Err(_) => {
+                            count = None;
+                            tier_us.push(f64::NAN);
+                        }
+                    }
+                }
+                switch_count.push(count);
+            }
+        }
+    }
+    let tier = |f: usize, t: usize| tier_us[f * techs.len() + t];
+
     let mut candidates: Vec<Candidate> = Vec::new();
-    let (intra_n, inter_n, arch_n) =
-        (spec.space.intra.len(), spec.space.inter.len(), spec.space.architectures.len());
-    for (ci, &clusters) in spec.space.cluster_counts.iter().enumerate() {
-        for (ii, &intra) in spec.space.intra.iter().enumerate() {
-            for (ji, &inter) in spec.space.inter.iter().enumerate() {
-                for &ports in &spec.space.switch_ports {
-                    for (ai, &architecture) in spec.space.architectures.iter().enumerate() {
+    for (ci, &clusters) in space.cluster_counts.iter().enumerate() {
+        for (ii, &intra) in space.intra.iter().enumerate() {
+            for (ji, &inter) in space.inter.iter().enumerate() {
+                for (pi, &switch) in switches.iter().enumerate() {
+                    for ai in 0..arch_n {
                         let family = ((ci * intra_n + ii) * inter_n + ji) * arch_n + ai;
-                        let design = match Design::build(
-                            &spec.workload,
-                            clusters,
-                            intra,
-                            inter,
-                            ports,
-                            architecture,
-                        ) {
-                            Ok(d) => d,
-                            Err(_) => {
-                                diagnostics.invalid += 1;
-                                continue;
-                            }
+                        let Some((base, n0, c)) = shapes[ci * arch_n + ai] else {
+                            diagnostics.invalid += 1;
+                            continue;
+                        };
+                        let (cluster_fabric, global_fabric) =
+                            (fabric(n0, pi, ai), fabric(c, pi, ai));
+                        let (Some(per_cluster), Some(global)) =
+                            (switch_count[cluster_fabric], switch_count[global_fabric])
+                        else {
+                            diagnostics.invalid += 1;
+                            continue;
                         };
                         // Unknown technology is a hard error, not a
-                        // skipped point (the satellite bugfix).
-                        let cost_usd = CatalogCostModel.cost_usd(&design)?;
-                        let service = match ServiceTimes::compute(&design.config) {
-                            Ok(s) => s,
-                            Err(_) => {
-                                diagnostics.invalid += 1;
+                        // skipped point — but only for a buildable one.
+                        let (ti, tj) = (intra_tech[ii], inter_tech[ji]);
+                        let intra_prices = prices[ti].clone()?;
+                        let inter_prices = prices[tj].clone()?;
+                        let cost_usd = price_usd(
+                            workload.total_nodes,
+                            switch.ports(),
+                            [intra_prices, inter_prices, inter_prices],
+                            [clusters * per_cluster, clusters * per_cluster, global],
+                        );
+                        let over_budget =
+                            spec.constraints.budget_usd.is_some_and(|budget| cost_usd > budget);
+                        if over_budget {
+                            diagnostics.over_budget += 1;
+                            if !spec.constraints.require_unsaturated {
                                 continue;
                             }
+                        }
+                        let design =
+                            Design::assemble(base, intra, inter, switch, per_cluster, global);
+                        let service = ServiceTimes {
+                            icn1_us: tier(cluster_fabric, ti),
+                            ecn1_us: tier(cluster_fabric, tj),
+                            icn2_us: tier(global_fabric, tj),
                         };
                         let saturation_lambda = solver::saturation_lambda(&design.config, &service);
+                        if spec.constraints.require_unsaturated
+                            && workload.lambda_per_us >= saturation_lambda
+                        {
+                            diagnostics.saturated += 1;
+                            continue;
+                        }
+                        if over_budget {
+                            continue;
+                        }
                         let p = crate::routing::external_probability(
-                            design.config.clusters,
+                            clusters,
                             design.config.nodes_per_cluster,
                         );
                         let zero_load_us = (1.0 - p) * service.icn1_us
                             + p * (service.icn2_us + 2.0 * service.ecn1_us);
-                        let mut keep = true;
-                        if let Some(budget) = spec.constraints.budget_usd {
-                            if cost_usd > budget {
-                                diagnostics.over_budget += 1;
-                                keep = false;
-                            }
-                        }
-                        if spec.constraints.require_unsaturated
-                            && spec.workload.lambda_per_us >= saturation_lambda
-                        {
-                            diagnostics.saturated += 1;
-                            keep = false;
-                        }
-                        if keep {
-                            candidates.push(Candidate {
-                                design,
-                                cost_usd,
-                                saturation_lambda,
-                                zero_load_us,
-                                family,
-                            });
-                        }
+                        candidates.push(Candidate {
+                            design,
+                            cost_usd,
+                            lane: LaneService { service, saturation_lambda },
+                            zero_load_us,
+                            family,
+                        });
                     }
                 }
             }
@@ -589,24 +722,28 @@ fn pareto_reduce(
     frontier
 }
 
-/// Builds an [`EvaluatedDesign`] from a candidate and its solved
-/// report, applies the SLO filter, and files the point under the right
-/// counter. Shared verbatim by the exhaustive and pruned paths so
-/// their feasible sets (and hence frontiers) are built from identical
-/// bits.
-fn absorb_result(
+/// Files one candidate's kernel outcome under the right counter:
+/// `pruned`, `failed`, `above_slo`, or — built into an
+/// [`EvaluatedDesign`] — the feasible set. Shared verbatim by the
+/// exhaustive and pruned paths so their feasible sets (and hence
+/// frontiers) are built from identical bits.
+fn absorb(
     spec: &OptimizeSpec,
     candidate: &Candidate,
     enum_idx: usize,
-    result: Result<PerformanceReport, ModelError>,
+    outcome: LaneOutcome,
     diagnostics: &mut Diagnostics,
     evaluated: &mut usize,
     feasible_points: &mut Vec<(usize, EvaluatedDesign)>,
 ) {
-    let report = match result {
-        Ok(r) => r,
-        Err(_) => {
+    let report = match outcome {
+        LaneOutcome::Solved(report, _) => report,
+        LaneOutcome::Failed(_) => {
             diagnostics.failed += 1;
+            return;
+        }
+        LaneOutcome::Pruned { .. } => {
+            diagnostics.pruned += 1;
             return;
         }
     };
@@ -628,9 +765,23 @@ fn absorb_result(
             throughput_per_us: report.throughput_per_us,
             retained_fraction: report.equilibrium.retained_fraction,
             bottleneck_utilization: report.equilibrium.bottleneck_utilization(),
-            saturation_lambda: candidate.saturation_lambda,
+            saturation_lambda: candidate.lane.saturation_lambda,
         },
     ));
+}
+
+/// Solves the candidates at `indices` as lanes of the bounded kernel,
+/// each with its own [`LaneService`] and `bounds` entry, in one
+/// [`evaluate_batch_bounded`] call.
+fn solve_candidates(
+    candidates: &[Candidate],
+    indices: &[usize],
+    bounds: &[LaneBounds],
+    workers: usize,
+) -> Vec<LaneOutcome> {
+    let configs: Vec<SystemConfig> = indices.iter().map(|&i| candidates[i].design.config).collect();
+    let service: Vec<LaneService> = indices.iter().map(|&i| candidates[i].lane).collect();
+    evaluate_batch_bounded(&configs, &service, bounds, workers)
 }
 
 /// Runs the exhaustive optimizer, pricing designs with the
@@ -647,21 +798,14 @@ pub fn optimize(
 
     // Evaluate every surviving point through the batched kernel
     // (bit-identical to the scalar per-point path).
-    let configs: Vec<SystemConfig> = candidates.iter().map(|c| c.design.config).collect();
-    let results = crate::kernel::evaluate_batch(&configs, options.resolved_workers());
+    let all: Vec<usize> = (0..candidates.len()).collect();
+    let unbounded = vec![LaneBounds::NONE; all.len()];
+    let outcomes = solve_candidates(&candidates, &all, &unbounded, options.resolved_workers());
 
     let mut feasible_points: Vec<(usize, EvaluatedDesign)> = Vec::new();
     let mut evaluated = 0usize;
-    for (i, (candidate, result)) in candidates.iter().zip(results).enumerate() {
-        absorb_result(
-            spec,
-            candidate,
-            i,
-            result.map(|(report, _stats)| report),
-            &mut diagnostics,
-            &mut evaluated,
-            &mut feasible_points,
-        );
+    for (i, (candidate, outcome)) in candidates.iter().zip(outcomes).enumerate() {
+        absorb(spec, candidate, i, outcome, &mut diagnostics, &mut evaluated, &mut feasible_points);
     }
     let feasible = feasible_points.len();
     let frontier =
@@ -794,21 +938,19 @@ pub fn optimize_pruned(
 
     // Solve the probes in one unbounded kernel batch. Probe results
     // are real evaluations: they are absorbed, never re-solved.
-    let probe_configs: Vec<SystemConfig> =
-        probe_idx.iter().map(|&i| candidates[i].design.config).collect();
-    let probe_results = crate::kernel::evaluate_batch(&probe_configs, workers);
+    let unbounded = vec![LaneBounds::NONE; probe_idx.len()];
+    let probe_results = solve_candidates(&candidates, &probe_idx, &unbounded, workers);
     let mut solved_latency: Vec<Option<f64>> = vec![None; n];
-    for (&i, result) in probe_idx.iter().zip(probe_results) {
+    for (&i, outcome) in probe_idx.iter().zip(probe_results) {
         decided[i] = true;
-        let result = result.map(|(report, _stats)| report);
-        if let Ok(report) = &result {
+        if let LaneOutcome::Solved(report, _) = &outcome {
             solved_latency[i] = Some(report.latency.mean_message_latency_us);
         }
-        absorb_result(
+        absorb(
             spec,
             &candidates[i],
             i,
-            result,
+            outcome,
             &mut diagnostics,
             &mut evaluated,
             &mut feasible_points,
@@ -853,7 +995,7 @@ pub fn optimize_pruned(
         };
         let headroom = members
             .iter()
-            .map(|&i| candidates[i].saturation_lambda - spec.workload.lambda_per_us)
+            .map(|&i| candidates[i].lane.saturation_lambda - spec.workload.lambda_per_us)
             .fold(f64::NEG_INFINITY, f64::max);
         family_rank[f] = (optimistic, -headroom);
     }
@@ -887,14 +1029,12 @@ pub fn optimize_pruned(
     // sequential and parallel runs.
     const WAVE: usize = 1024;
     let mut wave_idx: Vec<usize> = Vec::with_capacity(WAVE);
-    let mut wave_configs: Vec<SystemConfig> = Vec::with_capacity(WAVE);
-    let mut wave_bounds: Vec<crate::kernel::LaneBounds> = Vec::with_capacity(WAVE);
+    let mut wave_bounds: Vec<LaneBounds> = Vec::with_capacity(WAVE);
     // Feasible points below this index are already in the dominance
     // map (the probe seed); each wave folds in only what it appended.
     let mut folded = feasible_points.len();
     for wave in pending.chunks(WAVE) {
         wave_idx.clear();
-        wave_configs.clear();
         wave_bounds.clear();
         for &i in wave {
             let candidate = &candidates[i];
@@ -907,32 +1047,19 @@ pub fn optimize_pruned(
                 continue;
             }
             wave_idx.push(i);
-            wave_configs.push(candidate.design.config);
-            wave_bounds.push(crate::kernel::LaneBounds { slo_us: slo, dominated_at_us });
+            wave_bounds.push(LaneBounds { slo_us: slo, dominated_at_us });
         }
-        let outcomes = crate::kernel::evaluate_batch_bounded(&wave_configs, &wave_bounds, workers);
+        let outcomes = solve_candidates(&candidates, &wave_idx, &wave_bounds, workers);
         for (&i, outcome) in wave_idx.iter().zip(outcomes) {
-            match outcome {
-                crate::kernel::LaneOutcome::Pruned { .. } => diagnostics.pruned += 1,
-                crate::kernel::LaneOutcome::Solved(report, _stats) => absorb_result(
-                    spec,
-                    &candidates[i],
-                    i,
-                    Ok(report),
-                    &mut diagnostics,
-                    &mut evaluated,
-                    &mut feasible_points,
-                ),
-                crate::kernel::LaneOutcome::Failed(error) => absorb_result(
-                    spec,
-                    &candidates[i],
-                    i,
-                    Err(error),
-                    &mut diagnostics,
-                    &mut evaluated,
-                    &mut feasible_points,
-                ),
-            }
+            absorb(
+                spec,
+                &candidates[i],
+                i,
+                outcome,
+                &mut diagnostics,
+                &mut evaluated,
+                &mut feasible_points,
+            );
         }
         // Fold this wave's new feasible points into the dominance map
         // for the next wave.
@@ -1095,6 +1222,77 @@ mod tests {
         assert!(matches!(err, OptimizeError::UnknownTechnology(_)));
     }
 
+    /// The first pricing error of the one-design path: the first design
+    /// in enumeration order that builds and that the catalogue cannot
+    /// price.
+    fn first_pricing_error(request: &OptimizeSpec) -> Option<OptimizeError> {
+        let space = &request.space;
+        for &clusters in &space.cluster_counts {
+            for &intra in &space.intra {
+                for &inter in &space.inter {
+                    for &ports in &space.switch_ports {
+                        for &arch in &space.architectures {
+                            let built = Design::build(
+                                &request.workload,
+                                clusters,
+                                intra,
+                                inter,
+                                ports,
+                                arch,
+                            );
+                            if let Ok(design) = built {
+                                if let Err(e) = CatalogCostModel.cost_usd(&design) {
+                                    return Some(e);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn unknown_technology_errors_only_where_a_design_is_buildable() {
+        let custom = NetworkTechnology::new("Quadrics QsNet", 2.0, 900.0).unwrap();
+        let other = NetworkTechnology::new("SCI", 1.5, 400.0).unwrap();
+        // 2-port switches cannot form a multi-stage fat-tree, so no
+        // non-blocking design of the 256-node workload builds: the
+        // custom technology is never priced, and every design counts
+        // as invalid.
+        let mut space = small_space();
+        space.intra = vec![NetworkTechnology::FAST_ETHERNET, custom];
+        space.switch_ports = vec![2];
+        let request = spec(Constraints::default(), space);
+        assert_eq!(first_pricing_error(&request), None);
+        for outcome in [
+            optimize(&request, BatchOptions::sequential()).unwrap(),
+            optimize_pruned(&request, BatchOptions::sequential()).unwrap(),
+        ] {
+            assert_eq!(outcome.diagnostics.invalid, request.space.len());
+            assert!(outcome.frontier.is_empty());
+        }
+        // With a linear array and a non-divisor cluster count in the
+        // mix, the first buildable design is C = 16, Fast Ethernet
+        // intra, `other` inter, 2 ports, blocking: the error names
+        // `other`, not `custom`, which only later designs use.
+        let request = spec(
+            Constraints::default(),
+            DesignSpace {
+                cluster_counts: vec![3, 16],
+                intra: vec![NetworkTechnology::FAST_ETHERNET, custom],
+                inter: vec![other, NetworkTechnology::FAST_ETHERNET],
+                switch_ports: vec![2, 8],
+                architectures: vec![Architecture::NonBlocking, Architecture::Blocking],
+            },
+        );
+        let expected = OptimizeError::UnknownTechnology("SCI".to_string());
+        assert_eq!(first_pricing_error(&request), Some(expected.clone()));
+        assert_eq!(optimize(&request, BatchOptions::sequential()), Err(expected.clone()));
+        assert_eq!(optimize_pruned(&request, BatchOptions::sequential()), Err(expected));
+    }
+
     #[test]
     fn frontier_sensitivity_annotates_every_point() {
         let outcome =
@@ -1185,6 +1383,22 @@ mod tests {
         );
         for point in &outcome.frontier {
             assert!(point.design.config.lambda_per_us < point.saturation_lambda);
+        }
+    }
+
+    #[test]
+    fn a_design_over_budget_and_saturated_counts_under_both() {
+        // At the paper's λ every preset fabric shape is saturated, and
+        // no design costs under a dollar.
+        let both =
+            Constraints { budget_usd: Some(1.0), require_unsaturated: true, ..Default::default() };
+        for walk in [optimize, optimize_pruned] {
+            let outcome = walk(&spec(both, small_space()), BatchOptions::sequential()).unwrap();
+            let d = outcome.diagnostics;
+            assert_eq!(d.invalid, 0);
+            assert_eq!(d.over_budget, outcome.space_size);
+            assert_eq!(d.saturated, outcome.space_size);
+            assert_eq!(outcome.evaluated, 0);
         }
     }
 
@@ -1313,6 +1527,37 @@ mod tests {
             let parallel = optimize_pruned(&request, BatchOptions::with_workers(workers)).unwrap();
             assert_eq!(sequential, parallel);
         }
+    }
+
+    #[test]
+    fn pruned_walk_counts_are_pinned_on_the_expanded_space() {
+        // Every counter of the pruned walk over the 21,280-design space
+        // under a budget, pinned: a change to which designs the
+        // enumeration drops or the kernel prunes shows here even when
+        // the frontier does not move.
+        let request = OptimizeSpec {
+            workload: Workload::paper_default(),
+            constraints: Constraints {
+                slo_latency_us: Some(30_000.0),
+                budget_usd: Some(200_000.0),
+                require_unsaturated: false,
+            },
+            space: DesignSpace::expanded(256),
+        };
+        let outcome = optimize_pruned(&request, BatchOptions::with_workers(2)).unwrap();
+        assert_eq!(
+            outcome.diagnostics,
+            Diagnostics {
+                invalid: 0,
+                saturated: 0,
+                over_budget: 16_909,
+                failed: 0,
+                above_slo: 145,
+                dominated: 197,
+                pruned: 4_020,
+            }
+        );
+        assert_eq!((outcome.evaluated, outcome.feasible, outcome.frontier.len()), (351, 206, 9));
     }
 
     #[test]

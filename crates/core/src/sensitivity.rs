@@ -28,7 +28,7 @@
 
 use crate::config::SystemConfig;
 use crate::error::ModelError;
-use crate::kernel::BatchKernel;
+use crate::kernel::{BatchKernel, LaneBounds, LaneOutcome, LaneService};
 use crate::service::ServiceTimes;
 use crate::solver;
 
@@ -166,7 +166,8 @@ pub fn evaluate(config: &SystemConfig) -> Result<Sensitivity, ModelError> {
 /// crossing with Newton steps on the central-difference derivative;
 /// any step that leaves the bracket falls back to bisection, so
 /// convergence is guaranteed. Each polish iteration evaluates its
-/// three probes (`x−h`, `x`, `x+h`) as lanes of one kernel pass. If
+/// three probes (`x−h`, `x`, `x+h`) as lanes of one kernel solve, and
+/// every solve of the search reuses one kernel arena. If
 /// latency stays within budget all the way to `2¹⁶·saturation_lambda`
 /// (deep in the retention plateau), that ceiling is returned.
 /// Compared to a pure bisection on latency, the Newton polish reaches
@@ -183,22 +184,34 @@ pub fn lambda_for_latency(
             reason: "latency budget must be finite and positive",
         });
     }
-    let service = ServiceTimes::compute(config)?;
-    let sat = solver::saturation_lambda(config, &service);
+    let lane = LaneService::compute(config)?;
+    let sat = lane.saturation_lambda;
     let scale = if sat.is_finite() && sat > 0.0 { sat } else { config.lambda_per_us };
-
-    let eval_lat = |lams: &[f64]| -> Result<Vec<f64>, ModelError> {
-        let cfgs: Vec<SystemConfig> = lams.iter().map(|&l| config.with_lambda(l)).collect();
-        BatchKernel::with_service(&cfgs, &service)
-            .solve()
-            .into_iter()
-            .map(|r| r.map(|(report, _)| report.latency.mean_message_latency_us))
-            .collect()
-    };
 
     // Geometric ladder: scale·2^k for k = −30..=16 covers near-zero
     // load through deep retention-plateau overload in one batch.
     let ladder: Vec<f64> = (-30i32..=16).map(|k| scale * (k as f64).exp2()).collect();
+
+    // Every solve of the search — the ladder and each polish probe —
+    // reuses one kernel arena and the shape's one `LaneService`.
+    let mut arena = BatchKernel::default();
+    let mut cfgs: Vec<SystemConfig> = Vec::with_capacity(ladder.len());
+    let service = vec![lane; ladder.len()];
+    let unbounded = vec![LaneBounds::NONE; ladder.len()];
+    let mut eval_lat = |lams: &[f64]| -> Result<Vec<f64>, ModelError> {
+        cfgs.clear();
+        cfgs.extend(lams.iter().map(|&l| config.with_lambda(l)));
+        let k = lams.len();
+        arena
+            .evaluate_bounded(&cfgs, &service[..k], &unbounded[..k])
+            .into_iter()
+            .map(|outcome| match outcome {
+                LaneOutcome::Solved(report, _) => Ok(report.latency.mean_message_latency_us),
+                LaneOutcome::Failed(e) => Err(e),
+                LaneOutcome::Pruned { .. } => unreachable!("an unbounded solve never prunes"),
+            })
+            .collect()
+    };
     let lats = eval_lat(&ladder)?;
     if lats[0] > latency_budget_us {
         return Ok(None);

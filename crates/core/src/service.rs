@@ -16,7 +16,9 @@
 
 use crate::config::SystemConfig;
 use crate::error::ModelError;
-use hmcs_topology::transmission::TransmissionModel;
+use hmcs_topology::switch::SwitchFabric;
+use hmcs_topology::technology::NetworkTechnology;
+use hmcs_topology::transmission::{Architecture, HopModel, TransmissionModel};
 
 /// Mean service times (µs) of the three network tiers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,28 +65,14 @@ impl TierModels {
     /// Builds the per-tier models from a system configuration.
     pub fn build(config: &SystemConfig) -> Result<Self, ModelError> {
         config.validate()?;
-        let icn1 = TransmissionModel::new(
-            config.icn1,
-            config.switch,
-            config.nodes_per_cluster,
-            config.architecture,
-        )?
-        .with_hop_model(config.hop_model);
-        let ecn1 = TransmissionModel::new(
-            config.ecn1,
-            config.switch,
-            config.nodes_per_cluster,
-            config.architecture,
-        )?
-        .with_hop_model(config.hop_model);
-        let icn2 = TransmissionModel::new(
-            config.icn2,
-            config.switch,
-            config.clusters.max(1),
-            config.architecture,
-        )?
-        .with_hop_model(config.hop_model);
-        Ok(TierModels { icn1, ecn1, icn2 })
+        let tier = |technology, endpoints| {
+            tier_model(technology, config.switch, endpoints, config.architecture, config.hop_model)
+        };
+        Ok(TierModels {
+            icn1: tier(config.icn1, config.nodes_per_cluster)?,
+            ecn1: tier(config.ecn1, config.nodes_per_cluster)?,
+            icn2: tier(config.icn2, config.clusters.max(1))?,
+        })
     }
 
     /// True when every tier is a single switch — the `C = 16` kink
@@ -93,6 +81,21 @@ impl TierModels {
         let pr = config.switch.ports() as usize;
         config.nodes_per_cluster <= pr && config.clusters <= pr
     }
+}
+
+/// One tier's transmission model: `endpoints` endpoints on
+/// `technology` through `switch` fabrics of `architecture`. Every tier
+/// of [`TierModels::build`] comes from here, and so does every tier time
+/// in the optimizer's tables, so both produce the same bits.
+pub(crate) fn tier_model(
+    technology: NetworkTechnology,
+    switch: SwitchFabric,
+    endpoints: usize,
+    architecture: Architecture,
+    hop_model: HopModel,
+) -> Result<TransmissionModel, ModelError> {
+    Ok(TransmissionModel::new(technology, switch, endpoints, architecture)?
+        .with_hop_model(hop_model))
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Both sweeps run on the batched structure-of-arrays kernel
 //! ([`crate::kernel`]): the cluster sweep evaluates its shapes through
 //! [`kernel::evaluate_batch`] on the bounded worker pool, while the
-//! λ-sweep computes the λ-independent [`ServiceTimes`] once for its
-//! shape and advances every point's bisection in lockstep lanes of a
+//! λ-sweep computes the λ-independent [`kernel::LaneService`] once for
+//! its shape and advances every point's bisection in lockstep lanes of a
 //! single kernel. Other shape sweeps (message size, switch ports,
 //! technologies) are a `Vec<SystemConfig>` handed to
 //! [`kernel::evaluate_batch`] directly.
@@ -14,7 +14,6 @@ use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::kernel;
 use crate::model::PerformanceReport;
-use crate::service::ServiceTimes;
 
 /// One point of a sweep: the varied value and the model output.
 #[derive(Debug, Clone, Copy)]
@@ -68,18 +67,19 @@ pub fn cluster_sweep(
 /// Sweeps the per-processor generation rate (λ) at a fixed shape —
 /// useful for locating the saturation knee.
 ///
-/// The λ-independent service times are computed once for the shared
-/// shape, then one [`kernel::BatchKernel`] advances every point's
-/// bisection in lockstep — each point is bit-identical to an
+/// The λ-independent service times and saturation rate are computed
+/// once for the shared shape, then one [`kernel::BatchKernel`] advances
+/// every point's bisection in lockstep — each point is bit-identical to an
 /// independent [`crate::solver::solve`] of the same configuration.
 pub fn lambda_sweep(
     base: &SystemConfig,
     lambdas_per_us: &[f64],
 ) -> Result<Vec<SweepPoint<f64>>, ModelError> {
     base.validate()?;
-    let service = ServiceTimes::compute(base)?;
+    let service = kernel::LaneService::compute(base)?;
     let configs: Vec<SystemConfig> = lambdas_per_us.iter().map(|&l| base.with_lambda(l)).collect();
-    let results = kernel::BatchKernel::with_service(&configs, &service).solve();
+    let results =
+        kernel::BatchKernel::with_service(&configs, &vec![service; configs.len()]).solve();
     collect_points(lambdas_per_us.to_vec(), results)
 }
 

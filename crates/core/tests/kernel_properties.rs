@@ -13,7 +13,9 @@
 use hmcs_core::batch::EvalStats;
 use hmcs_core::config::{ServiceTimeModel, SystemConfig};
 use hmcs_core::error::ModelError;
-use hmcs_core::kernel::BatchKernel;
+use hmcs_core::kernel::{
+    evaluate_batch_bounded, BatchKernel, LaneBounds, LaneOutcome, LaneService,
+};
 use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::scenario::Scenario;
 use hmcs_core::service::ServiceTimes;
@@ -266,16 +268,25 @@ fn regression_snippet(seed: u64, index: u32, case: &KernelCase, mismatch: &str) 
 }
 
 const SEED: u64 = 2005;
-const CASES: u32 = 200;
 
-/// 200 seeded configurations across the validity region, solved as the
-/// lanes of a single heterogeneous [`BatchKernel`], each compared
+/// Cases of the seeded fuzz: 200, or a positive `PROPTEST_CASES` from
+/// the environment, as for the workspace's property tests.
+fn fuzz_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse::<u32>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(200)
+}
+
+/// [`fuzz_cases`] seeded configurations across the validity region,
+/// solved as the lanes of a single heterogeneous [`BatchKernel`], each compared
 /// bit-for-bit against an independent scalar evaluation. Each case also
 /// runs through the facade, on the sampled config and on a copy with a
 /// rejected (negative) rate so the error path is compared too.
 #[test]
 fn batched_kernel_is_bit_identical_to_scalar() {
-    let cases: Vec<KernelCase> = (0..CASES).map(|i| sample_case(SEED, i)).collect();
+    let cases: Vec<KernelCase> = (0..fuzz_cases()).map(|i| sample_case(SEED, i)).collect();
     let configs: Vec<SystemConfig> =
         cases.iter().map(|c| c.build().expect("sampled cases are valid")).collect();
     let lanes = BatchKernel::new(&configs).solve();
@@ -294,7 +305,7 @@ fn batched_kernel_is_bit_identical_to_scalar() {
             // solo unless the batch composition itself is the bug.
             let (case, mismatch) = match check_solo(&case) {
                 Some(m) => shrink(case, m),
-                None => (case, format!("{mismatch} (only in a {CASES}-lane batch)")),
+                None => (case, format!("{mismatch} (only in a {}-lane batch)", cases.len())),
             };
             panic!(
                 "kernel/scalar mismatch at case {i}: {mismatch}\n\
@@ -320,5 +331,78 @@ fn lane_results_are_independent_of_batch_composition() {
             lane_mismatch(&together[i], &solo).is_none(),
             "lane {i} differs between a 24-lane batch and a solo solve"
         );
+    }
+}
+
+/// Outcome bits of one bounded lane: the report's headline fields and
+/// iteration count, the error's text, or the pruned lower bound.
+fn outcome_mismatch(batch: &LaneOutcome, solo: &LaneOutcome) -> Option<String> {
+    match (batch, solo) {
+        (LaneOutcome::Solved(br, bs), LaneOutcome::Solved(sr, ss)) => {
+            lane_mismatch(&Ok((*br, *bs)), &Ok((*sr, *ss)))
+        }
+        (LaneOutcome::Failed(b), LaneOutcome::Failed(s)) => {
+            (b != s).then(|| format!("errors differ: batch {b:?} vs solo {s:?}"))
+        }
+        (LaneOutcome::Pruned { latency_lb_us: b }, LaneOutcome::Pruned { latency_lb_us: s }) => {
+            (b.to_bits() != s.to_bits()).then(|| format!("pruned bound: batch {b:?} vs solo {s:?}"))
+        }
+        (b, s) => Some(format!("batch {b:?} vs solo {s:?}")),
+    }
+}
+
+/// A bounded batch whose thresholds prune most lanes within a few
+/// passes, so the lockstep loop compacts its span again and again: every
+/// lane's outcome must keep the bits of the same lane solved alone in a
+/// one-lane batch (which never compacts), at 1, 2 and 3 workers.
+#[test]
+fn compacted_bounded_lanes_match_solo_solves() {
+    const LANES: u32 = 1024;
+    let cases: Vec<KernelCase> = (0..LANES).map(|i| sample_case(SEED ^ 0xc0a1e5ce, i)).collect();
+    let mut configs: Vec<SystemConfig> =
+        cases.iter().map(|c| c.build().expect("sampled cases are valid")).collect();
+    let service: Vec<LaneService> =
+        configs.iter().map(|c| LaneService::compute(c).expect("valid config")).collect();
+    let latency: Vec<f64> = BatchKernel::new(&configs)
+        .solve()
+        .iter()
+        .map(|lane| lane.as_ref().expect("sampled cases solve").0.latency.mean_message_latency_us)
+        .collect();
+    // One lane in eight fails validation in the kernel, one solves
+    // unbounded; the rest get an SLO or a dominance threshold between
+    // 0.6 and 0.99 of their true latency.
+    let bounds: Vec<LaneBounds> = (0..configs.len())
+        .map(|i| {
+            let threshold = latency[i] * (0.6 + 0.39 * (i % 13) as f64 / 12.0);
+            match i % 8 {
+                0 => {
+                    configs[i] = configs[i].with_lambda(-1.0);
+                    LaneBounds::NONE
+                }
+                1 => LaneBounds::NONE,
+                2 | 4 | 6 => LaneBounds { slo_us: threshold, dominated_at_us: f64::INFINITY },
+                _ => LaneBounds { slo_us: f64::INFINITY, dominated_at_us: threshold },
+            }
+        })
+        .collect();
+
+    let solo: Vec<LaneOutcome> = (0..configs.len())
+        .map(|i| {
+            let mut arena = BatchKernel::default();
+            let (c, s, b) = (&configs[i..=i], &service[i..=i], &bounds[i..=i]);
+            arena.evaluate_bounded(c, s, b).pop().expect("one lane")
+        })
+        .collect();
+    let pruned = solo.iter().filter(|o| matches!(o, LaneOutcome::Pruned { .. })).count();
+    assert!(pruned * 2 > configs.len(), "only {pruned} of {} lanes pruned", configs.len());
+
+    for workers in [1, 2, 3] {
+        let batch = evaluate_batch_bounded(&configs, &service, &bounds, workers);
+        assert_eq!(batch.len(), solo.len());
+        for (i, (b, s)) in batch.iter().zip(&solo).enumerate() {
+            if let Some(mismatch) = outcome_mismatch(b, s) {
+                panic!("lane {i} at {workers} workers: {mismatch}");
+            }
+        }
     }
 }

@@ -15,6 +15,7 @@ use hmcs_core::solver;
 use hmcs_topology::technology::NetworkTechnology;
 use hmcs_topology::transmission::Architecture;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn any_scenario() -> impl Strategy<Value = Scenario> {
     prop_oneof![Just(Scenario::Case1), Just(Scenario::Case2)]
@@ -30,8 +31,11 @@ fn any_tech_pair() -> impl Strategy<Value = (usize, usize)> {
     (0usize..NetworkTechnology::PRESETS.len(), 0usize..NetworkTechnology::PRESETS.len())
 }
 
-/// A small spec: ≤ 3 cluster splits × 2 technologies per axis ×
-/// 2 port counts × 2 architectures keeps the brute-force oracle cheap.
+/// A small spec: ≤ 5 cluster counts × 2 technologies per axis ×
+/// 3 port counts × 2 architectures keeps the brute-force oracle cheap.
+/// Two entries make designs unbuildable on purpose: 3 clusters divide
+/// none of the node counts, and 2-port switches cannot form a
+/// multi-stage fat-tree.
 fn any_spec() -> impl Strategy<Value = OptimizeSpec> {
     (
         (prop_oneof![Just(8usize), Just(16), Just(32)], any_scenario(), 1u64..8192, -7.0f64..-3.5),
@@ -49,11 +53,13 @@ fn any_spec() -> impl Strategy<Value = OptimizeSpec> {
                     lambda_per_us: 10f64.powf(lambda_exp),
                 };
                 let presets = NetworkTechnology::PRESETS;
+                let mut cluster_counts = DesignSpace::paper_default(total_nodes).cluster_counts;
+                cluster_counts.push(3);
                 let space = DesignSpace {
-                    cluster_counts: DesignSpace::paper_default(total_nodes).cluster_counts,
+                    cluster_counts,
                     intra: vec![presets[ti], presets[tj]],
                     inter: vec![presets[tj]],
-                    switch_ports: vec![8, 16],
+                    switch_ports: vec![2, 8, 16],
                     architectures: vec![Architecture::NonBlocking, Architecture::Blocking],
                 };
                 OptimizeSpec {
@@ -69,10 +75,24 @@ fn any_spec() -> impl Strategy<Value = OptimizeSpec> {
         )
 }
 
-/// Brute-force oracle: every feasible (design, cost, latency) triple
-/// in the space, via direct single-point evaluation.
-fn feasible_by_brute_force(spec: &OptimizeSpec) -> Vec<(String, f64, f64)> {
-    let mut out = Vec::new();
+/// What the brute-force oracle finds: every feasible (design, cost,
+/// latency) triple, and the designs the pre-filter drops under each
+/// counter.
+#[derive(Debug, Default)]
+struct Oracle {
+    feasible: Vec<(String, f64, f64)>,
+    invalid: usize,
+    over_budget: usize,
+    saturated: usize,
+}
+
+/// Brute-force oracle: every design of the space through the
+/// one-design path (`Design::build`, `CatalogCostModel::cost_usd`,
+/// `ServiceTimes::compute`, direct single-point evaluation), counted
+/// in that order. A design both over budget and saturated counts under
+/// both.
+fn brute_force(spec: &OptimizeSpec) -> Oracle {
+    let mut out = Oracle::default();
     for &clusters in &spec.space.cluster_counts {
         for &intra in &spec.space.intra {
             for &inter in &spec.space.inter {
@@ -81,19 +101,21 @@ fn feasible_by_brute_force(spec: &OptimizeSpec) -> Vec<(String, f64, f64)> {
                         let Ok(design) =
                             Design::build(&spec.workload, clusters, intra, inter, ports, arch)
                         else {
+                            out.invalid += 1;
                             continue;
                         };
                         let cost = CatalogCostModel.cost_usd(&design).expect("preset catalogue");
-                        if spec.constraints.budget_usd.is_some_and(|b| cost > b) {
-                            continue;
-                        }
                         let Ok(service) = ServiceTimes::compute(&design.config) else {
+                            out.invalid += 1;
                             continue;
                         };
-                        if spec.constraints.require_unsaturated
+                        let over_budget = spec.constraints.budget_usd.is_some_and(|b| cost > b);
+                        let saturated = spec.constraints.require_unsaturated
                             && spec.workload.lambda_per_us
-                                >= solver::saturation_lambda(&design.config, &service)
-                        {
+                                >= solver::saturation_lambda(&design.config, &service);
+                        out.over_budget += usize::from(over_budget);
+                        out.saturated += usize::from(saturated);
+                        if over_budget || saturated {
                             continue;
                         }
                         let Ok(report) = AnalyticalModel::evaluate(&design.config) else {
@@ -103,13 +125,25 @@ fn feasible_by_brute_force(spec: &OptimizeSpec) -> Vec<(String, f64, f64)> {
                         if !spec.constraints.slo_latency_us.is_none_or(|slo| latency <= slo) {
                             continue;
                         }
-                        out.push((design.key(), cost, latency));
+                        out.feasible.push((design.key(), cost, latency));
                     }
                 }
             }
         }
     }
     out
+}
+
+/// The outcome's pre-filter counters equal the oracle's exactly.
+fn assert_prefilter_counts(
+    outcome: &optimize::OptimizeOutcome,
+    oracle: &Oracle,
+) -> Result<(), TestCaseError> {
+    let d = &outcome.diagnostics;
+    prop_assert_eq!(d.invalid, oracle.invalid, "invalid");
+    prop_assert_eq!(d.over_budget, oracle.over_budget, "over_budget");
+    prop_assert_eq!(d.saturated, oracle.saturated, "saturated");
+    Ok(())
 }
 
 proptest! {
@@ -136,9 +170,12 @@ proptest! {
             prop_assert!(pair[0].latency_us > pair[1].latency_us);
         }
 
-        // Oracle comparison: the frontier is feasible, non-dominated,
-        // and covers (dominates-or-equals) every feasible design.
-        let feasible = feasible_by_brute_force(&spec);
+        // Oracle comparison: the pre-filter counts match, and the
+        // frontier is feasible, non-dominated, and covers
+        // (dominates-or-equals) every feasible design.
+        let oracle = brute_force(&spec);
+        assert_prefilter_counts(&outcome, &oracle)?;
+        let feasible = oracle.feasible;
         prop_assert_eq!(outcome.feasible, feasible.len());
         for point in &outcome.frontier {
             let key = point.design.key();
@@ -210,14 +247,21 @@ proptest! {
 
     /// The gradient-pruned optimizer returns a frontier bitwise equal
     /// to the exhaustive one on seeded random spaces (densified along
-    /// the port axis so pruning actually engages), and attributes
-    /// every certificate-skipped point to `diagnostics.pruned`.
+    /// the port axis so pruning actually engages), attributes every
+    /// certificate-skipped point to `diagnostics.pruned`, and counts
+    /// the pre-filtered designs in both walkers exactly as the oracle
+    /// does.
     #[test]
     fn pruned_optimize_matches_exhaustive_bitwise(spec in any_spec()) {
         let mut spec = spec;
-        spec.space.switch_ports = (4..=32).step_by(4).collect();
+        spec.space.switch_ports = std::iter::once(2).chain((4..=32).step_by(4)).collect();
         let exhaustive = optimize::optimize(&spec, BatchOptions::sequential()).unwrap();
         let pruned = optimize::optimize_pruned(&spec, BatchOptions::sequential()).unwrap();
+
+        // Both walkers share one enumeration; the oracle checks it.
+        let oracle = brute_force(&spec);
+        assert_prefilter_counts(&exhaustive, &oracle)?;
+        assert_prefilter_counts(&pruned, &oracle)?;
 
         prop_assert_eq!(exhaustive.frontier.len(), pruned.frontier.len());
         for (a, b) in exhaustive.frontier.iter().zip(&pruned.frontier) {
