@@ -5,11 +5,13 @@
 //! `hmcs-serve` evaluation daemon, the bench gate — shares this one
 //! hand-rolled writer/parser pair instead of growing private copies.
 //!
-//! * [`json_str`] / [`json_num`] — escaping writer primitives. Every
-//!   string that ends up inside a JSON document **must** pass through
-//!   [`json_str`]; in particular error messages that echo request
-//!   content, where an unescaped quote or control byte would corrupt
-//!   the document (or worse, let a caller inject structure).
+//! * [`json_str`] / [`json_num`] / [`push_num`] — writer primitives;
+//!   [`push_num`] appends a number in place, so a renderer that builds
+//!   one document pays no heap string per number. Every string that
+//!   ends up inside a JSON document **must** pass through [`json_str`];
+//!   in particular error messages that echo request content, where an
+//!   unescaped quote or control byte would corrupt the document (or
+//!   worse, let a caller inject structure).
 //! * [`parse_json`] — a strict recursive-descent parser. It rejects
 //!   trailing garbage, bare `NaN`/`Infinity` tokens, truncated
 //!   documents, and — going beyond what RFC 8259 requires — duplicate
@@ -109,16 +111,24 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// Rust's `{}` float formatting never emits exponents, NaN excepted —
-/// map non-finite values to null so the document stays valid JSON. The
-/// rendering is the shortest string that round-trips to the same bits,
-/// so a reader that parses it back recovers the f64 exactly.
-pub fn json_num(x: f64) -> String {
+/// Appends `x` to `out` as a JSON number. Rust's `{}` float formatting
+/// never emits exponents, NaN excepted — non-finite values become
+/// `null` so the document stays valid JSON. The rendering is the
+/// shortest string that round-trips to the same bits, so a reader that
+/// parses it back recovers the f64 exactly.
+pub fn push_num(out: &mut String, x: f64) {
     if x.is_finite() {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
+}
+
+/// [`push_num`] into a fresh string.
+pub fn json_num(x: f64) -> String {
+    let mut out = String::new();
+    push_num(&mut out, x);
+    out
 }
 
 /// Parses a JSON document.
@@ -365,6 +375,42 @@ mod tests {
         }
         assert_eq!(json_num(f64::NAN), "null");
         assert_eq!(json_num(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn push_num_appends_the_display_rendering_or_null() {
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            1e-7,
+            1e21,
+            -1e21,
+            f64::MAX,
+            f64::MIN,
+        ];
+        // SplitMix64 over raw bit patterns: every exponent and sign.
+        let mut state = 0x2005_u64;
+        edges.extend((0..10_000).map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            f64::from_bits(z ^ (z >> 31))
+        }));
+        for x in edges {
+            let mut out = String::from("[");
+            push_num(&mut out, x);
+            let expected = if x.is_finite() { format!("[{x}") } else { "[null".to_string() };
+            assert_eq!(out, expected, "bits {:#018x}", x.to_bits());
+        }
+        for x in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut out = String::from("[");
+            push_num(&mut out, x);
+            assert_eq!(out, "[null");
+        }
     }
 
     #[test]

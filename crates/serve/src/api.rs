@@ -13,16 +13,16 @@
 //! of quotes and control characters still produces a valid JSON error
 //! document.
 //!
-//! Float formatting uses [`json_num`], which prints the shortest
-//! round-tripping decimal: a client that parses `mean_latency_us` back
-//! with `str::parse::<f64>()` recovers the model's output **bit for
-//! bit**, which is what lets the suite assert served results are
-//! identical to in-process `reproduce` output.
+//! Numbers are appended in place with [`push_num`], which prints the
+//! shortest round-tripping decimal: a client that parses
+//! `mean_latency_us` back with `str::parse::<f64>()` recovers the
+//! model's output **bit for bit**, which is what lets the suite assert
+//! served results are identical to in-process `reproduce` output.
 
 use hmcs_core::batch::BatchOptions;
 use hmcs_core::config::SystemConfig;
 use hmcs_core::error::ModelError;
-use hmcs_core::json::{json_num, json_str, parse_json, JsonValue};
+use hmcs_core::json::{json_num, json_str, parse_json, push_num, JsonValue};
 use hmcs_core::kernel;
 use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::optimize::{self, Constraints, DesignSpace, OptimizeError, OptimizeSpec, Workload};
@@ -30,6 +30,7 @@ use hmcs_core::scenario::{Scenario, PAPER_LAMBDA_PER_US, PAPER_TOTAL_NODES};
 use hmcs_core::service::ServiceTimes;
 use hmcs_core::solver;
 use hmcs_topology::transmission::Architecture;
+use std::fmt::Write as _;
 
 /// Hard cap on sweep points per request; larger sweeps must be split
 /// (or run offline through `reproduce`), keeping one request from
@@ -82,7 +83,7 @@ pub fn error_body_with(code: &str, message: &str, data: &[(&'static str, f64)]) 
         out.push(',');
         out.push_str(&json_str(key));
         out.push(':');
-        out.push_str(&json_num(*value));
+        push_num(&mut out, *value);
     }
     out.push_str("}}");
     out
@@ -97,19 +98,6 @@ pub enum SweepSpec {
     Clusters(Vec<usize>),
     /// Sweep the message size in bytes.
     MessageBytes(Vec<u64>),
-}
-
-/// The canonical coalescing key for an evaluate request. `Debug`
-/// formatting prints floats as shortest round-tripping decimals, so
-/// the key is injective on the config's bits — two requests share a
-/// key exactly when they describe the same evaluation.
-pub fn evaluate_key(config: &SystemConfig) -> String {
-    format!("evaluate/{config:?}")
-}
-
-/// The canonical coalescing key for a sweep request.
-pub fn sweep_key(config: &SystemConfig, spec: &SweepSpec) -> String {
-    format!("sweep/{spec:?}/{config:?}")
 }
 
 /// Parses a `POST /v1/evaluate` body into a validated [`SystemConfig`]
@@ -377,15 +365,15 @@ pub fn sweep_response_from(
             out.push(',');
         }
         out.push_str("{\"x\":");
-        out.push_str(&json_num(*x));
+        push_num(&mut out, *x);
         out.push_str(",\"mean_latency_us\":");
-        out.push_str(&json_num(report.latency.mean_message_latency_us));
+        push_num(&mut out, report.latency.mean_message_latency_us);
         out.push_str(",\"throughput_per_us\":");
-        out.push_str(&json_num(report.throughput_per_us));
+        push_num(&mut out, report.throughput_per_us);
         out.push_str(",\"bottleneck_utilization\":");
-        out.push_str(&json_num(report.equilibrium.bottleneck_utilization()));
+        push_num(&mut out, report.equilibrium.bottleneck_utilization());
         out.push_str(",\"retained_fraction\":");
-        out.push_str(&json_num(report.equilibrium.retained_fraction));
+        push_num(&mut out, report.equilibrium.retained_fraction);
         out.push('}');
     }
     out.push_str("]}");
@@ -400,37 +388,37 @@ pub fn render_evaluate(config: &SystemConfig, report: &PerformanceReport) -> Str
     out.push_str("{\"schema\":\"hmcs-serve-evaluate/1\",\"config\":");
     push_config(&mut out, config);
     out.push_str(",\"latency_us\":{\"mean\":");
-    out.push_str(&json_num(lat.mean_message_latency_us));
+    push_num(&mut out, lat.mean_message_latency_us);
     out.push_str(",\"internal\":");
-    out.push_str(&json_num(lat.internal_latency_us));
+    push_num(&mut out, lat.internal_latency_us);
     out.push_str(",\"external\":");
-    out.push_str(&json_num(lat.external_latency_us));
+    push_num(&mut out, lat.external_latency_us);
     out.push_str(",\"sojourn_icn1\":");
-    out.push_str(&json_num(lat.sojourn_icn1_us));
+    push_num(&mut out, lat.sojourn_icn1_us);
     out.push_str(",\"sojourn_ecn1\":");
-    out.push_str(&json_num(lat.sojourn_ecn1_us));
+    push_num(&mut out, lat.sojourn_ecn1_us);
     out.push_str(",\"sojourn_icn2\":");
-    out.push_str(&json_num(lat.sojourn_icn2_us));
+    push_num(&mut out, lat.sojourn_icn2_us);
     out.push_str("},\"external_probability\":");
-    out.push_str(&json_num(lat.external_probability));
+    push_num(&mut out, lat.external_probability);
     out.push_str(",\"utilization\":{\"icn1\":");
-    out.push_str(&json_num(eq.icn1.utilization));
+    push_num(&mut out, eq.icn1.utilization);
     out.push_str(",\"ecn1\":");
-    out.push_str(&json_num(eq.ecn1.utilization));
+    push_num(&mut out, eq.ecn1.utilization);
     out.push_str(",\"icn2\":");
-    out.push_str(&json_num(eq.icn2.utilization));
+    push_num(&mut out, eq.icn2.utilization);
     out.push_str(",\"bottleneck\":");
-    out.push_str(&json_num(eq.bottleneck_utilization()));
+    push_num(&mut out, eq.bottleneck_utilization());
     out.push_str("},\"throughput_per_us\":");
-    out.push_str(&json_num(report.throughput_per_us));
+    push_num(&mut out, report.throughput_per_us);
     out.push_str(",\"solver\":{\"iterations\":");
-    out.push_str(&eq.solver_iterations.to_string());
+    let _ = write!(out, "{}", eq.solver_iterations);
     out.push_str(",\"lambda_eff\":");
-    out.push_str(&json_num(eq.lambda_eff));
+    push_num(&mut out, eq.lambda_eff);
     out.push_str(",\"retained_fraction\":");
-    out.push_str(&json_num(eq.retained_fraction));
+    push_num(&mut out, eq.retained_fraction);
     out.push_str(",\"total_waiting\":");
-    out.push_str(&json_num(eq.total_waiting));
+    push_num(&mut out, eq.total_waiting);
     out.push_str("}}");
     out
 }
@@ -446,16 +434,6 @@ pub struct OptimizeRequest {
     /// Run [`optimize::optimize_pruned`] instead of the exhaustive
     /// [`optimize::optimize`].
     pub prune: bool,
-}
-
-/// The canonical coalescing key for an optimize request. Like
-/// [`evaluate_key`], `Debug` formatting is injective on the spec's
-/// bits (floats print as shortest round-tripping decimals). `prune`
-/// participates in the key: pruned and exhaustive runs return the same
-/// frontier but different work-accounting diagnostics, so their
-/// documents must not coalesce.
-pub fn optimize_key(request: &OptimizeRequest) -> String {
-    format!("optimize/prune={}/{:?}", request.prune, request.spec)
 }
 
 /// Parses a `POST /v1/optimize` body into an [`OptimizeRequest`] over
@@ -562,11 +540,11 @@ pub fn optimize_response(request: &OptimizeRequest) -> Result<String, ApiError> 
         Scenario::Case2 => "case2",
     }));
     out.push_str(",\"total_nodes\":");
-    out.push_str(&spec.workload.total_nodes.to_string());
+    let _ = write!(out, "{}", spec.workload.total_nodes);
     out.push_str(",\"message_bytes\":");
-    out.push_str(&spec.workload.message_bytes.to_string());
+    let _ = write!(out, "{}", spec.workload.message_bytes);
     out.push_str(",\"lambda_per_us\":");
-    out.push_str(&json_num(spec.workload.lambda_per_us));
+    push_num(&mut out, spec.workload.lambda_per_us);
     out.push_str("},\"constraints\":{\"slo_ms\":");
     push_opt_num(&mut out, spec.constraints.slo_latency_us.map(|v| v / 1000.0));
     out.push_str(",\"budget_usd\":");
@@ -574,26 +552,26 @@ pub fn optimize_response(request: &OptimizeRequest) -> Result<String, ApiError> 
     out.push_str(",\"require_unsaturated\":");
     out.push_str(if spec.constraints.require_unsaturated { "true" } else { "false" });
     out.push_str("},\"space_size\":");
-    out.push_str(&outcome.space_size.to_string());
+    let _ = write!(out, "{}", outcome.space_size);
     out.push_str(",\"evaluated\":");
-    out.push_str(&outcome.evaluated.to_string());
+    let _ = write!(out, "{}", outcome.evaluated);
     out.push_str(",\"feasible\":");
-    out.push_str(&outcome.feasible.to_string());
+    let _ = write!(out, "{}", outcome.feasible);
     let d = &outcome.diagnostics;
     out.push_str(",\"diagnostics\":{\"invalid\":");
-    out.push_str(&d.invalid.to_string());
+    let _ = write!(out, "{}", d.invalid);
     out.push_str(",\"saturated\":");
-    out.push_str(&d.saturated.to_string());
+    let _ = write!(out, "{}", d.saturated);
     out.push_str(",\"over_budget\":");
-    out.push_str(&d.over_budget.to_string());
+    let _ = write!(out, "{}", d.over_budget);
     out.push_str(",\"failed\":");
-    out.push_str(&d.failed.to_string());
+    let _ = write!(out, "{}", d.failed);
     out.push_str(",\"above_slo\":");
-    out.push_str(&d.above_slo.to_string());
+    let _ = write!(out, "{}", d.above_slo);
     out.push_str(",\"dominated\":");
-    out.push_str(&d.dominated.to_string());
+    let _ = write!(out, "{}", d.dominated);
     out.push_str(",\"pruned\":");
-    out.push_str(&d.pruned.to_string());
+    let _ = write!(out, "{}", d.pruned);
     out.push_str("},\"frontier\":[");
     for (i, point) in outcome.frontier.iter().enumerate() {
         if i > 0 {
@@ -612,7 +590,7 @@ pub fn optimize_response(request: &OptimizeRequest) -> Result<String, ApiError> 
 
 fn push_opt_num(out: &mut String, value: Option<f64>) {
     match value {
-        Some(v) => out.push_str(&json_num(v)),
+        Some(v) => push_num(out, v),
         None => out.push_str("null"),
     }
 }
@@ -626,31 +604,31 @@ fn push_frontier_point(out: &mut String, point: &optimize::EvaluatedDesign) {
     out.push_str("{\"design\":");
     out.push_str(&json_str(&point.design.key()));
     out.push_str(",\"clusters\":");
-    out.push_str(&cfg.clusters.to_string());
+    let _ = write!(out, "{}", cfg.clusters);
     out.push_str(",\"nodes_per_cluster\":");
-    out.push_str(&cfg.nodes_per_cluster.to_string());
+    let _ = write!(out, "{}", cfg.nodes_per_cluster);
     out.push_str(",\"intra\":");
     out.push_str(&json_str(cfg.icn1.name));
     out.push_str(",\"inter\":");
     out.push_str(&json_str(cfg.ecn1.name));
     out.push_str(",\"ports\":");
-    out.push_str(&cfg.switch.ports().to_string());
+    let _ = write!(out, "{}", cfg.switch.ports());
     out.push_str(",\"architecture\":");
     out.push_str(&json_str(optimize::arch_code(cfg.architecture)));
     out.push_str(",\"switches\":");
-    out.push_str(&point.design.total_switches().to_string());
+    let _ = write!(out, "{}", point.design.total_switches());
     out.push_str(",\"cost_usd\":");
-    out.push_str(&json_num(point.cost_usd));
+    push_num(out, point.cost_usd);
     out.push_str(",\"latency_us\":");
-    out.push_str(&json_num(point.latency_us));
+    push_num(out, point.latency_us);
     out.push_str(",\"throughput_per_us\":");
-    out.push_str(&json_num(point.throughput_per_us));
+    push_num(out, point.throughput_per_us);
     out.push_str(",\"retained_fraction\":");
-    out.push_str(&json_num(point.retained_fraction));
+    push_num(out, point.retained_fraction);
     out.push_str(",\"bottleneck_utilization\":");
-    out.push_str(&json_num(point.bottleneck_utilization));
+    push_num(out, point.bottleneck_utilization);
     out.push_str(",\"saturation_lambda\":");
-    out.push_str(&json_num(point.saturation_lambda));
+    push_num(out, point.saturation_lambda);
     out.push('}');
 }
 
@@ -807,13 +785,13 @@ fn config_from(obj: &[(String, JsonValue)]) -> Result<SystemConfig, ApiError> {
 
 fn push_config(out: &mut String, config: &SystemConfig) {
     out.push_str("{\"clusters\":");
-    out.push_str(&config.clusters.to_string());
+    let _ = write!(out, "{}", config.clusters);
     out.push_str(",\"nodes_per_cluster\":");
-    out.push_str(&config.nodes_per_cluster.to_string());
+    let _ = write!(out, "{}", config.nodes_per_cluster);
     out.push_str(",\"message_bytes\":");
-    out.push_str(&config.message_bytes.to_string());
+    let _ = write!(out, "{}", config.message_bytes);
     out.push_str(",\"lambda_per_us\":");
-    out.push_str(&json_num(config.lambda_per_us));
+    push_num(out, config.lambda_per_us);
     out.push_str(",\"architecture\":");
     out.push_str(&json_str(match config.architecture {
         Architecture::NonBlocking => "nonblocking",
@@ -965,27 +943,6 @@ mod tests {
             let direct = AnalyticalModel::evaluate(&direct_cfg).unwrap();
             assert_eq!(served.to_bits(), direct.latency.mean_message_latency_us.to_bits());
         }
-    }
-
-    #[test]
-    fn coalescing_keys_distinguish_configs_and_endpoints() {
-        let (a, _) = parse_evaluate(r#"{"clusters":16}"#).unwrap();
-        let (b, _) = parse_evaluate(r#"{"clusters":32}"#).unwrap();
-        let (a2, _) = parse_evaluate(r#"{"clusters":16,"message_bytes":1024}"#).unwrap();
-        assert_ne!(evaluate_key(&a), evaluate_key(&b));
-        assert_eq!(evaluate_key(&a), evaluate_key(&a2), "defaults normalise to the same key");
-        let spec = SweepSpec::Lambda(vec![1e-4]);
-        assert_ne!(evaluate_key(&a), sweep_key(&a, &spec));
-
-        let opt = parse_optimize(r#"{"slo_ms":30}"#).unwrap();
-        let opt2 = parse_optimize(r#"{"slo_ms":25}"#).unwrap();
-        assert_ne!(optimize_key(&opt), optimize_key(&opt2));
-        let pruned = parse_optimize(r#"{"slo_ms":30,"prune":true}"#).unwrap();
-        assert_ne!(
-            optimize_key(&opt),
-            optimize_key(&pruned),
-            "pruned runs report different diagnostics, so they must not coalesce"
-        );
     }
 
     #[test]

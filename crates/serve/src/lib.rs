@@ -35,13 +35,15 @@
 //!   already-buffered requests are corked into one socket write.
 //!   Idle timeouts and per-connection request caps bound how long one
 //!   client can hold a worker.
-//! * **Request coalescing** — identical concurrent evaluations share
-//!   one computation ([`coalesce::Coalescer`]); followers receive a
-//!   byte-identical clone of the leader's response. Keys generalise
-//!   the `Debug`-rendering scheme of `hmcs-bench`'s sim cache.
+//! * **Request coalescing** — identical requests, keyed on endpoint
+//!   and body bytes, share one computation ([`coalesce::Coalescer`]):
+//!   concurrent followers receive a byte-identical clone of the
+//!   leader's response, and a request repeated recently is answered
+//!   from a bounded memo of completed `200`s without parsing or
+//!   solving.
 //! * **Micro-batching** — with a non-zero gather window, *distinct*
 //!   evaluate points arriving close together are grouped by a
-//!   [`microbatch::Batcher`] into one `batch::par_map` call;
+//!   [`microbatch::Batcher`] into one kernel solve;
 //!   bit-identical results, amortised scheduling.
 //! * **Load generation** — [`loadgen`] implements the open-/closed-
 //!   loop benchmark client behind the `hmcs-loadgen` binary.
@@ -111,11 +113,15 @@ pub mod keys {
     pub const QUEUE_DEPTH: &str = "serve.queue.depth";
     /// Histogram: total request time from accept to response (µs).
     pub const REQUEST_US: &str = "serve.request_us";
-    /// Counter: requests served from another request's computation.
+    /// Counter: requests served from another request's computation,
+    /// in flight or completed.
     pub const COALESCE_HITS: &str = "serve.coalesce.hits";
+    /// Counter: the subset of [`COALESCE_HITS`] answered by a kept
+    /// completed response.
+    pub const COALESCE_MEMO_HITS: &str = "serve.coalesce.memo_hits";
     /// Counter: computations actually performed (coalescing leaders).
     pub const COALESCE_COMPUTATIONS: &str = "serve.coalesce.computations";
-    /// Counter: micro-batches computed (each is one `par_map` call).
+    /// Counter: micro-batches computed (each is one kernel solve).
     pub const BATCH_BATCHES: &str = "serve.batch.batches";
     /// Counter: evaluate points carried inside micro-batches. The
     /// ratio to [`BATCH_BATCHES`] is the achieved mean batch size.

@@ -1,7 +1,7 @@
 //! Cross-request micro-batching of *distinct* computations.
 //!
-//! The [`crate::coalesce::Coalescer`] deduplicates concurrent
-//! **identical** requests; this module handles the complementary case:
+//! The [`crate::coalesce::Coalescer`] answers **identical** requests,
+//! concurrent or repeated; this module handles the complementary case:
 //! distinct evaluate points arriving close together in time. The first
 //! arrival becomes the batch *leader*: it waits one small gather
 //! window, takes every request that joined meanwhile, and runs the

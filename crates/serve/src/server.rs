@@ -23,6 +23,18 @@
 //! budget also bounds socket reads and the wait of a coalescing
 //! follower, so a slow peer cannot pin a worker indefinitely.
 //!
+//! ## Coalescing and the repeat memo
+//!
+//! Every `/v1/*` request goes to the [`Coalescer`] keyed on its path
+//! and raw body bytes, before anything parses it. The leader of a key
+//! parses, checks, computes and renders; a concurrent identical request
+//! waits for the leader's response, and a recently repeated one is
+//! answered from the coalescer's bounded memo of completed `200`s
+//! without parsing, solving or rendering. The memo's byte budget and
+//! admission table are fixed constants of [`crate::coalesce`], not
+//! [`ServerConfig`] knobs: the model is deterministic, so a kept
+//! response is byte-identical to a fresh one.
+//!
 //! ## Micro-batching
 //!
 //! With a non-zero [`ServerConfig::batch_window`], *distinct* model
@@ -35,8 +47,8 @@
 //! batch leader's own thread (a lane costs about a microsecond, far
 //! less than a pool spawn, and the request workers already are the
 //! pool). Each request then renders its own slice of the lane results
-//! (identical concurrent requests are still deduplicated upstream by
-//! the [`Coalescer`], so batches contain distinct points only). Kernel
+//! (identical requests are still answered upstream by the
+//! [`Coalescer`], so batches contain distinct points only). Kernel
 //! lanes are bit-identical to the scalar path and invariant under
 //! batch composition and worker count, so batching never changes
 //! response bytes — only scheduling.
@@ -94,7 +106,8 @@ pub struct ServerConfig {
     /// up to one window of added latency for one kernel solve per
     /// batch, on the leader's thread, instead of one per request.
     pub batch_window: Duration,
-    /// Artificial pre-compute latency on `/v1/*` requests. Fault
+    /// Artificial pre-compute latency on every `/v1/*` request that
+    /// computes (a coalesced or remembered answer does not wait). Fault
     /// injection for tests and soak runs (deterministically provokes
     /// queue buildup, shedding and deadline expiry); zero in service.
     pub handler_latency: Duration,
@@ -173,7 +186,7 @@ struct Shared {
     config: ServerConfig,
     metrics: RequestMetrics,
     queue: Bounded<Job>,
-    coalescer: Coalescer<Response>,
+    coalescer: Coalescer,
     batcher: Option<Batcher<SystemConfig, api::PointResult>>,
     shutdown: AtomicBool,
 }
@@ -507,19 +520,18 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
             shared.metrics.evaluate.incr();
             coalesced(shared, remaining, request, |body| {
                 let (config, strict) = api::parse_evaluate(body)?;
-                // Strict requests fail fast here — before the
-                // coalescer or batcher ever sees the workload.
+                // Strict requests fail fast here — before the batcher
+                // ever sees the workload.
                 if strict {
                     api::check_unsaturated(&config)?;
                 }
-                let key = api::evaluate_key(&config);
-                Ok((key, move || match &shared.batcher {
+                Ok(move || match &shared.batcher {
                     Some(batcher) => match batcher.submit(config, remaining) {
                         Some(result) => response_of(api::evaluate_response_from(&config, result)),
                         None => wait_exhausted(shared, "batch_timeout"),
                     },
                     None => response_of(api::evaluate_response(&config)),
-                }))
+                })
             })
         }
         ("POST", "/v1/sweep") => {
@@ -529,8 +541,7 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
                 if strict {
                     api::check_sweep_unsaturated(&config, &spec)?;
                 }
-                let key = api::sweep_key(&config, &spec);
-                Ok((key, move || match &shared.batcher {
+                Ok(move || match &shared.batcher {
                     // A sweep contributes one config per point to the
                     // shared window, then reassembles its own slice.
                     Some(batcher) => match api::sweep_configs(&config, &spec) {
@@ -543,15 +554,14 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
                         Err(e) => error_response(e),
                     },
                     None => response_of(api::sweep_response(&config, &spec)),
-                }))
+                })
             })
         }
         ("POST", "/v1/optimize") => {
             shared.metrics.optimize.incr();
             coalesced(shared, remaining, request, |body| {
                 let request = api::parse_optimize(body)?;
-                let key = api::optimize_key(&request);
-                Ok((key, move || response_of(api::optimize_response(&request))))
+                Ok(move || response_of(api::optimize_response(&request)))
             })
         }
         (
@@ -578,39 +588,37 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
     }
 }
 
-/// Parses a `/v1/*` body, then runs the computation through the
-/// coalescer: identical concurrent requests share one evaluation and
-/// all receive byte-identical responses.
+/// Answers a `/v1/*` request through the coalescer, keyed on its path
+/// and body bytes: identical requests, concurrent or recently repeated,
+/// share one computation and all receive byte-identical responses. Only
+/// the leader parses the body (`prepare`) and computes.
 fn coalesced<F, C>(shared: &Shared, remaining: Duration, request: &Request, prepare: F) -> Response
 where
-    F: FnOnce(&str) -> Result<(String, C), api::ApiError>,
+    F: FnOnce(&str) -> Result<C, api::ApiError>,
     C: FnOnce() -> Response,
 {
-    let Ok(body) = std::str::from_utf8(&request.body) else {
-        return error_response(api::ApiError {
-            status: 400,
-            code: "invalid_json",
-            message: "request body is not UTF-8".into(),
-            data: Vec::new(),
-        });
-    };
-    let (key, compute) = match prepare(body) {
-        Ok(prepared) => prepared,
-        Err(e) => return error_response(e),
-    };
-    let (value, outcome) = shared.coalescer.run(&key, remaining, || {
+    let (value, _) = shared.coalescer.run(&request.path, &request.body, remaining, || {
+        let Ok(body) = std::str::from_utf8(&request.body) else {
+            return error_response(api::ApiError {
+                status: 400,
+                code: "invalid_json",
+                message: "request body is not UTF-8".into(),
+                data: Vec::new(),
+            });
+        };
+        let compute = match prepare(body) {
+            Ok(compute) => compute,
+            Err(e) => return error_response(e),
+        };
         // Fault injection: the sleep sits *inside* the coalescing slot
         // so it widens the in-flight window exactly like a genuinely
-        // slow computation would.
+        // slow computation would, and delays every computed request.
         if !shared.config.handler_latency.is_zero() {
             std::thread::sleep(shared.config.handler_latency);
         }
         compute()
     });
-    match (value, outcome) {
-        (Some(response), _) => response,
-        (None, _) => wait_exhausted(shared, "coalesce_timeout"),
-    }
+    value.unwrap_or_else(|| wait_exhausted(shared, "coalesce_timeout"))
 }
 
 /// The `503` a request receives when the computation it was waiting on
@@ -748,6 +756,55 @@ mod tests {
             assert!(reply.contains("connection: keep-alive\r\n"), "{reply}");
         }
         drop(stream);
+        server.shutdown();
+    }
+
+    fn post(path: &str, body: &str) -> String {
+        format!("POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}", body.len())
+    }
+
+    #[test]
+    fn repeated_requests_are_answered_from_memory_byte_identically() {
+        // The registry is process-global, so other tests may add to the
+        // counter too: only a rise is asserted, never an exact count.
+        let memo_hits = metrics::counter(keys::COALESCE_MEMO_HITS);
+        let requests = [
+            ("/v1/evaluate", r#"{"clusters":16,"architecture":"blocking"}"#),
+            ("/v1/sweep", r#"{"clusters":16,"parameter":"lambda","values":[1e-4,2e-4]}"#),
+            ("/v1/optimize", r#"{"slo_ms":30,"workload":{"total_nodes":16}}"#),
+        ];
+        for batch_window in [Duration::ZERO, Duration::from_micros(200)] {
+            let server = Server::start(ServerConfig { batch_window, ..test_config() }).unwrap();
+            for (path, body) in requests {
+                let before = memo_hits.get();
+                let replies: Vec<String> =
+                    (0..3).map(|_| request(server.local_addr(), &post(path, body))).collect();
+                assert!(replies[0].starts_with("HTTP/1.1 200"), "{path}: {}", replies[0]);
+                assert!(replies.iter().all(|r| *r == replies[0]), "{path}: bodies differ");
+                assert!(memo_hits.get() > before, "{path}: the third request is a memo hit");
+            }
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn handler_latency_delays_every_miss() {
+        let latency = Duration::from_millis(40);
+        let server =
+            Server::start(ServerConfig { handler_latency: latency, ..test_config() }).unwrap();
+        // A key is kept only after its second computation, so each of
+        // these six requests computes and must sleep.
+        for clusters in [4, 8, 16] {
+            for _ in 0..2 {
+                let start = Instant::now();
+                let reply = request(
+                    server.local_addr(),
+                    &post("/v1/evaluate", &format!(r#"{{"clusters":{clusters}}}"#)),
+                );
+                assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+                assert!(start.elapsed() >= latency, "a computed request skipped the latency");
+            }
+        }
         server.shutdown();
     }
 
