@@ -72,7 +72,7 @@ impl GG1 {
         self.arrival_scv
     }
 
-    /// Utilization ρ = λ·E[S].
+    /// Utilization ρ = λ·E\[S\].
     #[inline]
     pub fn utilization(&self) -> f64 {
         self.lambda * self.service.mean()

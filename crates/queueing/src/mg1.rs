@@ -132,7 +132,7 @@ impl MG1 {
         self.service
     }
 
-    /// Server utilization ρ = λ·E[S].
+    /// Server utilization ρ = λ·E\[S\].
     #[inline]
     pub fn utilization(&self) -> f64 {
         self.lambda * self.service.mean()

@@ -4,26 +4,46 @@
 //! install signal handlers, start serving, and drain gracefully on
 //! SIGINT/SIGTERM — the process exits 0 after a clean drain, which CI
 //! asserts.
+//!
+//! The main thread does not poll: it blocks reading one end of a Unix
+//! socket pair, and the signal handler writes one byte to the other
+//! end. An idle daemon therefore wakes for nothing.
 
 use hmcs_serve::server::{Server, ServerConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::Read;
+use std::os::unix::io::IntoRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Duration;
 
-/// Set by the signal handler; polled by the main loop.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// The write end of the wake-up socket pair, never closed; -1 until it
+/// exists.
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
-// `std` links libc already; declaring `signal` directly avoids a
-// dependency for the one call the daemon needs. The handler only
-// touches an atomic, which is async-signal-safe.
+// `std` links libc already; declaring `signal` and `write` directly
+// avoids a dependency for the two calls the daemon needs.
 extern "C" {
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
 extern "C" fn on_signal(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
+    // Only an atomic load and `write(2)`, both async-signal-safe. The
+    // write end is non-blocking, so a full buffer (a burst of signals)
+    // drops the byte rather than blocking the handler; one byte already
+    // waiting is enough to wake `main`.
+    let fd = WAKE_FD.load(Ordering::SeqCst);
+    if fd >= 0 {
+        // SAFETY: `fd` is the write end of the socket pair, which
+        // `main` leaks so it stays open for the life of the process,
+        // and the buffer is one valid byte on this stack frame.
+        unsafe {
+            write(fd, [1u8].as_ptr(), 1);
+        }
+    }
 }
 
 const USAGE: &str = "usage: hmcs-serve [options]
@@ -41,7 +61,9 @@ options:
   --max-conn-requests N   requests served per connection before the
                           server closes it (default 100000)
   --batch-window-us N     micro-batching gather window for distinct
-                          evaluate points; 0 disables (default 0)
+                          evaluate points, held only when the previous
+                          one came within a window; 0 disables
+                          (default 0)
   --handler-latency-ms N  artificial /v1/* latency, fault injection
                           for soak tests (default 0)
   --help                  print this help
@@ -92,6 +114,19 @@ fn main() {
         }
     };
 
+    let (mut wake_rx, wake_tx) = match UnixStream::pair().and_then(|(rx, tx)| {
+        tx.set_nonblocking(true)?;
+        Ok((rx, tx))
+    }) {
+        Ok(pair) => pair,
+        Err(e) => {
+            eprintln!("error: failed to create the signal wake-up socket: {e}");
+            std::process::exit(1);
+        }
+    };
+    WAKE_FD.store(wake_tx.into_raw_fd(), Ordering::SeqCst);
+    // SAFETY: `on_signal` is an `extern "C" fn(i32)` that calls only
+    // async-signal-safe functions.
     unsafe {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);
@@ -106,8 +141,11 @@ fn main() {
     };
     println!("hmcs-serve listening on http://{}", server.local_addr());
 
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50));
+    // Blocks until a signal handler writes its byte (`read_exact`
+    // retries a read the signal interrupted). The write end is never
+    // closed, so the read cannot see end-of-file first.
+    if let Err(e) = wake_rx.read_exact(&mut [0u8; 1]) {
+        eprintln!("error: signal wake-up socket failed: {e}");
     }
     eprintln!("hmcs-serve: draining {} queued request(s)", server.queue_len());
     server.shutdown();

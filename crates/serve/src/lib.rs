@@ -44,7 +44,9 @@
 //! * **Micro-batching** — with a non-zero gather window, *distinct*
 //!   evaluate points arriving close together are grouped by a
 //!   [`microbatch::Batcher`] into one kernel solve;
-//!   bit-identical results, amortised scheduling.
+//!   bit-identical results, amortised scheduling. The window is held
+//!   only while arrivals are dense, so a request after a quiet spell
+//!   is solved at once.
 //! * **Load generation** — [`loadgen`] implements the open-/closed-
 //!   loop benchmark client behind the `hmcs-loadgen` binary.
 //! * **Deadlines** — a request that waited in queue past its deadline
@@ -126,6 +128,10 @@ pub mod keys {
     /// Counter: evaluate points carried inside micro-batches. The
     /// ratio to [`BATCH_BATCHES`] is the achieved mean batch size.
     pub const BATCH_BATCHED_ITEMS: &str = "serve.batch.items";
+    /// Counter: batch leaders that held the gather window open (the
+    /// previous submission came within one window). The rest of
+    /// [`BATCH_BATCHES`] were solved at once after a quiet spell.
+    pub const BATCH_WINDOWS_HELD: &str = "serve.batch.windows_held";
     /// Counter: kept-alive connections closed by the idle timeout.
     pub const CONN_IDLE_CLOSED: &str = "serve.conn.idle_closed";
     /// Counter: connections closed by the per-connection request cap.

@@ -11,6 +11,14 @@
 //! solve with shared setup. Followers block on a per-group slot and
 //! receive exactly their own results.
 //!
+//! The window is held only when another request is likely to join it:
+//! the batcher remembers when the last group was submitted (by a leader
+//! or a follower), and a new leader waits out the window only if that
+//! submission came less than one window earlier, or if nothing was
+//! submitted yet. After a quiet spell longer than the window the first
+//! arrival is solved at once instead of sleeping for company that is
+//! not coming; under sustained load every window is held as before.
+//!
 //! Submissions are *groups* of items ([`Batcher::submit_many`]): a
 //! `/v1/evaluate` request contributes a group of one config, a
 //! `/v1/sweep` request contributes one config per sweep point, and all
@@ -59,6 +67,8 @@ impl<V> Slot<V> {
 struct Gather<T, V> {
     gathering: bool,
     pending: Vec<(Vec<T>, Arc<Slot<V>>)>,
+    /// When the last group was submitted, by a leader or a follower.
+    last_submit: Option<Instant>,
 }
 
 /// The boxed batch computation: a pure per-item map over the flattened
@@ -73,6 +83,7 @@ pub struct Batcher<T, V> {
     /// Registry handles, resolved once so a batch takes no registry lock.
     batches: &'static Counter,
     batched_items: &'static Counter,
+    windows_held: &'static Counter,
 }
 
 /// Marks the followers of a failed batch abandoned on unwind so a
@@ -103,9 +114,10 @@ impl<T, V> Batcher<T, V> {
         Batcher {
             window,
             compute: Box::new(compute),
-            state: Mutex::new(Gather { gathering: false, pending: Vec::new() }),
+            state: Mutex::new(Gather { gathering: false, pending: Vec::new(), last_submit: None }),
             batches: metrics::counter(keys::BATCH_BATCHES),
             batched_items: metrics::counter(keys::BATCH_BATCHED_ITEMS),
+            windows_held: metrics::counter(keys::BATCH_WINDOWS_HELD),
         }
     }
 
@@ -122,14 +134,18 @@ impl<T, V> Batcher<T, V> {
     /// together. The caller either leads a batch (gather, flatten every
     /// pending group into one `compute` call, distribute each group its
     /// own slice) or follows one (block until the leader delivers, at
-    /// most `wait_budget`). Returns the group's results in input order,
-    /// or `None` when the wait budget lapses or the leader panicked.
+    /// most `wait_budget`). A leader holds the window only when the
+    /// previous submission came less than one window earlier (or there
+    /// was none). Returns the group's results in input order, or `None`
+    /// when the wait budget lapses or the leader panicked.
     pub fn submit_many(&self, items: Vec<T>, wait_budget: Duration) -> Option<Vec<V>> {
         if items.is_empty() {
             return Some(Vec::new());
         }
-        let group = {
+        let (group, hold) = {
+            let now = Instant::now();
             let mut state = self.state.lock().expect("batcher poisoned");
+            let previous = state.last_submit.replace(now);
             if state.gathering {
                 let slot = Arc::new(Slot::empty());
                 state.pending.push((items, Arc::clone(&slot)));
@@ -137,11 +153,14 @@ impl<T, V> Batcher<T, V> {
                 return follow(&slot, wait_budget);
             }
             state.gathering = true;
-            items
+            let dense = previous.is_none_or(|t| now.duration_since(t) < self.window);
+            (items, dense && !self.window.is_zero())
         };
 
-        // Leader: hold the gather window open, then take the batch.
-        if !self.window.is_zero() {
+        // Leader: hold the gather window open while arrivals are dense,
+        // then take the batch.
+        if hold {
+            self.windows_held.incr();
             std::thread::sleep(self.window);
         }
         let followers = {
@@ -336,6 +355,64 @@ mod tests {
         assert!(leader.join().is_err(), "leader panicked by design");
         // The batcher recovers: the next submit leads a fresh batch.
         assert_eq!(batcher.submit(3, Duration::from_secs(1)), Some(3));
+        assert_eq!(batcher.pending_len(), 0);
+    }
+
+    #[test]
+    fn leader_after_a_quiet_spell_is_solved_at_once() {
+        let window = Duration::from_millis(200);
+        let batcher = Batcher::new(window, |items: &[u32]| items.to_vec());
+        // A batcher with no previous submission holds its first window.
+        let start = Instant::now();
+        assert_eq!(batcher.submit(1, Duration::from_secs(5)), Some(1));
+        assert!(start.elapsed() >= window, "the first leader holds the window");
+        // That submission is now more than a window in the past.
+        std::thread::sleep(window / 4);
+        let start = Instant::now();
+        assert_eq!(batcher.submit(2, Duration::from_secs(5)), Some(2));
+        assert!(
+            start.elapsed() < window / 2,
+            "a leader after a quiet spell must not sleep ({:?})",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn back_to_back_submissions_hold_the_window_for_a_follower() {
+        let window = Duration::from_millis(300);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let last_len = Arc::new(AtomicUsize::new(0));
+        let batcher: Arc<Batcher<u32, u32>> = {
+            let (calls, last_len) = (Arc::clone(&calls), Arc::clone(&last_len));
+            Arc::new(Batcher::new(window, move |items: &[u32]| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                last_len.store(items.len(), Ordering::SeqCst);
+                items.iter().map(|x| x * 10).collect()
+            }))
+        };
+        // The first window is held; after a quiet spell the next
+        // submission is solved alone and at once.
+        assert_eq!(batcher.submit(1, Duration::from_secs(5)), Some(10));
+        std::thread::sleep(window / 4);
+        assert_eq!(batcher.submit(2, Duration::from_secs(5)), Some(20));
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+
+        // Submitting right after that one, the leader holds the window
+        // again, and a follower joins its computation.
+        let follower = {
+            let batcher = Arc::clone(&batcher);
+            std::thread::spawn(move || {
+                assert!(
+                    poll(Duration::from_secs(5), || batcher.state.lock().unwrap().gathering),
+                    "leader must be gathering"
+                );
+                batcher.submit(4, Duration::from_secs(5))
+            })
+        };
+        assert_eq!(batcher.submit(3, Duration::from_secs(5)), Some(30));
+        assert_eq!(follower.join().unwrap(), Some(40));
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "leader and follower share one computation");
+        assert_eq!(last_len.load(Ordering::SeqCst), 2);
         assert_eq!(batcher.pending_len(), 0);
     }
 

@@ -3,8 +3,10 @@
 //! ## Lifecycle
 //!
 //! [`Server::start`] binds the listener, spawns one acceptor thread
-//! and a pool of workers, and returns immediately. The acceptor admits
-//! *connections* into a [`queue::Bounded`]; when the queue is full it
+//! and a pool of workers, and returns immediately. Every serving thread
+//! sleeps on an event, never on a timer: the acceptor blocks in
+//! `accept`, idle workers block on the queue. The acceptor admits
+//! *connections* into a [`Bounded`] queue; when the queue is full it
 //! answers `503` + `Retry-After` inline without occupying a worker
 //! (load shedding). Workers pop connections and serve them with
 //! HTTP/1.1 keep-alive: a buffered [`http::RequestReader`] carries
@@ -39,7 +41,7 @@
 //!
 //! With a non-zero [`ServerConfig::batch_window`], *distinct* model
 //! evaluations arriving within the window are gathered by a
-//! [`microbatch::Batcher`] and solved in **one**
+//! [`Batcher`] and solved in **one**
 //! [`hmcs_core::kernel::evaluate_batch`] call per window: a
 //! `/v1/evaluate` request contributes its single config, a `/v1/sweep`
 //! request contributes one config per sweep point, and every gathered
@@ -53,12 +55,25 @@
 //! batch composition and worker count, so batching never changes
 //! response bytes — only scheduling.
 //!
+//! A batch leader holds the window only while arrivals are dense: when
+//! the previous evaluate or sweep came within one window (or none came
+//! yet). The first request after a quiet spell longer than the window
+//! is solved at once, since nobody is likely to join it; under
+//! sustained load every window is held. `serve.batch.windows_held`
+//! counts the leaders that paid for the window.
+//!
 //! ## Shutdown
 //!
-//! [`Server::shutdown`] stops the acceptor first, then closes the
-//! queue. Workers drain every connection that was already admitted
-//! before exiting — an accepted request is never dropped mid-flight;
-//! kept-alive connections finish their current request and close.
+//! [`Server::shutdown`] sets the shutdown flag, then wakes the blocked
+//! acceptor with one connection of its own to the listener (an
+//! unspecified bind address such as `0.0.0.0` is reached through the
+//! loopback of its family). The acceptor sees the flag before admitting
+//! anything, so that wake-up connection is never admitted, counted or
+//! answered; it closes the queue and exits. Workers drain every
+//! connection that was already admitted before exiting — an accepted
+//! request is never dropped mid-flight; kept-alive connections finish
+//! their current request and close, and idle ones notice within one
+//! 100 ms read slice.
 
 use crate::coalesce::Coalescer;
 use crate::http::{self, Request, Response};
@@ -70,7 +85,7 @@ use hmcs_core::config::SystemConfig;
 use hmcs_core::kernel;
 use hmcs_core::metrics::{self, Counter, ValueHistogram};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -104,7 +119,9 @@ pub struct ServerConfig {
     /// Gather window for cross-request micro-batching of distinct
     /// evaluate points; zero disables batching. Non-zero values trade
     /// up to one window of added latency for one kernel solve per
-    /// batch, on the leader's thread, instead of one per request.
+    /// batch, on the leader's thread, instead of one per request. The
+    /// window is held only when the previous submission came within one
+    /// window; a request after a longer quiet spell is solved at once.
     pub batch_window: Duration,
     /// Artificial pre-compute latency on every `/v1/*` request that
     /// computes (a coalesced or remembered answer does not wait). Fault
@@ -152,6 +169,10 @@ struct RequestMetrics {
     other: &'static Counter,
     /// 2xx, 4xx and 5xx responses.
     status: [&'static Counter; 3],
+    admission_rejected: &'static Counter,
+    deadline_expired: &'static Counter,
+    conn_idle_closed: &'static Counter,
+    conn_cap_closed: &'static Counter,
 }
 
 impl RequestMetrics {
@@ -168,6 +189,10 @@ impl RequestMetrics {
             metrics_endpoint: metrics::counter(keys::REQ_METRICS),
             other: metrics::counter(keys::REQ_OTHER),
             status: [keys::STATUS_2XX, keys::STATUS_4XX, keys::STATUS_5XX].map(metrics::counter),
+            admission_rejected: metrics::counter(keys::ADMISSION_REJECTED),
+            deadline_expired: metrics::counter(keys::DEADLINE_EXPIRED),
+            conn_idle_closed: metrics::counter(keys::CONN_IDLE_CLOSED),
+            conn_cap_closed: metrics::counter(keys::CONN_CAP_CLOSED),
         }
     }
 
@@ -204,7 +229,6 @@ impl Server {
     /// Binds `config.addr` and spawns the serving threads.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let worker_count = if config.workers == 0 {
@@ -262,9 +286,19 @@ impl Server {
     /// threads. Blocks until the drain completes.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // The acceptor observes the flag within one poll interval and
-        // closes the queue itself, so nothing can be admitted after
-        // close — workers then drain and exit.
+        // Wake the acceptor from `accept`. It sees the flag, drops this
+        // connection unadmitted and closes the queue itself, so nothing
+        // can be admitted after close — workers then drain and exit. If
+        // the connect fails because the backlog is full, the acceptor
+        // wakes for one of the pending connections instead.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         let _ = self.acceptor.join();
         for worker in self.workers {
             let _ = worker.join();
@@ -272,9 +306,9 @@ impl Server {
     }
 }
 
-/// How often the non-blocking acceptor re-checks the shutdown flag
-/// when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Back-off after a failed `accept` (ECONNABORTED, EMFILE, ...), so a
+/// persistent error neither spins the acceptor nor kills it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Socket read-timeout slice. Blocking reads wake at this cadence so
 /// idle waits can observe shutdown and idle-timeout without a
@@ -286,13 +320,17 @@ const IO_SLICE: Duration = Duration::from_millis(100);
 const FLUSH_BYTES: usize = 64 * 1024;
 
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked before `admit`: the connection that woke us after the
+        // flag was set (normally `Server::shutdown`'s own) is dropped
+        // unadmitted and unanswered.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => admit(stream, shared),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            // Transient accept errors (ECONNABORTED etc.): back off
-            // briefly rather than spinning or dying.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
     // Closing here — after the last accept — guarantees no admitted
@@ -308,7 +346,7 @@ fn admit(stream: TcpStream, shared: &Shared) {
             shared.metrics.accepted.incr();
         }
         Err((job, _full_or_closed)) => {
-            metrics::counter(keys::ADMISSION_REJECTED).incr();
+            shared.metrics.admission_rejected.incr();
             shed(job.stream, shared);
         }
     }
@@ -387,7 +425,7 @@ fn handle(job: Job, shared: &Shared) {
     // without reading (its result would be stale anyway — the client
     // has likely timed out).
     if accepted_at.elapsed() >= config.deadline {
-        metrics::counter(keys::DEADLINE_EXPIRED).incr();
+        shared.metrics.deadline_expired.incr();
         let response = Response {
             status: 503,
             content_type: "application/json",
@@ -434,7 +472,7 @@ fn handle(job: Job, shared: &Shared) {
                         shared.metrics.count_status(response.status);
                         let _ = http::write_response(&mut stream, &response, true);
                     } else {
-                        metrics::counter(keys::CONN_IDLE_CLOSED).incr();
+                        shared.metrics.conn_idle_closed.incr();
                     }
                     break;
                 }
@@ -480,7 +518,7 @@ fn handle(job: Job, shared: &Shared) {
 
         if close {
             if served >= config.max_conn_requests {
-                metrics::counter(keys::CONN_CAP_CLOSED).incr();
+                shared.metrics.conn_cap_closed.incr();
             }
             let _ = io::Write::write_all(&mut stream, &out);
             drain_unread(&mut stream);
@@ -806,6 +844,38 @@ mod tests {
             }
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_of_a_wildcard_bound_server_returns_promptly() {
+        // The acceptor blocks in `accept`; shutdown must reach it through
+        // the loopback even though the listener's own address is 0.0.0.0.
+        let server =
+            Server::start(ServerConfig { addr: "0.0.0.0:0".into(), ..test_config() }).unwrap();
+        let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, server.local_addr().port()));
+        let reply = request(loopback, "GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        let start = Instant::now();
+        server.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(2), "shutdown took {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn shutdown_drains_with_an_idle_kept_alive_connection() {
+        let server = Server::start(test_config()).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        (&stream).write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let reply = read_one_response(&mut reader);
+        assert!(reply.contains("connection: keep-alive\r\n"), "{reply}");
+        // The connection now sits idle in its worker; shutdown still
+        // drains it well inside the 5 s idle timeout.
+        let start = Instant::now();
+        server.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(2), "shutdown took {:?}", start.elapsed());
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "the idle connection closes without another response");
     }
 
     #[test]

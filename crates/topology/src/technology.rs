@@ -57,7 +57,7 @@ impl NetworkTechnology {
         NetworkTechnology { name: "Fast Ethernet", latency_us: 50.0, bandwidth_mb_s: 10.5 };
 
     /// Myrinet (2000-class) — typical 2005-era measurements
-    /// (Lobosco et al., the paper's ref. [16]).
+    /// (Lobosco et al., the paper's ref. \[16\]).
     pub const MYRINET: NetworkTechnology =
         NetworkTechnology { name: "Myrinet", latency_us: 9.0, bandwidth_mb_s: 230.0 };
 
