@@ -259,7 +259,11 @@ fn evaluation_failure(config: &SystemConfig, e: ModelError) -> ApiError {
 /// solve.
 pub type PointResult = Result<(PerformanceReport, hmcs_core::batch::EvalStats), ModelError>;
 
-/// Evaluates one config and renders the response document.
+/// Evaluates one config and renders the response document: the
+/// in-process reference for served `/v1/evaluate` bodies, which the
+/// server builds from a micro-batch lane instead
+/// ([`evaluate_response_from`]); tests and the benchmark harness compare
+/// the two byte for byte.
 pub fn evaluate_response(config: &SystemConfig) -> Result<String, ApiError> {
     let report = AnalyticalModel::evaluate(config).map_err(|e| evaluation_failure(config, e))?;
     Ok(render_evaluate(config, &report))
@@ -321,7 +325,9 @@ pub fn sweep_configs(
 /// Runs the requested sweep **sequentially** (the worker pool provides
 /// request-level parallelism; nesting the batch engine's own pool
 /// inside each request would oversubscribe the host) and renders the
-/// response document.
+/// response document: the in-process reference for served `/v1/sweep`
+/// bodies, which the server assembles from micro-batch lanes instead
+/// ([`sweep_response_from`]).
 pub fn sweep_response(config: &SystemConfig, spec: &SweepSpec) -> Result<String, ApiError> {
     let configs = sweep_configs(config, spec)?;
     let results = kernel::evaluate_batch(&configs, 1);

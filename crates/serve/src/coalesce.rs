@@ -27,10 +27,12 @@
 //! fingerprint table (32 KiB) and the in-flight slots, one per busy
 //! worker.
 //!
-//! Followers wait with a deadline. If the leader disappears (panic) or
-//! overruns the follower's budget, the follower reports failure and
-//! the server answers `503` — a stuck computation degrades to load
-//! shedding instead of hanging the pool.
+//! Followers wait with a deadline on a `Slot`, the one leader/follower
+//! hand-over of the crate, which the [`crate::microbatch::Batcher`]
+//! uses too. If the leader disappears (panic) or overruns the
+//! follower's budget, the follower reports failure and the server
+//! answers `503` — a stuck computation degrades to load shedding
+//! instead of hanging the pool.
 
 use crate::http::Response;
 use crate::keys;
@@ -47,19 +49,72 @@ const MEMO_BYTES: usize = 256 * 1024;
 /// (a power of two; 32 KiB of `u64`s).
 const SEEN_SLOTS: usize = 4096;
 
-struct SlotState {
-    value: Option<Response>,
-    abandoned: bool,
+/// A one-shot hand-over from a leader to the followers waiting on its
+/// result, shared by the [`Coalescer`] and the
+/// [`crate::microbatch::Batcher`]. The leader settles it once, by
+/// filling or abandoning it; whichever comes first stands.
+pub(crate) struct Slot<V> {
+    state: Mutex<SlotState<V>>,
+    ready: Condvar,
 }
 
-struct Slot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
+enum SlotState<V> {
+    Waiting,
+    Filled(V),
+    Abandoned,
+}
+
+impl<V> Slot<V> {
+    pub(crate) fn new() -> Self {
+        Slot { state: Mutex::new(SlotState::Waiting), ready: Condvar::new() }
+    }
+
+    /// Delivers the leader's value and wakes every follower.
+    pub(crate) fn fill(&self, value: V) {
+        self.settle(SlotState::Filled(value));
+    }
+
+    /// Releases the followers of a leader that will not fill the slot;
+    /// a no-op once it is filled. Never panics, since it runs while a
+    /// leader unwinds: on a poisoned lock (a bug elsewhere) the
+    /// followers time out instead.
+    pub(crate) fn abandon(&self) {
+        self.settle(SlotState::Abandoned);
+    }
+
+    fn settle(&self, settled: SlotState<V>) {
+        if let Ok(mut state) = self.state.lock() {
+            if matches!(*state, SlotState::Waiting) {
+                *state = settled;
+            }
+        }
+        self.ready.notify_all();
+    }
+
+    /// Waits at most `budget` for the value and hands `get` a mutable
+    /// borrow of it, so a follower may clone it or, when it is the only
+    /// one, take it. `None` when the budget lapses or the leader
+    /// abandoned the slot.
+    pub(crate) fn wait<R>(&self, budget: Duration, get: impl FnOnce(&mut V) -> R) -> Option<R> {
+        let deadline = Instant::now() + budget;
+        let mut state = self.state.lock().expect("slot poisoned");
+        loop {
+            match &mut *state {
+                SlotState::Filled(value) => return Some(get(value)),
+                SlotState::Abandoned => return None,
+                SlotState::Waiting => {
+                    // A lapsed deadline falls out here as `None`.
+                    let remaining = deadline.checked_duration_since(Instant::now())?;
+                    state = self.ready.wait_timeout(state, remaining).expect("slot poisoned").0;
+                }
+            }
+        }
+    }
 }
 
 enum Entry {
     /// A leader is computing; followers wait on the slot.
-    InFlight(Arc<Slot>),
+    InFlight(Arc<Slot<Response>>),
     /// A repeated `200`, answered from memory.
     Done(Response),
 }
@@ -124,13 +179,12 @@ impl Default for Coalescer {
 /// Settles the leader's entry on completion and on unwind. A completed
 /// leader leaves its response behind when it was admitted; a panicking
 /// one removes its slot, so it cannot strand future identical requests
-/// on a slot that will never complete, and waiting followers observe
-/// `abandoned` and fail fast.
+/// on a slot that will never complete, and abandons it, so waiting
+/// followers fail fast.
 struct LeaderGuard<'a> {
     owner: &'a Coalescer,
     key: Arc<[u8]>,
-    slot: Arc<Slot>,
-    completed: bool,
+    slot: Arc<Slot<Response>>,
     keep: Option<Response>,
 }
 
@@ -145,12 +199,7 @@ impl Drop for LeaderGuard<'_> {
                 table.keep(Arc::clone(&self.key), response);
             }
         }
-        if !self.completed {
-            if let Ok(mut state) = self.slot.state.lock() {
-                state.abandoned = true;
-            }
-        }
-        self.slot.ready.notify_all();
+        self.slot.abandon();
     }
 }
 
@@ -216,7 +265,7 @@ impl Coalescer {
                 let slot = Arc::clone(slot);
                 drop(table);
                 self.hits.incr();
-                return match self.follow(&slot, wait_budget) {
+                return match slot.wait(wait_budget, |response| response.clone()) {
                     Some(response) => (Some(response), Outcome::Coalesced),
                     None => (None, Outcome::TimedOut),
                 };
@@ -228,44 +277,23 @@ impl Coalescer {
         let admitted = *seen == fingerprint;
         *seen = fingerprint;
         let key: Arc<[u8]> = key.into();
-        let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState { value: None, abandoned: false }),
-            ready: Condvar::new(),
-        });
+        let slot = Arc::new(Slot::new());
         table.entries.insert(Arc::clone(&key), Entry::InFlight(Arc::clone(&slot)));
         drop(table);
 
-        let mut guard = LeaderGuard { owner: self, key, slot, completed: false, keep: None };
+        let mut guard = LeaderGuard { owner: self, key, slot, keep: None };
         let value = compute();
         // Counted only on successful completion: a panicking leader
         // never finished a computation, and counting it up front would
         // drift the e2e invariant `computations + hits == requests`
         // under faults.
         self.computations.incr();
-        guard.slot.state.lock().expect("slot poisoned").value = Some(value.clone());
+        guard.slot.fill(value.clone());
         if admitted && value.status == 200 {
             guard.keep = Some(value.clone());
         }
-        guard.completed = true;
-        drop(guard); // settles the entry, then wakes followers
+        drop(guard); // settles the entry; the slot is already filled
         (Some(value), Outcome::Computed)
-    }
-
-    fn follow(&self, slot: &Slot, wait_budget: Duration) -> Option<Response> {
-        let deadline = Instant::now() + wait_budget;
-        let mut state = slot.state.lock().expect("slot poisoned");
-        loop {
-            if let Some(v) = &state.value {
-                return Some(v.clone());
-            }
-            if state.abandoned {
-                return None;
-            }
-            // A lapsed deadline falls out here as `None` after one
-            // last value check above.
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            state = slot.ready.wait_timeout(state, remaining).expect("slot poisoned").0;
-        }
     }
 
     /// Number of in-flight computations (tests/metrics only).

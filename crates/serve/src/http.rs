@@ -12,7 +12,7 @@
 //! implement) are all rejected with precise status codes rather than
 //! being misread.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::time::Instant;
 
 /// Hard cap on the request head (request line + headers).
@@ -57,14 +57,7 @@ impl ReadError {
             ReadError::TooLarge("head") => 431,
             ReadError::TooLarge(_) => 413,
             ReadError::Unsupported(_) => 501,
-            ReadError::Io(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                408
-            }
+            ReadError::Io(e) if is_timeout(e) => 408,
             ReadError::Io(_) => 400,
         }
     }
@@ -106,6 +99,20 @@ impl RequestReader {
         !self.buf.is_empty()
     }
 
+    /// Reads more of the connection into the carry-over buffer through
+    /// [`fill`]: the server's idle wait for the next request. It ends
+    /// with that request's first bytes buffered, with `Ok(0)` at end of
+    /// stream or once `stop()` holds, or with the timeout error when
+    /// `deadline` lapses.
+    pub(crate) fn fill(
+        &mut self,
+        stream: &mut impl Read,
+        deadline: Instant,
+        stop: impl Fn() -> bool,
+    ) -> std::io::Result<usize> {
+        fill(stream, &mut self.buf, deadline, stop)
+    }
+
     /// Reads one request, enforcing [`MAX_HEAD_BYTES`] and
     /// `max_body_bytes`. Returns `Ok(None)` on a clean end of
     /// connection (EOF before the first byte of a request). Socket
@@ -117,7 +124,8 @@ impl RequestReader {
         max_body_bytes: usize,
         deadline: Instant,
     ) -> Result<Option<Request>, ReadError> {
-        let mut chunk = [0u8; READ_CHUNK];
+        let mut more =
+            |buf: &mut Vec<u8>| fill(stream, buf, deadline, || false).map_err(ReadError::Io);
         let head_end = loop {
             if let Some(pos) = find_head_end(&self.buf) {
                 if pos > MAX_HEAD_BYTES {
@@ -128,7 +136,7 @@ impl RequestReader {
             if self.buf.len() >= MAX_HEAD_BYTES {
                 return Err(ReadError::TooLarge("head"));
             }
-            if self.fill(stream, &mut chunk, deadline)? == 0 {
+            if more(&mut self.buf)? == 0 {
                 if self.buf.is_empty() {
                     return Ok(None); // clean close between requests
                 }
@@ -209,7 +217,7 @@ impl RequestReader {
         // possibly the start of pipelined follow-up requests.
         self.buf.drain(..head_end);
         while self.buf.len() < content_length {
-            if self.fill(stream, &mut chunk, deadline)? == 0 {
+            if more(&mut self.buf)? == 0 {
                 return Err(ReadError::Malformed("connection closed mid-body".into()));
             }
         }
@@ -218,38 +226,50 @@ impl RequestReader {
 
         Ok(Some(Request { method: request_line.0, path: request_line.1, body, wants_close }))
     }
+}
 
-    /// One socket read into the buffer, retrying timeout-flavoured
-    /// errors until `deadline`. Returns the byte count (0 = EOF).
-    fn fill(
-        &mut self,
-        stream: &mut impl Read,
-        chunk: &mut [u8],
-        deadline: Instant,
-    ) -> Result<usize, ReadError> {
-        loop {
-            match stream.read(chunk) {
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) && Instant::now() < deadline =>
-                {
-                    continue
-                }
-                Err(e) => return Err(ReadError::Io(e)),
+/// Reads once from `stream` into `buf`: the crate's one socket read
+/// loop, shared by requests, the idle wait between them and the load
+/// generator's responses. `Interrupted` is retried at once, and a read
+/// timeout (`WouldBlock`/`TimedOut`) until `deadline`, so the stream's
+/// own read timeout may be a short slice; at each timeout `stop()` is
+/// asked first whether to give up. Returns the bytes read, 0 at end of
+/// stream or once `stop()` held; a lapsed `deadline` returns the
+/// timeout error.
+pub(crate) fn fill(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    deadline: Instant,
+    stop: impl Fn() -> bool,
+) -> std::io::Result<usize> {
+    let mut chunk = [0u8; READ_CHUNK];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                return Ok(n);
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => {
+                if stop() {
+                    return Ok(0);
+                }
+                if Instant::now() >= deadline {
+                    return Err(e);
+                }
+            }
+            Err(e) => return Err(e),
         }
     }
 }
 
+/// Whether a read failed only because the socket's read timeout lapsed.
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
 /// Index just past the `\r\n\r\n` head terminator, if present.
-fn find_head_end(bytes: &[u8]) -> Option<usize> {
+pub(crate) fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
@@ -464,6 +484,99 @@ mod tests {
     fn rejects_truncated_bodies() {
         let err = parse(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").unwrap_err();
         assert_eq!(err.status(), 400);
+    }
+
+    /// A peer scripted read by read: each step delivers bytes or fails
+    /// with an error kind. Past the script the peer is silent: every
+    /// read times out after a short slice, like a socket read timeout.
+    struct Scripted {
+        steps: std::collections::VecDeque<Result<&'static [u8], ErrorKind>>,
+        reads: usize,
+    }
+
+    impl Scripted {
+        fn new(steps: Vec<Result<&'static [u8], ErrorKind>>) -> Self {
+            Scripted { steps: steps.into(), reads: 0 }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                Some(Ok(bytes)) => {
+                    out[..bytes.len()].copy_from_slice(bytes);
+                    Ok(bytes.len())
+                }
+                Some(Err(kind)) => Err(kind.into()),
+                None => {
+                    std::thread::sleep(Duration::from_millis(5));
+                    Err(ErrorKind::WouldBlock.into())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_timeouts_are_retried_and_a_split_request_parses_intact() {
+        use ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        let mut peer = Scripted::new(vec![
+            Err(WouldBlock),
+            Err(TimedOut),
+            Ok(b"POST /v1/evaluate HTTP/1.1\r\nConte"),
+            Err(Interrupted),
+            Err(WouldBlock),
+            Ok(b"nt-Length: 9\r\n\r\n{\"a\""),
+            Err(TimedOut),
+            Err(WouldBlock),
+            Ok(b":123}"),
+        ]);
+        let mut reader = RequestReader::new();
+        let req = reader.read_request(&mut peer, 1024, far()).unwrap().unwrap();
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/v1/evaluate"));
+        assert_eq!(req.body, br#"{"a":123}"#);
+        assert!(peer.steps.is_empty(), "every scripted read was consumed");
+        assert!(!reader.has_buffered());
+    }
+
+    #[test]
+    fn read_timeout_retries_stop_at_the_deadline() {
+        let mut peer = Scripted::new(vec![Ok(b"GET /healthz HTTP/1.1\r\n")]);
+        let budget = Duration::from_millis(60);
+        let start = Instant::now();
+        let err = RequestReader::new().read_request(&mut peer, 1024, start + budget).unwrap_err();
+        let waited = start.elapsed();
+        assert!(matches!(&err, ReadError::Io(e) if is_timeout(e)), "{err:?}");
+        assert_eq!(err.status(), 408);
+        assert!(waited >= budget, "gave up early, after {waited:?}");
+        assert!(waited < budget * 10, "kept retrying for {waited:?}");
+        // Each silent read takes a 5 ms slice, so the retries stopped
+        // within a few slices of the deadline.
+        assert!(peer.reads < 40, "{} reads", peer.reads);
+    }
+
+    #[test]
+    fn an_idle_wait_that_lapses_empty_is_idle_not_malformed() {
+        let mut reader = RequestReader::new();
+        let start = Instant::now();
+        let mut silent = Scripted::new(Vec::new());
+        let lapsed = reader.fill(&mut silent, start + Duration::from_millis(30), || false);
+        assert!(lapsed.as_ref().is_err_and(is_timeout), "{lapsed:?}");
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        assert!(!reader.has_buffered(), "nothing was read, so nothing is left to parse");
+
+        // `stop` ends the wait quietly at the first timeout, deadline
+        // or not, and a closed peer ends it the same way.
+        let mut silent = Scripted::new(Vec::new());
+        assert_eq!(reader.fill(&mut silent, far(), || true).unwrap(), 0);
+        assert_eq!(reader.fill(&mut Scripted::new(vec![Ok(b"")]), far(), || false).unwrap(), 0);
+
+        // Bytes that end the wait are the start of the next request.
+        let mut peer =
+            Scripted::new(vec![Err(ErrorKind::WouldBlock), Ok(b"GET /x HTTP/1.1\r\n\r\n")]);
+        assert!(reader.fill(&mut peer, far(), || false).unwrap() > 0);
+        let req = reader.read_request(&mut peer, 1024, far()).unwrap().unwrap();
+        assert_eq!(req.path, "/x");
     }
 
     #[test]

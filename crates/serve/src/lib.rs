@@ -41,12 +41,12 @@
 //!   leader's response, and a request repeated recently is answered
 //!   from a bounded memo of completed `200`s without parsing or
 //!   solving.
-//! * **Micro-batching** — with a non-zero gather window, *distinct*
-//!   evaluate points arriving close together are grouped by a
-//!   [`microbatch::Batcher`] into one kernel solve;
-//!   bit-identical results, amortised scheduling. The window is held
-//!   only while arrivals are dense, so a request after a quiet spell
-//!   is solved at once.
+//! * **Micro-batching** — every evaluate and sweep that computes goes
+//!   through one [`microbatch::Batcher`], which groups *distinct*
+//!   evaluate points arriving within the gather window into one kernel
+//!   solve; bit-identical results, amortised scheduling. The window is
+//!   held only while arrivals are dense, so a request after a quiet
+//!   spell is solved at once, and a zero window is never held.
 //! * **Load generation** — [`loadgen`] implements the open-/closed-
 //!   loop benchmark client behind the `hmcs-loadgen` binary.
 //! * **Deadlines** — a request that waited in queue past its deadline

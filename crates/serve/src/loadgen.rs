@@ -25,6 +25,7 @@
 //! the post-warm-up window plus achieved throughput, emitted as a
 //! `hmcs-loadgen/1` JSON document that `benchgate` judges.
 
+use crate::http;
 use hmcs_core::json::json_num;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -309,12 +310,19 @@ impl RespReader {
         stream: &mut impl Read,
         deadline: Instant,
     ) -> std::io::Result<(u16, bool)> {
-        let mut chunk = [0u8; 16 * 1024];
+        // A response is always awaited, so end of stream is an error.
+        let mut more = |buf: &mut Vec<u8>| match http::fill(stream, buf, deadline, || false)? {
+            0 => Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed mid-response",
+            )),
+            _ => Ok(()),
+        };
         let head_end = loop {
-            if let Some(pos) = find_head_end(&self.buf) {
+            if let Some(pos) = http::find_head_end(&self.buf) {
                 break pos;
             }
-            fill(&mut self.buf, stream, &mut chunk, deadline)?;
+            more(&mut self.buf)?;
         };
         let head = std::str::from_utf8(&self.buf[..head_end - 4])
             .map_err(|_| bad_response("non-UTF-8 response head"))?;
@@ -340,7 +348,7 @@ impl RespReader {
         }
         self.buf.drain(..head_end);
         while self.buf.len() < content_length {
-            fill(&mut self.buf, stream, &mut chunk, deadline)?;
+            more(&mut self.buf)?;
         }
         self.buf.drain(..content_length);
         Ok((status, close))
@@ -349,42 +357,6 @@ impl RespReader {
 
 fn bad_response(what: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string())
-}
-
-fn fill(
-    buf: &mut Vec<u8>,
-    stream: &mut impl Read,
-    chunk: &mut [u8],
-    deadline: Instant,
-) -> std::io::Result<()> {
-    loop {
-        match stream.read(chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response",
-                ))
-            }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                return Ok(());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) && Instant::now() < deadline =>
-            {
-                continue
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn find_head_end(bytes: &[u8]) -> Option<usize> {
-    bytes.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
 /// Per-worker outcome, merged by [`run`].

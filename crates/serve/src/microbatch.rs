@@ -8,8 +8,9 @@
 //! whole flattened batch through a single batch-engine call (one
 //! `kernel::evaluate_batch` solve on the leader's thread in the
 //! server) — turning N independent model evaluations into one lockstep
-//! solve with shared setup. Followers block on a per-group slot and
-//! receive exactly their own results.
+//! solve with shared setup. Followers block on a per-group `Slot`, the
+//! same hand-over the coalescer's followers wait on, and take exactly
+//! their own results, uncopied.
 //!
 //! The window is held only when another request is likely to join it:
 //! the batcher remembers when the last group was submitted (by a leader
@@ -17,7 +18,9 @@
 //! submission came less than one window earlier, or if nothing was
 //! submitted yet. After a quiet spell longer than the window the first
 //! arrival is solved at once instead of sleeping for company that is
-//! not coming; under sustained load every window is held as before.
+//! not coming; under sustained load every window is held as before. A
+//! zero window is never held: each leader takes at once whatever joined
+//! while it was taking the batch, usually nothing.
 //!
 //! Submissions are *groups* of items ([`Batcher::submit_many`]): a
 //! `/v1/evaluate` request contributes a group of one config, a
@@ -38,35 +41,20 @@
 //!
 //! A leader that panics abandons its followers' slots (they fail fast
 //! and the server degrades to load shedding) instead of stranding them
-//! — the same contract as the coalescer's `LeaderGuard`.
+//! — the same contract, on the same slot, as the coalescer's leader.
 
+use crate::coalesce::Slot;
 use crate::keys;
 use hmcs_core::metrics::{self, Counter};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-struct SlotState<V> {
-    value: Option<Vec<V>>,
-    abandoned: bool,
-}
-
-struct Slot<V> {
-    state: Mutex<SlotState<V>>,
-    ready: Condvar,
-}
-
-impl<V> Slot<V> {
-    fn empty() -> Self {
-        Slot {
-            state: Mutex::new(SlotState { value: None, abandoned: false }),
-            ready: Condvar::new(),
-        }
-    }
-}
+/// Where one follower group receives its slice of the batch results.
+type GroupSlot<V> = Arc<Slot<Vec<V>>>;
 
 struct Gather<T, V> {
     gathering: bool,
-    pending: Vec<(Vec<T>, Arc<Slot<V>>)>,
+    pending: Vec<(Vec<T>, GroupSlot<V>)>,
     /// When the last group was submitted, by a leader or a follower.
     last_submit: Option<Instant>,
 }
@@ -86,22 +74,16 @@ pub struct Batcher<T, V> {
     windows_held: &'static Counter,
 }
 
-/// Marks the followers of a failed batch abandoned on unwind so a
-/// panicking batch computation cannot strand them on slots that will
-/// never fill.
-struct AbandonGuard<'a, V> {
-    slots: &'a [Arc<Slot<V>>],
-    completed: bool,
-}
+/// The follower slots of one batch, each with its group's length.
+/// Dropping it abandons every slot: on unwind that releases the
+/// followers of a failed computation instead of stranding them, and
+/// after delivery it changes nothing (a filled slot stays filled).
+struct Followers<V>(Vec<(usize, GroupSlot<V>)>);
 
-impl<V> Drop for AbandonGuard<'_, V> {
+impl<V> Drop for Followers<V> {
     fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        for slot in self.slots {
-            slot.state.lock().expect("batch slot poisoned").abandoned = true;
-            slot.ready.notify_all();
+        for (_, slot) in &self.0 {
+            slot.abandon();
         }
     }
 }
@@ -147,10 +129,11 @@ impl<T, V> Batcher<T, V> {
             let mut state = self.state.lock().expect("batcher poisoned");
             let previous = state.last_submit.replace(now);
             if state.gathering {
-                let slot = Arc::new(Slot::empty());
+                let slot = Arc::new(Slot::new());
                 state.pending.push((items, Arc::clone(&slot)));
                 drop(state);
-                return follow(&slot, wait_budget);
+                // The only follower of its slot takes its slice, uncopied.
+                return slot.wait(wait_budget, std::mem::take);
             }
             state.gathering = true;
             let dense = previous.is_none_or(|t| now.duration_since(t) < self.window);
@@ -172,15 +155,12 @@ impl<T, V> Batcher<T, V> {
         // each follower's group length to slice the results back out.
         let leader_len = group.len();
         let mut flat = group;
-        let mut slots = Vec::with_capacity(followers.len());
-        let mut group_lens = Vec::with_capacity(followers.len());
+        let mut slots = Followers(Vec::with_capacity(followers.len()));
         for (follower_items, slot) in followers {
-            group_lens.push(follower_items.len());
+            slots.0.push((follower_items.len(), slot));
             flat.extend(follower_items);
-            slots.push(slot);
         }
 
-        let mut guard = AbandonGuard { slots: &slots, completed: false };
         let values = (self.compute)(&flat);
         assert_eq!(values.len(), flat.len(), "batch compute must be a per-item map");
         self.batches.incr();
@@ -190,35 +170,15 @@ impl<T, V> Batcher<T, V> {
         // each follower receives the next `group_len` values.
         let mut values = values.into_iter();
         let leader_values: Vec<V> = values.by_ref().take(leader_len).collect();
-        for (&group_len, slot) in group_lens.iter().zip(&slots) {
-            let group_values: Vec<V> = values.by_ref().take(group_len).collect();
-            let mut slot_state = slot.state.lock().expect("batch slot poisoned");
-            slot_state.value = Some(group_values);
-            drop(slot_state);
-            slot.ready.notify_all();
+        for (group_len, slot) in &slots.0 {
+            slot.fill(values.by_ref().take(*group_len).collect());
         }
-        guard.completed = true;
         Some(leader_values)
     }
 
     /// Items currently waiting in an open gather window (tests only).
     pub fn pending_len(&self) -> usize {
         self.state.lock().expect("batcher poisoned").pending.iter().map(|(g, _)| g.len()).sum()
-    }
-}
-
-fn follow<V>(slot: &Slot<V>, wait_budget: Duration) -> Option<Vec<V>> {
-    let deadline = Instant::now() + wait_budget;
-    let mut state = slot.state.lock().expect("batch slot poisoned");
-    loop {
-        if state.value.is_some() {
-            return state.value.take();
-        }
-        if state.abandoned {
-            return None;
-        }
-        let remaining = deadline.checked_duration_since(Instant::now())?;
-        state = slot.ready.wait_timeout(state, remaining).expect("batch slot poisoned").0;
     }
 }
 

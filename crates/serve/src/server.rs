@@ -20,10 +20,16 @@
 //!
 //! [`ServerConfig::deadline`] bounds each request: for a connection's
 //! first request it runs from accept (queue wait counts — a job that
-//! sat longer is answered `503` without computing), for subsequent
-//! requests from the moment their first byte is awaited. The remaining
-//! budget also bounds socket reads and the wait of a coalescing
-//! follower, so a slow peer cannot pin a worker indefinitely.
+//! sat longer is answered `503` without computing, and one whose first
+//! bytes do not arrive in time gets `408`), for subsequent requests from
+//! the moment their first byte has arrived. The wait for that byte is
+//! bounded by [`ServerConfig::idle_timeout`] instead and ends without a
+//! response. The remaining budget also bounds socket reads and the wait
+//! of a coalescing or batch follower, so a slow peer cannot pin a
+//! worker indefinitely. Every socket read, idle waits included, goes
+//! through the one deadline-retried read loop of [`crate::http`], and
+//! the drain of a rejected connection is bounded in total (250 ms,
+//! 256 KiB) however the peer paces its bytes.
 //!
 //! ## Coalescing and the repeat memo
 //!
@@ -39,9 +45,9 @@
 //!
 //! ## Micro-batching
 //!
-//! With a non-zero [`ServerConfig::batch_window`], *distinct* model
-//! evaluations arriving within the window are gathered by a
-//! [`Batcher`] and solved in **one**
+//! Every evaluate and sweep that computes goes through one [`Batcher`]:
+//! *distinct* model evaluations arriving within
+//! [`ServerConfig::batch_window`] are gathered and solved in **one**
 //! [`hmcs_core::kernel::evaluate_batch`] call per window: a
 //! `/v1/evaluate` request contributes its single config, a `/v1/sweep`
 //! request contributes one config per sweep point, and every gathered
@@ -60,7 +66,11 @@
 //! yet). The first request after a quiet spell longer than the window
 //! is solved at once, since nobody is likely to join it; under
 //! sustained load every window is held. `serve.batch.windows_held`
-//! counts the leaders that paid for the window.
+//! counts the leaders that paid for the window. A zero window is never
+//! held, so each request is solved at once (one that arrives while
+//! another's batch is being taken still joins it).
+//! [`api::evaluate_response`] and [`api::sweep_response`] remain the
+//! in-process reference the served bodies are compared against.
 //!
 //! ## Shutdown
 //!
@@ -73,7 +83,8 @@
 //! connection that was already admitted before exiting — an accepted
 //! request is never dropped mid-flight; kept-alive connections finish
 //! their current request and close, and idle ones notice within one
-//! 100 ms read slice.
+//! 100 ms read slice (the socket read timeout, so the worker wakes at
+//! that cadence while a kept-alive connection is idle).
 
 use crate::coalesce::Coalescer;
 use crate::http::{self, Request, Response};
@@ -117,11 +128,12 @@ pub struct ServerConfig {
     /// single client can monopolise a worker.
     pub max_conn_requests: u64,
     /// Gather window for cross-request micro-batching of distinct
-    /// evaluate points; zero disables batching. Non-zero values trade
-    /// up to one window of added latency for one kernel solve per
-    /// batch, on the leader's thread, instead of one per request. The
-    /// window is held only when the previous submission came within one
-    /// window; a request after a longer quiet spell is solved at once.
+    /// evaluate points; zero never holds it, so each request is solved
+    /// at once. Non-zero values trade up to one window of added latency
+    /// for one kernel solve per batch, on the leader's thread, instead
+    /// of one per request. The window is held only when the previous
+    /// submission came within one window; a request after a longer
+    /// quiet spell is solved at once.
     pub batch_window: Duration,
     /// Artificial pre-compute latency on every `/v1/*` request that
     /// computes (a coalesced or remembered answer does not wait). Fault
@@ -212,7 +224,7 @@ struct Shared {
     metrics: RequestMetrics,
     queue: Bounded<Job>,
     coalescer: Coalescer,
-    batcher: Option<Batcher<SystemConfig, api::PointResult>>,
+    batcher: Batcher<SystemConfig, api::PointResult>,
     shutdown: AtomicBool,
 }
 
@@ -239,10 +251,8 @@ impl Server {
         // The window's one kernel solve runs on the leader's thread:
         // the request workers are the pool, so a nested one would only
         // add a spawn and join per window (see `api::sweep_response`).
-        let batcher = (!config.batch_window.is_zero()).then(|| {
-            Batcher::new(config.batch_window, |configs: &[SystemConfig]| {
-                kernel::evaluate_batch(configs, 1)
-            })
+        let batcher = Batcher::new(config.batch_window, |configs: &[SystemConfig]| {
+            kernel::evaluate_batch(configs, 1)
         });
         let shared = Arc::new(Shared {
             queue: Bounded::new(config.queue_capacity),
@@ -374,48 +384,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// What [`wait_for_data`] observed on an idle connection.
-enum Wait {
-    /// Bytes are readable; go parse a request.
-    Data,
-    /// The peer closed (or errored) — end the connection quietly.
-    Closed,
-    /// The wait budget lapsed with no bytes.
-    TimedOut,
-    /// Shutdown began while the connection was idle.
-    Shutdown,
-}
-
-/// Waits for the first byte of the next request without consuming it,
-/// polling at [`IO_SLICE`] cadence so shutdown is observed promptly.
-/// `abort_on_shutdown` is false for a connection's *first* request
-/// (it was admitted before shutdown, so its request must be served).
-fn wait_for_data(
-    stream: &TcpStream,
-    shared: &Shared,
-    budget: Duration,
-    abort_on_shutdown: bool,
-) -> Wait {
-    let deadline = Instant::now() + budget;
-    let mut probe = [0u8; 1];
-    loop {
-        match stream.peek(&mut probe) {
-            Ok(0) => return Wait::Closed,
-            Ok(_) => return Wait::Data,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if abort_on_shutdown && shared.shutdown.load(Ordering::SeqCst) {
-                    return Wait::Shutdown;
-                }
-                if Instant::now() >= deadline {
-                    return Wait::TimedOut;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Wait::Closed,
-        }
-    }
-}
-
 /// Serves one admitted connection until it closes.
 fn handle(job: Job, shared: &Shared) {
     let Job { mut stream, accepted_at } = job;
@@ -453,15 +421,20 @@ fn handle(job: Job, shared: &Shared) {
 
     loop {
         if !reader.has_buffered() {
-            let (budget, first) = if served == 0 {
-                (config.deadline.saturating_sub(accepted_at.elapsed()), true)
+            // Wait for the next request's first bytes. A first request
+            // was admitted before any shutdown, so only a kept-alive
+            // idle wait gives up on it.
+            let first = served == 0;
+            let until = if first {
+                accepted_at + config.deadline
             } else {
-                (config.idle_timeout, false)
+                Instant::now() + config.idle_timeout
             };
-            match wait_for_data(&stream, shared, budget, !first) {
-                Wait::Data => {}
-                Wait::Closed | Wait::Shutdown => break,
-                Wait::TimedOut => {
+            let stop = || !first && shared.shutdown.load(Ordering::SeqCst);
+            match reader.fill(&mut stream, until, stop) {
+                Ok(0) => break, // clean close, or shutdown while idle
+                Ok(_) => {}
+                Err(e) if http::is_timeout(&e) => {
                     if first {
                         let response = Response {
                             status: 408,
@@ -476,6 +449,7 @@ fn handle(job: Job, shared: &Shared) {
                     }
                     break;
                 }
+                Err(_) => break,
             }
             if !first {
                 request_start = Instant::now();
@@ -563,12 +537,9 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
                 if strict {
                     api::check_unsaturated(&config)?;
                 }
-                Ok(move || match &shared.batcher {
-                    Some(batcher) => match batcher.submit(config, remaining) {
-                        Some(result) => response_of(api::evaluate_response_from(&config, result)),
-                        None => wait_exhausted(shared, "batch_timeout"),
-                    },
-                    None => response_of(api::evaluate_response(&config)),
+                Ok(move || match shared.batcher.submit(config, remaining) {
+                    Some(result) => response_of(api::evaluate_response_from(&config, result)),
+                    None => wait_exhausted(shared, "batch_timeout"),
                 })
             })
         }
@@ -579,19 +550,16 @@ fn route(request: &Request, remaining: Duration, shared: &Shared) -> Response {
                 if strict {
                     api::check_sweep_unsaturated(&config, &spec)?;
                 }
-                Ok(move || match &shared.batcher {
-                    // A sweep contributes one config per point to the
-                    // shared window, then reassembles its own slice.
-                    Some(batcher) => match api::sweep_configs(&config, &spec) {
-                        Ok(configs) => match batcher.submit_many(configs, remaining) {
-                            Some(results) => {
-                                response_of(api::sweep_response_from(&config, &spec, results))
-                            }
-                            None => wait_exhausted(shared, "batch_timeout"),
-                        },
-                        Err(e) => error_response(e),
+                // A sweep contributes one config per point to the shared
+                // window, then reassembles its own slice.
+                Ok(move || match api::sweep_configs(&config, &spec) {
+                    Ok(configs) => match shared.batcher.submit_many(configs, remaining) {
+                        Some(results) => {
+                            response_of(api::sweep_response_from(&config, &spec, results))
+                        }
+                        None => wait_exhausted(shared, "batch_timeout"),
                     },
-                    None => response_of(api::sweep_response(&config, &spec)),
+                    Err(e) => error_response(e),
                 })
             })
         }
@@ -690,13 +658,19 @@ fn error_response(e: api::ApiError) -> Response {
 /// consuming the body). Closing a socket with pending input makes the
 /// kernel send `RST`, which can destroy the response before the client
 /// reads it; draining first turns the close into an orderly `FIN`.
+/// Bounded in total, however the peer paces its bytes: at most 256 KiB
+/// and 250 ms per connection, since the shed path drains on the
+/// acceptor.
 fn drain_unread(stream: &mut TcpStream) {
     use std::io::Read;
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let deadline = Instant::now() + Duration::from_millis(250);
     let mut sink = [0u8; 1024];
-    // Bounded: at most ~256 KiB or 250 ms per connection.
     for _ in 0..256 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut sink) {
             Ok(n) if n > 0 => continue,
             _ => break,
@@ -876,6 +850,43 @@ mod tests {
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "the idle connection closes without another response");
+    }
+
+    #[test]
+    fn a_trickling_rejected_client_cannot_hold_the_only_worker() {
+        // After a `400` the worker drains the rejected connection. A peer
+        // that keeps sending a byte at a time must not make that drain,
+        // and with it the next client's wait, last longer than its
+        // 250 ms budget.
+        let server = Server::start(ServerConfig { workers: 1, ..test_config() }).unwrap();
+        let addr = server.local_addr();
+        let rejected = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(rejected.try_clone().unwrap());
+        (&rejected).write_all(b"NONSENSE\r\n\r\n").unwrap();
+        let reply = read_one_response(&mut reader);
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+
+        let answered = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let answered = Arc::clone(&answered);
+            std::thread::spawn(move || {
+                let give_up = Instant::now() + Duration::from_secs(5);
+                while !answered.load(Ordering::SeqCst) && Instant::now() < give_up {
+                    if (&rejected).write_all(b"x").is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        };
+        let start = Instant::now();
+        let reply = request(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+        let waited = start.elapsed();
+        answered.store(true, Ordering::SeqCst);
+        trickle.join().unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert!(waited < Duration::from_secs(1), "waited {waited:?} behind a trickling peer");
+        server.shutdown();
     }
 
     #[test]
