@@ -62,8 +62,9 @@ options:
                           server closes it (default 100000)
   --batch-window-us N     micro-batching gather window for distinct
                           evaluate points, held only when the previous
-                          one came within a window; 0 never holds it,
-                          so each request is solved at once (default 0)
+                          one came within a window; 0 never holds it
+                          and gathers nobody, so each request is solved
+                          at once, alone (default 0)
   --handler-latency-ms N  artificial /v1/* latency, fault injection
                           for soak tests (default 0)
   --help                  print this help

@@ -76,19 +76,20 @@ impl<V> Slot<V> {
 
     /// Releases the followers of a leader that will not fill the slot;
     /// a no-op once it is filled. Never panics, since it runs while a
-    /// leader unwinds: on a poisoned lock (a bug elsewhere) the
-    /// followers time out instead.
+    /// leader unwinds.
     pub(crate) fn abandon(&self) {
         self.settle(SlotState::Abandoned);
     }
 
+    /// Moves a waiting slot to `settled` and wakes its followers; a slot
+    /// already settled is left alone and nobody is woken.
     fn settle(&self, settled: SlotState<V>) {
         if let Ok(mut state) = self.state.lock() {
             if matches!(*state, SlotState::Waiting) {
                 *state = settled;
+                self.ready.notify_all();
             }
         }
-        self.ready.notify_all();
     }
 
     /// Waits at most `budget` for the value and hands `get` a mutable

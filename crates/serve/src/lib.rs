@@ -46,7 +46,8 @@
 //!   evaluate points arriving within the gather window into one kernel
 //!   solve; bit-identical results, amortised scheduling. The window is
 //!   held only while arrivals are dense, so a request after a quiet
-//!   spell is solved at once, and a zero window is never held.
+//!   spell is solved at once, and a zero window is never held and
+//!   gathers nobody.
 //! * **Load generation** — [`loadgen`] implements the open-/closed-
 //!   loop benchmark client behind the `hmcs-loadgen` binary.
 //! * **Deadlines** — a request that waited in queue past its deadline

@@ -6,7 +6,7 @@
 //! arrival becomes the batch *leader*: it waits one small gather
 //! window, takes every request that joined meanwhile, and runs the
 //! whole flattened batch through a single batch-engine call (one
-//! `kernel::evaluate_batch` solve on the leader's thread in the
+//! kernel solve on the leader's thread, in its own arena, in the
 //! server) — turning N independent model evaluations into one lockstep
 //! solve with shared setup. Followers block on a per-group `Slot`, the
 //! same hand-over the coalescer's followers wait on, and take exactly
@@ -19,8 +19,8 @@
 //! submitted yet. After a quiet spell longer than the window the first
 //! arrival is solved at once instead of sleeping for company that is
 //! not coming; under sustained load every window is held as before. A
-//! zero window is never held: each leader takes at once whatever joined
-//! while it was taking the batch, usually nothing.
+//! zero window is never held and gathers nobody: each submission leads
+//! its own batch at once, so it never waits behind another's solve.
 //!
 //! Submissions are *groups* of items ([`Batcher::submit_many`]): a
 //! `/v1/evaluate` request contributes a group of one config, a
@@ -30,7 +30,7 @@
 //! input order.
 //!
 //! Because the batch function is required to be a pure per-item map
-//! (the server passes `kernel::evaluate_batch`, whose lanes are
+//! (the server passes a `BatchKernel` solve, whose lanes are
 //! bit-identical to the scalar path and invariant under batch
 //! composition by construction), batching changes scheduling only,
 //! never bytes.
@@ -60,7 +60,7 @@ struct Gather<T, V> {
 }
 
 /// The boxed batch computation: a pure per-item map over the flattened
-/// gathered items (`kernel::evaluate_batch` in the server).
+/// gathered items (a `BatchKernel` solve in the server).
 type BatchFn<T, V> = Box<dyn Fn(&[T]) -> Vec<V> + Send + Sync>;
 
 /// Groups temporally close distinct items into one batched computation.
@@ -91,7 +91,7 @@ impl<V> Drop for Followers<V> {
 impl<T, V> Batcher<T, V> {
     /// Creates a batcher gathering arrivals for `window` per batch.
     /// `compute` must map each input item to its output positionally —
-    /// a pure per-item function, typically `kernel::evaluate_batch`.
+    /// a pure per-item function, typically a `BatchKernel` solve.
     pub fn new(window: Duration, compute: impl Fn(&[T]) -> Vec<V> + Send + Sync + 'static) -> Self {
         Batcher {
             window,
@@ -128,7 +128,8 @@ impl<T, V> Batcher<T, V> {
             let now = Instant::now();
             let mut state = self.state.lock().expect("batcher poisoned");
             let previous = state.last_submit.replace(now);
-            if state.gathering {
+            // A zero window gathers nobody: every group leads its own.
+            if state.gathering && !self.window.is_zero() {
                 let slot = Arc::new(Slot::new());
                 state.pending.push((items, Arc::clone(&slot)));
                 drop(state);
@@ -161,19 +162,18 @@ impl<T, V> Batcher<T, V> {
             flat.extend(follower_items);
         }
 
-        let values = (self.compute)(&flat);
+        let mut values = (self.compute)(&flat);
         assert_eq!(values.len(), flat.len(), "batch compute must be a per-item map");
         self.batches.incr();
         self.batched_items.add(flat.len() as u64);
 
-        // The leader's own results are the head of the flattened batch;
-        // each follower receives the next `group_len` values.
-        let mut values = values.into_iter();
-        let leader_values: Vec<V> = values.by_ref().take(leader_len).collect();
+        // The leader keeps the head of the flattened batch; each
+        // follower receives the next `group_len` values.
+        let mut rest = values.split_off(leader_len).into_iter();
         for (group_len, slot) in &slots.0 {
-            slot.fill(values.by_ref().take(*group_len).collect());
+            slot.fill(rest.by_ref().take(*group_len).collect());
         }
-        Some(leader_values)
+        Some(values)
     }
 
     /// Items currently waiting in an open gather window (tests only).

@@ -48,13 +48,13 @@
 //! Every evaluate and sweep that computes goes through one [`Batcher`]:
 //! *distinct* model evaluations arriving within
 //! [`ServerConfig::batch_window`] are gathered and solved in **one**
-//! [`hmcs_core::kernel::evaluate_batch`] call per window: a
+//! [`hmcs_core::kernel::BatchKernel`] solve per window: a
 //! `/v1/evaluate` request contributes its single config, a `/v1/sweep`
 //! request contributes one config per sweep point, and every gathered
 //! lane advances in lockstep through the same SoA kernel solve on the
-//! batch leader's own thread (a lane costs about a microsecond, far
-//! less than a pool spawn, and the request workers already are the
-//! pool). Each request then renders its own slice of the lane results
+//! batch leader's own thread, in that thread's own arena (a lane costs
+//! about a microsecond, far less than a pool spawn or a lock, and the
+//! request workers already are the pool). Each request then renders its own slice of the lane results
 //! (identical requests are still answered upstream by the
 //! [`Coalescer`], so batches contain distinct points only). Kernel
 //! lanes are bit-identical to the scalar path and invariant under
@@ -67,8 +67,8 @@
 //! is solved at once, since nobody is likely to join it; under
 //! sustained load every window is held. `serve.batch.windows_held`
 //! counts the leaders that paid for the window. A zero window is never
-//! held, so each request is solved at once (one that arrives while
-//! another's batch is being taken still joins it).
+//! held and gathers nobody, so each request is solved at once, alone,
+//! on its own worker.
 //! [`api::evaluate_response`] and [`api::sweep_response`] remain the
 //! in-process reference the served bodies are compared against.
 //!
@@ -93,8 +93,9 @@ use crate::queue::Bounded;
 use crate::{api, keys};
 use hmcs_core::batch::BatchOptions;
 use hmcs_core::config::SystemConfig;
-use hmcs_core::kernel;
+use hmcs_core::kernel::BatchKernel;
 use hmcs_core::metrics::{self, Counter, ValueHistogram};
+use std::cell::RefCell;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,8 +129,8 @@ pub struct ServerConfig {
     /// single client can monopolise a worker.
     pub max_conn_requests: u64,
     /// Gather window for cross-request micro-batching of distinct
-    /// evaluate points; zero never holds it, so each request is solved
-    /// at once. Non-zero values trade up to one window of added latency
+    /// evaluate points; zero never holds it and gathers nobody, so each
+    /// request is solved at once, alone. Non-zero values trade up to one window of added latency
     /// for one kernel solve per batch, on the leader's thread, instead
     /// of one per request. The window is held only when the previous
     /// submission came within one window; a request after a longer
@@ -218,6 +219,12 @@ impl RequestMetrics {
     }
 }
 
+thread_local! {
+    /// This worker's kernel arena, reused by every batch it leads so a
+    /// warm solve allocates no columns and takes no lock.
+    static ARENA: RefCell<BatchKernel> = RefCell::new(BatchKernel::default());
+}
+
 /// Shared state between the acceptor and the workers.
 struct Shared {
     config: ServerConfig,
@@ -248,11 +255,12 @@ impl Server {
         } else {
             config.workers
         };
-        // The window's one kernel solve runs on the leader's thread:
-        // the request workers are the pool, so a nested one would only
-        // add a spawn and join per window (see `api::sweep_response`).
+        // The window's one kernel solve runs on the leader's thread, in
+        // that thread's arena: the request workers are the pool, so a
+        // nested one (or a shared arena pool) would only add a spawn or
+        // a lock per window.
         let batcher = Batcher::new(config.batch_window, |configs: &[SystemConfig]| {
-            kernel::evaluate_batch(configs, 1)
+            ARENA.with_borrow_mut(|arena| arena.evaluate(configs))
         });
         let shared = Arc::new(Shared {
             queue: Bounded::new(config.queue_capacity),
