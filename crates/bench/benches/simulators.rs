@@ -1,18 +1,15 @@
-//! Benchmarks of the simulators' event throughput — flow, packet and
-//! the per-cluster sharded flow simulator — the cost the analytical
-//! model exists to avoid ("simulation ... is highly time-consuming and
-//! expensive", §2). Also pins the analysis-to-simulation speed
-//! advantage.
+//! Benchmarks of the simulators' event throughput — flow and packet —
+//! the cost the analytical model exists to avoid ("simulation ... is
+//! highly time-consuming and expensive", §2). Also pins the
+//! analysis-to-simulation speed advantage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hmcs_core::batch::BatchOptions;
 use hmcs_core::config::SystemConfig;
 use hmcs_core::model::AnalyticalModel;
 use hmcs_core::scenario::Scenario;
 use hmcs_sim::config::SimConfig;
 use hmcs_sim::flow::FlowSimulator;
 use hmcs_sim::packet::PacketSimulator;
-use hmcs_sim::shard::{run_sharded, uniform_partition, ShardOptions};
 use hmcs_topology::transmission::Architecture;
 use std::hint::black_box;
 
@@ -25,25 +22,6 @@ fn flow_simulator(c: &mut Criterion) {
         group.throughput(Throughput::Elements(cfg.messages));
         group.bench_with_input(BenchmarkId::from_parameter(clusters), &cfg, |b, cfg| {
             b.iter(|| black_box(FlowSimulator::run(black_box(cfg)).unwrap()))
-        });
-    }
-    group.finish();
-}
-
-/// The sharded simulator on one worker: two background fixed-point
-/// passes over every cluster, throughput counted in measured messages
-/// across all shards (each shard measures `cfg.messages`).
-fn shard_simulator(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim/shard");
-    let options = ShardOptions { iterations: 2, batch: BatchOptions::sequential() };
-    for clusters in [4usize, 16] {
-        let sys = SystemConfig::paper_preset(Scenario::Case1, clusters, Architecture::NonBlocking)
-            .unwrap();
-        let cfg = SimConfig::new(sys).with_messages(2_000).with_warmup(200).with_seed(1);
-        let partition = uniform_partition(clusters, sys.nodes_per_cluster);
-        group.throughput(Throughput::Elements(cfg.messages * clusters as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(clusters), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_sharded(black_box(cfg), &partition, &options).unwrap()))
         });
     }
     group.finish();
@@ -81,6 +59,6 @@ fn analysis_vs_simulation_speed(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = flow_simulator, shard_simulator, packet_simulator, analysis_vs_simulation_speed
+    targets = flow_simulator, packet_simulator, analysis_vs_simulation_speed
 }
 criterion_main!(benches);

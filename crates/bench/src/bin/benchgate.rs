@@ -625,7 +625,7 @@ mod tests {
     ) -> String {
         format!(
             "{{\"schema\":\"hmcs-topology-bench/1\",\"cases\":2,\"total_nodes\":10256,\
-             \"max_nodes\":{max_nodes},\"shards\":24,\"messages\":200000,\
+             \"max_nodes\":{max_nodes},\"messages\":200000,\
              \"roundtrip_failures\":{roundtrip_failures},\
              \"agreement_failures\":{agreement_failures},\"identify_wall_s\":0.02,\
              \"identify_nodes_per_s\":500000.0,\"sim_wall_s\":1.2,\"workers\":4}}\n"

@@ -806,7 +806,7 @@ fn write_optimize_bench(path: &Path, spec: &OptimizeSpec) -> Result<(), String> 
 }
 
 /// The latency-matrix topology artefact: generate → identify → fit →
-/// analytic-vs-sharded-simulation agreement, including the 10k-node
+/// analytic-vs-simulation agreement, including the 10k-node
 /// scale case. Writes three CSVs: `topology_matrix.csv` (deterministic
 /// identification columns), `topology_partition.csv` (the identified
 /// partition fingerprint, one row per cluster) and
@@ -876,13 +876,10 @@ fn topology_pipeline(cli: &Cli) -> Result<Output, Box<dyn Error>> {
             vec![
                 r.case.name.to_string(),
                 r.nodes.to_string(),
-                r.shards.to_string(),
                 json_num(r.analysis_ms),
                 json_num(r.sim_ms),
                 json_num(r.ci95_ms),
                 u8::from(r.agrees).to_string(),
-                json_num(r.boundary_out_frac()),
-                json_num(r.boundary_in_per_msg()),
             ]
         })
         .collect();
@@ -890,25 +887,15 @@ fn topology_pipeline(cli: &Cli) -> Result<Output, Box<dyn Error>> {
         .iter()
         .map(|r| {
             format!(
-                "  {}: identify {:.2}s, sharded sim {:.2}s ({} messages across {} shards)",
-                r.case.name, r.identify_wall_s, r.sim_wall_s, r.messages, r.shards
+                "  {}: identify {:.2}s, sim {:.2}s ({} messages)",
+                r.case.name, r.identify_wall_s, r.sim_wall_s, r.messages
             )
         })
         .collect();
     let agreement = Table::new(
         "topology_agreement",
-        "topology — analytic vs sharded-simulation agreement",
-        &[
-            "case",
-            "nodes",
-            "shards",
-            "analysis (ms)",
-            "sim (ms)",
-            "ci95 (ms)",
-            "agrees",
-            "boundary_out_frac",
-            "boundary_in_per_msg",
-        ],
+        "topology — analytic vs simulation agreement",
+        &["case", "nodes", "analysis (ms)", "sim (ms)", "ci95 (ms)", "agrees"],
         agreement_rows,
     )
     .with_note(timings.join("\n"));
@@ -929,7 +916,6 @@ fn write_topology_bench(
 ) -> Result<(), String> {
     let total_nodes: usize = results.iter().map(|r| r.nodes).sum();
     let max_nodes = results.iter().map(|r| r.nodes).max().unwrap_or(0);
-    let shards: usize = results.iter().map(|r| r.shards).sum();
     let messages: u64 = results.iter().map(|r| r.messages).sum();
     let roundtrip_failures = results.iter().filter(|r| !r.roundtrip).count();
     let agreement_failures = results.iter().filter(|r| !r.agrees).count();
@@ -938,13 +924,12 @@ fn write_topology_bench(
     let workers = BatchOptions::default().resolved_workers();
     let body = format!(
         "{{\"schema\":\"hmcs-topology-bench/1\",\"cases\":{},\"total_nodes\":{},\
-         \"max_nodes\":{},\"shards\":{},\"messages\":{},\"roundtrip_failures\":{},\
+         \"max_nodes\":{},\"messages\":{},\"roundtrip_failures\":{},\
          \"agreement_failures\":{},\"identify_wall_s\":{},\"identify_nodes_per_s\":{},\
          \"sim_wall_s\":{},\"workers\":{}}}\n",
         results.len(),
         total_nodes,
         max_nodes,
-        shards,
         messages,
         roundtrip_failures,
         agreement_failures,
@@ -956,7 +941,7 @@ fn write_topology_bench(
     write_atomic(path, body.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))?;
     println!(
         "topology bench: {} nodes over {} case(s), {} round-trip / {} agreement failure(s), \
-         identify {:.2}s + sharded sim {:.2}s -> {}",
+         identify {:.2}s + sim {:.2}s -> {}",
         total_nodes,
         results.len(),
         roundtrip_failures,

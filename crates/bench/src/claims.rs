@@ -386,7 +386,7 @@ pub fn evaluate_dir(dir: &Path) -> Result<Vec<ClaimResult>, String> {
     );
     push(
         "topology-agreement",
-        "the fitted config's analytical latency matches the sharded simulation in every case",
+        "the fitted config's analytical latency matches the flow simulation in every case",
         (|| {
             let agrees = column(&csvs.topo_agreement, "topology_agreement", "agrees")?;
             let analysis = column(&csvs.topo_agreement, "topology_agreement", "analysis (ms)")?;

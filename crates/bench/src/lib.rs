@@ -23,7 +23,7 @@
 //!   cluster-identification pass (generate → identify must recover the
 //!   planted partition), with the same shrink-to-regression-test flow.
 //! * [`topology`] — the latency-matrix pipeline artefact: generate →
-//!   identify → fit → analytic vs sharded-simulation agreement at
+//!   identify → fit → analytic vs flow-simulation agreement at
 //!   10k nodes.
 //!
 //! The `reproduce` binary drives everything:

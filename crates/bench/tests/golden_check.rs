@@ -193,3 +193,25 @@ fn analysis_only_artefacts_match_the_goldens_byte_for_byte() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn topology_agreement_rows_are_identical_for_one_and_two_workers() {
+    // Replication seeds are fixed by index and each worker replays its
+    // own instance, so the pool size must not move a single bit of the
+    // paper-budget simulation columns.
+    let csv = |workers: &str| {
+        let dir = temp_dir(&format!("topology_workers_{workers}"));
+        let output = reproduce()
+            .env("HMCS_POOL_WORKERS", workers)
+            .env_remove("HMCS_SIM_BUDGET")
+            .args(["topology", "--csv"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        let rows = std::fs::read(dir.join("topology_agreement.csv")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        rows
+    };
+    assert!(csv("1") == csv("2"), "topology_agreement.csv differs between 1 and 2 workers");
+}

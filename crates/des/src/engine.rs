@@ -3,8 +3,7 @@
 //! A [`Model`] owns all simulation state and processes one event at a
 //! time; the [`Engine`] advances the clock, dispatches events, and
 //! enforces stop conditions. Follow-up events are scheduled through the
-//! [`Scheduler`], which wraps the future-event list: the event heap
-//! plus the engine's fixed set of timer slots.
+//! [`Scheduler`], which wraps the future-event list.
 
 use crate::event::EventQueue;
 use crate::time::SimTime;
@@ -18,9 +17,9 @@ pub struct Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    fn with_timers(capacity: usize, timers: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         Scheduler {
-            queue: EventQueue::with_timers(capacity, timers),
+            queue: EventQueue::with_capacity(capacity),
             events_scheduled: 0,
             peak_pending: 0,
         }
@@ -32,7 +31,7 @@ impl<E> Scheduler<E> {
         self.queue.reserve(additional);
     }
 
-    /// Drops all pending events (disarming every timer slot) and zeroes
+    /// Drops all pending events and zeroes
     /// the lifetime counters, so a reused scheduler behaves exactly like
     /// a fresh one while keeping the event list's storage warm.
     fn reset(&mut self) {
@@ -53,28 +52,12 @@ impl<E> Scheduler<E> {
         self.schedule_at(now + delay, event);
     }
 
-    /// Schedules `event` at `now + delay` in timer slot `slot` instead
-    /// of the event heap. The slot must be free (see
-    /// [`EventQueue::push_timer`]); the pop order is the same as if the
-    /// event had gone through [`Scheduler::schedule_in`].
-    pub fn schedule_timer_in(&mut self, slot: usize, now: SimTime, delay: SimTime, event: E) {
-        self.schedule_timer_at(slot, now + delay, event);
-    }
-
-    /// Schedules `event` at the absolute time `at` in timer slot `slot`
-    /// (see [`Scheduler::schedule_timer_in`]).
-    pub fn schedule_timer_at(&mut self, slot: usize, at: SimTime, event: E) {
-        self.events_scheduled += 1;
-        self.queue.push_timer(slot, at, event);
-        self.peak_pending = self.peak_pending.max(self.queue.len());
-    }
-
     /// Number of events scheduled so far (lifetime counter).
     pub fn events_scheduled(&self) -> u64 {
         self.events_scheduled
     }
 
-    /// Number of currently pending events, armed timer slots included.
+    /// Number of currently pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -122,7 +105,7 @@ pub struct Engine<M: Model> {
 impl<M: Model> Engine<M> {
     /// Creates an engine at time zero with an empty event list.
     pub fn new(model: M) -> Self {
-        Self::with_timers(model, 0, 0)
+        Self::with_capacity(model, 0)
     }
 
     /// Creates an engine whose future-event list is pre-sized for
@@ -130,16 +113,9 @@ impl<M: Model> Engine<M> {
     /// population (e.g. one think-time event per traffic source)
     /// never reallocates the event list.
     pub fn with_capacity(model: M, capacity: usize) -> Self {
-        Self::with_timers(model, capacity, 0)
-    }
-
-    /// Creates an engine like [`Engine::with_capacity`] whose event list
-    /// also has `timers` timer slots, armed through
-    /// [`Scheduler::schedule_timer_in`].
-    pub fn with_timers(model: M, capacity: usize, timers: usize) -> Self {
         Engine {
             model,
-            scheduler: Scheduler::with_timers(capacity, timers),
+            scheduler: Scheduler::with_capacity(capacity),
             now: SimTime::ZERO,
             events_processed: 0,
         }
@@ -367,37 +343,9 @@ mod tests {
         assert_eq!(reused.scheduler().peak_pending(), fresh.scheduler().peak_pending());
     }
 
-    #[test]
-    fn pending_and_peak_count_armed_timer_slots() {
-        let mut e = Engine::with_timers(
-            Chain { remaining: 0, spacing: SimTime::ZERO, fired_at: Vec::new() },
-            0,
-            2,
-        );
-        let s = e.scheduler_mut();
-        s.schedule_at(SimTime::from_us(1.0), ());
-        s.schedule_timer_in(1, SimTime::ZERO, SimTime::from_us(3.0), ());
-        s.schedule_timer_in(0, SimTime::ZERO, SimTime::from_us(2.0), ());
-        assert_eq!(e.scheduler().pending(), 3);
-        assert_eq!(e.scheduler().peak_pending(), 3);
-        assert_eq!(e.scheduler().events_scheduled(), 3);
-        e.run_to_completion();
-        let us = |t: f64| SimTime::from_us(t);
-        assert_eq!(e.model().fired_at, vec![us(1.0), us(2.0), us(3.0)]);
-        assert_eq!(e.scheduler().pending(), 0);
-        assert_eq!(e.scheduler().peak_pending(), 3);
-        // A reset disarms the slots.
-        let now = e.now();
-        e.scheduler_mut().schedule_timer_in(0, now, us(1.0), ());
-        assert_eq!(e.scheduler().pending(), 1);
-        e.reset();
-        assert_eq!(e.scheduler().pending(), 0);
-        assert!(!e.step());
-    }
-
-    /// One FCFS server fed by an arrival stream: the next arrival and
-    /// the current completion each live in a timer slot, departures go
-    /// on the heap. Delays are whole microseconds, so ties are common.
+    /// One FCFS server fed by an arrival stream, plus departures that
+    /// leave after a further delay. Delays are whole microseconds, so
+    /// ties are common.
     struct Server {
         rng: u64,
         queued: u32,
@@ -411,9 +359,6 @@ mod tests {
         Done,
         Leave,
     }
-
-    const ARRIVE: usize = 0;
-    const DONE: usize = 1;
 
     impl Server {
         fn new(arrivals: u32) -> Self {
@@ -437,12 +382,12 @@ mod tests {
                     self.queued += 1;
                     if self.queued == 1 {
                         let d = self.delay(4);
-                        s.schedule_timer_in(DONE, now, d, Job::Done);
+                        s.schedule_in(now, d, Job::Done);
                     }
                     if self.arrivals_left > 0 {
                         self.arrivals_left -= 1;
                         let d = self.delay(6);
-                        s.schedule_timer_in(ARRIVE, now, d, Job::Arrive);
+                        s.schedule_in(now, d, Job::Arrive);
                     }
                 }
                 Job::Done => {
@@ -451,7 +396,7 @@ mod tests {
                     s.schedule_in(now, d, Job::Leave);
                     if self.queued > 0 {
                         let d = self.delay(4);
-                        s.schedule_timer_in(DONE, now, d, Job::Done);
+                        s.schedule_in(now, d, Job::Done);
                     }
                 }
                 Job::Leave => {}
@@ -460,13 +405,13 @@ mod tests {
     }
 
     fn server_engine(arrivals: u32) -> Engine<Server> {
-        let mut e = Engine::with_timers(Server::new(arrivals), 16, 2);
-        e.scheduler_mut().schedule_timer_in(ARRIVE, SimTime::ZERO, SimTime::ZERO, Job::Arrive);
+        let mut e = Engine::with_capacity(Server::new(arrivals), 16);
+        e.scheduler_mut().schedule_at(SimTime::ZERO, Job::Arrive);
         e
     }
 
     #[test]
-    fn timer_slot_engine_reused_via_reset_replays_a_fresh_one() {
+    fn engine_reused_mid_run_via_reset_replays_a_fresh_one() {
         let mut fresh = server_engine(2_000);
         fresh.run_to_completion();
         let log = &fresh.model().log;
@@ -475,14 +420,14 @@ mod tests {
         let ties = log.windows(2).filter(|w| w[0].0 == w[1].0).count();
         assert!(ties > 500, "only {ties} ties");
 
-        // Stop mid-run with slots armed, rewind, and replay.
+        // Stop mid-run with events pending, rewind, and replay.
         let mut reused = server_engine(2_000);
         reused.run_until(Some(1_000), None, |_| false);
         assert!(reused.scheduler().pending() > 0);
         reused.reset();
+        assert_eq!(reused.scheduler().pending(), 0);
         *reused.model_mut() = Server::new(2_000);
-        let s = reused.scheduler_mut();
-        s.schedule_timer_in(ARRIVE, SimTime::ZERO, SimTime::ZERO, Job::Arrive);
+        reused.scheduler_mut().schedule_at(SimTime::ZERO, Job::Arrive);
         reused.run_to_completion();
 
         assert_eq!(reused.model().log, fresh.model().log);

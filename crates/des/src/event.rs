@@ -3,7 +3,7 @@
 //! An indexed 4-ary min-heap keyed by `(time, seq)`, where `seq` is a
 //! monotone sequence number so that simultaneous events pop in FIFO
 //! (insertion) order — the determinism guarantee every reproducible DES
-//! needs — plus a fixed set of **timer slots** beside the heap.
+//! needs.
 //!
 //! Why not `std::collections::BinaryHeap`? Three reasons:
 //!
@@ -20,19 +20,10 @@
 //!   queue state the engine and the replication-reuse path need
 //!   without round-tripping through iterator adapters.
 //!
-//! A timer slot holds an event of which at most one is ever pending —
-//! a single server's completion, a Poisson stream's next arrival. Such
-//! an event never enters the heap: arming a slot is a store, and a pop
-//! compares the heap top against the few armed slots instead of paying
-//! two full-depth sifts against a heap full of far-future events.
-//!
 //! Determinism is structural: `(time, seq)` is a strict total order
-//! (`seq` is unique, and heap pushes and slot arms draw it from one
-//! counter), and a pop takes the least key over the heap top and every
-//! armed slot — so the pop sequence is identical to any correct
-//! min-heap's holding all pending events, ties included, and neither
-//! the heap implementation nor which events use slots can perturb
-//! simulation results.
+//! (`seq` is unique), and the heap orders by the full key — so the pop
+//! sequence is identical to any correct min-heap's, ties included, and
+//! swapping the implementation cannot perturb simulation results.
 
 use crate::time::SimTime;
 
@@ -69,29 +60,18 @@ struct HeapEntry {
     payload: u32,
 }
 
-/// An armed timer slot: its key and its event.
-#[derive(Debug)]
-struct Timer<E> {
-    key: Key,
-    payload: E,
-}
-
 /// A time-ordered, FIFO-stable event queue.
 ///
 /// An *indexed* heap: the heap array holds compact `Copy` entries
 /// (key + payload index) while payloads live in a slab recycled
 /// through a free list — sift operations never move a payload, and a
 /// slab entry freed by a pop is reused by the next push, so
-/// steady-state operation is allocation-free. Beside the heap sit a
-/// fixed number of timer slots (zero unless built with
-/// [`EventQueue::with_timers`]), each holding at most one event.
+/// steady-state operation is allocation-free.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: Vec<HeapEntry>,
     payloads: Vec<Option<E>>,
     free: Vec<u32>,
-    timers: Vec<Option<Timer<E>>>,
-    armed: usize,
     next_seq: u64,
 }
 
@@ -111,38 +91,31 @@ impl<E> EventQueue<E> {
     /// so a simulation with a known event population never reallocates
     /// mid-run.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_timers(capacity, 0)
-    }
-
-    /// Creates an empty queue with room for `capacity` pending heap
-    /// events and `timers` timer slots (see [`EventQueue::push_timer`]).
-    pub fn with_timers(capacity: usize, timers: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
             payloads: Vec::with_capacity(capacity),
             free: Vec::new(),
-            timers: (0..timers).map(|_| None).collect(),
-            armed: 0,
             next_seq: 0,
         }
     }
 
     /// Grows the backing storage to hold at least `additional` more
-    /// pending heap events.
+    /// pending events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
         self.payloads.reserve(additional);
     }
 
-    /// Number of pending heap events the queue can hold without
-    /// reallocating (timer slots come on top).
+    /// Number of pending events the queue can hold without
+    /// reallocating.
     pub fn capacity(&self) -> usize {
         self.heap.capacity().min(self.payloads.capacity())
     }
 
     /// Inserts an event to fire at `time`.
     pub fn push(&mut self, time: SimTime, payload: E) {
-        let key = self.next_key(time);
+        let key = Key { time, seq: self.next_seq };
+        self.next_seq += 1;
         // Recycle a freed slab entry if one exists; steady-state
         // push/pop cycles therefore never allocate.
         let index = match self.free.pop() {
@@ -161,37 +134,10 @@ impl<E> EventQueue<E> {
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Arms timer slot `slot` with an event to fire at `time`. The event
-    /// takes its FIFO sequence number from the same counter as
-    /// [`EventQueue::push`], so it pops exactly where it would have
-    /// popped from the heap.
-    ///
-    /// The slot must be free: a timer slot holds at most one pending
-    /// event (checked in debug builds; a release build overwrites).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not below the slot count the queue was built
-    /// with.
-    pub fn push_timer(&mut self, slot: usize, time: SimTime, payload: E) {
-        let key = self.next_key(time);
-        let timer = &mut self.timers[slot];
-        debug_assert!(timer.is_none(), "timer slot {slot} is already armed");
-        if timer.replace(Timer { key, payload }).is_none() {
-            self.armed += 1;
-        }
-    }
-
-    /// Removes and returns the earliest event (FIFO among ties), from
-    /// the heap or a timer slot. The backing storage is kept
-    /// (shrink-free), so a later push at the same population is
-    /// allocation-free.
+    /// Removes and returns the earliest event (FIFO among ties). The
+    /// backing storage is kept (shrink-free), so a later push at the
+    /// same population is allocation-free.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if let Some(slot) = self.earliest_timer() {
-            let timer = self.timers[slot].take().expect("earliest timer is armed");
-            self.armed -= 1;
-            return Some((timer.key.time, timer.payload));
-        }
         let last = self.heap.len().checked_sub(1)?;
         self.heap.swap(0, last);
         let entry = self.heap.pop().expect("len checked above");
@@ -206,30 +152,24 @@ impl<E> EventQueue<E> {
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match self.earliest_timer() {
-            Some(slot) => self.timers[slot].as_ref().map(|t| t.key.time),
-            None => self.heap.first().map(|e| e.key.time),
-        }
+        self.heap.first().map(|e| e.key.time)
     }
 
-    /// Number of pending events, armed timer slots included.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.armed
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
-    /// Removes all pending events and disarms every timer slot
-    /// (storage is kept).
+    /// Removes all pending events (storage is kept).
     pub fn clear(&mut self) {
         self.heap.clear();
         self.payloads.clear();
         self.free.clear();
-        self.timers.iter_mut().for_each(|t| *t = None);
-        self.armed = 0;
     }
 
     /// Removes all pending events **and** restores the FIFO sequence
@@ -237,35 +177,6 @@ impl<E> EventQueue<E> {
     pub fn reset(&mut self) {
         self.clear();
         self.next_seq = 0;
-    }
-
-    /// The key of the next event scheduled at `time`.
-    #[inline]
-    fn next_key(&mut self, time: SimTime) -> Key {
-        let key = Key { time, seq: self.next_seq };
-        self.next_seq += 1;
-        key
-    }
-
-    /// The armed timer slot that fires before the heap top, if any.
-    #[inline]
-    fn earliest_timer(&self) -> Option<usize> {
-        if self.armed == 0 {
-            return None;
-        }
-        let mut best: Option<(usize, Key)> = None;
-        for (slot, timer) in self.timers.iter().enumerate() {
-            if let Some(t) = timer {
-                if best.is_none_or(|(_, key)| t.key.earlier_than(&key)) {
-                    best = Some((slot, t.key));
-                }
-            }
-        }
-        let (slot, key) = best?;
-        match self.heap.first() {
-            Some(top) if top.key.earlier_than(&key) => None,
-            _ => Some(slot),
-        }
     }
 
     /// Moves the entry at `pos` up until its parent is not later.
@@ -423,39 +334,6 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    #[test]
-    fn timer_slots_count_as_pending_and_reset_disarms_them() {
-        let mut q = EventQueue::with_timers(4, 2);
-        q.push(SimTime::from_us(5.0), "heap");
-        q.push_timer(1, SimTime::from_us(3.0), "slot");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_us(3.0)));
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop(), None);
-        // A disarmed slot arms again, and its sequence restarted too:
-        // it ties ahead of a later heap push at the same time.
-        let t = SimTime::from_us(1.0);
-        q.push_timer(1, t, "slot");
-        q.push(t, "heap");
-        assert_eq!(q.pop(), Some((t, "slot")));
-        assert_eq!(q.pop(), Some((t, "heap")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "already armed")]
-    fn arming_an_occupied_slot_fails_in_debug_builds() {
-        let mut q = EventQueue::with_timers(0, 1);
-        q.push_timer(0, SimTime::from_us(1.0), ());
-        q.push_timer(0, SimTime::from_us(2.0), ());
-    }
-
-    /// Timer slots the differential tests route events through.
-    const TIMERS: usize = 4;
-
     /// An xorshift64 stream for the differential tests.
     fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
         move || {
@@ -466,62 +344,29 @@ mod tests {
         }
     }
 
-    /// Pops the next `(id, timer slot)` payload's id and frees its slot.
-    fn pop_tracked(
-        q: &mut EventQueue<(usize, Option<usize>)>,
-        armed: &mut [bool],
-    ) -> Option<usize> {
-        let (_, (id, slot)) = q.pop()?;
-        if let Some(slot) = slot {
-            armed[slot] = false;
-        }
-        Some(id)
-    }
-
     #[test]
     fn fifo_tie_breaking_matches_stable_sort() {
-        // Deterministic pseudo-random times with heavy duplication. About
-        // a third of the events go to a free timer slot when there is
-        // one, at one of the two earliest times (a slot holds a
-        // near-future event), so slot events tie with heap events and
-        // with each other.
+        // Deterministic pseudo-random times with heavy duplication.
         let mut next = xorshift(0x2545F4914F6CDD1D);
-        let mut q = EventQueue::with_timers(512, TIMERS);
-        let mut armed = [false; TIMERS];
+        let mut q = EventQueue::with_capacity(512);
         let mut reference: Vec<(u64, usize)> = Vec::new();
         let mut popped = Vec::new();
         let mut id = 0usize;
-        let mut via_timers = 0;
         for _round in 0..50 {
             for _ in 0..20 {
-                let to_timer = next().is_multiple_of(3);
-                let free = armed.iter().position(|a| !a).filter(|_| to_timer);
-                // Only 8 distinct times -> many ties.
-                let t = if free.is_some() { next() % 2 } else { next() % 8 };
-                let time = SimTime::from_us(t as f64);
-                match free {
-                    Some(slot) => {
-                        armed[slot] = true;
-                        via_timers += 1;
-                        q.push_timer(slot, time, (id, Some(slot)));
-                    }
-                    None => q.push(time, (id, None)),
-                }
+                let t = next() % 8; // only 8 distinct times -> many ties
+                q.push(SimTime::from_us(t as f64), id);
                 reference.push((t, id));
                 id += 1;
             }
             for _ in 0..10 {
-                popped.push(pop_tracked(&mut q, &mut armed).unwrap());
+                popped.push(q.pop().unwrap().1);
             }
-            // `len` counts the armed slots beside the heap.
-            let in_slots = armed.iter().filter(|&&a| a).count();
-            assert_eq!(q.len(), q.heap.len() + in_slots);
             assert_eq!(q.len(), reference.len() - popped.len());
         }
-        while let Some(v) = pop_tracked(&mut q, &mut armed) {
+        while let Some((_, v)) = q.pop() {
             popped.push(v);
         }
-        assert!(via_timers >= 100, "only {via_timers} events went through timer slots");
         // Replay with a naive priority scan to build the exact
         // expectation: among the events available at each pop, the
         // smallest (time, insertion id) must come out.
@@ -550,29 +395,21 @@ mod tests {
     /// Differential check against a naive reference queue across a
     /// DES-shaped workload: a bimodal mix of short service delays and
     /// long think delays scheduled relative to the advancing clock, on
-    /// a 1 µs grid so ties are frequent. Each timer slot carries a
-    /// completion chain — an event popped from a slot re-arms the same
-    /// slot, as a server starting its next service does.
+    /// a 1 µs grid so ties are frequent.
     #[test]
     fn matches_reference_on_des_shaped_workload() {
         let mut next = xorshift(0x9E3779B97F4A7C15);
-        let mut q = EventQueue::with_timers(0, TIMERS);
+        let mut q = EventQueue::new();
         let mut reference: Vec<(f64, usize)> = Vec::new();
         let mut id = 0usize;
-        // Seed a population of think-time events, then arm every slot.
+        // Seed a population of think-time events.
         for _ in 0..200 {
             let t = (next() % 4_000) as f64;
-            q.push(SimTime::from_us(t), (id, None));
+            q.push(SimTime::from_us(t), id);
             reference.push((t, id));
             id += 1;
         }
-        for slot in 0..TIMERS {
-            let t = (next() % 200) as f64;
-            q.push_timer(slot, SimTime::from_us(t), (id, Some(slot)));
-            reference.push((t, id));
-            id += 1;
-        }
-        let (mut ties, mut from_timers) = (0, 0);
+        let mut ties = 0;
         let mut last = f64::NAN;
         for _ in 0..5_000 {
             // Pop one event from each and compare.
@@ -583,31 +420,23 @@ mod tests {
                 .map(|(i, _)| i)
                 .unwrap();
             let (exp_t, exp_id) = reference.remove(best);
-            let (got_t, (got_id, slot)) = q.pop().unwrap();
+            let (got_t, got_id) = q.pop().unwrap();
             assert_eq!((got_t.as_us(), got_id), (exp_t, exp_id));
             ties += usize::from(exp_t == last);
             last = exp_t;
             let now = exp_t;
-            // Reschedule: slot chains take a short service hop; heap
-            // events 90% a longer hop, 10% long think time.
-            let delay = match slot {
-                Some(_) => (next() % 50) as f64,
-                None if next().is_multiple_of(10) => (next() % 4_000) as f64,
-                None => (next() % 200) as f64,
+            // Reschedule: 90% short service hop, 10% long think time.
+            let delay = if next().is_multiple_of(10) {
+                (next() % 4_000) as f64
+            } else {
+                (next() % 200) as f64
             };
             let t = now + delay;
-            match slot {
-                Some(slot) => {
-                    from_timers += 1;
-                    q.push_timer(slot, SimTime::from_us(t), (id, Some(slot)));
-                }
-                None => q.push(SimTime::from_us(t), (id, None)),
-            }
+            q.push(SimTime::from_us(t), id);
             reference.push((t, id));
             id += 1;
         }
         assert_eq!(q.len(), reference.len());
         assert!(ties >= 500, "only {ties} tied pops");
-        assert!(from_timers >= 500, "only {from_timers} pops from timer slots");
     }
 }

@@ -10,9 +10,7 @@
 //! * [`time`] — the simulation clock type ([`time::SimTime`],
 //!   microseconds).
 //! * [`event`] — a stable future-event list: an indexed 4-ary heap
-//!   ordered by time with FIFO tie-breaking, plus a fixed set of timer
-//!   slots for events of which at most one is ever pending (a server's
-//!   completion, a stream's next arrival).
+//!   ordered by time with FIFO tie-breaking.
 //! * [`engine`] — the event loop: a [`engine::Model`] handles one event
 //!   at a time and schedules follow-ups through the
 //!   [`engine::Scheduler`].

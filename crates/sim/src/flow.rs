@@ -30,6 +30,12 @@
 //! future work): with a [`hmcs_core::cluster_of_clusters::CocConfig`]
 //! as the system, clusters differ in size and per-cluster ICN1/ECN1
 //! service means, and everything else above is unchanged.
+//!
+//! Given a measured latency matrix ([`HopDelays`]), the model also
+//! consumes the matrix's per-pair residuals, not just the two-level
+//! abstraction fitted to it: each message's ICN1 (internal) or ICN2
+//! (external) service mean is shifted by how far its pair's latency
+//! sits from the fitted band centre.
 
 use crate::config::sealed::Layout;
 use crate::config::{SimConfig, SimSystem};
@@ -44,9 +50,90 @@ use hmcs_des::engine::{Engine, Model, Scheduler};
 use hmcs_des::queue::{FcfsServer, ServiceDirective};
 use hmcs_des::rng::RngStream;
 use hmcs_des::time::SimTime;
+use hmcs_topology::latmatrix::LatencySource;
+use std::fmt;
 
 /// Message identifier (index into the in-flight table).
 type MsgId = usize;
+
+/// Per-pair service-mean modulation from a latency matrix.
+///
+/// A message from flow node `src` to `dst` gets the offset
+/// `α(src, dst) − centre`, where α is the matrix latency between the
+/// two nodes' matrix ids and the centre is the intra or inter band's.
+/// The offset shifts the ICN1 mean of an internal message and the ICN2
+/// (the WAN leg) mean of an external one. The centres are subtracted so
+/// a perfectly two-level matrix reproduces the fitted means; only the
+/// *residual* heterogeneity perturbs the run.
+#[derive(Clone, Copy)]
+pub struct HopDelays<'a> {
+    /// The matrix (or implicit source) to read per-pair latencies from.
+    pub source: &'a (dyn LatencySource + Sync),
+    /// Centre of the intra-cluster band (µs), usually the identified
+    /// intra median.
+    pub intra_centre_us: f64,
+    /// Centre of the inter-cluster band (µs), usually the identified
+    /// inter median.
+    pub inter_centre_us: f64,
+    /// Matrix node ids per simulated cluster: flow node `k` of cluster
+    /// `c` (numbered in cluster order) is matrix node `partition[c][k]`.
+    pub partition: &'a [Vec<usize>],
+}
+
+impl fmt::Debug for HopDelays<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HopDelays")
+            .field("nodes", &self.source.nodes())
+            .field("intra_centre_us", &self.intra_centre_us)
+            .field("inter_centre_us", &self.inter_centre_us)
+            .field("clusters", &self.partition.len())
+            .finish()
+    }
+}
+
+/// [`HopDelays`] checked against a layout, with the partition
+/// flattened into the matrix id of every flow node.
+#[derive(Debug)]
+struct Hops<'a> {
+    delays: HopDelays<'a>,
+    matrix_node: Vec<usize>,
+}
+
+impl<'a> Hops<'a> {
+    /// Rejects a partition that does not cover every node exactly once
+    /// in clusters of the layout's sizes, a source of another node
+    /// count, and band centres that are not positive and finite.
+    fn new(delays: HopDelays<'a>, cluster_nodes: &[usize]) -> Result<Self, ModelError> {
+        let invalid = |name, reason| Err(ModelError::InvalidConfig { name, reason });
+        let sizes = delays.partition.iter().map(Vec::len);
+        if !sizes.eq(cluster_nodes.iter().copied()) {
+            return invalid("partition", "cluster sizes must match the configured system");
+        }
+        let n: usize = cluster_nodes.iter().sum();
+        let mut seen = vec![false; n];
+        for &m in delays.partition.iter().flatten() {
+            if m >= n || std::mem::replace(&mut seen[m], true) {
+                return invalid("partition", "every node must appear exactly once");
+            }
+        }
+        if delays.source.nodes() != n {
+            return invalid("hop.source", "latency source node count must match the system");
+        }
+        let centres = [delays.intra_centre_us, delays.inter_centre_us];
+        if !centres.iter().all(|c| c.is_finite() && *c > 0.0) {
+            return invalid("hop.centre", "band centres must be positive and finite");
+        }
+        Ok(Hops { delays, matrix_node: delays.partition.concat() })
+    }
+
+    /// The ICN1 (internal) or ICN2 (external) mean offset of a message
+    /// from flow node `src` to `dst`.
+    fn offset_us(&self, src: usize, dst: usize, external: bool) -> f64 {
+        let d = &self.delays;
+        let alpha = d.source.latency_us(self.matrix_node[src], self.matrix_node[dst]);
+        alpha - if external { d.inter_centre_us } else { d.intra_centre_us }
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
@@ -61,6 +148,8 @@ struct Msg {
     src: usize,
     dst: usize,
     created_us: f64,
+    /// ICN1 or ICN2 mean offset (µs); 0 without [`HopDelays`].
+    hop_offset_us: f64,
     stage: Stage,
 }
 
@@ -77,9 +166,10 @@ enum Ev {
 }
 
 #[derive(Debug)]
-struct FlowModel<S> {
+struct FlowModel<'h, S> {
     cfg: SimConfig<S>,
     layout: Layout,
+    hops: Option<Hops<'h>>,
     source: Source,
     sink: Sink,
     /// RNG stream id of the service times.
@@ -94,14 +184,14 @@ struct FlowModel<S> {
 
 /// Builds one single-server centre, keeping per-event statistics only
 /// when `instrumented`.
-pub(crate) fn center(instrumented: bool) -> FcfsServer<MsgId> {
+fn center(instrumented: bool) -> FcfsServer<MsgId> {
     let mut server = FcfsServer::new(1);
     server.set_instrumented(instrumented);
     server
 }
 
 /// Draws one service time with mean `mean_us` from `model` on `rng`.
-pub(crate) fn sample_service(rng: &mut RngStream, model: ServiceTimeModel, mean_us: f64) -> f64 {
+fn sample_service(rng: &mut RngStream, model: ServiceTimeModel, mean_us: f64) -> f64 {
     match model {
         ServiceTimeModel::Exponential => rng.exponential_mean(mean_us),
         ServiceTimeModel::Deterministic => mean_us,
@@ -110,13 +200,18 @@ pub(crate) fn sample_service(rng: &mut RngStream, model: ServiceTimeModel, mean_
     }
 }
 
-impl<S: SimSystem> FlowModel<S> {
-    fn new(cfg: &SimConfig<S>, streams: [u64; 3]) -> Result<Self, ModelError> {
+impl<'h, S: SimSystem> FlowModel<'h, S> {
+    fn new(
+        cfg: &SimConfig<S>,
+        streams: [u64; 3],
+        hops: Option<HopDelays<'h>>,
+    ) -> Result<Self, ModelError> {
         cfg.validate()?;
         let layout = cfg.system.layout()?;
         let sizes = &layout.cluster_nodes;
         let instrumented = cfg.track_center_stats;
         Ok(FlowModel {
+            hops: hops.map(|h| Hops::new(h, sizes)).transpose()?,
             source: Source::new(cfg, [streams[0], streams[1]], layout.lambda_per_us, sizes),
             sink: Sink::new(cfg),
             svc_stream: streams[2],
@@ -162,6 +257,14 @@ impl<S: SimSystem> FlowModel<S> {
         }
     }
 
+    /// The ICN1 or ICN2 service mean of message `id` for a tier of
+    /// mean `base`: shifted by the message's hop offset, floored at 5%
+    /// of `base` so a pathological matrix cannot produce non-positive
+    /// service times. A zero offset returns `base` exactly.
+    fn hop_mean(&self, base: f64, id: MsgId) -> f64 {
+        (base + self.msgs[id].hop_offset_us).max(0.05 * base)
+    }
+
     fn schedule_done(&mut self, now: SimTime, s: &mut Scheduler<Ev>, ev: Ev, mean_us: f64) {
         let svc = sample_service(&mut self.svc_rng, self.layout.service_model, mean_us);
         s.schedule_in(now, SimTime::from_us(svc), ev);
@@ -177,7 +280,7 @@ impl<S: SimSystem> FlowModel<S> {
     }
 }
 
-impl<S: SimSystem> Model for FlowModel<S> {
+impl<S: SimSystem> Model for FlowModel<'_, S> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, event: Ev, s: &mut Scheduler<Ev>) {
@@ -187,7 +290,10 @@ impl<S: SimSystem> Model for FlowModel<S> {
                 let src_cluster = self.source.cluster_of(node);
                 let external = src_cluster != self.source.cluster_of(dst);
                 let stage = if external { Stage::Ecn1Forward } else { Stage::Icn1 };
-                let id = self.alloc_msg(Msg { src: node, dst, created_us: now.as_us(), stage });
+                let hop_offset_us =
+                    self.hops.as_ref().map_or(0.0, |h| h.offset_us(node, dst, external));
+                let created_us = now.as_us();
+                let id = self.alloc_msg(Msg { src: node, dst, created_us, hop_offset_us, stage });
                 if external {
                     if let ServiceDirective::StartService(_) =
                         self.ecn1[src_cluster].arrive(now.as_us(), id)
@@ -198,7 +304,7 @@ impl<S: SimSystem> Model for FlowModel<S> {
                 } else if let ServiceDirective::StartService(_) =
                     self.icn1[src_cluster].arrive(now.as_us(), id)
                 {
-                    let mean = self.layout.means.icn1_us[src_cluster];
+                    let mean = self.hop_mean(self.layout.means.icn1_us[src_cluster], id);
                     self.schedule_done(now, s, Ev::Icn1Done { cluster: src_cluster }, mean);
                 }
                 self.source.generated(now, s, Ev::Generate { node });
@@ -207,8 +313,8 @@ impl<S: SimSystem> Model for FlowModel<S> {
                 let (id, directive) = self.icn1[cluster].complete(now.as_us());
                 debug_assert_eq!(self.msgs[id].stage, Stage::Icn1);
                 self.finish(now, s, id, false);
-                if let ServiceDirective::StartService(_) = directive {
-                    let mean = self.layout.means.icn1_us[cluster];
+                if let ServiceDirective::StartService(next) = directive {
+                    let mean = self.hop_mean(self.layout.means.icn1_us[cluster], next);
                     self.schedule_done(now, s, Ev::Icn1Done { cluster }, mean);
                 }
             }
@@ -219,7 +325,7 @@ impl<S: SimSystem> Model for FlowModel<S> {
                         self.msgs[id].stage = Stage::Icn2;
                         if let ServiceDirective::StartService(_) = self.icn2.arrive(now.as_us(), id)
                         {
-                            let mean = self.layout.means.icn2_us;
+                            let mean = self.hop_mean(self.layout.means.icn2_us, id);
                             self.schedule_done(now, s, Ev::Icn2Done, mean);
                         }
                     }
@@ -242,8 +348,8 @@ impl<S: SimSystem> Model for FlowModel<S> {
                     let mean = self.layout.means.ecn1_us[dst_cluster];
                     self.schedule_done(now, s, Ev::Ecn1Done { cluster: dst_cluster }, mean);
                 }
-                if let ServiceDirective::StartService(_) = directive {
-                    let mean = self.layout.means.icn2_us;
+                if let ServiceDirective::StartService(next) = directive {
+                    let mean = self.hop_mean(self.layout.means.icn2_us, next);
                     self.schedule_done(now, s, Ev::Icn2Done, mean);
                 }
             }
@@ -268,19 +374,36 @@ impl FlowSimulator {
 /// storage warm. Every run is bit-identical to a fresh
 /// [`FlowSimulator::run`] of the same configuration and seed.
 #[derive(Debug)]
-pub struct FlowSimInstance<S: SimSystem = SystemConfig> {
-    engine: Engine<FlowModel<S>>,
+pub struct FlowSimInstance<'h, S: SimSystem = SystemConfig> {
+    engine: Engine<FlowModel<'h, S>>,
 }
 
-impl<S: SimSystem> FlowSimInstance<S> {
+impl<'h, S: SimSystem> FlowSimInstance<'h, S> {
     /// Builds the simulator for `cfg`'s system.
     pub fn new(cfg: &SimConfig<S>) -> Result<Self, ModelError> {
-        Self::with_streams(cfg, S::STREAMS)
+        Self::with_streams(cfg, S::STREAMS, None)
     }
 
-    /// [`Self::new`] with explicit RNG stream ids.
-    fn with_streams(cfg: &SimConfig<S>, streams: [u64; 3]) -> Result<Self, ModelError> {
-        let model = FlowModel::new(cfg, streams)?;
+    /// Builds the simulator for `cfg`'s system with every message's
+    /// ICN1 or ICN2 mean modulated by `hops`.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidConfig` when the partition does not cover every node
+    /// exactly once in clusters of the configured sizes, the source's
+    /// node count differs from the system's, or a band centre is not
+    /// positive and finite.
+    pub fn with_hops(cfg: &SimConfig<S>, hops: HopDelays<'h>) -> Result<Self, ModelError> {
+        Self::with_streams(cfg, S::STREAMS, Some(hops))
+    }
+
+    /// Builds the simulator with explicit RNG stream ids.
+    fn with_streams(
+        cfg: &SimConfig<S>,
+        streams: [u64; 3],
+        hops: Option<HopDelays<'h>>,
+    ) -> Result<Self, ModelError> {
+        let model = FlowModel::new(cfg, streams, hops)?;
         // Pending-event bound: one Generate per source plus at most one
         // Done per server (per-cluster ICN1 + ECN1 and the global ICN2).
         let capacity = model.source.nodes() + 2 * model.icn1.len() + 1;
@@ -602,6 +725,107 @@ mod tests {
         );
     }
 
+    /// Latency-matrix hop modulation.
+    mod hops {
+        use super::*;
+        use hmcs_topology::latmatrix::{LatencyBand, SyntheticMatrix, SyntheticSpec};
+
+        /// A two-level matrix of 16-node clusters with LAN
+        /// `50 ± intra_std` µs and WAN `400 ± inter_std` µs bands.
+        fn two_level(clusters: usize, intra_std: f64, inter_std: f64) -> SyntheticMatrix {
+            let intra = LatencyBand::new(50.0, intra_std).unwrap();
+            let inter = LatencyBand::new(400.0, inter_std).unwrap();
+            SyntheticSpec::uniform(clusters, 16, intra, inter, 5).source().unwrap()
+        }
+
+        fn hops<'a>(matrix: &'a SyntheticMatrix, partition: &'a [Vec<usize>]) -> HopDelays<'a> {
+            HopDelays { source: matrix, intra_centre_us: 50.0, inter_centre_us: 400.0, partition }
+        }
+
+        fn cfg() -> SimConfig {
+            let sys = SystemConfig::new(
+                4,
+                16,
+                1024,
+                1e-5,
+                hmcs_core::scenario::Scenario::Case1,
+                Architecture::NonBlocking,
+            )
+            .unwrap();
+            SimConfig::new(sys).with_messages(2_000).with_warmup(300).with_seed(21)
+        }
+
+        #[test]
+        fn hop_source_modulates_but_centred_matrix_stays_close() {
+            // A matrix whose bands are centred exactly on the fitted
+            // centres only adds zero-mean jitter: the modulated mean
+            // must stay close to the unmodulated one.
+            let matrix = two_level(4, 4.0, 30.0);
+            let partition = matrix.partition();
+            let cfg = cfg();
+            let plain = FlowSimulator::run(&cfg).unwrap();
+            let modulated =
+                FlowSimInstance::with_hops(&cfg, hops(&matrix, &partition)).unwrap().run(cfg.seed);
+            let rel =
+                (modulated.mean_latency_us - plain.mean_latency_us).abs() / plain.mean_latency_us;
+            assert!(rel < 0.15, "modulated {rel:.3} off plain");
+            // And the modulated run is genuinely different (the matrix
+            // is being consumed).
+            assert_ne!(modulated.mean_latency_us, plain.mean_latency_us);
+        }
+
+        #[test]
+        fn jitter_free_matrix_replays_the_unmodulated_run_bit_for_bit() {
+            // Every pair sits on its band centre, so every offset is 0.
+            let matrix = two_level(4, 0.0, 0.0);
+            let partition = matrix.partition();
+            let cfg = cfg();
+            let modulated =
+                FlowSimInstance::with_hops(&cfg, hops(&matrix, &partition)).unwrap().run(cfg.seed);
+            assert_eq!(modulated, FlowSimulator::run(&cfg).unwrap());
+        }
+
+        #[test]
+        fn rejects_bad_partitions() {
+            let matrix = two_level(4, 4.0, 30.0);
+            let partition = matrix.partition();
+            let cfg = cfg();
+            let rejects = |hops: HopDelays<'_>, name: &str| {
+                let err = FlowSimInstance::with_hops(&cfg, hops).unwrap_err();
+                assert!(
+                    matches!(err, ModelError::InvalidConfig { name: n, .. } if n == name),
+                    "{err:?}"
+                );
+            };
+            let blocks = |c: usize, n: usize| -> Vec<Vec<usize>> {
+                (0..c).map(|k| (k * n..(k + 1) * n).collect()).collect()
+            };
+            // Wrong cluster count, then a node listed twice, then one
+            // left out.
+            rejects(hops(&matrix, &blocks(2, 32)), "partition");
+            let mut duplicated = blocks(4, 16);
+            duplicated[0][0] = 17;
+            rejects(hops(&matrix, &duplicated), "partition");
+            let mut short = blocks(4, 16);
+            short[3].pop();
+            rejects(hops(&matrix, &short), "partition");
+            let mut outside = blocks(4, 16);
+            outside[3][15] = 64;
+            rejects(hops(&matrix, &outside), "partition");
+            // A source of another node count.
+            let small = two_level(2, 4.0, 30.0);
+            rejects(HopDelays { source: &small, ..hops(&matrix, &partition) }, "hop.source");
+            // Centres that are not positive and finite.
+            for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+                let base = hops(&matrix, &partition);
+                rejects(HopDelays { intra_centre_us: bad, ..base }, "hop.centre");
+                rejects(HopDelays { inter_centre_us: bad, ..base }, "hop.centre");
+            }
+            // The planted partition itself is accepted.
+            assert!(FlowSimInstance::with_hops(&cfg, hops(&matrix, &partition)).is_ok());
+        }
+    }
+
     /// Cluster-of-Clusters federations: the same model on clusters of
     /// unequal size and technology.
     mod coc {
@@ -681,7 +905,7 @@ mod tests {
                         FlowSimulator::run(&SimConfig::new(sc).with_messages(4_000).with_seed(11))
                             .unwrap();
                     let cfg = SimConfig::new(federation_of(&sc)).with_messages(4_000).with_seed(11);
-                    let got = FlowSimInstance::with_streams(&cfg, SystemConfig::STREAMS)
+                    let got = FlowSimInstance::with_streams(&cfg, SystemConfig::STREAMS, None)
                         .unwrap()
                         .run(cfg.seed);
                     assert_eq!(got, expected, "C={c} {arch:?}");

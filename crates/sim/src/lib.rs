@@ -37,11 +37,11 @@
 //! simulator instance across the replications it claims, and the
 //! summary is identical for any worker count.
 //!
-//! [`shard`] scales the flow-level model to 10k–100k-node systems by
-//! simulating one cluster per shard (exact local traffic, Poisson
-//! background for the shared ICN2) over the same worker pool,
-//! optionally modulated by a measured
-//! [`hmcs_topology::latmatrix::LatencySource`].
+//! [`flow`] also consumes a measured latency matrix
+//! ([`flow::HopDelays`]): each message's service mean is shifted by its
+//! node pair's residual against the fitted two-level bands, so the
+//! whole 10k–100k-node system identified from the matrix runs as one
+//! simulation ([`replication::run_modulated_replications`]).
 //!
 //! ```
 //! use hmcs_core::config::SystemConfig;
@@ -68,7 +68,6 @@ mod multiserver;
 pub mod packet;
 pub mod replication;
 pub mod result;
-pub mod shard;
 mod sink;
 mod source;
 

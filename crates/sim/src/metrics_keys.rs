@@ -18,14 +18,3 @@ pub const FLOW_PEAK_PENDING: &str = "sim.flow.peak_pending";
 pub const PACKET_EVENTS: &str = "sim.packet.events_processed";
 /// Histogram: future-event-list high-water mark per packet-level run.
 pub const PACKET_PEAK_PENDING: &str = "sim.packet.peak_pending";
-/// Counter: shard simulations completed by the sharded driver.
-pub const SHARD_RUNS: &str = "sim.shard.shards";
-/// Counter: background ICN2 jobs absorbed (cross-shard load in).
-pub const SHARD_BOUNDARY_IN: &str = "sim.shard.boundary_in";
-/// Counter: local external messages that crossed the ICN2 (load out).
-pub const SHARD_BOUNDARY_OUT: &str = "sim.shard.boundary_out";
-/// Histogram: per-shard wall-clock (busy) time (µs).
-pub const SHARD_BUSY_US: &str = "sim.shard.busy_us";
-/// Histogram: per-pass worker idle wall-clock time (µs): pool threads ×
-/// pass wall time, less the summed per-shard busy time.
-pub const SHARD_IDLE_US: &str = "sim.shard.idle_us";

@@ -11,7 +11,7 @@
 //! deterministic regardless of the worker count.
 
 use crate::config::SimConfig;
-use crate::flow::FlowSimInstance;
+use crate::flow::{FlowSimInstance, HopDelays};
 use crate::metrics_keys;
 use crate::packet::PacketSimInstance;
 use crate::result::SimResult;
@@ -103,19 +103,12 @@ pub enum Simulator {
 
 /// One worker's reusable simulator instance.
 #[derive(Debug)]
-enum Instance {
-    Flow(FlowSimInstance),
+enum Instance<'h> {
+    Flow(FlowSimInstance<'h>),
     Packet(PacketSimInstance),
 }
 
-impl Instance {
-    fn new(base: &SimConfig, simulator: Simulator) -> Result<Self, ModelError> {
-        Ok(match simulator {
-            Simulator::Flow => Instance::Flow(FlowSimInstance::new(base)?),
-            Simulator::Packet => Instance::Packet(PacketSimInstance::new(base)?),
-        })
-    }
-
+impl Instance<'_> {
     fn run(&mut self, seed: u64) -> SimResult {
         match self {
             Instance::Flow(i) => i.run(seed),
@@ -170,6 +163,36 @@ pub fn run_replications_with(
     replications: u32,
     options: BatchOptions,
 ) -> Result<ReplicationSummary, ModelError> {
+    replicate(base, replications, options, || {
+        Ok(match simulator {
+            Simulator::Flow => Instance::Flow(FlowSimInstance::new(base)?),
+            Simulator::Packet => Instance::Packet(PacketSimInstance::new(base)?),
+        })
+    })
+}
+
+/// [`run_replications_with`] on the flow simulator with every message's
+/// ICN1 or ICN2 mean modulated by a latency matrix's per-pair residuals
+/// (see [`FlowSimInstance::with_hops`] for the errors `hops` can raise).
+pub fn run_modulated_replications(
+    base: &SimConfig,
+    hops: HopDelays<'_>,
+    replications: u32,
+    options: BatchOptions,
+) -> Result<ReplicationSummary, ModelError> {
+    replicate(base, replications, options, || {
+        FlowSimInstance::with_hops(base, hops).map(Instance::Flow)
+    })
+}
+
+/// Runs `replications` seeds of the instances `new_instance` builds,
+/// one per worker, seeding replication `i` with `base.seed + i`.
+fn replicate<'h>(
+    base: &SimConfig,
+    replications: u32,
+    options: BatchOptions,
+    new_instance: impl Fn() -> Result<Instance<'h>, ModelError> + Sync,
+) -> Result<ReplicationSummary, ModelError> {
     if replications == 0 {
         return Err(ModelError::InvalidConfig {
             name: "replications",
@@ -192,7 +215,7 @@ pub fn run_replications_with(
             let started = Instant::now();
             let instance = match instance {
                 Some(i) => i,
-                None => instance.insert(Instance::new(base, simulator)?),
+                None => instance.insert(new_instance()?),
             };
             let result = instance.run(seed);
             // Wall-clock only: observes the run, never feeds back into

@@ -4,8 +4,9 @@
 //! blocked sources, uniform traffic, and quantiles and centre
 //! statistics off. These pins cover the rest of the workload: every
 //! traffic pattern with blocked and open sources, a Cluster-of-Clusters
-//! run on unequal clusters, and the packet simulator on both
-//! architectures, all with quantiles and centre statistics on.
+//! run on unequal clusters, a run modulated by a latency matrix, and the
+//! packet simulator on both architectures, all with quantiles and
+//! centre statistics on.
 //!
 //! Each run pins, as `f64::to_bits` where the value is a float: the mean
 //! latency, the throughput, p50 and p99, the internal and external
@@ -18,9 +19,10 @@ use hmcs_core::config::{QueueAccounting, ServiceTimeModel, SystemConfig};
 use hmcs_core::routing::TrafficPattern;
 use hmcs_core::scenario::Scenario;
 use hmcs_sim::config::SimConfig;
-use hmcs_sim::flow::FlowSimulator;
+use hmcs_sim::flow::{FlowSimInstance, FlowSimulator, HopDelays};
 use hmcs_sim::packet::PacketSimulator;
 use hmcs_sim::SimResult;
+use hmcs_topology::latmatrix::{LatencyBand, SyntheticSpec};
 use hmcs_topology::switch::SwitchFabric;
 use hmcs_topology::technology::NetworkTechnology;
 use hmcs_topology::transmission::Architecture;
@@ -192,6 +194,66 @@ fn flow_coc_outputs_match_bit_pins() {
         .with_pattern(TrafficPattern::Localized { locality: 0.5 });
     let r = FlowSimulator::run(&cfg).unwrap();
     assert_pinned("coc", &words(&r, true), &COC_PINNED);
+}
+
+/// Flow on the 8 × 32 system of [`FLOW_PINNED`] modulated by a
+/// two-level synthetic matrix (LAN 50 ± 4 µs, WAN 400 ± 30 µs, shuffled
+/// node labels) centred on its band means: uniform traffic, then
+/// localized.
+const HOP_PINNED: [[u64; 9]; 2] = [
+    [
+        0x4081753b99d378b9,
+        0x3f6486f9eb381fa4,
+        0x407f77ae77afe347,
+        0x409ad9481bc40a19,
+        0x14e,
+        0xa6a,
+        0x3f72520f70a54318,
+        0x3fb8e4d59f8380eb,
+        0x3fd5ebe17c5e5634,
+    ],
+    [
+        0x406e33551d6329ea,
+        0x3f6497a772778513,
+        0x4061ceadc6ccfa6f,
+        0x409396fe01b2e535,
+        0x86a,
+        0x34e,
+        0x3f9c51c1cfd22e08,
+        0x3f9ec9799f60ab9e,
+        0x3fbd5ad011ebcda7,
+    ],
+];
+
+#[test]
+fn modulated_flow_outputs_match_bit_pins() {
+    let spec = SyntheticSpec::uniform(
+        8,
+        32,
+        LatencyBand::new(50.0, 4.0).unwrap(),
+        LatencyBand::new(400.0, 30.0).unwrap(),
+        5,
+    );
+    let matrix = spec.source().unwrap();
+    let partition = matrix.partition();
+    let hops = HopDelays {
+        source: &matrix,
+        intra_centre_us: 50.0,
+        inter_centre_us: 400.0,
+        partition: &partition,
+    };
+    let sys = SystemConfig::paper_preset(Scenario::Case1, 8, Architecture::NonBlocking)
+        .unwrap()
+        .with_lambda(1e-5);
+    for (pattern, pinned) in PATTERNS.into_iter().zip(HOP_PINNED) {
+        let cfg = SimConfig::new(sys)
+            .with_messages(3_000)
+            .with_warmup(500)
+            .with_seed(2005)
+            .with_pattern(pattern);
+        let r = FlowSimInstance::with_hops(&cfg, hops).unwrap().run(cfg.seed);
+        assert_pinned(&format!("hops {pattern:?}"), &words(&r, true), &pinned);
+    }
 }
 
 /// Packet, 4 × 64 Case 1 at the paper's λ: the fat-tree with hotspot

@@ -17,7 +17,8 @@
 //!   O(n) memory while agreeing bit-exactly with the dense
 //!   materialisation [`SyntheticSpec::generate`].
 //! * [`LatencySource`] — the sampling trait the identification pass
-//!   (`hmcs_core::identify`) and the sharded simulator consume, unifying
+//!   (`hmcs_core::identify`) and the flow simulator's per-pair hop
+//!   modulation (`hmcs_sim::flow::HopDelays`) consume, unifying
 //!   dense and implicit sources.
 //!
 //! All randomness is deterministic: the same spec always produces the

@@ -14,7 +14,8 @@
 //! * [`latmatrix`] — the empirical latency-matrix source: a seeded
 //!   synthetic WAN/LAN generator with planted clusters, a strict CSV
 //!   importer, and the [`latmatrix::LatencySource`] sampling trait the
-//!   cluster-identification pass and the sharded simulator consume.
+//!   cluster-identification pass and the flow simulator's per-pair
+//!   hop modulation consume.
 //! * [`linear_array`] — the blocking linear switch array (§5.3):
 //!   switch count (eq. 17), hop statistics (the `(k+1)/3` average of
 //!   eq. 19, plus the exact distribution), bisection width 1.

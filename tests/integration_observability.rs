@@ -13,10 +13,8 @@ use hmcs_sim::config::SimConfig;
 use hmcs_sim::flow::FlowSimulator;
 use hmcs_sim::metrics_keys as sim_keys;
 use hmcs_sim::replication::{run_replications, Simulator};
-use hmcs_sim::shard::{run_sharded, uniform_partition, ShardOptions};
 use hmcs_topology::transmission::Architecture;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Both tests toggle or depend on the process-global enabled flag, so
 /// they must not interleave. Poisoning is fine to ignore: a failed
@@ -38,9 +36,6 @@ fn every_layer_reports_into_the_global_registry() {
     let batch_before = metrics::counter(keys::BATCH_ITEMS).get();
     let flow_before = metrics::counter(sim_keys::FLOW_EVENTS).get();
     let reps_before = metrics::counter(sim_keys::REPLICATION_RUNS).get();
-    let shards_before = metrics::counter(sim_keys::SHARD_RUNS).get();
-    let bnd_in_before = metrics::counter(sim_keys::SHARD_BOUNDARY_IN).get();
-    let bnd_out_before = metrics::counter(sim_keys::SHARD_BOUNDARY_OUT).get();
 
     let base = system();
     let configs: Vec<SystemConfig> = PAPER_CLUSTER_COUNTS
@@ -58,21 +53,6 @@ fn every_layer_reports_into_the_global_registry() {
     let sim_cfg = SimConfig::new(base).with_messages(2_000).with_warmup(500).with_seed(77);
     FlowSimulator::run(&sim_cfg).unwrap();
     run_replications(&sim_cfg, Simulator::Flow, 3).unwrap();
-    let shard_cfg = SimConfig::new(base).with_messages(800).with_warmup(200).with_seed(78);
-    let idle_sum = || {
-        metrics::global().snapshot().histograms.get(sim_keys::SHARD_IDLE_US).map_or(0, |h| h.sum)
-    };
-    let idle_before = idle_sum();
-    let shard_options = ShardOptions::default();
-    let shard_started = Instant::now();
-    run_sharded(
-        &shard_cfg,
-        &uniform_partition(base.clusters, base.nodes_per_cluster),
-        &shard_options,
-    )
-    .unwrap();
-    let shard_wall_us = shard_started.elapsed().as_secs_f64() * 1e6;
-    let shard_idle_us = idle_sum() - idle_before;
 
     let solves = metrics::counter(keys::SOLVER_SOLVES).get() - solver_before;
     assert!(
@@ -94,42 +74,10 @@ fn every_layer_reports_into_the_global_registry() {
         3,
         "replication driver must count each run"
     );
-    // The sharded driver: 8 shards × 2 fixed-point passes, exchanging
-    // boundary load in both directions.
-    assert_eq!(
-        metrics::counter(sim_keys::SHARD_RUNS).get() - shards_before,
-        2 * base.clusters as u64,
-        "shard driver must count each shard of each pass"
-    );
-    assert!(
-        metrics::counter(sim_keys::SHARD_BOUNDARY_IN).get() > bnd_in_before,
-        "shard driver must count background boundary messages in"
-    );
-    assert!(
-        metrics::counter(sim_keys::SHARD_BOUNDARY_OUT).get() > bnd_out_before,
-        "shard driver must count external boundary messages out"
-    );
-    // Idle is worker wall time: it cannot exceed the pool's threads ×
-    // the passes' wall time (bounded here by the whole call's), plus
-    // rounding of one µs per recorded pass.
-    let pool = shard_options.batch.resolved_workers().min(base.clusters) as f64;
-    assert!(
-        shard_idle_us as f64 <= pool * shard_wall_us + 2.0,
-        "idle {shard_idle_us} us exceeds {pool} workers x {shard_wall_us:.0} us"
-    );
 
     // The snapshot renders every key it saw; spot-check the categories.
     let rendered = metrics::global().snapshot().render();
-    for key in [
-        keys::SOLVER_SOLVES,
-        keys::BATCH_ITEMS,
-        sim_keys::FLOW_EVENTS,
-        sim_keys::SHARD_RUNS,
-        sim_keys::SHARD_BOUNDARY_IN,
-        sim_keys::SHARD_BOUNDARY_OUT,
-        sim_keys::SHARD_BUSY_US,
-        sim_keys::SHARD_IDLE_US,
-    ] {
+    for key in [keys::SOLVER_SOLVES, keys::BATCH_ITEMS, sim_keys::FLOW_EVENTS] {
         assert!(rendered.contains(key), "snapshot render missing {key}");
     }
 }
