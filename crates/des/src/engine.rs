@@ -16,7 +16,7 @@ pub struct Scheduler<E> {
     peak_pending: usize,
 }
 
-impl<E> Scheduler<E> {
+impl<E: Copy> Scheduler<E> {
     fn with_capacity(capacity: usize) -> Self {
         Scheduler {
             queue: EventQueue::with_capacity(capacity),
@@ -71,8 +71,10 @@ impl<E> Scheduler<E> {
 
 /// A simulation model: state plus an event handler.
 pub trait Model {
-    /// The event payload type.
-    type Event;
+    /// The event payload type. Events are stored inline in the
+    /// future-event list and moved on every sift, so they are `Copy`
+    /// (the simulators' events are a few bytes of ids and tags).
+    type Event: Copy;
 
     /// Processes one event at simulation time `now`. Follow-up events go
     /// through `scheduler`.

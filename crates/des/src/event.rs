@@ -1,9 +1,9 @@
 //! The future-event list.
 //!
-//! An indexed 4-ary min-heap keyed by `(time, seq)`, where `seq` is a
-//! monotone sequence number so that simultaneous events pop in FIFO
-//! (insertion) order — the determinism guarantee every reproducible DES
-//! needs.
+//! A flat 4-ary min-heap of `(key, event)` pairs, where one `u128` key
+//! orders an event by `(time, seq)` and `seq` is a monotone sequence
+//! number, so simultaneous events pop in FIFO (insertion) order — the
+//! determinism guarantee every reproducible DES needs.
 //!
 //! Why not `std::collections::BinaryHeap`? Three reasons:
 //!
@@ -11,77 +11,68 @@
 //!   (one think-time event per traffic source plus in-flight hops), so
 //!   [`EventQueue::with_capacity`] lets a run never reallocate the
 //!   event list; pops are shrink-free so a reused queue stays warm.
-//! * **Indexed storage.** The heap array holds compact `Copy` entries
-//!   (key + payload index): ordering scans touch only small entries
-//!   (four children per node span ~1.5 cache lines per sift level, at
-//!   half the depth of a binary heap), while payloads sit still in a
-//!   free-list slab and never travel with the comparisons.
+//! * **One integer compare.** Events are small `Copy` values stored
+//!   inline next to their key (32-byte entries for the simulators'
+//!   events), so a sift step compares one `u128` and moves one entry,
+//!   with no indirection. Four children per node fill two cache lines
+//!   per sift level, at half the depth of a binary heap, and a full
+//!   node's earliest child is picked without data-dependent branches.
 //! * **Stable API.** `len`/`is_empty`/`reserve`/`reset` expose the
 //!   queue state the engine and the replication-reuse path need
 //!   without round-tripping through iterator adapters.
 //!
-//! Determinism is structural: `(time, seq)` is a strict total order
-//! (`seq` is unique), and the heap orders by the full key — so the pop
-//! sequence is identical to any correct min-heap's, ties included, and
-//! swapping the implementation cannot perturb simulation results.
+//! The key packs the time's bits above the sequence number. Times are
+//! non-negative, and for non-negative `f64`s `to_bits` is monotone, so
+//! integer order on the key is exactly the `(time, seq)` order: `−0.0`
+//! and `+0.0` both map to magnitude zero and tie (broken by `seq`, as
+//! `f64` comparison treats them as equal). The time's sign bit rides in
+//! the key's lowest bit, below `seq`, so a pop returns the exact time
+//! that was pushed, `−0.0` included. Because `seq` is unique the order
+//! is strict and total, so the pop sequence is identical to any correct
+//! min-heap's, ties included, and swapping the implementation cannot
+//! perturb simulation results.
 
 use crate::time::SimTime;
 
-/// Sort key of one pending event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Key {
-    time: SimTime,
-    seq: u64,
-}
-
-impl Key {
-    /// Strict `(time, seq)` ordering — total because `seq` is unique.
-    #[inline]
-    fn earlier_than(&self, other: &Key) -> bool {
-        match self.time.cmp(&other.time) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => self.seq < other.seq,
-        }
-    }
-}
-
 /// Heap arity. Four children per node: half the depth of a binary
-/// heap, and the children's 16-byte keys span a single cache line per
-/// level of the sift scan.
+/// heap, and one sift level scans four adjacent entries.
 const ARITY: usize = 4;
 
-/// One heap entry: the sort key plus the payload's slab index.
-///
-/// 24 bytes and `Copy`, so sifting moves registers, never payloads.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    key: Key,
-    payload: u32,
+/// The sign bit of an `f64`.
+const SIGN: u64 = 1 << 63;
+
+/// The sort key of an event pushed at `time` as the `seq`-th push:
+/// the time's magnitude bits (63), then `seq` (64), then the time's
+/// sign bit (1).
+#[inline]
+fn key(time: SimTime, seq: u64) -> u128 {
+    let bits = time.as_us().to_bits();
+    (u128::from(bits & !SIGN) << 65) | (u128::from(seq) << 1) | u128::from(bits >> 63)
+}
+
+/// The exact time a key was made from.
+#[inline]
+fn time_of(key: u128) -> SimTime {
+    SimTime::from_us(f64::from_bits(((key >> 65) as u64) | ((key as u64) << 63)))
 }
 
 /// A time-ordered, FIFO-stable event queue.
 ///
-/// An *indexed* heap: the heap array holds compact `Copy` entries
-/// (key + payload index) while payloads live in a slab recycled
-/// through a free list — sift operations never move a payload, and a
-/// slab entry freed by a pop is reused by the next push, so
-/// steady-state operation is allocation-free.
+/// A flat heap of `(key, event)` entries: steady-state push/pop cycles
+/// reuse the storage, so they are allocation-free.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: Vec<HeapEntry>,
-    payloads: Vec<Option<E>>,
-    free: Vec<u32>,
+    heap: Vec<(u128, E)>,
     next_seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -91,68 +82,65 @@ impl<E> EventQueue<E> {
     /// so a simulation with a known event population never reallocates
     /// mid-run.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: Vec::with_capacity(capacity),
-            payloads: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            next_seq: 0,
-        }
+        EventQueue { heap: Vec::with_capacity(capacity), next_seq: 0 }
     }
 
     /// Grows the backing storage to hold at least `additional` more
     /// pending events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
-        self.payloads.reserve(additional);
     }
 
     /// Number of pending events the queue can hold without
     /// reallocating.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity().min(self.payloads.capacity())
+        self.heap.capacity()
     }
 
     /// Inserts an event to fire at `time`.
     pub fn push(&mut self, time: SimTime, payload: E) {
-        let key = Key { time, seq: self.next_seq };
+        let entry = (key(time, self.next_seq), payload);
         self.next_seq += 1;
-        // Recycle a freed slab entry if one exists; steady-state
-        // push/pop cycles therefore never allocate.
-        let index = match self.free.pop() {
-            Some(index) => {
-                self.payloads[index as usize] = Some(payload);
-                index
+        let mut pos = self.heap.len();
+        self.heap.push(entry);
+        // Sift up: parents later than the new entry shift down into
+        // the hole, and the entry is written once where it stops.
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if self.heap[parent].0 <= entry.0 {
+                break;
             }
-            None => {
-                let index =
-                    u32::try_from(self.payloads.len()).expect("event population fits in u32");
-                self.payloads.push(Some(payload));
-                index
-            }
-        };
-        self.heap.push(HeapEntry { key, payload: index });
-        self.sift_up(self.heap.len() - 1);
+            self.heap[pos] = self.heap[parent];
+            pos = parent;
+        }
+        self.heap[pos] = entry;
     }
 
     /// Removes and returns the earliest event (FIFO among ties). The
     /// backing storage is kept (shrink-free), so a later push at the
     /// same population is allocation-free.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        let entry = self.heap.pop().expect("len checked above");
-        if last > 0 {
-            self.sift_down(0);
+        let last = self.heap.pop()?;
+        let Some(&first) = self.heap.first() else {
+            return Some((time_of(last.0), last.1));
+        };
+        // Sift the former last entry down from the root: the earliest
+        // child moves up into the hole while it is earlier.
+        let mut pos = 0;
+        while let Some(child) = self.earliest_child(pos) {
+            if self.heap[child].0 >= last.0 {
+                break;
+            }
+            self.heap[pos] = self.heap[child];
+            pos = child;
         }
-        let payload =
-            self.payloads[entry.payload as usize].take().expect("pending payload is present");
-        self.free.push(entry.payload);
-        Some((entry.key.time, payload))
+        self.heap[pos] = last;
+        Some((time_of(first.0), first.1))
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.key.time)
+        self.heap.first().map(|&(key, _)| time_of(key))
     }
 
     /// Number of pending events.
@@ -165,11 +153,27 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
+    /// The earliest child of the entry at `pos`, if it has children.
+    ///
+    /// A full node picks its earliest child by a two-round tournament
+    /// whose comparisons become selects rather than branches: which
+    /// child is earliest is a coin toss the branch predictor cannot
+    /// learn, and a mispredict costs more than the whole scan.
+    #[inline]
+    fn earliest_child(&self, pos: usize) -> Option<usize> {
+        let first = pos * ARITY + 1;
+        if let Some(c) = self.heap.get(first..first + ARITY) {
+            let left = usize::from(c[1].0 < c[0].0);
+            let right = 2 + usize::from(c[3].0 < c[2].0);
+            return Some(first + if c[right].0 < c[left].0 { right } else { left });
+        }
+        // The one node with fewer than four children: a plain scan.
+        (first..self.heap.len()).min_by_key(|&child| self.heap[child].0)
+    }
+
     /// Removes all pending events (storage is kept).
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.payloads.clear();
-        self.free.clear();
     }
 
     /// Removes all pending events **and** restores the FIFO sequence
@@ -177,56 +181,6 @@ impl<E> EventQueue<E> {
     pub fn reset(&mut self) {
         self.clear();
         self.next_seq = 0;
-    }
-
-    /// Moves the entry at `pos` up until its parent is not later.
-    ///
-    /// Entries are small and `Copy`: the moving entry is held in
-    /// registers and parent entries shift down into the hole —
-    /// payloads never move.
-    #[inline]
-    fn sift_up(&mut self, mut pos: usize) {
-        let moving = self.heap[pos];
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            let p = self.heap[parent];
-            if moving.key.earlier_than(&p.key) {
-                self.heap[pos] = p;
-                pos = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[pos] = moving;
-    }
-
-    /// Moves the entry at `pos` down until no child is earlier.
-    #[inline]
-    fn sift_down(&mut self, mut pos: usize) {
-        let len = self.heap.len();
-        let moving = self.heap[pos];
-        loop {
-            let first_child = pos * ARITY + 1;
-            if first_child >= len {
-                break;
-            }
-            let last_child = (first_child + ARITY).min(len);
-            // Find the earliest among up to four children.
-            let mut min_child = first_child;
-            for child in first_child + 1..last_child {
-                if self.heap[child].key.earlier_than(&self.heap[min_child].key) {
-                    min_child = child;
-                }
-            }
-            let c = self.heap[min_child];
-            if c.key.earlier_than(&moving.key) {
-                self.heap[pos] = c;
-                pos = min_child;
-            } else {
-                break;
-            }
-        }
-        self.heap[pos] = moving;
     }
 }
 
@@ -332,6 +286,52 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 10)));
         assert_eq!(q.pop(), Some((t, 11)));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn negative_and_positive_zero_tie_and_pop_fifo() {
+        let mut q = EventQueue::new();
+        let zeros = [-0.0, 0.0, -0.0, 0.0];
+        for (id, &t) in zeros.iter().enumerate() {
+            q.push(SimTime::from_us(t), id);
+        }
+        q.push(SimTime::from_us(f64::from_bits(1)), 4);
+        for (id, &t) in zeros.iter().enumerate() {
+            let (time, got) = q.pop().unwrap();
+            assert_eq!(got, id, "the zeros pop in push order");
+            // The exact pushed time comes back, sign included.
+            assert_eq!(time.as_us().to_bits(), t.to_bits(), "event {id}");
+        }
+        assert_eq!(q.pop().map(|(_, id)| id), Some(4));
+    }
+
+    #[test]
+    fn extreme_times_pop_in_numeric_order() {
+        let times = [
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            1.0,
+            f64::from_bits(1),
+            f64::MAX,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1e-300,
+            1.0 + f64::EPSILON,
+        ];
+        let mut q = EventQueue::new();
+        for (id, &t) in times.iter().enumerate() {
+            q.push(SimTime::from_us(t), id);
+        }
+        let mut sorted = times.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        for &t in &sorted {
+            assert_eq!(q.peek_time(), Some(SimTime::from_us(t)));
+            let (time, id) = q.pop().unwrap();
+            assert_eq!(time.as_us().to_bits(), t.to_bits());
+            assert_eq!(times[id].to_bits(), t.to_bits());
+        }
+        assert!(q.is_empty());
     }
 
     /// An xorshift64 stream for the differential tests.

@@ -9,8 +9,8 @@
 //!
 //! * [`time`] — the simulation clock type ([`time::SimTime`],
 //!   microseconds).
-//! * [`event`] — a stable future-event list: an indexed 4-ary heap
-//!   ordered by time with FIFO tie-breaking.
+//! * [`event`] — a stable future-event list: a flat 4-ary heap of
+//!   `Copy` events ordered by one integer key, time then FIFO sequence.
 //! * [`engine`] — the event loop: a [`engine::Model`] handles one event
 //!   at a time and schedules follow-ups through the
 //!   [`engine::Scheduler`].

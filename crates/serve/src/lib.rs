@@ -25,6 +25,8 @@
 //!   queue ([`queue::Bounded`]); when the in-flight budget is
 //!   exhausted the acceptor *sheds load* with `503` + `Retry-After`
 //!   instead of queueing unboundedly ([`keys::ADMISSION_REJECTED`]).
+//!   The `503` and the drain of what the shed peer sent run on a
+//!   short-lived thread, so a slow shed peer never stalls admission.
 //! * **Worker pool** — sized by [`hmcs_core::batch::BatchOptions`]'s
 //!   worker policy (explicit, `HMCS_POOL_WORKERS`, or available
 //!   parallelism), so the daemon and the batch engine obey the same

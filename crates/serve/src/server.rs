@@ -6,9 +6,10 @@
 //! and a pool of workers, and returns immediately. Every serving thread
 //! sleeps on an event, never on a timer: the acceptor blocks in
 //! `accept`, idle workers block on the queue. The acceptor admits
-//! *connections* into a [`Bounded`] queue; when the queue is full it
-//! answers `503` + `Retry-After` inline without occupying a worker
-//! (load shedding). Workers pop connections and serve them with
+//! *connections* into a [`Bounded`] queue; when the queue is full the
+//! connection is answered `503` + `Retry-After` without occupying a
+//! worker (load shedding), on a short-lived thread of its own so the
+//! acceptor never waits on a shed peer. Workers pop connections and serve them with
 //! HTTP/1.1 keep-alive: a buffered [`http::RequestReader`] carries
 //! pipelined bytes over between requests, responses to already
 //! buffered requests are corked into one socket write, and the
@@ -29,7 +30,8 @@
 //! worker indefinitely. Every socket read, idle waits included, goes
 //! through the one deadline-retried read loop of [`crate::http`], and
 //! the drain of a rejected connection is bounded in total (250 ms,
-//! 256 KiB) however the peer paces its bytes.
+//! 256 KiB) however the peer paces its bytes. A shed connection is
+//! drained off the acceptor, up to 32 of them at once.
 //!
 //! ## Coalescing and the repeat memo
 //!
@@ -79,7 +81,8 @@
 //! unspecified bind address such as `0.0.0.0` is reached through the
 //! loopback of its family). The acceptor sees the flag before admitting
 //! anything, so that wake-up connection is never admitted, counted or
-//! answered; it closes the queue and exits. Workers drain every
+//! answered; it closes the queue, joins its shed threads (each ends
+//! within its 250 ms drain) and exits. Workers drain every
 //! connection that was already admitted before exiting — an accepted
 //! request is never dropped mid-flight; kept-alive connections finish
 //! their current request and close, and idle ones notice within one
@@ -337,7 +340,13 @@ const IO_SLICE: Duration = Duration::from_millis(100);
 /// if further pipelined requests are waiting.
 const FLUSH_BYTES: usize = 64 * 1024;
 
+/// Shed connections answered and drained at once, each on its own
+/// short-lived thread. Past this many, a shed connection gets its `503`
+/// written without blocking and is closed undrained.
+const MAX_SHED_DRAINS: usize = 32;
+
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    let mut shed_threads = Vec::new();
     loop {
         let accepted = listener.accept();
         // Checked before `admit`: the connection that woke us after the
@@ -347,16 +356,19 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             break;
         }
         match accepted {
-            Ok((stream, _peer)) => admit(stream, shared),
+            Ok((stream, _peer)) => admit(stream, shared, &mut shed_threads),
             Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
     // Closing here — after the last accept — guarantees no admitted
     // job can race the close, so the workers' drain sees everything.
     shared.queue.close();
+    for thread in shed_threads {
+        let _ = thread.join();
+    }
 }
 
-fn admit(stream: TcpStream, shared: &Shared) {
+fn admit(stream: TcpStream, shared: &Shared, shed_threads: &mut Vec<JoinHandle<()>>) {
     shared.metrics.queue_depth.record(shared.queue.len() as u64);
     let job = Job { stream, accepted_at: Instant::now() };
     match shared.queue.try_push(job) {
@@ -365,16 +377,19 @@ fn admit(stream: TcpStream, shared: &Shared) {
         }
         Err((job, _full_or_closed)) => {
             shared.metrics.admission_rejected.incr();
-            shed(job.stream, shared);
+            shed(job.stream, shared, shed_threads);
         }
     }
 }
 
 /// Answers a connection we refuse to queue: `503` + `Retry-After`,
-/// written inline on the acceptor thread with a short timeout so a
-/// slow client cannot stall admission.
-fn shed(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+/// then a drain so the peer reads the response before the close. Both
+/// run on a short-lived thread, so the acceptor never waits on the
+/// peer; the acceptor joins each such thread once it has finished.
+/// Past [`MAX_SHED_DRAINS`] running threads the response is written
+/// without blocking and the connection closed undrained; if no thread
+/// can be spawned it is closed unanswered.
+fn shed(mut stream: TcpStream, shared: &Shared, threads: &mut Vec<JoinHandle<()>>) {
     let response = Response {
         status: 503,
         content_type: "application/json",
@@ -382,8 +397,22 @@ fn shed(mut stream: TcpStream, shared: &Shared) {
         body: api::error_body("overloaded", "admission queue full; retry later"),
     };
     shared.metrics.count_status(response.status);
-    let _ = http::write_response(&mut stream, &response, true);
-    drain_unread(&mut stream);
+    while let Some(done) = threads.iter().position(JoinHandle::is_finished) {
+        let _ = threads.swap_remove(done).join();
+    }
+    if threads.len() >= MAX_SHED_DRAINS {
+        let _ = stream.set_nonblocking(true);
+        let _ = http::write_response(&mut stream, &response, true);
+        return;
+    }
+    let answer = move || {
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+        let _ = http::write_response(&mut stream, &response, true);
+        drain_unread(&mut stream);
+    };
+    if let Ok(thread) = std::thread::Builder::new().name("hmcs-serve-shed".into()).spawn(answer) {
+        threads.push(thread);
+    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -667,8 +696,8 @@ fn error_response(e: api::ApiError) -> Response {
 /// kernel send `RST`, which can destroy the response before the client
 /// reads it; draining first turns the close into an orderly `FIN`.
 /// Bounded in total, however the peer paces its bytes: at most 256 KiB
-/// and 250 ms per connection, since the shed path drains on the
-/// acceptor.
+/// and 250 ms per connection, so a trickling peer cannot hold the
+/// thread that drains it for longer.
 fn drain_unread(stream: &mut TcpStream) {
     use std::io::Read;
     let _ = stream.shutdown(std::net::Shutdown::Write);
@@ -894,6 +923,62 @@ mod tests {
         trickle.join().unwrap();
         assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
         assert!(waited < Duration::from_secs(1), "waited {waited:?} behind a trickling peer");
+        server.shutdown();
+    }
+
+    #[test]
+    fn trickling_shed_clients_cannot_hold_the_acceptor() {
+        // The only worker holds a kept-alive connection and the only
+        // queue slot is taken, so every further client is shed. Eight
+        // shed peers trickling a byte every 50 ms must not delay the
+        // next shed client's `503`: the acceptor never waits on them.
+        let server =
+            Server::start(ServerConfig { workers: 1, queue_capacity: 1, ..test_config() }).unwrap();
+        let addr = server.local_addr();
+        let held = TcpStream::connect(addr).unwrap();
+        let mut held_reader = BufReader::new(held.try_clone().unwrap());
+        (&held).write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let reply = read_one_response(&mut held_reader);
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        let queued = TcpStream::connect(addr).unwrap();
+        (&queued).write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while server.queue_len() < 1 {
+            assert!(Instant::now() < give_up, "the second client never reached the queue");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let answered = Arc::new(AtomicBool::new(false));
+        let tricklers: Vec<_> = (0..8)
+            .map(|_| {
+                let peer = TcpStream::connect(addr).unwrap();
+                let answered = Arc::clone(&answered);
+                std::thread::spawn(move || {
+                    let give_up = Instant::now() + Duration::from_secs(5);
+                    while !answered.load(Ordering::SeqCst) && Instant::now() < give_up {
+                        if (&peer).write_all(b"x").is_err() {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                })
+            })
+            .collect();
+        let start = Instant::now();
+        let reply = request(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+        let waited = start.elapsed();
+        answered.store(true, Ordering::SeqCst);
+        for trickler in tricklers {
+            trickler.join().unwrap();
+        }
+        assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+        assert!(reply.contains(r#""code":"overloaded""#), "{reply}");
+        assert!(waited < Duration::from_millis(300), "waited {waited:?} behind shed peers");
+
+        // The queued client is served once the held connection closes.
+        drop((held, held_reader));
+        let reply = read_one_response(&mut BufReader::new(queued));
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
         server.shutdown();
     }
 

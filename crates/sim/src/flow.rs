@@ -440,6 +440,13 @@ impl<'h, S: SimSystem> FlowSimInstance<'h, S> {
             ..model.sink.result(now, model.source.nodes())
         }
     }
+
+    /// Events the engine processed in the last [`Self::run`] (0 before
+    /// the first): the run's work count, read from this instance alone
+    /// rather than from the process-global metrics registry.
+    pub fn events_processed(&self) -> u64 {
+        self.engine.events_processed()
+    }
 }
 
 #[cfg(test)]

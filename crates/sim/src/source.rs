@@ -118,7 +118,7 @@ impl Source {
 
     /// A source has just generated: an open source schedules its next
     /// attempt `next` after a fresh think time.
-    pub(crate) fn generated<E>(&mut self, now: SimTime, s: &mut Scheduler<E>, next: E) {
+    pub(crate) fn generated<E: Copy>(&mut self, now: SimTime, s: &mut Scheduler<E>, next: E) {
         if !self.blocked {
             s.schedule_in(now, self.think(), next);
         }
@@ -126,7 +126,7 @@ impl Source {
 
     /// A source's message was delivered: a blocked source resumes
     /// thinking only now (assumption 4) and schedules `next`.
-    pub(crate) fn delivered<E>(&mut self, now: SimTime, s: &mut Scheduler<E>, next: E) {
+    pub(crate) fn delivered<E: Copy>(&mut self, now: SimTime, s: &mut Scheduler<E>, next: E) {
         if self.blocked {
             s.schedule_in(now, self.think(), next);
         }

@@ -1,37 +1,34 @@
-//! Heap allocations of a reused flow-simulator run, counted exactly.
+//! Heap allocations of reused simulator runs and of a fresh build,
+//! counted exactly.
 //!
-//! A reused `FlowSimInstance` keeps its event list, server deques and
-//! message table warm, so a run that stays within the storage an
-//! earlier run grew allocates only the result it returns, whatever its
-//! message count. This binary
-//! holds a single test so that no other test's allocations can land in
-//! the count; the counting allocator also counts only on the thread
-//! that asked for it.
+//! A reused `FlowSimInstance` or `PacketSimInstance` keeps its event
+//! list, server deques and message table warm, so a run that stays
+//! within the storage an earlier run grew allocates only the result it
+//! returns, whatever its message count. The counting allocator keeps
+//! each thread's count apart and counts only while that thread asks,
+//! so tests running in parallel cannot land in each other's counts.
 
 use hmcs_core::config::SystemConfig;
 use hmcs_core::scenario::Scenario;
 use hmcs_sim::config::SimConfig;
 use hmcs_sim::flow::{FlowSimInstance, HopDelays};
+use hmcs_sim::packet::PacketSimInstance;
 use hmcs_topology::latmatrix::{LatencyBand, SyntheticSpec};
 use hmcs_topology::transmission::Architecture;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The system allocator, counting allocations and reallocations made
-/// on a thread while its `COUNTING` flag is set.
+/// on a thread while that thread is counting.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's count so far, or `None` while it is not counting.
+    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn note() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = COUNTED.try_with(|c| c.set(c.get().map(|n| n + 1)));
 }
 
 unsafe impl GlobalAlloc for Counting {
@@ -60,11 +57,9 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations `f` makes on this thread.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
+    COUNTED.with(|c| c.set(Some(0)));
     f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    COUNTED.with(Cell::take).expect("counting was on")
 }
 
 /// Allocations of an instance's run of `seed`.
@@ -106,3 +101,37 @@ fn a_reused_flow_run_allocates_only_its_result() {
     let modulated = run(&mut instance, cfg.seed);
     assert!(modulated <= plain, "modulated run allocates {modulated}, plain {plain}");
 }
+
+#[test]
+fn a_reused_packet_run_allocates_only_its_result() {
+    // 4 × 64 Case 1 blocking fabric at the paper's λ, 1,100 messages.
+    let sys = SystemConfig::paper_preset(Scenario::Case1, 4, Architecture::Blocking).unwrap();
+    let cfg = SimConfig::new(sys).with_messages(1_000).with_warmup(100).with_seed(2005);
+    let mut instance = PacketSimInstance::new(&cfg).unwrap();
+    allocations(|| {
+        instance.run(cfg.seed);
+    });
+    let replay = allocations(|| {
+        instance.run(cfg.seed);
+    });
+    assert_eq!(replay, PACKET_REPLAY, "a replayed packet run's allocations");
+}
+
+#[test]
+fn a_fresh_flow_build_allocates_no_more_than_the_indexed_heap_did() {
+    // The flat event list is one pre-sized array; the indexed heap it
+    // replaced also pre-sized a payload slab beside it.
+    let sys = SystemConfig::paper_preset(Scenario::Case1, 8, Architecture::NonBlocking).unwrap();
+    let cfg = SimConfig::new(sys).with_messages(10_000).with_warmup(1_000).with_seed(2005);
+    let build = allocations(|| {
+        FlowSimInstance::new(&cfg).unwrap();
+    });
+    assert!(build <= FLOW_BUILD_BEFORE, "a fresh flow build makes {build} allocations");
+}
+
+/// Allocations of the replayed packet run: none, since a packet result
+/// carries no per-cluster vector.
+const PACKET_REPLAY: u64 = 0;
+/// Allocations of a fresh flow build under the indexed event heap (the
+/// flat heap makes 12).
+const FLOW_BUILD_BEFORE: u64 = 13;
