@@ -1,29 +1,16 @@
-//! Micro-benchmarks of the substrate crates: queueing kernels, the
-//! topology constructors (incl. the max-flow bisection verifier) and
-//! the DES event queue.
+//! Micro-benchmarks of the substrate crates: exact Mean Value Analysis,
+//! the fat-tree hop-count average and the DES event queue.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hmcs_des::event::EventQueue;
 use hmcs_des::rng::RngStream;
 use hmcs_des::time::SimTime;
 use hmcs_queueing::closed::{mva, MvaStation};
-use hmcs_queueing::jackson::{JacksonNetwork, Station};
 use hmcs_topology::fat_tree::FatTree;
 use hmcs_topology::switch::SwitchFabric;
 use std::hint::black_box;
 
 fn queueing_kernels(c: &mut Criterion) {
-    c.bench_function("queueing/jackson_solve_16_stations", |b| {
-        let stations: Vec<Station> =
-            (0..16).map(|i| Station::single(10.0, 0.1 + 0.01 * i as f64)).collect();
-        let mut routing = vec![vec![0.0; 16]; 16];
-        for (i, row) in routing.iter_mut().enumerate() {
-            row[(i + 1) % 16] = 0.5;
-        }
-        let net = JacksonNetwork::new(stations, routing).unwrap();
-        b.iter(|| black_box(net.solve().unwrap()))
-    });
-
     let mut group = c.benchmark_group("queueing/mva");
     for population in [16u32, 256] {
         let stations = [
@@ -44,11 +31,6 @@ fn topology_kernels(c: &mut Criterion) {
     c.bench_function("topology/fat_tree_mean_traversals_4096", |b| {
         let ft = FatTree::new(4096, sw).unwrap();
         b.iter(|| black_box(ft.mean_switch_traversals()))
-    });
-    c.bench_function("topology/fat_tree_bisection_maxflow_256", |b| {
-        let ft = FatTree::new(256, sw).unwrap();
-        let g = ft.build_graph();
-        b.iter(|| black_box(g.natural_bisection_width()))
     });
 }
 

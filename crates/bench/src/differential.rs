@@ -181,7 +181,7 @@ pub fn sample_case(seed: u64, index: u32) -> CaseSpec {
 /// stages but approximate for GI/G/1, and finite runs near saturation
 /// carry more transient bias. Shared by the fuzzer and the topology
 /// pipeline's analysis-vs-simulation validation.
-pub fn agreement_band(utilization: f64, exponential: bool) -> f64 {
+pub(crate) fn agreement_band(utilization: f64, exponential: bool) -> f64 {
     let mut band = 0.06 + 0.12 * utilization;
     if !exponential {
         band += 0.05;

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// Schema identifier required in every GOLDEN.toml.
-pub const GOLDEN_SCHEMA: &str = "hmcs-golden/1";
+pub(crate) const GOLDEN_SCHEMA: &str = "hmcs-golden/1";
 
 // ---------------------------------------------------------------------
 // Tolerances
@@ -27,7 +27,7 @@ pub const GOLDEN_SCHEMA: &str = "hmcs-golden/1";
 
 /// How one column's cells may differ from the golden value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Tolerance {
+pub(crate) enum Tolerance {
     /// Cells must match as strings, byte for byte.
     Exact,
     /// Column is not compared at all.
@@ -86,7 +86,7 @@ impl Tolerance {
 
 /// Parses a CSV cell as a number, accepting a trailing `%` (stripped,
 /// not rescaled) so error columns like `"2.5%"` compare numerically.
-pub fn parse_cell(cell: &str) -> Option<f64> {
+pub(crate) fn parse_cell(cell: &str) -> Option<f64> {
     let trimmed = cell.trim();
     let digits = trimmed.strip_suffix('%').unwrap_or(trimmed);
     let x: f64 = digits.trim().parse().ok()?;
@@ -99,7 +99,7 @@ pub fn parse_cell(cell: &str) -> Option<f64> {
 
 /// Tolerance declaration for one golden CSV.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ArtefactSpec {
+pub(crate) struct ArtefactSpec {
     /// CSV stem: `<name>.csv` in both the golden and candidate dirs.
     pub name: String,
     /// Column whose value labels rows in diff output (optional).
@@ -122,16 +122,9 @@ impl ArtefactSpec {
 
 /// The parsed GOLDEN.toml: one [`ArtefactSpec`] per checked CSV.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GoldenSpec {
+pub(crate) struct GoldenSpec {
     /// All artefact sections, in file order.
     pub artefacts: Vec<ArtefactSpec>,
-}
-
-impl GoldenSpec {
-    /// Looks up an artefact section by CSV stem.
-    pub fn artefact(&self, name: &str) -> Option<&ArtefactSpec> {
-        self.artefacts.iter().find(|a| a.name == name)
-    }
 }
 
 /// One `key = value` line of the TOML subset (only strings appear in
@@ -243,7 +236,7 @@ fn strip_comment(line: &str) -> &str {
 /// (numbers and booleans parse but are rejected by the schema).
 /// Duplicate sections, duplicate keys and unknown fields are errors —
 /// a tolerance spec that silently ignores a typo is worse than none.
-pub fn parse_spec(input: &str) -> Result<GoldenSpec, String> {
+pub(crate) fn parse_spec(input: &str) -> Result<GoldenSpec, String> {
     let mut schema: Option<String> = None;
     let mut artefacts: Vec<ArtefactSpec> = Vec::new();
     // Current section path: empty (preamble), [name] or [name.columns].
@@ -421,7 +414,7 @@ pub fn parse_csv(input: &str) -> Result<Table, String> {
 }
 
 /// Reads and parses one CSV file.
-pub fn read_csv(path: &Path) -> Result<Table, String> {
+pub(crate) fn read_csv(path: &Path) -> Result<Table, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     parse_csv(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
@@ -479,7 +472,7 @@ fn structural(artefact: &str, golden: String, got: String, what: &str) -> CellDi
 }
 
 /// Diffs a candidate table against its golden under `spec`.
-pub fn diff_tables(spec: &ArtefactSpec, golden: &Table, candidate: &Table) -> DiffReport {
+pub(crate) fn diff_tables(spec: &ArtefactSpec, golden: &Table, candidate: &Table) -> DiffReport {
     let mut report =
         DiffReport { artefact: spec.name.clone(), cells_checked: 0, diffs: Vec::new() };
     if golden.headers != candidate.headers {
@@ -554,7 +547,7 @@ pub struct CheckReport {
 
 impl CheckReport {
     /// Total mismatches across all artefacts.
-    pub fn total_diffs(&self) -> usize {
+    pub(crate) fn total_diffs(&self) -> usize {
         self.artefacts.iter().map(|a| a.diffs.len()).sum()
     }
 
@@ -614,6 +607,11 @@ pub fn check_dir(golden_dir: &Path, candidate_dir: &Path) -> Result<CheckReport,
 mod tests {
     use super::*;
 
+    /// Looks up an artefact section by CSV stem.
+    fn artefact<'a>(spec: &'a GoldenSpec, name: &str) -> Option<&'a ArtefactSpec> {
+        spec.artefacts.iter().find(|a| a.name == name)
+    }
+
     const SPEC: &str = r#"
 # demo spec
 schema = "hmcs-golden/1"
@@ -660,7 +658,7 @@ default = "rel 0.5%"
     #[test]
     fn spec_parses_and_resolves_tolerances() {
         let spec = parse_spec(SPEC).unwrap();
-        let demo = spec.artefact("demo").unwrap();
+        let demo = artefact(&spec, "demo").unwrap();
         assert_eq!(demo.key.as_deref(), Some("clusters"));
         assert_eq!(demo.tolerance_for("clusters"), Tolerance::Exact);
         assert_eq!(demo.tolerance_for("sim (ms)"), Tolerance::Numeric { rel: 0.10, abs: 0.05 });
@@ -729,7 +727,7 @@ default = "rel 0.5%"
     #[test]
     fn diff_passes_within_tolerance_and_fails_beyond() {
         let spec = parse_spec(SPEC).unwrap();
-        let demo = spec.artefact("demo").unwrap();
+        let demo = artefact(&spec, "demo").unwrap();
         let golden = table(&[&["1", "10.000", "10.100", "x"]]);
         // sim within 10%+0.05, analysis within 0.5%, note ignored.
         let ok = table(&[&["1", "10.040", "11.000", "different-note"]]);
@@ -749,7 +747,7 @@ default = "rel 0.5%"
     #[test]
     fn diff_flags_structural_mismatches() {
         let spec = parse_spec(SPEC).unwrap();
-        let demo = spec.artefact("demo").unwrap();
+        let demo = artefact(&spec, "demo").unwrap();
         let golden = table(&[&["1", "1", "1", "x"]]);
         let mut wrong_headers = golden.clone();
         wrong_headers.headers[1] = "renamed".into();
@@ -767,7 +765,7 @@ default = "rel 0.5%"
         assert_eq!(parse_cell("-"), None);
         assert_eq!(parse_cell("Gigabit Ethernet"), None);
         let spec = parse_spec("schema = \"hmcs-golden/1\"\n[e]\ndefault = \"abs 1.5\"\n").unwrap();
-        let artefact = spec.artefact("e").unwrap();
+        let artefact = artefact(&spec, "e").unwrap();
         let golden = Table { headers: vec!["err".into()], rows: vec![vec!["2.5%".into()]] };
         let near = Table { headers: vec!["err".into()], rows: vec![vec!["3.9%".into()]] };
         let far = Table { headers: vec!["err".into()], rows: vec![vec!["4.1%".into()]] };

@@ -11,10 +11,10 @@
 //!
 //! Failures are greedily shrunk (fewer clusters, smaller clusters, no
 //! skew, less jitter, no shuffle) and rendered as a ready-to-paste
-//! regression test. [`perturb_until_divergence`] walks the other way:
-//! starting from a recoverable case it degrades separation and inflates
-//! jitter until identification diverges, mapping where the guarantee
-//! region actually ends.
+//! regression test. A test walks the other way: starting from a
+//! recoverable case it degrades separation and inflates jitter until
+//! identification diverges, mapping where the guarantee region actually
+//! ends.
 
 use hmcs_core::error::ModelError;
 use hmcs_core::identify::{self, IdentifyOptions};
@@ -23,7 +23,7 @@ use hmcs_topology::latmatrix::{LatencyBand, SyntheticSpec};
 use std::fmt::Write as _;
 
 /// Centre of the intra-cluster band every sampled case uses (µs).
-pub const INTRA_MEAN_US: f64 = 50.0;
+pub(crate) const INTRA_MEAN_US: f64 = 50.0;
 
 /// One sampled identification round-trip case.
 ///
@@ -131,7 +131,7 @@ pub fn sample_case(seed: u64, index: u32) -> IdentCaseSpec {
 
 /// Checks one case: `Ok(None)` means the planted partition was
 /// recovered bit-exactly.
-pub fn check_case(spec: &IdentCaseSpec) -> Result<Option<(usize, usize)>, ModelError> {
+pub(crate) fn check_case(spec: &IdentCaseSpec) -> Result<Option<(usize, usize)>, ModelError> {
     let synth = spec.build()?;
     let source = synth.source()?;
     let planted = source.partition();
@@ -268,29 +268,29 @@ pub fn render(report: &IdentFuzzReport) -> String {
     out
 }
 
-/// Degrades a recoverable case — shrinking the band separation and
-/// inflating the jitter — until identification diverges from the
-/// planted partition, returning the first diverging spec and the
-/// number of degradation steps taken. `None` if `max_steps` runs out
-/// first (the identifier is more robust than the walk is long).
-pub fn perturb_until_divergence(
-    start: &IdentCaseSpec,
-    max_steps: u32,
-) -> Result<Option<(IdentCaseSpec, u32)>, ModelError> {
-    let mut spec = *start;
-    for step in 1..=max_steps {
-        spec.separation = (spec.separation * 0.8).max(1.05);
-        spec.jitter = (spec.jitter * 1.5 + 0.01).min(1.0 / 3.0);
-        if check_case(&spec)?.is_some() {
-            return Ok(Some((spec, step)));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Degrades a recoverable case — shrinking the band separation and
+    /// inflating the jitter — until identification diverges from the
+    /// planted partition, returning the first diverging spec and the
+    /// number of degradation steps taken. `None` if `max_steps` runs out
+    /// first (the identifier is more robust than the walk is long).
+    fn perturb_until_divergence(
+        start: &IdentCaseSpec,
+        max_steps: u32,
+    ) -> Result<Option<(IdentCaseSpec, u32)>, ModelError> {
+        let mut spec = *start;
+        for step in 1..=max_steps {
+            spec.separation = (spec.separation * 0.8).max(1.05);
+            spec.jitter = (spec.jitter * 1.5 + 0.01).min(1.0 / 3.0);
+            if check_case(&spec)?.is_some() {
+                return Ok(Some((spec, step)));
+            }
+        }
+        Ok(None)
+    }
 
     #[test]
     fn sampling_is_deterministic_and_inside_the_guarantee_region() {

@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 pub use hmcs_core::json::{parse_json, JsonValue};
 
 /// Schema identifier stamped into (and required from) every manifest.
-pub const MANIFEST_SCHEMA: &str = "hmcs-run-manifest/1";
+pub(crate) const MANIFEST_SCHEMA: &str = "hmcs-run-manifest/1";
 
 /// Builds the manifest JSON document for one artefact run.
 ///

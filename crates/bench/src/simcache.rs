@@ -15,15 +15,15 @@
 //! when they are bit-identical, which is exactly the condition under
 //! which the deterministic simulators agree bit for bit.
 //!
-//! The table is **bounded**: entries beyond [`DEFAULT_CAPACITY`] evict
+//! The table is **bounded**: entries beyond `DEFAULT_CAPACITY` evict
 //! the least-recently-used key, so a long-running process (the
 //! `hmcs-serve` daemon, a soak test) cannot grow it without limit. An
 //! eviction only costs a re-simulation on the next identical request —
 //! it never changes any result.
 //!
 //! Hits, misses and evictions are counted in the metrics registry (and
-//! therefore appear in every run manifest) under [`SIM_CACHE_HITS`] /
-//! [`SIM_CACHE_MISSES`] / [`SIM_CACHE_EVICTIONS`], so a dedup
+//! therefore appear in every run manifest) under `SIM_CACHE_HITS` /
+//! `SIM_CACHE_MISSES` / `SIM_CACHE_EVICTIONS`, so a dedup
 //! regression is visible in CI.
 //!
 //! Concurrency: the table is shared across the batch pool's workers.
@@ -41,16 +41,16 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Metrics counter: memoised runs served from the table.
-pub const SIM_CACHE_HITS: &str = "bench.sim_cache.hits";
+pub(crate) const SIM_CACHE_HITS: &str = "bench.sim_cache.hits";
 /// Metrics counter: runs that had to simulate.
-pub const SIM_CACHE_MISSES: &str = "bench.sim_cache.misses";
+pub(crate) const SIM_CACHE_MISSES: &str = "bench.sim_cache.misses";
 /// Metrics counter: least-recently-used entries dropped at the bound.
-pub const SIM_CACHE_EVICTIONS: &str = "bench.sim_cache.evictions";
+pub(crate) const SIM_CACHE_EVICTIONS: &str = "bench.sim_cache.evictions";
 
 /// Entry bound of the process-global table. `reproduce all` peaks at
 /// well under 200 distinct configs, so the bound never fires there; it
 /// exists for long-running processes that stream novel configs.
-pub const DEFAULT_CAPACITY: usize = 512;
+pub(crate) const DEFAULT_CAPACITY: usize = 512;
 
 /// A bounded least-recently-used map. Recency is a monotone tick
 /// stamped on insert and on hit; eviction scans for the minimum stamp.

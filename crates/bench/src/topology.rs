@@ -40,7 +40,7 @@ use std::time::Instant;
 /// Fraction of the fitted config's saturation rate the validation runs
 /// at: moderate load, squarely inside the differential fuzzer's
 /// validated region.
-pub const VALIDATION_UTILIZATION: f64 = 0.3;
+pub(crate) const VALIDATION_UTILIZATION: f64 = 0.3;
 
 /// One topology pipeline case.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +66,7 @@ pub struct TopologyCase {
 /// sits on the Fast-Ethernet preset latency so the fit snaps to a named
 /// technology; the inter band is a genuine WAN latency no preset
 /// matches, exercising the custom-technology path.
-pub const TOPOLOGY_CASES: [TopologyCase; 2] = [
+pub(crate) const TOPOLOGY_CASES: [TopologyCase; 2] = [
     TopologyCase {
         name: "lan_8x32",
         clusters: 8,
@@ -150,7 +150,7 @@ impl Default for TopologyOptions {
 }
 
 /// Builds the generator spec for a case.
-pub fn case_spec(case: &TopologyCase, seed: u64) -> Result<SyntheticSpec, ModelError> {
+pub(crate) fn case_spec(case: &TopologyCase, seed: u64) -> Result<SyntheticSpec, ModelError> {
     let intra = LatencyBand::new(case.intra_mean_us, case.jitter * case.intra_mean_us)?;
     let inter = LatencyBand::new(case.inter_mean_us, case.jitter * case.inter_mean_us)?;
     let mut spec =
@@ -160,7 +160,7 @@ pub fn case_spec(case: &TopologyCase, seed: u64) -> Result<SyntheticSpec, ModelE
 }
 
 /// Runs one case's full pipeline.
-pub fn run_case(
+pub(crate) fn run_case(
     case: &TopologyCase,
     options: &TopologyOptions,
 ) -> Result<TopologyCaseResult, ModelError> {

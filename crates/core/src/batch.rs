@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Environment variable overriding the default worker count.
-pub const WORKERS_ENV: &str = "HMCS_POOL_WORKERS";
+pub(crate) const WORKERS_ENV: &str = "HMCS_POOL_WORKERS";
 
 /// Parses an `HMCS_POOL_WORKERS` value. Split out from the environment
 /// lookup so operator-error handling is unit-testable without touching
@@ -83,7 +83,7 @@ impl BatchOptions {
     /// The environment variable is read and validated once per process
     /// (not per call); an invalid value is reported once through
     /// [`metrics::warn_once`] under
-    /// [`keys::WARN_POOL_WORKERS_ENV`] and otherwise ignored.
+    /// `keys::WARN_POOL_WORKERS_ENV` and otherwise ignored.
     pub fn resolved_workers(&self) -> usize {
         if let Some(n) = self.workers {
             return n.max(1);
@@ -303,7 +303,7 @@ mod tests {
         let msg = format!("ignoring {WORKERS_ENV}={raw:?} ({reason})");
         assert!(metrics::warn_once(key, msg.clone()));
         assert!(!metrics::warn_once(key, msg));
-        let warning = metrics::global().warning(key).unwrap();
+        let warning = metrics::global().snapshot().warnings.remove(key).unwrap();
         assert!(warning.contains("four"));
         assert!(warning.contains("not a positive integer"));
     }

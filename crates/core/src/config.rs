@@ -196,14 +196,8 @@ impl SystemConfig {
     }
 
     /// Returns a copy with a different switch fabric.
-    pub fn with_switch(mut self, switch: SwitchFabric) -> Self {
+    pub(crate) fn with_switch(mut self, switch: SwitchFabric) -> Self {
         self.switch = switch;
-        self
-    }
-
-    /// Returns a copy with a different architecture.
-    pub fn with_architecture(mut self, architecture: Architecture) -> Self {
-        self.architecture = architecture;
         self
     }
 

@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn error_source_chains() {
         use std::error::Error;
-        let q: ModelError = QueueingError::SingularSystem.into();
+        let q: ModelError = QueueingError::Unstable { rho: 1.5 }.into();
         assert!(q.source().is_some());
         let c = ModelError::InvalidConfig { name: "x", reason: "y" };
         assert!(c.source().is_none());

@@ -149,14 +149,14 @@ impl Default for FitOptions {
 
 /// Static names of the fitted effective technologies
 /// (`NetworkTechnology::name` is `&'static str`).
-pub const IDENTIFIED_INTRA_NAME: &str = "identified intra";
+pub(crate) const IDENTIFIED_INTRA_NAME: &str = "identified intra";
 /// See [`IDENTIFIED_INTRA_NAME`].
-pub const IDENTIFIED_INTER_NAME: &str = "identified inter";
+pub(crate) const IDENTIFIED_INTER_NAME: &str = "identified inter";
 
 /// Relative latency slack within which a fitted band snaps to a known
 /// preset technology (keeping its measured bandwidth) instead of
 /// becoming a custom effective technology.
-pub const PRESET_SNAP_TOLERANCE: f64 = 0.05;
+pub(crate) const PRESET_SNAP_TOLERANCE: f64 = 0.05;
 
 /// Identifies the logical cluster structure of a latency source.
 ///
@@ -243,7 +243,7 @@ pub fn identify<S: LatencySource + ?Sized>(
 /// Fits the paper's `SystemConfig` from an identified system: `C` =
 /// identified clusters, `N₀` = rounded mean cluster size, ICN1 from the
 /// intra band median, ECN1/ICN2 from the inter band median (each
-/// snapping to a preset technology within [`PRESET_SNAP_TOLERANCE`],
+/// snapping to a preset technology within `PRESET_SNAP_TOLERANCE`,
 /// otherwise becoming a custom effective technology carrying the
 /// nearest preset's bandwidth).
 pub fn fitted_config(

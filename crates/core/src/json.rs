@@ -79,14 +79,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The key/value pairs in document order, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
 }
 
 /// Renders `s` as a quoted JSON string, escaping quotes, backslashes

@@ -379,7 +379,7 @@ impl LaneService {
 /// A batch of fixed-point solves advanced in lockstep.
 ///
 /// Build one with [`BatchKernel::new`] (every lane derives its service
-/// times from its own topology) or [`BatchKernel::with_service`] (the
+/// times from its own topology) or `BatchKernel::with_service` (the
 /// caller hands each lane its [`LaneService`]), then call
 /// [`BatchKernel::solve`]. Results come back in lane order, each lane
 /// bit-identical to [`crate::solver::solve`] on the same configuration.
@@ -458,7 +458,7 @@ impl BatchKernel {
     /// [`LaneService`] for each lane (`service[i]` must be what
     /// [`LaneService::compute`] returns for `configs[i]`; a λ grid over
     /// one shape repeats one value).
-    pub fn with_service(configs: &[SystemConfig], service: &[LaneService]) -> Self {
+    pub(crate) fn with_service(configs: &[SystemConfig], service: &[LaneService]) -> Self {
         assert_eq!(configs.len(), service.len(), "one LaneService per lane");
         Self::build(configs, Some(service))
     }
@@ -482,7 +482,7 @@ impl BatchKernel {
     }
 
     /// Bounded solve through the arena, with the caller's
-    /// [`LaneService`] per lane as in [`BatchKernel::with_service`]:
+    /// [`LaneService`] per lane as in `BatchKernel::with_service`:
     /// lanes whose latency is certified (mid-flight, via the monotone
     /// lower bound at the bracket's stable low edge) to cross their
     /// [`LaneBounds`] threshold abandon the bisection early and come

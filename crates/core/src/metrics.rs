@@ -48,20 +48,20 @@ pub mod keys {
     /// Counter: fixed-point solves completed by the base solver.
     pub const SOLVER_SOLVES: &str = "core.solver.solves";
     /// Histogram: bisection iterations per base-model solve.
-    pub const SOLVER_ITERATIONS: &str = "core.solver.iterations";
+    pub(crate) const SOLVER_ITERATIONS: &str = "core.solver.iterations";
     /// Histogram: bracket width as parts-per-million of the nominal λ
     /// (`hi/λ · 1e6` — 1e6 means the bracket spans the whole of λ).
-    pub const SOLVER_BRACKET_PPM: &str = "core.solver.bracket_ppm_of_lambda";
+    pub(crate) const SOLVER_BRACKET_PPM: &str = "core.solver.bracket_ppm_of_lambda";
     /// Counter: solves in which the near-saturation back-off activated.
-    pub const SOLVER_BACKOFF_ACTIVATIONS: &str = "core.solver.backoff_activations";
+    pub(crate) const SOLVER_BACKOFF_ACTIVATIONS: &str = "core.solver.backoff_activations";
     /// Histogram: geometric back-off steps taken when it activated.
-    pub const SOLVER_BACKOFF_STEPS: &str = "core.solver.backoff_steps";
+    pub(crate) const SOLVER_BACKOFF_STEPS: &str = "core.solver.backoff_steps";
     /// Counter: QNA-refined solves completed.
-    pub const QNA_SOLVES: &str = "core.qna.solves";
+    pub(crate) const QNA_SOLVES: &str = "core.qna.solves";
     /// Histogram: bisection iterations per QNA solve.
-    pub const QNA_ITERATIONS: &str = "core.qna.iterations";
+    pub(crate) const QNA_ITERATIONS: &str = "core.qna.iterations";
     /// Counter: QNA solves in which the back-off activated.
-    pub const QNA_BACKOFF_ACTIVATIONS: &str = "core.qna.backoff_activations";
+    pub(crate) const QNA_BACKOFF_ACTIVATIONS: &str = "core.qna.backoff_activations";
     /// Counter: `par_map` batch invocations.
     pub const BATCH_CALLS: &str = "core.batch.par_map_calls";
     /// Counter: total items evaluated across all batches.
@@ -69,14 +69,14 @@ pub mod keys {
     /// Histogram: items claimed per worker per batch (drain balance).
     pub const BATCH_WORKER_ITEMS: &str = "core.batch.worker_items";
     /// Histogram: per-worker busy time per batch (µs, inside `f`).
-    pub const BATCH_WORKER_BUSY_US: &str = "core.batch.worker_busy_us";
+    pub(crate) const BATCH_WORKER_BUSY_US: &str = "core.batch.worker_busy_us";
     /// Histogram: per-worker idle time per batch (µs, waiting on the
     /// claim cursor or for siblings to finish).
-    pub const BATCH_WORKER_IDLE_US: &str = "core.batch.worker_idle_us";
+    pub(crate) const BATCH_WORKER_IDLE_US: &str = "core.batch.worker_idle_us";
     /// Histogram: wall-clock time of each model evaluation (µs).
-    pub const BATCH_EVAL_TIME_US: &str = "core.batch.eval_time_us";
+    pub(crate) const BATCH_EVAL_TIME_US: &str = "core.batch.eval_time_us";
     /// Warning key: invalid `HMCS_POOL_WORKERS` environment value.
-    pub const WARN_POOL_WORKERS_ENV: &str = "core.batch.pool_workers_env";
+    pub(crate) const WARN_POOL_WORKERS_ENV: &str = "core.batch.pool_workers_env";
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
@@ -214,7 +214,7 @@ impl ValueHistogram {
 ///
 /// [`flush_into`]: HistogramBatch::flush_into
 #[derive(Debug)]
-pub struct HistogramBatch {
+pub(crate) struct HistogramBatch {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
     sum: u64,
@@ -260,7 +260,7 @@ impl HistogramBatch {
 
     /// Merges the accumulated values into `target` (no-op while
     /// recording is disabled, like the per-value path).
-    pub fn flush_into(&self, target: &ValueHistogram) {
+    pub(crate) fn flush_into(&self, target: &ValueHistogram) {
         if !enabled() || self.count == 0 {
             return;
         }
@@ -375,11 +375,6 @@ impl Registry {
         eprintln!("warning [{key}]: {message}");
         map.insert(key.to_string(), message);
         true
-    }
-
-    /// The warning recorded under `key`, if any.
-    pub fn warning(&self, key: &str) -> Option<String> {
-        self.warnings.lock().expect("metrics registry poisoned").get(key).cloned()
     }
 
     /// Snapshots every registered metric and warning.
@@ -554,7 +549,8 @@ mod tests {
     fn warn_once_fires_exactly_once() {
         assert!(warn_once("test.metrics.warn", "first"));
         assert!(!warn_once("test.metrics.warn", "second"));
-        assert_eq!(global().warning("test.metrics.warn").as_deref(), Some("first"));
+        let warnings = global().snapshot().warnings;
+        assert_eq!(warnings.get("test.metrics.warn").map(String::as_str), Some("first"));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::fmt;
 
 /// Switch traversal latency α_sw (µs) used for every enumerated
 /// fabric; the paper's Table-2 constant.
-pub const SWITCH_LATENCY_US: f64 = 10.0;
+pub(crate) const SWITCH_LATENCY_US: f64 = 10.0;
 
 /// Errors from design-space optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -380,7 +380,7 @@ fn fabric_switch_count(
 
 /// Per-port/per-NIC unit prices for one technology.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnitPrices {
+pub(crate) struct UnitPrices {
     /// Host adapter price per node, USD.
     pub nic_usd: f64,
     /// Switch price per port, USD.
@@ -395,7 +395,7 @@ pub struct CatalogCostModel;
 
 impl CatalogCostModel {
     /// Unit prices for `tech`, or an error for unknown technologies.
-    pub fn unit_prices(tech: &NetworkTechnology) -> Result<UnitPrices, OptimizeError> {
+    pub(crate) fn unit_prices(tech: &NetworkTechnology) -> Result<UnitPrices, OptimizeError> {
         match tech.name {
             "Fast Ethernet" => Ok(UnitPrices { nic_usd: 15.0, port_usd: 8.0 }),
             "Gigabit Ethernet" => Ok(UnitPrices { nic_usd: 60.0, port_usd: 25.0 }),

@@ -52,7 +52,7 @@ impl ServiceTimes {
 /// The three tier transmission models (exposed so the simulators can
 /// reuse exactly the same construction).
 #[derive(Debug, Clone, Copy)]
-pub struct TierModels {
+pub(crate) struct TierModels {
     /// ICN1 model: `N₀` endpoints on the ICN1 technology.
     pub icn1: TransmissionModel,
     /// ECN1 model: `N₀` endpoints on the ECN1 technology.
@@ -73,13 +73,6 @@ impl TierModels {
             ecn1: tier(config.ecn1, config.nodes_per_cluster)?,
             icn2: tier(config.icn2, config.clusters.max(1))?,
         })
-    }
-
-    /// True when every tier is a single switch — the `C = 16` kink
-    /// regime on the paper platform.
-    pub fn all_single_switch(&self, config: &SystemConfig) -> bool {
-        let pr = config.switch.ports() as usize;
-        config.nodes_per_cluster <= pr && config.clusters <= pr
     }
 }
 
@@ -121,22 +114,25 @@ mod tests {
         assert!((st.icn2_us - fe).abs() < 1e-9);
     }
 
+    /// True when every tier is a single switch — the `C = 16` kink
+    /// regime on the paper platform.
+    fn all_single_switch(config: &SystemConfig) -> bool {
+        let pr = config.switch.ports() as usize;
+        config.nodes_per_cluster <= pr && config.clusters <= pr
+    }
+
     #[test]
     fn kink_regime_detection() {
         for c in crate::scenario::PAPER_CLUSTER_COUNTS {
             let config = cfg(c, Architecture::NonBlocking);
-            let tm = TierModels::build(&config).unwrap();
             let expect = c <= 24 && 256 / c <= 24;
-            assert_eq!(tm.all_single_switch(&config), expect, "C={c}");
+            assert_eq!(all_single_switch(&config), expect, "C={c}");
         }
         // Only C=16 satisfies both bounds on the 256-node platform.
         let kinks: Vec<usize> = crate::scenario::PAPER_CLUSTER_COUNTS
             .iter()
             .copied()
-            .filter(|&c| {
-                let config = cfg(c, Architecture::NonBlocking);
-                TierModels::build(&config).unwrap().all_single_switch(&config)
-            })
+            .filter(|&c| all_single_switch(&cfg(c, Architecture::NonBlocking)))
             .collect();
         assert_eq!(kinks, vec![16]);
     }

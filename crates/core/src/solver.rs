@@ -77,12 +77,6 @@ pub struct Equilibrium {
 }
 
 impl Equilibrium {
-    /// True when the flow-blocking feedback visibly throttles the
-    /// sources (more than 1% of the nominal rate lost).
-    pub fn is_throttled(&self) -> bool {
-        self.retained_fraction < 0.99
-    }
-
     /// Utilization of the most loaded centre.
     pub fn bottleneck_utilization(&self) -> f64 {
         self.icn1.utilization.max(self.ecn1.utilization).max(self.icn2.utilization)
@@ -359,7 +353,6 @@ mod tests {
         let config = cfg(8, Architecture::NonBlocking)
             .with_lambda(crate::scenario::PAPER_LAMBDA_LITERAL_PER_US);
         let eq = solve(&config).unwrap();
-        assert!(!eq.is_throttled());
         assert!(eq.retained_fraction > 0.999);
         assert!(eq.bottleneck_utilization() < 0.01);
         assert!(eq.total_waiting < 1.0);
@@ -555,7 +548,6 @@ mod tests {
         // point still exists and the retained fraction is small.
         let config = cfg(256, Architecture::Blocking).with_lambda(2.5e-2);
         let eq = solve(&config).unwrap();
-        assert!(eq.is_throttled());
         assert!(eq.retained_fraction < 0.1);
         assert!(eq.bottleneck_utilization() < 1.0);
         // Most processors are waiting.

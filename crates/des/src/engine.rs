@@ -12,17 +12,12 @@ use crate::time::SimTime;
 #[derive(Debug)]
 pub struct Scheduler<E> {
     queue: EventQueue<E>,
-    events_scheduled: u64,
     peak_pending: usize,
 }
 
 impl<E: Copy> Scheduler<E> {
     fn with_capacity(capacity: usize) -> Self {
-        Scheduler {
-            queue: EventQueue::with_capacity(capacity),
-            events_scheduled: 0,
-            peak_pending: 0,
-        }
+        Scheduler { queue: EventQueue::with_capacity(capacity), peak_pending: 0 }
     }
 
     /// Grows the future-event list to hold at least `additional` more
@@ -32,17 +27,15 @@ impl<E: Copy> Scheduler<E> {
     }
 
     /// Drops all pending events and zeroes
-    /// the lifetime counters, so a reused scheduler behaves exactly like
+    /// the high-water mark, so a reused scheduler behaves exactly like
     /// a fresh one while keeping the event list's storage warm.
     fn reset(&mut self) {
         self.queue.reset();
-        self.events_scheduled = 0;
         self.peak_pending = 0;
     }
 
     /// Schedules `event` at the absolute time `at`.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.events_scheduled += 1;
         self.queue.push(at, event);
         self.peak_pending = self.peak_pending.max(self.queue.len());
     }
@@ -50,11 +43,6 @@ impl<E: Copy> Scheduler<E> {
     /// Schedules `event` at `now + delay`.
     pub fn schedule_in(&mut self, now: SimTime, delay: SimTime, event: E) {
         self.schedule_at(now + delay, event);
-    }
-
-    /// Number of events scheduled so far (lifetime counter).
-    pub fn events_scheduled(&self) -> u64 {
-        self.events_scheduled
     }
 
     /// Number of currently pending events.
@@ -302,7 +290,6 @@ mod tests {
     fn scheduler_counters() {
         let mut e = chain(2);
         e.run_to_completion();
-        assert_eq!(e.scheduler_mut().events_scheduled(), 3);
         assert_eq!(e.scheduler_mut().pending(), 0);
         // The chain never holds more than one pending event at a time.
         assert_eq!(e.scheduler().peak_pending(), 1);
@@ -341,7 +328,6 @@ mod tests {
         assert_eq!(reused.now(), fresh.now());
         assert_eq!(reused.events_processed(), fresh.events_processed());
         assert_eq!(reused.model().fired_at, fresh.model().fired_at);
-        assert_eq!(reused.scheduler().events_scheduled(), fresh.scheduler().events_scheduled());
         assert_eq!(reused.scheduler().peak_pending(), fresh.scheduler().peak_pending());
     }
 
@@ -435,7 +421,6 @@ mod tests {
         assert_eq!(reused.model().log, fresh.model().log);
         assert_eq!(reused.now(), fresh.now());
         assert_eq!(reused.events_processed(), fresh.events_processed());
-        assert_eq!(reused.scheduler().events_scheduled(), fresh.scheduler().events_scheduled());
         assert_eq!(reused.scheduler().peak_pending(), fresh.scheduler().peak_pending());
     }
 

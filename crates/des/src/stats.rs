@@ -3,7 +3,7 @@
 //! * [`OnlineStats`] — numerically stable (Welford) running mean /
 //!   variance / extrema for observation-based data such as message
 //!   latencies (the paper's "sink module").
-//! * [`TimeWeighted`] — time-weighted averages for state variables such
+//! * `TimeWeighted` — time-weighted averages for state variables such
 //!   as queue lengths.
 //! * [`Histogram`] — fixed-width binning for latency distributions.
 //! * [`confidence_interval`] — normal-approximation confidence
@@ -78,7 +78,7 @@ impl OnlineStats {
     /// observations (the variance is undefined there, but a NaN would
     /// poison every downstream CI computation — a single-replication
     /// run must format as "± 0.0", not "± NaN").
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -121,12 +121,11 @@ impl OnlineStats {
 /// Time-weighted statistics for a piecewise-constant state variable
 /// (e.g. a queue length).
 #[derive(Debug, Clone, PartialEq)]
-pub struct TimeWeighted {
+pub(crate) struct TimeWeighted {
     last_time: f64,
     last_value: f64,
     area: f64,
     start_time: f64,
-    max: f64,
     started: bool,
 }
 
@@ -140,14 +139,7 @@ impl TimeWeighted {
     /// Creates an accumulator; the first `update` sets the initial time
     /// and value.
     pub fn new() -> Self {
-        TimeWeighted {
-            last_time: 0.0,
-            last_value: 0.0,
-            area: 0.0,
-            start_time: 0.0,
-            max: f64::NEG_INFINITY,
-            started: false,
-        }
+        TimeWeighted { last_time: 0.0, last_value: 0.0, area: 0.0, start_time: 0.0, started: false }
     }
 
     /// Records that the variable changed to `value` at `time`
@@ -166,7 +158,6 @@ impl TimeWeighted {
         }
         self.last_time = time;
         self.last_value = value;
-        self.max = self.max.max(value);
     }
 
     /// Time-weighted mean over `[start, until]`.
@@ -174,23 +165,13 @@ impl TimeWeighted {
     /// # Panics
     ///
     /// Panics if `until` precedes the last update.
-    pub fn mean_until(&self, until: f64) -> f64 {
+    pub(crate) fn mean_until(&self, until: f64) -> f64 {
         if !self.started || until <= self.start_time {
             return 0.0;
         }
         assert!(until >= self.last_time, "until precedes the last update");
         let area = self.area + (until - self.last_time) * self.last_value;
         area / (until - self.start_time)
-    }
-
-    /// Maximum observed value (`None` before any update).
-    pub fn max(&self) -> Option<f64> {
-        self.started.then_some(self.max)
-    }
-
-    /// Current value (`None` before any update).
-    pub fn current(&self) -> Option<f64> {
-        self.started.then_some(self.last_value)
     }
 }
 
@@ -238,25 +219,10 @@ impl Histogram {
         }
     }
 
-    /// Count in bin `i`.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of bins.
-    pub fn bin_len(&self) -> usize {
-        self.bins.len()
-    }
-
     /// `[low, high)` range of bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
+    pub(crate) fn bin_range(&self, i: usize) -> (f64, f64) {
         let lo = self.low + i as f64 * self.width;
         (lo, lo + self.width)
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
     }
 
     /// Observations at or above the range end.
@@ -296,7 +262,7 @@ impl Histogram {
 /// mean: `z · s/√n`. Supported levels: 0.90, 0.95, 0.99.
 ///
 /// With fewer than 2 observations the half-width is the documented
-/// sentinel `0.0` (via [`OnlineStats::std_error`]), never NaN, so a
+/// sentinel `0.0` (via `OnlineStats::std_error`), never NaN, so a
 /// single-replication run still formats a finite `± 0.0` interval.
 ///
 /// # Panics
@@ -415,15 +381,13 @@ mod tests {
         t.update(30.0, 1.0); // 1 from t=30
                              // Mean over [0, 40]: (10*0 + 20*2 + 10*1)/40 = 1.25.
         assert!((t.mean_until(40.0) - 1.25).abs() < 1e-12);
-        assert_eq!(t.max(), Some(2.0));
-        assert_eq!(t.current(), Some(1.0));
+        assert_eq!(t.last_value, 1.0);
     }
 
     #[test]
     fn time_weighted_before_start_is_zero() {
         let t = TimeWeighted::new();
         assert_eq!(t.mean_until(100.0), 0.0);
-        assert_eq!(t.max(), None);
     }
 
     #[test]
@@ -440,11 +404,11 @@ mod tests {
         for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 55.0] {
             h.record(x);
         }
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bin_count(0), 2); // 0.0, 1.9
-        assert_eq!(h.bin_count(1), 1); // 2.0
-        assert_eq!(h.bin_count(4), 1); // 9.99
+        assert_eq!(h.bins[0], 2); // 0.0, 1.9
+        assert_eq!(h.bins[1], 1); // 2.0
+        assert_eq!(h.bins[4], 1); // 9.99
         assert_eq!(h.total(), 7);
         assert_eq!(h.bin_range(1), (2.0, 4.0));
     }

@@ -31,12 +31,6 @@ impl SimTime {
         SimTime(us)
     }
 
-    /// Creates a time from milliseconds.
-    #[inline]
-    pub fn from_ms(ms: f64) -> Self {
-        Self::from_us(ms * 1e3)
-    }
-
     /// Creates a time from seconds.
     #[inline]
     pub fn from_secs(s: f64) -> Self {
@@ -51,7 +45,7 @@ impl SimTime {
 
     /// Value in milliseconds.
     #[inline]
-    pub fn as_ms(self) -> f64 {
+    pub(crate) fn as_ms(self) -> f64 {
         self.0 / 1e3
     }
 
@@ -132,7 +126,7 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        let t = SimTime::from_ms(1.5);
+        let t = SimTime::from_us(1500.0);
         assert_eq!(t.as_us(), 1500.0);
         assert_eq!(t.as_ms(), 1.5);
         assert_eq!(SimTime::from_secs(2.0).as_us(), 2e6);

@@ -57,7 +57,7 @@ impl MachineRepairman {
     /// `π_n = π_0 · Π_{i<n} (N−i)λ/µ` with normalisation, evaluated in a
     /// numerically safe way (running maximum subtraction in log space is
     /// unnecessary for N ≤ a few thousand, so plain scaling is used).
-    pub fn state_distribution(&self) -> Vec<f64> {
+    pub(crate) fn state_distribution(&self) -> Vec<f64> {
         let n = self.population as usize;
         let r = self.think_rate / self.service_rate;
         let mut unnorm = Vec::with_capacity(n + 1);

@@ -27,16 +27,6 @@ pub enum QueueingError {
         /// Description of the constraint that was violated.
         reason: &'static str,
     },
-    /// A routing matrix row summed to more than one, contained negative
-    /// entries, or the traffic equations were singular.
-    InvalidRouting {
-        /// Index of the offending station (or row).
-        station: usize,
-        /// Description of the violation.
-        reason: &'static str,
-    },
-    /// The linear system arising from the traffic equations is singular.
-    SingularSystem,
 }
 
 impl fmt::Display for QueueingError {
@@ -50,12 +40,6 @@ impl fmt::Display for QueueingError {
             }
             QueueingError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter {name}: {reason}")
-            }
-            QueueingError::InvalidRouting { station, reason } => {
-                write!(f, "invalid routing at station {station}: {reason}")
-            }
-            QueueingError::SingularSystem => {
-                write!(f, "traffic equations are singular")
             }
         }
     }
@@ -89,8 +73,6 @@ mod tests {
             QueueingError::InvalidRate { name: "lambda", value: -1.0 },
             QueueingError::Unstable { rho: 1.5 },
             QueueingError::InvalidParameter { name: "servers", reason: "must be >= 1" },
-            QueueingError::InvalidRouting { station: 3, reason: "row sums to 1.2" },
-            QueueingError::SingularSystem,
         ];
         for c in cases {
             let s = format!("{c}");
@@ -117,7 +99,7 @@ mod tests {
 
     #[test]
     fn error_implements_std_error() {
-        let e: Box<dyn std::error::Error> = Box::new(QueueingError::SingularSystem);
-        assert_eq!(e.to_string(), "traffic equations are singular");
+        let e: Box<dyn std::error::Error> = Box::new(QueueingError::Unstable { rho: 1.5 });
+        assert_eq!(e.to_string(), "queue is unstable: offered load rho = 1.5 >= 1");
     }
 }

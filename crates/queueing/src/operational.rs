@@ -20,17 +20,6 @@ pub fn number_in_system(throughput: f64, mean_residence_time: f64) -> f64 {
     throughput * mean_residence_time
 }
 
-/// Forced-flow law: `X_k = V_k·X` (station throughput = visit ratio ×
-/// system throughput).
-pub fn station_throughput(visit_ratio: f64, system_throughput: f64) -> f64 {
-    visit_ratio * system_throughput
-}
-
-/// Service demand: `D_k = V_k·S_k`.
-pub fn service_demand(visit_ratio: f64, mean_service_time: f64) -> f64 {
-    visit_ratio * mean_service_time
-}
-
 /// Interactive response time law: `R = N/X − Z` for `N` users with
 /// think time `Z`. This is precisely the relation the paper's eq. 7
 /// encodes: `λ_eff = X/N = 1/(Z + R)` with `Z = 1/λ`.
@@ -72,12 +61,6 @@ mod tests {
     #[test]
     fn littles_law_identity() {
         assert!((number_in_system(2.0, 3.0) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forced_flow_and_demand() {
-        assert_eq!(station_throughput(4.0, 0.5), 2.0);
-        assert_eq!(service_demand(4.0, 0.25), 1.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! **Error payloads never echo raw request bytes unescaped.** Every
 //! error message — including ones that quote a client-supplied field
-//! name — passes through [`json_str`] in [`error_body`], so a body full
+//! name — passes through [`json_str`] in `error_body`, so a body full
 //! of quotes and control characters still produces a valid JSON error
 //! document.
 //!
@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 /// Hard cap on sweep points per request; larger sweeps must be split
 /// (or run offline through `reproduce`), keeping one request from
 /// monopolising a worker for minutes.
-pub const MAX_SWEEP_POINTS: usize = 4096;
+pub(crate) const MAX_SWEEP_POINTS: usize = 4096;
 
 /// A structured API error: HTTP status plus a machine-readable code,
 /// a human-readable message and optional structured numeric fields for
@@ -48,7 +48,7 @@ pub struct ApiError {
     /// Stable machine-readable error code.
     pub code: &'static str,
     /// Human-readable detail. May embed client-supplied text; it is
-    /// escaped at serialisation time by [`error_body`].
+    /// escaped at serialisation time by `error_body`.
     pub message: String,
     /// Extra numeric fields rendered into the error object so clients
     /// can act on the rejection without parsing the message.
@@ -69,14 +69,14 @@ impl ApiError {
 /// Builds the canonical error document. `message` is escaped here —
 /// this is the single choke point that keeps client bytes from
 /// reaching the wire unescaped.
-pub fn error_body(code: &str, message: &str) -> String {
+pub(crate) fn error_body(code: &str, message: &str) -> String {
     error_body_with(code, message, &[])
 }
 
 /// [`error_body`] plus structured numeric fields. Keys come from the
 /// server (static strings) but are escaped anyway; values use the
 /// shortest round-trip rendering so clients recover them bit-exactly.
-pub fn error_body_with(code: &str, message: &str, data: &[(&'static str, f64)]) -> String {
+pub(crate) fn error_body_with(code: &str, message: &str, data: &[(&'static str, f64)]) -> String {
     let mut out =
         format!(r#"{{"error":{{"code":{},"message":{}"#, json_str(code), json_str(message));
     for (key, value) in data {
@@ -184,7 +184,7 @@ fn saturated_error(lambda_per_us: f64, saturation_lambda: f64, context: &str) ->
 
 /// Rejects a strict (`require_unsaturated`) evaluate request whose λ is
 /// at or above the bottleneck saturation rate.
-pub fn check_unsaturated(config: &SystemConfig) -> Result<(), ApiError> {
+pub(crate) fn check_unsaturated(config: &SystemConfig) -> Result<(), ApiError> {
     if let Some(sat) = saturation_of(config) {
         if config.lambda_per_us >= sat {
             return Err(saturated_error(config.lambda_per_us, sat, ""));
@@ -197,7 +197,10 @@ pub fn check_unsaturated(config: &SystemConfig) -> Result<(), ApiError> {
 /// above saturation. Per-point configs mirror the constructions in
 /// [`hmcs_core::sweep`]; shape errors (e.g. a cluster count that does
 /// not divide the node total) are left for the sweep itself to report.
-pub fn check_sweep_unsaturated(config: &SystemConfig, spec: &SweepSpec) -> Result<(), ApiError> {
+pub(crate) fn check_sweep_unsaturated(
+    config: &SystemConfig,
+    spec: &SweepSpec,
+) -> Result<(), ApiError> {
     match spec {
         SweepSpec::Lambda(values) => {
             // Saturation is λ-independent: one boundary covers every point.
@@ -257,12 +260,12 @@ fn evaluation_failure(config: &SystemConfig, e: ModelError) -> ApiError {
 /// [`hmcs_core::kernel::evaluate_batch`] — the unit the server's
 /// micro-batcher transports between requests and the shared window
 /// solve.
-pub type PointResult = Result<(PerformanceReport, hmcs_core::batch::EvalStats), ModelError>;
+pub(crate) type PointResult = Result<(PerformanceReport, hmcs_core::batch::EvalStats), ModelError>;
 
 /// Evaluates one config and renders the response document: the
 /// in-process reference for served `/v1/evaluate` bodies, which the
 /// server builds from a micro-batch lane instead
-/// ([`evaluate_response_from`]); tests and the benchmark harness compare
+/// (`evaluate_response_from`); tests and the benchmark harness compare
 /// the two byte for byte.
 pub fn evaluate_response(config: &SystemConfig) -> Result<String, ApiError> {
     let report = AnalyticalModel::evaluate(config).map_err(|e| evaluation_failure(config, e))?;
@@ -274,7 +277,7 @@ pub fn evaluate_response(config: &SystemConfig) -> Result<String, ApiError> {
 /// [`hmcs_core::solver::solve`] (same FP schedule, same error
 /// variants), so a response assembled from a shared micro-batch window
 /// is byte-identical to the unbatched [`evaluate_response`].
-pub fn evaluate_response_from(
+pub(crate) fn evaluate_response_from(
     config: &SystemConfig,
     result: PointResult,
 ) -> Result<String, ApiError> {
@@ -526,7 +529,7 @@ pub fn parse_optimize(body: &str) -> Result<OptimizeRequest, ApiError> {
 /// frontier is bit-identical, only the work-accounting diagnostics
 /// (`evaluated`, `above_slo`, `dominated`, `pruned`) reflect the
 /// skipped points.
-pub fn optimize_response(request: &OptimizeRequest) -> Result<String, ApiError> {
+pub(crate) fn optimize_response(request: &OptimizeRequest) -> Result<String, ApiError> {
     let spec = &request.spec;
     let run = if request.prune { optimize::optimize_pruned } else { optimize::optimize };
     let outcome = run(spec, BatchOptions::sequential()).map_err(|e| match e {

@@ -2,7 +2,7 @@
 //!
 //! The paper's model is deterministic, and every response document is
 //! rendered from its result, so a served answer is a pure function of
-//! the request bytes. The [`Coalescer`] therefore keys on the endpoint
+//! the request bytes. The `Coalescer` therefore keys on the endpoint
 //! and the raw body bytes. Parsing, the strict check, the solve and the
 //! render all run inside the leader's computation, so a follower or a
 //! repeat is answered without any of them.
@@ -28,7 +28,7 @@
 //! worker.
 //!
 //! Followers wait with a deadline on a `Slot`, the one leader/follower
-//! hand-over of the crate, which the [`crate::microbatch::Batcher`]
+//! hand-over of the crate, which the `crate::microbatch::Batcher`
 //! uses too. If the leader disappears (panic) or overruns the
 //! follower's budget, the follower reports failure and the server
 //! answers `503` — a stuck computation degrades to load shedding
@@ -150,7 +150,7 @@ impl Table {
     }
 }
 
-/// How one [`Coalescer::run`] call was satisfied.
+/// How one `Coalescer::run` call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// This call was the leader and performed the computation.
@@ -164,7 +164,7 @@ pub enum Outcome {
 
 /// Answers identical requests, concurrent or repeated, from one
 /// computation.
-pub struct Coalescer {
+pub(crate) struct Coalescer {
     table: Mutex<Table>,
     hits: &'static metrics::Counter,
     memo_hits: &'static metrics::Counter,
@@ -221,7 +221,7 @@ impl Coalescer {
     /// lets tests observe exactly their own coalescer without racing
     /// other users of the process-global registry. `memo_hits` counts
     /// the subset of `hits` answered by a completed response.
-    pub fn with_counters(
+    pub(crate) fn with_counters(
         hits: &'static metrics::Counter,
         memo_hits: &'static metrics::Counter,
         computations: &'static metrics::Counter,
@@ -297,8 +297,9 @@ impl Coalescer {
         (Some(value), Outcome::Computed)
     }
 
-    /// Number of in-flight computations (tests/metrics only).
-    pub fn inflight_len(&self) -> usize {
+    /// Number of in-flight computations.
+    #[cfg(test)]
+    fn inflight_len(&self) -> usize {
         let table = self.table.lock().expect("coalescer poisoned");
         table.entries.len() - table.done.len()
     }

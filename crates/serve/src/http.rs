@@ -16,7 +16,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::time::Instant;
 
 /// Hard cap on the request head (request line + headers).
-pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Socket read granularity. One read of a pipelined connection can
 /// pull many small requests into the buffer at once.
@@ -95,7 +95,7 @@ impl RequestReader {
     /// Whether bytes of a further (pipelined) request are already
     /// buffered — if so, the next [`RequestReader::read_request`] can
     /// make progress without touching the socket.
-    pub fn has_buffered(&self) -> bool {
+    pub(crate) fn has_buffered(&self) -> bool {
         !self.buf.is_empty()
     }
 
@@ -113,7 +113,7 @@ impl RequestReader {
         fill(stream, &mut self.buf, deadline, stop)
     }
 
-    /// Reads one request, enforcing [`MAX_HEAD_BYTES`] and
+    /// Reads one request, enforcing `MAX_HEAD_BYTES` and
     /// `max_body_bytes`. Returns `Ok(None)` on a clean end of
     /// connection (EOF before the first byte of a request). Socket
     /// timeouts (`WouldBlock`/`TimedOut`) are retried until `deadline`,
@@ -273,7 +273,7 @@ pub(crate) fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// One response, serialised by [`write_response`].
+/// One response, serialised by `write_response`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
@@ -303,7 +303,7 @@ impl Response {
     }
 
     /// The standard reason phrase for this status.
-    pub fn reason_phrase(&self) -> &'static str {
+    pub(crate) fn reason_phrase(&self) -> &'static str {
         match self.status {
             200 => "OK",
             400 => "Bad Request",
@@ -343,7 +343,7 @@ pub fn serialize_response(out: &mut Vec<u8>, response: &Response, close: bool) {
 }
 
 /// Serialises `response` onto `stream` in a single write.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut impl Write,
     response: &Response,
     close: bool,

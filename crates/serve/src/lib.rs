@@ -38,13 +38,13 @@
 //!   Idle timeouts and per-connection request caps bound how long one
 //!   client can hold a worker.
 //! * **Request coalescing** — identical requests, keyed on endpoint
-//!   and body bytes, share one computation ([`coalesce::Coalescer`]):
+//!   and body bytes, share one computation (`coalesce::Coalescer`):
 //!   concurrent followers receive a byte-identical clone of the
 //!   leader's response, and a request repeated recently is answered
 //!   from a bounded memo of completed `200`s without parsing or
 //!   solving.
 //! * **Micro-batching** — every evaluate and sweep that computes goes
-//!   through one [`microbatch::Batcher`], which groups *distinct*
+//!   through one `microbatch::Batcher`, which groups *distinct*
 //!   evaluate points arriving within the gather window into one kernel
 //!   solve; bit-identical results, amortised scheduling. The window is
 //!   held only while arrivals are dense, so a request after a quiet
@@ -93,37 +93,37 @@ pub mod keys {
     /// Counter: requests a worker started processing.
     pub const REQUESTS_STARTED: &str = "serve.requests.started";
     /// Counter: `POST /v1/evaluate` requests routed.
-    pub const REQ_EVALUATE: &str = "serve.requests.evaluate";
+    pub(crate) const REQ_EVALUATE: &str = "serve.requests.evaluate";
     /// Counter: `POST /v1/sweep` requests routed.
-    pub const REQ_SWEEP: &str = "serve.requests.sweep";
+    pub(crate) const REQ_SWEEP: &str = "serve.requests.sweep";
     /// Counter: `POST /v1/optimize` requests routed.
     pub const REQ_OPTIMIZE: &str = "serve.requests.optimize";
     /// Counter: `GET /healthz` requests routed.
-    pub const REQ_HEALTHZ: &str = "serve.requests.healthz";
+    pub(crate) const REQ_HEALTHZ: &str = "serve.requests.healthz";
     /// Counter: `GET /metrics` requests routed.
-    pub const REQ_METRICS: &str = "serve.requests.metrics";
+    pub(crate) const REQ_METRICS: &str = "serve.requests.metrics";
     /// Counter: requests to any other path/method.
-    pub const REQ_OTHER: &str = "serve.requests.other";
+    pub(crate) const REQ_OTHER: &str = "serve.requests.other";
     /// Counter: responses with a 2xx status.
-    pub const STATUS_2XX: &str = "serve.responses.status_2xx";
+    pub(crate) const STATUS_2XX: &str = "serve.responses.status_2xx";
     /// Counter: responses with a 4xx status.
-    pub const STATUS_4XX: &str = "serve.responses.status_4xx";
+    pub(crate) const STATUS_4XX: &str = "serve.responses.status_4xx";
     /// Counter: responses with a 5xx status.
-    pub const STATUS_5XX: &str = "serve.responses.status_5xx";
+    pub(crate) const STATUS_5XX: &str = "serve.responses.status_5xx";
     /// Counter: connections shed at admission (queue full → 503).
     pub const ADMISSION_REJECTED: &str = "serve.admission.rejected";
     /// Counter: requests whose queue wait exceeded the deadline.
     pub const DEADLINE_EXPIRED: &str = "serve.deadline.expired";
     /// Histogram: queue depth observed at each admission.
-    pub const QUEUE_DEPTH: &str = "serve.queue.depth";
+    pub(crate) const QUEUE_DEPTH: &str = "serve.queue.depth";
     /// Histogram: total request time from accept to response (µs).
-    pub const REQUEST_US: &str = "serve.request_us";
+    pub(crate) const REQUEST_US: &str = "serve.request_us";
     /// Counter: requests served from another request's computation,
     /// in flight or completed.
     pub const COALESCE_HITS: &str = "serve.coalesce.hits";
     /// Counter: the subset of [`COALESCE_HITS`] answered by a kept
     /// completed response.
-    pub const COALESCE_MEMO_HITS: &str = "serve.coalesce.memo_hits";
+    pub(crate) const COALESCE_MEMO_HITS: &str = "serve.coalesce.memo_hits";
     /// Counter: computations actually performed (coalescing leaders).
     pub const COALESCE_COMPUTATIONS: &str = "serve.coalesce.computations";
     /// Counter: micro-batches computed (each is one kernel solve).
@@ -134,7 +134,7 @@ pub mod keys {
     /// Counter: batch leaders that held the gather window open (the
     /// previous submission came within one window). The rest of
     /// [`BATCH_BATCHES`] were solved at once after a quiet spell.
-    pub const BATCH_WINDOWS_HELD: &str = "serve.batch.windows_held";
+    pub(crate) const BATCH_WINDOWS_HELD: &str = "serve.batch.windows_held";
     /// Counter: kept-alive connections closed by the idle timeout.
     pub const CONN_IDLE_CLOSED: &str = "serve.conn.idle_closed";
     /// Counter: connections closed by the per-connection request cap.

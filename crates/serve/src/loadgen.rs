@@ -151,7 +151,7 @@ pub struct Summary {
 /// `sorted` must be ascending and non-empty; `q` must be in `(0, 1]` —
 /// out-of-range quantiles are a caller bug and panic instead of being
 /// silently clamped to the min/max sample.
-pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+pub(crate) fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     assert!(!sorted.is_empty(), "quantile of an empty sample set");
     assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1], got {q}");
     // For q ∈ (0, 1] the rank is already in [1, n]; the clamp only

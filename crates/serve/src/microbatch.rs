@@ -1,6 +1,6 @@
 //! Cross-request micro-batching of *distinct* computations.
 //!
-//! The [`crate::coalesce::Coalescer`] answers **identical** requests,
+//! The `crate::coalesce::Coalescer` answers **identical** requests,
 //! concurrent or repeated; this module handles the complementary case:
 //! distinct evaluate points arriving close together in time. The first
 //! arrival becomes the batch *leader*: it waits one small gather
@@ -22,7 +22,7 @@
 //! zero window is never held and gathers nobody: each submission leads
 //! its own batch at once, so it never waits behind another's solve.
 //!
-//! Submissions are *groups* of items ([`Batcher::submit_many`]): a
+//! Submissions are *groups* of items (`Batcher::submit_many`): a
 //! `/v1/evaluate` request contributes a group of one config, a
 //! `/v1/sweep` request contributes one config per sweep point, and all
 //! groups sharing a window are solved in one flattened kernel batch.
@@ -64,7 +64,7 @@ struct Gather<T, V> {
 type BatchFn<T, V> = Box<dyn Fn(&[T]) -> Vec<V> + Send + Sync>;
 
 /// Groups temporally close distinct items into one batched computation.
-pub struct Batcher<T, V> {
+pub(crate) struct Batcher<T, V> {
     window: Duration,
     compute: BatchFn<T, V>,
     state: Mutex<Gather<T, V>>,
@@ -106,7 +106,7 @@ impl<T, V> Batcher<T, V> {
     /// Submits one item. Equivalent to a [`Batcher::submit_many`] group
     /// of one. Returns `None` when the wait budget lapses or the leader
     /// panicked.
-    pub fn submit(&self, item: T, wait_budget: Duration) -> Option<V> {
+    pub(crate) fn submit(&self, item: T, wait_budget: Duration) -> Option<V> {
         let mut values = self.submit_many(vec![item], wait_budget)?;
         debug_assert_eq!(values.len(), 1, "one result per submitted item");
         values.pop()
@@ -120,7 +120,7 @@ impl<T, V> Batcher<T, V> {
     /// previous submission came less than one window earlier (or there
     /// was none). Returns the group's results in input order, or `None`
     /// when the wait budget lapses or the leader panicked.
-    pub fn submit_many(&self, items: Vec<T>, wait_budget: Duration) -> Option<Vec<V>> {
+    pub(crate) fn submit_many(&self, items: Vec<T>, wait_budget: Duration) -> Option<Vec<V>> {
         if items.is_empty() {
             return Some(Vec::new());
         }
@@ -176,8 +176,9 @@ impl<T, V> Batcher<T, V> {
         Some(values)
     }
 
-    /// Items currently waiting in an open gather window (tests only).
-    pub fn pending_len(&self) -> usize {
+    /// Items currently waiting in an open gather window.
+    #[cfg(test)]
+    fn pending_len(&self) -> usize {
         self.state.lock().expect("batcher poisoned").pending.iter().map(|(g, _)| g.len()).sum()
     }
 }

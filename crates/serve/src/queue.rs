@@ -1,7 +1,7 @@
 //! A bounded MPMC job queue with non-blocking admission.
 //!
 //! The serving stack's backpressure primitive: the acceptor thread
-//! offers jobs with [`Bounded::try_push`] (which *fails fast* when the
+//! offers jobs with `Bounded::try_push` (which *fails fast* when the
 //! budget is exhausted, so the caller can shed load with `503` instead
 //! of queueing unboundedly), and worker threads block in
 //! [`Bounded::pop`] until a job arrives or the queue is closed *and*
@@ -13,7 +13,7 @@ use std::sync::{Condvar, Mutex};
 
 /// Why [`Bounded::try_push`] refused a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
+pub(crate) enum PushError {
     /// The queue is at capacity — shed load.
     Full,
     /// The queue was closed — the server is shutting down.
@@ -45,7 +45,7 @@ impl<T> Bounded<T> {
 
     /// Offers `item` without blocking. Returns it on refusal so the
     /// caller can respond to the client it belongs to.
-    pub fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
         let mut state = self.state.lock().expect("queue poisoned");
         if state.closed {
             return Err((item, PushError::Closed));

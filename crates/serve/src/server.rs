@@ -35,7 +35,7 @@
 //!
 //! ## Coalescing and the repeat memo
 //!
-//! Every `/v1/*` request goes to the [`Coalescer`] keyed on its path
+//! Every `/v1/*` request goes to the `Coalescer` keyed on its path
 //! and raw body bytes, before anything parses it. The leader of a key
 //! parses, checks, computes and renders; a concurrent identical request
 //! waits for the leader's response, and a recently repeated one is
@@ -47,7 +47,7 @@
 //!
 //! ## Micro-batching
 //!
-//! Every evaluate and sweep that computes goes through one [`Batcher`]:
+//! Every evaluate and sweep that computes goes through one `Batcher`:
 //! *distinct* model evaluations arriving within
 //! [`ServerConfig::batch_window`] are gathered and solved in **one**
 //! [`hmcs_core::kernel::BatchKernel`] solve per window: a
@@ -58,7 +58,7 @@
 //! about a microsecond, far less than a pool spawn or a lock, and the
 //! request workers already are the pool). Each request then renders its own slice of the lane results
 //! (identical requests are still answered upstream by the
-//! [`Coalescer`], so batches contain distinct points only). Kernel
+//! `Coalescer`, so batches contain distinct points only). Kernel
 //! lanes are bit-identical to the scalar path and invariant under
 //! batch composition and worker count, so batching never changes
 //! response bytes — only scheduling.

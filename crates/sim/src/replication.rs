@@ -157,7 +157,7 @@ pub fn run_replications(
 }
 
 /// [`run_replications`] with an explicit worker policy.
-pub fn run_replications_with(
+pub(crate) fn run_replications_with(
     base: &SimConfig,
     simulator: Simulator,
     replications: u32,
@@ -171,7 +171,7 @@ pub fn run_replications_with(
     })
 }
 
-/// [`run_replications_with`] on the flow simulator with every message's
+/// `run_replications_with` on the flow simulator with every message's
 /// ICN1 or ICN2 mean modulated by a latency matrix's per-pair residuals
 /// (see [`FlowSimInstance::with_hops`] for the errors `hops` can raise).
 pub fn run_modulated_replications(

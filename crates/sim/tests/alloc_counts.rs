@@ -15,52 +15,9 @@ use hmcs_sim::flow::{FlowSimInstance, HopDelays};
 use hmcs_sim::packet::PacketSimInstance;
 use hmcs_topology::latmatrix::{LatencyBand, SyntheticSpec};
 use hmcs_topology::transmission::Architecture;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// The system allocator, counting allocations and reallocations made
-/// on a thread while that thread is counting.
-struct Counting;
-
-thread_local! {
-    /// This thread's count so far, or `None` while it is not counting.
-    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-fn note() {
-    let _ = COUNTED.try_with(|c| c.set(c.get().map(|n| n + 1)));
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations `f` makes on this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    COUNTED.with(|c| c.set(Some(0)));
-    f();
-    COUNTED.with(Cell::take).expect("counting was on")
-}
+mod counting_alloc;
+use counting_alloc::allocations;
 
 /// Allocations of an instance's run of `seed`.
 fn run(instance: &mut FlowSimInstance<'_>, seed: u64) -> u64 {

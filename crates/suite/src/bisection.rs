@@ -123,9 +123,10 @@ pub fn analyze(graph: &Graph, endpoints: usize) -> BisectionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fat_tree::FatTree;
-    use crate::linear_array::LinearArray;
-    use crate::switch::SwitchFabric;
+    use crate::{fat_tree, linear_array};
+    use hmcs_topology::fat_tree::FatTree;
+    use hmcs_topology::linear_array::LinearArray;
+    use hmcs_topology::switch::SwitchFabric;
 
     fn sw(ports: u32) -> SwitchFabric {
         SwitchFabric::new(ports, 10.0).unwrap()
@@ -135,8 +136,7 @@ mod tests {
     fn theorem1_fat_tree_has_full_bisection_bandwidth() {
         for (n, p) in [(16usize, 8u32), (32, 8), (16, 4), (48, 24)] {
             let ft = FatTree::new(n, sw(p)).unwrap();
-            let g = ft.build_graph();
-            let report = analyze(g.graph(), n);
+            let report = analyze(&fat_tree::build_graph(&ft), n);
             assert!(
                 report.has_full_bisection_bandwidth(),
                 "fat-tree n={n} p={p}: width {} < {}",
@@ -151,7 +151,7 @@ mod tests {
         // Boundary-aligned halves: the cut is exactly one chain link.
         for (n, p) in [(48usize, 24u32), (96, 24), (8, 4)] {
             let la = LinearArray::new(n, sw(p)).unwrap();
-            let report = analyze(&la.build_graph(), n);
+            let report = analyze(&linear_array::build_graph(&la), n);
             assert_eq!(report.bisection_width, 1, "n={n} p={p}");
             assert!(!report.has_full_bisection_bandwidth());
         }
@@ -162,9 +162,9 @@ mod tests {
         // Verify by exhaustive search that the index split used by
         // Theorem 1 really is a minimum bisection.
         let ft = FatTree::new(8, sw(4)).unwrap();
-        let g = ft.build_graph();
-        let natural = natural_split_cut(g.graph(), 8);
-        let exhaustive = exhaustive_bisection_width(g.graph(), 8);
+        let g = fat_tree::build_graph(&ft);
+        let natural = natural_split_cut(&g, 8);
+        let exhaustive = exhaustive_bisection_width(&g, 8);
         assert_eq!(natural, exhaustive);
         assert_eq!(exhaustive, 4, "N/2 = 4");
     }
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn natural_split_is_optimal_for_small_linear_array() {
         let la = LinearArray::new(8, sw(4)).unwrap();
-        let g = la.build_graph();
+        let g = linear_array::build_graph(&la);
         assert_eq!(exhaustive_bisection_width(&g, 8), 1);
         assert_eq!(natural_split_cut(&g, 8), 1);
     }
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn exhaustive_handles_odd_endpoint_counts() {
         let la = LinearArray::new(7, sw(4)).unwrap();
-        let g = la.build_graph();
+        let g = linear_array::build_graph(&la);
         // 7 endpoints over 2 switches: cut the single chain link.
         assert_eq!(exhaustive_bisection_width(&g, 7), 1);
     }

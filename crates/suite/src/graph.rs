@@ -46,11 +46,6 @@ impl Graph {
         self.adjacency[v].push(id);
     }
 
-    /// Returns all edges as `(u, v)` pairs.
-    pub fn edges(&self) -> &[(usize, usize)] {
-        &self.edges
-    }
-
     /// Degree of vertex `v`.
     pub fn degree(&self, v: usize) -> usize {
         self.adjacency[v].len()

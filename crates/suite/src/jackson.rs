@@ -6,29 +6,50 @@
 //! provides the general machinery — traffic equations, product-form
 //! station metrics, and end-to-end latency along a visit path — of which
 //! the paper's closed-form rate equations (eqs. 1–5) are a special case.
-//! `hmcs-core` cross-checks its closed forms against this solver.
+//! The suite cross-checks the model's closed forms against this solver.
 
-use crate::error::{check_nonneg_rate, check_pos_rate, QueueingError};
 use crate::linalg::{self, Matrix};
-use crate::mm1::MM1;
-use crate::mmc::MMc;
+use crate::mm1::{check_rate, MM1};
+use hmcs_queueing::QueueingError;
 
-/// A single service station of an open Jackson network.
+/// Errors of the Jackson-network solver.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NetworkError {
+    /// A station's parameters are invalid or its queue is unstable.
+    Queue(QueueingError),
+    /// A routing matrix row had the wrong length, a negative or
+    /// non-finite entry, or summed to more than one; or the traffic
+    /// equations produced a negative rate.
+    InvalidRouting {
+        /// Index of the offending station (or row).
+        station: usize,
+        /// Description of the violation.
+        reason: &'static str,
+    },
+    /// The traffic equations are singular (routing with no exit).
+    SingularSystem,
+}
+
+impl From<QueueingError> for NetworkError {
+    fn from(e: QueueingError) -> Self {
+        NetworkError::Queue(e)
+    }
+}
+
+/// A single-server exponential station of an open Jackson network.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Station {
-    /// Per-server exponential service rate µ.
+    /// Exponential service rate µ.
     pub service_rate: f64,
-    /// Number of identical parallel servers (≥ 1).
-    pub servers: u32,
     /// External (Poisson) arrival rate γ entering the network at this
     /// station.
     pub external_arrival_rate: f64,
 }
 
 impl Station {
-    /// Convenience constructor for a single-server station.
+    /// A station serving at rate µ with external arrival rate γ.
     pub fn single(service_rate: f64, external_arrival_rate: f64) -> Self {
-        Station { service_rate, servers: 1, external_arrival_rate }
+        Station { service_rate, external_arrival_rate }
     }
 }
 
@@ -37,7 +58,7 @@ impl Station {
 pub struct StationMetrics {
     /// Total (effective) arrival rate λᵢ from the traffic equations.
     pub arrival_rate: f64,
-    /// Per-server utilization ρᵢ.
+    /// Utilization ρᵢ.
     pub utilization: f64,
     /// Mean number of customers in the station (in queue + in service).
     pub mean_number_in_system: f64,
@@ -109,38 +130,33 @@ impl JacksonNetwork {
     ///
     /// # Errors
     ///
-    /// * [`QueueingError::InvalidRate`] / `InvalidParameter` for bad
-    ///   station parameters.
-    /// * [`QueueingError::InvalidRouting`] if the matrix shape is wrong,
+    /// * [`NetworkError::Queue`] for an empty network or bad station
+    ///   rates.
+    /// * [`NetworkError::InvalidRouting`] if the matrix shape is wrong,
     ///   an entry is negative/non-finite, or a row sums to more than 1
     ///   (beyond rounding).
-    pub fn new(stations: Vec<Station>, routing: Vec<Vec<f64>>) -> Result<Self, QueueingError> {
+    pub fn new(stations: Vec<Station>, routing: Vec<Vec<f64>>) -> Result<Self, NetworkError> {
         let n = stations.len();
         if n == 0 {
             return Err(QueueingError::InvalidParameter {
                 name: "stations",
                 reason: "network must have at least one station",
-            });
-        }
-        for (i, s) in stations.iter().enumerate() {
-            check_pos_rate("service_rate", s.service_rate)?;
-            check_nonneg_rate("external_arrival_rate", s.external_arrival_rate)?;
-            if s.servers == 0 {
-                return Err(QueueingError::InvalidRouting {
-                    station: i,
-                    reason: "server count must be >= 1",
-                });
             }
+            .into());
+        }
+        for s in &stations {
+            check_rate("service_rate", s.service_rate, true)?;
+            check_rate("external_arrival_rate", s.external_arrival_rate, false)?;
         }
         if routing.len() != n {
-            return Err(QueueingError::InvalidRouting {
+            return Err(NetworkError::InvalidRouting {
                 station: routing.len(),
                 reason: "routing matrix must have one row per station",
             });
         }
         for (i, row) in routing.iter().enumerate() {
             if row.len() != n {
-                return Err(QueueingError::InvalidRouting {
+                return Err(NetworkError::InvalidRouting {
                     station: i,
                     reason: "routing row length must equal station count",
                 });
@@ -148,7 +164,7 @@ impl JacksonNetwork {
             let mut sum = 0.0;
             for &p in row {
                 if !p.is_finite() || p < 0.0 {
-                    return Err(QueueingError::InvalidRouting {
+                    return Err(NetworkError::InvalidRouting {
                         station: i,
                         reason: "routing probabilities must be finite and non-negative",
                     });
@@ -156,7 +172,7 @@ impl JacksonNetwork {
                 sum += p;
             }
             if sum > 1.0 + 1e-9 {
-                return Err(QueueingError::InvalidRouting {
+                return Err(NetworkError::InvalidRouting {
                     station: i,
                     reason: "routing row sums to more than 1",
                 });
@@ -165,21 +181,10 @@ impl JacksonNetwork {
         Ok(JacksonNetwork { stations, routing })
     }
 
-    /// Number of stations.
-    pub fn len(&self) -> usize {
-        self.stations.len()
-    }
-
-    /// True when the network has no stations (never constructible via
-    /// [`JacksonNetwork::new`], provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.stations.is_empty()
-    }
-
     /// Solves the traffic equations `λ = γ + Rᵀ·λ` for the effective
     /// per-station arrival rates.
-    pub fn traffic_rates(&self) -> Result<Vec<f64>, QueueingError> {
-        let n = self.len();
+    pub fn traffic_rates(&self) -> Result<Vec<f64>, NetworkError> {
+        let n = self.stations.len();
         // (I - R^T) lambda = gamma
         let mut a = Matrix::identity(n);
         for i in 0..n {
@@ -188,10 +193,10 @@ impl JacksonNetwork {
             }
         }
         let gamma: Vec<f64> = self.stations.iter().map(|s| s.external_arrival_rate).collect();
-        let lambda = linalg::solve(a, gamma)?;
+        let lambda = linalg::solve(a, gamma).ok_or(NetworkError::SingularSystem)?;
         for (i, &l) in lambda.iter().enumerate() {
             if l < -1e-9 {
-                return Err(QueueingError::InvalidRouting {
+                return Err(NetworkError::InvalidRouting {
                     station: i,
                     reason: "traffic equations produced a negative rate",
                 });
@@ -200,28 +205,23 @@ impl JacksonNetwork {
         Ok(lambda.into_iter().map(|l| l.max(0.0)).collect())
     }
 
-    /// Solves the network: traffic equations plus per-station M/M/c
+    /// Solves the network: traffic equations plus per-station M/M/1
     /// product-form metrics.
     ///
     /// # Errors
     ///
-    /// [`QueueingError::Unstable`] if any station has ρᵢ ≥ 1.
-    pub fn solve(&self) -> Result<NetworkSolution, QueueingError> {
+    /// [`NetworkError::Queue`] wrapping [`QueueingError::Unstable`] if
+    /// any station has ρᵢ ≥ 1.
+    pub fn solve(&self) -> Result<NetworkSolution, NetworkError> {
         let lambda = self.traffic_rates()?;
-        let mut metrics = Vec::with_capacity(self.len());
+        let mut metrics = Vec::with_capacity(self.stations.len());
         for (s, &l) in self.stations.iter().zip(&lambda) {
-            let (util, l_sys, w) = if s.servers == 1 {
-                let q = MM1::new(l, s.service_rate)?;
-                (q.utilization(), q.mean_number_in_system(), q.mean_sojourn_time())
-            } else {
-                let q = MMc::new(l, s.service_rate, s.servers)?;
-                (q.utilization(), q.mean_number_in_system(), q.mean_sojourn_time())
-            };
+            let q = MM1::new(l, s.service_rate)?;
             metrics.push(StationMetrics {
                 arrival_rate: l,
-                utilization: util,
-                mean_number_in_system: l_sys,
-                mean_sojourn_time: w,
+                utilization: q.utilization(),
+                mean_number_in_system: q.mean_number_in_system(),
+                mean_sojourn_time: q.mean_sojourn_time(),
             });
         }
         Ok(NetworkSolution {
@@ -338,7 +338,7 @@ mod tests {
     fn detects_station_overload() {
         // Feedback of 0.9 multiplies external rate by 10 => rho = 1.0.
         let net = JacksonNetwork::new(vec![Station::single(1.0, 0.1)], vec![vec![0.9]]).unwrap();
-        assert!(matches!(net.solve(), Err(QueueingError::Unstable { .. })));
+        assert!(matches!(net.solve(), Err(NetworkError::Queue(QueueingError::Unstable { .. }))));
     }
 
     #[test]
@@ -347,18 +347,6 @@ mod tests {
         // input the traffic equations are singular/divergent.
         let net = JacksonNetwork::new(vec![Station::single(1.0, 0.1)], vec![vec![1.0]]).unwrap();
         assert!(net.traffic_rates().is_err());
-    }
-
-    #[test]
-    fn multiserver_station_uses_erlang_c() {
-        let net = JacksonNetwork::new(
-            vec![Station { service_rate: 1.0, servers: 4, external_arrival_rate: 3.0 }],
-            vec![vec![0.0]],
-        )
-        .unwrap();
-        let sol = net.solve().unwrap();
-        let q = MMc::new(3.0, 1.0, 4).unwrap();
-        assert!((sol.stations[0].mean_sojourn_time - q.mean_sojourn_time()).abs() < 1e-12);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! `(I − Rᵀ)·λ = γ` ([`crate::jackson`]). Keeping the solver local avoids
 //! pulling a full linear-algebra dependency into the workspace.
 
-use crate::error::QueueingError;
-
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -100,15 +98,13 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 /// Solves the square system `A·x = b` by Gaussian elimination with
 /// partial pivoting. `a` is consumed as scratch space.
 ///
-/// # Errors
-///
-/// Returns [`QueueingError::SingularSystem`] when a pivot smaller than
-/// `1e-12·max|A|` is encountered.
+/// Returns `None` when a pivot smaller than `1e-12·max|A|` is
+/// encountered (the system is singular).
 ///
 /// # Panics
 ///
 /// Panics if `a` is not square or `b.len() != a.rows()`.
-pub fn solve(mut a: Matrix, mut b: Vec<f64>) -> Result<Vec<f64>, QueueingError> {
+pub fn solve(mut a: Matrix, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "matrix must be square");
     assert_eq!(b.len(), n, "rhs length mismatch");
@@ -125,7 +121,7 @@ pub fn solve(mut a: Matrix, mut b: Vec<f64>) -> Result<Vec<f64>, QueueingError> 
             })
             .expect("non-empty range");
         if a[(pivot_row, col)].abs() <= tol {
-            return Err(QueueingError::SingularSystem);
+            return None;
         }
         if pivot_row != col {
             for j in 0..n {
@@ -158,7 +154,7 @@ pub fn solve(mut a: Matrix, mut b: Vec<f64>) -> Result<Vec<f64>, QueueingError> 
         }
         x[row] = acc / a[(row, row)];
     }
-    Ok(x)
+    Some(x)
 }
 
 #[cfg(test)]
@@ -192,7 +188,7 @@ mod tests {
     #[test]
     fn detects_singularity() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert_eq!(solve(a, vec![1.0, 2.0]), Err(QueueingError::SingularSystem));
+        assert_eq!(solve(a, vec![1.0, 2.0]), None);
     }
 
     #[test]

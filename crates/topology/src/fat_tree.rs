@@ -4,23 +4,11 @@
 //! The tree is built from `Pr`-port switch fabrics. Middle stages split
 //! ports as `UL = DL = Pr/2`; the last (root) stage uses all ports as
 //! down-links. Stage count follows eq. 12 and switch count follows
-//! eq. 13 / Proposition 1; Theorem 1 (full bisection bandwidth) is
-//! verified structurally in tests via max-flow on the explicit graph.
-//!
-//! ## Explicit graph: the pod-collapsed representation
-//!
-//! For analyses that need an actual graph (bisection verification,
-//! packet-level simulation) we build a **pod-collapsed multigraph**: the
-//! `D^{s−1}` parallel switches that form a stage-`s` "pod" of a folded
-//! Clos are merged into one vertex, and the physical links between two
-//! pods become parallel edges with the exact physical multiplicity. This
-//! preserves bisection width and up/down hop counts exactly, and for
-//! `d ≤ 2` (every configuration in the paper's experiments — N=256,
-//! Pr=24 gives d=2) the pods are single switches so the graph is
-//! switch-exact.
+//! eq. 13 / Proposition 1. Theorem 1 (full bisection bandwidth) is
+//! checked by max-flow on the tree's explicit graph, which the test
+//! crate `hmcs-suite` builds.
 
 use crate::error::TopologyError;
-use crate::graph::Graph;
 use crate::switch::SwitchFabric;
 
 /// A multi-stage fat-tree over `n` endpoints built from a given switch
@@ -140,13 +128,6 @@ impl FatTree {
         2 * self.stages - 1
     }
 
-    /// True when the whole network is one switch (d = 1 and a single
-    /// last-stage switch) — the regime responsible for the latency kink
-    /// the paper observes at C = 16 (§6).
-    pub fn is_single_switch(&self) -> bool {
-        self.stages == 1 && self.switches_in_last_stage() == 1
-    }
-
     /// Down-radix `D = Pr/2`: endpoints per leaf switch.
     #[inline]
     fn down_radix(&self) -> usize {
@@ -215,100 +196,6 @@ impl FatTree {
         acc += (total_pairs - prev_within) * (2 * self.stages - 1) as f64;
         acc / total_pairs
     }
-
-    /// Builds the pod-collapsed explicit multigraph.
-    ///
-    /// Vertex layout: `0..n` are endpoints; pods follow stage by stage
-    /// (stage 1 pods first). Every physical link is one unit-capacity
-    /// edge (links between pods appear with their physical multiplicity),
-    /// so max-flow cuts on this graph measure link counts.
-    pub fn build_graph(&self) -> FatTreeGraph {
-        let d_radix = self.down_radix();
-        let mut pods_per_stage: Vec<usize> = Vec::new();
-        let mut stage_offsets: Vec<usize> = Vec::new();
-
-        // Stage s pods: ceil(n / D^s) for s < d, exactly 1 for s = d
-        // (the merged root pod).
-        let mut block = d_radix;
-        for s in 1..=self.stages {
-            let pods = if s == self.stages { 1 } else { self.nodes.div_ceil(block) };
-            pods_per_stage.push(pods);
-            block = block.saturating_mul(d_radix);
-        }
-
-        // Allocate pod vertices after the endpoint vertices.
-        let mut next = self.nodes;
-        for &pods in &pods_per_stage {
-            stage_offsets.push(next);
-            next += pods;
-        }
-        let mut graph = Graph::new(next);
-
-        // Endpoint -> leaf pod edges (one physical link each). In a
-        // single-stage tree the only pod is the root.
-        for node in 0..self.nodes {
-            let leaf =
-                if self.stages == 1 { stage_offsets[0] } else { stage_offsets[0] + node / d_radix };
-            graph.add_edge(node, leaf);
-        }
-
-        // Pod -> parent pod trunk edges with physical multiplicity: a
-        // stage-s pod covering `c` endpoints contains ⌈c/D⌉ switches,
-        // each with D up-links.
-        let mut block = d_radix;
-        for s in 1..self.stages {
-            let pods = pods_per_stage[(s - 1) as usize];
-            let parent_block = block * d_radix;
-            for g in 0..pods {
-                let covered = (self.nodes.min((g + 1) * block)).saturating_sub(g * block);
-                if covered == 0 {
-                    continue;
-                }
-                let uplinks = covered.div_ceil(d_radix) * d_radix;
-                let parent = if s + 1 == self.stages {
-                    stage_offsets[s as usize] // single root pod
-                } else {
-                    stage_offsets[s as usize] + (g * block) / parent_block
-                };
-                let child = stage_offsets[(s - 1) as usize] + g;
-                for _ in 0..uplinks {
-                    graph.add_edge(child, parent);
-                }
-            }
-            block = parent_block;
-        }
-
-        FatTreeGraph { graph, nodes: self.nodes }
-    }
-}
-
-/// The pod-collapsed explicit graph of a fat-tree.
-#[derive(Debug, Clone)]
-pub struct FatTreeGraph {
-    graph: Graph,
-    nodes: usize,
-}
-
-impl FatTreeGraph {
-    /// The underlying multigraph (endpoints are vertices `0..nodes`).
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// Number of endpoint vertices.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Measures the cut width between the canonical halves
-    /// (`0..n/2` vs `n/2..n`) by max-flow — the quantity Theorem 1
-    /// states equals `N/2` ("full bisection bandwidth").
-    pub fn natural_bisection_width(&self) -> usize {
-        let half = self.nodes / 2;
-        let left: Vec<usize> = (0..half).collect();
-        let right: Vec<usize> = (half..self.nodes).collect();
-        self.graph.min_cut_between_sets(&left, &right)
-    }
 }
 
 #[cfg(test)]
@@ -319,6 +206,13 @@ mod tests {
         SwitchFabric::new(ports, 10.0).unwrap()
     }
 
+    /// True when the whole network is one switch (d = 1 and a single
+    /// last-stage switch) — the regime responsible for the latency kink
+    /// the paper observes at C = 16 (§6).
+    fn is_single_switch(ft: &FatTree) -> bool {
+        ft.stages() == 1 && ft.switches_in_last_stage() == 1
+    }
+
     #[test]
     fn figure3_example_16_nodes_8_ports() {
         let ft = FatTree::new(16, sw(8)).unwrap();
@@ -327,7 +221,7 @@ mod tests {
         assert_eq!(ft.switches_per_middle_stage(), 4);
         assert_eq!(ft.switches_in_last_stage(), 2);
         assert_eq!(ft.worst_case_switch_traversals(), 3);
-        assert!(!ft.is_single_switch());
+        assert!(!is_single_switch(&ft));
     }
 
     #[test]
@@ -344,7 +238,7 @@ mod tests {
         let ft = FatTree::new(16, sw(24)).unwrap();
         assert_eq!(ft.stages(), 1);
         assert_eq!(ft.switch_count(), 1);
-        assert!(ft.is_single_switch());
+        assert!(is_single_switch(&ft));
         assert_eq!(ft.worst_case_switch_traversals(), 1);
     }
 
@@ -438,29 +332,6 @@ mod tests {
                 "mismatch for nodes={nodes} ports={ports}: {} vs {brute}",
                 ft.mean_switch_traversals()
             );
-        }
-    }
-
-    #[test]
-    fn theorem1_full_bisection_bandwidth_via_max_flow() {
-        // Figure 3 instance: bisection width must be N/2 = 8.
-        let ft = FatTree::new(16, sw(8)).unwrap();
-        assert_eq!(ft.build_graph().natural_bisection_width(), 8);
-        // Two-stage 32-node tree on 8-port switches: N/2 = 16.
-        let ft = FatTree::new(32, sw(8)).unwrap();
-        assert_eq!(ft.stages(), 2);
-        assert_eq!(ft.build_graph().natural_bisection_width(), 16);
-        // Three-stage 16-node tree on 4-port switches: N/2 = 8.
-        let ft = FatTree::new(16, sw(4)).unwrap();
-        assert_eq!(ft.stages(), 3);
-        assert_eq!(ft.build_graph().natural_bisection_width(), 8);
-    }
-
-    #[test]
-    fn graph_is_connected() {
-        for (nodes, ports) in [(16usize, 8u32), (256, 24), (16, 4), (30, 8), (7, 24)] {
-            let ft = FatTree::new(nodes, sw(ports)).unwrap();
-            assert!(ft.build_graph().graph().is_connected(), "nodes={nodes} ports={ports}");
         }
     }
 

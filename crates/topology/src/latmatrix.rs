@@ -34,13 +34,13 @@ use std::fmt;
 /// Upper bound on nodes for dense materialisation (`generate`,
 /// `from_rows`, CSV import): a dense `f64` matrix at this size is
 /// 32 MiB. Larger systems must use the implicit [`SyntheticMatrix`].
-pub const MAX_DENSE_NODES: usize = 2048;
+pub(crate) const MAX_DENSE_NODES: usize = 2048;
 
 /// Relative tolerance used by [`LatencyMatrix::parse_csv`] for the
 /// symmetry check: `|a_ij - a_ji|` may not exceed this fraction of the
 /// pair mean. Measured matrices are rarely exactly symmetric (forward
 /// and reverse probes race), so a strict-but-nonzero default is used.
-pub const DEFAULT_SYMMETRY_TOLERANCE: f64 = 0.05;
+pub(crate) const DEFAULT_SYMMETRY_TOLERANCE: f64 = 0.05;
 
 /// Typed failure modes of matrix construction and CSV import.
 ///
@@ -55,7 +55,7 @@ pub enum MatrixError {
         /// Number of nodes found.
         nodes: usize,
     },
-    /// More nodes than [`MAX_DENSE_NODES`] in a dense construction.
+    /// More nodes than `MAX_DENSE_NODES` in a dense construction.
     TooLarge {
         /// Number of nodes requested.
         nodes: usize,
@@ -192,7 +192,7 @@ pub struct LatencyBand {
 
 /// Clamp width in standard deviations: samples outside
 /// `mean ± 2.5σ` are clipped to the boundary.
-pub const CLAMP_SIGMAS: f64 = 2.5;
+pub(crate) const CLAMP_SIGMAS: f64 = 2.5;
 
 impl LatencyBand {
     /// Creates a band after validating `mean > 0`, `0 ≤ std ≤ mean/3`
@@ -214,12 +214,12 @@ impl LatencyBand {
     }
 
     /// Lowest value the clamped band can produce.
-    pub fn min_us(&self) -> f64 {
+    pub(crate) fn min_us(&self) -> f64 {
         self.mean_us - CLAMP_SIGMAS * self.std_us
     }
 
     /// Highest value the clamped band can produce.
-    pub fn max_us(&self) -> f64 {
+    pub(crate) fn max_us(&self) -> f64 {
         self.mean_us + CLAMP_SIGMAS * self.std_us
     }
 
@@ -300,7 +300,7 @@ impl LatencyMatrix {
     }
 
     /// Parses strict CSV with the default symmetry tolerance
-    /// ([`DEFAULT_SYMMETRY_TOLERANCE`]).
+    /// (`DEFAULT_SYMMETRY_TOLERANCE`).
     pub fn parse_csv(text: &str) -> Result<Self, MatrixError> {
         Self::parse_csv_with(text, DEFAULT_SYMMETRY_TOLERANCE)
     }
@@ -308,7 +308,7 @@ impl LatencyMatrix {
     /// Parses strict CSV: one row per line, comma-separated numeric
     /// cells, no header, blank lines ignored. Every structural defect
     /// maps to a typed [`MatrixError`].
-    pub fn parse_csv_with(text: &str, symmetry_tolerance: f64) -> Result<Self, MatrixError> {
+    pub(crate) fn parse_csv_with(text: &str, symmetry_tolerance: f64) -> Result<Self, MatrixError> {
         let mut rows: Vec<Vec<f64>> = Vec::new();
         let mut expected: Option<usize> = None;
         for line in text.lines() {
@@ -349,22 +349,6 @@ impl LatencyMatrix {
             }
         }
         Self::from_rows(&rows, symmetry_tolerance)
-    }
-
-    /// Renders the matrix as CSV (row-major, `%.6` precision), the
-    /// inverse of [`LatencyMatrix::parse_csv`] up to rounding.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.n * self.n * 8);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{:.6}", self.cells[i * self.n + j]));
-            }
-            out.push('\n');
-        }
-        out
     }
 
     /// Cell accessor (symmetrised value; diagonal is 0 for generated
@@ -507,7 +491,7 @@ impl SyntheticSpec {
     }
 
     /// Materialises the dense matrix (small systems only, see
-    /// [`MAX_DENSE_NODES`]); bit-identical to sampling the implicit
+    /// `MAX_DENSE_NODES`); bit-identical to sampling the implicit
     /// source cell by cell.
     pub fn generate(&self) -> Result<LatencyMatrix, MatrixError> {
         let src = self.source()?;
@@ -557,16 +541,6 @@ impl SyntheticMatrix {
         part.sort_by_key(|members| members.first().copied().unwrap_or(usize::MAX));
         part
     }
-
-    /// The intra-cluster band of the spec.
-    pub fn intra_band(&self) -> LatencyBand {
-        self.intra
-    }
-
-    /// The inter-cluster band of the spec.
-    pub fn inter_band(&self) -> LatencyBand {
-        self.inter
-    }
 }
 
 impl LatencySource for SyntheticMatrix {
@@ -591,6 +565,22 @@ mod tests {
 
     fn bands() -> (LatencyBand, LatencyBand) {
         (LatencyBand::new(50.0, 4.0).unwrap(), LatencyBand::new(400.0, 30.0).unwrap())
+    }
+
+    /// Renders the matrix as CSV (row-major, `%.6` precision), the
+    /// inverse of [`LatencyMatrix::parse_csv`] up to rounding.
+    fn to_csv(m: &LatencyMatrix) -> String {
+        let mut out = String::with_capacity(m.n * m.n * 8);
+        for i in 0..m.n {
+            for j in 0..m.n {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!("{:.6}", m.cells[i * m.n + j]));
+            }
+            out.push('\n');
+        }
+        out
     }
 
     #[test]
@@ -762,7 +752,7 @@ mod tests {
         let (intra, inter) = bands();
         let spec = SyntheticSpec::uniform(3, 4, intra, inter, 42);
         let dense = spec.generate().unwrap();
-        let reparsed = LatencyMatrix::parse_csv(&dense.to_csv()).unwrap();
+        let reparsed = LatencyMatrix::parse_csv(&to_csv(&dense)).unwrap();
         for i in 0..dense.nodes() {
             for j in 0..dense.nodes() {
                 if i != j {

@@ -8,9 +8,8 @@
 //!   the paper's Gigabit-Ethernet / Fast-Ethernet presets (Table 2).
 //! * [`switch`] — the `Pr`-port switch-fabric building block.
 //! * [`fat_tree`] — the non-blocking Multi-Stage Fat-Tree (§5.2):
-//!   stage count (eq. 12), switch count (eq. 13 / Proposition 1),
-//!   explicit graph construction, up/down hop counts, and the full
-//!   bisection bandwidth property (Theorem 1).
+//!   stage count (eq. 12), switch count (eq. 13 / Proposition 1) and
+//!   up/down hop counts.
 //! * [`latmatrix`] — the empirical latency-matrix source: a seeded
 //!   synthetic WAN/LAN generator with planted clusters, a strict CSV
 //!   importer, and the [`latmatrix::LatencySource`] sampling trait the
@@ -18,19 +17,19 @@
 //!   hop modulation consume.
 //! * [`linear_array`] — the blocking linear switch array (§5.3):
 //!   switch count (eq. 17), hop statistics (the `(k+1)/3` average of
-//!   eq. 19, plus the exact distribution), bisection width 1.
+//!   eq. 19, plus the exact distribution).
 //! * [`splitmix`] — the workspace's one SplitMix64 generator and
 //!   64-bit hash, shared by the latency-matrix generator, cluster
 //!   identification and the load generator.
 //! * [`transmission`] — message transmission-time models
 //!   (eqs. 10, 11, 18–21).
-//! * [`graph`] + [`bisection`] — a small undirected-graph kernel with
-//!   max-flow (Dinic) used to *verify* the bisection-width claims on the
-//!   explicitly constructed topologies.
 //!
 //! The paper models exactly two interconnects, the fat-tree and the
 //! linear array, so the crate carries no direct networks (rings, tori,
-//! hypercubes).
+//! hypercubes). The bisection-width claims — Theorem 1's full bisection
+//! bandwidth of the fat-tree and the linear array's width of 1 — are
+//! checked by max-flow on the explicit topology graphs that the test
+//! crate `hmcs-suite` builds; no production path needs those graphs.
 //!
 //! Time unit: microseconds. Bandwidth unit: MB/s, which conveniently
 //! equals bytes/µs.
@@ -49,10 +48,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bisection;
 pub mod error;
 pub mod fat_tree;
-pub mod graph;
 pub mod latmatrix;
 pub mod linear_array;
 pub mod splitmix;

@@ -9,7 +9,6 @@
 //! time `T_B = (N/2 − 1)·M·β` of eq. 20.
 
 use crate::error::TopologyError;
-use crate::graph::Graph;
 use crate::switch::SwitchFabric;
 
 /// A linear array of switches serving `n` endpoints.
@@ -59,7 +58,7 @@ impl LinearArray {
     /// # Errors
     ///
     /// [`TopologyError::NodeOutOfRange`] for an invalid endpoint.
-    pub fn switch_of(&self, node: usize) -> Result<usize, TopologyError> {
+    pub(crate) fn switch_of(&self, node: usize) -> Result<usize, TopologyError> {
         if node >= self.nodes {
             return Err(TopologyError::NodeOutOfRange { index: node, nodes: self.nodes });
         }
@@ -80,7 +79,7 @@ impl LinearArray {
 
     /// The paper's average traversed-switch count, `(k+1)/3` (eq. 19).
     #[inline]
-    pub fn paper_mean_switch_traversals(&self) -> f64 {
+    pub(crate) fn paper_mean_switch_traversals(&self) -> f64 {
         (self.switch_count() as f64 + 1.0) / 3.0
     }
 
@@ -139,38 +138,6 @@ impl LinearArray {
             }
         }
         dist
-    }
-
-    /// Fabric bisection width of the chain — the paper's §5.3 claim:
-    /// 1 for `k ≥ 2` (cut one chain link). This counts switch-to-switch
-    /// links and assumes the node halves align with switch boundaries;
-    /// when `N/2` falls inside a switch the *graph* bisection also cuts
-    /// the minority endpoint links (see the cross-check tests). A
-    /// single-switch "chain" has no chain link to cut; its natural
-    /// bisection runs through the switch itself and we report `⌈N/2⌉`
-    /// endpoint links, although the paper's blocking model (eq. 20)
-    /// applies the `(N/2−1)` penalty regardless of `k`.
-    pub fn bisection_width(&self) -> usize {
-        if self.switch_count() >= 2 {
-            1
-        } else {
-            self.nodes.div_ceil(2)
-        }
-    }
-
-    /// Builds the explicit multigraph: endpoint vertices `0..n`, switch
-    /// vertices following, chain links between consecutive switches.
-    pub fn build_graph(&self) -> Graph {
-        let k = self.switch_count();
-        let pr = self.switch.ports() as usize;
-        let mut g = Graph::new(self.nodes + k);
-        for node in 0..self.nodes {
-            g.add_edge(node, self.nodes + node / pr);
-        }
-        for s in 0..k.saturating_sub(1) {
-            g.add_edge(self.nodes + s, self.nodes + s + 1);
-        }
-        g
     }
 }
 
@@ -253,48 +220,6 @@ mod tests {
         // Mean from the distribution equals the exact mean.
         let mean: f64 = dist.iter().enumerate().map(|(h, p)| (h as f64 + 1.0) * p).sum();
         assert!((mean - a.exact_mean_switch_traversals()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bisection_width_is_one_for_chains() {
-        assert_eq!(arr(256, 24).bisection_width(), 1);
-        assert_eq!(arr(48, 24).bisection_width(), 1);
-        // Single switch: bisection runs through endpoint links.
-        assert_eq!(arr(10, 24).bisection_width(), 5);
-    }
-
-    #[test]
-    fn explicit_graph_bisection_matches_closed_form_on_aligned_halves() {
-        // When N/2 falls on a switch boundary the graph cut equals the
-        // paper's fabric bisection of 1.
-        for (n, p) in [(48usize, 24u32), (96, 24), (8, 4), (16, 8)] {
-            let a = arr(n, p);
-            let g = a.build_graph();
-            let half = n / 2;
-            let left: Vec<usize> = (0..half).collect();
-            let right: Vec<usize> = (half..n).collect();
-            let cut = g.min_cut_between_sets(&left, &right);
-            assert_eq!(cut, a.bisection_width(), "n={n} p={p}");
-        }
-    }
-
-    #[test]
-    fn misaligned_half_pays_for_the_minority_endpoint_links() {
-        // n=100, Pr=24: half=50 splits switch 2 (nodes 48..71) into a
-        // minority of 2, so the natural cut is 1 chain link + 2 endpoint
-        // links.
-        let a = arr(100, 24);
-        let g = a.build_graph();
-        let left: Vec<usize> = (0..50).collect();
-        let right: Vec<usize> = (50..100).collect();
-        assert_eq!(g.min_cut_between_sets(&left, &right), 3);
-    }
-
-    #[test]
-    fn explicit_graph_is_connected() {
-        for (n, p) in [(1usize, 24u32), (256, 24), (25, 24), (7, 2)] {
-            assert!(arr(n, p).build_graph().is_connected());
-        }
     }
 
     #[test]

@@ -61,36 +61,6 @@ impl SwitchFabric {
     pub fn latency_us(&self) -> f64 {
         self.latency_us
     }
-
-    /// Port split for a **middle** fat-tree stage: `UL = DL = Pr/2`.
-    #[inline]
-    pub fn middle_stage_split(&self) -> PortSplit {
-        PortSplit { up_links: self.ports / 2, down_links: self.ports / 2 }
-    }
-
-    /// Port split for the **last** (root) fat-tree stage:
-    /// `DL = Pr`, `UL = 0`.
-    #[inline]
-    pub fn last_stage_split(&self) -> PortSplit {
-        PortSplit { up_links: 0, down_links: self.ports }
-    }
-}
-
-/// Division of a switch's ports into up-links and down-links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortSplit {
-    /// Ports facing the next (higher) stage.
-    pub up_links: u32,
-    /// Ports facing nodes or the previous (lower) stage.
-    pub down_links: u32,
-}
-
-impl PortSplit {
-    /// Total ports in this split.
-    #[inline]
-    pub fn total(&self) -> u32 {
-        self.up_links + self.down_links
-    }
 }
 
 #[cfg(test)]
@@ -102,15 +72,6 @@ mod tests {
         let sw = SwitchFabric::paper_default();
         assert_eq!(sw.ports(), 24);
         assert_eq!(sw.latency_us(), 10.0);
-    }
-
-    #[test]
-    fn port_splits() {
-        let sw = SwitchFabric::new(8, 10.0).unwrap();
-        assert_eq!(sw.middle_stage_split(), PortSplit { up_links: 4, down_links: 4 });
-        assert_eq!(sw.last_stage_split(), PortSplit { up_links: 0, down_links: 8 });
-        assert_eq!(sw.middle_stage_split().total(), 8);
-        assert_eq!(sw.last_stage_split().total(), 8);
     }
 
     #[test]

@@ -83,26 +83,17 @@ impl NetworkTechnology {
     pub fn byte_time_us(&self) -> f64 {
         1.0 / self.bandwidth_mb_s
     }
-
-    /// Point-to-point message time without switches — paper eq. 10:
-    /// `T = α + M·β` for a message of `message_bytes`.
-    #[inline]
-    pub fn point_to_point_time_us(&self, message_bytes: u64) -> f64 {
-        self.latency_us + message_bytes as f64 * self.byte_time_us()
-    }
-
-    /// Half-power point n_{1/2}: the message size at which half of the
-    /// peak bandwidth is achieved, `α/β` bytes. A classic figure of merit
-    /// for interconnects.
-    #[inline]
-    pub fn half_power_point_bytes(&self) -> f64 {
-        self.latency_us / self.byte_time_us()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Point-to-point message time without switches — paper eq. 10:
+    /// `T = α + M·β` for a message of `message_bytes`.
+    fn point_to_point_time_us(t: &NetworkTechnology, message_bytes: u64) -> f64 {
+        t.latency_us + message_bytes as f64 * t.byte_time_us()
+    }
 
     #[test]
     fn table2_constants() {
@@ -123,10 +114,10 @@ mod tests {
     #[test]
     fn point_to_point_eq10() {
         // 1024 B over GE: 80 + 1024/94 ≈ 90.894 µs.
-        let t = NetworkTechnology::GIGABIT_ETHERNET.point_to_point_time_us(1024);
+        let t = point_to_point_time_us(&NetworkTechnology::GIGABIT_ETHERNET, 1024);
         assert!((t - (80.0 + 1024.0 / 94.0)).abs() < 1e-9);
         // Zero-byte message costs exactly the latency.
-        assert_eq!(NetworkTechnology::FAST_ETHERNET.point_to_point_time_us(0), 50.0);
+        assert_eq!(point_to_point_time_us(&NetworkTechnology::FAST_ETHERNET, 0), 50.0);
     }
 
     #[test]
@@ -134,18 +125,19 @@ mod tests {
         let ge = NetworkTechnology::GIGABIT_ETHERNET;
         let fe = NetworkTechnology::FAST_ETHERNET;
         // Small message: FE's lower latency wins (50 < 80).
-        assert!(fe.point_to_point_time_us(16) < ge.point_to_point_time_us(16));
+        assert!(point_to_point_time_us(&fe, 16) < point_to_point_time_us(&ge, 16));
         // Large message: GE's bandwidth wins.
-        assert!(ge.point_to_point_time_us(100_000) < fe.point_to_point_time_us(100_000));
+        assert!(point_to_point_time_us(&ge, 100_000) < point_to_point_time_us(&fe, 100_000));
     }
 
     #[test]
     fn half_power_point() {
         let ge = NetworkTechnology::GIGABIT_ETHERNET;
-        // alpha/beta = 80 µs * 94 B/µs = 7520 B.
-        assert!((ge.half_power_point_bytes() - 7520.0).abs() < 1e-9);
+        // Half-power point n_1/2 = alpha/beta = 80 µs * 94 B/µs = 7520 B,
+        // the message size at which half of the peak bandwidth is achieved.
+        assert!((ge.latency_us / ge.byte_time_us() - 7520.0).abs() < 1e-9);
         // At n_1/2 the effective bandwidth is half the peak.
-        let t = ge.point_to_point_time_us(7520);
+        let t = point_to_point_time_us(&ge, 7520);
         let eff = 7520.0 / t;
         assert!((eff - ge.bandwidth_mb_s / 2.0).abs() < 1e-9);
     }

@@ -1,6 +1,5 @@
 //! Property-based tests for the topology substrate.
 
-use hmcs_topology::bisection;
 use hmcs_topology::fat_tree::FatTree;
 use hmcs_topology::linear_array::LinearArray;
 use hmcs_topology::switch::SwitchFabric;
@@ -87,25 +86,6 @@ proptest! {
         prop_assert!((total - 1.0).abs() < 1e-9);
         let mean2: f64 = dist.iter().enumerate().map(|(h, p)| (h as f64 + 1.0) * p).sum();
         prop_assert!((mean - mean2).abs() < 1e-9);
-    }
-
-    /// Fat-tree graphs are connected and satisfy Theorem 1 on
-    /// boundary-aligned instances small enough for max-flow.
-    #[test]
-    fn fat_tree_full_bisection(pods in 1usize..8, half_ports in 2u32..8) {
-        let sw = SwitchFabric::new(half_ports * 2, 10.0).unwrap();
-        // Node count = pods * down-radix, and even, so halves align.
-        let nodes = (pods * half_ports as usize).max(2) * 2 / 2 * 2;
-        let nodes = nodes.max(2);
-        let ft = FatTree::new(nodes, sw).unwrap();
-        let g = ft.build_graph();
-        prop_assert!(g.graph().is_connected());
-        let report = bisection::analyze(g.graph(), nodes);
-        prop_assert!(
-            report.has_full_bisection_bandwidth(),
-            "nodes={} width={} target={}",
-            nodes, report.bisection_width, report.full_bisection_target
-        );
     }
 
     /// Transmission time decomposition is consistent and monotone in

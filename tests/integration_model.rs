@@ -1,13 +1,13 @@
 //! Cross-crate integration tests: the analytical model's closed forms
-//! against the general-purpose queueing machinery it specialises.
+//! against the exact queueing oracles it specialises.
 
 use hmcs_core::config::SystemConfig;
 use hmcs_core::model::AnalyticalModel;
 use hmcs_core::rates::TrafficRates;
 use hmcs_core::scenario::{Scenario, PAPER_CLUSTER_COUNTS};
 use hmcs_core::service::ServiceTimes;
-use hmcs_queueing::jackson::{JacksonNetwork, Station};
-use hmcs_queueing::mm1::MM1;
+use hmcs_suite::jackson::{JacksonNetwork, Station};
+use hmcs_suite::mm1::MM1;
 use hmcs_topology::transmission::Architecture;
 
 /// The paper's latency composition (eq. 15) must equal an explicit
@@ -45,6 +45,44 @@ fn eq15_equals_explicit_jackson_path_latency() {
             report.latency.mean_message_latency_us
         );
     }
+}
+
+/// The traffic equations (eqs. 1–5) must equal the general Jackson
+/// traffic equations. One cluster's centres plus ICN2 form an explicit
+/// network (forward and feedback ECN1 passes as separate stations),
+/// mirroring Figure 2 of the paper.
+#[test]
+fn jackson_network_reproduces_the_closed_forms() {
+    let config = SystemConfig::paper_preset(Scenario::Case1, 4, Architecture::NonBlocking).unwrap(); // C=4, N0=64
+    let lam = 1e-4;
+    let r = TrafficRates::compute(&config, lam);
+    let p = r.external_probability;
+    let n0 = config.nodes_per_cluster as f64;
+    let c = config.clusters as f64;
+    // Stations: [ICN1, ECN1_fwd, ICN2, ECN1_fb]. ICN2 receives the
+    // forward traffic of ALL clusters; model the other clusters'
+    // contribution as external arrivals at ICN2. Feedback returns
+    // only this cluster's share (1/C).
+    let net = JacksonNetwork::new(
+        vec![
+            Station::single(1.0, n0 * (1.0 - p) * lam),
+            Station::single(1.0, n0 * p * lam),
+            Station::single(1.0, (c - 1.0) * n0 * p * lam),
+            Station::single(1.0, 0.0),
+        ],
+        vec![
+            vec![0.0, 0.0, 0.0, 0.0],
+            vec![0.0, 0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 0.0, 1.0 / c],
+            vec![0.0, 0.0, 0.0, 0.0],
+        ],
+    )
+    .unwrap();
+    let rates = net.traffic_rates().unwrap();
+    assert!((rates[0] - r.icn1).abs() < 1e-15, "ICN1");
+    assert!((rates[1] - r.ecn1_forward).abs() < 1e-15, "ECN1 forward");
+    assert!((rates[2] - r.icn2).abs() < 1e-15, "ICN2");
+    assert!((rates[3] - r.ecn1_feedback).abs() < 1e-15, "ECN1 feedback");
 }
 
 /// Per-centre sojourn times must equal 1/(µ−λ) (eq. 16) at the
