@@ -5,18 +5,28 @@
 //! [`SystemConfig`](crate::config::SystemConfig)s. This module gives
 //! them one bounded worker pool instead of three ad-hoc loops:
 //!
-//! * [`par_map`] — evaluate a slice on `workers` scoped threads with a
+//! * [`par_map`] — evaluate a slice on `workers` workers with a
 //!   lock-free claim cursor, returning results in **input order**. The
-//!   mapping function runs per item with no shared mutable state, so
-//!   parallel results are bit-identical to sequential ones.
+//!   calling thread is one of the workers and `workers − 1` scoped
+//!   threads are the others, so the mapping function may borrow from
+//!   the caller's stack. It runs per item with no shared mutable state,
+//!   so parallel results are bit-identical to sequential ones.
 //! * [`BatchOptions`] — worker-count policy: explicit, the
 //!   `HMCS_POOL_WORKERS` environment variable, or
 //!   [`std::thread::available_parallelism`].
 //! * [`EvalStats`] / [`EvalStatsSummary`] — per-point evaluation cost
 //!   (wall-clock time and fixed-point solver iterations) as reported by
 //!   the batched kernel ([`crate::kernel::evaluate_batch`]).
+//!
+//! The kernel's own batches do not come here: they split into one lane
+//! block per worker, and the caller solves the first block while the
+//! kernel's persistent helper threads solve the rest
+//! ([`crate::kernel::evaluate_batch`]), so a warm kernel batch spawns
+//! no thread. The worker-count policy and the `core.batch.*` metrics
+//! are the same for both.
 
 use crate::metrics::{self, keys};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -95,16 +105,18 @@ impl BatchOptions {
     }
 }
 
-/// Maps `f` over `items` on up to `workers` scoped threads, returning
-/// results in input order.
+/// Maps `f` over `items` on up to `workers` workers, returning results
+/// in input order.
 ///
-/// Workers claim indices from a shared atomic cursor and collect
-/// `(index, result)` pairs locally; the pairs are merged after all
-/// workers join, so no locks are held while `f` runs. Because `f` sees
-/// exactly one item per call and nothing else is shared, the output is
-/// bit-identical to `items.iter().map(f).collect()` — only the
-/// wall-clock schedule differs. With one worker (or one item) no
-/// threads are spawned at all.
+/// The calling thread is one worker and `workers − 1` scoped threads
+/// are the rest. Workers claim indices from a shared atomic cursor and
+/// collect `(index, result)` pairs locally; the pairs are merged after
+/// all workers join, so no locks are held while `f` runs. Because `f`
+/// sees exactly one item per call and nothing else is shared, the
+/// output is bit-identical to `items.iter().map(f).collect()` — only
+/// the wall-clock schedule differs. With one worker (or one item) no
+/// threads are spawned at all. A panic in `f` reaches the caller as a
+/// `batch worker panicked` panic once every worker has stopped.
 pub fn par_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -124,7 +136,8 @@ where
 /// result must depend only on the item (the state may cache or reuse
 /// storage but must not leak information between items), so the output
 /// stays bit-identical to the sequential path regardless of worker
-/// count or claim order. With one worker (or one item) no threads are
+/// count or claim order. The calling thread's share uses one of the
+/// `workers` states. With one worker (or one item) no threads are
 /// spawned and a single state value is used throughout.
 pub fn par_map_init<T, S, U, FInit, F>(items: &[T], workers: usize, init: FInit, f: F) -> Vec<U>
 where
@@ -145,45 +158,45 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    let drain = || {
+        // The timers below only observe the schedule (drain balance,
+        // busy vs idle); they never influence which items a worker
+        // claims or what `f` computes, so results stay bit-identical to
+        // the sequential path.
+        let spawned = Instant::now();
+        let mut busy = std::time::Duration::ZERO;
+        let mut state = init();
+        let mut local = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            if instrumented {
+                let t0 = Instant::now();
+                let out = f(&mut state, &items[i]);
+                busy += t0.elapsed();
+                local.push((i, out));
+            } else {
+                local.push((i, f(&mut state, &items[i])));
+            }
+        }
+        if instrumented {
+            let total = spawned.elapsed();
+            metrics::histogram(keys::BATCH_WORKER_ITEMS).record(local.len() as u64);
+            metrics::histogram(keys::BATCH_WORKER_BUSY_US).record_f64(busy.as_secs_f64() * 1e6);
+            metrics::histogram(keys::BATCH_WORKER_IDLE_US)
+                .record_f64(total.saturating_sub(busy).as_secs_f64() * 1e6);
+        }
+        local
+    };
+    // The calling thread drains beside `workers − 1` scoped threads.
     let buckets: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    // The timers below only observe the schedule (drain
-                    // balance, busy vs idle); they never influence which
-                    // items a worker claims or what `f` computes, so
-                    // results stay bit-identical to the sequential path.
-                    let spawned = Instant::now();
-                    let mut busy = std::time::Duration::ZERO;
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        if instrumented {
-                            let t0 = Instant::now();
-                            let out = f(&mut state, &items[i]);
-                            busy += t0.elapsed();
-                            local.push((i, out));
-                        } else {
-                            local.push((i, f(&mut state, &items[i])));
-                        }
-                    }
-                    if instrumented {
-                        let total = spawned.elapsed();
-                        metrics::histogram(keys::BATCH_WORKER_ITEMS).record(local.len() as u64);
-                        metrics::histogram(keys::BATCH_WORKER_BUSY_US)
-                            .record_f64(busy.as_secs_f64() * 1e6);
-                        metrics::histogram(keys::BATCH_WORKER_IDLE_US)
-                            .record_f64(total.saturating_sub(busy).as_secs_f64() * 1e6);
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let own = panic::catch_unwind(AssertUnwindSafe(drain));
+        let mut buckets = vec![own.expect("batch worker panicked")];
+        buckets.extend(handles.into_iter().map(|h| h.join().expect("batch worker panicked")));
+        buckets
     });
 
     let mut slots: Vec<Option<U>> = Vec::with_capacity(items.len());

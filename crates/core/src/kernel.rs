@@ -53,20 +53,36 @@
 //! error are the solver's own ([`solver::BISECT_REL_TOL`],
 //! [`solver::MAX_EVALS`]), imported rather than mirrored.
 //!
+//! ## Parallel batches
+//!
+//! [`evaluate_batch`] and [`evaluate_batch_bounded`] cut a batch into
+//! one contiguous block of lanes per worker. The calling thread solves
+//! block 0 on its own arena; the others go, lanes copied, to a set of
+//! process-wide helper threads that each own an arena and wait on one
+//! job queue between batches. The set grows lazily to one fewer than
+//! the largest worker count asked for, so a warm batch spawns no
+//! thread. Outcomes come back in block order, and lanes never share
+//! data, so no lane changes a bit whatever the worker count. A panic in
+//! a helper's block reaches the caller as a `batch worker panicked`
+//! panic; the helper replaces its arena and serves on.
+//!
 //! Only the paper's M/M/1 model runs in lanes. The QNA refinement and
 //! the Cluster-of-Clusters model solve the same fixed point through the
 //! solver's scalar driver: a `reproduce all` run makes a handful of
 //! those evaluations, too few to batch.
 
-use crate::batch::{self, EvalStats};
+use crate::batch::EvalStats;
 use crate::config::{QueueAccounting, SystemConfig};
 use crate::error::ModelError;
 use crate::metrics::{self, keys};
 use crate::model::PerformanceReport;
 use crate::service::ServiceTimes;
 use crate::solver::{self, BISECT_REL_TOL, MAX_EVALS};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Mean number in system of an M/G/1 centre from precomputed moments,
 /// or `f64::INFINITY` when unstable — the lane-local replica of the
@@ -387,10 +403,11 @@ impl LaneService {
 /// A kernel is also a reusable *arena*: [`BatchKernel::evaluate`] and
 /// [`BatchKernel::evaluate_bounded`] rewind every column to the exact
 /// state a fresh build would produce without releasing capacity, so
-/// steady-state callers ([`evaluate_batch`]'s worker pool, the
-/// optimizer's wave loop, the serve micro-batcher, the single-point
-/// facade, the λ-for-latency search) solve batch after batch without
-/// touching the allocator.
+/// steady-state callers solve batch after batch without touching the
+/// allocator. Each thread keeps one ([`with_arena`]) for the batch
+/// blocks it solves itself, the serve micro-batcher, the single-point
+/// facade and the sensitivity probes; each kernel helper thread owns
+/// one for the blocks it is handed.
 ///
 /// While the lockstep loop runs, every column indexed by lane (the
 /// `order` column maps positions back to input lanes) may be permuted
@@ -503,17 +520,38 @@ impl BatchKernel {
         service: &[LaneService],
         bounds: &[LaneBounds],
     ) -> Vec<LaneOutcome> {
-        assert_eq!(configs.len(), service.len(), "one LaneService per lane");
-        assert_eq!(configs.len(), bounds.len(), "one LaneBounds per lane");
-        self.reset(configs, Some(service));
-        let mut any = false;
-        for (i, b) in bounds.iter().enumerate() {
-            self.thr_slo[i] = b.slo_us;
-            self.thr_dom[i] = b.dominated_at_us;
-            any |= b.slo_us.is_finite() || b.dominated_at_us.is_finite();
+        let mut out = Vec::with_capacity(configs.len());
+        self.solve_into(configs, Some((service, bounds)), &mut out);
+        out
+    }
+
+    /// Solves `configs` through the arena and appends one outcome per
+    /// lane to `out`: unbounded with each lane's service derived from
+    /// its topology (`bounded` is `None`, as [`BatchKernel::evaluate`]),
+    /// or with the caller's service and bounds per lane (as
+    /// [`BatchKernel::evaluate_bounded`]).
+    pub(crate) fn solve_into(
+        &mut self,
+        configs: &[SystemConfig],
+        bounded: Option<(&[LaneService], &[LaneBounds])>,
+        out: &mut Vec<LaneOutcome>,
+    ) {
+        match bounded {
+            None => self.reset(configs, None),
+            Some((service, bounds)) => {
+                assert_eq!(configs.len(), service.len(), "one LaneService per lane");
+                assert_eq!(configs.len(), bounds.len(), "one LaneBounds per lane");
+                self.reset(configs, Some(service));
+                let mut any = false;
+                for (i, b) in bounds.iter().enumerate() {
+                    self.thr_slo[i] = b.slo_us;
+                    self.thr_dom[i] = b.dominated_at_us;
+                    any |= b.slo_us.is_finite() || b.dominated_at_us.is_finite();
+                }
+                self.bound_active = any;
+            }
         }
-        self.bound_active = any;
-        self.run()
+        self.run_into(out);
     }
 
     /// Rewinds every column to the state a fresh build for `configs`
@@ -629,20 +667,16 @@ impl BatchKernel {
     /// [`BatchKernel::solve`] without consuming the arena; only called
     /// on a freshly built or freshly reset batch.
     fn solve_in_place(&mut self) -> Vec<Result<(PerformanceReport, EvalStats), ModelError>> {
-        self.run()
-            .into_iter()
-            .map(|lane| match lane {
-                LaneOutcome::Solved(report, stats) => Ok((report, stats)),
-                LaneOutcome::Failed(e) => Err(e),
-                LaneOutcome::Pruned { .. } => {
-                    unreachable!("an unbounded solve never prunes a lane")
-                }
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.configs.len());
+        self.run_into(&mut out);
+        out.into_iter().map(unbounded).collect()
     }
 
-    fn run(&mut self) -> Vec<LaneOutcome> {
+    /// Solves the freshly reset batch and appends one outcome per lane
+    /// to `out`, in input order.
+    fn run_into(&mut self, out: &mut Vec<LaneOutcome>) {
         let start = Instant::now();
+        let first = out.len();
         let lanes = self.configs.len();
         self.bisect(lanes);
 
@@ -657,7 +691,7 @@ impl BatchKernel {
         let mut bracket_batch = metrics::HistogramBatch::new();
         let mut backoff_activations = 0u64;
         let mut backoff_batch = metrics::HistogramBatch::new();
-        let mut out: Vec<LaneOutcome> = Vec::with_capacity(lanes);
+        out.reserve(lanes);
         for i in 0..lanes {
             match self.state[i] {
                 LaneState::Failed => {
@@ -735,7 +769,7 @@ impl BatchKernel {
         let per_lane_us =
             if lanes == 0 { 0.0 } else { start.elapsed().as_secs_f64() * 1e6 / lanes as f64 };
         let mut eval_time_batch = metrics::HistogramBatch::new();
-        for lane in out.iter_mut() {
+        for lane in &mut out[first..] {
             if let LaneOutcome::Solved(_, stats) = lane {
                 stats.eval_time_us = per_lane_us;
                 eval_time_batch.record_f64(per_lane_us);
@@ -744,7 +778,6 @@ impl BatchKernel {
         if !eval_time_batch.is_empty() {
             eval_time_batch.flush_into(solve_metrics().eval_time_us);
         }
-        out
     }
 
     /// Runs the cold-start bisection of every lane in lockstep. On
@@ -1076,80 +1109,297 @@ fn solve_metrics() -> &'static SolveMetrics {
     })
 }
 
-/// Process-wide arena cache: finished workers park their
-/// [`BatchKernel`] here and the next batch's workers pick them back
-/// up, so steady-state serving and optimizer loops stop paying the
-/// ~28-column rebuild allocation per call. Bounded by the peak number
-/// of concurrent workers ever live.
-struct ArenaPool {
-    arenas: Mutex<Vec<BatchKernel>>,
-}
-
-impl ArenaPool {
-    fn take(&self) -> BatchKernel {
-        self.arenas.lock().expect("arena pool poisoned").pop().unwrap_or_default()
-    }
-
-    fn put(&self, kernel: BatchKernel) {
-        self.arenas.lock().expect("arena pool poisoned").push(kernel);
+/// An unbounded solve's lane outcome as the per-lane result
+/// [`BatchKernel::evaluate`] returns.
+fn unbounded(lane: LaneOutcome) -> Result<(PerformanceReport, EvalStats), ModelError> {
+    match lane {
+        LaneOutcome::Solved(report, stats) => Ok((report, stats)),
+        LaneOutcome::Failed(e) => Err(e),
+        LaneOutcome::Pruned { .. } => unreachable!("an unbounded solve never prunes a lane"),
     }
 }
 
-fn arena_pool() -> &'static ArenaPool {
-    static POOL: OnceLock<ArenaPool> = OnceLock::new();
-    POOL.get_or_init(|| ArenaPool { arenas: Mutex::new(Vec::new()) })
+/// One contiguous block of lanes, owned so that it can cross to a
+/// helper thread, with the buffer its outcomes are solved into.
+/// `service` and `bounds` stay empty on the unbounded path, where every
+/// lane derives its service from its own topology. A caller keeps the
+/// blocks its helpers hand back, so a warm batch allocates no block
+/// storage.
+#[derive(Default)]
+struct Block {
+    configs: Vec<SystemConfig>,
+    service: Vec<LaneService>,
+    bounds: Vec<LaneBounds>,
+    outcomes: Vec<LaneOutcome>,
 }
 
-/// Checked-out arena that returns itself to the pool on drop (worker
-/// panic included).
-struct PooledKernel {
-    kernel: Option<BatchKernel>,
-}
-
-impl PooledKernel {
-    fn checkout() -> Self {
-        PooledKernel { kernel: Some(arena_pool().take()) }
+impl Block {
+    /// Refills the block with the next `len` lanes of `lanes`.
+    fn fill<L: Lane>(&mut self, lanes: &mut impl Iterator<Item = L>, len: usize) {
+        self.configs.clear();
+        self.service.clear();
+        self.bounds.clear();
+        for lane in lanes.take(len) {
+            lane.push_to(self);
+        }
     }
 
-    fn get(&mut self) -> &mut BatchKernel {
-        self.kernel.as_mut().expect("pooled kernel present until drop")
+    /// Solves the block's lanes in `arena` into `self.outcomes`.
+    fn solve(&mut self, arena: &mut BatchKernel) {
+        let bounded = (!self.service.is_empty()).then_some((&self.service[..], &self.bounds[..]));
+        self.outcomes.clear();
+        arena.solve_into(&self.configs, bounded, &mut self.outcomes);
     }
 }
 
-impl Drop for PooledKernel {
+/// One lane's inputs, as the batch driver gathers them into a [`Block`].
+trait Lane {
+    fn push_to(self, block: &mut Block);
+}
+
+/// An unbounded lane that derives its service from its topology.
+impl Lane for SystemConfig {
+    fn push_to(self, block: &mut Block) {
+        block.configs.push(self);
+    }
+}
+
+/// A bounded lane with the caller's service.
+impl Lane for (SystemConfig, LaneService, LaneBounds) {
+    fn push_to(self, block: &mut Block) {
+        block.configs.push(self.0);
+        block.service.push(self.1);
+        block.bounds.push(self.2);
+    }
+}
+
+/// What a thread keeps for the batches it runs: its kernel arena, the
+/// block it solves itself, the blocks its helper jobs brought back, and
+/// where those jobs answer.
+#[derive(Default)]
+struct Local {
+    arena: BatchKernel,
+    head: Block,
+    spare: Vec<Block>,
+    answers: Arc<Answers>,
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> = RefCell::new(Local::default());
+}
+
+/// The answers to one thread's helper jobs.
+#[derive(Default)]
+struct Answers {
+    slots: Mutex<Slots>,
+    filled: Condvar,
+}
+
+/// One slot per helper block of the current call (block `i` in slot
+/// `i − 1`), and how many helpers have yet to answer.
+#[derive(Default)]
+struct Slots {
+    blocks: Vec<Option<std::thread::Result<Block>>>,
+    pending: usize,
+}
+
+impl Answers {
+    /// Every update leaves the slots valid; the lock is poisoned only
+    /// when a call panics on a helper's panic while it reads them.
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Opens `helpers` empty slots for a new call.
+    fn expect(&self, helpers: usize) {
+        let mut slots = self.lock();
+        slots.blocks.clear();
+        slots.blocks.resize_with(helpers, || None);
+        slots.pending = helpers;
+    }
+
+    /// A helper's answer for block `index`.
+    fn answer(&self, index: usize, solved: std::thread::Result<Block>) {
+        let mut slots = self.lock();
+        slots.blocks[index - 1] = Some(solved);
+        slots.pending -= 1;
+        drop(slots);
+        self.filled.notify_one();
+    }
+
+    /// Waits until every helper of the current call has answered.
+    fn all(&self) -> MutexGuard<'_, Slots> {
+        let mut slots = self.lock();
+        while slots.pending > 0 {
+            slots = self.filled.wait(slots).unwrap_or_else(PoisonError::into_inner);
+        }
+        slots
+    }
+}
+
+/// Waits, when dropped, until every helper of the current call has
+/// answered, so a call never returns or unwinds while a helper may
+/// still write into its thread's slots.
+struct AllAnswered<'a>(&'a Answers);
+
+impl Drop for AllAnswered<'_> {
     fn drop(&mut self) {
-        if let Some(kernel) = self.kernel.take() {
-            arena_pool().put(kernel);
+        drop(self.0.all());
+    }
+}
+
+/// Runs `f` on this thread's kernel arena.
+///
+/// Each thread has one arena. It serves the block a thread solves
+/// itself in [`evaluate_batch`] and [`evaluate_batch_bounded`], the
+/// single-point facade, the sensitivity probes and the server's batch
+/// leader, so a warm solve on any of them allocates no columns and
+/// takes no lock. `f` must not start another solve on this thread.
+pub fn with_arena<R>(f: impl FnOnce(&mut BatchKernel) -> R) -> R {
+    LOCAL.with_borrow_mut(|local| f(&mut local.arena))
+}
+
+/// A block sent to a helper thread, and where its answer goes.
+struct Job {
+    index: usize,
+    block: Block,
+    answers: Arc<Answers>,
+    /// When the batch was handed out, on an instrumented call.
+    dispatched: Option<Instant>,
+}
+
+/// The process-wide kernel helpers: threads that each own one arena and
+/// wait on one job queue between batches. The set grows lazily to one
+/// fewer than the largest worker count a batch has asked for, and never
+/// shrinks, so once it is warm a batch spawns no thread.
+struct Helpers {
+    jobs: Mutex<VecDeque<Job>>,
+    queued: Condvar,
+    spawned: Mutex<usize>,
+}
+
+static HELPERS: Helpers =
+    Helpers { jobs: Mutex::new(VecDeque::new()), queued: Condvar::new(), spawned: Mutex::new(0) };
+
+impl Helpers {
+    /// Spawns helpers until there are at least `count`. Helpers are
+    /// never joined: they live as long as the process, and a job's
+    /// panic reaches its caller through the job's answer.
+    fn grow_to(&'static self, count: usize) {
+        let mut spawned = self.spawned.lock().unwrap_or_else(PoisonError::into_inner);
+        while *spawned < count {
+            std::thread::Builder::new()
+                .name(format!("hmcs-kernel-helper-{spawned}"))
+                .spawn(|| self.serve())
+                .expect("failed to spawn a kernel helper thread");
+            *spawned += 1;
+        }
+    }
+
+    /// Queues `job` for the next idle helper. The queue is only ever
+    /// pushed and popped under its lock, so a poisoned lock still
+    /// guards a whole queue.
+    fn submit(&self, job: Job) {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner).push_back(job);
+        self.queued.notify_one();
+    }
+
+    /// A helper's life: take the next job, solve its block in this
+    /// helper's arena and hand it back. A panicking solve goes back to
+    /// its caller as the panic; the helper drops its arena, in case the
+    /// panic left it half-written, and serves on.
+    fn serve(&self) {
+        let mut arena = BatchKernel::default();
+        loop {
+            let Job { index, mut block, answers, dispatched } = {
+                let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+                loop {
+                    match jobs.pop_front() {
+                        Some(job) => break job,
+                        None => {
+                            jobs = self.queued.wait(jobs).unwrap_or_else(PoisonError::into_inner)
+                        }
+                    }
+                }
+            };
+            let solved = panic::catch_unwind(AssertUnwindSafe(|| {
+                let started = Instant::now();
+                block.solve(&mut arena);
+                if let Some(dispatched) = dispatched {
+                    record_worker(started - dispatched, started.elapsed());
+                }
+            }));
+            if solved.is_err() {
+                arena = BatchKernel::default();
+            }
+            answers.answer(index, solved.map(|()| block));
         }
     }
 }
 
+/// Helper threads this process has spawned so far. The count only
+/// grows, and never past one fewer than the largest worker count a
+/// batch has used.
+pub fn helpers_spawned() -> usize {
+    *HELPERS.spawned.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Registry handles for the `core.batch.*` metrics a kernel batch
+/// records, looked up once per process like [`SolveMetrics`]: the
+/// caller and its helpers finish their blocks at about the same time,
+/// and would otherwise contend on the registry's mutex.
+struct BatchMetrics {
+    calls: &'static metrics::Counter,
+    items: &'static metrics::Counter,
+    worker_items: &'static metrics::ValueHistogram,
+    worker_busy_us: &'static metrics::ValueHistogram,
+    worker_idle_us: &'static metrics::ValueHistogram,
+}
+
+fn batch_metrics() -> &'static BatchMetrics {
+    static HANDLES: OnceLock<BatchMetrics> = OnceLock::new();
+    HANDLES.get_or_init(|| BatchMetrics {
+        calls: metrics::counter(keys::BATCH_CALLS),
+        items: metrics::counter(keys::BATCH_ITEMS),
+        worker_items: metrics::histogram(keys::BATCH_WORKER_ITEMS),
+        worker_busy_us: metrics::histogram(keys::BATCH_WORKER_BUSY_US),
+        worker_idle_us: metrics::histogram(keys::BATCH_WORKER_IDLE_US),
+    })
+}
+
+/// Records one worker's share of a batch under the
+/// `core.batch.worker_*` histograms: one block, the time it spent
+/// solving, and the time from the batch's start until it began.
+fn record_worker(idle: Duration, busy: Duration) {
+    let handles = batch_metrics();
+    handles.worker_items.record(1);
+    handles.worker_busy_us.record_f64(busy.as_secs_f64() * 1e6);
+    handles.worker_idle_us.record_f64(idle.as_secs_f64() * 1e6);
+}
+
 /// Evaluates a batch of configurations through [`BatchKernel`], split
-/// into one contiguous lane block per worker on the shared pool.
+/// into one contiguous lane block per worker.
 ///
 /// Results arrive in input order and every lane is bit-identical to the
 /// scalar reference [`crate::solver::solve`] — chunking cannot change
-/// bits because lanes never exchange information. Each worker solves
-/// its block in a pooled arena ([`BatchKernel::evaluate`] reuse), so
-/// repeated calls are allocation-free once the pool is warm.
+/// bits because lanes never exchange information. The calling thread
+/// solves the first block in its own arena ([`with_arena`]) while the
+/// process-wide kernel helpers solve the others, so a warm call spawns
+/// no thread and allocates only the vector it returns.
 pub fn evaluate_batch(
     configs: &[SystemConfig],
     workers: usize,
 ) -> Vec<Result<(PerformanceReport, EvalStats), ModelError>> {
-    evaluate_chunked(
-        configs.len(),
-        workers,
-        |chunk| configs.chunks(chunk).collect(),
-        |kernel, block: &&[SystemConfig]| kernel.evaluate(block),
-    )
+    let mut out = Vec::with_capacity(configs.len());
+    evaluate_chunked(configs.iter().copied(), workers, |lane| out.push(unbounded(lane)));
+    out
 }
 
 /// [`evaluate_batch`] with each lane's [`LaneService`] handed in and
 /// per-lane prune thresholds ([`BatchKernel::evaluate_bounded`] per
-/// block): the optimizer's solve path. `service` and `bounds` must be
-/// lane-aligned with `configs`. Lanes that survive are bit-identical to
-/// [`evaluate_batch`]; pruned lanes carry their certified latency lower
-/// bound.
+/// block). `service` and `bounds` must be lane-aligned with `configs`.
+/// Lanes that survive are bit-identical to [`evaluate_batch`]; pruned
+/// lanes carry their certified latency lower bound.
 pub fn evaluate_batch_bounded(
     configs: &[SystemConfig],
     service: &[LaneService],
@@ -1158,45 +1408,81 @@ pub fn evaluate_batch_bounded(
 ) -> Vec<LaneOutcome> {
     assert_eq!(configs.len(), service.len(), "one LaneService per lane");
     assert_eq!(configs.len(), bounds.len(), "one LaneBounds per lane");
-    evaluate_chunked(
-        configs.len(),
-        workers,
-        |chunk| {
-            configs.chunks(chunk).zip(service.chunks(chunk)).zip(bounds.chunks(chunk)).collect()
-        },
-        |kernel, &((block, ss), bb)| kernel.evaluate_bounded(block, ss, bb),
-    )
+    let lanes = configs.iter().zip(service).zip(bounds).map(|((&c, &s), &b)| (c, s, b));
+    let mut out = Vec::with_capacity(configs.len());
+    for_each_outcome_bounded(lanes, workers, |lane| out.push(lane));
+    out
 }
 
-/// The chunked driver behind both batch entry points: `split` cuts the
-/// `lanes` into one contiguous block per worker (it receives the block
-/// length), each block is solved by `solve` in a pooled arena, and the
-/// lane results come back flattened in input order.
-fn evaluate_chunked<B, R>(
-    lanes: usize,
+/// [`evaluate_batch_bounded`] over lanes the caller gathers on the fly,
+/// handing each outcome to `each` in lane order: the optimizer's solve
+/// path. Each lane is copied once, straight into the block that solves
+/// it, and each outcome is read from the buffer its block was solved
+/// into. `each` must not start a kernel solve on this thread.
+pub(crate) fn for_each_outcome_bounded(
+    lanes: impl ExactSizeIterator<Item = (SystemConfig, LaneService, LaneBounds)>,
     workers: usize,
-    split: impl FnOnce(usize) -> Vec<B>,
-    solve: impl Fn(&mut BatchKernel, &B) -> Vec<R> + Sync,
-) -> Vec<R>
-where
-    B: Sync,
-    R: Send,
-{
-    if lanes == 0 {
-        return Vec::new();
+    each: impl FnMut(LaneOutcome),
+) {
+    evaluate_chunked(lanes, workers, each);
+}
+
+/// The chunked driver behind every batch entry point. It cuts the lanes
+/// into one contiguous block per worker and queues blocks `1..` for the
+/// kernel helpers. It then solves block 0 in this thread's arena and
+/// hands every outcome to `each` in lane order, block 0's while the
+/// helpers may still be solving.
+fn evaluate_chunked<L: Lane>(
+    mut lanes: impl ExactSizeIterator<Item = L>,
+    workers: usize,
+    mut each: impl FnMut(LaneOutcome),
+) {
+    let count = lanes.len();
+    if count == 0 {
+        return;
     }
-    let workers = workers.max(1).min(lanes);
-    let blocks = split(lanes.div_ceil(workers));
-    // `par_map_init` counts one item per block; top the batch-items
-    // counter up to one item per lane so operator dashboards keep
-    // their meaning.
-    if metrics::enabled() && lanes > blocks.len() {
-        metrics::counter(keys::BATCH_ITEMS).add((lanes - blocks.len()) as u64);
+    let instrumented = metrics::enabled();
+    if instrumented {
+        let handles = batch_metrics();
+        handles.calls.incr();
+        handles.items.add(count as u64);
     }
-    let nested = batch::par_map_init(&blocks, workers, PooledKernel::checkout, |arena, block| {
-        solve(arena.get(), block)
+    let chunk = count.div_ceil(workers.max(1).min(count));
+    let blocks = count.div_ceil(chunk);
+    LOCAL.with_borrow_mut(|local| {
+        let Local { arena, head, spare, answers } = local;
+        let answers: &Arc<Answers> = answers;
+        head.fill(&mut lanes, chunk);
+        if blocks > 1 {
+            HELPERS.grow_to(blocks - 1);
+        }
+        answers.expect(blocks - 1);
+        let _all_answered = AllAnswered(answers);
+        let dispatched = Instant::now();
+        for index in 1..blocks {
+            let mut block = spare.pop().unwrap_or_default();
+            block.fill(&mut lanes, chunk);
+            let answers = Arc::clone(answers);
+            HELPERS.submit(Job {
+                index,
+                block,
+                answers,
+                dispatched: instrumented.then_some(dispatched),
+            });
+        }
+        let started = Instant::now();
+        head.solve(arena);
+        if instrumented && blocks > 1 {
+            record_worker(started - dispatched, started.elapsed());
+        }
+        head.outcomes.drain(..).for_each(&mut each);
+        for slot in answers.all().blocks.iter_mut() {
+            let mut block =
+                slot.take().expect("every helper answered").expect("batch worker panicked");
+            block.outcomes.drain(..).for_each(&mut each);
+            spare.push(block);
+        }
     });
-    nested.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -1487,6 +1773,57 @@ mod tests {
         assert_eq!(digest, 0x3715_4f70_43a9_4a6f);
     }
 
+    /// A bounded lane that, when `poisoned`, leaves its bounds out of
+    /// its block, so the solve of that block trips the kernel's
+    /// one-bounds-per-lane assert.
+    struct Poisoned(SystemConfig, LaneService, bool);
+
+    impl Lane for Poisoned {
+        fn push_to(self, block: &mut Block) {
+            block.configs.push(self.0);
+            block.service.push(self.1);
+            if !self.2 {
+                block.bounds.push(LaneBounds::NONE);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_helper_block_panics_the_caller_and_the_pool_serves_on() {
+        let configs: Vec<SystemConfig> =
+            PAPER_CLUSTER_COUNTS.iter().map(|&c| cfg(c, Architecture::Blocking)).collect();
+        let service = lane_service(&configs);
+        // Two workers: the caller solves the first half of the lanes and
+        // a helper the second, the poisoned one.
+        let half = configs.len().div_ceil(2);
+        let poisoned =
+            configs.iter().zip(&service).enumerate().map(|(i, (&c, &s))| Poisoned(c, s, i >= half));
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| evaluate_chunked(poisoned, 2, drop)));
+        let payload = caught.expect_err("a helper's panic must reach the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(message.contains("batch worker panicked"), "caller panicked with {message:?}");
+
+        let bounds = vec![LaneBounds::NONE; configs.len()];
+        let alone = evaluate_batch_bounded(&configs, &service, &bounds, 1);
+        for _ in 0..3 {
+            assert_eq!(evaluate_batch_bounded(&configs, &service, &bounds, 2).len(), alone.len());
+            for (helped, solo) in
+                evaluate_batch_bounded(&configs, &service, &bounds, 2).iter().zip(&alone)
+            {
+                match (helped, solo) {
+                    (LaneOutcome::Solved(a, _), LaneOutcome::Solved(b, _)) => {
+                        assert_bitwise_eq(a, b)
+                    }
+                    _ => panic!("after a helper panic, {helped:?} differs from {solo:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn evaluate_batch_bounded_is_chunking_invariant() {
         let configs: Vec<SystemConfig> = PAPER_CLUSTER_COUNTS
@@ -1497,7 +1834,8 @@ mod tests {
             vec![LaneBounds { slo_us: 2e4, dominated_at_us: f64::INFINITY }; configs.len()];
         let service = lane_service(&configs);
         let one = evaluate_batch_bounded(&configs, &service, &bounds, 1);
-        for workers in [2, 3, 8] {
+        // The last one-worker batch follows parallel ones on this thread.
+        for workers in [2, 3, 8, 1] {
             let many = evaluate_batch_bounded(&configs, &service, &bounds, workers);
             assert_eq!(one, many, "workers={workers}");
         }

@@ -62,11 +62,13 @@ pub mod keys {
     pub(crate) const QNA_ITERATIONS: &str = "core.qna.iterations";
     /// Counter: QNA solves in which the back-off activated.
     pub(crate) const QNA_BACKOFF_ACTIVATIONS: &str = "core.qna.backoff_activations";
-    /// Counter: `par_map` batch invocations.
+    /// Counter: batch invocations, of `par_map` and of the kernel's
+    /// batch entry points alike.
     pub const BATCH_CALLS: &str = "core.batch.par_map_calls";
     /// Counter: total items evaluated across all batches.
     pub const BATCH_ITEMS: &str = "core.batch.items";
-    /// Histogram: items claimed per worker per batch (drain balance).
+    /// Histogram: items claimed per worker per batch (drain balance; a
+    /// kernel batch's worker claims one lane block).
     pub const BATCH_WORKER_ITEMS: &str = "core.batch.worker_items";
     /// Histogram: per-worker busy time per batch (µs, inside `f`).
     pub(crate) const BATCH_WORKER_BUSY_US: &str = "core.batch.worker_busy_us";

@@ -9,11 +9,10 @@
 
 use crate::config::SystemConfig;
 use crate::error::ModelError;
-use crate::kernel::BatchKernel;
+use crate::kernel;
 use crate::latency::LatencyReport;
 use crate::service::ServiceTimes;
 use crate::solver::Equilibrium;
-use std::cell::RefCell;
 
 /// The complete output of one analytical-model evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,13 +47,6 @@ impl PerformanceReport {
     }
 }
 
-thread_local! {
-    /// This thread's one-lane arena, reused so a warm single-point solve
-    /// allocates no columns. It is never shared, so concurrent callers
-    /// take no lock and the arena's memory stays with one core.
-    static ARENA: RefCell<BatchKernel> = RefCell::new(BatchKernel::default());
-}
-
 /// The analytical performance model (stateless facade).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticalModel;
@@ -63,8 +55,7 @@ impl AnalyticalModel {
     /// Evaluates the model for `config` as a one-lane kernel solve on
     /// this thread's arena.
     pub fn evaluate(config: &SystemConfig) -> Result<PerformanceReport, ModelError> {
-        let lane =
-            ARENA.with_borrow_mut(|arena| arena.evaluate(std::slice::from_ref(config)).pop());
+        let lane = kernel::with_arena(|arena| arena.evaluate(std::slice::from_ref(config)).pop());
         lane.expect("one lane in, one result out").map(|(report, _)| report)
     }
 }

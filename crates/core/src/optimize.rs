@@ -26,7 +26,7 @@ use crate::batch::BatchOptions;
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::json::json_num;
-use crate::kernel::{evaluate_batch_bounded, LaneBounds, LaneOutcome, LaneService};
+use crate::kernel::{for_each_outcome_bounded, LaneBounds, LaneOutcome, LaneService};
 use crate::scenario::{Scenario, PAPER_LAMBDA_PER_US, PAPER_TOTAL_NODES};
 use crate::service::ServiceTimes;
 use crate::solver;
@@ -771,17 +771,26 @@ fn absorb(
 }
 
 /// Solves the candidates at `indices` as lanes of the bounded kernel,
-/// each with its own [`LaneService`] and `bounds` entry, in one
-/// [`evaluate_batch_bounded`] call.
+/// each with its own [`LaneService`] and `bounds` entry, in one kernel
+/// batch, and hands each candidate's index and outcome to `each` in
+/// `indices` order. Each lane is gathered straight into the block that
+/// solves it.
 fn solve_candidates(
     candidates: &[Candidate],
     indices: &[usize],
     bounds: &[LaneBounds],
     workers: usize,
-) -> Vec<LaneOutcome> {
-    let configs: Vec<SystemConfig> = indices.iter().map(|&i| candidates[i].design.config).collect();
-    let service: Vec<LaneService> = indices.iter().map(|&i| candidates[i].lane).collect();
-    evaluate_batch_bounded(&configs, &service, bounds, workers)
+    mut each: impl FnMut(usize, LaneOutcome),
+) {
+    assert_eq!(indices.len(), bounds.len(), "one LaneBounds per lane");
+    let lanes = indices.iter().zip(bounds).map(|(&i, &b)| {
+        let candidate = &candidates[i];
+        (candidate.design.config, candidate.lane, b)
+    });
+    let mut next = indices.iter();
+    for_each_outcome_bounded(lanes, workers, |outcome| {
+        each(*next.next().expect("one outcome per lane"), outcome);
+    });
 }
 
 /// Runs the exhaustive optimizer, pricing designs with the
@@ -800,13 +809,12 @@ pub fn optimize(
     // (bit-identical to the scalar per-point path).
     let all: Vec<usize> = (0..candidates.len()).collect();
     let unbounded = vec![LaneBounds::NONE; all.len()];
-    let outcomes = solve_candidates(&candidates, &all, &unbounded, options.resolved_workers());
-
     let mut feasible_points: Vec<(usize, EvaluatedDesign)> = Vec::new();
     let mut evaluated = 0usize;
-    for (i, (candidate, outcome)) in candidates.iter().zip(outcomes).enumerate() {
+    solve_candidates(&candidates, &all, &unbounded, options.resolved_workers(), |i, outcome| {
+        let candidate = &candidates[i];
         absorb(spec, candidate, i, outcome, &mut diagnostics, &mut evaluated, &mut feasible_points);
-    }
+    });
     let feasible = feasible_points.len();
     let frontier =
         pareto_reduce(feasible_points.into_iter().map(|(_, p)| p).collect(), &mut diagnostics);
@@ -874,9 +882,9 @@ impl DominanceMap {
 ///    extrapolated down the port axis by the probed d-latency/d-ports
 ///    gradient and tie-broken by saturation headroom and cost, and
 /// 3. walks them in fixed-size waves through
-///    [`crate::kernel::evaluate_batch_bounded`], handing each lane the
-///    SLO and the best latency among *already evaluated* feasible
-///    points that are strictly cheaper.
+///    the bounded kernel ([`crate::kernel::evaluate_batch_bounded`]),
+///    handing each lane the SLO and the best latency among *already
+///    evaluated* feasible points that are strictly cheaper.
 ///
 /// A lane is skipped only on a *certified* latency lower bound — the
 /// zero-load service latency before any evaluation, or the in-kernel
@@ -939,9 +947,8 @@ pub fn optimize_pruned(
     // Solve the probes in one unbounded kernel batch. Probe results
     // are real evaluations: they are absorbed, never re-solved.
     let unbounded = vec![LaneBounds::NONE; probe_idx.len()];
-    let probe_results = solve_candidates(&candidates, &probe_idx, &unbounded, workers);
     let mut solved_latency: Vec<Option<f64>> = vec![None; n];
-    for (&i, outcome) in probe_idx.iter().zip(probe_results) {
+    solve_candidates(&candidates, &probe_idx, &unbounded, workers, |i, outcome| {
         decided[i] = true;
         if let LaneOutcome::Solved(report, _) = &outcome {
             solved_latency[i] = Some(report.latency.mean_message_latency_us);
@@ -955,7 +962,7 @@ pub fn optimize_pruned(
             &mut evaluated,
             &mut feasible_points,
         );
-    }
+    });
     for (_, point) in &feasible_points {
         dominance.insert(point.cost_usd, point.latency_us);
     }
@@ -1049,8 +1056,7 @@ pub fn optimize_pruned(
             wave_idx.push(i);
             wave_bounds.push(LaneBounds { slo_us: slo, dominated_at_us });
         }
-        let outcomes = solve_candidates(&candidates, &wave_idx, &wave_bounds, workers);
-        for (&i, outcome) in wave_idx.iter().zip(outcomes) {
+        solve_candidates(&candidates, &wave_idx, &wave_bounds, workers, |i, outcome| {
             absorb(
                 spec,
                 &candidates[i],
@@ -1060,7 +1066,7 @@ pub fn optimize_pruned(
                 &mut evaluated,
                 &mut feasible_points,
             );
-        }
+        });
         // Fold this wave's new feasible points into the dominance map
         // for the next wave.
         for (_, point) in &feasible_points[folded..] {

@@ -6,8 +6,9 @@
 //! would have to differentiate through the bisection. Instead this
 //! module evaluates symmetric probe pairs around the operating point
 //! and forms second-order central differences — all probes run as
-//! lanes of one [`BatchKernel`], so a full sensitivity evaluation
-//! costs a single lockstep kernel pass.
+//! lanes of one kernel solve on the thread's arena
+//! ([`kernel::with_arena`]), so a full sensitivity evaluation costs a
+//! single lockstep kernel pass.
 //!
 //! Derivative conventions (units matter — λ is per-processor
 //! messages/µs, `T_W` is µs):
@@ -28,7 +29,7 @@
 
 use crate::config::SystemConfig;
 use crate::error::ModelError;
-use crate::kernel::{BatchKernel, LaneBounds, LaneOutcome, LaneService};
+use crate::kernel::{self, LaneBounds, LaneOutcome, LaneService};
 use crate::service::ServiceTimes;
 use crate::solver;
 
@@ -39,6 +40,8 @@ const LAMBDA_REL_STEP: f64 = 1e-5;
 const MESSAGE_STEP_BYTES: u64 = 16;
 /// Half-step in processors *per cluster* for the population probes.
 const NODES_STEP: usize = 1;
+/// Probes on the geometric λ ladder of [`lambda_for_latency`].
+const LADDER: usize = 47;
 
 /// Latency derivatives of one configuration at its operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,37 +92,29 @@ pub fn evaluate(config: &SystemConfig) -> Result<Sensitivity, ModelError> {
     // least one node per cluster and two nodes in total.
     let n_lo_ok = n0 > dn && config.clusters * (n0 - dn) >= 2;
 
-    let mut lanes: Vec<SystemConfig> = Vec::with_capacity(7);
-    lanes.push(*config);
-    lanes.push(config.with_lambda(lam_hi));
-    let i_lam_lo = if lam_lo > 0.0 {
-        lanes.push(config.with_lambda(lam_lo));
-        Some(lanes.len() - 1)
-    } else {
-        None
+    // The operating point and up to six probes, as the lanes of one
+    // solve on this thread's arena.
+    let mut lanes = [*config; 7];
+    let mut len = 1;
+    let mut push = |lane: SystemConfig| {
+        lanes[len] = lane;
+        len += 1;
+        len - 1
     };
-    lanes.push(config.with_message_bytes(m_hi));
-    let i_m_hi = lanes.len() - 1;
-    let i_m_lo = if m_lo != m {
-        lanes.push(config.with_message_bytes(m_lo));
-        Some(lanes.len() - 1)
-    } else {
-        None
-    };
+    let i_lam_hi = push(config.with_lambda(lam_hi));
+    let i_lam_lo = (lam_lo > 0.0).then(|| push(config.with_lambda(lam_lo)));
+    let i_m_hi = push(config.with_message_bytes(m_hi));
+    let i_m_lo = (m_lo != m).then(|| push(config.with_message_bytes(m_lo)));
     let mut up = *config;
     up.nodes_per_cluster = n0 + dn;
-    lanes.push(up);
-    let i_n_hi = lanes.len() - 1;
-    let i_n_lo = if n_lo_ok {
+    let i_n_hi = push(up);
+    let i_n_lo = n_lo_ok.then(|| {
         let mut down = *config;
         down.nodes_per_cluster = n0 - dn;
-        lanes.push(down);
-        Some(lanes.len() - 1)
-    } else {
-        None
-    };
+        push(down)
+    });
 
-    let results = BatchKernel::new(&lanes).solve();
+    let results = kernel::with_arena(|arena| arena.evaluate(&lanes[..len]));
     let lat = |i: usize| -> Result<f64, ModelError> {
         match &results[i] {
             Ok((report, _)) => Ok(report.latency.mean_message_latency_us),
@@ -129,8 +124,8 @@ pub fn evaluate(config: &SystemConfig) -> Result<Sensitivity, ModelError> {
 
     let t0 = lat(0)?;
     let dlatency_dlambda = match i_lam_lo {
-        Some(ilo) => (lat(1)? - lat(ilo)?) / (lam_hi - lam_lo),
-        None => (lat(1)? - t0) / (lam_hi - lambda),
+        Some(ilo) => (lat(i_lam_hi)? - lat(ilo)?) / (lam_hi - lam_lo),
+        None => (lat(i_lam_hi)? - t0) / (lam_hi - lambda),
     };
     let dlatency_dbyte = match i_m_lo {
         Some(ilo) => (lat(i_m_hi)? - lat(ilo)?) / ((m_hi - m_lo) as f64),
@@ -167,7 +162,7 @@ pub fn evaluate(config: &SystemConfig) -> Result<Sensitivity, ModelError> {
 /// any step that leaves the bracket falls back to bisection, so
 /// convergence is guaranteed. Each polish iteration evaluates its
 /// three probes (`x−h`, `x`, `x+h`) as lanes of one kernel solve, and
-/// every solve of the search reuses one kernel arena. If
+/// every solve of the search runs on the thread's kernel arena. If
 /// latency stays within budget all the way to `2¹⁶·saturation_lambda`
 /// (deep in the retention plateau), that ceiling is returned.
 /// Compared to a pure bisection on latency, the Newton polish reaches
@@ -190,29 +185,35 @@ pub fn lambda_for_latency(
 
     // Geometric ladder: scale·2^k for k = −30..=16 covers near-zero
     // load through deep retention-plateau overload in one batch.
-    let ladder: Vec<f64> = (-30i32..=16).map(|k| scale * (k as f64).exp2()).collect();
+    let ladder: [f64; LADDER] = std::array::from_fn(|j| scale * ((j as i32 - 30) as f64).exp2());
 
     // Every solve of the search — the ladder and each polish probe —
-    // reuses one kernel arena and the shape's one `LaneService`.
-    let mut arena = BatchKernel::default();
-    let mut cfgs: Vec<SystemConfig> = Vec::with_capacity(ladder.len());
-    let service = vec![lane; ladder.len()];
-    let unbounded = vec![LaneBounds::NONE; ladder.len()];
-    let mut eval_lat = |lams: &[f64]| -> Result<Vec<f64>, ModelError> {
-        cfgs.clear();
-        cfgs.extend(lams.iter().map(|&l| config.with_lambda(l)));
+    // runs on this thread's arena with the shape's one `LaneService`,
+    // into one outcome buffer.
+    let mut cfgs = [*config; LADDER];
+    let service = [lane; LADDER];
+    let unbounded = [LaneBounds::NONE; LADDER];
+    let mut outcomes: Vec<LaneOutcome> = Vec::with_capacity(LADDER);
+    let mut eval_lat = |lams: &[f64], lats: &mut [f64]| -> Result<(), ModelError> {
         let k = lams.len();
-        arena
-            .evaluate_bounded(&cfgs, &service[..k], &unbounded[..k])
-            .into_iter()
-            .map(|outcome| match outcome {
-                LaneOutcome::Solved(report, _) => Ok(report.latency.mean_message_latency_us),
-                LaneOutcome::Failed(e) => Err(e),
+        for (cfg, &l) in cfgs.iter_mut().zip(lams) {
+            *cfg = config.with_lambda(l);
+        }
+        outcomes.clear();
+        kernel::with_arena(|arena| {
+            arena.solve_into(&cfgs[..k], Some((&service[..k], &unbounded[..k])), &mut outcomes);
+        });
+        for (lat, outcome) in lats.iter_mut().zip(outcomes.drain(..)) {
+            *lat = match outcome {
+                LaneOutcome::Solved(report, _) => report.latency.mean_message_latency_us,
+                LaneOutcome::Failed(e) => return Err(e),
                 LaneOutcome::Pruned { .. } => unreachable!("an unbounded solve never prunes"),
-            })
-            .collect()
+            };
+        }
+        Ok(())
     };
-    let lats = eval_lat(&ladder)?;
+    let mut lats = [0.0; LADDER];
+    eval_lat(&ladder, &mut lats)?;
     if lats[0] > latency_budget_us {
         return Ok(None);
     }
@@ -224,8 +225,9 @@ pub fn lambda_for_latency(
     let mut x = 0.5 * (lo + hi);
     for _ in 0..40 {
         let h = x * 1e-5;
-        let probes = eval_lat(&[x - h, x, x + h])?;
-        let (t_lo, t, t_hi) = (probes[0], probes[1], probes[2]);
+        let mut probes = [0.0; 3];
+        eval_lat(&[x - h, x, x + h], &mut probes)?;
+        let [t_lo, t, t_hi] = probes;
         if t <= latency_budget_us {
             lo = x;
         } else {

@@ -22,6 +22,7 @@ use hmcs_core::service::ServiceTimes;
 use hmcs_core::solver::{self, saturation_lambda};
 use hmcs_topology::splitmix::{SplitMix64, GAMMA};
 use hmcs_topology::transmission::Architecture;
+use proptest::prelude::*;
 
 fn uniform(rng: &mut SplitMix64) -> f64 {
     (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
@@ -351,14 +352,20 @@ fn outcome_mismatch(batch: &LaneOutcome, solo: &LaneOutcome) -> Option<String> {
     }
 }
 
-/// A bounded batch whose thresholds prune most lanes within a few
-/// passes, so the lockstep loop compacts its span again and again: every
-/// lane's outcome must keep the bits of the same lane solved alone in a
-/// one-lane batch (which never compacts), at 1, 2 and 3 workers.
-#[test]
-fn compacted_bounded_lanes_match_solo_solves() {
-    const LANES: u32 = 1024;
-    let cases: Vec<KernelCase> = (0..LANES).map(|i| sample_case(SEED ^ 0xc0a1e5ce, i)).collect();
+/// `count` sampled lanes with their service and bounds, and each lane's
+/// outcome solved alone in a one-lane batch (which never compacts). One
+/// lane in eight fails validation in the kernel, one solves unbounded;
+/// the rest get an SLO or a dominance threshold between 0.6 and 0.99 of
+/// their true latency.
+struct BoundedLanes {
+    configs: Vec<SystemConfig>,
+    service: Vec<LaneService>,
+    bounds: Vec<LaneBounds>,
+    solo: Vec<LaneOutcome>,
+}
+
+fn bounded_lanes(seed: u64, count: u32) -> BoundedLanes {
+    let cases: Vec<KernelCase> = (0..count).map(|i| sample_case(seed, i)).collect();
     let mut configs: Vec<SystemConfig> =
         cases.iter().map(|c| c.build().expect("sampled cases are valid")).collect();
     let service: Vec<LaneService> =
@@ -368,9 +375,6 @@ fn compacted_bounded_lanes_match_solo_solves() {
         .iter()
         .map(|lane| lane.as_ref().expect("sampled cases solve").0.latency.mean_message_latency_us)
         .collect();
-    // One lane in eight fails validation in the kernel, one solves
-    // unbounded; the rest get an SLO or a dominance threshold between
-    // 0.6 and 0.99 of their true latency.
     let bounds: Vec<LaneBounds> = (0..configs.len())
         .map(|i| {
             let threshold = latency[i] * (0.6 + 0.39 * (i % 13) as f64 / 12.0);
@@ -385,7 +389,6 @@ fn compacted_bounded_lanes_match_solo_solves() {
             }
         })
         .collect();
-
     let solo: Vec<LaneOutcome> = (0..configs.len())
         .map(|i| {
             let mut arena = BatchKernel::default();
@@ -393,16 +396,71 @@ fn compacted_bounded_lanes_match_solo_solves() {
             arena.evaluate_bounded(c, s, b).pop().expect("one lane")
         })
         .collect();
-    let pruned = solo.iter().filter(|o| matches!(o, LaneOutcome::Pruned { .. })).count();
-    assert!(pruned * 2 > configs.len(), "only {pruned} of {} lanes pruned", configs.len());
+    BoundedLanes { configs, service, bounds, solo }
+}
 
-    for workers in [1, 2, 3] {
-        let batch = evaluate_batch_bounded(&configs, &service, &bounds, workers);
-        assert_eq!(batch.len(), solo.len());
-        for (i, (b, s)) in batch.iter().zip(&solo).enumerate() {
-            if let Some(mismatch) = outcome_mismatch(b, s) {
-                panic!("lane {i} at {workers} workers: {mismatch}");
-            }
+impl BoundedLanes {
+    /// The first lane whose batched outcome at `workers` differs from
+    /// its solo solve.
+    fn batch_mismatch(&self, workers: usize) -> Option<String> {
+        let batch = evaluate_batch_bounded(&self.configs, &self.service, &self.bounds, workers);
+        if batch.len() != self.solo.len() {
+            return Some(format!("{} outcomes for {} lanes", batch.len(), self.solo.len()));
         }
+        batch.iter().zip(&self.solo).enumerate().find_map(|(i, (b, s))| {
+            outcome_mismatch(b, s).map(|m| format!("lane {i} at {workers} workers: {m}"))
+        })
+    }
+}
+
+/// A bounded batch whose thresholds prune most lanes within a few
+/// passes, so the lockstep loop compacts its span again and again: every
+/// lane's outcome must keep the bits of the same lane solved alone in a
+/// one-lane batch (which never compacts), at 1, 2 and 3 workers.
+#[test]
+fn compacted_bounded_lanes_match_solo_solves() {
+    let lanes = bounded_lanes(SEED ^ 0xc0a1e5ce, 1024);
+    let pruned = lanes.solo.iter().filter(|o| matches!(o, LaneOutcome::Pruned { .. })).count();
+    assert!(pruned * 2 > lanes.solo.len(), "only {pruned} of {} lanes pruned", lanes.solo.len());
+    for workers in [1, 2, 3] {
+        if let Some(mismatch) = lanes.batch_mismatch(workers) {
+            panic!("{mismatch}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Threads that share the kernel helpers at once, each with its own
+    /// lanes and worker count, each get exactly their lanes' solo
+    /// outcomes, batch after batch, with a one-worker batch between
+    /// their parallel ones.
+    #[test]
+    fn concurrent_batches_match_their_solo_solves(
+        workers in proptest::collection::vec(1usize..6, 2..5),
+        lanes in 1u32..160,
+        seed in 0u64..u64::MAX,
+    ) {
+        let jobs: Vec<(usize, BoundedLanes)> = workers
+            .iter()
+            .enumerate()
+            .map(|(t, &w)| (w, bounded_lanes(seed ^ t as u64, lanes + 7 * t as u32)))
+            .collect();
+        let start = std::sync::Barrier::new(jobs.len());
+        let mismatches: Vec<String> = std::thread::scope(|scope| {
+            let threads: Vec<_> = jobs
+                .iter()
+                .map(|(w, job)| {
+                    let (rounds, start) = ([*w, 1, *w], &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        rounds.into_iter().find_map(|w| job.batch_mismatch(w))
+                    })
+                })
+                .collect();
+            threads.into_iter().filter_map(|t| t.join().expect("batch thread panicked")).collect()
+        });
+        prop_assert!(mismatches.is_empty(), "{}", mismatches.join("; "));
     }
 }

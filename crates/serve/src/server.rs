@@ -96,9 +96,8 @@ use crate::queue::Bounded;
 use crate::{api, keys};
 use hmcs_core::batch::BatchOptions;
 use hmcs_core::config::SystemConfig;
-use hmcs_core::kernel::BatchKernel;
+use hmcs_core::kernel;
 use hmcs_core::metrics::{self, Counter, ValueHistogram};
-use std::cell::RefCell;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -222,12 +221,6 @@ impl RequestMetrics {
     }
 }
 
-thread_local! {
-    /// This worker's kernel arena, reused by every batch it leads so a
-    /// warm solve allocates no columns and takes no lock.
-    static ARENA: RefCell<BatchKernel> = RefCell::new(BatchKernel::default());
-}
-
 /// Shared state between the acceptor and the workers.
 struct Shared {
     config: ServerConfig,
@@ -259,11 +252,11 @@ impl Server {
             config.workers
         };
         // The window's one kernel solve runs on the leader's thread, in
-        // that thread's arena: the request workers are the pool, so a
-        // nested one (or a shared arena pool) would only add a spawn or
-        // a lock per window.
+        // that thread's arena: the request workers are the pool, so
+        // handing blocks to the kernel helpers would only add a hand-off
+        // per window.
         let batcher = Batcher::new(config.batch_window, |configs: &[SystemConfig]| {
-            ARENA.with_borrow_mut(|arena| arena.evaluate(configs))
+            kernel::with_arena(|arena| arena.evaluate(configs))
         });
         let shared = Arc::new(Shared {
             queue: Bounded::new(config.queue_capacity),
