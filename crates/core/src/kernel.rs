@@ -5,10 +5,13 @@
 //! [`AnalyticalModel::evaluate`](crate::model::AnalyticalModel::evaluate)
 //! facade. The scalar reference solver ([`crate::solver::solve`])
 //! re-derives everything per point: it validates the config, rebuilds
-//! the topology service times, and every one of the ~45 bisection
-//! probes re-runs the traffic equations (eqs. 1–5), re-constructs the
-//! three service distributions and re-validates an
-//! [`MG1`](hmcs_queueing::mg1::MG1) per centre.
+//! the topology service times, and every one of its 46 residual
+//! evaluations on the paper grid (47 counted iterations: the residual
+//! at the converged midpoint is counted, not made) re-runs the traffic
+//! equations (eqs. 1–5), re-constructs the three service distributions
+//! and re-validates an [`MG1`](hmcs_queueing::mg1::MG1) per centre.
+//! [`BatchKernel::work`] reports a solve's lanes, lane-passes and
+//! evaluations.
 //!
 //! [`BatchKernel`] hoists everything λ-independent out of the loop
 //! once per *lane* (one lane = one configuration) into flat `f64`
@@ -24,7 +27,7 @@
 //! ## Compaction
 //!
 //! In a bounded solve lanes leave the bisection at very different
-//! passes: a pruned lane after a handful of its ~47 evaluations. A
+//! passes: a pruned lane after a handful of its 47 iterations. A
 //! terminal lane's bracket collapses to a fixed point of the bisection,
 //! so it is inert in the branchless passes, but it would still cost a
 //! probe per pass. So each pass covers only a *span* of positions
@@ -78,6 +81,7 @@ use crate::metrics::{self, keys};
 use crate::model::PerformanceReport;
 use crate::service::ServiceTimes;
 use crate::solver::{self, BISECT_REL_TOL, MAX_EVALS};
+use crate::work::{self, Work};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -461,6 +465,8 @@ pub struct BatchKernel {
     mids: Vec<f64>,
     fms: Vec<f64>,
     convf: Vec<f64>,
+    /// The work of the last solve.
+    work: Work,
 }
 
 impl BatchKernel {
@@ -664,6 +670,12 @@ impl BatchKernel {
         self.solve_in_place()
     }
 
+    /// The work of the arena's last solve: its lanes, its lockstep
+    /// lane-passes and its evaluations of the residual.
+    pub fn work(&self) -> Work {
+        self.work
+    }
+
     /// [`BatchKernel::solve`] without consuming the arena; only called
     /// on a freshly built or freshly reset batch.
     fn solve_in_place(&mut self) -> Vec<Result<(PerformanceReport, EvalStats), ModelError>> {
@@ -678,7 +690,10 @@ impl BatchKernel {
         let start = Instant::now();
         let first = out.len();
         let lanes = self.configs.len();
+        self.work = Work { lanes: lanes as u64, ..Work::default() };
         self.bisect(lanes);
+        self.work.evaluations = self.evals.iter().map(|&e| e as u64).sum();
+        work::record(self.work);
 
         // Per-lane tail: saturation back-off, equilibrium assembly and
         // the `core.solver.*` metrics. Metric values accumulate in
@@ -934,6 +949,7 @@ impl BatchKernel {
                 lo, hi, flo, mids, fms, convf, a_icn1, a_fwd, a_icn2, c, w_e1, mean_i1, m2_i1,
                 mean_e1, m2_e1, mean_i2, m2_i2, lambda, n,
             );
+            self.work.lane_passes += span as u64;
             for i in 0..span {
                 if state[i] != LaneState::Active {
                     continue;
@@ -1131,6 +1147,8 @@ struct Block {
     service: Vec<LaneService>,
     bounds: Vec<LaneBounds>,
     outcomes: Vec<LaneOutcome>,
+    /// The work of the block's last solve.
+    work: Work,
 }
 
 impl Block {
@@ -1149,6 +1167,7 @@ impl Block {
         let bounded = (!self.service.is_empty()).then_some((&self.service[..], &self.bounds[..]));
         self.outcomes.clear();
         arena.solve_into(&self.configs, bounded, &mut self.outcomes);
+        self.work = arena.work();
     }
 }
 
@@ -1480,6 +1499,7 @@ fn evaluate_chunked<L: Lane>(
             let mut block =
                 slot.take().expect("every helper answered").expect("batch worker panicked");
             block.outcomes.drain(..).for_each(&mut each);
+            work::record(block.work);
             spare.push(block);
         }
     });

@@ -95,6 +95,7 @@ pub mod sensitivity;
 pub mod service;
 pub mod solver;
 pub mod sweep;
+pub mod work;
 
 pub use config::SystemConfig;
 pub use error::ModelError;

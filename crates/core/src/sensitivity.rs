@@ -42,6 +42,9 @@ const MESSAGE_STEP_BYTES: u64 = 16;
 const NODES_STEP: usize = 1;
 /// Probes on the geometric λ ladder of [`lambda_for_latency`].
 const LADDER: usize = 47;
+/// The rungs [`lambda_for_latency`] solves first; the crossing is then
+/// searched among the rungs between two of them.
+const COARSE: [usize; 7] = [0, 8, 16, 24, 32, 40, 46];
 
 /// Latency derivatives of one configuration at its operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,12 +158,20 @@ pub fn evaluate(config: &SystemConfig) -> Result<Sensitivity, ModelError> {
 ///
 /// Offered load is *not* bounded by [`solver::saturation_lambda`]:
 /// beyond the knee the retention mechanism keeps the fixed point
-/// stable and latency keeps climbing slowly, so the search expands a
-/// geometric ladder of probes past saturation until the budget is
-/// exceeded (the ladder is one kernel pass), then polishes the
-/// crossing with Newton steps on the central-difference derivative;
-/// any step that leaves the bracket falls back to bisection, so
-/// convergence is guaranteed. Each polish iteration evaluates its
+/// stable and latency keeps climbing slowly, so the search looks for
+/// the first rung over budget on a geometric ladder of 47 probes that
+/// reaches far past saturation, then polishes the crossing with Newton
+/// steps on the central-difference derivative; any step that leaves
+/// the bracket falls back to bisection, so convergence is guaranteed.
+///
+/// Latency rises with λ along the ladder, so the first rung over
+/// budget is found without solving every rung: one kernel solve of 7
+/// coarse rungs (every eighth, and the last) brackets it, and a second
+/// solve of the at most 7 rungs between two coarse ones finds it. A
+/// model error on any rung solved falls back to solving the whole
+/// ladder, which reports the error of the lowest failing rung; errors
+/// come from the ladder's ends (an offered rate out of range), which
+/// the coarse rungs include. Each polish iteration evaluates its
 /// three probes (`x−h`, `x`, `x+h`) as lanes of one kernel solve, and
 /// every solve of the search runs on the thread's kernel arena. If
 /// latency stays within budget all the way to `2¹⁶·saturation_lambda`
@@ -212,13 +223,39 @@ pub fn lambda_for_latency(
         }
         Ok(())
     };
-    let mut lats = [0.0; LADDER];
-    eval_lat(&ladder, &mut lats)?;
-    if lats[0] > latency_budget_us {
-        return Ok(None);
-    }
-    let Some(first_over) = lats.iter().position(|&t| t > latency_budget_us) else {
-        return Ok(Some(ladder[ladder.len() - 1]));
+    // The first rung over budget, searched coarse then fine; `None`
+    // when some rung solved failed.
+    let mut search = || -> Option<Result<usize, Option<f64>>> {
+        let mut lats = [0.0; COARSE.len()];
+        eval_lat(&COARSE.map(|j| ladder[j]), &mut lats).ok()?;
+        if lats[0] > latency_budget_us {
+            return Some(Err(None));
+        }
+        let Some(k) = lats.iter().position(|&t| t > latency_budget_us) else {
+            return Some(Err(Some(ladder[LADDER - 1])));
+        };
+        let fine = COARSE[k - 1] + 1..COARSE[k];
+        let mut lats = [0.0; LADDER];
+        let lats = &mut lats[..fine.len()];
+        eval_lat(&ladder[fine.clone()], lats).ok()?;
+        Some(
+            Ok(fine.start + lats.iter().position(|&t| t > latency_budget_us).unwrap_or(lats.len())),
+        )
+    };
+    let first_over = match search() {
+        Some(Ok(first_over)) => first_over,
+        Some(Err(answer)) => return Ok(answer),
+        None => {
+            let mut lats = [0.0; LADDER];
+            eval_lat(&ladder, &mut lats)?;
+            if lats[0] > latency_budget_us {
+                return Ok(None);
+            }
+            let Some(first_over) = lats.iter().position(|&t| t > latency_budget_us) else {
+                return Ok(Some(ladder[LADDER - 1]));
+            };
+            first_over
+        }
     };
 
     let (mut lo, mut hi) = (ladder[first_over - 1], ladder[first_over]);

@@ -9,9 +9,11 @@
 //! tests running in parallel cannot land in each other's counts; a
 //! parallel batch is counted on its calling thread.
 
+use hmcs_core::batch::BatchOptions;
 use hmcs_core::config::SystemConfig;
 use hmcs_core::kernel::{self, BatchKernel, LaneBounds, LaneOutcome, LaneService};
 use hmcs_core::model::AnalyticalModel;
+use hmcs_core::optimize::{self, Constraints, DesignSpace, OptimizeSpec, Workload};
 use hmcs_core::scenario::{Scenario, PAPER_CLUSTER_COUNTS};
 use hmcs_core::sensitivity;
 use hmcs_topology::transmission::Architecture;
@@ -106,6 +108,30 @@ fn a_warm_bounded_batch_allocates_only_its_result_at_one_and_two_workers() {
     }
 }
 
+#[test]
+fn a_warm_pruned_plan_allocates_a_fixed_count() {
+    // The expanded 21,280-design space under an SLO and a budget, at one
+    // worker: enumeration, probe batch, gradient ordering, waves and
+    // the Pareto reduction.
+    let spec = OptimizeSpec {
+        workload: Workload::paper_default(),
+        constraints: Constraints {
+            slo_latency_us: Some(30_000.0),
+            budget_usd: Some(200_000.0),
+            require_unsaturated: false,
+        },
+        space: DesignSpace::expanded(256),
+    };
+    let options = BatchOptions::with_workers(1);
+    let cold = optimize::optimize_pruned(&spec, options).unwrap();
+    let mut outcome = None;
+    let warm = allocations(|| {
+        outcome = Some(optimize::optimize_pruned(&spec, options).unwrap());
+    });
+    assert_eq!(outcome.unwrap().frontier, cold.frontier);
+    assert_eq!(warm, PRUNED_PLAN_WARM, "a warm pruned plan's allocations");
+}
+
 /// `outcomes` without their wall-clock times, the one field two solves
 /// of the same lanes may disagree on.
 fn timeless(mut outcomes: Vec<LaneOutcome>) -> Vec<LaneOutcome> {
@@ -128,6 +154,11 @@ const SENSITIVITY_WARM: u64 = 1;
 /// Allocations of a warm λ-for-latency search: the outcome buffer its
 /// solves share (39 on its own per-call arena and probe vectors).
 const LAMBDA_SEARCH_WARM: u64 = 1;
+/// Allocations of a warm pruned plan over the expanded space: the
+/// candidate and family vectors, the waves' buffers and the outcome
+/// (479 while the gradient ordering collected each family's probes
+/// into a vector of its own).
+const PRUNED_PLAN_WARM: u64 = 406;
 /// Allocations of a warm bounded batch at one worker: the result
 /// vector (4 through the scoped-thread pool).
 const BOUNDED_WARM_ONE_WORKER: u64 = 1;
