@@ -35,8 +35,8 @@
 //! cargo run --release -p hmcs-bench --bin reproduce -- fuzz --cases 25
 //! ```
 //!
-//! Criterion benches (one per figure, plus kernel micro-benches) live in
-//! `benches/`.
+//! The three Criterion benches CI gates on live in `benches/`:
+//! `batch_sweep`, `simulators` and `kernel_grid`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -506,6 +506,46 @@ mod tests {
         assert_eq!(id.total_nodes(), 10_000);
     }
 
+    /// A caller's own measured matrix: identification needs nothing but
+    /// pairwise samples, so any symmetric store can implement the trait.
+    struct Measured(Vec<Vec<f64>>);
+
+    impl LatencySource for Measured {
+        fn nodes(&self) -> usize {
+            self.0.len()
+        }
+        fn latency_us(&self, a: usize, b: usize) -> f64 {
+            self.0[a][b]
+        }
+    }
+
+    #[test]
+    fn identifies_a_caller_supplied_matrix() {
+        // Two planted clusters, interleaved by index: {0, 2, 4, 6} on one
+        // LAN, {1, 3, 5} on another, a WAN between them.
+        let n = 7;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        let jitter = ((i + j) % 3) as f64;
+                        match (i == j, i % 2 == j % 2) {
+                            (true, _) => 0.0,
+                            (false, true) => 48.0 + jitter,
+                            (false, false) => 395.0 + 4.0 * jitter,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let matrix = Measured(rows);
+        let id = identify(&matrix, &IdentifyOptions::default()).unwrap();
+        assert_eq!(id.partition, vec![vec![0, 2, 4, 6], vec![1, 3, 5]]);
+        let threshold = id.threshold_us.unwrap();
+        assert!(50.0 < threshold && threshold < 395.0, "threshold {threshold}");
+        assert_eq!(id.total_nodes(), n);
+    }
+
     #[test]
     fn rejects_tiny_sources_and_bad_options() {
         let spec = spec(2, 4, 5);

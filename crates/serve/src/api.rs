@@ -37,6 +37,14 @@ use std::fmt::Write as _;
 /// monopolising a worker for minutes.
 pub(crate) const MAX_SWEEP_POINTS: usize = 4096;
 
+/// Hard cap on an optimize request's `total_nodes`. Building the design
+/// space scans every candidate cluster count up to `total_nodes / 2`
+/// before any deadline applies, so the scan must be bounded. The
+/// costliest accepted request, 997,920 nodes (38,080 designs), answers
+/// in about 0.1 s on a 2-vCPU Xeon host, well inside the default 10 s
+/// deadline.
+pub(crate) const MAX_OPTIMIZE_NODES: u64 = 1 << 20;
+
 /// A structured API error: HTTP status plus a machine-readable code,
 /// a human-readable message and optional structured numeric fields for
 /// the JSON error body (e.g. the computed `saturation_lambda` on a
@@ -493,6 +501,12 @@ pub fn parse_optimize(body: &str) -> Result<OptimizeRequest, ApiError> {
                 }
             };
             if let Some(n) = get_u64(wl, "total_nodes")? {
+                if n > MAX_OPTIMIZE_NODES {
+                    return Err(ApiError::bad_request(
+                        "invalid_field",
+                        format!("'total_nodes' is {n}; the cap is {MAX_OPTIMIZE_NODES}"),
+                    ));
+                }
                 workload.total_nodes = n as usize;
             }
             if let Some(m) = get_u64(wl, "message_bytes")? {
@@ -1047,6 +1061,22 @@ mod tests {
         assert_eq!(err.code, "unknown_field");
         let err = parse_optimize(r#"{"workload":3}"#).unwrap_err();
         assert_eq!(err.code, "invalid_field");
+    }
+
+    #[test]
+    fn optimize_rejects_total_nodes_above_the_cap() {
+        let at_cap = format!(r#"{{"workload":{{"total_nodes":{MAX_OPTIMIZE_NODES}}}}}"#);
+        let request = parse_optimize(&at_cap).unwrap();
+        assert_eq!(request.spec.workload.total_nodes as u64, MAX_OPTIMIZE_NODES);
+        assert_eq!(request.spec.space.cluster_counts.len(), 19, "2^1 ..= 2^19");
+
+        for n in [MAX_OPTIMIZE_NODES + 1, 1_000_000_000_000, u64::MAX] {
+            let body = format!(r#"{{"workload":{{"total_nodes":{n}}}}}"#);
+            let err = parse_optimize(&body).unwrap_err();
+            assert_eq!(err.status, 400);
+            assert_eq!(err.code, "invalid_field");
+            assert!(err.message.contains("total_nodes"), "{}", err.message);
+        }
     }
 
     #[test]

@@ -3,23 +3,21 @@
 //! The paper fixes an idealised two-level hierarchy (every intra-cluster
 //! hop costs the ICN1 technology, every inter-cluster hop the
 //! ECN1/ICN2 technologies). Real deployments are observed the other way
-//! around: what you *measure* is an `n × n` node-to-node latency matrix,
-//! and the cluster structure has to be inferred from it. This module
-//! provides the matrix side of that inversion:
+//! around: what you *measure* is node-to-node latency, and the cluster
+//! structure has to be inferred from it. This module provides the
+//! matrix side of that inversion:
 //!
-//! * [`LatencyMatrix`] — a dense, validated, symmetric matrix of one-way
-//!   small-message latencies (µs), importable from strict CSV.
+//! * [`LatencySource`] — the sampling trait the identification pass
+//!   (`hmcs_core::identify`) and the flow simulator's per-pair hop
+//!   modulation (`hmcs_sim::flow::HopDelays`) consume. Identification
+//!   needs only pairwise samples, so a caller with measured latencies
+//!   implements it over whatever store holds them.
 //! * [`SyntheticSpec`] / [`SyntheticMatrix`] — a seeded WAN/LAN
 //!   generator that plants a known cluster partition with clamp-normal
 //!   intra- and inter-cluster latency bands. The synthetic source is
 //!   *implicit*: per-pair values are recomputed on demand from a
 //!   SplitMix64 hash of `(seed, pair)`, so a 100k-node topology costs
-//!   O(n) memory while agreeing bit-exactly with the dense
-//!   materialisation [`SyntheticSpec::generate`].
-//! * [`LatencySource`] — the sampling trait the identification pass
-//!   (`hmcs_core::identify`) and the flow simulator's per-pair hop
-//!   modulation (`hmcs_sim::flow::HopDelays`) consume, unifying
-//!   dense and implicit sources.
+//!   O(n) memory.
 //!
 //! All randomness is deterministic: the same spec always produces the
 //! same matrix on every platform (the sampler uses only `ln`, `sqrt`
@@ -31,22 +29,7 @@ use crate::splitmix::{mix64, SplitMix64};
 use std::error::Error;
 use std::fmt;
 
-/// Upper bound on nodes for dense materialisation (`generate`,
-/// `from_rows`, CSV import): a dense `f64` matrix at this size is
-/// 32 MiB. Larger systems must use the implicit [`SyntheticMatrix`].
-pub(crate) const MAX_DENSE_NODES: usize = 2048;
-
-/// Relative tolerance used by [`LatencyMatrix::parse_csv`] for the
-/// symmetry check: `|a_ij - a_ji|` may not exceed this fraction of the
-/// pair mean. Measured matrices are rarely exactly symmetric (forward
-/// and reverse probes race), so a strict-but-nonzero default is used.
-pub(crate) const DEFAULT_SYMMETRY_TOLERANCE: f64 = 0.05;
-
-/// Typed failure modes of matrix construction and CSV import.
-///
-/// Every variant carries enough context (1-based row/column) to point
-/// at the offending cell; hostile inputs must map to one of these, never
-/// to a panic.
+/// Typed failure modes of synthetic-source construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatrixError {
     /// Fewer than two nodes (0×0 and 1×1 matrices carry no pairwise
@@ -54,58 +37,6 @@ pub enum MatrixError {
     TooSmall {
         /// Number of nodes found.
         nodes: usize,
-    },
-    /// More nodes than `MAX_DENSE_NODES` in a dense construction.
-    TooLarge {
-        /// Number of nodes requested.
-        nodes: usize,
-        /// The dense limit.
-        limit: usize,
-    },
-    /// A row with a different cell count than the first row.
-    RaggedRow {
-        /// 1-based row number.
-        row: usize,
-        /// Cells expected (matrix order).
-        expected: usize,
-        /// Cells found.
-        got: usize,
-    },
-    /// A cell that failed to parse as a number.
-    BadCell {
-        /// 1-based row number.
-        row: usize,
-        /// 1-based column number.
-        col: usize,
-    },
-    /// A NaN or infinite cell.
-    NonFinite {
-        /// 1-based row number.
-        row: usize,
-        /// 1-based column number.
-        col: usize,
-    },
-    /// An off-diagonal cell that is not strictly positive, or a
-    /// negative diagonal cell.
-    NonPositive {
-        /// 1-based row number.
-        row: usize,
-        /// 1-based column number.
-        col: usize,
-        /// The offending value.
-        value: f64,
-    },
-    /// A pair whose forward and reverse latencies disagree beyond the
-    /// symmetry tolerance.
-    Asymmetric {
-        /// 1-based row of the pair.
-        row: usize,
-        /// 1-based column of the pair.
-        col: usize,
-        /// Relative disagreement `|a_ij - a_ji| / mean`.
-        relative_error: f64,
-        /// The tolerance that was exceeded.
-        tolerance: f64,
     },
     /// An invalid generator parameter.
     InvalidSpec {
@@ -122,32 +53,6 @@ impl fmt::Display for MatrixError {
             MatrixError::TooSmall { nodes } => {
                 write!(f, "latency matrix needs at least 2 nodes, got {nodes}")
             }
-            MatrixError::TooLarge { nodes, limit } => write!(
-                f,
-                "dense latency matrix limited to {limit} nodes, got {nodes} \
-                 (use the implicit synthetic source for larger systems)"
-            ),
-            MatrixError::RaggedRow { row, expected, got } => {
-                write!(f, "row {row} has {got} cells, expected {expected}")
-            }
-            MatrixError::BadCell { row, col } => {
-                write!(f, "cell ({row},{col}) is not a number")
-            }
-            MatrixError::NonFinite { row, col } => {
-                write!(f, "cell ({row},{col}) is NaN or infinite")
-            }
-            MatrixError::NonPositive { row, col, value } => write!(
-                f,
-                "cell ({row},{col}) = {value} must be positive off the \
-                 diagonal and non-negative on it"
-            ),
-            MatrixError::Asymmetric { row, col, relative_error, tolerance } => write!(
-                f,
-                "cells ({row},{col})/({col},{row}) disagree by {:.1}% \
-                 (tolerance {:.1}%)",
-                relative_error * 100.0,
-                tolerance * 100.0
-            ),
             MatrixError::InvalidSpec { name, reason } => {
                 write!(f, "invalid generator parameter {name}: {reason}")
             }
@@ -234,138 +139,6 @@ impl LatencyBand {
         // Box–Muller; one deviate per pair is enough.
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         (self.mean_us + self.std_us * z).clamp(self.min_us(), self.max_us())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dense matrix
-// ---------------------------------------------------------------------------
-
-/// A dense, validated, symmetric latency matrix.
-///
-/// Stored row-major; ingestion symmetrises each pair to the mean of the
-/// forward and reverse measurements after the tolerance check, so
-/// [`LatencySource::latency_us`] is exactly symmetric.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyMatrix {
-    n: usize,
-    cells: Vec<f64>,
-}
-
-impl LatencyMatrix {
-    /// Builds a matrix from explicit rows, validating shape, finiteness,
-    /// positivity and symmetry (see [`MatrixError`]).
-    pub fn from_rows(rows: &[Vec<f64>], symmetry_tolerance: f64) -> Result<Self, MatrixError> {
-        let n = rows.len();
-        if n < 2 {
-            return Err(MatrixError::TooSmall { nodes: n });
-        }
-        if n > MAX_DENSE_NODES {
-            return Err(MatrixError::TooLarge { nodes: n, limit: MAX_DENSE_NODES });
-        }
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != n {
-                return Err(MatrixError::RaggedRow { row: i + 1, expected: n, got: row.len() });
-            }
-            for (j, &v) in row.iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(MatrixError::NonFinite { row: i + 1, col: j + 1 });
-                }
-                let bad = if i == j { v < 0.0 } else { v <= 0.0 };
-                if bad {
-                    return Err(MatrixError::NonPositive { row: i + 1, col: j + 1, value: v });
-                }
-            }
-        }
-        let mut cells = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let fwd = rows[i][j];
-                let rev = rows[j][i];
-                let mean = 0.5 * (fwd + rev);
-                let rel = (fwd - rev).abs() / mean;
-                if rel > symmetry_tolerance {
-                    return Err(MatrixError::Asymmetric {
-                        row: i + 1,
-                        col: j + 1,
-                        relative_error: rel,
-                        tolerance: symmetry_tolerance,
-                    });
-                }
-                cells[i * n + j] = mean;
-                cells[j * n + i] = mean;
-            }
-        }
-        Ok(LatencyMatrix { n, cells })
-    }
-
-    /// Parses strict CSV with the default symmetry tolerance
-    /// (`DEFAULT_SYMMETRY_TOLERANCE`).
-    pub fn parse_csv(text: &str) -> Result<Self, MatrixError> {
-        Self::parse_csv_with(text, DEFAULT_SYMMETRY_TOLERANCE)
-    }
-
-    /// Parses strict CSV: one row per line, comma-separated numeric
-    /// cells, no header, blank lines ignored. Every structural defect
-    /// maps to a typed [`MatrixError`].
-    pub(crate) fn parse_csv_with(text: &str, symmetry_tolerance: f64) -> Result<Self, MatrixError> {
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut expected: Option<usize> = None;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let row_no = rows.len() + 1;
-            let mut row = Vec::new();
-            for (c, tok) in line.split(',').enumerate() {
-                let v: f64 = tok
-                    .trim()
-                    .parse()
-                    .map_err(|_| MatrixError::BadCell { row: row_no, col: c + 1 })?;
-                row.push(v);
-            }
-            if let Some(width) = expected {
-                if row.len() != width {
-                    return Err(MatrixError::RaggedRow {
-                        row: row_no,
-                        expected: width,
-                        got: row.len(),
-                    });
-                }
-            } else {
-                expected = Some(row.len());
-            }
-            rows.push(row);
-        }
-        // A non-square sheet (row count != column count) reads as a
-        // ragged matrix: the first short/long dimension is reported.
-        if let Some(width) = expected {
-            if rows.len() != width && rows.len() >= 2 {
-                return Err(MatrixError::RaggedRow {
-                    row: rows.len(),
-                    expected: rows.len(),
-                    got: width,
-                });
-            }
-        }
-        Self::from_rows(&rows, symmetry_tolerance)
-    }
-
-    /// Cell accessor (symmetrised value; diagonal is 0 for generated
-    /// matrices, the imported value's pair mean otherwise).
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.n && j < self.n, "index out of range");
-        self.cells[i * self.n + j]
-    }
-}
-
-impl LatencySource for LatencyMatrix {
-    fn nodes(&self) -> usize {
-        self.n
-    }
-
-    fn latency_us(&self, a: usize, b: usize) -> f64 {
-        self.get(a, b)
     }
 }
 
@@ -489,26 +262,6 @@ impl SyntheticSpec {
         }
         Ok(SyntheticMatrix { seed: self.seed, cluster_of, intra: self.intra, inter: self.inter })
     }
-
-    /// Materialises the dense matrix (small systems only, see
-    /// `MAX_DENSE_NODES`); bit-identical to sampling the implicit
-    /// source cell by cell.
-    pub fn generate(&self) -> Result<LatencyMatrix, MatrixError> {
-        let src = self.source()?;
-        let n = src.nodes();
-        if n > MAX_DENSE_NODES {
-            return Err(MatrixError::TooLarge { nodes: n, limit: MAX_DENSE_NODES });
-        }
-        let mut cells = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let v = src.latency_us(i, j);
-                cells[i * n + j] = v;
-                cells[j * n + i] = v;
-            }
-        }
-        Ok(LatencyMatrix { n, cells })
-    }
 }
 
 /// The implicit synthetic source: per-pair latencies recomputed on
@@ -567,49 +320,18 @@ mod tests {
         (LatencyBand::new(50.0, 4.0).unwrap(), LatencyBand::new(400.0, 30.0).unwrap())
     }
 
-    /// Renders the matrix as CSV (row-major, `%.6` precision), the
-    /// inverse of [`LatencyMatrix::parse_csv`] up to rounding.
-    fn to_csv(m: &LatencyMatrix) -> String {
-        let mut out = String::with_capacity(m.n * m.n * 8);
-        for i in 0..m.n {
-            for j in 0..m.n {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{:.6}", m.cells[i * m.n + j]));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     #[test]
     fn generator_is_deterministic_and_symmetric() {
         let (intra, inter) = bands();
         let spec = SyntheticSpec::uniform(4, 8, intra, inter, 2005);
-        let a = spec.generate().unwrap();
-        let b = spec.generate().unwrap();
+        let a = spec.source().unwrap();
+        let b = spec.source().unwrap();
         assert_eq!(a, b);
         for i in 0..a.nodes() {
             for j in 0..a.nodes() {
                 if i != j {
-                    assert_eq!(a.get(i, j), a.get(j, i));
-                    assert!(a.get(i, j) > 0.0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dense_and_implicit_sources_agree_bit_exactly() {
-        let (intra, inter) = bands();
-        let spec = SyntheticSpec::uniform(3, 5, intra, inter, 77);
-        let dense = spec.generate().unwrap();
-        let implicit = spec.source().unwrap();
-        for i in 0..dense.nodes() {
-            for j in 0..dense.nodes() {
-                if i != j {
-                    assert_eq!(dense.get(i, j), implicit.latency_us(i, j));
+                    assert_eq!(a.latency_us(i, j), a.latency_us(j, i));
+                    assert!(a.latency_us(i, j) > 0.0);
                 }
             }
         }
@@ -693,72 +415,6 @@ mod tests {
             Err(MatrixError::InvalidSpec { name: "std_us", .. })
         ));
         let huge = SyntheticSpec::uniform(64, 64, intra, inter, 0);
-        assert!(matches!(huge.generate(), Err(MatrixError::TooLarge { .. })));
         assert!(huge.source().is_ok(), "implicit source has no dense limit");
-    }
-
-    // ----- satellite: hostile CSV inputs must fail typed, never panic -----
-
-    #[test]
-    fn csv_rejects_empty_and_single_cell() {
-        assert!(matches!(LatencyMatrix::parse_csv(""), Err(MatrixError::TooSmall { nodes: 0 })));
-        assert!(matches!(
-            LatencyMatrix::parse_csv("0.0\n"),
-            Err(MatrixError::TooSmall { nodes: 1 })
-        ));
-    }
-
-    #[test]
-    fn csv_rejects_ragged_rows() {
-        let err = LatencyMatrix::parse_csv("0,1,2\n1,0\n2,1,0\n").unwrap_err();
-        assert_eq!(err, MatrixError::RaggedRow { row: 2, expected: 3, got: 2 });
-        // Square-width but short row count is also ragged.
-        let err = LatencyMatrix::parse_csv("0,1,2\n1,0,3\n").unwrap_err();
-        assert!(matches!(err, MatrixError::RaggedRow { .. }));
-    }
-
-    #[test]
-    fn csv_rejects_nan_inf_and_garbage_cells() {
-        let err = LatencyMatrix::parse_csv("0,NaN\n1,0\n").unwrap_err();
-        assert_eq!(err, MatrixError::NonFinite { row: 1, col: 2 });
-        let err = LatencyMatrix::parse_csv("0,inf\n1,0\n").unwrap_err();
-        assert_eq!(err, MatrixError::NonFinite { row: 1, col: 2 });
-        let err = LatencyMatrix::parse_csv("0,1\nfoo,0\n").unwrap_err();
-        assert_eq!(err, MatrixError::BadCell { row: 2, col: 1 });
-    }
-
-    #[test]
-    fn csv_rejects_negative_and_zero_off_diagonal() {
-        let err = LatencyMatrix::parse_csv("0,-5\n-5,0\n").unwrap_err();
-        assert!(matches!(err, MatrixError::NonPositive { row: 1, col: 2, .. }));
-        let err = LatencyMatrix::parse_csv("0,0\n0,0\n").unwrap_err();
-        assert!(matches!(err, MatrixError::NonPositive { .. }));
-        let err = LatencyMatrix::parse_csv("-1,5\n5,0\n").unwrap_err();
-        assert!(matches!(err, MatrixError::NonPositive { row: 1, col: 1, .. }));
-    }
-
-    #[test]
-    fn csv_rejects_asymmetry_beyond_tolerance() {
-        let err = LatencyMatrix::parse_csv("0,100\n150,0\n").unwrap_err();
-        assert!(matches!(err, MatrixError::Asymmetric { row: 1, col: 2, .. }));
-        // Within tolerance: accepted and symmetrised to the pair mean.
-        let m = LatencyMatrix::parse_csv("0,100\n104,0\n").unwrap();
-        assert_eq!(m.get(0, 1), 102.0);
-        assert_eq!(m.get(1, 0), 102.0);
-    }
-
-    #[test]
-    fn csv_round_trips_generated_matrices() {
-        let (intra, inter) = bands();
-        let spec = SyntheticSpec::uniform(3, 4, intra, inter, 42);
-        let dense = spec.generate().unwrap();
-        let reparsed = LatencyMatrix::parse_csv(&to_csv(&dense)).unwrap();
-        for i in 0..dense.nodes() {
-            for j in 0..dense.nodes() {
-                if i != j {
-                    assert!((dense.get(i, j) - reparsed.get(i, j)).abs() < 1e-5);
-                }
-            }
-        }
     }
 }

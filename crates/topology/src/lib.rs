@@ -10,11 +10,12 @@
 //! * [`fat_tree`] — the non-blocking Multi-Stage Fat-Tree (§5.2):
 //!   stage count (eq. 12), switch count (eq. 13 / Proposition 1) and
 //!   up/down hop counts.
-//! * [`latmatrix`] — the empirical latency-matrix source: a seeded
-//!   synthetic WAN/LAN generator with planted clusters, a strict CSV
-//!   importer, and the [`latmatrix::LatencySource`] sampling trait the
+//! * [`latmatrix`] — the empirical latency-matrix source: the
+//!   [`latmatrix::LatencySource`] sampling trait the
 //!   cluster-identification pass and the flow simulator's per-pair
-//!   hop modulation consume.
+//!   hop modulation consume (any caller with measured pairwise
+//!   latencies implements it), and a seeded synthetic WAN/LAN
+//!   generator with planted clusters.
 //! * [`linear_array`] — the blocking linear switch array (§5.3):
 //!   switch count (eq. 17), hop statistics (the `(k+1)/3` average of
 //!   eq. 19, plus the exact distribution).
@@ -58,6 +59,6 @@ pub mod technology;
 pub mod transmission;
 
 pub use error::TopologyError;
-pub use latmatrix::{LatencyMatrix, LatencySource};
+pub use latmatrix::LatencySource;
 pub use switch::SwitchFabric;
 pub use technology::NetworkTechnology;
