@@ -42,17 +42,26 @@
 //!
 //! ## Layout and codegen
 //!
-//! The passes compile to scalar code. `cargo rustc --release -p
-//! hmcs-core -- --emit asm` with `target-cpu=native` on an AVX-512
-//! x86-64 host shows only scalar `vmulsd`/`vdivsd`/`vaddsd` in
-//! `probe_pass` and `lockstep_pass`, no `ymm` or `zmm` register,
-//! and 23 and 33 conditional jumps respectively, loop control
-//! included. The structure-of-arrays lockstep layout is kept for a
-//! measured reason, not for SIMD. On 1,728 lanes (both cases and both
+//! The passes are vectorised in the shipped binaries. With the
+//! `target-cpu=native` that `.cargo/config.toml` sets, on an AVX-512
+//! x86-64 host, `objdump -d target/release/reproduce` shows 61
+//! instructions on `ymm` registers and 5 packed `vdivpd` in
+//! `probe_pass`, and 91 on `ymm` and 5 `vdivpd` in `lockstep_pass`:
+//! four lanes per instruction. Each keeps a scalar remainder loop with
+//! 5 `vdivsd` for the lanes past the last multiple of four; neither
+//! uses `zmm`. Read a release binary's disassembly, not the library's
+//! `cargo rustc --release -p hmcs-core -- --emit asm`: the release
+//! profile's fat LTO leaves loop vectorisation to the link step, so the
+//! library's own asm shows only the scalar form. CI fails when neither
+//! pass in `target/release/reproduce` has a packed divide.
+//!
+//! The structure-of-arrays lockstep layout is what lets the loops
+//! vectorise: every column is a contiguous `f64` slice and every lane
+//! runs one select-style op sequence. On 1,728 lanes (both cases and both
 //! architectures × 9 cluster counts × 16 λ × 3 message sizes, bits
 //! identical across layouts) on a 2-vCPU Xeon host, the per-lane solve
-//! took 452–523 ns in this layout, 1,460–1,724 ns as an
-//! array-of-structs lockstep and 1,378–1,499 ns as a per-lane loop.
+//! took 452–523 ns in this layout, 1,460–1,724 ns as an array-of-structs
+//! lockstep and 1,378–1,499 ns as a per-lane loop.
 //!
 //! ## Bit-identity contract
 //!
@@ -66,9 +75,10 @@
 //! only as that reference: `tests/kernel_properties.rs` fuzzes
 //! lane-vs-scalar equality over the 16–512-processor validity region
 //! and the `kernel_grid` bench asserts it on the figure lambda grid.
-//! The stopping width, the evaluation budget and the same-sign bracket
-//! error are the solver's own ([`solver::BISECT_REL_TOL`],
-//! [`solver::MAX_EVALS`]), imported rather than mirrored.
+//! The stopping width, the evaluation budget, the same-sign bracket
+//! error, the bracket's saturation clamp and the ECN1 weight are the
+//! solver's own ([`solver::BISECT_REL_TOL`], [`solver::MAX_EVALS`]),
+//! imported rather than mirrored.
 //!
 //! ## Parallel batches
 //!
@@ -89,7 +99,7 @@
 //! those evaluations, too few to batch.
 
 use crate::batch::EvalStats;
-use crate::config::{QueueAccounting, SystemConfig};
+use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::metrics::{self, keys};
 use crate::model::PerformanceReport;
@@ -110,11 +120,11 @@ use std::time::{Duration, Instant};
 /// any positive arrival read as unstable, exactly like the scalar
 /// path's `MG1::new(..).ok()`.
 ///
-/// Written select-style (both arms computed, conditionally chosen):
-/// the speculative division is IEEE-safe (a non-positive denominator
-/// yields ±inf/nan, discarded by the select) and the chosen value is
-/// bit-identical to the scalar branch. The compiler may still lower
-/// the select to a conditional jump (see the module doc).
+/// Written select-style (both arms computed, conditionally chosen), so
+/// the passes that inline it vectorise (see the module doc): the
+/// speculative division is IEEE-safe (a non-positive denominator yields
+/// ±inf/nan, discarded by the select) and the chosen value is
+/// bit-identical to the scalar branch.
 #[inline(always)]
 fn center_l_fast(lambda: f64, mean: f64, m2: f64) -> f64 {
     let rho = lambda * mean;
@@ -150,8 +160,9 @@ fn center_l_checked(lambda: f64, mean: f64, m2: f64) -> Option<f64> {
 /// columns named at the call site. Every probe in the kernel expands
 /// from this one macro, so the endpoint pass and the lockstep passes
 /// share a single floating-point op sequence — the bit-identity
-/// contract reduced to one definition. (A macro rather than a helper
-/// function because each probe loop names its own pre-sliced columns.)
+/// contract reduced to one definition — which the vectorised loops run
+/// four lanes at a time. (A macro rather than a helper function because
+/// each probe loop names its own pre-sliced columns.)
 macro_rules! eval_f {
     (
         $i:expr, $x:expr;
@@ -178,10 +189,10 @@ macro_rules! eval_f {
 ///
 /// The probe loops live in free functions that take each column as a
 /// slice parameter, pre-sliced to one length so the per-index bounds
-/// checks fold away. They compile to scalar code; the kernel's speed
-/// comes from the structure-of-arrays lockstep layout (see the module
-/// doc). `inline(never)` keeps each pass its own symbol, so its code
-/// can be read in `--emit asm` output.
+/// checks fold away and the loop vectorises (packed `vdivpd` on `ymm`
+/// in the release binaries, with a scalar remainder loop; see the
+/// module doc). `inline(never)` keeps each pass its own symbol, so its
+/// code can be found in `objdump -d` of a release binary.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn probe_pass(
@@ -233,8 +244,8 @@ fn probe_pass(
 /// One lockstep bisection pass over a span of lanes: probe the
 /// midpoint, record the convergence verdict and residual, and advance
 /// the bracket select-style, every lane running the same update in
-/// place of the scalar solver's sign branch (the compiler still emits
-/// conditional jumps; see the module doc).
+/// place of the scalar solver's sign branch, so the loop vectorises
+/// into masked selects four lanes wide (see the module doc).
 /// Terminal lanes still in the span hold degenerate brackets (`lo ==
 /// hi == v` gives `mid == v` exactly), so their convergence mask holds
 /// and nothing moves. See [`probe_pass`] for why this is a free
@@ -625,10 +636,7 @@ impl BatchKernel {
             k.a_icn1[i] = n0 * (1.0 - p);
             k.a_fwd[i] = n0 * p;
             k.a_icn2[i] = c * n0 * p;
-            k.w_e1[i] = match config.accounting {
-                QueueAccounting::PaperLiteral => 2.0,
-                QueueAccounting::SingleQueue => 1.0,
-            };
+            k.w_e1[i] = solver::ecn1_weight(config.accounting);
             let moments = |service_us: f64| -> (f64, f64) {
                 let dist = config.service_model.distribution(service_us);
                 if dist.validate().is_err() {
@@ -641,7 +649,7 @@ impl BatchKernel {
             (k.mean_i1[i], k.m2_i1[i]) = moments(service.icn1_us);
             (k.mean_e1[i], k.m2_e1[i]) = moments(service.ecn1_us);
             (k.mean_i2[i], k.m2_i2[i]) = moments(service.icn2_us);
-            k.hi0[i] = config.lambda_per_us.min(lane.saturation_lambda * (1.0 - 1e-12));
+            k.hi0[i] = solver::bracket_top(config.lambda_per_us, lane.saturation_lambda);
             k.hi[i] = k.hi0[i];
         }
     }

@@ -481,7 +481,9 @@ pub struct Diagnostics {
     pub dominated: usize,
     /// Points skipped by [`optimize_pruned`] on a certified
     /// latency lower bound (provably above the SLO or provably
-    /// dominated by an already-evaluated cheaper feasible point).
+    /// dominated by an already-evaluated cheaper feasible point): the
+    /// zero-load latency or the saturation floor before the kernel, or
+    /// the kernel's bracket bound mid-solve.
     /// Always zero for the exhaustive [`optimize`] path. In pruned
     /// runs `saturated + evaluated + failed + pruned ==
     /// space_size - invalid` under `require_unsaturated`.
@@ -521,10 +523,12 @@ struct Candidate {
     /// The design's tier service times and saturation rate, handed to
     /// its kernel lane so lane setup skips the topology.
     lane: LaneService,
-    /// Zero-load mean latency `(1−p)·S_I1 + p·(S_I2 + 2·S_E1)`: every
-    /// M/G/1 sojourn is at least its service time, so this is a
-    /// provable lower bound on the latency any evaluation can report.
-    zero_load_us: f64,
+    /// A margined lower bound on the latency any evaluation can report:
+    /// the larger of the zero-load latency `(1−p)·S_I1 + p·(S_I2 +
+    /// 2·S_E1)` (every M/G/1 sojourn is at least its service time) and
+    /// the saturation floor ([`saturation_floor_us`]), each shrunk by
+    /// its own margin.
+    floor_us: f64,
     /// Ordinal of the candidate's port family — designs sharing every
     /// axis except the switch port count — computed from the
     /// enumeration loop indices, so grouping by family is an array
@@ -762,11 +766,15 @@ fn enumerate_candidates(
                         );
                         let zero_load_us = (1.0 - p) * service.icn1_us
                             + p * (service.icn2_us + 2.0 * service.ecn1_us);
+                        let floor_us = (zero_load_us * (1.0 - PRUNE_MARGIN)).max(
+                            saturation_floor_us(&design.config, saturation_lambda)
+                                * (1.0 - SATURATION_FLOOR_MARGIN),
+                        );
                         candidates.push(Candidate {
                             design,
                             cost_usd,
                             lane: LaneService { service, saturation_lambda },
-                            zero_load_us,
+                            floor_us,
                             family,
                         });
                     }
@@ -900,13 +908,55 @@ pub fn optimize(
     Ok(OptimizeOutcome { space_size: spec.space.len(), evaluated, feasible, frontier, diagnostics })
 }
 
-/// Relative safety margin applied to certified latency lower bounds
-/// before they are compared against a prune threshold. The zero-load
+/// Relative safety margin applied to the zero-load latency bound
+/// before it is compared against a prune threshold. The zero-load
 /// bound is assembled from [`ServiceTimes`] while the solver assembles
 /// sojourns from distribution means that can differ by a few ulp
 /// (Erlang moment round-trip), so the margin absorbs that slack while
 /// staying far below any physically meaningful latency difference.
 const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Relative margin applied to [`saturation_floor_us`] before it is
+/// compared against a prune threshold.
+///
+/// The floor is proved for the exact root `x*` of eq. 7, while a solve
+/// reports the latency at its bisection's last midpoint, within
+/// [`solver::BISECT_REL_TOL`] of `x*` relative. Under a single queue
+/// the floor's only slack is the gap between `x*` and the bracket top,
+/// which shrinks like `1/N`, and near saturation the latency is steep
+/// enough that the rounding of the reported value grows like `1e-13·N`
+/// relative. On 153,120 saturated lanes (16 to 2²⁰ processors, 1 to
+/// 1,024 clusters, 16 B to 64 KiB messages, both cases, architectures
+/// and accountings, four service models, λ from just above to 1e8×
+/// saturation) the smallest ratio of reported latency to floor was
+/// 1.00000042, at N = 2²⁰; 1e-3 keeps the floor sound far past that
+/// population.
+const SATURATION_FLOOR_MARGIN: f64 = 1e-3;
+
+/// A lower bound on the mean latency of `config` — whose closed-form
+/// saturation rate is `saturation_lambda` — when its offered rate λ
+/// exceeds the kernel's bracket top `hi0 = min(λ, sat·(1−1e-12))`
+/// ([`solver::bracket_top`]); 0 otherwise.
+///
+/// Proof. Flow blocking (eqs. 6–7) settles at `x* = λ·(N − L(x*))/N`
+/// with `0 < x* ≤ hi0`, so `L(x*) < N` and `L(x*) = N·(1 − x*/λ)`.
+/// Little's law at each M/G/1 centre gives `L(x) = N·x·[(1−p)·W_I1 +
+/// p·W_I2 + 2w·p·W_E1] ≤ w·N·x·T(x)`, where `T` is the mean message
+/// latency (eq. 15) and `w` the ECN1 weight of eq. 6
+/// ([`solver::ecn1_weight`]: 2 under the paper's accounting, 1 for a
+/// single queue). Hence `T(x*) ≥ (1/x* − 1/λ)/w ≥ (λ − hi0)/(w·hi0·λ)`.
+///
+/// The floor is 0 unless `0 < hi0 < λ` and both are finite, so a
+/// design whose solve would fail (a zero saturation rate, say) is never
+/// pruned on it.
+fn saturation_floor_us(config: &SystemConfig, saturation_lambda: f64) -> f64 {
+    let lambda = config.lambda_per_us;
+    let hi0 = solver::bracket_top(lambda, saturation_lambda);
+    if !(hi0 > 0.0 && hi0 < lambda && lambda.is_finite()) {
+        return 0.0;
+    }
+    (lambda - hi0) / (solver::ecn1_weight(config.accounting) * hi0 * lambda)
+}
 
 /// Sliding dominance staircase over the feasible points evaluated so
 /// far: `(cost, latency)` pairs with non-decreasing cost and strictly
@@ -955,21 +1005,25 @@ impl DominanceMap {
 /// evaluating every survivor it
 ///
 /// 1. solves a coarse port-grid probe (lowest / median / highest port
-///    count) per design family through one kernel batch,
-/// 2. orders the remaining candidates by the family's probed latency,
-///    extrapolated down the port axis by the probed d-latency/d-ports
-///    gradient and tie-broken by saturation headroom and cost, and
-/// 3. walks them in fixed-size waves through
-///    the bounded kernel ([`crate::kernel::evaluate_batch_bounded`]),
+///    count) per design family as one unbounded kernel batch,
+/// 2. orders the remaining candidates by the family's best probed
+///    latency, extrapolated down the port axis by the secant slope
+///    between its first and last solved probe and tie-broken by
+///    saturation headroom and cost, and
+/// 3. walks them in fixed-size waves through the bounded kernel,
 ///    handing each lane the SLO and the best latency among *already
 ///    evaluated* feasible points that are strictly cheaper.
 ///
-/// A lane is skipped only on a *certified* latency lower bound — the
-/// zero-load service latency before any evaluation, or the in-kernel
-/// bracket bound once bisection has provably separated from
-/// saturation — so every skipped point provably could not have joined
-/// the frontier. Probe/wave ordering is pure guidance: it affects how
-/// many points get pruned (`diagnostics.pruned`), never the result.
+/// A candidate is skipped only on a *certified* latency lower bound, so
+/// every skipped point provably could not have joined the frontier.
+/// Before it becomes a lane, that bound is the larger of its zero-load
+/// latency and, when it is offered more than it can carry, its
+/// saturation floor `(λ − hi0)/(w·hi0·λ)`, which Little's law and eq.
+/// 7's flow blocking give from the bracket top `hi0` and the ECN1
+/// weight `w`; inside the kernel it is the sojourn mix at the bracket's
+/// low edge, once the high edge has moved inside the saturation clamp.
+/// Probe/wave ordering is pure guidance: it affects how many points get
+/// pruned (`diagnostics.pruned`), never the result.
 ///
 /// The returned frontier (and therefore [`OptimizeOutcome::
 /// cheapest_feasible`]) is bit-identical to the exhaustive
@@ -1129,10 +1183,9 @@ pub fn optimize_pruned(
         for &i in wave {
             let candidate = &candidates[i];
             let dominated_at_us = dominance.best_latency_cheaper(candidate.cost_usd);
-            let certified = candidate.zero_load_us * (1.0 - PRUNE_MARGIN);
-            // Static prune: the zero-load service latency already
+            // Static prune: the zero-load or saturation floor already
             // proves the point is above the SLO or strictly dominated.
-            if certified > slo || certified >= dominated_at_us {
+            if candidate.floor_us > slo || candidate.floor_us >= dominated_at_us {
                 diagnostics.pruned += 1;
                 continue;
             }

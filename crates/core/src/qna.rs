@@ -31,7 +31,7 @@
 //! [`crate::solver`] and brackets with the base model's saturation rate
 //! (GI/G/1 shares the `ρ < 1` condition).
 
-use crate::config::{QueueAccounting, SystemConfig};
+use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::latency::LatencyReport;
 use crate::metrics::{self, keys};
@@ -156,10 +156,7 @@ fn total_waiting(config: &SystemConfig, service: &ServiceTimes, lambda_eff: f64)
     let centers = build_centers(config, service, &rates, &scv)?;
     let l =
         |q: &Option<GG1>| q.as_ref().map_or(0.0, |q| q.mean_number_in_system(Approximation::KLB));
-    let w = match config.accounting {
-        QueueAccounting::PaperLiteral => 2.0,
-        QueueAccounting::SingleQueue => 1.0,
-    };
+    let w = solver::ecn1_weight(config.accounting);
     let c = config.clusters as f64;
     Some(c * (w * l(&centers.ecn1) + l(&centers.icn1)) + l(&centers.icn2))
 }

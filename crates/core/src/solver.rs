@@ -117,6 +117,24 @@ pub const BISECT_REL_TOL: f64 = 1e-13;
 /// spend, the two endpoint probes included.
 pub const MAX_EVALS: usize = 500;
 
+/// The top of the eq.-7 bracket `[0, hi]`: the offered rate, clamped a
+/// hair inside the closed-form saturation rate so that every centre is
+/// stable at the bracket's high edge. Every kernel lane starts from the
+/// same value.
+pub(crate) fn bracket_top(lambda: f64, saturation: f64) -> f64 {
+    lambda.min(saturation * (1.0 - 1e-12))
+}
+
+/// The weight eq. 6 gives a cluster's ECN1 population: the paper's
+/// literal accounting counts the ECN1 queue at both ends of an external
+/// message, a single queue counts it once.
+pub(crate) fn ecn1_weight(accounting: QueueAccounting) -> f64 {
+    match accounting {
+        QueueAccounting::PaperLiteral => 2.0,
+        QueueAccounting::SingleQueue => 1.0,
+    }
+}
+
 /// The error [`bisect_relative`] (and every kernel lane) reports when
 /// `f(lo)` and `f(hi)` share a sign.
 pub(crate) const BRACKET_ERROR: ModelError =
@@ -244,7 +262,7 @@ pub(crate) fn solve_effective_rate(
         let l = total_waiting(x).unwrap_or(f64::INFINITY);
         lambda * (n - l.min(n)) / n - x
     };
-    let hi = lambda.min(saturation * (1.0 - 1e-12));
+    let hi = bracket_top(lambda, saturation);
     let (root, evals) = bisect_relative(f, 0.0, hi)?;
     let (lambda_eff, total_waiting, backoff_steps) = back_off_to_stable(root, &total_waiting)
         .ok_or(ModelError::SolverFailed { residual: f64::INFINITY })?;
@@ -269,11 +287,7 @@ fn total_waiting(config: &SystemConfig, service: &ServiceTimes, lambda_eff: f64)
     let l_e1 = center_l(config, r.ecn1_total, service.ecn1_us)?;
     let l_i2 = center_l(config, r.icn2, service.icn2_us)?;
     let c = config.clusters as f64;
-    let ecn1_weight = match config.accounting {
-        QueueAccounting::PaperLiteral => 2.0,
-        QueueAccounting::SingleQueue => 1.0,
-    };
-    Some(c * (ecn1_weight * l_e1 + l_i1) + l_i2)
+    Some(c * (ecn1_weight(config.accounting) * l_e1 + l_i1) + l_i2)
 }
 
 /// Solves eqs. 6–7 for `config` with the scalar relative bisection.

@@ -9,6 +9,10 @@
 //!   the oracle here solves every rung, as the search did before.
 //! * The optimizer's enumeration skips families its budget rules out;
 //!   the oracle walks and prices every design one by one.
+//! * The pruned walk drops designs offered more than they can carry on
+//!   a saturation floor before they become kernel lanes; the oracles
+//!   are the solved latency of every such lane on a widened validation
+//!   grid, and the exhaustive walk's frontier.
 //!
 //! Every mismatch names its configuration.
 
@@ -20,7 +24,7 @@ use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::optimize::{
     self, CatalogCostModel, Constraints, Design, DesignSpace, OptimizeError, OptimizeSpec, Workload,
 };
-use hmcs_core::scenario::Scenario;
+use hmcs_core::scenario::{Scenario, PAPER_LAMBDA_PER_US};
 use hmcs_core::sensitivity;
 use hmcs_core::service::ServiceTimes;
 use hmcs_core::solver;
@@ -74,15 +78,21 @@ fn lane_mismatch(
     })
 }
 
-/// The validation grid: C from 1 to 256, 16 to 1,024 processors, three
-/// message sizes, both cases and architectures, four service models,
-/// both accountings, and offered rates from 0.01× to 100× saturation.
-fn validation_grid() -> Vec<SystemConfig> {
+/// Configurations of every shape the grids cover: both cases and
+/// architectures, `populations` processors split into each of
+/// `cluster_counts` clusters, three message sizes, four service models
+/// and both accountings, each at every `utilizations` multiple of its
+/// saturation rate.
+fn grid(
+    populations: &[usize],
+    cluster_counts: &[usize],
+    utilizations: &[f64],
+) -> Vec<SystemConfig> {
     let mut configs = Vec::new();
     for scenario in [Scenario::Case1, Scenario::Case2] {
         for arch in [Architecture::NonBlocking, Architecture::Blocking] {
-            for nodes in [16usize, 64, 256, 1024] {
-                for clusters in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
+            for &nodes in populations {
+                for &clusters in cluster_counts {
                     if clusters > nodes {
                         continue;
                     }
@@ -103,7 +113,7 @@ fn validation_grid() -> Vec<SystemConfig> {
                                 };
                                 let base =
                                     base.with_service_model(model).with_accounting(accounting);
-                                for u in [0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 10.0, 100.0] {
+                                for &u in utilizations {
                                     configs.extend(at_utilization(base, u));
                                 }
                             }
@@ -114,6 +124,17 @@ fn validation_grid() -> Vec<SystemConfig> {
         }
     }
     configs
+}
+
+/// The validation grid: C from 1 to 256, 16 to 1,024 processors, three
+/// message sizes, both cases and architectures, four service models,
+/// both accountings, and offered rates from 0.01× to 100× saturation.
+fn validation_grid() -> Vec<SystemConfig> {
+    grid(
+        &[16, 64, 256, 1024],
+        &[1, 2, 4, 8, 16, 32, 64, 128, 256],
+        &[0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 10.0, 100.0],
+    )
 }
 
 #[test]
@@ -130,6 +151,72 @@ fn kernel_lanes_match_the_scalar_solver_on_the_validation_grid() {
         mismatches.len(),
         configs.len(),
         mismatches[0]
+    );
+}
+
+/// The planner's saturation floor of `config`, with its margin: the
+/// lower bound `(λ − hi0)/(w·hi0·λ)` that flow blocking (eq. 7) and
+/// Little's law give a design offered more than its bracket top `hi0 =
+/// min(λ, sat·(1−1e-12))`, with `w` the ECN1 weight of eq. 6, shrunk by
+/// 1e-3. Zero unless `0 < hi0 < λ`, both finite. Re-derived here from
+/// the model, not imported, so that a wrong bound in the planner shows.
+fn margined_saturation_floor(config: &SystemConfig) -> f64 {
+    let Ok(service) = ServiceTimes::compute(config) else {
+        return 0.0;
+    };
+    let lambda = config.lambda_per_us;
+    let hi0 = lambda.min(solver::saturation_lambda(config, &service) * (1.0 - 1e-12));
+    if !(hi0 > 0.0 && hi0 < lambda && lambda.is_finite()) {
+        return 0.0;
+    }
+    let w = match config.accounting {
+        QueueAccounting::PaperLiteral => 2.0,
+        QueueAccounting::SingleQueue => 1.0,
+    };
+    (lambda - hi0) / (w * hi0 * lambda) * (1.0 - 1e-3)
+}
+
+/// Every lane the planner may prune on its saturation floor solves, and
+/// reports a latency at or above that floor: over the validation grid's
+/// shapes, widened to 2²⁰ processors and 1,024 clusters, offered from a
+/// hair above to 1e8× saturation.
+#[test]
+fn saturated_lanes_report_latency_above_the_saturation_floor() {
+    let configs = grid(
+        &[16, 256, 4096, 1 << 16, 1 << 20],
+        &[1, 4, 16, 64, 256, 1024],
+        &[1.0 + 1e-12, 1.0 + 1e-6, 1.1, 10.0, 1e4, 1e8],
+    );
+    let floors: Vec<f64> = configs.iter().map(margined_saturation_floor).collect();
+    let floored: Vec<usize> = (0..configs.len()).filter(|&i| floors[i] > 0.0).collect();
+    assert!(floored.len() > 8_000, "{} lanes with a positive floor", floored.len());
+    let lanes: Vec<SystemConfig> = floored.iter().map(|&i| configs[i]).collect();
+    let reports = kernel::evaluate_batch(&lanes, 2);
+    let mut violations = Vec::new();
+    for (&i, report) in floored.iter().zip(&reports) {
+        let config = &configs[i];
+        let latency = report.as_ref().map(|(r, _)| r.latency.mean_message_latency_us);
+        if !latency.as_ref().is_ok_and(|&t| t >= floors[i]) {
+            violations.push(format!(
+                "C={} N0={} M={} {:?} {:?} {:?} {:?} λ={:e}: floor {:e}, solve {latency:?}",
+                config.clusters,
+                config.nodes_per_cluster,
+                config.message_bytes,
+                config.icn1.name,
+                config.architecture,
+                config.service_model,
+                config.accounting,
+                config.lambda_per_us,
+                floors[i],
+            ));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "{} of {} floored lanes fail or report below the floor; first: {}",
+        violations.len(),
+        floored.len(),
+        violations[0]
     );
 }
 
@@ -378,5 +465,57 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A plan around the paper's operating point: either case, 64 to 4,096
+/// processors over the paper-default design space, λ from 0.1× to 5.1×
+/// the paper's (so many designs are offered more than they can carry),
+/// a random SLO and budget, and `require_unsaturated` on about one spec
+/// in eleven.
+fn any_plan_spec() -> impl Strategy<Value = OptimizeSpec> {
+    (
+        (prop_oneof![Just(64usize), Just(256), Just(1024), Just(4096)], any::<bool>()),
+        (0.1f64..5.1, prop_oneof![Just(512u64), Just(1024), Just(2048)]),
+        (prop_oneof![Just(None), (3.0f64..5.0).prop_map(Some)], 0usize..11),
+        prop_oneof![Just(None), (2.0f64..3.5).prop_map(Some)],
+    )
+        .prop_map(|((total_nodes, case2), (lambda, bytes), (slo_exp, strict), budget_exp)| {
+            OptimizeSpec {
+                workload: Workload {
+                    scenario: if case2 { Scenario::Case2 } else { Scenario::Case1 },
+                    total_nodes,
+                    message_bytes: bytes,
+                    lambda_per_us: PAPER_LAMBDA_PER_US * lambda,
+                },
+                constraints: Constraints {
+                    slo_latency_us: slo_exp.map(|e| 10f64.powf(e)),
+                    budget_usd: budget_exp.map(|e| total_nodes as f64 * 10f64.powf(e)),
+                    require_unsaturated: strict == 0,
+                },
+                space: DesignSpace::paper_default(total_nodes),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Far above saturation the pruned walk drops most candidates on
+    /// their saturation floor before they become kernel lanes; its
+    /// frontier still equals the exhaustive one, and everything it did
+    /// not evaluate is accounted as pruned, never as a lost failure.
+    #[test]
+    fn pruned_walk_matches_the_exhaustive_frontier_above_saturation(spec in any_plan_spec()) {
+        let pruned = optimize::optimize_pruned(&spec, BatchOptions::sequential()).unwrap();
+        let exhaustive = optimize::optimize(&spec, BatchOptions::sequential()).unwrap();
+        let (p, e) = (&pruned.diagnostics, &exhaustive.diagnostics);
+        prop_assert_eq!(&pruned.frontier, &exhaustive.frontier);
+        prop_assert_eq!(
+            (p.invalid, p.over_budget, p.saturated),
+            (e.invalid, e.over_budget, e.saturated)
+        );
+        prop_assert_eq!(p.failed, e.failed);
+        prop_assert_eq!(pruned.evaluated + p.pruned, exhaustive.evaluated);
     }
 }
