@@ -523,31 +523,39 @@ fn bounds(cli: &Cli) -> Result<Output, Box<dyn Error>> {
 /// The sensitivity artefact: central finite-difference derivatives of
 /// the mean latency over the paper's cluster sweep (Case 1, M = 1024,
 /// both architectures), plus the Newton-polished largest λ meeting the
-/// optimize SLO. All probes run through the batched kernel; floats use
-/// the shortest-round-trip rendering so the CSV is byte-stable.
+/// optimize SLO. The sweep is one batch: its probes are one kernel
+/// solve and each stage of its λ searches one more. Floats use the
+/// shortest-round-trip rendering so the CSV is byte-stable.
 fn sensitivity_sweep(cli: &Cli) -> Result<Output, Box<dyn Error>> {
     let slo_us = cli.slo_ms.unwrap_or(DEFAULT_OPTIMIZE_SLO_MS) * 1000.0;
-    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut configs: Vec<SystemConfig> = Vec::new();
     for arch in [Architecture::NonBlocking, Architecture::Blocking] {
         for &clusters in &PAPER_CLUSTER_COUNTS {
-            let config = SystemConfig::paper_preset(Scenario::Case1, clusters, arch)?
-                .with_lambda(cli.opts.lambda_per_us);
-            let s = sensitivity::evaluate(&config)?;
-            let at_slo = sensitivity::lambda_for_latency(&config, slo_us)?;
-            rows.push(vec![
-                format!("{}/C{}", optimize::arch_code(arch), clusters),
-                clusters.to_string(),
-                config.nodes_per_cluster.to_string(),
-                optimize::arch_code(arch).to_string(),
-                json_num(s.latency_us),
-                json_num(s.dlatency_dlambda),
-                json_num(s.dlatency_dbyte),
-                json_num(s.dlatency_dnode),
-                json_num(s.saturation_lambda),
-                json_num(s.lambda_headroom),
-                at_slo.map_or("-".to_string(), json_num),
-            ]);
+            configs.push(
+                SystemConfig::paper_preset(Scenario::Case1, clusters, arch)?
+                    .with_lambda(cli.opts.lambda_per_us),
+            );
         }
+    }
+    let derivatives = sensitivity::evaluate_batch(&configs);
+    let searches = sensitivity::lambda_for_latency_batch(&configs, slo_us);
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    for ((config, s), at_slo) in configs.iter().zip(derivatives).zip(searches) {
+        let (s, at_slo) = (s?, at_slo?);
+        let arch = optimize::arch_code(config.architecture);
+        rows.push(vec![
+            format!("{arch}/C{}", config.clusters),
+            config.clusters.to_string(),
+            config.nodes_per_cluster.to_string(),
+            arch.to_string(),
+            json_num(s.latency_us),
+            json_num(s.dlatency_dlambda),
+            json_num(s.dlatency_dbyte),
+            json_num(s.dlatency_dnode),
+            json_num(s.saturation_lambda),
+            json_num(s.lambda_headroom),
+            at_slo.map_or("-".to_string(), json_num),
+        ]);
     }
     let title = format!(
         "sensitivity — dT_W/d(lambda, M, N) over the cluster sweep \

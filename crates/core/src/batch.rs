@@ -19,8 +19,9 @@
 //!   the batched kernel ([`crate::kernel::evaluate_batch`]).
 //!
 //! The kernel's own batches do not come here: they split into one lane
-//! block per worker, and the caller solves the first block while the
-//! kernel's persistent helper threads solve the rest
+//! block per worker, none smaller than
+//! [`crate::kernel::HELPER_MIN_LANES`], and the caller solves the first
+//! block while the kernel's persistent helper threads solve the rest
 //! ([`crate::kernel::evaluate_batch`]), so a warm kernel batch spawns
 //! no thread. The worker-count policy and the `core.batch.*` metrics
 //! are the same for both.

@@ -46,10 +46,11 @@
 //! `target-cpu=native` that `.cargo/config.toml` sets, on an AVX-512
 //! x86-64 host, `objdump -d target/release/reproduce` shows 61
 //! instructions on `ymm` registers and 5 packed `vdivpd` in
-//! `probe_pass`, and 91 on `ymm` and 5 `vdivpd` in `lockstep_pass`:
-//! four lanes per instruction. Each keeps a scalar remainder loop with
-//! 5 `vdivsd` for the lanes past the last multiple of four; neither
-//! uses `zmm`. Read a release binary's disassembly, not the library's
+//! `probe_pass`, and 185 on `ymm` and 10 packed `vdivpd` in
+//! `lockstep_pass`, which also sums the lanes it flags: four lanes per
+//! instruction. Each keeps a scalar remainder loop for the lanes past
+//! the last multiple of four; neither uses `zmm`. Read a release
+//! binary's disassembly, not the library's
 //! `cargo rustc --release -p hmcs-core -- --emit asm`: the release
 //! profile's fat LTO leaves loop vectorisation to the link step, so the
 //! library's own asm shows only the scalar form. CI fails when neither
@@ -83,15 +84,19 @@
 //! ## Parallel batches
 //!
 //! [`evaluate_batch`] and [`evaluate_batch_bounded`] cut a batch into
-//! one contiguous block of lanes per worker. The calling thread solves
-//! block 0 on its own arena; the others go, lanes copied, to a set of
-//! process-wide helper threads that each own an arena and wait on one
-//! job queue between batches. The set grows lazily to one fewer than
-//! the largest worker count asked for, so a warm batch spawns no
-//! thread. Outcomes come back in block order, and lanes never share
-//! data, so no lane changes a bit whatever the worker count. A panic in
-//! a helper's block reaches the caller as a `batch worker panicked`
-//! panic; the helper replaces its arena and serves on.
+//! one contiguous block of lanes per worker, but never into blocks of
+//! fewer than [`HELPER_MIN_LANES`] lanes: waking a helper costs more
+//! than solving a few hundred lanes, so a smaller batch runs whole on
+//! the calling thread. The calling thread solves block 0 on its own
+//! arena; the others go, lanes copied, to a set of process-wide helper
+//! threads that each own an arena and wait on one job queue between
+//! batches. The set grows lazily to one fewer than the largest number
+//! of blocks a batch was cut into, so a warm batch spawns no thread.
+//! Outcomes come back in block order, and lanes never share data, so no
+//! lane changes a bit whatever the worker count. A panic in a helper's
+//! block reaches the caller as a `batch worker panicked` panic; the
+//! helper replaces its arena and serves on. [`Work::solves`] counts the
+//! blocks solved and [`Work::helper_blocks`] those sent to helpers.
 //!
 //! Only the paper's M/M/1 model runs in lanes. The QNA refinement and
 //! the Cluster-of-Clusters model solve the same fixed point through the
@@ -248,8 +253,10 @@ fn probe_pass(
 /// into masked selects four lanes wide (see the module doc).
 /// Terminal lanes still in the span hold degenerate brackets (`lo ==
 /// hi == v` gives `mid == v` exactly), so their convergence mask holds
-/// and nothing moves. See [`probe_pass`] for why this is a free
-/// function.
+/// and nothing moves. Returns how many lanes it flagged as converged or
+/// as an exact zero; every terminal lane flags, so a count equal to the
+/// terminal lanes in the span means no live lane changed state. See
+/// [`probe_pass`] for why this is a free function.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn lockstep_pass(
@@ -272,7 +279,7 @@ fn lockstep_pass(
     m2_i2: &[f64],
     lambda: &[f64],
     n: &[f64],
-) {
+) -> usize {
     let len = lo.len();
     let (hi, flo, mids, fms, convf) =
         (&mut hi[..len], &mut flo[..len], &mut mids[..len], &mut fms[..len], &mut convf[..len]);
@@ -297,6 +304,7 @@ fn lockstep_pass(
             )
         };
     }
+    let mut flagged = 0;
     for i in 0..len {
         let lane_lo = lo[i];
         let lane_hi = hi[i];
@@ -320,7 +328,9 @@ fn lockstep_pass(
         lo[i] = if up_lo { mid } else { lane_lo };
         flo[i] = if up_lo { fm } else { flo[i] };
         hi[i] = if up_hi { mid } else { lane_hi };
+        flagged += usize::from(conv || fm == 0.0);
     }
+    flagged
 }
 
 /// Per-lane solver outcome, tracked alongside the SoA state.
@@ -460,7 +470,6 @@ pub struct BatchKernel {
     lo: Vec<f64>,
     hi: Vec<f64>,
     flo: Vec<f64>,
-    evals: Vec<usize>,
     value: Vec<f64>,
     iterations: Vec<usize>,
     state: Vec<LaneState>,
@@ -600,7 +609,6 @@ impl BatchKernel {
         for col in self.lane_columns() {
             col.resize(lanes, 0.0);
         }
-        refill(&mut self.evals, lanes, 0);
         refill(&mut self.iterations, lanes, 0);
         refill(&mut self.state, lanes, LaneState::Active);
         refill(&mut self.errors, lanes, None);
@@ -706,9 +714,8 @@ impl BatchKernel {
         let start = Instant::now();
         let first = out.len();
         let lanes = self.configs.len();
-        self.work = Work { lanes: lanes as u64, ..Work::default() };
+        self.work = Work { solves: 1, lanes: lanes as u64, ..Work::default() };
         self.bisect(lanes);
-        self.work.evaluations = self.evals.iter().map(|&e| e as u64).sum();
         work::record(self.work);
 
         // Per-lane tail: saturation back-off, equilibrium assembly and
@@ -822,10 +829,13 @@ impl BatchKernel {
     /// sits changes none of its bits.
     fn bisect(&mut self, lanes: usize) {
         let mut active = self.probe_endpoints(lanes);
+        // Every live lane has made the same number of evaluations: the
+        // two endpoint probes, then one per pass.
+        let mut evals = 2;
         let mut span = lanes;
         let mut compacted = false;
         while active > 0 {
-            active = self.passes(span, active);
+            active = self.passes(span, active, &mut evals);
             if active > 0 {
                 if !compacted {
                     self.order.clear();
@@ -860,8 +870,7 @@ impl BatchKernel {
         // do not, and pre-slicing to a shared length lets the bounds
         // checks fold away.
         let (lo, hi, flo) = (&mut self.lo[..lanes], &mut self.hi[..lanes], &mut self.flo[..lanes]);
-        let (evals, value, iterations) =
-            (&mut self.evals[..lanes], &mut self.value[..lanes], &mut self.iterations[..lanes]);
+        let (value, iterations) = (&mut self.value[..lanes], &mut self.iterations[..lanes]);
         let (state, errors) = (&mut self.state[..lanes], &mut self.errors[..lanes]);
         let (f_los, f_his) = (&mut self.f_los[..lanes], &mut self.f_his[..lanes]);
         let (a_icn1, a_fwd, a_icn2, c, w_e1) =
@@ -887,57 +896,72 @@ impl BatchKernel {
         // keeps them inert through the lockstep passes until
         // compaction drops them from the span.
         let mut active = 0usize;
+        let mut terminal = 0u64;
         for i in 0..lanes {
             if state[i] != LaneState::Active {
                 continue;
             }
             let f_lo = f_los[i];
             let f_hi = f_his[i];
-            evals[i] = 2;
             if f_lo == 0.0 {
                 value[i] = lo[i];
-                iterations[i] = evals[i];
+                iterations[i] = 2;
                 state[i] = LaneState::Done;
                 hi[i] = lo[i];
+                terminal += 1;
             } else if f_hi == 0.0 {
                 value[i] = hi[i];
-                iterations[i] = evals[i];
+                iterations[i] = 2;
                 state[i] = LaneState::Done;
                 lo[i] = hi[i];
+                terminal += 1;
             } else if f_lo.signum() == f_hi.signum() {
                 state[i] = LaneState::Failed;
                 errors[i] = Some(solver::BRACKET_ERROR);
                 lo[i] = 0.0;
                 hi[i] = 0.0;
+                terminal += 1;
             } else {
                 flo[i] = f_lo;
                 active += 1;
             }
         }
+        // A lane that ends here made both endpoint probes.
+        self.work.evaluations += 2 * terminal;
         active
     }
 
     /// Lockstep passes over the positions `[0, span)`, which hold all
     /// `active` live lanes, until none is live or — in a bounded solve —
-    /// at most half the span is; returns the lanes still live. Each pass
-    /// has two sub-steps:
+    /// at most half the span is; returns the lanes still live. `evals`
+    /// is the evaluation count every live lane shares, advanced by one
+    /// per pass. Each pass has two sub-steps:
     ///
     ///  1. [`lockstep_pass`] — a data-parallel sweep that
     ///     probes the midpoint, records the convergence verdict and
-    ///     residual, and advances the bracket select-style.
+    ///     residual, advances the bracket select-style, and counts the
+    ///     lanes it flagged as converged or as an exact zero.
     ///
     ///  2. a scalar bookkeeping sweep that replays the scalar solver's
     ///     per-iteration decision order — max-evals failure, relative
     ///     convergence, exact root — on the recorded verdicts. Only
     ///     state transitions happen here, at most once per lane per
-    ///     pass. In bounded solves the sweep ends with the prune
-    ///     certificate check; it reads bracket state without writing
-    ///     it, so surviving lanes keep the unbounded bit pattern.
-    fn passes(&mut self, span: usize, mut active: usize) -> usize {
+    ///     pass, and a lane's evaluations are counted when it ends. In
+    ///     bounded solves the sweep ends with the prune certificate
+    ///     check; it reads bracket state without writing it, so
+    ///     surviving lanes keep the unbounded bit pattern.
+    ///
+    /// An unbounded pass skips the sweep when it would change nothing:
+    /// the pass flagged only the span's terminal lanes (which always
+    /// flag) and `evals` is below [`MAX_EVALS`], so no live lane
+    /// converges, hits an exact zero or runs out of evaluations. On the
+    /// paper grid, where every lane takes 47 iterations, that is every
+    /// pass but the last. Bounded passes always sweep, because their
+    /// certificate reads per-lane state.
+    fn passes(&mut self, span: usize, mut active: usize, evals: &mut usize) -> usize {
         let bound_active = self.bound_active;
         let (lo, hi, flo) = (&mut self.lo[..span], &mut self.hi[..span], &mut self.flo[..span]);
-        let (evals, value, iterations) =
-            (&mut self.evals[..span], &mut self.value[..span], &mut self.iterations[..span]);
+        let (value, iterations) = (&mut self.value[..span], &mut self.iterations[..span]);
         let (state, errors) = (&mut self.state[..span], &mut self.errors[..span]);
         let (mids, fms, convf) =
             (&mut self.mids[..span], &mut self.fms[..span], &mut self.convf[..span]);
@@ -960,17 +984,24 @@ impl BatchKernel {
         let (lambda, n) = (&self.lambda[..span], &self.n[..span]);
         let (hi0, p_ext, thr_slo, thr_dom) =
             (&self.hi0[..span], &self.p_ext[..span], &self.thr_slo[..span], &self.thr_dom[..span]);
+        // Evaluations of the lanes that end in these passes.
+        let mut ended = 0u64;
         loop {
-            lockstep_pass(
+            let flagged = lockstep_pass(
                 lo, hi, flo, mids, fms, convf, a_icn1, a_fwd, a_icn2, c, w_e1, mean_i1, m2_i1,
                 mean_e1, m2_e1, mean_i2, m2_i2, lambda, n,
             );
             self.work.lane_passes += span as u64;
+            let e = *evals;
+            *evals += 1;
+            if !bound_active && flagged == span - active && e < MAX_EVALS {
+                continue;
+            }
             for i in 0..span {
                 if state[i] != LaneState::Active {
                     continue;
                 }
-                if evals[i] >= MAX_EVALS {
+                if e >= MAX_EVALS {
                     // The scalar solver checks the evaluation budget before
                     // the convergence test; `fms[i]` is the residual at
                     // exactly the midpoint it would have probed.
@@ -978,6 +1009,7 @@ impl BatchKernel {
                     errors[i] = Some(ModelError::SolverFailed { residual: fms[i].abs() });
                     lo[i] = 0.0;
                     hi[i] = 0.0;
+                    ended += e as u64;
                     active -= 1;
                     continue;
                 }
@@ -987,20 +1019,21 @@ impl BatchKernel {
                     // midpoint without making it: `f` is pure and the
                     // residual is never read.
                     value[i] = mids[i];
-                    iterations[i] = evals[i] + 1;
+                    iterations[i] = e + 1;
                     state[i] = LaneState::Done;
                     lo[i] = mids[i];
                     hi[i] = mids[i];
+                    ended += e as u64;
                     active -= 1;
                     continue;
                 }
-                evals[i] += 1;
                 if fms[i] == 0.0 {
                     value[i] = mids[i];
-                    iterations[i] = evals[i];
+                    iterations[i] = e + 1;
                     state[i] = LaneState::Done;
                     lo[i] = mids[i];
                     hi[i] = mids[i];
+                    ended += e as u64 + 1;
                     active -= 1;
                     continue;
                 }
@@ -1040,11 +1073,13 @@ impl BatchKernel {
                         pruned_lb[i] = certified;
                         lo[i] = 0.0;
                         hi[i] = 0.0;
+                        ended += e as u64 + 1;
                         active -= 1;
                     }
                 }
             }
             if active == 0 || (bound_active && active * 2 <= span) {
+                self.work.evaluations += ended;
                 return active;
             }
         }
@@ -1112,7 +1147,6 @@ impl BatchKernel {
         for col in self.lane_columns() {
             col.swap(a, b);
         }
-        self.evals.swap(a, b);
         self.iterations.swap(a, b);
         self.state.swap(a, b);
         self.errors.swap(a, b);
@@ -1305,7 +1339,7 @@ struct Job {
 
 /// The process-wide kernel helpers: threads that each own one arena and
 /// wait on one job queue between batches. The set grows lazily to one
-/// fewer than the largest worker count a batch has asked for, and never
+/// fewer than the most blocks a batch has been cut into, and never
 /// shrinks, so once it is warm a batch spawns no thread.
 struct Helpers {
     jobs: Mutex<VecDeque<Job>>,
@@ -1373,8 +1407,9 @@ impl Helpers {
 }
 
 /// Helper threads this process has spawned so far. The count only
-/// grows, and never past one fewer than the largest worker count a
-/// batch has used.
+/// grows, and never past one fewer than the most blocks a batch has
+/// been cut into: the worker count, or fewer for a batch under
+/// [`HELPER_MIN_LANES`] lanes per worker.
 pub fn helpers_spawned() -> usize {
     *HELPERS.spawned.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -1462,11 +1497,26 @@ pub(crate) fn for_each_outcome_bounded(
     evaluate_chunked(lanes, workers, each);
 }
 
+/// The fewest lanes a block of a parallel batch holds: a batch is cut
+/// into at most `lanes / HELPER_MIN_LANES` blocks, so a batch of fewer
+/// than twice this many lanes runs whole on the calling thread.
+///
+/// A helper is woken for its block: on a 2-vCPU Xeon host it started
+/// solving 16–255 µs (mean 47 µs) after the block was queued
+/// (`core.batch.worker_idle_us` over a two-worker capacity plan's
+/// batches), against about 0.4 µs per lane for the solve itself. So a
+/// block below a few hundred lanes waits longer for its helper than
+/// the caller would take to solve it, and the wake-up costs CPU on both
+/// threads; at 256 a capacity plan's probe batch (about 226 lanes) and
+/// its waves (about 30 lanes each) run on the calling thread.
+pub const HELPER_MIN_LANES: usize = 256;
+
 /// The chunked driver behind every batch entry point. It cuts the lanes
-/// into one contiguous block per worker and queues blocks `1..` for the
-/// kernel helpers. It then solves block 0 in this thread's arena and
-/// hands every outcome to `each` in lane order, block 0's while the
-/// helpers may still be solving.
+/// into contiguous blocks, one per worker but none below
+/// [`HELPER_MIN_LANES`] lanes, whose sizes differ by at most one, and
+/// queues blocks `1..` for the kernel helpers. It then solves block 0
+/// in this thread's arena and hands every outcome to `each` in lane
+/// order, block 0's while the helpers may still be solving.
 fn evaluate_chunked<L: Lane>(
     mut lanes: impl ExactSizeIterator<Item = L>,
     workers: usize,
@@ -1482,21 +1532,24 @@ fn evaluate_chunked<L: Lane>(
         handles.calls.incr();
         handles.items.add(count as u64);
     }
-    let chunk = count.div_ceil(workers.max(1).min(count));
-    let blocks = count.div_ceil(chunk);
+    let blocks = workers.min(count / HELPER_MIN_LANES).max(1);
+    // Block `b` holds `count / blocks` lanes, plus one for the first
+    // `count % blocks` blocks.
+    let len = |b: usize| count / blocks + usize::from(b < count % blocks);
     LOCAL.with_borrow_mut(|local| {
         let Local { arena, head, spare, answers } = local;
         let answers: &Arc<Answers> = answers;
-        head.fill(&mut lanes, chunk);
+        head.fill(&mut lanes, len(0));
         if blocks > 1 {
             HELPERS.grow_to(blocks - 1);
+            work::record(Work { helper_blocks: blocks as u64 - 1, ..Work::default() });
         }
         answers.expect(blocks - 1);
         let _all_answered = AllAnswered(answers);
         let dispatched = Instant::now();
         for index in 1..blocks {
             let mut block = spare.pop().unwrap_or_default();
-            block.fill(&mut lanes, chunk);
+            block.fill(&mut lanes, len(index));
             let answers = Arc::clone(answers);
             HELPERS.submit(Job {
                 index,
@@ -1536,6 +1589,25 @@ mod tests {
     /// them in.
     fn lane_service(configs: &[SystemConfig]) -> Vec<LaneService> {
         configs.iter().map(|c| LaneService::compute(c).unwrap()).collect()
+    }
+
+    /// `count` lanes cycling through the paper's cluster counts on a λ
+    /// grid: enough, at `count ≥ 2 · HELPER_MIN_LANES`, for a two-worker
+    /// batch to send a block to a helper.
+    fn wide_batch(count: usize, arch: Architecture) -> Vec<SystemConfig> {
+        (0..count)
+            .map(|i| {
+                let c = PAPER_CLUSTER_COUNTS[i % PAPER_CLUSTER_COUNTS.len()];
+                cfg(c, arch).with_lambda(1e-5 * 1.005f64.powi(i as i32))
+            })
+            .collect()
+    }
+
+    /// Blocks `batch` sent to the kernel helpers.
+    fn helper_blocks_of(batch: impl FnOnce()) -> u64 {
+        let before = work::tally();
+        batch();
+        (work::tally() - before).helper_blocks
     }
 
     /// The scalar reference: [`solver::solve`] plus report assembly.
@@ -1635,16 +1707,36 @@ mod tests {
 
     #[test]
     fn evaluate_batch_is_chunking_invariant() {
-        let configs: Vec<SystemConfig> =
-            PAPER_CLUSTER_COUNTS.iter().map(|&c| cfg(c, Architecture::NonBlocking)).collect();
+        // Three blocks' worth of lanes: 2 workers cut two blocks, and 3,
+        // 8 and 32 workers three.
+        let configs = wide_batch(3 * HELPER_MIN_LANES + 7, Architecture::NonBlocking);
         let one = evaluate_batch(&configs, 1);
         for workers in [2, 3, 8, 32] {
-            let many = evaluate_batch(&configs, workers);
+            let mut many = Vec::new();
+            let sent = helper_blocks_of(|| many = evaluate_batch(&configs, workers));
+            assert_eq!(sent, workers.min(3) as u64 - 1, "workers={workers}");
             assert_eq!(one.len(), many.len());
             for (a, b) in one.iter().zip(&many) {
                 assert_eq!(a.as_ref().unwrap().0, b.as_ref().unwrap().0, "workers={workers}");
             }
         }
+    }
+
+    #[test]
+    fn a_batch_below_the_lane_threshold_stays_on_the_calling_thread() {
+        for count in [1, 9, 2 * HELPER_MIN_LANES - 1] {
+            let configs = wide_batch(count, Architecture::Blocking);
+            let before = work::tally();
+            let lanes = evaluate_batch(&configs, 8);
+            let work = work::tally() - before;
+            assert_eq!(lanes.len(), count);
+            assert_eq!((work.solves, work.helper_blocks), (1, 0), "{count} lanes");
+        }
+        let configs = wide_batch(2 * HELPER_MIN_LANES, Architecture::Blocking);
+        let before = work::tally();
+        evaluate_batch(&configs, 8);
+        let work = work::tally() - before;
+        assert_eq!((work.solves, work.helper_blocks), (2, 1), "two full blocks");
     }
 
     #[test]
@@ -1826,8 +1918,7 @@ mod tests {
 
     #[test]
     fn a_panicking_helper_block_panics_the_caller_and_the_pool_serves_on() {
-        let configs: Vec<SystemConfig> =
-            PAPER_CLUSTER_COUNTS.iter().map(|&c| cfg(c, Architecture::Blocking)).collect();
+        let configs = wide_batch(2 * HELPER_MIN_LANES + 1, Architecture::Blocking);
         let service = lane_service(&configs);
         // Two workers: the caller solves the first half of the lanes and
         // a helper the second, the poisoned one.
@@ -1846,10 +1937,13 @@ mod tests {
         let bounds = vec![LaneBounds::NONE; configs.len()];
         let alone = evaluate_batch_bounded(&configs, &service, &bounds, 1);
         for _ in 0..3 {
-            assert_eq!(evaluate_batch_bounded(&configs, &service, &bounds, 2).len(), alone.len());
-            for (helped, solo) in
-                evaluate_batch_bounded(&configs, &service, &bounds, 2).iter().zip(&alone)
-            {
+            let mut helped = Vec::new();
+            let sent = helper_blocks_of(|| {
+                helped = evaluate_batch_bounded(&configs, &service, &bounds, 2);
+            });
+            assert_eq!(sent, 1);
+            assert_eq!(helped.len(), alone.len());
+            for (helped, solo) in helped.iter().zip(&alone) {
                 match (helped, solo) {
                     (LaneOutcome::Solved(a, _), LaneOutcome::Solved(b, _)) => {
                         assert_bitwise_eq(a, b)
@@ -1862,18 +1956,34 @@ mod tests {
 
     #[test]
     fn evaluate_batch_bounded_is_chunking_invariant() {
-        let configs: Vec<SystemConfig> = PAPER_CLUSTER_COUNTS
-            .iter()
-            .map(|&c| cfg(c, Architecture::Blocking).with_lambda(1e-3))
-            .collect();
+        // Three blocks' worth of lanes, the more loaded of which prune
+        // against the SLO.
+        let configs = wide_batch(3 * HELPER_MIN_LANES + 7, Architecture::Blocking);
         let bounds =
             vec![LaneBounds { slo_us: 2e4, dominated_at_us: f64::INFINITY }; configs.len()];
         let service = lane_service(&configs);
         let one = evaluate_batch_bounded(&configs, &service, &bounds, 1);
+        assert!(one.iter().any(|o| matches!(o, LaneOutcome::Pruned { .. })));
+        assert!(one.iter().any(|o| matches!(o, LaneOutcome::Solved(..))));
         // The last one-worker batch follows parallel ones on this thread.
         for workers in [2, 3, 8, 1] {
-            let many = evaluate_batch_bounded(&configs, &service, &bounds, workers);
-            assert_eq!(one, many, "workers={workers}");
+            let mut many = Vec::new();
+            let sent = helper_blocks_of(|| {
+                many = evaluate_batch_bounded(&configs, &service, &bounds, workers);
+            });
+            assert_eq!(sent, workers.min(3) as u64 - 1, "workers={workers}");
+            assert_eq!(timeless(one.clone()), timeless(many), "workers={workers}");
         }
+    }
+
+    /// `outcomes` without their wall-clock times, the one field two
+    /// solves of the same lanes may disagree on.
+    fn timeless(mut outcomes: Vec<LaneOutcome>) -> Vec<LaneOutcome> {
+        for outcome in &mut outcomes {
+            if let LaneOutcome::Solved(_, stats) = outcome {
+                stats.eval_time_us = 0.0;
+            }
+        }
+        outcomes
     }
 }

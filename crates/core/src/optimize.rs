@@ -27,6 +27,7 @@ use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::json::json_num;
 use crate::kernel::{for_each_outcome_bounded, LaneBounds, LaneOutcome, LaneService};
+use crate::rates::TrafficRates;
 use crate::scenario::{Scenario, PAPER_LAMBDA_PER_US, PAPER_TOTAL_NODES};
 use crate::service::ServiceTimes;
 use crate::solver;
@@ -516,24 +517,108 @@ impl OptimizeOutcome {
     }
 }
 
-/// One pre-filter survivor, in enumeration order.
+/// One pre-filter survivor, in enumeration order: what the walks read
+/// of a design, without the design. Its [`Design`] is assembled from
+/// the per-spec tables ([`Candidates::design`]) only where one is
+/// needed: a lane's configuration as it is gathered into its kernel
+/// block, and a frontier point.
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
-    design: Design,
     cost_usd: f64,
-    /// The design's tier service times and saturation rate, handed to
-    /// its kernel lane so lane setup skips the topology.
-    lane: LaneService,
     /// A margined lower bound on the latency any evaluation can report:
     /// the larger of the zero-load latency `(1−p)·S_I1 + p·(S_I2 +
     /// 2·S_E1)` (every M/G/1 sojourn is at least its service time) and
     /// the saturation floor ([`saturation_floor_us`]), each shrunk by
     /// its own margin.
     floor_us: f64,
+    /// The design's tier service times and saturation rate, handed to
+    /// its kernel lane so lane setup skips the topology.
+    lane: LaneService,
     /// Ordinal of the candidate's port family — designs sharing every
     /// axis except the switch port count — computed from the
-    /// enumeration loop indices, so grouping by family is an array
-    /// index, not a hash.
+    /// enumeration loop indices, `((C·intra + intra)·inter + inter)·
+    /// architectures + architecture`, so grouping by family is an array
+    /// index, not a hash, and the family names the design's other axes.
     family: usize,
+    /// Index of the design's port count in the space.
+    port: usize,
+    /// Switches in one cluster's fabric and in the global fabric.
+    per_cluster: usize,
+    global: usize,
+}
+
+/// The pre-filter survivors of one spec, in enumeration order, with the
+/// tables their designs are assembled from.
+struct Candidates<'s> {
+    space: &'s DesignSpace,
+    list: Vec<Candidate>,
+    /// The base configuration per (`C`, architecture), `None` where `C`
+    /// does not divide `N`.
+    bases: Vec<Option<SystemConfig>>,
+    switches: Vec<SwitchFabric>,
+}
+
+impl Candidates<'_> {
+    /// Candidate `i`'s design, assembled as [`Design::build`] would
+    /// build it.
+    fn design(&self, i: usize) -> Design {
+        let candidate = &self.list[i];
+        let space = self.space;
+        let (arch_n, inter_n) = (space.architectures.len(), space.inter.len());
+        let ai = candidate.family % arch_n;
+        let ji = candidate.family / arch_n % inter_n;
+        let rest = candidate.family / arch_n / inter_n;
+        let (ci, ii) = (rest / space.intra.len(), rest % space.intra.len());
+        let base = self.bases[ci * arch_n + ai].expect("a candidate's shape builds");
+        Design::assemble(
+            base,
+            space.intra[ii],
+            space.inter[ji],
+            self.switches[candidate.port],
+            candidate.per_cluster,
+            candidate.global,
+        )
+    }
+
+    /// Candidate `i`'s switch port count.
+    fn ports(&self, i: usize) -> u32 {
+        self.space.switch_ports[self.list[i].port]
+    }
+
+    /// The frontier point of the feasible `point`.
+    fn evaluated(&self, point: &Feasible) -> EvaluatedDesign {
+        EvaluatedDesign {
+            design: self.design(point.index),
+            cost_usd: point.cost_usd,
+            latency_us: point.latency_us,
+            throughput_per_us: point.throughput_per_us,
+            retained_fraction: point.retained_fraction,
+            bottleneck_utilization: point.bottleneck_utilization,
+            saturation_lambda: self.list[point.index].lane.saturation_lambda,
+        }
+    }
+}
+
+/// One (`C`, architecture) shape of the space: its base configuration,
+/// its fabrics' endpoint indices, and what a design's saturation rate
+/// and zero-load latency read of its traffic — the arrival rates of
+/// eqs. 1–5 per unit offered rate and the external probability `p`.
+#[derive(Clone, Copy)]
+struct ShapeTraffic {
+    base: SystemConfig,
+    /// Endpoint indices of the cluster (`N₀`) and global (`C`) fabrics.
+    n0: usize,
+    c: usize,
+    probe: TrafficRates,
+    p: f64,
+}
+
+/// `x`'s position in [`f64::total_cmp`] order, as an integer: the same
+/// bit flip `total_cmp` makes, so sorting on it is sorting by
+/// `total_cmp`.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Enumerate + pre-filter. Candidate order is the deterministic
@@ -541,17 +626,19 @@ struct Candidate {
 ///
 /// A design's price and tier times each depend on only some of its
 /// five axes (eqs. 10–13, 17–21), so they come from small tables built
-/// once per spec: the base configuration per (`C`, architecture),
+/// once per spec: the base configuration, its arrival rates per unit
+/// offered rate and its external probability per (`C`, architecture),
 /// switch counts per (endpoints, `Pr`, architecture), unit prices per
-/// technology, and tier mean times per (technology, endpoints, `Pr`,
-/// architecture). Every design is priced from the tables and counted
-/// `invalid`, `over_budget` or `saturated` in the same order as
-/// [`Design::build`] → [`CatalogCostModel::cost_usd`] →
-/// [`ServiceTimes::compute`] would; its [`Design`], [`ServiceTimes`]
-/// and saturation rate are assembled only when it passes the budget
-/// gate (or when `require_unsaturated` must still attribute it). The
-/// tables are filled by the functions that one-design path calls, so
-/// every value keeps its bits.
+/// technology, and tier mean times and their reciprocals per
+/// (technology, endpoints, `Pr`, architecture). Every design is priced
+/// from the tables and counted `invalid`, `over_budget` or `saturated`
+/// in the same order as [`Design::build`] →
+/// [`CatalogCostModel::cost_usd`] → [`ServiceTimes::compute`] would; its
+/// saturation rate is formed from the tables by the formula of
+/// [`solver::saturation_lambda`] only when it passes the budget gate
+/// (or when `require_unsaturated` must still attribute it). The tables
+/// are filled by the functions that one-design path calls, so every
+/// value keeps its bits. No [`Design`] is built here.
 ///
 /// Under a budget, a whole port family (the designs sharing `C`, both
 /// technologies and the architecture) is skipped before any of its
@@ -565,10 +652,10 @@ struct Candidate {
 /// error, which must surface at the same design as in the walk. On the
 /// benchmark's seed-1 plans this prices 5,320–9,880 of the 21,280
 /// designs.
-fn enumerate_candidates(
-    spec: &OptimizeSpec,
+fn enumerate_candidates<'s>(
+    spec: &'s OptimizeSpec,
     diagnostics: &mut Diagnostics,
-) -> Result<Vec<Candidate>, OptimizeError> {
+) -> Result<Candidates<'s>, OptimizeError> {
     let (space, workload) = (&spec.space, &spec.workload);
     let (intra_n, inter_n) = (space.intra.len(), space.inter.len());
     let (ports_n, arch_n) = (space.switch_ports.len(), space.architectures.len());
@@ -592,47 +679,53 @@ fn enumerate_candidates(
     let prices: Vec<Result<UnitPrices, OptimizeError>> =
         techs.iter().map(CatalogCostModel::unit_prices).collect();
 
-    // Base configuration per (C, architecture), with the endpoint
-    // indices of its cluster (N₀) and global (C) fabrics; `None` where
-    // C does not divide N (or the configuration is otherwise invalid).
+    // Per (C, architecture): the base configuration, the endpoint
+    // indices of its cluster (N₀) and global (C) fabrics, and its
+    // traffic per unit offered rate; `None` where C does not divide N
+    // (or the configuration is otherwise invalid).
     let mut endpoints: Vec<usize> = Vec::new();
-    let mut shapes: Vec<Option<(SystemConfig, usize, usize)>> =
+    let mut shapes: Vec<Option<ShapeTraffic>> =
         Vec::with_capacity(space.cluster_counts.len() * arch_n);
     for &clusters in &space.cluster_counts {
         for &architecture in &space.architectures {
-            let shape = if workload.total_nodes.is_multiple_of(clusters) {
+            let base = if workload.total_nodes.is_multiple_of(clusters) {
                 base_config(workload, clusters, architecture).ok()
             } else {
                 None
             };
-            shapes.push(shape.map(|base| {
-                let n0 = intern(&mut endpoints, base.nodes_per_cluster);
-                (base, n0, intern(&mut endpoints, clusters))
+            shapes.push(base.map(|base| ShapeTraffic {
+                base,
+                n0: intern(&mut endpoints, base.nodes_per_cluster),
+                c: intern(&mut endpoints, clusters),
+                probe: TrafficRates::compute(&base, 1.0),
+                p: crate::routing::external_probability(clusters, base.nodes_per_cluster),
             }));
         }
     }
     // Every base configuration carries the same hop model; with none
     // there are no endpoints, and no tier time is computed.
-    let hop_model =
-        shapes.iter().flatten().map(|(base, ..)| base.hop_model).next().unwrap_or_default();
+    let hop_model = shapes.iter().flatten().map(|s| s.base.hop_model).next().unwrap_or_default();
 
     // Switch count per (endpoints, Pr, architecture), `None` where the
     // fabric cannot be built, and the tier mean time of every
-    // technology on each buildable fabric.
+    // technology on each buildable fabric, with its service rate `1/S`.
     let fabric = |e: usize, pi: usize, ai: usize| (e * ports_n + pi) * arch_n + ai;
     let mut switch_count: Vec<Option<usize>> =
         Vec::with_capacity(endpoints.len() * ports_n * arch_n);
-    let mut tier_us: Vec<f64> = Vec::with_capacity(switch_count.capacity() * techs.len());
+    let mut tier_us: Vec<(f64, f64)> = Vec::with_capacity(switch_count.capacity() * techs.len());
     for &nodes in &endpoints {
         for &switch in &switches {
             for &architecture in &space.architectures {
                 let mut count = fabric_switch_count(nodes, switch, architecture).ok();
                 for &tech in &techs {
                     match crate::service::tier_model(tech, switch, nodes, architecture, hop_model) {
-                        Ok(model) => tier_us.push(model.mean_time_us(workload.message_bytes)),
+                        Ok(model) => {
+                            let mean = model.mean_time_us(workload.message_bytes);
+                            tier_us.push((mean, 1.0 / mean));
+                        }
                         Err(_) => {
                             count = None;
-                            tier_us.push(f64::NAN);
+                            tier_us.push((f64::NAN, f64::NAN));
                         }
                     }
                 }
@@ -654,7 +747,7 @@ fn enumerate_candidates(
         .iter()
         .enumerate()
         .map(|(shape, slot)| {
-            let (_, n0, c) = (*slot)?;
+            let ShapeTraffic { n0, c, .. } = (*slot)?;
             budget?;
             let ai = shape % arch_n;
             let mut floor = (0, f64::INFINITY, f64::INFINITY);
@@ -672,15 +765,14 @@ fn enumerate_candidates(
         })
         .collect();
 
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut list: Vec<Candidate> = Vec::new();
     let mut priced = 0u64;
     let mut skip = vec![false; arch_n];
     for (ci, &clusters) in space.cluster_counts.iter().enumerate() {
-        for (ii, &intra) in space.intra.iter().enumerate() {
-            for (ji, &inter) in space.inter.iter().enumerate() {
+        for (ii, &ti) in intra_tech.iter().enumerate() {
+            for (ji, &tj) in inter_tech.iter().enumerate() {
                 // The architectures whose family this budget rules out,
                 // with every design counted as the walk would count it.
-                let (ti, tj) = (intra_tech[ii], inter_tech[ji]);
                 for (ai, skip) in skip.iter_mut().enumerate() {
                     *skip = false;
                     let (Some(budget), Some((buildable, cluster_floor, global_floor))) =
@@ -713,12 +805,12 @@ fn enumerate_candidates(
                         }
                         priced += 1;
                         let family = ((ci * intra_n + ii) * inter_n + ji) * arch_n + ai;
-                        let Some((base, n0, c)) = shapes[ci * arch_n + ai] else {
+                        let Some(shape) = &shapes[ci * arch_n + ai] else {
                             diagnostics.invalid += 1;
                             continue;
                         };
                         let (cluster_fabric, global_fabric) =
-                            (fabric(n0, pi, ai), fabric(c, pi, ai));
+                            (fabric(shape.n0, pi, ai), fabric(shape.c, pi, ai));
                         let (Some(per_cluster), Some(global)) =
                             (switch_count[cluster_fabric], switch_count[global_fabric])
                         else {
@@ -743,14 +835,15 @@ fn enumerate_candidates(
                                 continue;
                             }
                         }
-                        let design =
-                            Design::assemble(base, intra, inter, switch, per_cluster, global);
-                        let service = ServiceTimes {
-                            icn1_us: tier(cluster_fabric, ti),
-                            ecn1_us: tier(cluster_fabric, tj),
-                            icn2_us: tier(global_fabric, tj),
-                        };
-                        let saturation_lambda = solver::saturation_lambda(&design.config, &service);
+                        let (icn1, ecn1, icn2) = (
+                            tier(cluster_fabric, ti),
+                            tier(cluster_fabric, tj),
+                            tier(global_fabric, tj),
+                        );
+                        let service =
+                            ServiceTimes { icn1_us: icn1.0, ecn1_us: ecn1.0, icn2_us: icn2.0 };
+                        let saturation_lambda =
+                            solver::saturation_from(&shape.probe, (icn1.1, ecn1.1, icn2.1));
                         if spec.constraints.require_unsaturated
                             && workload.lambda_per_us >= saturation_lambda
                         {
@@ -760,22 +853,21 @@ fn enumerate_candidates(
                         if over_budget {
                             continue;
                         }
-                        let p = crate::routing::external_probability(
-                            clusters,
-                            design.config.nodes_per_cluster,
-                        );
+                        let p = shape.p;
                         let zero_load_us = (1.0 - p) * service.icn1_us
                             + p * (service.icn2_us + 2.0 * service.ecn1_us);
                         let floor_us = (zero_load_us * (1.0 - PRUNE_MARGIN)).max(
-                            saturation_floor_us(&design.config, saturation_lambda)
+                            saturation_floor_us(&shape.base, saturation_lambda)
                                 * (1.0 - SATURATION_FLOOR_MARGIN),
                         );
-                        candidates.push(Candidate {
-                            design,
+                        list.push(Candidate {
                             cost_usd,
-                            lane: LaneService { service, saturation_lambda },
                             floor_us,
+                            lane: LaneService { service, saturation_lambda },
                             family,
+                            port: pi,
+                            per_cluster,
+                            global,
                         });
                     }
                 }
@@ -783,24 +875,37 @@ fn enumerate_candidates(
         }
     }
     work::record(Work { designs_priced: priced, ..Work::default() });
-    Ok(candidates)
+    let bases = shapes.iter().map(|shape| shape.map(|s| s.base)).collect();
+    Ok(Candidates { space, list, bases, switches })
 }
 
-/// Pareto staircase: stable sort by (cost, latency) — ties keep
-/// enumeration order — then keep strictly improving latency.
+/// One feasible point, compact: its candidate's index and what its
+/// solve reported. Only a frontier point becomes an
+/// [`EvaluatedDesign`].
+struct Feasible {
+    index: usize,
+    cost_usd: f64,
+    latency_us: f64,
+    throughput_per_us: f64,
+    retained_fraction: f64,
+    bottleneck_utilization: f64,
+}
+
+/// Pareto staircase: sort by (cost, latency), ties in enumeration order,
+/// then keep strictly improving latency.
 fn pareto_reduce(
-    mut feasible_points: Vec<EvaluatedDesign>,
+    candidates: &Candidates<'_>,
+    mut feasible_points: Vec<Feasible>,
     diagnostics: &mut Diagnostics,
 ) -> Vec<EvaluatedDesign> {
-    feasible_points.sort_by(|a, b| {
-        a.cost_usd.total_cmp(&b.cost_usd).then(a.latency_us.total_cmp(&b.latency_us))
-    });
+    feasible_points
+        .sort_unstable_by_key(|p| (total_key(p.cost_usd), total_key(p.latency_us), p.index));
     let mut frontier: Vec<EvaluatedDesign> = Vec::new();
     let mut best_latency = f64::INFINITY;
-    for point in feasible_points {
+    for point in &feasible_points {
         if point.latency_us < best_latency {
             best_latency = point.latency_us;
-            frontier.push(point);
+            frontier.push(candidates.evaluated(point));
         } else {
             diagnostics.dominated += 1;
         }
@@ -809,18 +914,17 @@ fn pareto_reduce(
 }
 
 /// Files one candidate's kernel outcome under the right counter:
-/// `pruned`, `failed`, `above_slo`, or — built into an
-/// [`EvaluatedDesign`] — the feasible set. Shared verbatim by the
-/// exhaustive and pruned paths so their feasible sets (and hence
-/// frontiers) are built from identical bits.
+/// `pruned`, `failed`, `above_slo`, or the feasible set. Shared
+/// verbatim by the exhaustive and pruned paths so their feasible sets
+/// (and hence frontiers) are built from identical bits.
 fn absorb(
     spec: &OptimizeSpec,
     candidate: &Candidate,
-    enum_idx: usize,
+    index: usize,
     outcome: LaneOutcome,
     diagnostics: &mut Diagnostics,
     evaluated: &mut usize,
-    feasible_points: &mut Vec<(usize, EvaluatedDesign)>,
+    feasible_points: &mut Vec<Feasible>,
 ) {
     let report = match outcome {
         LaneOutcome::Solved(report, _) => report,
@@ -842,37 +946,33 @@ fn absorb(
         diagnostics.above_slo += 1;
         return;
     }
-    feasible_points.push((
-        enum_idx,
-        EvaluatedDesign {
-            design: candidate.design,
-            cost_usd: candidate.cost_usd,
-            latency_us,
-            throughput_per_us: report.throughput_per_us,
-            retained_fraction: report.equilibrium.retained_fraction,
-            bottleneck_utilization: report.equilibrium.bottleneck_utilization(),
-            saturation_lambda: candidate.lane.saturation_lambda,
-        },
-    ));
+    feasible_points.push(Feasible {
+        index,
+        cost_usd: candidate.cost_usd,
+        latency_us,
+        throughput_per_us: report.throughput_per_us,
+        retained_fraction: report.equilibrium.retained_fraction,
+        bottleneck_utilization: report.equilibrium.bottleneck_utilization(),
+    });
 }
 
 /// Solves the candidates at `indices` as lanes of the bounded kernel,
 /// each with its own [`LaneService`] and `bounds` entry, in one kernel
 /// batch, and hands each candidate's index and outcome to `each` in
-/// `indices` order. Each lane is gathered straight into the block that
-/// solves it.
+/// `indices` order. Each lane's configuration is assembled straight
+/// into the block that solves it.
 fn solve_candidates(
-    candidates: &[Candidate],
+    candidates: &Candidates<'_>,
     indices: &[usize],
     bounds: &[LaneBounds],
     workers: usize,
     mut each: impl FnMut(usize, LaneOutcome),
 ) {
     assert_eq!(indices.len(), bounds.len(), "one LaneBounds per lane");
-    let lanes = indices.iter().zip(bounds).map(|(&i, &b)| {
-        let candidate = &candidates[i];
-        (candidate.design.config, candidate.lane, b)
-    });
+    let lanes = indices
+        .iter()
+        .zip(bounds)
+        .map(|(&i, &b)| (candidates.design(i).config, candidates.list[i].lane, b));
     let mut next = indices.iter();
     for_each_outcome_bounded(lanes, workers, |outcome| {
         each(*next.next().expect("one outcome per lane"), outcome);
@@ -893,17 +993,16 @@ pub fn optimize(
 
     // Evaluate every surviving point through the batched kernel
     // (bit-identical to the scalar per-point path).
-    let all: Vec<usize> = (0..candidates.len()).collect();
+    let all: Vec<usize> = (0..candidates.list.len()).collect();
     let unbounded = vec![LaneBounds::NONE; all.len()];
-    let mut feasible_points: Vec<(usize, EvaluatedDesign)> = Vec::new();
+    let mut feasible_points: Vec<Feasible> = Vec::new();
     let mut evaluated = 0usize;
     solve_candidates(&candidates, &all, &unbounded, options.resolved_workers(), |i, outcome| {
-        let candidate = &candidates[i];
+        let candidate = &candidates.list[i];
         absorb(spec, candidate, i, outcome, &mut diagnostics, &mut evaluated, &mut feasible_points);
     });
     let feasible = feasible_points.len();
-    let frontier =
-        pareto_reduce(feasible_points.into_iter().map(|(_, p)| p).collect(), &mut diagnostics);
+    let frontier = pareto_reduce(&candidates, feasible_points, &mut diagnostics);
 
     Ok(OptimizeOutcome { space_size: spec.space.len(), evaluated, feasible, frontier, diagnostics })
 }
@@ -1041,61 +1140,66 @@ pub fn optimize_pruned(
     spec.space.validate()?;
     let mut diagnostics = Diagnostics::default();
     let candidates = enumerate_candidates(spec, &mut diagnostics)?;
+    let list = &candidates.list;
     let workers = options.resolved_workers();
     let slo = spec.constraints.slo_latency_us.unwrap_or(f64::INFINITY);
 
-    let n = candidates.len();
+    let n = list.len();
     let mut evaluated = 0usize;
-    let mut feasible_points: Vec<(usize, EvaluatedDesign)> = Vec::new();
+    let mut feasible_points: Vec<Feasible> = Vec::new();
     let mut dominance = DominanceMap::default();
     let mut decided = vec![false; n];
 
-    // Group candidates into port families (indexed by the enumeration
-    // ordinal — no hashing) and pick the coarse probe grid: lowest,
-    // median, and highest port count per family.
+    // Group candidates into port families with one counting pass: family
+    // `f`'s members are `members[starts[f]..starts[f + 1]]`, in
+    // enumeration order, then sorted along the port axis. Then pick the
+    // coarse probe grid: lowest, median, and highest port count per
+    // family.
     let family_count = spec.space.cluster_counts.len()
         * spec.space.intra.len()
         * spec.space.inter.len()
         * spec.space.architectures.len();
-    let mut families: Vec<Vec<usize>> = vec![Vec::new(); family_count];
-    for (i, candidate) in candidates.iter().enumerate() {
-        families[candidate.family].push(i);
+    let mut starts = vec![0usize; family_count + 1];
+    for candidate in list {
+        starts[candidate.family + 1] += 1;
     }
-    for members in &mut families {
-        members.sort_by_key(|&i| (candidates[i].design.config.switch.ports(), i));
+    for f in 0..family_count {
+        starts[f + 1] += starts[f];
     }
-    let mut probe_idx: Vec<usize> = Vec::new();
-    for members in &families {
+    let mut members = vec![0usize; n];
+    let mut next = starts.clone();
+    for (i, candidate) in list.iter().enumerate() {
+        members[next[candidate.family]] = i;
+        next[candidate.family] += 1;
+    }
+    let family = |f: usize| starts[f]..starts[f + 1];
+    for f in 0..family_count {
+        members[family(f)].sort_unstable_by_key(|&i| (candidates.ports(i), i));
+    }
+    // A probe is decided by the probe batch; marking it there lists the
+    // probes in enumeration order without a sort.
+    for f in 0..family_count {
+        let members = &members[family(f)];
         if members.is_empty() {
             continue;
         }
         for j in [0, members.len() / 2, members.len() - 1] {
-            probe_idx.push(members[j]);
+            decided[members[j]] = true;
         }
     }
-    probe_idx.sort_unstable();
-    probe_idx.dedup();
+    let probe_idx: Vec<usize> = (0..n).filter(|&i| decided[i]).collect();
 
     // Solve the probes in one unbounded kernel batch. Probe results
     // are real evaluations: they are absorbed, never re-solved.
     let unbounded = vec![LaneBounds::NONE; probe_idx.len()];
     let mut solved_latency: Vec<Option<f64>> = vec![None; n];
     solve_candidates(&candidates, &probe_idx, &unbounded, workers, |i, outcome| {
-        decided[i] = true;
         if let LaneOutcome::Solved(report, _) = &outcome {
             solved_latency[i] = Some(report.latency.mean_message_latency_us);
         }
-        absorb(
-            spec,
-            &candidates[i],
-            i,
-            outcome,
-            &mut diagnostics,
-            &mut evaluated,
-            &mut feasible_points,
-        );
+        absorb(spec, &list[i], i, outcome, &mut diagnostics, &mut evaluated, &mut feasible_points);
     });
-    for (_, point) in &feasible_points {
+    for point in &feasible_points {
         dominance.insert(point.cost_usd, point.latency_us);
     }
 
@@ -1105,10 +1209,11 @@ pub fn optimize_pruned(
     // latency. Evaluating likely-low-latency families first tightens
     // the dominance map early, which is what makes later waves prune.
     let mut family_rank: Vec<(f64, f64)> = vec![(f64::INFINITY, f64::INFINITY); family_count];
-    for (f, members) in families.iter().enumerate() {
-        if members.is_empty() {
+    for (f, rank) in family_rank.iter_mut().enumerate() {
+        let members = &members[family(f)];
+        let (Some(&lowest), Some(&highest)) = (members.first(), members.last()) else {
             continue;
-        }
+        };
         // The first and last solved probe along the port axis, and the
         // best probed latency, in one pass.
         let mut first: Option<(f64, f64)> = None;
@@ -1116,7 +1221,7 @@ pub fn optimize_pruned(
         let mut best = f64::INFINITY;
         for &i in members {
             if let Some(lat) = solved_latency[i] {
-                let probe = (f64::from(candidates[i].design.config.switch.ports()), lat);
+                let probe = (f64::from(candidates.ports(i)), lat);
                 first.get_or_insert(probe);
                 last = Some(probe);
                 best = best.min(lat);
@@ -1125,46 +1230,35 @@ pub fn optimize_pruned(
         let optimistic = match (first, last) {
             (Some((p0, l0)), Some((p1, l1))) if p1 > p0 => {
                 let gradient = (l1 - l0) / (p1 - p0);
-                let span = f64::from(
-                    candidates[*members.last().expect("family is non-empty")]
-                        .design
-                        .config
-                        .switch
-                        .ports()
-                        - candidates[members[0]].design.config.switch.ports(),
-                );
+                let span = f64::from(candidates.ports(highest) - candidates.ports(lowest));
                 best - gradient.abs() * span
             }
             _ => best,
         };
         let headroom = members
             .iter()
-            .map(|&i| candidates[i].lane.saturation_lambda - spec.workload.lambda_per_us)
+            .map(|&i| list[i].lane.saturation_lambda - spec.workload.lambda_per_us)
             .fold(f64::NEG_INFINITY, f64::max);
-        family_rank[f] = (optimistic, -headroom);
+        *rank = (optimistic, -headroom);
     }
 
     // Families are walked best-rank-first; within a family, members go
     // cheapest-first so the dominance staircase tightens before the
     // expensive end of the port axis is reached. Every tie ends at a
-    // distinct ordinal or enumeration index, so the unstable sorts are
-    // fully deterministic.
+    // distinct ordinal or enumeration index, so the sorts on these
+    // integer keys are fully deterministic.
     let mut family_order: Vec<usize> =
-        (0..family_count).filter(|&f| !families[f].is_empty()).collect();
-    family_order.sort_unstable_by(|&a, &b| {
-        family_rank[a]
-            .0
-            .total_cmp(&family_rank[b].0)
-            .then(family_rank[a].1.total_cmp(&family_rank[b].1))
-            .then(a.cmp(&b))
-    });
-    let mut pending: Vec<usize> = Vec::with_capacity(n);
+        (0..family_count).filter(|&f| !family(f).is_empty()).collect();
+    family_order
+        .sort_unstable_by_key(|&f| (total_key(family_rank[f].0), total_key(family_rank[f].1), f));
+    // Each pending candidate carries its sort key, (cost, index), so the
+    // sorts compare contiguous integers.
+    let mut pending: Vec<(i64, usize)> = Vec::with_capacity(n);
     for &f in &family_order {
         let start = pending.len();
-        pending.extend(families[f].iter().copied().filter(|&i| !decided[i]));
-        pending[start..].sort_unstable_by(|&a, &b| {
-            candidates[a].cost_usd.total_cmp(&candidates[b].cost_usd).then(a.cmp(&b))
-        });
+        let undecided = members[family(f)].iter().filter(|&&i| !decided[i]);
+        pending.extend(undecided.map(|&i| (total_key(list[i].cost_usd), i)));
+        pending[start..].sort_unstable();
     }
 
     // Walk the remaining candidates in fixed-size waves. The wave size
@@ -1180,8 +1274,8 @@ pub fn optimize_pruned(
     for wave in pending.chunks(WAVE) {
         wave_idx.clear();
         wave_bounds.clear();
-        for &i in wave {
-            let candidate = &candidates[i];
+        for &(_, i) in wave {
+            let candidate = &list[i];
             let dominated_at_us = dominance.best_latency_cheaper(candidate.cost_usd);
             // Static prune: the zero-load or saturation floor already
             // proves the point is above the SLO or strictly dominated.
@@ -1195,7 +1289,7 @@ pub fn optimize_pruned(
         solve_candidates(&candidates, &wave_idx, &wave_bounds, workers, |i, outcome| {
             absorb(
                 spec,
-                &candidates[i],
+                &list[i],
                 i,
                 outcome,
                 &mut diagnostics,
@@ -1205,18 +1299,16 @@ pub fn optimize_pruned(
         });
         // Fold this wave's new feasible points into the dominance map
         // for the next wave.
-        for (_, point) in &feasible_points[folded..] {
+        for point in &feasible_points[folded..] {
             dominance.insert(point.cost_usd, point.latency_us);
         }
         folded = feasible_points.len();
     }
 
-    // Rebuild the feasible set in enumeration order so the stable
-    // Pareto sort sees exactly the order the exhaustive path does.
-    feasible_points.sort_by_key(|&(i, _)| i);
+    // The Pareto sort keys ties by enumeration index, so it sees exactly
+    // the order the exhaustive path does.
     let feasible = feasible_points.len();
-    let frontier =
-        pareto_reduce(feasible_points.into_iter().map(|(_, p)| p).collect(), &mut diagnostics);
+    let frontier = pareto_reduce(&candidates, feasible_points, &mut diagnostics);
 
     Ok(OptimizeOutcome { space_size: spec.space.len(), evaluated, feasible, frontier, diagnostics })
 }
@@ -1291,17 +1383,26 @@ pub struct FrontierSensitivity {
 /// When `slo_latency_us` is given, each row also carries the largest
 /// per-processor rate that still meets that SLO, so a planner can read
 /// growth headroom straight off the frontier instead of re-running the
-/// optimizer at hypothetical future loads. All probe evaluations run
-/// through the batched kernel.
+/// optimizer at hypothetical future loads. The frontier is annotated
+/// as one batch: every point's probes are one kernel solve
+/// ([`crate::sensitivity::evaluate_batch`]), and each stage of the
+/// λ-for-latency searches is one more
+/// ([`crate::sensitivity::lambda_for_latency_batch`]). The first error
+/// in frontier order is returned, a point's derivative error before its
+/// λ search's.
 pub fn frontier_sensitivity(
     outcome: &OptimizeOutcome,
     slo_latency_us: Option<f64>,
 ) -> Result<Vec<FrontierSensitivity>, OptimizeError> {
+    let configs: Vec<SystemConfig> = outcome.frontier.iter().map(|p| p.design.config).collect();
+    let derivatives = crate::sensitivity::evaluate_batch(&configs);
+    let at_slo =
+        slo_latency_us.map(|budget| crate::sensitivity::lambda_for_latency_batch(&configs, budget));
     let mut rows = Vec::with_capacity(outcome.frontier.len());
-    for point in &outcome.frontier {
-        let s = crate::sensitivity::evaluate(&point.design.config)?;
-        let max_lambda_at_slo = match slo_latency_us {
-            Some(budget) => crate::sensitivity::lambda_for_latency(&point.design.config, budget)?,
+    for (k, (point, s)) in outcome.frontier.iter().zip(derivatives).enumerate() {
+        let s = s?;
+        let max_lambda_at_slo = match &at_slo {
+            Some(answers) => answers[k].clone()?,
             None => None,
         };
         rows.push(FrontierSensitivity {
@@ -1556,14 +1657,23 @@ mod tests {
         }
     }
 
+    /// `walk`'s outcome and the blocks it sent to kernel helpers.
+    fn with_helper_blocks(
+        walk: impl FnOnce() -> Result<OptimizeOutcome, OptimizeError>,
+    ) -> (OptimizeOutcome, u64) {
+        let before = work::tally();
+        let outcome = walk().unwrap();
+        (outcome, (work::tally() - before).helper_blocks)
+    }
+
     #[test]
     fn parallel_matches_sequential_bitwise() {
-        let seq =
-            optimize(&spec(Constraints::default(), small_space()), BatchOptions::sequential())
-                .unwrap();
-        let par =
-            optimize(&spec(Constraints::default(), small_space()), BatchOptions::with_workers(4))
-                .unwrap();
+        // The paper space's 1,120 designs: enough lanes for four workers
+        // to cut the batch into four blocks.
+        let request = OptimizeSpec::paper_default(Constraints::default());
+        let seq = optimize(&request, BatchOptions::sequential()).unwrap();
+        let (par, sent) = with_helper_blocks(|| optimize(&request, BatchOptions::with_workers(4)));
+        assert_eq!(sent, 3);
         assert_eq!(seq, par);
     }
 
@@ -1661,12 +1771,37 @@ mod tests {
     }
 
     #[test]
+    fn pruned_walk_reads_an_unsorted_port_axis_in_port_order() {
+        // A space may list its port counts in any order. The pruned walk
+        // still probes and ranks each family along the port axis, so it
+        // decides exactly what it decides on the ascending axis, and its
+        // frontier is the exhaustive walk's over the same space.
+        let constraints = Constraints { slo_latency_us: Some(30_000.0), ..Constraints::default() };
+        let ascending = OptimizeSpec::paper_default(constraints);
+        let sorted = optimize_pruned(&ascending, BatchOptions::sequential()).unwrap();
+        for ports in [vec![48, 32, 24, 16, 8], vec![24, 48, 8, 32, 16]] {
+            let mut request = ascending.clone();
+            request.space.switch_ports = ports;
+            let exhaustive = optimize(&request, BatchOptions::sequential()).unwrap();
+            let pruned = optimize_pruned(&request, BatchOptions::sequential()).unwrap();
+            assert_frontiers_bit_identical(&pruned, &exhaustive);
+            assert_eq!(pruned.diagnostics, sorted.diagnostics);
+            assert_eq!((pruned.evaluated, pruned.feasible), (sorted.evaluated, sorted.feasible));
+        }
+    }
+
+    #[test]
     fn pruned_parallel_matches_sequential_bitwise() {
         let constraints = Constraints { slo_latency_us: Some(20_000.0), ..Constraints::default() };
         let request = OptimizeSpec::paper_default(constraints);
         let sequential = optimize_pruned(&request, BatchOptions::sequential()).unwrap();
         for workers in [2, 8] {
-            let parallel = optimize_pruned(&request, BatchOptions::with_workers(workers)).unwrap();
+            let (parallel, sent) = with_helper_blocks(|| {
+                optimize_pruned(&request, BatchOptions::with_workers(workers))
+            });
+            // The probe batch is two blocks' worth of lanes; the waves
+            // are smaller.
+            assert_eq!(sent, 1, "workers={workers}");
             assert_eq!(sequential, parallel);
         }
     }

@@ -91,8 +91,13 @@ impl Equilibrium {
 /// `hmcs-bench`) can sample offered rates at a controlled distance
 /// from the stability boundary.
 pub fn saturation_lambda(config: &SystemConfig, service: &ServiceTimes) -> f64 {
-    let probe = TrafficRates::compute(config, 1.0); // rates per unit lambda
-    let (mu1, mu_e, mu2) = service.rates();
+    saturation_from(&TrafficRates::compute(config, 1.0), service.rates())
+}
+
+/// [`saturation_lambda`] from the arrival rates at λ = 1 (`probe`) and
+/// the tiers' service rates `(µ_ICN1, µ_ECN1, µ_ICN2)`, for a caller
+/// that holds both for many designs (the optimizer's enumeration).
+pub(crate) fn saturation_from(probe: &TrafficRates, (mu1, mu_e, mu2): (f64, f64, f64)) -> f64 {
     let mut sat = f64::INFINITY;
     if probe.icn1 > 0.0 {
         sat = sat.min(mu1 / probe.icn1);

@@ -15,6 +15,11 @@ use std::ops::{AddAssign, Sub};
 /// Counts of solver and planner work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Work {
+    /// Kernel solves: one per block of lanes an arena solved, whether on
+    /// the calling thread or on a helper.
+    pub solves: u64,
+    /// Blocks of a batch sent to the kernel's helper threads.
+    pub helper_blocks: u64,
     /// Kernel lanes solved, one per configuration.
     pub lanes: u64,
     /// Lane evaluations of the kernel's lockstep passes: each pass
@@ -31,6 +36,8 @@ pub struct Work {
 
 impl AddAssign for Work {
     fn add_assign(&mut self, other: Work) {
+        self.solves += other.solves;
+        self.helper_blocks += other.helper_blocks;
         self.lanes += other.lanes;
         self.lane_passes += other.lane_passes;
         self.evaluations += other.evaluations;
@@ -43,6 +50,8 @@ impl Sub for Work {
 
     fn sub(self, earlier: Work) -> Work {
         Work {
+            solves: self.solves - earlier.solves,
+            helper_blocks: self.helper_blocks - earlier.helper_blocks,
             lanes: self.lanes - earlier.lanes,
             lane_passes: self.lane_passes - earlier.lane_passes,
             evaluations: self.evaluations - earlier.evaluations,
@@ -53,7 +62,14 @@ impl Sub for Work {
 
 thread_local! {
     static TALLY: Cell<Work> = const {
-        Cell::new(Work { lanes: 0, lane_passes: 0, evaluations: 0, designs_priced: 0 })
+        Cell::new(Work {
+            solves: 0,
+            helper_blocks: 0,
+            lanes: 0,
+            lane_passes: 0,
+            evaluations: 0,
+            designs_priced: 0,
+        })
     };
 }
 

@@ -16,6 +16,7 @@ use hmcs_core::model::AnalyticalModel;
 use hmcs_core::optimize::{self, Constraints, DesignSpace, OptimizeSpec, Workload};
 use hmcs_core::scenario::{Scenario, PAPER_CLUSTER_COUNTS};
 use hmcs_core::sensitivity;
+use hmcs_core::work;
 use hmcs_topology::transmission::Architecture;
 
 #[path = "../../sim/tests/counting_alloc/mod.rs"]
@@ -82,11 +83,13 @@ fn a_warm_lambda_search_allocates_only_its_outcome_buffer() {
 
 #[test]
 fn a_warm_bounded_batch_allocates_only_its_result_at_one_and_two_workers() {
-    // 64 lanes of one shape on a λ grid, half of them bounded by an SLO
-    // they cross, so both solved and pruned lanes come back.
+    // Two blocks' worth of lanes of one shape on a λ grid, half of them
+    // bounded by an SLO they cross, so both solved and pruned lanes come
+    // back, and two workers send one block to a helper.
     let base = case1_c16();
-    let configs: Vec<SystemConfig> =
-        (0..64).map(|i| base.with_lambda(1e-5 * 1.08f64.powi(i))).collect();
+    let configs: Vec<SystemConfig> = (0..2 * kernel::HELPER_MIN_LANES as i32)
+        .map(|i| base.with_lambda(1e-5 * 1.01f64.powi(i)))
+        .collect();
     let service = vec![LaneService::compute(&base).unwrap(); configs.len()];
     let bounds: Vec<LaneBounds> = (0..configs.len())
         .map(|i| {
@@ -97,14 +100,24 @@ fn a_warm_bounded_batch_allocates_only_its_result_at_one_and_two_workers() {
             }
         })
         .collect();
+    let cold = kernel::evaluate_batch_bounded(&configs, &service, &bounds, 1);
+    assert!(cold.iter().any(|o| matches!(o, LaneOutcome::Pruned { .. })));
+    assert!(cold.iter().any(|o| matches!(o, LaneOutcome::Solved(..))));
     for (workers, pinned) in [(1, BOUNDED_WARM_ONE_WORKER), (2, BOUNDED_WARM_TWO_WORKERS)] {
         let cold = kernel::evaluate_batch_bounded(&configs, &service, &bounds, workers);
         let mut warm_outcomes = Vec::new();
+        let before = work::tally();
         let warm = allocations(|| {
             warm_outcomes = kernel::evaluate_batch_bounded(&configs, &service, &bounds, workers);
         });
+        assert_eq!((work::tally() - before).helper_blocks, workers as u64 - 1);
         assert_eq!(timeless(warm_outcomes), timeless(cold), "workers={workers}");
-        assert_eq!(warm, pinned, "a warm 64-lane bounded batch's allocations at {workers} workers");
+        assert_eq!(
+            warm,
+            pinned,
+            "a warm {}-lane bounded batch's allocations at {workers} workers",
+            configs.len()
+        );
     }
 }
 
@@ -132,6 +145,26 @@ fn a_warm_pruned_plan_allocates_a_fixed_count() {
     assert_eq!(warm, PRUNED_PLAN_WARM, "a warm pruned plan's allocations");
 }
 
+#[test]
+fn a_warm_frontier_sensitivity_allocates_a_fixed_count() {
+    // The frontier of a plan over the paper space under an SLO: its
+    // points' derivatives and λ-for-latency searches, batched.
+    let spec = OptimizeSpec::paper_default(Constraints {
+        slo_latency_us: Some(30_000.0),
+        ..Constraints::default()
+    });
+    let outcome = optimize::optimize_pruned(&spec, BatchOptions::with_workers(1)).unwrap();
+    let slo = spec.constraints.slo_latency_us;
+    let cold = optimize::frontier_sensitivity(&outcome, slo).unwrap();
+    let mut rows = None;
+    let warm = allocations(|| {
+        rows = Some(optimize::frontier_sensitivity(&outcome, slo).unwrap());
+    });
+    assert_eq!(rows.unwrap(), cold);
+    assert_eq!(outcome.frontier.len(), FRONTIER_POINTS);
+    assert_eq!(warm, FRONTIER_SENSITIVITY_WARM, "a warm frontier sensitivity's allocations");
+}
+
 /// `outcomes` without their wall-clock times, the one field two solves
 /// of the same lanes may disagree on.
 fn timeless(mut outcomes: Vec<LaneOutcome>) -> Vec<LaneOutcome> {
@@ -155,10 +188,19 @@ const SENSITIVITY_WARM: u64 = 1;
 /// solves share (39 on its own per-call arena and probe vectors).
 const LAMBDA_SEARCH_WARM: u64 = 1;
 /// Allocations of a warm pruned plan over the expanded space: the
-/// candidate and family vectors, the waves' buffers and the outcome
-/// (479 while the gradient ordering collected each family's probes
-/// into a vector of its own).
-const PRUNED_PLAN_WARM: u64 = 406;
+/// enumeration's tables and candidates, the family index, the waves'
+/// buffers and the outcome (479 while the gradient ordering collected
+/// each family's probes into a vector of its own; 406 while each family
+/// had a vector of its members and the feasible set held whole designs).
+const PRUNED_PLAN_WARM: u64 = 61;
+/// Frontier points of the plan whose sensitivity is pinned.
+const FRONTIER_POINTS: usize = 14;
+/// Allocations of a warm frontier sensitivity: the frontier's
+/// configurations, the two batches' results and the rows (4), and the
+/// rows' design keys, whose formatting allocates six or seven times
+/// each (122 while each point's derivatives and λ search allocated
+/// their own result and outcome buffers).
+const FRONTIER_SENSITIVITY_WARM: u64 = 97;
 /// Allocations of a warm bounded batch at one worker: the result
 /// vector (4 through the scoped-thread pool).
 const BOUNDED_WARM_ONE_WORKER: u64 = 1;

@@ -14,7 +14,7 @@ use hmcs_core::batch::EvalStats;
 use hmcs_core::config::{ServiceTimeModel, SystemConfig};
 use hmcs_core::error::ModelError;
 use hmcs_core::kernel::{
-    evaluate_batch_bounded, BatchKernel, LaneBounds, LaneOutcome, LaneService,
+    evaluate_batch_bounded, BatchKernel, LaneBounds, LaneOutcome, LaneService, HELPER_MIN_LANES,
 };
 use hmcs_core::model::{AnalyticalModel, PerformanceReport};
 use hmcs_core::scenario::Scenario;
@@ -435,13 +435,16 @@ proptest! {
     /// Threads that share the kernel helpers at once, each with its own
     /// lanes and worker count, each get exactly their lanes' solo
     /// outcomes, batch after batch, with a one-worker batch between
-    /// their parallel ones.
+    /// their parallel ones. Every batch holds at least two blocks of
+    /// `HELPER_MIN_LANES`, so a batch at two or more workers sends
+    /// blocks to the helpers.
     #[test]
     fn concurrent_batches_match_their_solo_solves(
         workers in proptest::collection::vec(1usize..6, 2..5),
-        lanes in 1u32..160,
+        extra in 0u32..160,
         seed in 0u64..u64::MAX,
     ) {
+        let lanes = 2 * HELPER_MIN_LANES as u32 + extra;
         let jobs: Vec<(usize, BoundedLanes)> = workers
             .iter()
             .enumerate()

@@ -49,6 +49,7 @@ fn the_paper_grid_bisects_in_47_iterations() {
     assert_eq!(work.evaluations, PAPER_GRID_EVALUATIONS);
     assert_eq!(work.lane_passes, PAPER_GRID_LANE_PASSES);
     assert_eq!(work.designs_priced, 0);
+    assert_eq!((work.solves, work.helper_blocks), (1, 0));
 }
 
 /// Uniform draw in `[lo, hi)`.
@@ -126,6 +127,8 @@ fn seed_one_plans_are_pinned() {
         assert_eq!(plan.lanes, PLAN_LANES[k], "plan {k} lanes");
         assert_eq!(plan.lane_passes, PLAN_LANE_PASSES[k], "plan {k} lane-passes");
         assert_eq!(&search_lanes[..], PLAN_SEARCH_LANES[k], "plan {k} search lanes per point");
+        assert_eq!(plan.solves, PLAN_SOLVES[k], "plan {k} kernel solves");
+        assert_eq!(plan.helper_blocks, 0, "plan {k} helper blocks at one worker");
         passes += plan.lane_passes;
     }
     // The lockstep passes of a seed-1 plan averaged 74,195 lane
@@ -133,6 +136,22 @@ fn seed_one_plans_are_pinned() {
     // and 58,152 while saturated designs became kernel lanes; pruning
     // those on their saturation floor cut the average to 24,660.
     assert!(passes <= 24_660 * PLANS as u64);
+}
+
+#[test]
+fn two_worker_seed_one_plans_send_no_block_to_a_helper() {
+    // Every batch of a plan is below two blocks of `HELPER_MIN_LANES`,
+    // so two workers solve it as one worker does, on the calling thread:
+    // the same kernel solves and lane-passes.
+    for (k, spec) in plan_specs(1).iter().enumerate() {
+        let before = work::tally();
+        let outcome = optimize::optimize_pruned(spec, BatchOptions::with_workers(2)).unwrap();
+        optimize::frontier_sensitivity(&outcome, spec.constraints.slo_latency_us).unwrap();
+        let plan = work::tally() - before;
+        assert_eq!(plan.helper_blocks, 0, "plan {k} helper blocks");
+        assert_eq!(plan.solves, PLAN_SOLVES[k], "plan {k} kernel solves");
+        assert_eq!(plan.lane_passes, PLAN_LANE_PASSES[k], "plan {k} lane-passes");
+    }
 }
 
 /// Real evaluations of the paper-grid batch: 46 per lane.
@@ -149,6 +168,13 @@ const PLAN_LANES: [u64; PLANS] = [712, 611, 457, 452, 540, 516];
 /// Lockstep lane-passes of each seed-1 plan (50,061–66,472 before the
 /// saturation floor).
 const PLAN_LANE_PASSES: [u64; PLANS] = [32_040, 27_495, 20_565, 20_340, 24_300, 23_220];
+/// Kernel solves of each seed-1 plan: the probe batch, the waves, and
+/// one solve per stage of the frontier's sensitivity — its derivatives,
+/// the coarse and fine rungs, and each Newton round of the points still
+/// polishing (63, 28, 19, 32, 23 and 50 while each frontier point's
+/// derivatives and each stage of its λ search were solves of their
+/// own).
+const PLAN_SOLVES: [u64; PLANS] = [43, 6, 5, 20, 5, 40];
 /// Lanes of each frontier point's λ-for-latency search, per seed-1
 /// plan: at most 14 ladder rungs (47 before the ladder was searched)
 /// plus three per Newton polish step.

@@ -7,6 +7,9 @@
 //!   configurations.
 //! * `sensitivity::lambda_for_latency` searches its 47-rung λ ladder;
 //!   the oracle here solves every rung, as the search did before.
+//! * `sensitivity::evaluate_batch` and `lambda_for_latency_batch` solve
+//!   a set of configurations one stage at a time; the oracle is each
+//!   configuration solved alone.
 //! * The optimizer's enumeration skips families its budget rules out;
 //!   the oracle walks and prices every design one by one.
 //! * The pruned walk drops designs offered more than they can carry on
@@ -341,6 +344,81 @@ fn ladder_search_keeps_the_full_ladders_errors() {
         sensitivity::lambda_for_latency(&invalid, 5_000.0),
         lambda_for_latency_full(&invalid, 5_000.0)
     );
+}
+
+/// A member of a sensitivity batch: a sampled configuration, or one
+/// made to fail validation, to sit at or far past saturation, or to
+/// have a relative λ step that underflows.
+fn any_batch_member() -> impl Strategy<Value = SystemConfig> {
+    (any_config(), 0usize..8, 0.0f64..4.0).prop_map(|(config, kind, log_u)| match kind {
+        0 => config.with_lambda(-1.0),
+        1 => config.with_lambda(f64::NAN),
+        2 => at_utilization(config, 1.0).unwrap_or(config),
+        3 => at_utilization(config, 10f64.powf(log_u)).unwrap_or(config),
+        4 => config.with_lambda(1e-320),
+        _ => config,
+    })
+}
+
+/// A sensitivity's bits, or its error.
+fn sensitivity_bits(
+    s: &Result<sensitivity::Sensitivity, ModelError>,
+) -> Result<[u64; 6], ModelError> {
+    s.as_ref().map_err(Clone::clone).map(|s| {
+        [
+            s.latency_us,
+            s.dlatency_dlambda,
+            s.dlatency_dbyte,
+            s.dlatency_dnode,
+            s.saturation_lambda,
+            s.lambda_headroom,
+        ]
+        .map(f64::to_bits)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Batching does not change an answer: the sliced derivatives and λ
+    /// searches of a set of configurations, each stage one kernel solve,
+    /// equal every configuration solved alone, bit for bit and error for
+    /// error, so the first error of the set is the same too.
+    #[test]
+    fn sensitivity_batches_match_each_configuration_alone(
+        configs in proptest::collection::vec(any_batch_member(), 0..12),
+        log_budget in prop_oneof![(0.5f64..6.0).prop_map(Some), Just(None)],
+    ) {
+        let budget = log_budget.map_or(f64::NAN, |l| 10f64.powf(l));
+        let derivatives = sensitivity::evaluate_batch(&configs);
+        let searches = sensitivity::lambda_for_latency_batch(&configs, budget);
+        prop_assert_eq!(derivatives.len(), configs.len());
+        prop_assert_eq!(searches.len(), configs.len());
+        for (k, config) in configs.iter().enumerate() {
+            let alone = sensitivity::evaluate(config);
+            prop_assert_eq!(
+                sensitivity_bits(&derivatives[k]), sensitivity_bits(&alone),
+                "derivatives of member {} (λ={:e})", k, config.lambda_per_us
+            );
+            let alone = sensitivity::lambda_for_latency(config, budget);
+            prop_assert_eq!(
+                searches[k].clone().map(|o| o.map(f64::to_bits)),
+                alone.map(|o| o.map(f64::to_bits)),
+                "λ search of member {} (λ={:e}, budget {})", k, config.lambda_per_us, budget
+            );
+        }
+        let first_error = |results: Vec<Option<ModelError>>| results.into_iter().flatten().next();
+        prop_assert_eq!(
+            first_error(derivatives.iter().map(|r| r.as_ref().err().cloned()).collect()),
+            first_error(configs.iter().map(|c| sensitivity::evaluate(c).err()).collect())
+        );
+        prop_assert_eq!(
+            first_error(searches.iter().map(|r| r.as_ref().err().cloned()).collect()),
+            first_error(
+                configs.iter().map(|c| sensitivity::lambda_for_latency(c, budget).err()).collect()
+            )
+        );
+    }
 }
 
 /// A technology the cost catalogue has no price for.
